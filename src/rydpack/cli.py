@@ -295,9 +295,7 @@ def _scan_times(cfg: RunConfig, args) -> list[float]:
 def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
     exp = _load_expansion_checked(cfg, expansion_path)
     times = sorted(_scan_times(cfg, args))
-    grid = _grid(cfg)
-    basis = BasisTable.for_expansion(exp, grid)
-    records = [observables(exp, t, grid, basis) for t in times]
+    records = [observables(exp, t, None) for t in times]
     acs = [autocorr(exp, t) for t in times]
     rio.write_series(_out_path(cfg, "scan.csv"), records, acs)
     print(f"scan: {len(times)} time points -> scan.csv")
@@ -363,8 +361,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--deltan", type=float, help="level spread for t_int")
         p.add_argument("--potential", dest="potential_mode", choices=POTENTIAL_MODES)
         p.add_argument("--deficit-tol", dest="deficit_tol", type=float)
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--r-max-factor", dest="r_max_factor", type=float)
+        p.add_argument("--grid-points", dest="grid_points", type=int,
+                       help="points of the density-snapshot grid (density only)")
+        p.add_argument("--r-max-factor", dest="r_max_factor", type=float,
+                       help="density-snapshot grid extent in nbar^2 bohr (density only)")
         p.add_argument("--prominence", type=float)
         p.add_argument("--smooth", type=float, help="envelope width (bohr) for packet counting")
         p.add_argument("--output-dir", "-o", dest="output_dir")

@@ -1,18 +1,22 @@
 """Spectral time evolution, density sampling and time-dependent observables.
 
 Propagation is exact in the bound-state basis: each coefficient picks up the
-phase exp(-i E_n t).  Radial-momentum moments use the analytic derivative of
-the eigenfunctions, never finite differences of sampled values.
+phase exp(-i E_n t).  Every moment an uncertainty needs is a quadratic form
+c(t)^dagger M c(t) in those coefficients, so the operator matrices M are
+integrated once per expansion window on a Gauss-Legendre rule and no
+wavefunction is ever sampled for them.  Radial-momentum matrices use the
+analytic (d/dr + 1/r) of the eigenfunctions, never finite differences.  Only
+density snapshots evaluate the wavefunction, on a caller-supplied grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .specfun import NumericalError, hydrogen_radial, hydrogen_radial_pr
+from .specfun import NumericalError, hydrogen_radial, hydrogen_radial_pr, radial_quadrature
 from .spectral import EigenExpansion
 
 __all__ = [
@@ -72,29 +76,27 @@ class UncertaintyRecord:
 
 
 class BasisTable:
-    """Eigenfunction values and (d/dr + 1/r) values tabulated on fixed radii.
+    """Eigenfunction values R_nl tabulated on fixed radii, for density snapshots.
 
     Building the table costs one Laguerre recurrence per level; evaluating an
     evolved wavefunction afterwards is a single matrix-vector product, so one
-    table serves any number of time points.
+    table serves any number of snapshot times.  ``observables`` does not need
+    a table; it only checks one it is given against the expansion and grid.
     """
 
-    def __init__(self, ns, l, points, values, momentum):
+    def __init__(self, ns, l, points, values):
         self.ns = ns
         self.l = l
         self.points = points
         self.values = values
-        self.momentum = momentum
 
     @classmethod
     def build(cls, ns, l: int, points) -> "BasisTable":
         points = np.asarray(points, dtype=float)
         values = np.empty((len(ns), points.size))
-        momentum = np.empty_like(values)
         for i, n in enumerate(ns):
             values[i] = hydrogen_radial(int(n), l, points)
-            momentum[i] = hydrogen_radial_pr(int(n), l, points)
-        return cls(np.asarray(ns), l, points, values, momentum)
+        return cls(np.asarray(ns), l, points, values)
 
     @classmethod
     def for_expansion(cls, exp: EigenExpansion, grid: RadialGrid) -> "BasisTable":
@@ -116,6 +118,36 @@ def _table_for(exp, grid, basis):
     if not basis.matches(exp, grid):
         raise ValueError("basis table does not match the expansion/grid pair")
     return basis
+
+
+@lru_cache(maxsize=8)
+def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
+    """The (7, N, N) operator matrices of the window [n_min, n_max], read-only.
+
+    In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m>, <n|r^-2|m>,
+    <n|(d/dr + 1/r)|m> and <(d/dr + 1/r) n|(d/dr + 1/r) m>, all integrated
+    with the measure r^2 dr on the 2048-node rule over [0, 4 n_max^2] (the
+    check rule ``decompose`` uses).  The first matrix is the Gram matrix the
+    norm guard compares against sum |c_n|^2.
+    """
+    x, w = radial_quadrature(4.0 * n_max * n_max, 2048)
+    ns = range(n_min, n_max + 1)
+    vals = np.array([hydrogen_radial(n, l, x) for n in ns])
+    ders = np.array([hydrogen_radial_pr(n, l, x) for n in ns])
+    wv = vals * (w * x * x)
+    mats = np.stack(
+        [
+            wv @ vals.T,
+            (wv * x) @ vals.T,
+            (wv * x * x) @ vals.T,
+            (wv / x) @ vals.T,
+            (vals * w) @ vals.T,
+            wv @ ders.T,
+            (ders * (w * x * x)) @ ders.T,
+        ]
+    )
+    mats.flags.writeable = False
+    return mats
 
 
 def evolve(exp: EigenExpansion, t: float) -> EigenExpansion:
@@ -145,39 +177,37 @@ def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisT
 def observables(
     exp: EigenExpansion,
     t: float,
-    grid: RadialGrid,
+    grid: RadialGrid | None,
     basis: BasisTable | None = None,
     norm_tol: float = 1e-6,
 ) -> UncertaintyRecord:
-    """Grid-integrated uncertainties of the evolved state at time t.
+    """Uncertainties of the evolved state at time t, as matrix elements.
 
-    The grid-resolution guard requires the integrated norm to match the
-    captured weight sum |c_n|^2 to ``norm_tol``; failure raises NumericalError.
-    Moments are normalized by the integrated norm so shared quadrature error
-    cancels between numerator and denominator.
+    Each moment is c(t)^dagger M c(t) with the cached operator matrices of the
+    expansion window; no grid is sampled.  ``grid`` and ``basis`` only shape
+    density snapshots: a supplied ``basis`` must still match the
+    expansion/grid pair, else ValueError.
+
+    The quadrature guard requires the norm c(t)^dagger S c(t) on the Gram
+    matrix S to match the captured weight sum |c_n|^2 to ``norm_tol``;
+    failure raises NumericalError.  Moments are normalized by that norm so
+    shared quadrature error cancels between numerator and denominator.
     """
-    basis = _table_for(exp, grid, basis)
-    r = grid.points
+    if basis is not None:
+        _table_for(exp, grid, basis)  # validated only; the moments need no table
     coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)
-    psi = coeff_t @ basis.values
-    dpsi = coeff_t @ basis.momentum
-
-    abs2 = np.abs(psi) ** 2
-    dens = abs2 * r**2
-    norm = simpson(dens, x=r)
+    forms = (_moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t) @ np.conj(coeff_t)
+    norm = forms[0].real
     weight = exp.weight
-    if abs(norm - weight) > norm_tol:
+    if not abs(norm - weight) <= norm_tol:  # a NaN norm fails too
         raise NumericalError(
-            f"grid too coarse at t={t:g}: integrated norm {norm:.9f} vs "
+            f"quadrature too coarse at t={t:g}: quadrature norm {norm:.9f} vs "
             f"captured weight {weight:.9f} (tolerance {norm_tol:g})"
         )
 
-    m1 = simpson(dens * r, x=r) / norm
-    m2 = simpson(dens * r**2, x=r) / norm
-    w1 = simpson(abs2 * r, x=r) / norm
-    w2 = simpson(abs2, x=r) / norm
-    pr = simpson(np.imag(np.conj(psi) * dpsi) * r**2, x=r) / norm
-    pr2 = simpson(np.abs(dpsi) ** 2 * r**2, x=r) / norm
+    m1, m2, w1, w2 = forms[1:5].real / norm
+    pr = forms[5].imag / norm
+    pr2 = forms[6].real / norm
 
     dr = np.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = np.sqrt(max(pr2 - pr * pr, 0.0))

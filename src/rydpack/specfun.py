@@ -26,8 +26,6 @@ __all__ = [
     "radial_quadrature",
 ]
 
-_LN2 = math.log(2.0)
-
 
 class NumericalError(RuntimeError):
     """A numerical guard tripped (overflow, quadrature non-convergence, ...)."""

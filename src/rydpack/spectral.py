@@ -152,7 +152,7 @@ def project_coefficient(
         quad = _default_quadrature(state, max(_default_center(state), n))
     c = _project_batch(state, [n], l, quad.x, quad.w)[0]
     c_check = _project_batch(state, [n], l, quad.x_check, quad.w_check)[0]
-    if abs(c - c_check) > err_tol:
+    if not abs(c - c_check) <= err_tol:  # a NaN error fails too
         raise NumericalError(
             f"projection onto n={n} did not converge: estimated error "
             f"{abs(c - c_check):.3e} > {err_tol:g}"
@@ -186,7 +186,7 @@ def decompose(
         c = _project_batch(state, ns, l, quad.x, quad.w)
         c_check = _project_batch(state, ns, l, quad.x_check, quad.w_check)
         err = np.max(np.abs(c - c_check)) if len(ns) else 0.0
-        if err > err_tol:
+        if not err <= err_tol:  # a NaN error fails too
             raise NumericalError(
                 f"projection quadrature did not converge: estimated error "
                 f"{err:.3e} > {err_tol:g}"

@@ -12,21 +12,9 @@ def au_to_s(t_au: float) -> float:
     return t_au * ATOMIC_TIME_S
 
 
-def s_to_au(t_s: float) -> float:
-    return t_s / ATOMIC_TIME_S
-
-
 def au_to_ns(t_au: float) -> float:
     return t_au * (ATOMIC_TIME_S * 1e9)
 
 
-def ns_to_au(t_ns: float) -> float:
-    return t_ns / (ATOMIC_TIME_S * 1e9)
-
-
 def au_to_ps(t_au: float) -> float:
     return t_au * (ATOMIC_TIME_S * 1e12)
-
-
-def ps_to_au(t_ps: float) -> float:
-    return t_ps / (ATOMIC_TIME_S * 1e12)

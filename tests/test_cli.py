@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,21 +7,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydpack.cli import UsageError, parse_time_expression
+import rydpack
+from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
-from rydpack.squeezed import RadialSqueezedState
+from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
 from rydpack.units import ATOMIC_TIME_S
 
 TCL = 100.0
 TREV = 1000.0
 
 
+# the child interpreter imports the same rydpack as this one, installed or not
+SRC = str(Path(rydpack.__file__).resolve().parents[1])
+
+
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "rydpack", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -168,12 +176,23 @@ def test_scan_refuses_deficient_expansion(pipeline20, tmp_path):
     assert res.returncode == 2
 
 
-def test_scan_grid_resolution_failure(pipeline20, tmp_path):
-    res = run_cli(
-        "scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
-        "--t-stop", "Tcl", "--grid-points", "120", "-o", str(tmp_path),
+def test_scan_quadrature_failure(pipeline20, tmp_path, coarse_quadrature, capsys):
+    code = main(
+        ["scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+         "--t-stop", "Tcl", "-o", str(tmp_path)]
     )
-    assert res.returncode == 2
+    assert code == 2
+    assert "quadrature too coarse" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_decompose_nan_projection_is_numerical_failure(tmp_path):
+    # at nbar 300 the Laguerre recurrence overflows and the projections are NaN
+    write_state(tmp_path / "state.json", 300, 1, fit_parameters(QuantumNumbers(300)))
+    res = run_cli("decompose", "--nbar", "300", "--state", str(tmp_path / "state.json"),
+                  "-o", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "numerical failure" in res.stderr
 
 
 def test_density_snapshots_and_packets(pipeline20, tmp_path):

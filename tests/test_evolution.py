@@ -1,20 +1,29 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from rydpack.analysis import timescales
 from rydpack.evolution import (
     BasisTable,
     RadialGrid,
+    UncertaintyRecord,
     autocorrelation,
     density,
     evolve,
     observables,
 )
-from rydpack.specfun import NumericalError, hydrogen_energy
-from rydpack.spectral import EigenExpansion
-from rydpack.squeezed import uncertainties_RP, uncertainties_rp
+from rydpack.specfun import (
+    NumericalError,
+    hydrogen_energy,
+    hydrogen_radial,
+    hydrogen_radial_pr,
+    radial_quadrature,
+)
+from rydpack.spectral import EigenExpansion, decompose
+from rydpack.squeezed import QuantumNumbers, fit_parameters, uncertainties_RP, uncertainties_rp
 
 
 def two_level_toy():
@@ -96,10 +105,45 @@ def test_observables_match_closed_forms_at_t0(state85, exp85, grid85, basis85):
     assert rec.ratio == rec.dr / rec.dpr
 
 
-def test_observables_rejects_coarse_grid(exp85, ts85):
-    coarse = RadialGrid.uniform(4.0 * 85**2, 2000)
-    with pytest.raises(NumericalError):
-        observables(exp85, ts85.T_cl_au / 2.0, coarse)
+def direct_record(exp, t):
+    """Reference: the same moments by sampling psi(t) and (d/dr + 1/r) psi(t)
+    on the 4096-node rule and summing, with no operator matrices."""
+    x, w = radial_quadrature(4.0 * exp.n_max**2, 4096)
+    psi = np.zeros(x.size, dtype=complex)
+    dpsi = np.zeros(x.size, dtype=complex)
+    for n, c in zip(exp.ns, evolve(exp, t).coeffs):
+        psi += c * hydrogen_radial(int(n), exp.l, x)
+        dpsi += c * hydrogen_radial_pr(int(n), exp.l, x)
+    wr2 = w * x**2
+    dens = wr2 * np.abs(psi) ** 2
+    norm = dens.sum()
+    m1, m2 = (dens * x).sum() / norm, (dens * x**2).sum() / norm
+    w1, w2 = (dens / x).sum() / norm, (dens / x**2).sum() / norm
+    pr = (wr2 * np.imag(np.conj(psi) * dpsi)).sum() / norm
+    pr2 = (wr2 * np.abs(dpsi) ** 2).sum() / norm
+    dr, dpr, dR = math.sqrt(m2 - m1 * m1), math.sqrt(pr2 - pr * pr), math.sqrt(w2 - w1 * w1)
+    return UncertaintyRecord(t, dr, dpr, dr * dpr, dr / dpr, dR, dpr, 0.5 * w2)
+
+
+@pytest.mark.parametrize("orbits", [0.0, 0.5, 1.0, 4.0])
+def test_observables_match_direct_quadrature(exp85, ts85, orbits):
+    t = orbits * ts85.T_cl_au
+    got = astuple(observables(exp85, t, None))
+    want = astuple(direct_record(exp85, t))
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_observables_rejects_coarse_quadrature(exp85, ts85, coarse_quadrature):
+    with pytest.raises(NumericalError, match="quadrature too coarse"):
+        observables(exp85, ts85.T_cl_au / 2.0, None)
+
+
+def test_observables_answer_every_nbar150_point():
+    q = QuantumNumbers(150)
+    exp = decompose(fit_parameters(q), center=150)
+    grid = RadialGrid.uniform(4.0 * 150**2, 16000)  # the CLI default
+    for t in np.linspace(0.0, 4.0 * timescales(q).T_cl_au, 250):
+        assert observables(exp, t, grid).product >= 0.5 - 1e-9
 
 
 def test_observables_rejects_mismatched_basis(exp85, grid85, basis85):

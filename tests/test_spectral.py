@@ -11,7 +11,7 @@ from rydpack.spectral import (
     project_coefficient,
     reconstruct,
 )
-from rydpack.squeezed import RadialSqueezedState
+from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
 
 
 def pure_p_eigenstate():
@@ -50,6 +50,15 @@ def test_decompose_pure_eigenstate():
     assert n_at_max == 2
     assert p.max() == pytest.approx(1.0, abs=1e-10)
     assert exp.deficit < 1e-9
+
+
+def test_nan_projection_raises():
+    # at nbar 300 the Laguerre recurrence overflows and the projections are NaN
+    state = fit_parameters(QuantumNumbers(300))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        decompose(state, center=300)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        project_coefficient(state, 300)
 
 
 def test_decompose_fitted_state(state85, exp85):
