@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
-from scipy.signal import find_peaks
 
 from .squeezed import QuantumNumbers
 from .units import au_to_s
@@ -82,15 +80,22 @@ def count_packets(
 ) -> PacketReport:
     """Count spatially separated packets in a density snapshot.
 
-    A packet is a local maximum whose prominence exceeds
-    ``prominence_threshold`` times the global maximum.  Counting is invariant
-    under positive rescaling of f.
+    A packet is a local maximum whose prominence is at or above
+    ``prominence_threshold`` times the global maximum.  A run of equal values
+    counts as one maximum, placed at the run's midpoint (lower middle index),
+    when both neighbouring values are lower; runs touching either end of the
+    grid never count.  Prominence is the height above the higher of the two
+    bases, each base being the lowest value between the peak and the nearest
+    strictly higher sample on that side (or the grid end).  Counting is
+    invariant under positive rescaling of f.
 
-    ``smooth`` (bohr) applies a Gaussian envelope filter before peak finding.
-    Overlapping sub-packets interfere, so the raw density carries fringes at
-    the local de Broglie scale; smoothing at a fraction of the packet width
-    recovers the envelope humps those fringes ride on.  Requires a uniform
-    grid when non-zero.
+    ``smooth`` (bohr) applies a Gaussian envelope filter before peak finding:
+    the kernel exp(-x^2 / 2 sigma^2) is cut at 4 sigma, normalised to unit sum,
+    and the snapshot is extended past its ends by mirror reflection
+    (d c b a | a b c d | d c b a).  Overlapping sub-packets interfere, so the
+    raw density carries fringes at the local de Broglie scale; smoothing at a
+    fraction of the packet width recovers the envelope humps those fringes
+    ride on.  Requires a uniform grid when non-zero.
     """
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -102,15 +107,49 @@ def count_packets(
         steps = np.diff(r)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("envelope smoothing requires a uniform grid")
-        f = gaussian_filter1d(f, smooth / steps[0])
+        f = _gaussian_smooth(f, smooth / steps[0])
     fmax = f.max() if f.size else 0.0
     if fmax <= 0.0:
         return PacketReport(t=t, peak_positions=(), peak_count=0,
                             prominence_threshold=prominence_threshold)
-    idx, _ = find_peaks(f, prominence=prominence_threshold * fmax)
+    idx = _prominent_peaks(f, prominence_threshold * fmax)
     positions = tuple(float(v) for v in r[idx])
     return PacketReport(t=t, peak_positions=positions, peak_count=len(positions),
                         prominence_threshold=prominence_threshold)
+
+
+def _gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian filter of width ``sigma`` samples: kernel cut at 4 sigma,
+    mirror-reflected edges (numpy's "symmetric" padding)."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1, dtype=float)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x * x)
+    kernel /= kernel.sum()
+    return np.convolve(np.pad(f, radius, mode="symmetric"), kernel, mode="valid")
+
+
+def _prominent_peaks(f: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``f`` whose prominence is at least
+    ``min_prominence``, in ascending order (the rule in `count_packets`)."""
+    # collapse runs of equal values; a run is a maximum when both neighbours are lower
+    starts = np.flatnonzero(np.concatenate(([True], f[1:] != f[:-1])))
+    ends = np.append(starts[1:] - 1, f.size - 1)
+    v = f[starts]
+    k = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[k] + ends[k]) // 2
+    # prominence never exceeds the height above the global minimum
+    peaks = peaks[f[peaks] - f.min() >= min_prominence]
+    keep = []
+    for p in peaks:
+        # each base spans from the peak to the nearest strictly higher sample
+        h = f[p]
+        left = np.flatnonzero(f[:p] > h)
+        right = np.flatnonzero(f[p + 1 :] > h)
+        lo = left[-1] + 1 if left.size else 0
+        hi = p + 1 + right[0] if right.size else f.size
+        base = max(f[lo : p + 1].min(), f[p:hi].min())
+        keep.append(h - base >= min_prominence)
+    return peaks[np.array(keep, dtype=bool)]
 
 
 def detect_revival(times, values, window):

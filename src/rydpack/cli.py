@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import operator
 import sys
 import warnings
@@ -66,6 +67,13 @@ class RunConfig:
     output_dir: str = "."
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            kind = _FIELD_KINDS[f.name]
+            if not _is_kind(value, kind):
+                raise UsageError(f"{f.name} must be {_KIND_NAMES[kind]}, got {value!r}")
         if self.nbar is None:
             raise UsageError("nbar is required (flag --nbar or config file)")
         if self.nbar < 2:
@@ -85,6 +93,28 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+_FIELD_KINDS = {
+    "nbar": int,
+    "l": int,
+    "deltan": float,
+    "potential_mode": str,
+    "deficit_tol": float,
+    "grid_points": int,
+    "r_max_factor": float,
+    "prominence": float,
+    "smooth": float,
+    "output_dir": str,
+}
+_KIND_NAMES = {int: "an integer", float: "a finite real number", str: "a string"}
+
+
+def _is_kind(value, kind) -> bool:
+    # JSON configs arrive untyped: bool is an int subclass, and "85" is not 85
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def _load_config(args) -> RunConfig:
@@ -132,7 +162,7 @@ def parse_time_expression(text: str, t_cl_au: float, t_rev_au: float) -> float:
     }
     try:
         tree = ast.parse(text.strip(), mode="eval")
-    except SyntaxError:
+    except (SyntaxError, RecursionError):
         raise UsageError(f"unparseable time expression: {text!r}")
 
     def ev(node):
@@ -152,7 +182,15 @@ def parse_time_expression(text: str, t_cl_au: float, t_rev_au: float) -> float:
             return value if isinstance(node.op, ast.UAdd) else -value
         raise UsageError(f"unsupported syntax in time expression: {text!r}")
 
-    return ev(tree)
+    try:
+        value = ev(tree)
+    except ZeroDivisionError:
+        raise UsageError(f"division by zero in time expression {text!r}")
+    except (OverflowError, RecursionError):
+        raise UsageError(f"time expression {text!r} is out of range")
+    if not math.isfinite(value):
+        raise UsageError(f"time expression {text!r} is not a finite time")
+    return value
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:
@@ -196,7 +234,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     dR, dP, bound = uncertainties_RP(state)
     sensitivity = {}
     for mode in POTENTIAL_MODES:
-        alt = fit_parameters(q, mode=mode)
+        alt = state if mode == cfg.potential_mode else fit_parameters(q, mode=mode)
         sensitivity[mode] = {"alpha": alt.alpha, "gamma0": alt.gamma0}
     report = {
         "nbar": q.nbar,

@@ -55,15 +55,35 @@ def write_state(path, nbar: int, l: int, state: RadialSqueezedState) -> None:
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+_STATE_KEYS = {
+    "nbar": (int,),
+    "l": (int,),
+    "alpha": (int, float),
+    "gamma0": (int, float),
+    "gamma1": (int, float),
+    "log_norm": (int, float),
+}
+
+
 def read_state(path):
+    """Inverse of `write_state`; raises ValueError naming a missing or
+    ill-typed key."""
     record = json.loads(Path(path).read_text())
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: not a state file")
+    for key, types in _STATE_KEYS.items():
+        if key not in record:
+            raise ValueError(f"{path}: state file lacks key {key!r}")
+        value = record[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{path}: state key {key!r} has ill-typed value {value!r}")
     state = RadialSqueezedState(
         alpha=record["alpha"],
         gamma0=record["gamma0"],
         gamma1=record["gamma1"],
         log_norm=record["log_norm"],
     )
-    return int(record["nbar"]), int(record["l"]), state
+    return record["nbar"], record["l"], state
 
 
 def write_expansion(path, exp: EigenExpansion) -> None:

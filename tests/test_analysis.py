@@ -5,12 +5,16 @@ import pytest
 
 from rydpack.analysis import (
     PacketReport,
+    _gaussian_smooth,
+    _prominent_peaks,
     count_packets,
     detect_revival,
     fractional_period_check,
     timescales,
 )
-from rydpack.squeezed import QuantumNumbers
+from rydpack.evolution import BasisTable, RadialGrid, density, observables
+from rydpack.spectral import decompose
+from rydpack.squeezed import QuantumNumbers, fit_parameters
 from rydpack.units import au_to_ns, au_to_ps
 
 
@@ -142,3 +146,64 @@ def test_fractional_period_check_synthetic():
     assert not fractional_period_check(r, a, far, r_out=1500.0)  # positions differ
     with pytest.raises(ValueError):
         fractional_period_check(r, a, b[:100], r_out=1500.0)
+
+
+# SciPy is the reference for the numpy envelope filter and peak finder; the
+# package itself does not import it.
+
+
+def _reference_arrays():
+    rng = np.random.default_rng(9508019)
+    cases = [np.array(v, dtype=float) for v in (
+        [0], [1], [0, 1], [1, 0], [1, 1], [0, 1, 0], [1, 0, 1], [2, 2, 1], [1, 2, 2],
+        [2, 2, 2], [0, 1, 1, 0], [0, 1, 1, 1, 0], [1, 1, 0, 1, 1], [0, 2, 1, 2, 0],
+        [3, 3, 1, 2, 2, 0, 3, 3],
+    )]
+    for n in range(1, 60):
+        cases.append(rng.normal(size=n))
+        cases.append(rng.integers(0, 4, size=n).astype(float))  # plateaus and ties
+    return cases
+
+
+@pytest.fixture(scope="module")
+def snapshots(exp85, grid85, basis85):
+    """Density snapshots at nbar 20 and 85, each with the CLI's default
+    smoothing width in samples (one third of the initial dr)."""
+    exp20 = decompose(fit_parameters(QuantumNumbers(20)))
+    grid20 = RadialGrid.uniform(4.0 * 20**2, 16000)
+    out = []
+    for nbar, exp, grid, basis in ((20, exp20, grid20, BasisTable.for_expansion(exp20, grid20)),
+                                   (85, exp85, grid85, basis85)):
+        sigma = observables(exp, 0.0, grid, basis).dr / 3.0 / (grid.points[1] - grid.points[0])
+        ts = timescales(QuantumNumbers(nbar))
+        for t in (0.0, 0.3 * ts.T_cl_au, ts.t_rev_au / 4.0, ts.t_rev_au / 3.0, ts.t_rev_au / 2.0):
+            out.append((density(exp, grid, t, basis), sigma))
+    return out
+
+
+def test_prominent_peaks_match_scipy_find_peaks(snapshots):
+    signal = pytest.importorskip("scipy.signal")
+    ndimage = pytest.importorskip("scipy.ndimage")
+    arrays = _reference_arrays()
+    arrays += [f for f, _ in snapshots]
+    arrays += [ndimage.gaussian_filter1d(f, sigma) for f, sigma in snapshots]
+    for f in arrays:
+        span = float(f.max() - f.min())
+        # 1.0 hits integer prominences exactly: the threshold is inclusive
+        for threshold in (0.0, 1e-3 * span, 0.05 * span, 0.2 * span, 1.0):
+            expected, _ = signal.find_peaks(f, prominence=threshold)
+            got = _prominent_peaks(f, threshold)
+            assert np.array_equal(got, expected), (f.size, threshold)
+
+
+def test_gaussian_smooth_matches_scipy_gaussian_filter1d(snapshots):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(1995)
+    cases = [(rng.normal(size=n), sigma) for n in (1, 2, 7, 40) for sigma in (0.3, 1.0, 2.5, 30.0)]
+    cases += snapshots
+    for f, sigma in cases:
+        expected = ndimage.gaussian_filter1d(f, sigma)
+        got = _gaussian_smooth(f, sigma)
+        assert got.shape == expected.shape
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-12 * scale, (f.size, sigma)

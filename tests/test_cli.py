@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import rydpack
+from rydpack import cli
 from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
-from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
+from rydpack.squeezed import POTENTIAL_MODES, QuantumNumbers, RadialSqueezedState, fit_parameters
 from rydpack.units import ATOMIC_TIME_S
 
 TCL = 100.0
@@ -21,15 +22,19 @@ TREV = 1000.0
 SRC = str(Path(rydpack.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "rydpack", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "rydpack", *args, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +58,43 @@ def test_time_expressions():
     assert parse_time_expression("(Tcl + trev) / 2", TCL, TREV) == 550.0
 
 
-@pytest.mark.parametrize("expr", ["Tcl**2", "__import__('os')", "foo", "1;2", ""])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "Tcl**2",
+        "__import__('os')",
+        "foo",
+        "1;2",
+        "",
+        "Tcl/0",
+        "1/(Tcl - Tcl)",
+        "1e308*1e308",
+        "1e999 - 1e999",
+        pytest.param("1" + "0" * 400, id="int-beyond-float"),
+        pytest.param("-" * 5000 + "1", id="deep-unary"),
+    ],
+)
 def test_time_expression_rejects(expr):
     with pytest.raises(UsageError):
         parse_time_expression(expr, TCL, TREV)
+
+
+@pytest.mark.parametrize("command, times", [("scan", "Tcl/0"), ("density", "1e308*1e308")])
+def test_bad_time_expression_is_usage_error(pipeline20, tmp_path, capsys, command, times):
+    code = main([command, "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+                 "--times", f"0,{times}", "-o", str(tmp_path)])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    code = (
+        "import sys, rydpack, rydpack.cli; "
+        "print(','.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    res = run_python("-c", code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ""
 
 
 def test_fit_outputs_and_determinism(tmp_path):
@@ -76,6 +114,23 @@ def test_fit_outputs_and_determinism(tmp_path):
     sens = report["potential_sensitivity"]
     g0 = {m: sens[m]["gamma0"] for m in ("paper", "centrifugal")}
     assert abs(g0["paper"] - g0["centrifugal"]) <= 1e-5 * g0["paper"]
+
+
+def test_fit_runs_one_fit_per_mode(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(q, mode):
+        calls.append(mode)
+        return fit_parameters(q, mode=mode)
+
+    monkeypatch.setattr(cli, "fit_parameters", counted)
+    assert main(["fit", "--nbar", "20", "-o", str(tmp_path)]) == 0
+    assert sorted(calls) == sorted(POTENTIAL_MODES)
+    # the reused fit reports exactly what a separate fit per mode reports
+    sens = json.loads((tmp_path / "fit_report.json").read_text())["potential_sensitivity"]
+    for mode in POTENTIAL_MODES:
+        alt = fit_parameters(QuantumNumbers(20), mode=mode)
+        assert sens[mode] == {"alpha": alt.alpha, "gamma0": alt.gamma0}
 
 
 def test_fit_usage_and_failure_exit_codes(tmp_path):
@@ -108,6 +163,49 @@ def test_config_file_and_overrides(tmp_path):
     assert (tmp_path / "flag_wins" / "state.json").exists()
     cfg.write_text(json.dumps({"nbar": 20, "bogus_key": 1}))
     assert run_cli("fit", "--config", str(cfg)).returncode == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"nbar": "85"},
+        {"nbar": 20.0},
+        {"nbar": 20, "l": True},
+        {"nbar": 20, "grid_points": None},
+        {"nbar": 20, "grid_points": "16000"},
+        {"nbar": 20, "deficit_tol": "1e-4"},
+        {"nbar": 20, "smooth": float("nan")},
+        {"nbar": 20, "prominence": True},
+        {"nbar": 20, "output_dir": ["x"]},
+    ],
+)
+def test_ill_typed_config_is_usage_error(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.chdir(tmp_path)  # no -o flag: it would override output_dir
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(bad))
+    assert main(["fit", "--config", str(cfg)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "state.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", None), ("nbar", None), ("gamma0", "0.1"), ("l", 1.0)],
+    ids=["no-alpha", "no-nbar", "str-gamma0", "float-l"],
+)
+def test_bad_state_file_is_usage_error(tmp_path, capsys, key, value):
+    path = tmp_path / "state.json"
+    write_state(path, 20, 1, fit_parameters(QuantumNumbers(20)))
+    record = json.loads(path.read_text())
+    if value is None:
+        del record[key]
+    else:
+        record[key] = value
+    path.write_text(json.dumps(record))
+    code = main(["decompose", "--nbar", "20", "--state", str(path), "-o", str(tmp_path)])
+    assert code == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "expansion.csv").exists()
 
 
 def test_decompose_output(pipeline20):
