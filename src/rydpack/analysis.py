@@ -95,7 +95,7 @@ def count_packets(
     (d c b a | a b c d | d c b a).  Overlapping sub-packets interfere, so the
     raw density carries fringes at the local de Broglie scale; smoothing at a
     fraction of the packet width recovers the envelope humps those fringes
-    ride on.  Requires a uniform grid when non-zero.
+    ride on.  Requires a uniform grid of at least two points when non-zero.
     """
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -104,6 +104,8 @@ def count_packets(
     if not 0.0 < prominence_threshold < 1.0:
         raise ValueError("prominence threshold must lie in (0, 1)")
     if smooth > 0.0:
+        if r.size < 2:
+            raise ValueError("envelope smoothing needs at least two grid points")
         steps = np.diff(r)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("envelope smoothing requires a uniform grid")

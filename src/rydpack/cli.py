@@ -311,6 +311,12 @@ def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
             f"expansion deficit {exp.deficit:.6e} exceeds 10 x deficit_tol "
             f"({10.0 * cfg.deficit_tol:g}); refusing to scan"
         )
+    if not exp.n_min <= cfg.nbar <= exp.n_max:
+        # T_cl and t_rev come from nbar; they must describe this expansion
+        raise UsageError(
+            f"nbar {cfg.nbar} lies outside the expansion window "
+            f"[{exp.n_min}, {exp.n_max}] of {expansion_path}"
+        )
     return exp
 
 

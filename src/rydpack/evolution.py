@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import NumericalError, hydrogen_radial, hydrogen_radial_pr, radial_quadrature
+from .specfun import NumericalError, _radial_kernel, hydrogen_radial, radial_quadrature
 from .spectral import EigenExpansion
 
 __all__ = [
@@ -128,12 +128,14 @@ def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
     <n|(d/dr + 1/r)|m> and <(d/dr + 1/r) n|(d/dr + 1/r) m>, all integrated
     with the measure r^2 dr on the 2048-node rule over [0, 4 n_max^2] (the
     check rule ``decompose`` uses).  The first matrix is the Gram matrix the
-    norm guard compares against sum |c_n|^2.
+    norm guard compares against sum |c_n|^2.  Each level costs one Laguerre
+    recurrence, which yields both R_nl and (d/dr + 1/r) R_nl.
     """
     x, w = radial_quadrature(4.0 * n_max * n_max, 2048)
-    ns = range(n_min, n_max + 1)
-    vals = np.array([hydrogen_radial(n, l, x) for n in ns])
-    ders = np.array([hydrogen_radial_pr(n, l, x) for n in ns])
+    vals = np.empty((n_max - n_min + 1, x.size))
+    ders = np.empty_like(vals)
+    for i, n in enumerate(range(n_min, n_max + 1)):
+        vals[i], ders[i] = _radial_kernel(n, l, x, pr=True)
     wv = vals * (w * x * x)
     mats = np.stack(
         [

@@ -5,6 +5,12 @@ The eigenfunctions stay usable up to principal quantum numbers of a few
 hundred because every factorial-sized normalization factor is assembled in
 log space; only the Laguerre polynomial is carried in linear space, where its
 magnitude remains representable for the argument ranges arising here.
+
+The Laguerre three-term recurrence runs in place on three rotating buffers,
+so a step allocates nothing.  One recurrence serves both R_nl and
+(d/dr + 1/r) R_nl: it ends holding the pair (L_k^a, L_{k-1}^a), and the
+identity rho L_{k-1}^{a+1} = (k + a) L_{k-1}^a - k L_k^a turns the derivative
+term into that pair, so the momentum factor needs no second recurrence.
 """
 
 from __future__ import annotations
@@ -76,13 +82,30 @@ def laguerre(n: int, a: float, x):
     if a <= -1.0:
         raise ValueError(f"Laguerre parameter must be > -1, got {a}")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
+    if x.ndim == 0:
+        return float(_laguerre_pair(n, a, x.reshape(-1))[0][0])
+    return _laguerre_pair(n, a, x)[0]
+
+
+def _laguerre_pair(n: int, a: float, x: np.ndarray):
+    """(L_n^a(x), L_{n-1}^a(x)) for an array x, with L_{-1}^a := 0.
+
+    Each step ((2k - 1 + a - x) L_{k-1} - (k - 1 + a) L_{k-2}) / k is done in
+    place, in that order of operations, on three buffers that rotate.
+    """
     if n == 0:
-        return prev if prev.ndim else float(prev)
+        return np.ones_like(x), np.zeros_like(x)
+    prev = np.ones_like(x)
     cur = 1.0 + a - x
+    buf = np.empty_like(x)
     for k in range(2, n + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + a - x) * cur - (k - 1.0 + a) * prev) / k
-    return cur if cur.ndim else float(cur)
+        np.subtract(2.0 * k - 1.0 + a, x, out=buf)
+        buf *= cur
+        prev *= k - 1.0 + a
+        buf -= prev
+        buf /= k
+        prev, cur, buf = cur, buf, prev
+    return cur, prev
 
 
 def radial_log_prefactor(n: int, l: int) -> float:
@@ -115,6 +138,43 @@ def _combine(envelope: np.ndarray, poly: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
+def _radial_kernel(n: int, l: int, r: np.ndarray, pr: bool):
+    """R_nl(r) and, when ``pr``, (d/dr + 1/r) R_nl(r), else None.
+
+    ``r`` is a validated 1-d array.  One Laguerre recurrence gives
+    (L_k, L_{k-1}) with k = n - l - 1, a = 2l + 1; with rho = 2r/n,
+    (d/dr + 1/r) R_nl = (2/n) e^{-rho/2} rho^{l-1} [(n - rho/2) L_k - (n + l) L_{k-1}]
+    times the prefactor of R_nl.
+    """
+    rho = (2.0 / n) * r
+    half = 0.5 * rho
+    lag, lag_prev = _laguerre_pair(n - l - 1, 2 * l + 1, rho)
+    logpref = radial_log_prefactor(n, l)
+    with np.errstate(divide="ignore"):
+        lnrho = np.log(rho)
+    radial = _combine(_envelope(logpref, half, lnrho, l), lag, f"R_{n},{l}")
+    if not pr:
+        return radial, None
+    core = (n - half) * lag - (n + l) * lag_prev
+    envelope = _envelope(logpref + math.log(2.0 / n), half, lnrho, l - 1.0)
+    return radial, _combine(envelope, core, f"(d/dr + 1/r) R_{n},{l}")
+
+
+def _envelope(logpref: float, half: np.ndarray, lnrho: np.ndarray, power: float) -> np.ndarray:
+    """exp(logpref - rho/2 + power ln rho), the power term dropped when 0."""
+    expo = logpref - half
+    if power:
+        expo += power * lnrho
+    return np.exp(expo)
+
+
+def _radii(r):
+    r = np.asarray(r, dtype=float)
+    if (r < 0).any():
+        raise ValueError("radius must be non-negative")
+    return r.ndim == 0, np.atleast_1d(r)
+
+
 def hydrogen_radial(n: int, l: int, r):
     """Radial eigenfunction R_nl(r), real and positive as r -> 0+.
 
@@ -123,20 +183,8 @@ def hydrogen_radial(n: int, l: int, r):
     n well beyond 100.
     """
     _check_nl(n, l)
-    r = np.asarray(r, dtype=float)
-    if (r < 0).any():
-        raise ValueError("radius must be non-negative")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    rho = (2.0 / n) * r
-    logpref = radial_log_prefactor(n, l)
-    poly = np.atleast_1d(laguerre(n - l - 1, 2 * l + 1, rho))
-    if l == 0:
-        expo = logpref - 0.5 * rho
-    else:
-        with np.errstate(divide="ignore"):
-            expo = logpref - 0.5 * rho + l * np.log(rho)
-    out = _combine(np.exp(expo), poly, f"R_{n},{l}")
+    scalar, r = _radii(r)
+    out = _radial_kernel(n, l, r, pr=False)[0]
     return float(out[0]) if scalar else out
 
 
@@ -148,26 +196,10 @@ def hydrogen_radial_pr(n: int, l: int, r):
     so r = 0 is rejected.
     """
     _check_nl(n, l)
-    r = np.asarray(r, dtype=float)
-    if (r < 0).any():
-        raise ValueError("radius must be non-negative")
+    scalar, r = _radii(r)
     if l == 0 and (r == 0).any():
         raise ValueError("(d/dr + 1/r) R_n0 is singular at r = 0")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    rho = (2.0 / n) * r
-    k = n - l - 1
-    a = 2 * l + 1
-    lag = np.atleast_1d(laguerre(k, a, rho))
-    dlag = np.atleast_1d(laguerre(k - 1, a + 1, rho)) if k >= 1 else np.zeros_like(rho)
-    core = (l + 1.0 - 0.5 * rho) * lag - rho * dlag
-    logpref = radial_log_prefactor(n, l) + math.log(2.0 / n)
-    if l == 1:
-        expo = logpref - 0.5 * rho
-    else:
-        with np.errstate(divide="ignore"):
-            expo = logpref - 0.5 * rho + (l - 1.0) * np.log(rho)
-    out = _combine(np.exp(expo), core, f"(d/dr + 1/r) R_{n},{l}")
+    out = _radial_kernel(n, l, r, pr=True)[1]
     return float(out[0]) if scalar else out
 
 

@@ -98,6 +98,9 @@ def test_count_packets_edge_cases():
         count_packets(r, np.ones_like(r), prominence_threshold=0.0)
     with pytest.raises(ValueError):
         count_packets(np.cumsum(np.arange(11) + 1.0), np.ones(11), smooth=1.0)
+    for size in (0, 1):  # no grid step to smooth over
+        with pytest.raises(ValueError, match="two grid points"):
+            count_packets(np.zeros(size), np.ones(size), smooth=1.0)
 
 
 def test_detect_revival_constant_series_first_index():

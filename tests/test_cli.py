@@ -274,6 +274,19 @@ def test_scan_refuses_deficient_expansion(pipeline20, tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
+)
+def test_expansion_for_other_nbar_is_usage_error(pipeline20, tmp_path, capsys, command, times):
+    # T_cl and t_rev of nbar 85 would be applied to the nbar-20 expansion
+    code = main([command, "--nbar", "85", "--expansion", str(pipeline20 / "expansion.csv"),
+                 *times, "-o", str(tmp_path)])
+    assert code == 1
+    assert "outside the expansion window" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_quadrature_failure(pipeline20, tmp_path, coarse_quadrature, capsys):
     code = main(
         ["scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from rydpack import evolution, specfun
 from rydpack.analysis import timescales
 from rydpack.evolution import (
     BasisTable,
@@ -144,6 +145,18 @@ def test_observables_answer_every_nbar150_point():
     grid = RadialGrid.uniform(4.0 * 150**2, 16000)  # the CLI default
     for t in np.linspace(0.0, 4.0 * timescales(q).T_cl_au, 250):
         assert observables(exp, t, grid).product >= 0.5 - 1e-9
+
+
+def test_moment_matrices_run_one_recurrence_per_level(monkeypatch):
+    degrees = []
+    pair = specfun._laguerre_pair
+    monkeypatch.setattr(specfun, "_laguerre_pair", lambda n, a, x: degrees.append(n) or pair(n, a, x))
+    evolution._moment_matrices.cache_clear()
+    try:
+        evolution._moment_matrices(1, 10, 17)
+    finally:
+        evolution._moment_matrices.cache_clear()
+    assert degrees == [n - 2 for n in range(10, 18)]
 
 
 def test_observables_rejects_mismatched_basis(exp85, grid85, basis85):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from rydpack import specfun
 from rydpack.specfun import (
     HydrogenLevel,
     hydrogen_energy,
@@ -61,6 +62,63 @@ def test_laguerre_three_term_recurrence():
         lm2, lm1, ln = (laguerre(n - 2, a, x), laguerre(n - 1, a, x), laguerre(n, a, x))
         resid = n * ln - (2 * n - 1 + a - x) * lm1 + (n - 1 + a) * lm2
         assert abs(resid) <= 1e-10 * max(1.0, abs(ln))
+
+
+def _laguerre_allocating(n, a, x):
+    # the allocate-per-step loop the in-place recurrence replaced
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev
+    cur = 1.0 + a - x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + a - x) * cur - (k - 1.0 + a) * prev) / k
+    return cur
+
+
+def test_laguerre_in_place_steps_are_bit_identical():
+    rng = np.random.default_rng(2024)
+    degrees = [0, 1, 2, 3, 84, 149, 229, 300] + [int(d) for d in rng.integers(0, 301, 12)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the top degrees overflow far out
+        for n in degrees:
+            a = float(rng.choice([1.0, 3.0, rng.uniform(0.0, 50.0)]))
+            x = rng.uniform(0.0, 8.0 * n + 2.0 * a + 10.0, int(rng.integers(1, 300)))
+            assert np.array_equal(laguerre(n, a, x), _laguerre_allocating(n, a, x), equal_nan=True), (n, a)
+            value = laguerre(n, a, float(x[0]))
+            assert type(value) is float
+            assert value == float(_laguerre_allocating(n, a, x[0])) or math.isnan(value)
+        grid = rng.uniform(0.0, 40.0, (3, 5))
+        assert np.array_equal(laguerre(7, 3.0, grid), _laguerre_allocating(7, 3.0, grid))
+
+
+def test_radial_pair_costs_one_recurrence(monkeypatch):
+    degrees = []
+    pair = specfun._laguerre_pair
+    monkeypatch.setattr(specfun, "_laguerre_pair", lambda n, a, x: degrees.append(n) or pair(n, a, x))
+    r = np.linspace(0.0, 800.0, 101)
+    hydrogen_radial(20, 1, r)
+    hydrogen_radial_pr(20, 1, r)
+    assert degrees == [18, 18]
+
+
+def _mp_radial(mp, n, l, r):
+    rho = 2 * r / n
+    norm = mp.sqrt((mp.mpf(2) / n) ** 3 * mp.factorial(n - l - 1) / (2 * n * mp.factorial(n + l)))
+    return norm * mp.exp(-rho / 2) * rho**l * mp.laguerre(n - l - 1, 2 * l + 1, rho)
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 85, 150, 200])
+def test_radial_kernel_matches_mpmath_oracle(n):
+    # n = 2 and n = 3 put the Laguerre pair at degree 0 (L_{-1} = 0) and 1
+    mp = pytest.importorskip("mpmath")
+    r = 2.2 * n * n * (np.arange(37) + 0.5) / 37.0
+    with mp.workdps(40):
+        ref = [_mp_radial(mp, n, 1, mp.mpf(x)) for x in r]
+        dref = [mp.diff(lambda s: _mp_radial(mp, n, 1, s), mp.mpf(x)) + v / x for x, v in zip(r, ref)]
+        ref = np.array([float(v) for v in ref])
+        dref = np.array([float(v) for v in dref])
+    assert np.max(np.abs(hydrogen_radial(n, 1, r) - ref)) <= 2e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(hydrogen_radial_pr(n, 1, r) - dref)) <= 2e-12 * np.max(np.abs(dref))
 
 
 def test_hydrogen_energy():
