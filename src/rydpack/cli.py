@@ -320,13 +320,19 @@ def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
     return exp
 
 
-def _scan_times(cfg: RunConfig, args) -> list[float]:
+def _time_list(cfg: RunConfig, text: str) -> tuple[list[str], list[float]]:
+    """The stripped expressions of a comma-separated time list, with their values in au."""
     ts = timescales(_quantum_numbers(cfg))
+    exprs = [s.strip() for s in text.split(",") if s.strip()]
+    if not exprs:
+        raise UsageError("empty time list")
+    return exprs, [parse_time_expression(s, ts.T_cl_au, ts.t_rev_au) for s in exprs]
+
+
+def _scan_times(cfg: RunConfig, args) -> list[float]:
     if args.times:
-        exprs = [s for s in args.times.split(",") if s.strip()]
-        if not exprs:
-            raise UsageError("empty time list")
-        return [parse_time_expression(s, ts.T_cl_au, ts.t_rev_au) for s in exprs]
+        return _time_list(cfg, args.times)[1]
+    ts = timescales(_quantum_numbers(cfg))
     if args.t_stop is None:
         raise UsageError("provide either --times or --t-start/--t-stop/--t-steps")
     t0 = parse_time_expression(args.t_start, ts.T_cl_au, ts.t_rev_au)
@@ -350,13 +356,7 @@ def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
     from .evolution import density as density_at
 
     exp = _load_expansion_checked(cfg, expansion_path)
-    if not args.times:
-        raise UsageError("density requires --times")
-    ts = timescales(_quantum_numbers(cfg))
-    exprs = [s.strip() for s in args.times.split(",") if s.strip()]
-    if not exprs:
-        raise UsageError("empty time list")
-    times = [parse_time_expression(s, ts.T_cl_au, ts.t_rev_au) for s in exprs]
+    exprs, times = _time_list(cfg, args.times)
     grid = _grid(cfg)
     basis = BasisTable.for_expansion(exp, grid)
     smooth = cfg.smooth

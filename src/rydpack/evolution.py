@@ -126,9 +126,9 @@ def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
 
     In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m>, <n|r^-2|m>,
     <n|(d/dr + 1/r)|m> and <(d/dr + 1/r) n|(d/dr + 1/r) m>, all integrated
-    with the measure r^2 dr on the 2048-node rule over [0, 4 n_max^2] (the
-    check rule ``decompose`` uses).  The first matrix is the Gram matrix the
-    norm guard compares against sum |c_n|^2.  Each level costs one Laguerre
+    with the measure r^2 dr on a 2048-node panelized Gauss-Legendre rule over
+    [0, 4 n_max^2].  The first matrix is the Gram matrix the norm guard
+    compares against sum |c_n|^2.  Each level costs one Laguerre
     recurrence, which yields both R_nl and (d/dr + 1/r) R_nl.
     """
     x, w = radial_quadrature(4.0 * n_max * n_max, 2048)

@@ -7,7 +7,9 @@ log space; only the Laguerre polynomial is carried in linear space, where its
 magnitude remains representable for the argument ranges arising here.
 
 The Laguerre three-term recurrence runs in place on three rotating buffers,
-so a step allocates nothing.  One recurrence serves both R_nl and
+so a step allocates nothing; it is written once, in ``_laguerre_steps``,
+which also serves the Gauss-Laguerre projection in ``spectral``.  One
+recurrence serves both R_nl and
 (d/dr + 1/r) R_nl: it ends holding the pair (L_k^a, L_{k-1}^a), and the
 identity rho L_{k-1}^{a+1} = (k + a) L_{k-1}^a - k L_k^a turns the derivative
 term into that pair, so the momentum factor needs no second recurrence.
@@ -87,17 +89,20 @@ def laguerre(n: int, a: float, x):
     return _laguerre_pair(n, a, x)[0]
 
 
-def _laguerre_pair(n: int, a: float, x: np.ndarray):
-    """(L_n^a(x), L_{n-1}^a(x)) for an array x, with L_{-1}^a := 0.
+def _laguerre_steps(n: int, a: float, x: np.ndarray):
+    """Yield (L_k^a(x), L_{k-1}^a(x)) for k = 0, 1, ..., n, with L_{-1}^a := 0.
 
-    Each step ((2k - 1 + a - x) L_{k-1} - (k - 1 + a) L_{k-2}) / k is done in
-    place, in that order of operations, on three buffers that rotate.
+    ``x`` may be real or complex.  Each step
+    ((2k - 1 + a - x) L_{k-1} - (k - 1 + a) L_{k-2}) / k is done in place, in
+    that order of operations, on three buffers that rotate, so a step
+    allocates nothing and a yielded pair is overwritten by later steps.
     """
+    buf, cur = np.zeros_like(x), np.ones_like(x)
+    yield cur, buf
     if n == 0:
-        return np.ones_like(x), np.zeros_like(x)
-    prev = np.ones_like(x)
-    cur = 1.0 + a - x
-    buf = np.empty_like(x)
+        return
+    prev, cur = cur, 1.0 + a - x
+    yield cur, prev
     for k in range(2, n + 1):
         np.subtract(2.0 * k - 1.0 + a, x, out=buf)
         buf *= cur
@@ -105,7 +110,44 @@ def _laguerre_pair(n: int, a: float, x: np.ndarray):
         buf -= prev
         buf /= k
         prev, cur, buf = cur, buf, prev
-    return cur, prev
+        yield cur, prev
+
+
+def _laguerre_pair(n: int, a: float, x: np.ndarray):
+    """(L_n^a(x), L_{n-1}^a(x)) for an array x, with L_{-1}^a := 0."""
+    for pair in _laguerre_steps(n, a, x):
+        pass
+    return pair
+
+
+def _gauss_laguerre(m: int, beta: float):
+    """Nodes t_i and log-weights ln w_i of the m-node Gauss rule for the
+    weight t^beta e^{-t} on (0, inf), exact for polynomials of degree 2m - 1.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch 1969),
+    diagonal 2i + beta + 1 and off-diagonal sqrt(i (i + beta)).  The weights
+    come from Abramowitz & Stegun 25.4.45,
+    w_i = Gamma(m + beta + 1) t_i / (m! (m + 1)^2 L_{m+1}^beta(t_i)^2),
+    in log space: eigenvector components would underflow for beta of a few
+    hundred.
+    """
+    jacobi = np.zeros((m, m))
+    i = np.arange(1.0, m)
+    jacobi.flat[:: m + 1] = np.arange(m) * 2.0 + (beta + 1.0)
+    jacobi.flat[m :: m + 1] = np.sqrt(i * (i + beta))
+    t = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lag = _laguerre_pair(m + 1, beta, t)[0]
+        log_w = (
+            math.lgamma(m + beta + 1.0)
+            - math.lgamma(m + 1.0)
+            - 2.0 * math.log(m + 1.0)
+            + np.log(t)
+            - 2.0 * np.log(np.abs(lag))
+        )
+    if not np.isfinite(log_w).all():
+        raise NumericalError(f"Gauss-Laguerre weights overflowed ({m} nodes, beta={beta:g})")
+    return t, log_w
 
 
 def radial_log_prefactor(n: int, l: int) -> float:
@@ -148,16 +190,19 @@ def _radial_kernel(n: int, l: int, r: np.ndarray, pr: bool):
     """
     rho = (2.0 / n) * r
     half = 0.5 * rho
-    lag, lag_prev = _laguerre_pair(n - l - 1, 2 * l + 1, rho)
     logpref = radial_log_prefactor(n, l)
     with np.errstate(divide="ignore"):
         lnrho = np.log(rho)
-    radial = _combine(_envelope(logpref, half, lnrho, l), lag, f"R_{n},{l}")
-    if not pr:
-        return radial, None
-    core = (n - half) * lag - (n + l) * lag_prev
-    envelope = _envelope(logpref + math.log(2.0 / n), half, lnrho, l - 1.0)
-    return radial, _combine(envelope, core, f"(d/dr + 1/r) R_{n},{l}")
+    # far out the unscaled recurrence overflows; _combine alone judges
+    # whether such a value matters
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag, lag_prev = _laguerre_pair(n - l - 1, 2 * l + 1, rho)
+        radial = _combine(_envelope(logpref, half, lnrho, l), lag, f"R_{n},{l}")
+        if not pr:
+            return radial, None
+        core = (n - half) * lag - (n + l) * lag_prev
+        envelope = _envelope(logpref + math.log(2.0 / n), half, lnrho, l - 1.0)
+        return radial, _combine(envelope, core, f"(d/dr + 1/r) R_{n},{l}")
 
 
 def _envelope(logpref: float, half: np.ndarray, lnrho: np.ndarray, power: float) -> np.ndarray:

@@ -3,6 +3,17 @@
 Continuum states are dropped entirely; the completeness deficit
 1 - sum |c_n|^2 is the honest record of everything omitted (continuum plus
 out-of-window bound states) and is carried on every expansion.
+
+The projections c_n = int R_nl psi r^2 dr are exact up to rounding.  With
+beta = alpha + l + 2, sigma_n = gamma0 + i gamma1 + 1/n, k = n - l - 1 and
+t = sigma_n r, the integrand is t^beta e^{-t} times the degree-k polynomial
+L_k^{2l+1}(2t / (n sigma_n)), up to constant factors, so a generalized
+Gauss-Laguerre rule for the weight t^beta e^{-t} with M > k/2 nodes
+integrates it exactly; for complex sigma_n (gamma1 != 0) the rule still holds
+by rotating the contour, since Re sigma_n > 0.  beta is the same for every
+level, so one rule serves a whole batch of levels.  The guard projects again
+with M + 8 nodes: disagreement beyond ``err_tol``, or a value that is not
+finite, raises NumericalError.
 """
 
 from __future__ import annotations
@@ -15,10 +26,10 @@ import numpy as np
 
 from .specfun import (
     NumericalError,
+    _gauss_laguerre,
+    _laguerre_steps,
     hydrogen_radial,
-    laguerre,
     radial_log_prefactor,
-    radial_quadrature,
 )
 from .squeezed import RadialSqueezedState, moment_r
 
@@ -27,7 +38,6 @@ __all__ = [
     "N_CAP",
     "DeficitToleranceWarning",
     "EigenExpansion",
-    "DecompositionQuadrature",
     "project_coefficient",
     "decompose",
     "reconstruct",
@@ -37,7 +47,8 @@ __all__ = [
 DEFAULT_DEFICIT_TOL = 1e-4
 N_CAP = 400
 
-_LN2 = math.log(2.0)
+# the guard's second rule has this many more nodes than the first
+_CHECK_NODES = 8
 
 
 class DeficitToleranceWarning(UserWarning):
@@ -86,78 +97,73 @@ class EigenExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-@dataclass(frozen=True)
-class DecompositionQuadrature:
-    """Reference rule for projection integrals plus an embedded check rule."""
-
-    x: np.ndarray
-    w: np.ndarray
-    x_check: np.ndarray
-    w_check: np.ndarray
-    r_max: float
-
-    @classmethod
-    def build(cls, r_max: float, n_nodes: int = 4096):
-        x, w = radial_quadrature(r_max, n_nodes)
-        xc, wc = radial_quadrature(r_max, n_nodes // 2)
-        return cls(x=x, w=w, x_check=xc, w_check=wc, r_max=r_max)
-
-
 def _default_center(state: RadialSqueezedState) -> int:
     # <r> ~ 2 nbar^2 at the outer apsidal point
     return max(2, int(round(math.sqrt(moment_r(state, 1.0) / 2.0))))
 
 
-def _default_quadrature(state: RadialSqueezedState, center: int) -> DecompositionQuadrature:
-    mean_r = moment_r(state, 1.0)
-    spread = math.sqrt(2.0 * state.alpha + 3.0) / (2.0 * state.gamma0)
-    r_max = max(4.0 * center * center, mean_r + 12.0 * spread)
-    return DecompositionQuadrature.build(r_max)
+def _rule_size(k_max: int) -> int:
+    # exactness needs 2M - 1 >= k_max; four nodes spare
+    return k_max // 2 + 1 + 4
 
 
-def _project_batch(state, ns, l, x, w):
-    """Projection integrals int R_nl psi r^2 dr, log-assembled per node."""
-    lnx = np.log(x)
-    base = state.log_norm + state.alpha * lnx - state.gamma0 * x + 2.0 * lnx
-    phase = np.exp(-1j * state.gamma1 * x) if state.gamma1 != 0.0 else None
-    out = np.empty(len(ns), dtype=complex)
-    for i, n in enumerate(ns):
-        rho = (2.0 / n) * x
-        expo = (
-            base
-            + radial_log_prefactor(n, l)
-            - 0.5 * rho
-            + l * (_LN2 + lnx - math.log(n))
+def _project_on_rule(state, ns, l, m):
+    """int R_nl psi r^2 dr for each level n in ``ns`` on the m-node rule.
+
+    One recurrence steps every level's nodes up to the largest degree; each
+    level's row is read off at its own degree k = n - l - 1, and rows stepped
+    past their degree may overflow harmlessly.
+    """
+    beta = state.alpha + l + 2.0
+    t, log_w = _gauss_laguerre(m, beta)
+    ns = np.asarray(ns)
+    sigma = state.gamma0 + 1.0 / ns
+    if state.gamma1 != 0.0:
+        sigma = sigma + 1j * state.gamma1
+    log_const = (
+        state.log_norm
+        + np.array([radial_log_prefactor(int(n), l) for n in ns])
+        + l * np.log(2.0 / ns)
+        - (beta + 1.0) * np.log(sigma)
+    )
+    x = (2.0 / (ns * sigma))[:, None] * t
+    row_at = {int(n) - l - 1: i for i, n in enumerate(ns)}
+    lag = np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (cur, _) in enumerate(_laguerre_steps(max(row_at), 2 * l + 1, x)):
+            i = row_at.get(k)
+            if i is not None:
+                lag[i] = cur[i]
+        return np.sum(np.exp(log_w + log_const[:, None]) * lag, axis=1)
+
+
+def _project(state, ns, l, m, err_tol):
+    """Projections onto the levels ``ns`` on the m-node rule, guarded by a
+    second projection with m + _CHECK_NODES nodes."""
+    c = _project_on_rule(state, ns, l, m)
+    err = np.max(np.abs(c - _project_on_rule(state, ns, l, m + _CHECK_NODES)))
+    if not err <= err_tol:  # a NaN error fails too
+        raise NumericalError(
+            f"projection quadrature did not converge: estimated error "
+            f"{err:.3e} > {err_tol:g}"
         )
-        f = np.exp(expo) * laguerre(n - l - 1, 2 * l + 1, rho)
-        out[i] = np.dot(w, f) if phase is None else np.dot(w, f * phase)
-    return out
+    return c
 
 
 def project_coefficient(
     state: RadialSqueezedState,
     n: int,
     l: int = 1,
-    quad: DecompositionQuadrature | None = None,
     err_tol: float = 1e-9,
 ) -> complex:
-    """c_n = int R_nl(r) psi(r) r^2 dr on the reference quadrature.
+    """c_n = int R_nl(r) psi(r) r^2 dr on the Gauss-Laguerre rule of ``decompose``.
 
-    The same integral on the embedded half-resolution rule provides the error
-    estimate; disagreement beyond ``err_tol`` raises NumericalError.
+    A disagreement with the rule of 8 more nodes beyond ``err_tol``, or a
+    value that is not finite, raises NumericalError.
     """
     if n < l + 1:
         raise ValueError(f"need n >= l+1 = {l + 1}, got {n}")
-    if quad is None:
-        quad = _default_quadrature(state, max(_default_center(state), n))
-    c = _project_batch(state, [n], l, quad.x, quad.w)[0]
-    c_check = _project_batch(state, [n], l, quad.x_check, quad.w_check)[0]
-    if not abs(c - c_check) <= err_tol:  # a NaN error fails too
-        raise NumericalError(
-            f"projection onto n={n} did not converge: estimated error "
-            f"{abs(c - c_check):.3e} > {err_tol:g}"
-        )
-    return complex(c)
+    return complex(_project(state, [n], l, _rule_size(n - l - 1), err_tol)[0])
 
 
 def decompose(
@@ -167,7 +173,6 @@ def decompose(
     deficit_tol: float = DEFAULT_DEFICIT_TOL,
     n_cap: int = N_CAP,
     l: int = 1,
-    quad: DecompositionQuadrature | None = None,
     err_tol: float = 1e-9,
 ) -> EigenExpansion:
     """Expand the state over bound levels.
@@ -176,22 +181,15 @@ def decompose(
     Otherwise the window grows symmetrically about the packet center until the
     deficit falls below ``deficit_tol`` or the bounds [l+1, n_cap] are hit, in
     which case a DeficitToleranceWarning reports the achieved deficit.
+    Each batch of new levels is projected on one Gauss-Laguerre rule sized
+    for its largest degree and checked against a rule of 8 more nodes;
+    disagreement beyond ``err_tol`` raises NumericalError.
     """
     if center is None:
         center = _default_center(state)
-    if quad is None:
-        quad = _default_quadrature(state, center)
 
     def batch(ns):
-        c = _project_batch(state, ns, l, quad.x, quad.w)
-        c_check = _project_batch(state, ns, l, quad.x_check, quad.w_check)
-        err = np.max(np.abs(c - c_check)) if len(ns) else 0.0
-        if not err <= err_tol:  # a NaN error fails too
-            raise NumericalError(
-                f"projection quadrature did not converge: estimated error "
-                f"{err:.3e} > {err_tol:g}"
-            )
-        return c
+        return _project(state, ns, l, _rule_size(max(ns) - l - 1), err_tol)
 
     if window is not None:
         n_min, n_max = int(window[0]), int(window[1])
@@ -229,6 +227,8 @@ def decompose(
 
 def _finish(l, n_min, n_max, coeffs) -> EigenExpansion:
     weight = float(np.sum(np.abs(coeffs) ** 2))
+    if not math.isfinite(weight):
+        raise NumericalError(f"captured weight is not finite: {weight!r}")
     deficit = 1.0 - weight
     if deficit < 0.0:
         if deficit < -1e-9:

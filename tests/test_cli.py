@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,32 @@ def test_bad_time_expression_is_usage_error(pipeline20, tmp_path, capsys, comman
                  "--times", f"0,{times}", "-o", str(tmp_path)])
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_empty_time_list_is_one_usage_error(pipeline20, tmp_path, capsys):
+    errors = []
+    for command in ("scan", "density"):
+        code = main([command, "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+                     "--times", ",", "-o", str(tmp_path)])
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "usage error: empty time list\n"
+
+
+def test_pipeline_at_nbar_230_emits_no_warnings(tmp_path):
+    # the unscaled recurrence overflows far out at nbar 230; those values are
+    # judged by the guards, never reported as NumPy RuntimeWarnings
+    common = ["--nbar", "230", "-o", str(tmp_path)]
+    exp = str(tmp_path / "expansion.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", *common]) == 0
+        assert main(["decompose", *common, "--state", str(tmp_path / "state.json")]) == 0
+        assert main(["scan", *common, "--expansion", exp, "--t-stop", "Tcl", "--t-steps", "3"]) == 0
+        assert main(["density", *common, "--expansion", exp, "--times", "0,Tcl",
+                     "--grid-points", "4000"]) == 0
+    packets = json.loads((tmp_path / "packets.json").read_text())
+    assert packets["snapshots"][0]["peak_count"] == 1
 
 
 def test_import_does_not_load_scipy():

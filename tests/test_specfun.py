@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,3 +211,25 @@ def test_radial_quadrature_exactness():
     assert x.min() > 0.0 and x.max() < 50.0
     with pytest.raises(ValueError):
         radial_quadrature(-1.0)
+
+
+def test_radial_overflow_still_raises_without_warnings():
+    # R_320,1 on the nbar-300 CLI grid overflows where it still matters; the
+    # guard raises and NumPy prints nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_320,1"):
+            hydrogen_radial(320, 1, np.linspace(0.0, 4.0 * 300**2, 16000))
+
+
+@pytest.mark.parametrize("m, beta", [(3, 4.0), (20, 1.5), (60, 171.2), (140, 461.0)])
+def test_gauss_laguerre_rule_is_exact_to_degree_2m_minus_1(m, beta):
+    # sum_i w_i t_i^j = Gamma(beta + j + 1), compared in log space since the
+    # weights alone overflow for beta of a few hundred
+    t, log_w = specfun._gauss_laguerre(m, beta)
+    assert t.shape == (m,) and np.all(np.diff(t) > 0) and t[0] > 0
+    for j in (0, 1, m, 2 * m - 1):
+        terms = log_w + j * np.log(t)
+        top = terms.max()
+        got = top + math.log(np.exp(terms - top).sum())
+        assert got == pytest.approx(math.lgamma(beta + j + 1.0), rel=1e-14), j

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from rydpack import spectral
 from rydpack.specfun import NumericalError, hydrogen_radial
 from rydpack.spectral import (
-    DecompositionQuadrature,
     DeficitToleranceWarning,
     EigenExpansion,
     coefficient_spread,
@@ -30,21 +30,23 @@ def test_expansion_validation():
 
 def test_project_pure_eigenstate():
     st = pure_p_eigenstate()
-    quad = DecompositionQuadrature.build(200.0)
-    assert project_coefficient(st, 2, quad=quad) == pytest.approx(1.0, abs=1e-11)
+    assert project_coefficient(st, 2) == pytest.approx(1.0, abs=1e-11)
     for n in (3, 4, 7):
-        assert abs(project_coefficient(st, n, quad=quad)) < 1e-11
+        assert abs(project_coefficient(st, n)) < 1e-11
 
 
 def test_project_detects_bad_quadrature():
+    # a rule below (k + 1)/2 nodes is not exact for degree k = n - 2; the
+    # guard's rule of 8 more nodes is exact at n = 7 and inexact at n = 40
     st = pure_p_eigenstate()
-    coarse = DecompositionQuadrature.build(200.0, n_nodes=32)
-    with pytest.raises(NumericalError):
-        project_coefficient(st, 7, quad=coarse)
+    for n, m in ((7, 2), (40, 2)):
+        assert m < (n - 1) / 2
+        with pytest.raises(NumericalError, match="did not converge"):
+            spectral._project(st, [n], 1, m, 1e-9)
 
 
 def test_decompose_pure_eigenstate():
-    exp = decompose(pure_p_eigenstate(), quad=DecompositionQuadrature.build(200.0))
+    exp = decompose(pure_p_eigenstate())
     p = np.abs(exp.coeffs) ** 2
     n_at_max = exp.ns[np.argmax(p)]
     assert n_at_max == 2
@@ -59,6 +61,67 @@ def test_nan_projection_raises():
         decompose(state, center=300)
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         project_coefficient(state, 300)
+
+
+def test_nbar_300_fails_on_first_batch(monkeypatch):
+    calls = []
+    project = spectral._project
+    monkeypatch.setattr(spectral, "_project", lambda *a: calls.append(a[1]) or project(*a))
+    state = fit_parameters(QuantumNumbers(300))
+    with pytest.raises(NumericalError, match="did not converge: estimated error nan"):
+        decompose(state, center=300)
+    assert calls == [list(range(296, 305))]
+
+
+def test_finish_rejects_nonfinite_weight():
+    with pytest.raises(NumericalError, match="not finite"):
+        spectral._finish(1, 2, 3, np.array([np.nan, 0.1]))
+
+
+def coefficient_oracle(state, n, l, dps):
+    """c_n from the termwise Laplace transform (Gradshteyn-Ryzhik 7.414.7):
+    with L_k^a(x) = sum_j (-1)^j C(k + a, k - j) x^j / j!, each term is
+    int r^(beta + j) e^(-sigma r) dr = Gamma(beta + j + 1) / sigma^(beta + j + 1).
+    Successive terms are built from their ratio.  The alternating sum cancels
+    heavily, hence the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        alpha, g0 = mp.mpf(state.alpha), mp.mpf(state.gamma0)
+        k, a, beta = n - l - 1, 2 * l + 1, alpha + l + 2
+        sigma = mp.mpc(g0 + mp.mpf(1) / n, state.gamma1)
+        z = 2 / (n * sigma)
+        term = mp.binomial(k + a, k) * mp.gamma(beta + 1)
+        terms = [term]
+        for j in range(k):
+            term *= -z * (k - j) * (beta + j + 1) / ((a + j + 1) * (j + 1))
+            terms.append(term)
+        total = mp.fsum(terms)
+        norm = mp.sqrt((2 * g0) ** (2 * alpha + 3) / mp.gamma(2 * alpha + 3))
+        pref = mp.sqrt((mp.mpf(2) / n) ** 3 * mp.factorial(k) / (2 * n * mp.factorial(n + l)))
+        c = norm * pref * (mp.mpf(2) / n) ** l * total / sigma ** (beta + 1)
+        return complex(c)
+
+
+def assert_matches_oracle(state, exp, ns):
+    for n in ns:
+        ref = coefficient_oracle(state, n, exp.l, 200)
+        assert abs(ref - coefficient_oracle(state, n, exp.l, 300)) < 1e-15, n
+        assert abs(exp.coeffs[n - exp.n_min] - ref) < 1e-12, (n, exp.coeffs[n - exp.n_min], ref)
+
+
+@pytest.mark.parametrize("nbar, window", [(3, (2, 12)), (8, None), (24, None), (85, None), (150, None), (230, None)])
+def test_projection_matches_mpmath_oracle(nbar, window):
+    state = fit_parameters(QuantumNumbers(nbar))
+    exp = decompose(state, window=window, center=nbar)
+    assert_matches_oracle(state, exp, sorted({exp.n_min, nbar, (exp.n_min + exp.n_max) // 2, exp.n_max}))
+
+
+def test_projection_matches_mpmath_oracle_complex_sigma():
+    state = RadialSqueezedState(8.0, 0.5, gamma1=-0.4)
+    exp = decompose(state, window=(2, 40))
+    assert np.abs(exp.coeffs.imag).max() > 0.1
+    assert_matches_oracle(state, exp, exp.ns)
 
 
 def test_decompose_fitted_state(state85, exp85):
@@ -100,7 +163,7 @@ def test_window_extension_monotonicity(state85):
 
 
 def test_reconstruct_pure_eigenstate():
-    exp = decompose(pure_p_eigenstate(), quad=DecompositionQuadrature.build(200.0))
+    exp = decompose(pure_p_eigenstate())
     r = np.linspace(0.0, 40.0, 101)
     rec = reconstruct(exp, r)
     assert np.allclose(rec.real, hydrogen_radial(2, 1, r), atol=1e-9)
