@@ -262,8 +262,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         "potential_sensitivity": sensitivity,
     }
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, q.l, state)
-    _out_path(cfg, "fit_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+    rio.write_text_atomic(
+        _out_path(cfg, "fit_report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
     print(
         f"fit nbar={q.nbar}: alpha={state.alpha:.6f} gamma0={state.gamma0:.9f} "
@@ -388,8 +388,8 @@ def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
         "timescales": _timescale_block(cfg),
         "snapshots": snapshots,
     }
-    _out_path(cfg, "packets.json").write_text(
-        json.dumps(packets, indent=2, sort_keys=True) + "\n"
+    rio.write_text_atomic(
+        _out_path(cfg, "packets.json"), json.dumps(packets, indent=2, sort_keys=True) + "\n"
     )
     return 0
 

@@ -2,11 +2,14 @@
 
 Numeric text output always carries 17 significant digits so files round-trip
 bit-exactly and identical configurations produce byte-identical artifacts.
+Every artifact is written whole or not at all: the text goes to a temporary
+file in the target directory, which then replaces the target.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ __all__ = [
     "write_series",
     "write_density",
     "read_density",
+    "write_text_atomic",
 ]
 
 SERIES_COLUMNS = (
@@ -39,6 +43,25 @@ SERIES_COLUMNS = (
 )
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` so that readers see the old file or the new
+    one, never a part: a temporary file beside it replaces it.
+
+    The temporary file is created with the permissions a plain write would
+    give a new file, and is removed if anything fails before the replace.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -52,7 +75,7 @@ def write_state(path, nbar: int, l: int, state: RadialSqueezedState) -> None:
         "gamma1": float(state.gamma1),
         "log_norm": float(state.log_norm),
     }
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 _STATE_KEYS = {
@@ -94,7 +117,7 @@ def write_expansion(path, exp: EigenExpansion) -> None:
     ]
     for n, c in zip(exp.ns, exp.coeffs):
         lines.append(f"{int(n)},{_fmt(c.real)},{_fmt(c.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_expansion(path) -> EigenExpansion:
@@ -137,13 +160,13 @@ def write_series(path, records, autocorrelations) -> None:
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_density(path, r, f, t_au: float) -> None:
     lines = [f"# t_au={_fmt(t_au)} t_ns={_fmt(au_to_ns(t_au))}", "r,f"]
     lines.extend(f"{_fmt(ri)},{_fmt(fi)}" for ri, fi in zip(r, f))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_density(path):

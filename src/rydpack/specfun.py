@@ -6,19 +6,25 @@ hundred because every factorial-sized normalization factor is assembled in
 log space; only the Laguerre polynomial is carried in linear space, where its
 magnitude remains representable for the argument ranges arising here.
 
-The Laguerre three-term recurrence runs in place on three rotating buffers,
-so a step allocates nothing; it is written once, in ``_laguerre_steps``,
-which also serves the Gauss-Laguerre projection in ``spectral``.  One
-recurrence serves both R_nl and
-(d/dr + 1/r) R_nl: it ends holding the pair (L_k^a, L_{k-1}^a), and the
-identity rho L_{k-1}^{a+1} = (k + a) L_{k-1}^a - k L_k^a turns the derivative
-term into that pair, so the momentum factor needs no second recurrence.
+The Laguerre three-term recurrence carries P_k = k! 2^{-E_k} L_k^a, where
+k! = m_k 2^{E_k} with m_k in [1/2, 1), so the carried value stays within a
+factor 2 of L_k.  Every scaling in its step is an exact power of two and the
+step has no division; consumers add -ln m_k in log space.  It runs in place on
+three rotating buffers, so a step allocates nothing; it is written once, in
+``_laguerre_steps``, which also serves the Gauss-Laguerre rule and the
+projection in ``spectral``.  The radial kernel steps only the points whose
+envelope is nonzero; everywhere else the value is exactly 0.  One recurrence
+serves both R_nl and (d/dr + 1/r) R_nl: it ends holding the pair
+(P_k, P_{k-1}), and the identity
+rho L_{k-1}^{a+1} = (k + a) L_{k-1}^a - k L_k^a turns the derivative term into
+that pair, so the momentum factor needs no second recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,37 +90,71 @@ def laguerre(n: int, a: float, x):
     if a <= -1.0:
         raise ValueError(f"Laguerre parameter must be > -1, got {a}")
     x = np.asarray(x, dtype=float)
+    m_n = _factorial_scale(n)[0][n]
     if x.ndim == 0:
-        return float(_laguerre_pair(n, a, x.reshape(-1))[0][0])
-    return _laguerre_pair(n, a, x)[0]
+        return float(_laguerre_pair(n, a, x.reshape(-1))[0][0] / m_n)
+    return _laguerre_pair(n, a, x)[0] / m_n
+
+
+def _factorial_scale(n: int):
+    """Tuples (m, E) with k! = m[k] 2^E[k] for every degree k <= n (and beyond).
+
+    m[0] = m[1] = 1 and E[0] = E[1] = 0; from k = 2 on, (m[k], E[k] - E[k-1])
+    is math.frexp(m[k-1] k), so m[k] lies in [1/2, 1) and each E[k] is exact.
+    Tables come in power-of-two sizes, at least 512 degrees.
+    """
+    return _factorial_table(1 << max(9, n.bit_length()))
+
+
+@lru_cache(maxsize=4)
+def _factorial_table(size: int):
+    m, e = [1.0, 1.0], [0, 0]
+    for k in range(2, size):
+        frac, shift = math.frexp(m[-1] * k)
+        m.append(frac)
+        e.append(e[-1] + shift)
+    return tuple(m), tuple(e)
 
 
 def _laguerre_steps(n: int, a: float, x: np.ndarray):
-    """Yield (L_k^a(x), L_{k-1}^a(x)) for k = 0, 1, ..., n, with L_{-1}^a := 0.
+    """Yield (P_k, P_{k-1}) for k = 0, 1, ..., n, with P_{-1} := 0.
 
-    ``x`` may be real or complex.  Each step
-    ((2k - 1 + a - x) L_{k-1} - (k - 1 + a) L_{k-2}) / k is done in place, in
-    that order of operations, on three buffers that rotate, so a step
-    allocates nothing and a yielded pair is overwritten by later steps.
+    P_k = k! 2^{-E_k} L_k^a(x) = m_k L_k^a(x), with (m, E) from
+    ``_factorial_scale``.  Abramowitz & Stegun 22.7.12 times (k - 1)! 2^{-E_k}
+    gives, with e_k = E_k - E_{k-1},
+    P_k = (2k - 1 + a - x) 2^{-e_k} P_{k-1} - (k - 1)(k - 1 + a) 2^{-(E_k - E_{k-2})} P_{k-2},
+    so a step has no division and every scaling in it is exact.  ``x`` may be
+    real or complex.  Each step is four in-place passes on three buffers that
+    rotate, so a step allocates nothing and a yielded pair is overwritten by
+    later steps.  e_k is j or j + 1 with j = floor(log2 k), so the copies
+    x 2^{-j} and x 2^{-j-1} are all the step reads of x; they are halved in
+    place when j grows.
     """
+    _, E = _factorial_scale(n)
     buf, cur = np.zeros_like(x), np.ones_like(x)
     yield cur, buf
     if n == 0:
         return
     prev, cur = cur, 1.0 + a - x
     yield cur, prev
+    j = 1
+    scaled = (x * 0.5, x * 0.25)
     for k in range(2, n + 1):
-        np.subtract(2.0 * k - 1.0 + a, x, out=buf)
+        if k.bit_length() - 1 > j:
+            j += 1
+            for xs in scaled:
+                xs *= 0.5
+        e = E[k] - E[k - 1]
+        np.subtract(math.ldexp(2.0 * k - 1.0 + a, -e), scaled[e - j], out=buf)
         buf *= cur
-        prev *= k - 1.0 + a
+        prev *= math.ldexp((k - 1.0) * (k - 1.0 + a), E[k - 2] - E[k])
         buf -= prev
-        buf /= k
         prev, cur, buf = cur, buf, prev
         yield cur, prev
 
 
 def _laguerre_pair(n: int, a: float, x: np.ndarray):
-    """(L_n^a(x), L_{n-1}^a(x)) for an array x, with L_{-1}^a := 0."""
+    """(P_n, P_{n-1}) of ``_laguerre_steps`` for an array x."""
     for pair in _laguerre_steps(n, a, x):
         pass
     return pair
@@ -137,11 +177,12 @@ def _gauss_laguerre(m: int, beta: float):
     jacobi.flat[m :: m + 1] = np.sqrt(i * (i + beta))
     t = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lag = _laguerre_pair(m + 1, beta, t)[0]
+        lag = _laguerre_pair(m + 1, beta, t)[0]  # m_{m+1} L_{m+1}^beta(t)
         log_w = (
             math.lgamma(m + beta + 1.0)
             - math.lgamma(m + 1.0)
             - 2.0 * math.log(m + 1.0)
+            + 2.0 * math.log(_factorial_scale(m + 1)[0][m + 1])
             + np.log(t)
             - 2.0 * np.log(np.abs(lag))
         )
@@ -163,46 +204,67 @@ def radial_log_prefactor(n: int, l: int) -> float:
 
 
 def _combine(envelope: np.ndarray, poly: np.ndarray, what: str) -> np.ndarray:
-    """Multiply log-assembled envelope by the linear-space polynomial part.
+    """Multiply the log-assembled envelope by the carried polynomial part.
 
-    Where the envelope underflowed to exactly zero the true value is below
-    double precision, so the product is forced to zero; any other non-finite
-    outcome means the polynomial overflowed while still relevant, which is
-    outside the supported argument range.
+    Only live points, where some envelope is nonzero, reach here, so a value
+    that is not finite means the polynomial overflowed while still relevant,
+    which is outside the supported argument range: NumericalError.
     """
-    out = envelope * poly
-    bad = ~np.isfinite(out)
-    if bad.any():
-        harmless = bad & (envelope == 0.0)
-        out[harmless] = 0.0
-        if (bad & ~harmless).any():
-            raise NumericalError(f"overflow while evaluating {what}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = envelope * poly
+    if not np.isfinite(out).all():
+        raise NumericalError(f"overflow while evaluating {what}")
     return out
 
 
 def _radial_kernel(n: int, l: int, r: np.ndarray, pr: bool):
     """R_nl(r) and, when ``pr``, (d/dr + 1/r) R_nl(r), else None.
 
-    ``r`` is a validated 1-d array.  One Laguerre recurrence gives
-    (L_k, L_{k-1}) with k = n - l - 1, a = 2l + 1; with rho = 2r/n,
+    ``r`` is a validated array.  One Laguerre recurrence gives the carried
+    pair (P_k, P_{k-1}) with k = n - l - 1, a = 2l + 1; with rho = 2r/n,
     (d/dr + 1/r) R_nl = (2/n) e^{-rho/2} rho^{l-1} [(n - rho/2) L_k - (n + l) L_{k-1}]
-    times the prefactor of R_nl.
+    times the prefactor of R_nl.  The envelopes come first, and the
+    recurrence steps only the points where one of them is nonzero; the
+    others are exactly 0.
     """
+    k = n - l - 1
+    m, E = _factorial_scale(k)
     rho = (2.0 / n) * r
     half = 0.5 * rho
-    logpref = radial_log_prefactor(n, l)
+    logpref = radial_log_prefactor(n, l) - math.log(m[k])
     with np.errstate(divide="ignore"):
         lnrho = np.log(rho)
-    # far out the unscaled recurrence overflows; _combine alone judges
-    # whether such a value matters
+    envelope = _envelope(logpref, half, lnrho, l)
+    live = envelope != 0.0
+    if pr:
+        envelope_pr = _envelope(logpref + math.log(2.0 / n), half, lnrho, l - 1.0)
+        live |= envelope_pr != 0.0
+    del half, lnrho  # two fewer full-length arrays alive while stepping
+    dead = not live.all()
+    if dead:
+        rho, envelope = rho[live], envelope[live]
+        if pr:
+            envelope_pr = envelope_pr[live]
+    # far out the recurrence may overflow; _combine judges the live points
     with np.errstate(over="ignore", invalid="ignore"):
-        lag, lag_prev = _laguerre_pair(n - l - 1, 2 * l + 1, rho)
-        radial = _combine(_envelope(logpref, half, lnrho, l), lag, f"R_{n},{l}")
-        if not pr:
-            return radial, None
-        core = (n - half) * lag - (n + l) * lag_prev
-        envelope = _envelope(logpref + math.log(2.0 / n), half, lnrho, l - 1.0)
-        return radial, _combine(envelope, core, f"(d/dr + 1/r) R_{n},{l}")
+        lag, lag_prev = _laguerre_pair(k, 2 * l + 1, rho)
+        if pr:
+            # k! 2^{-E_k} L_{k-1} = k 2^{-e_k} P_{k-1}, with an exact scalar
+            # (0 at k = 0, whatever E[-1] reads)
+            core = (n - 0.5 * rho) * lag - math.ldexp((n + l) * k, E[k - 1] - E[k]) * lag_prev
+    radial = _combine(envelope, lag, f"R_{n},{l}")
+    deriv = _combine(envelope_pr, core, f"(d/dr + 1/r) R_{n},{l}") if pr else None
+    if dead:
+        radial = _scatter(live, radial)
+        deriv = None if deriv is None else _scatter(live, deriv)
+    return radial, deriv
+
+
+def _scatter(live: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` at the points ``live``, exactly 0 everywhere else."""
+    out = np.zeros(live.shape)
+    out[live] = values
+    return out
 
 
 def _envelope(logpref: float, half: np.ndarray, lnrho: np.ndarray, power: float) -> np.ndarray:

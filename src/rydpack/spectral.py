@@ -26,6 +26,7 @@ import numpy as np
 
 from .specfun import (
     NumericalError,
+    _factorial_scale,
     _gauss_laguerre,
     _laguerre_steps,
     hydrogen_radial,
@@ -111,8 +112,8 @@ def _project_on_rule(state, ns, l, m):
     """int R_nl psi r^2 dr for each level n in ``ns`` on the m-node rule.
 
     One recurrence steps every level's nodes up to the largest degree; each
-    level's row is read off at its own degree k = n - l - 1, and rows stepped
-    past their degree may overflow harmlessly.
+    level's row is read off at its own degree k = n - l - 1, where it carries
+    m_k L_k, and rows stepped past their degree may overflow harmlessly.
     """
     beta = state.alpha + l + 2.0
     t, log_w = _gauss_laguerre(m, beta)
@@ -120,9 +121,10 @@ def _project_on_rule(state, ns, l, m):
     sigma = state.gamma0 + 1.0 / ns
     if state.gamma1 != 0.0:
         sigma = sigma + 1j * state.gamma1
+    scale = _factorial_scale(int(max(ns)) - l - 1)[0]
     log_const = (
         state.log_norm
-        + np.array([radial_log_prefactor(int(n), l) for n in ns])
+        + np.array([radial_log_prefactor(int(n), l) - math.log(scale[int(n) - l - 1]) for n in ns])
         + l * np.log(2.0 / ns)
         - (beta + 1.0) * np.log(sigma)
     )

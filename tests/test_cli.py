@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rydpack
-from rydpack import cli
+from rydpack import cli, evolution
 from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
 from rydpack.squeezed import POTENTIAL_MODES, QuantumNumbers, RadialSqueezedState, fit_parameters
@@ -99,8 +99,9 @@ def test_empty_time_list_is_one_usage_error(pipeline20, tmp_path, capsys):
 
 
 def test_pipeline_at_nbar_230_emits_no_warnings(tmp_path):
-    # the unscaled recurrence overflows far out at nbar 230; those values are
-    # judged by the guards, never reported as NumPy RuntimeWarnings
+    # far out at nbar 230 the envelopes underflow and the recurrence could
+    # overflow; the kernel skips those points and the guards judge the rest,
+    # so NumPy reports no RuntimeWarning
     common = ["--nbar", "230", "-o", str(tmp_path)]
     exp = str(tmp_path / "expansion.csv")
     with warnings.catch_warnings():
@@ -112,6 +113,30 @@ def test_pipeline_at_nbar_230_emits_no_warnings(tmp_path):
                      "--grid-points", "4000"]) == 0
     packets = json.loads((tmp_path / "packets.json").read_text())
     assert packets["snapshots"][0]["peak_count"] == 1
+
+
+def test_nbar85_artifacts_are_byte_identical_across_runs(tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        evolution._moment_matrices.cache_clear()
+        out = tmp_path / name
+        common = ["--nbar", "85", "-o", str(out)]
+        exp = str(out / "expansion.csv")
+        assert main(["fit", *common]) == 0
+        assert main(["decompose", *common, "--state", str(out / "state.json")]) == 0
+        assert main(["scan", *common, "--expansion", exp, "--t-stop", "Tcl", "--t-steps", "5"]) == 0
+        assert main(["density", *common, "--expansion", exp, "--times", "0,trev/2"]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(runs[0]) == [
+        "density_00.csv",
+        "density_01.csv",
+        "expansion.csv",
+        "fit_report.json",
+        "packets.json",
+        "scan.csv",
+        "state.json",
+    ]
+    assert runs[0] == runs[1]
 
 
 def test_import_does_not_load_scipy():

@@ -1,8 +1,20 @@
+import os
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydpack.io import read_expansion, read_state, write_expansion, write_state
+from rydpack.evolution import UncertaintyRecord
+from rydpack.io import (
+    read_expansion,
+    read_state,
+    write_density,
+    write_expansion,
+    write_series,
+    write_state,
+)
 from rydpack.spectral import EigenExpansion
 from rydpack.squeezed import RadialSqueezedState
 
@@ -48,3 +60,29 @@ def test_expansion_round_trips_bit_exactly(tmp_path_factory, l, offset, parts, d
     assert np.float64(got.deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert got.coeffs.dtype == exp.coeffs.dtype
     assert got.coeffs.tobytes() == exp.coeffs.tobytes()
+
+
+def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
+    # each writer's second call fails at the replace: the first call's bytes
+    # stay, and no temporary file is left beside them
+    state = RadialSqueezedState(alpha=3.0, gamma0=0.5, gamma1=0.0, log_norm=0.25)
+    exp = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, 0.8j]), deficit=0.0)
+    record = UncertaintyRecord(1.0, 2.0, 3.0, 6.0, 2.0 / 3.0, 4.0, 3.0, 0.5)
+    writers = {
+        "state.json": lambda path, k: write_state(path, 20 + k, 1, state),
+        "expansion.csv": lambda path, k: write_expansion(path, replace(exp, deficit=0.1 * k)),
+        "scan.csv": lambda path, k: write_series(path, [record] * (k + 1), [1.0] * (k + 1)),
+        "density_00.csv": lambda path, k: write_density(path, np.arange(3.0), np.ones(3) * k, 0.0),
+    }
+    for name, write in writers.items():
+        write(tmp_path / name, 0)
+    before = {name: (tmp_path / name).read_bytes() for name in writers}
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for name, write in writers.items():
+        with pytest.raises(OSError, match="replace refused"):
+            write(tmp_path / name, 1)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

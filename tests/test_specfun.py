@@ -65,16 +65,47 @@ def test_laguerre_three_term_recurrence():
         assert abs(resid) <= 1e-10 * max(1.0, abs(ln))
 
 
+@pytest.mark.parametrize(
+    "k, a", [(2, 3.0), (20, 3.0), (84, 3.0), (149, 3.0), (229, 3.0), (300, 3.0), (60, 171.2), (140, 461.0)]
+)
+def test_laguerre_matches_mpmath_oracle(k, a):
+    # the scale m_k of the carried value comes from a running frexp product;
+    # taken as exp(lgamma(k + 1) - E_k ln 2) instead, the cancellation between
+    # two ~1e3 logs costs ~5e-14 and fails these bounds
+    mp = pytest.importorskip("mpmath")
+    inner = 4.0 * k + 2.0 * a + 2.0
+    x_in = inner * (np.arange(61) + 0.5) / 61.0
+    x_out = inner + (4.0 * k + 8.0) * np.arange(1, 25) / 24.0  # up to 8k + 2a + 10
+    with mp.workdps(40):
+        ref_in = np.array([float(mp.laguerre(k, a, mp.mpf(v))) for v in x_in])
+        ref_out = np.array([float(mp.laguerre(k, a, mp.mpf(v))) for v in x_out])
+    assert np.max(np.abs(laguerre(k, a, x_in) - ref_in)) <= 2e-14 * np.max(np.abs(ref_in))
+    finite = np.isfinite(ref_out)  # L_300 passes 1e308 far out
+    with np.errstate(over="ignore", invalid="ignore"):
+        got_out = laguerre(k, a, x_out)
+    assert np.array_equal(np.isfinite(got_out), finite)
+    assert np.all(np.abs(got_out[finite] - ref_out[finite]) <= 5e-14 * np.abs(ref_out[finite]))
+
+
 def _laguerre_allocating(n, a, x):
-    # the allocate-per-step loop the in-place recurrence replaced
+    # allocate-per-step reference of the carried recurrence
+    # P_k = k! 2^-E_k L_k = (2k-1+a-x) 2^-e_k P_{k-1} - (k-1)(k-1+a) 2^-(E_k-E_{k-2}) P_{k-2},
+    # with k! = m_k 2^E_k from a running frexp product; L_n = P_n / m_n
     x = np.asarray(x, dtype=float)
+    m, E = [1.0, 1.0], [0, 0]
+    for k in range(2, n + 1):
+        frac, shift = math.frexp(m[-1] * k)
+        m.append(frac)
+        E.append(E[-1] + shift)
     prev = np.ones_like(x)
     if n == 0:
         return prev
     cur = 1.0 + a - x
     for k in range(2, n + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + a - x) * cur - (k - 1.0 + a) * prev) / k
-    return cur
+        e = E[k] - E[k - 1]
+        step = math.ldexp(2.0 * k - 1.0 + a, -e) - x * math.ldexp(1.0, -e)
+        prev, cur = cur, step * cur - math.ldexp((k - 1.0) * (k - 1.0 + a), E[k - 2] - E[k]) * prev
+    return cur / m[n]
 
 
 def test_laguerre_in_place_steps_are_bit_identical():
@@ -108,7 +139,7 @@ def _mp_radial(mp, n, l, r):
     return norm * mp.exp(-rho / 2) * rho**l * mp.laguerre(n - l - 1, 2 * l + 1, rho)
 
 
-@pytest.mark.parametrize("n", [2, 3, 20, 85, 150, 200])
+@pytest.mark.parametrize("n", [2, 3, 20, 85, 150, 200, 230, 285, 320])
 def test_radial_kernel_matches_mpmath_oracle(n):
     # n = 2 and n = 3 put the Laguerre pair at degree 0 (L_{-1} = 0) and 1
     mp = pytest.importorskip("mpmath")
@@ -214,12 +245,41 @@ def test_radial_quadrature_exactness():
 
 
 def test_radial_overflow_still_raises_without_warnings():
-    # R_320,1 on the nbar-300 CLI grid overflows where it still matters; the
+    # R_340,1 on the nbar-300 CLI grid overflows where it still matters; the
     # guard raises and NumPy prints nothing on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_320,1"):
-            hydrogen_radial(320, 1, np.linspace(0.0, 4.0 * 300**2, 16000))
+        with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_340,1"):
+            hydrogen_radial(340, 1, np.linspace(0.0, 4.0 * 300**2, 16000))
+
+
+@pytest.mark.parametrize("n", [210, 230, 250])
+def test_radial_kernel_is_pointwise_on_unsorted_radii(n):
+    # live points are chosen by mask, so any order of the radii gives the same
+    # values, permuted; where the envelope underflows the value is exactly 0
+    r = np.linspace(0.0, 4.0 * 230**2, 16000)
+    perm = np.random.default_rng(n).permutation(r.size)
+    values, derivs = hydrogen_radial(n, 1, r), hydrogen_radial_pr(n, 1, r)
+    assert np.array_equal(hydrogen_radial(n, 1, r[perm]), values[perm])
+    assert np.array_equal(hydrogen_radial_pr(n, 1, r[perm]), derivs[perm])
+    rho = 2.0 * r / n
+    logpref = specfun.radial_log_prefactor(n, 1)
+    with np.errstate(divide="ignore"):
+        far = logpref - 0.5 * rho + np.log(rho) < -800.0
+        far_pr = logpref + math.log(2.0 / n) - 0.5 * rho < -800.0
+    assert far.sum() > 1000 and far_pr.sum() > 1000
+    assert np.all(values[far] == 0.0) and np.all(derivs[far_pr] == 0.0)
+
+
+def test_combine_raises_on_any_non_finite_product():
+    # a zero envelope no longer excuses an overflowed polynomial: only live
+    # points reach _combine
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for poly in ([np.inf, 1.0], [np.nan, 1.0], [1.0, -np.inf]):
+            with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_9,1"):
+                specfun._combine(np.array([0.0, 1.0]), np.array(poly), "R_9,1")
+    assert np.array_equal(specfun._combine(np.array([0.0, 2.0]), np.array([5.0, 3.0]), "x"), [0.0, 6.0])
 
 
 @pytest.mark.parametrize("m, beta", [(3, 4.0), (20, 1.5), (60, 171.2), (140, 461.0)])
