@@ -29,7 +29,6 @@ from .specfun import (
     NumericalError,
     hydrogen_energy,
     hydrogen_radial,
-    hydrogen_radial_pr,
     laguerre,
     log_gamma,
     radial_quadrature,
@@ -90,7 +89,6 @@ __all__ = [
     "fractional_period_check",
     "hydrogen_energy",
     "hydrogen_radial",
-    "hydrogen_radial_pr",
     "laguerre",
     "log_gamma",
     "moment_r",

@@ -1,12 +1,14 @@
 """Spectral time evolution, density sampling and time-dependent observables.
 
 Propagation is exact in the bound-state basis: each coefficient picks up the
-phase exp(-i E_n t).  Every moment an uncertainty needs is a quadratic form
-c(t)^dagger M c(t) in those coefficients, so the operator matrices M are
-integrated once per expansion window on a Gauss-Legendre rule and no
-wavefunction is ever sampled for them.  Radial-momentum matrices use the
-analytic (d/dr + 1/r) of the eigenfunctions, never finite differences.  Only
-density snapshots evaluate the wavefunction, on a caller-supplied grid.
+phase exp(-i E_n t).  Every moment an uncertainty needs comes from quadratic
+forms c(t)^dagger M c(t) in those coefficients, so the matrices of 1, r, r^2,
+r^-1 and r^-2 are integrated once per expansion window on a Gauss-Legendre
+rule and no wavefunction is ever sampled for them.  The radial momentum
+p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r gives
+<n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
+p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set.
+Only density snapshots evaluate the wavefunction, on a caller-supplied grid.
 """
 
 from __future__ import annotations
@@ -120,22 +122,26 @@ def _table_for(exp, grid, basis):
     return basis
 
 
+# the moment matrices are trusted only while the Gram matrix S is this close
+# to the identity in the spectral norm
+_GRAM_TOL = 1e-6
+
+
 @lru_cache(maxsize=8)
 def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
-    """The (7, N, N) operator matrices of the window [n_min, n_max], read-only.
+    """The (5, N, N) operator matrices of the window [n_min, n_max], read-only.
 
-    In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m>, <n|r^-2|m>,
-    <n|(d/dr + 1/r)|m> and <(d/dr + 1/r) n|(d/dr + 1/r) m>, all integrated
-    with the measure r^2 dr on a 2048-node panelized Gauss-Legendre rule over
-    [0, 4 n_max^2].  The first matrix is the Gram matrix the norm guard
-    compares against sum |c_n|^2.  Each level costs one Laguerre
-    recurrence, which yields both R_nl and (d/dr + 1/r) R_nl.
+    In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m> and <n|r^-2|m>, all
+    integrated with the measure r^2 dr on a 2048-node panelized
+    Gauss-Legendre rule over [0, 4 n_max^2], at one Laguerre recurrence per
+    level.  The Gram matrix S = <n|m> must satisfy ||S - I||_2 <= _GRAM_TOL,
+    else NumericalError; then |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c
+    for every coefficient vector c, so one check covers every time.
     """
     x, w = radial_quadrature(4.0 * n_max * n_max, 2048)
     vals = np.empty((n_max - n_min + 1, x.size))
-    ders = np.empty_like(vals)
     for i, n in enumerate(range(n_min, n_max + 1)):
-        vals[i], ders[i] = _radial_kernel(n, l, x, pr=True)
+        vals[i] = _radial_kernel(n, l, x)
     wv = vals * (w * x * x)
     mats = np.stack(
         [
@@ -144,10 +150,14 @@ def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
             (wv * x * x) @ vals.T,
             (wv / x) @ vals.T,
             (vals * w) @ vals.T,
-            wv @ ders.T,
-            (ders * (w * x * x)) @ ders.T,
         ]
     )
+    gap = np.linalg.norm(mats[0] - np.eye(len(vals)), 2)
+    if not gap <= _GRAM_TOL:  # a NaN gap fails too
+        raise NumericalError(
+            f"quadrature too coarse for the window [{n_min}, {n_max}]: "
+            f"||S - I||_2 = {gap:.3e} > {_GRAM_TOL:g}"
+        )
     mats.flags.writeable = False
     return mats
 
@@ -181,35 +191,34 @@ def observables(
     t: float,
     grid: RadialGrid | None,
     basis: BasisTable | None = None,
-    norm_tol: float = 1e-6,
 ) -> UncertaintyRecord:
     """Uncertainties of the evolved state at time t, as matrix elements.
 
-    Each moment is c(t)^dagger M c(t) with the cached operator matrices of the
-    expansion window; no grid is sampled.  ``grid`` and ``basis`` only shape
-    density snapshots: a supplied ``basis`` must still match the
+    The r-moments are c(t)^dagger M c(t) with the cached operator matrices of
+    the expansion window, normalized by the norm c(t)^dagger S c(t) on the
+    Gram matrix S, so shared quadrature error cancels between numerator and
+    denominator.  <p_r> and <p_r^2> follow from the energies and the r,
+    r^-1 and r^-2 forms; no grid is sampled.  ``grid`` and ``basis`` only
+    shape density snapshots: a supplied ``basis`` must still match the
     expansion/grid pair, else ValueError.
 
-    The quadrature guard requires the norm c(t)^dagger S c(t) on the Gram
-    matrix S to match the captured weight sum |c_n|^2 to ``norm_tol``;
-    failure raises NumericalError.  Moments are normalized by that norm so
-    shared quadrature error cancels between numerator and denominator.
+    The quadrature is checked once per window, when its matrices are built
+    (see ``_GRAM_TOL``); NumericalError can arise only there, never from a
+    particular time.
     """
     if basis is not None:
         _table_for(exp, grid, basis)  # validated only; the moments need no table
-    coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)
-    forms = (_moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t) @ np.conj(coeff_t)
+    energies = exp.energies
+    coeff_t = exp.coeffs * np.exp(-1j * energies * t)
+    mc = _moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t
+    forms = mc @ np.conj(coeff_t)
     norm = forms[0].real
-    weight = exp.weight
-    if not abs(norm - weight) <= norm_tol:  # a NaN norm fails too
-        raise NumericalError(
-            f"quadrature too coarse at t={t:g}: quadrature norm {norm:.9f} vs "
-            f"captured weight {weight:.9f} (tolerance {norm_tol:g})"
-        )
+    m1, m2, w1, w2 = forms[1:].real / norm
 
-    m1, m2, w1, w2 = forms[1:5].real / norm
-    pr = forms[5].imag / norm
-    pr2 = forms[6].real / norm
+    # <n|(d/dr + 1/r)|m> = (E_m - E_n) <n|r|m>
+    ec = energies * coeff_t
+    pr = -2.0 * np.vdot(ec, mc[1]).imag / norm
+    pr2 = 2.0 * np.vdot(coeff_t, ec).real / norm + 2.0 * w1 - exp.l * (exp.l + 1) * w2
 
     dr = np.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = np.sqrt(max(pr2 - pr * pr, 0.0))

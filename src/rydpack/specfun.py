@@ -13,11 +13,7 @@ step has no division; consumers add -ln m_k in log space.  It runs in place on
 three rotating buffers, so a step allocates nothing; it is written once, in
 ``_laguerre_steps``, which also serves the Gauss-Laguerre rule and the
 projection in ``spectral``.  The radial kernel steps only the points whose
-envelope is nonzero; everywhere else the value is exactly 0.  One recurrence
-serves both R_nl and (d/dr + 1/r) R_nl: it ends holding the pair
-(P_k, P_{k-1}), and the identity
-rho L_{k-1}^{a+1} = (k + a) L_{k-1}^a - k L_k^a turns the derivative term into
-that pair, so the momentum factor needs no second recurrence.
+envelope is nonzero; everywhere else the value is exactly 0.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ __all__ = [
     "laguerre",
     "hydrogen_energy",
     "hydrogen_radial",
-    "hydrogen_radial_pr",
     "radial_log_prefactor",
     "radial_quadrature",
 ]
@@ -92,8 +87,8 @@ def laguerre(n: int, a: float, x):
     x = np.asarray(x, dtype=float)
     m_n = _factorial_scale(n)[0][n]
     if x.ndim == 0:
-        return float(_laguerre_pair(n, a, x.reshape(-1))[0][0] / m_n)
-    return _laguerre_pair(n, a, x)[0] / m_n
+        return float(_laguerre_scaled(n, a, x.reshape(-1))[0] / m_n)
+    return _laguerre_scaled(n, a, x) / m_n
 
 
 def _factorial_scale(n: int):
@@ -117,7 +112,7 @@ def _factorial_table(size: int):
 
 
 def _laguerre_steps(n: int, a: float, x: np.ndarray):
-    """Yield (P_k, P_{k-1}) for k = 0, 1, ..., n, with P_{-1} := 0.
+    """Yield P_k for k = 0, 1, ..., n.
 
     P_k = k! 2^{-E_k} L_k^a(x) = m_k L_k^a(x), with (m, E) from
     ``_factorial_scale``.  Abramowitz & Stegun 22.7.12 times (k - 1)! 2^{-E_k}
@@ -125,18 +120,18 @@ def _laguerre_steps(n: int, a: float, x: np.ndarray):
     P_k = (2k - 1 + a - x) 2^{-e_k} P_{k-1} - (k - 1)(k - 1 + a) 2^{-(E_k - E_{k-2})} P_{k-2},
     so a step has no division and every scaling in it is exact.  ``x`` may be
     real or complex.  Each step is four in-place passes on three buffers that
-    rotate, so a step allocates nothing and a yielded pair is overwritten by
+    rotate, so a step allocates nothing and a yielded array is overwritten by
     later steps.  e_k is j or j + 1 with j = floor(log2 k), so the copies
     x 2^{-j} and x 2^{-j-1} are all the step reads of x; they are halved in
     place when j grows.
     """
     _, E = _factorial_scale(n)
-    buf, cur = np.zeros_like(x), np.ones_like(x)
-    yield cur, buf
+    buf, cur = np.empty_like(x), np.ones_like(x)
+    yield cur
     if n == 0:
         return
     prev, cur = cur, 1.0 + a - x
-    yield cur, prev
+    yield cur
     j = 1
     scaled = (x * 0.5, x * 0.25)
     for k in range(2, n + 1):
@@ -150,14 +145,14 @@ def _laguerre_steps(n: int, a: float, x: np.ndarray):
         prev *= math.ldexp((k - 1.0) * (k - 1.0 + a), E[k - 2] - E[k])
         buf -= prev
         prev, cur, buf = cur, buf, prev
-        yield cur, prev
+        yield cur
 
 
-def _laguerre_pair(n: int, a: float, x: np.ndarray):
-    """(P_n, P_{n-1}) of ``_laguerre_steps`` for an array x."""
-    for pair in _laguerre_steps(n, a, x):
+def _laguerre_scaled(n: int, a: float, x: np.ndarray) -> np.ndarray:
+    """P_n = m_n L_n^a(x) of ``_laguerre_steps`` for an array x."""
+    for p in _laguerre_steps(n, a, x):
         pass
-    return pair
+    return p
 
 
 def _gauss_laguerre(m: int, beta: float):
@@ -177,7 +172,7 @@ def _gauss_laguerre(m: int, beta: float):
     jacobi.flat[m :: m + 1] = np.sqrt(i * (i + beta))
     t = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lag = _laguerre_pair(m + 1, beta, t)[0]  # m_{m+1} L_{m+1}^beta(t)
+        lag = _laguerre_scaled(m + 1, beta, t)  # m_{m+1} L_{m+1}^beta(t)
         log_w = (
             math.lgamma(m + beta + 1.0)
             - math.lgamma(m + 1.0)
@@ -206,7 +201,7 @@ def radial_log_prefactor(n: int, l: int) -> float:
 def _combine(envelope: np.ndarray, poly: np.ndarray, what: str) -> np.ndarray:
     """Multiply the log-assembled envelope by the carried polynomial part.
 
-    Only live points, where some envelope is nonzero, reach here, so a value
+    Only live points, where the envelope is nonzero, reach here, so a value
     that is not finite means the polynomial overflowed while still relevant,
     which is outside the supported argument range: NumericalError.
     """
@@ -217,69 +212,33 @@ def _combine(envelope: np.ndarray, poly: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _radial_kernel(n: int, l: int, r: np.ndarray, pr: bool):
-    """R_nl(r) and, when ``pr``, (d/dr + 1/r) R_nl(r), else None.
+def _radial_kernel(n: int, l: int, r: np.ndarray) -> np.ndarray:
+    """R_nl(r) for a validated array ``r``.
 
-    ``r`` is a validated array.  One Laguerre recurrence gives the carried
-    pair (P_k, P_{k-1}) with k = n - l - 1, a = 2l + 1; with rho = 2r/n,
-    (d/dr + 1/r) R_nl = (2/n) e^{-rho/2} rho^{l-1} [(n - rho/2) L_k - (n + l) L_{k-1}]
-    times the prefactor of R_nl.  The envelopes come first, and the
-    recurrence steps only the points where one of them is nonzero; the
-    others are exactly 0.
+    One Laguerre recurrence with k = n - l - 1, a = 2l + 1 at rho = 2r/n.  The
+    envelope comes first, and the recurrence steps only the points where it
+    is nonzero; the others are exactly 0.
     """
     k = n - l - 1
-    m, E = _factorial_scale(k)
     rho = (2.0 / n) * r
-    half = 0.5 * rho
-    logpref = radial_log_prefactor(n, l) - math.log(m[k])
-    with np.errstate(divide="ignore"):
-        lnrho = np.log(rho)
-    envelope = _envelope(logpref, half, lnrho, l)
+    envelope = radial_log_prefactor(n, l) - math.log(_factorial_scale(k)[0][k]) - 0.5 * rho
+    if l:  # skipped at l = 0, where 0 * ln 0 would be NaN at r = 0
+        with np.errstate(divide="ignore"):
+            envelope += l * np.log(rho)
+    np.exp(envelope, out=envelope)
     live = envelope != 0.0
-    if pr:
-        envelope_pr = _envelope(logpref + math.log(2.0 / n), half, lnrho, l - 1.0)
-        live |= envelope_pr != 0.0
-    del half, lnrho  # two fewer full-length arrays alive while stepping
     dead = not live.all()
     if dead:
         rho, envelope = rho[live], envelope[live]
-        if pr:
-            envelope_pr = envelope_pr[live]
     # far out the recurrence may overflow; _combine judges the live points
     with np.errstate(over="ignore", invalid="ignore"):
-        lag, lag_prev = _laguerre_pair(k, 2 * l + 1, rho)
-        if pr:
-            # k! 2^{-E_k} L_{k-1} = k 2^{-e_k} P_{k-1}, with an exact scalar
-            # (0 at k = 0, whatever E[-1] reads)
-            core = (n - 0.5 * rho) * lag - math.ldexp((n + l) * k, E[k - 1] - E[k]) * lag_prev
+        lag = _laguerre_scaled(k, 2 * l + 1, rho)
     radial = _combine(envelope, lag, f"R_{n},{l}")
-    deriv = _combine(envelope_pr, core, f"(d/dr + 1/r) R_{n},{l}") if pr else None
-    if dead:
-        radial = _scatter(live, radial)
-        deriv = None if deriv is None else _scatter(live, deriv)
-    return radial, deriv
-
-
-def _scatter(live: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``values`` at the points ``live``, exactly 0 everywhere else."""
+    if not dead:
+        return radial
     out = np.zeros(live.shape)
-    out[live] = values
+    out[live] = radial
     return out
-
-
-def _envelope(logpref: float, half: np.ndarray, lnrho: np.ndarray, power: float) -> np.ndarray:
-    """exp(logpref - rho/2 + power ln rho), the power term dropped when 0."""
-    expo = logpref - half
-    if power:
-        expo += power * lnrho
-    return np.exp(expo)
-
-
-def _radii(r):
-    r = np.asarray(r, dtype=float)
-    if (r < 0).any():
-        raise ValueError("radius must be non-negative")
-    return r.ndim == 0, np.atleast_1d(r)
 
 
 def hydrogen_radial(n: int, l: int, r):
@@ -290,24 +249,12 @@ def hydrogen_radial(n: int, l: int, r):
     n well beyond 100.
     """
     _check_nl(n, l)
-    scalar, r = _radii(r)
-    out = _radial_kernel(n, l, r, pr=False)[0]
-    return float(out[0]) if scalar else out
-
-
-def hydrogen_radial_pr(n: int, l: int, r):
-    """The combination (d/dr + 1/r) applied to R_nl(r).
-
-    This is the real radial factor of p_r R_nl, with p_r = -i (d/dr + 1/r).
-    For l >= 1 it is finite at r = 0; for l = 0 the 1/r term diverges there,
-    so r = 0 is rejected.
-    """
-    _check_nl(n, l)
-    scalar, r = _radii(r)
-    if l == 0 and (r == 0).any():
-        raise ValueError("(d/dr + 1/r) R_n0 is singular at r = 0")
-    out = _radial_kernel(n, l, r, pr=True)[1]
-    return float(out[0]) if scalar else out
+    r = np.asarray(r, dtype=float)
+    if (r < 0).any():
+        raise ValueError("radius must be non-negative")
+    if r.ndim == 0:
+        return float(_radial_kernel(n, l, r.reshape(1))[0])
+    return _radial_kernel(n, l, r)
 
 
 def radial_quadrature(r_max: float, n_nodes: int = 4096, nodes_per_panel: int = 64):

@@ -60,8 +60,8 @@ class DeficitToleranceWarning(UserWarning):
 class EigenExpansion:
     """Coefficients c_n over the bound-state window n in [n_min, n_max], l fixed.
 
-    ``deficit`` is 1 - sum |c_n|^2.  The coefficient array is treated as
-    immutable once the expansion is built.
+    ``deficit`` is 1 - sum |c_n|^2.  The coefficients must be finite, and
+    the array is treated as immutable once the expansion is built.
     """
 
     l: int
@@ -80,6 +80,9 @@ class EigenExpansion:
                 f"coefficient array of shape {coeffs.shape} does not match "
                 f"window [{self.n_min}, {self.n_max}]"
             )
+        bad = ~np.isfinite(coeffs)
+        if bad.any():
+            raise ValueError(f"coefficient of n={self.n_min + int(np.argmax(bad))} is not finite")
         object.__setattr__(self, "coeffs", coeffs)
         if not -1e-9 <= self.deficit < 1.0 + 1e-12:
             raise ValueError(f"deficit out of range: {self.deficit!r}")
@@ -132,7 +135,7 @@ def _project_on_rule(state, ns, l, m):
     row_at = {int(n) - l - 1: i for i, n in enumerate(ns)}
     lag = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (cur, _) in enumerate(_laguerre_steps(max(row_at), 2 * l + 1, x)):
+        for k, cur in enumerate(_laguerre_steps(max(row_at), 2 * l + 1, x)):
             i = row_at.get(k)
             if i is not None:
                 lag[i] = cur[i]

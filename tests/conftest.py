@@ -3,6 +3,7 @@ import pytest
 
 import rydpack as rp
 from rydpack import evolution
+from rydpack.specfun import laguerre, radial_log_prefactor
 
 NBAR = 85
 
@@ -53,3 +54,26 @@ def coarse_quadrature(monkeypatch):
     evolution._moment_matrices.cache_clear()
     yield
     evolution._moment_matrices.cache_clear()
+
+
+def _radial_pr(n, l, r):
+    """(d/dr + 1/r) R_nl(r), the real radial factor of p_r R_nl, for l >= 1.
+
+    With rho = 2r/n, a = 2l + 1, k = n - l - 1 and
+    dL_k^a/drho = -L_{k-1}^{a+1} (Abramowitz & Stegun 22.8.6),
+    (d/dr + 1/r) R_nl = (2/n) A e^{-rho/2} rho^{l-1} [(l + 1 - rho/2) L_k^a - rho L_{k-1}^{a+1}]
+    with A the prefactor of R_nl.  The Laguerre values are taken in linear
+    space, so trust it to n of about 150.
+    """
+    k, a = n - l - 1, 2 * l + 1
+    rho = (2.0 / n) * np.asarray(r, dtype=float)
+    poly = (l + 1 - 0.5 * rho) * laguerre(k, a, rho)
+    if k:
+        poly -= rho * laguerre(k - 1, a + 1, rho)
+    return (2.0 / n) * np.exp(radial_log_prefactor(n, l) - 0.5 * rho) * rho ** (l - 1) * poly
+
+
+@pytest.fixture(scope="session")
+def radial_pr():
+    """A reference (d/dr + 1/r) R_nl built from the public Laguerre values."""
+    return _radial_pr

@@ -349,6 +349,25 @@ def test_scan_quadrature_failure(pipeline20, tmp_path, coarse_quadrature, capsys
     assert not (tmp_path / "scan.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
+)
+def test_non_finite_coefficient_is_usage_error(pipeline20, tmp_path, capsys, command, times, bad):
+    lines = (pipeline20 / "expansion.csv").read_text().splitlines()
+    n, _, im = lines[8].split(",")
+    lines[8] = ",".join((n, bad, im))
+    expansion = tmp_path / "expansion.csv"
+    expansion.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
+    assert code == 1
+    assert f"coefficient of n={n} is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_decompose_nan_projection_is_numerical_failure(tmp_path):
     # at nbar 300 the Laguerre recurrence overflows and the projections are NaN
     write_state(tmp_path / "state.json", 300, 1, fit_parameters(QuantumNumbers(300)))

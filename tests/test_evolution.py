@@ -20,7 +20,6 @@ from rydpack.specfun import (
     NumericalError,
     hydrogen_energy,
     hydrogen_radial,
-    hydrogen_radial_pr,
     radial_quadrature,
 )
 from rydpack.spectral import EigenExpansion, decompose
@@ -106,7 +105,7 @@ def test_observables_match_closed_forms_at_t0(state85, exp85, grid85, basis85):
     assert rec.ratio == rec.dr / rec.dpr
 
 
-def direct_record(exp, t):
+def direct_record(exp, t, radial_pr):
     """Reference: the same moments by sampling psi(t) and (d/dr + 1/r) psi(t)
     on the 4096-node rule and summing, with no operator matrices."""
     x, w = radial_quadrature(4.0 * exp.n_max**2, 4096)
@@ -114,7 +113,7 @@ def direct_record(exp, t):
     dpsi = np.zeros(x.size, dtype=complex)
     for n, c in zip(exp.ns, evolve(exp, t).coeffs):
         psi += c * hydrogen_radial(int(n), exp.l, x)
-        dpsi += c * hydrogen_radial_pr(int(n), exp.l, x)
+        dpsi += c * radial_pr(int(n), exp.l, x)
     wr2 = w * x**2
     dens = wr2 * np.abs(psi) ** 2
     norm = dens.sum()
@@ -127,10 +126,10 @@ def direct_record(exp, t):
 
 
 @pytest.mark.parametrize("orbits", [0.0, 0.5, 1.0, 4.0])
-def test_observables_match_direct_quadrature(exp85, ts85, orbits):
+def test_observables_match_direct_quadrature(exp85, ts85, radial_pr, orbits):
     t = orbits * ts85.T_cl_au
     got = astuple(observables(exp85, t, None))
-    want = astuple(direct_record(exp85, t))
+    want = astuple(direct_record(exp85, t, radial_pr))
     assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -149,14 +148,33 @@ def test_observables_answer_every_nbar150_point():
 
 def test_moment_matrices_run_one_recurrence_per_level(monkeypatch):
     degrees = []
-    pair = specfun._laguerre_pair
-    monkeypatch.setattr(specfun, "_laguerre_pair", lambda n, a, x: degrees.append(n) or pair(n, a, x))
+    scaled = specfun._laguerre_scaled
+    monkeypatch.setattr(specfun, "_laguerre_scaled", lambda n, a, x: degrees.append(n) or scaled(n, a, x))
     evolution._moment_matrices.cache_clear()
     try:
         evolution._moment_matrices(1, 10, 17)
     finally:
         evolution._moment_matrices.cache_clear()
     assert degrees == [n - 2 for n in range(10, 18)]
+
+
+@pytest.mark.parametrize("window", [(2, 30), (16, 24), (73, 97), (138, 162), (210, 250), (265, 305)])
+def test_moment_matrices_match_closed_form_diagonals(window):
+    # <r>, <r^2>, <r^-1> and <r^-2> of a bound level (Bethe & Salpeter, section 3)
+    mats = evolution._moment_matrices(1, *window)
+    ns = np.arange(window[0], window[1] + 1.0)
+    assert mats.shape == (5, ns.size, ns.size)
+    assert not mats.flags.writeable
+    ll = 2.0  # l (l + 1) at l = 1
+    want = [
+        (3.0 * ns**2 - ll) / 2.0,
+        ns**2 * (5.0 * ns**2 + 1.0 - 3.0 * ll) / 2.0,
+        1.0 / ns**2,
+        1.0 / (ns**3 * 1.5),
+    ]
+    for mat, diag in zip(mats[1:], want):
+        assert np.max(np.abs(np.diag(mat) / diag - 1.0)) <= 5e-12
+    assert np.linalg.norm(mats[0] - np.eye(ns.size), 2) <= 1e-12
 
 
 def test_observables_rejects_mismatched_basis(exp85, grid85, basis85):

@@ -10,7 +10,6 @@ from rydpack.specfun import (
     HydrogenLevel,
     hydrogen_energy,
     hydrogen_radial,
-    hydrogen_radial_pr,
     laguerre,
     log_gamma,
     radial_quadrature,
@@ -125,12 +124,10 @@ def test_laguerre_in_place_steps_are_bit_identical():
 
 def test_radial_pair_costs_one_recurrence(monkeypatch):
     degrees = []
-    pair = specfun._laguerre_pair
-    monkeypatch.setattr(specfun, "_laguerre_pair", lambda n, a, x: degrees.append(n) or pair(n, a, x))
-    r = np.linspace(0.0, 800.0, 101)
-    hydrogen_radial(20, 1, r)
-    hydrogen_radial_pr(20, 1, r)
-    assert degrees == [18, 18]
+    scaled = specfun._laguerre_scaled
+    monkeypatch.setattr(specfun, "_laguerre_scaled", lambda n, a, x: degrees.append(n) or scaled(n, a, x))
+    hydrogen_radial(20, 1, np.linspace(0.0, 800.0, 101))
+    assert degrees == [18]
 
 
 def _mp_radial(mp, n, l, r):
@@ -139,18 +136,33 @@ def _mp_radial(mp, n, l, r):
     return norm * mp.exp(-rho / 2) * rho**l * mp.laguerre(n - l - 1, 2 * l + 1, rho)
 
 
+def _mp_radius_grid(n):
+    return 2.2 * n * n * (np.arange(37) + 0.5) / 37.0
+
+
 @pytest.mark.parametrize("n", [2, 3, 20, 85, 150, 200, 230, 285, 320])
 def test_radial_kernel_matches_mpmath_oracle(n):
-    # n = 2 and n = 3 put the Laguerre pair at degree 0 (L_{-1} = 0) and 1
+    # n = 2 and n = 3 put the Laguerre recurrence at degree 0 and 1
     mp = pytest.importorskip("mpmath")
-    r = 2.2 * n * n * (np.arange(37) + 0.5) / 37.0
+    r = _mp_radius_grid(n)
     with mp.workdps(40):
-        ref = [_mp_radial(mp, n, 1, mp.mpf(x)) for x in r]
-        dref = [mp.diff(lambda s: _mp_radial(mp, n, 1, s), mp.mpf(x)) + v / x for x, v in zip(r, ref)]
-        ref = np.array([float(v) for v in ref])
-        dref = np.array([float(v) for v in dref])
+        ref = np.array([float(_mp_radial(mp, n, 1, mp.mpf(x))) for x in r])
     assert np.max(np.abs(hydrogen_radial(n, 1, r) - ref)) <= 2e-12 * np.max(np.abs(ref))
-    assert np.max(np.abs(hydrogen_radial_pr(n, 1, r) - dref)) <= 2e-12 * np.max(np.abs(dref))
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 85, 150])
+def test_radial_pr_reference_matches_mpmath_oracle(n, radial_pr):
+    # the (d/dr + 1/r) R_n1 that test_evolution's direct quadrature relies on;
+    # n = 2 puts its L_{k-1}^{a+1} term at degree -1, where it is absent
+    mp = pytest.importorskip("mpmath")
+    r = _mp_radius_grid(n)
+    with mp.workdps(40):
+        dref = [
+            mp.diff(lambda s: _mp_radial(mp, n, 1, s), mp.mpf(x)) + _mp_radial(mp, n, 1, mp.mpf(x)) / x
+            for x in r
+        ]
+        dref = np.array([float(v) for v in dref])
+    assert np.max(np.abs(radial_pr(n, 1, r) - dref)) <= 2e-12 * np.max(np.abs(dref))
 
 
 def test_hydrogen_energy():
@@ -218,23 +230,6 @@ def test_radial_node_count(n, l):
     assert changes == n - l - 1
 
 
-def test_radial_pr_matches_finite_differences():
-    h = 1e-6
-    for n, l in ((2, 1), (7, 1), (20, 1), (6, 2)):
-        for r in (0.7, 3.1, float(n * n) / 2.0, 1.7 * n * n):
-            direct = hydrogen_radial_pr(n, l, r)
-            fd = (hydrogen_radial(n, l, r + h) - hydrogen_radial(n, l, r - h)) / (2 * h)
-            expected = fd + hydrogen_radial(n, l, r) / r
-            assert direct == pytest.approx(expected, rel=5e-7, abs=1e-12)
-
-
-def test_radial_pr_finite_at_origin_for_p_states():
-    val = hydrogen_radial_pr(5, 1, 0.0)
-    assert np.isfinite(val) and val > 0
-    with pytest.raises(ValueError):
-        hydrogen_radial_pr(5, 0, 0.0)
-
-
 def test_radial_quadrature_exactness():
     x, w = radial_quadrature(50.0, 2048)
     assert np.dot(w, np.exp(-x)) == pytest.approx(1.0 - math.exp(-50.0), rel=1e-13)
@@ -259,16 +254,14 @@ def test_radial_kernel_is_pointwise_on_unsorted_radii(n):
     # values, permuted; where the envelope underflows the value is exactly 0
     r = np.linspace(0.0, 4.0 * 230**2, 16000)
     perm = np.random.default_rng(n).permutation(r.size)
-    values, derivs = hydrogen_radial(n, 1, r), hydrogen_radial_pr(n, 1, r)
+    values = hydrogen_radial(n, 1, r)
     assert np.array_equal(hydrogen_radial(n, 1, r[perm]), values[perm])
-    assert np.array_equal(hydrogen_radial_pr(n, 1, r[perm]), derivs[perm])
     rho = 2.0 * r / n
     logpref = specfun.radial_log_prefactor(n, 1)
     with np.errstate(divide="ignore"):
         far = logpref - 0.5 * rho + np.log(rho) < -800.0
-        far_pr = logpref + math.log(2.0 / n) - 0.5 * rho < -800.0
-    assert far.sum() > 1000 and far_pr.sum() > 1000
-    assert np.all(values[far] == 0.0) and np.all(derivs[far_pr] == 0.0)
+    assert far.sum() > 1000
+    assert np.all(values[far] == 0.0)
 
 
 def test_combine_raises_on_any_non_finite_product():

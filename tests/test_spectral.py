@@ -26,6 +26,9 @@ def test_expansion_validation():
         EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.zeros(2), deficit=0.0)
     with pytest.raises(ValueError):
         EigenExpansion(l=1, n_min=2, n_max=2, coeffs=np.ones(1), deficit=1.5)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="coefficient of n=3 is not finite"):
+            EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, bad]), deficit=0.0)
 
 
 def test_project_pure_eigenstate():
