@@ -4,7 +4,10 @@ Propagation is exact in the bound-state basis: each coefficient picks up the
 phase exp(-i E_n t).  Every moment an uncertainty needs comes from quadratic
 forms c(t)^dagger M c(t) in those coefficients, so the matrices of 1, r, r^2,
 r^-1 and r^-2 are integrated once per expansion window on a Gauss-Legendre
-rule and no wavefunction is ever sampled for them.  The radial momentum
+rule and no wavefunction is ever sampled for them.  The rule reaches
+max(4 n_max^2, 196) bohr, so small windows keep their tails, and the window's
+eigenfunctions come from one Laguerre recurrence per block of 1024 nodes,
+shared by all its levels.  The radial momentum
 p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r gives
 <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
 p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set.
@@ -18,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import NumericalError, _radial_kernel, hydrogen_radial, radial_quadrature
+from .specfun import NumericalError, _radial_rows, hydrogen_radial, radial_quadrature
 from .spectral import EigenExpansion
 
 __all__ = [
@@ -126,6 +129,11 @@ def _table_for(exp, grid, basis):
 # to the identity in the spectral norm
 _GRAM_TOL = 1e-6
 
+# the moment rule reaches at least this far (bohr): 4 n^2 at n = 7.  Below
+# that, 4 n_max^2 cuts the tail of the top level short (||S - I||_2 = 4e-4 on
+# [2, 2]); every window with n_max >= 7 keeps 4 n_max^2
+_R_MAX_FLOOR = 196.0
+
 
 @lru_cache(maxsize=8)
 def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
@@ -133,15 +141,15 @@ def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
 
     In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m> and <n|r^-2|m>, all
     integrated with the measure r^2 dr on a 2048-node panelized
-    Gauss-Legendre rule over [0, 4 n_max^2], at one Laguerre recurrence per
-    level.  The Gram matrix S = <n|m> must satisfy ||S - I||_2 <= _GRAM_TOL,
+    Gauss-Legendre rule over [0, max(4 n_max^2, 196)].  The R_nl values come
+    from ``specfun._radial_rows``: one Laguerre recurrence per block of 1024
+    nodes steps every level of the window, and each is read off at its own
+    degree.  The Gram matrix S = <n|m> must satisfy ||S - I||_2 <= _GRAM_TOL,
     else NumericalError; then |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c
     for every coefficient vector c, so one check covers every time.
     """
-    x, w = radial_quadrature(4.0 * n_max * n_max, 2048)
-    vals = np.empty((n_max - n_min + 1, x.size))
-    for i, n in enumerate(range(n_min, n_max + 1)):
-        vals[i] = _radial_kernel(n, l, x)
+    x, w = radial_quadrature(max(4.0 * n_max * n_max, _R_MAX_FLOOR), 2048)
+    vals = _radial_rows(np.arange(n_min, n_max + 1), l, x)
     wv = vals * (w * x * x)
     mats = np.stack(
         [

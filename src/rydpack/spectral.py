@@ -21,16 +21,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .specfun import (
     NumericalError,
-    _factorial_scale,
     _gauss_laguerre,
-    _laguerre_steps,
+    _laguerre_rows,
+    _radial_log_const,
     hydrogen_radial,
-    radial_log_prefactor,
 )
 from .squeezed import RadialSqueezedState, moment_r
 
@@ -87,13 +87,19 @@ class EigenExpansion:
         if not -1e-9 <= self.deficit < 1.0 + 1e-12:
             raise ValueError(f"deficit out of range: {self.deficit!r}")
 
-    @property
+    @cached_property
     def ns(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_max + 1)
+        """The levels n_min..n_max, computed once and read-only."""
+        ns = np.arange(self.n_min, self.n_max + 1)
+        ns.flags.writeable = False
+        return ns
 
-    @property
+    @cached_property
     def energies(self) -> np.ndarray:
-        return -0.5 / self.ns.astype(float) ** 2
+        """The level energies -1/(2 n^2), computed once and read-only."""
+        energies = -0.5 / self.ns.astype(float) ** 2
+        energies.flags.writeable = False
+        return energies
 
     @property
     def weight(self) -> float:
@@ -114,9 +120,9 @@ def _rule_size(k_max: int) -> int:
 def _project_on_rule(state, ns, l, m):
     """int R_nl psi r^2 dr for each level n in ``ns`` on the m-node rule.
 
-    One recurrence steps every level's nodes up to the largest degree; each
-    level's row is read off at its own degree k = n - l - 1, where it carries
-    m_k L_k, and rows stepped past their degree may overflow harmlessly.
+    One recurrence steps every level's nodes up to the largest degree, and
+    each level's row is read off at its own degree k = n - l - 1, where it
+    carries m_k L_k (``specfun._laguerre_rows``).
     """
     beta = state.alpha + l + 2.0
     t, log_w = _gauss_laguerre(m, beta)
@@ -124,21 +130,14 @@ def _project_on_rule(state, ns, l, m):
     sigma = state.gamma0 + 1.0 / ns
     if state.gamma1 != 0.0:
         sigma = sigma + 1j * state.gamma1
-    scale = _factorial_scale(int(max(ns)) - l - 1)[0]
     log_const = (
         state.log_norm
-        + np.array([radial_log_prefactor(int(n), l) - math.log(scale[int(n) - l - 1]) for n in ns])
+        + np.array([_radial_log_const(int(n), l) for n in ns])
         + l * np.log(2.0 / ns)
         - (beta + 1.0) * np.log(sigma)
     )
-    x = (2.0 / (ns * sigma))[:, None] * t
-    row_at = {int(n) - l - 1: i for i, n in enumerate(ns)}
-    lag = np.empty_like(x)
+    lag = _laguerre_rows(ns - l - 1, 2 * l + 1, (2.0 / (ns * sigma))[:, None] * t)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, cur in enumerate(_laguerre_steps(max(row_at), 2 * l + 1, x)):
-            i = row_at.get(k)
-            if i is not None:
-                lag[i] = cur[i]
         return np.sum(np.exp(log_w + log_const[:, None]) * lag, axis=1)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -105,10 +106,11 @@ def test_observables_match_closed_forms_at_t0(state85, exp85, grid85, basis85):
     assert rec.ratio == rec.dr / rec.dpr
 
 
-def direct_record(exp, t, radial_pr):
+def direct_record(exp, t, radial_pr, r_max=None):
     """Reference: the same moments by sampling psi(t) and (d/dr + 1/r) psi(t)
-    on the 4096-node rule and summing, with no operator matrices."""
-    x, w = radial_quadrature(4.0 * exp.n_max**2, 4096)
+    on the 4096-node rule over [0, r_max] (default 4 n_max^2) and summing,
+    with no operator matrices."""
+    x, w = radial_quadrature(r_max or 4.0 * exp.n_max**2, 4096)
     psi = np.zeros(x.size, dtype=complex)
     dpsi = np.zeros(x.size, dtype=complex)
     for n, c in zip(exp.ns, evolve(exp, t).coeffs):
@@ -133,6 +135,28 @@ def test_observables_match_direct_quadrature(exp85, ts85, radial_pr, orbits):
     assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("t", [0.0, 2.0 * math.pi * 2**3])  # 0 and T_cl(2)
+def test_observables_answer_on_the_two_level_toy(radial_pr, t):
+    # a rule over [0, 4 n_max^2] = [0, 36] would cut the tail of R_31 short
+    # and fail the Gram guard; the reference reaches 400 bohr
+    rec = observables(two_level_toy(), t, None)
+    want = astuple(direct_record(two_level_toy(), t, radial_pr, r_max=400.0))
+    assert astuple(rec) == pytest.approx(want, rel=1e-8)
+    assert rec.product >= 0.5 - 1e-9
+
+
+def test_expansion_levels_and_energies_are_computed_once_and_read_only(exp85):
+    assert exp85.ns is exp85.ns and exp85.energies is exp85.energies
+    for arr in (exp85.ns, exp85.energies):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    later = evolve(exp85, 1.0e5)
+    assert later.energies is not exp85.energies
+    assert np.array_equal(later.energies, exp85.energies)
+    assert np.array_equal(later.ns, exp85.ns)
+
+
 def test_observables_rejects_coarse_quadrature(exp85, ts85, coarse_quadrature):
     with pytest.raises(NumericalError, match="quadrature too coarse"):
         observables(exp85, ts85.T_cl_au / 2.0, None)
@@ -146,19 +170,57 @@ def test_observables_answer_every_nbar150_point():
         assert observables(exp, t, grid).product >= 0.5 - 1e-9
 
 
-def test_moment_matrices_run_one_recurrence_per_level(monkeypatch):
-    degrees = []
-    scaled = specfun._laguerre_scaled
-    monkeypatch.setattr(specfun, "_laguerre_scaled", lambda n, a, x: degrees.append(n) or scaled(n, a, x))
+def test_moment_matrices_run_one_recurrence_per_column_block(monkeypatch):
+    calls = []
+    steps = specfun._laguerre_steps
+    monkeypatch.setattr(
+        specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
+    )
     evolution._moment_matrices.cache_clear()
     try:
         evolution._moment_matrices(1, 10, 17)
     finally:
         evolution._moment_matrices.cache_clear()
-    assert degrees == [n - 2 for n in range(10, 18)]
+    # the 2048-node rule is two blocks of 1024 nodes; each steps all eight
+    # levels together to the window's largest degree, 17 - 2
+    assert calls == [(15, (8, 1024)), (15, (8, 1024))]
 
 
-@pytest.mark.parametrize("window", [(2, 30), (16, 24), (73, 97), (138, 162), (210, 250), (265, 305)])
+def reference_moment_matrices(l, n_min, n_max):
+    """The moment stack level by level: ``hydrogen_radial`` per level on the
+    same rule, then the same five products."""
+    x, w = radial_quadrature(max(4.0 * n_max**2, 196.0), 2048)
+    vals = np.array([hydrogen_radial(n, l, x) for n in range(n_min, n_max + 1)])
+    wv = vals * (w * x * x)
+    return np.stack(
+        [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
+    )
+
+
+@pytest.mark.parametrize("window", [(7, 30), (73, 97), (210, 250), (265, 305)])
+def test_moment_matrices_equal_per_level_reference(window):
+    # (265, 305): the far nodes are dead (envelope underflowed) for the low rows
+    assert np.array_equal(evolution._moment_matrices(1, *window), reference_moment_matrices(1, *window))
+
+
+def test_moment_matrices_overflow_names_the_first_failing_level():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflow while evaluating R_329,1"):
+            evolution._moment_matrices(1, 280, 330)
+
+
+def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
+    # below n_max = 7 the rule reaches 196 bohr instead of 4 n_max^2
+    for n_min in range(2, 7):
+        for n_max in range(n_min, 7):
+            s = evolution._moment_matrices(1, n_min, n_max)[0]
+            assert np.linalg.norm(s - np.eye(s.shape[0]), 2) <= 1e-12, (n_min, n_max)
+
+
+@pytest.mark.parametrize(
+    "window", [(2, 30), (16, 24), (73, 97), (138, 162), (210, 250), (265, 305), (2, 3), (2, 6)]
+)
 def test_moment_matrices_match_closed_form_diagonals(window):
     # <r>, <r^2>, <r^-1> and <r^-2> of a bound level (Bethe & Salpeter, section 3)
     mats = evolution._moment_matrices(1, *window)

@@ -239,6 +239,32 @@ def test_radial_quadrature_exactness():
         radial_quadrature(-1.0)
 
 
+def test_radial_quadrature_returns_fresh_arrays():
+    # the reference Legendre rule is cached; what callers get must not alias it
+    x1, w1 = radial_quadrature(50.0, 2048)
+    x2, w2 = radial_quadrature(50.0, 2048)
+    assert np.array_equal(x1, x2) and np.array_equal(w1, w2)
+    for a, b in ((x1, x2), (w1, w2)):
+        assert a.flags.writeable and not np.shares_memory(a, b)
+    x1[:] = 0.0
+    w1[:] = 0.0
+    x3, w3 = radial_quadrature(50.0, 2048)
+    assert np.array_equal(x3, x2) and np.array_equal(w3, w2)
+
+
+@pytest.mark.parametrize("complex_x", [False, True])
+def test_laguerre_rows_read_each_row_at_its_own_degree(complex_x):
+    # one recurrence to the largest degree gives, row by row, exactly the
+    # values of a recurrence stopped at that row's degree
+    degrees = [30, 3, 0, 17, 1]
+    x = np.linspace(0.1, 60.0, 5 * 40).reshape(5, 40)
+    if complex_x:
+        x = x * (0.9 + 0.2j)
+    rows = specfun._laguerre_rows(degrees, 3.0, x)
+    for i, k in enumerate(degrees):
+        assert np.array_equal(rows[i], specfun._laguerre_scaled(k, 3.0, x[i].copy())), k
+
+
 def test_radial_overflow_still_raises_without_warnings():
     # R_340,1 on the nbar-300 CLI grid overflows where it still matters; the
     # guard raises and NumPy prints nothing on the way
