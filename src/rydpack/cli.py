@@ -85,6 +85,8 @@ class RunConfig:
         for name in ("deficit_tol", "grid_points", "r_max_factor", "prominence"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
+        if self.prominence >= 1:
+            raise UsageError("prominence must lie in (0, 1)")
         if self.deltan is not None and self.deltan <= 0:
             raise UsageError("deltan must be positive")
         if self.smooth is not None and self.smooth < 0:
@@ -451,10 +453,7 @@ def main(argv=None) -> int:
         if args.command == "density":
             return cmd_density(cfg, args.expansion, args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -6,12 +6,13 @@ forms c(t)^dagger M c(t) in those coefficients, so the matrices of 1, r, r^2,
 r^-1 and r^-2 are integrated once per expansion window on a Gauss-Legendre
 rule and no wavefunction is ever sampled for them.  The rule reaches
 max(4 n_max^2, 196) bohr, so small windows keep their tails, and the window's
-eigenfunctions come from one Laguerre recurrence per block of 1024 nodes,
-shared by all its levels.  The radial momentum
+eigenfunctions come from ``specfun._radial_rows``, whose Laguerre recurrence
+steps about 12 levels of the window at once.  The radial momentum
 p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r gives
 <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
 p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set.
-Only density snapshots evaluate the wavefunction, on a caller-supplied grid.
+Only density snapshots evaluate the wavefunction, on a caller-supplied grid,
+from a table of the same kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import NumericalError, _radial_rows, hydrogen_radial, radial_quadrature
+from .specfun import NumericalError, _radial_rows, radial_quadrature
 from .spectral import EigenExpansion
 
 __all__ = [
@@ -83,9 +84,10 @@ class UncertaintyRecord:
 class BasisTable:
     """Eigenfunction values R_nl tabulated on fixed radii, for density snapshots.
 
-    Building the table costs one Laguerre recurrence per level; evaluating an
-    evolved wavefunction afterwards is a single matrix-vector product, so one
-    table serves any number of snapshot times.  ``observables`` does not need
+    The table is one call of ``specfun._radial_rows``, which on a grid of
+    many thousand points steps one level per Laguerre recurrence; evaluating
+    an evolved wavefunction afterwards is a single matrix-vector product, so
+    one table serves any number of snapshot times.  ``observables`` does not need
     a table; it only checks one it is given against the expansion and grid.
     """
 
@@ -97,11 +99,8 @@ class BasisTable:
 
     @classmethod
     def build(cls, ns, l: int, points) -> "BasisTable":
-        points = np.asarray(points, dtype=float)
-        values = np.empty((len(ns), points.size))
-        for i, n in enumerate(ns):
-            values[i] = hydrogen_radial(int(n), l, points)
-        return cls(np.asarray(ns), l, points, values)
+        ns, points = np.asarray(ns), np.asarray(points, dtype=float)
+        return cls(ns, l, points, _radial_rows(ns, l, points))
 
     @classmethod
     def for_expansion(cls, exp: EigenExpansion, grid: RadialGrid) -> "BasisTable":
@@ -142,9 +141,9 @@ def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
     In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m> and <n|r^-2|m>, all
     integrated with the measure r^2 dr on a 2048-node panelized
     Gauss-Legendre rule over [0, max(4 n_max^2, 196)].  The R_nl values come
-    from ``specfun._radial_rows``: one Laguerre recurrence per block of 1024
-    nodes steps every level of the window, and each is read off at its own
-    degree.  The Gram matrix S = <n|m> must satisfy ||S - I||_2 <= _GRAM_TOL,
+    from ``specfun._radial_rows``: one Laguerre recurrence steps about 12
+    levels of the window at once, and each is read off at its own degree.
+    The Gram matrix S = <n|m> must satisfy ||S - I||_2 <= _GRAM_TOL,
     else NumericalError; then |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c
     for every coefficient vector c, so one check covers every time.
     """

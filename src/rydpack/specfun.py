@@ -13,18 +13,19 @@ step has no division; consumers add -ln m_k in log space.  It runs in place on
 three rotating buffers, so a step allocates nothing; it is written once, in
 ``_laguerre_steps``, which also serves the Gauss-Laguerre rule.
 
-Two radial kernels share the envelope and the recurrence.  ``_radial_kernel``
-(behind ``hydrogen_radial``) runs one recurrence per level and steps only the
-points whose envelope is nonzero; everywhere else the value is exactly 0.  On
-tables of many thousand radii per level, as in density snapshots, that
-recurrence already runs at the arithmetic floor (about 2 ns per element and
-step), and a window-wide recurrence measured 5-18% slower there.
-``_radial_rows`` serves the moment matrices, whose rule has only 2048 nodes:
-per level, the recurrence would be bound by NumPy call overhead, so it steps
-every level of the window at once on a (levels x 1024) column block and reads
-each row off at its own degree (``_laguerre_rows``, which the projection in
-``spectral`` uses too).  Both kernels apply the same operations with the same
-constants to each element, so their values agree bit for bit.
+One radial kernel, ``_radial_rows``, evaluates every R_nl table: a single
+level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
+``spectral.reconstruct`` and the moment matrices.  It works in tiles of whole
+rows, about 24 576 elements each: on a table of many thousand radii a tile is
+one level, whose recurrence already runs at the arithmetic floor (about 2 ns
+per element and step), while on the 2048-node moment rule a tile steps about
+12 levels at once and reads each row off at its own degree
+(``_laguerre_rows``, which the projection in ``spectral`` uses too), since one
+recurrence per level would there be bound by NumPy call overhead.  Each
+element sees the same operations and constants whatever the tiling, so the
+values do not depend on it.  The envelope is computed first; the recurrence
+skips the columns past the last one where any envelope of the tile is
+nonzero, and wherever the envelope is zero the value is exactly 0.
 """
 
 from __future__ import annotations
@@ -244,74 +245,47 @@ def _envelope(log_const, l: int, rho: np.ndarray) -> np.ndarray:
     return np.exp(envelope, out=envelope)
 
 
-def _combine(envelope: np.ndarray, poly: np.ndarray, what: str) -> np.ndarray:
-    """Multiply the log-assembled envelope by the carried polynomial part.
-
-    Only live points, where the envelope is nonzero, reach here, so a value
-    that is not finite means the polynomial overflowed while still relevant,
-    which is outside the supported argument range: NumericalError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = envelope * poly
-    if not np.isfinite(out).all():
-        raise NumericalError(f"overflow while evaluating {what}")
-    return out
-
-
-def _radial_kernel(n: int, l: int, r: np.ndarray) -> np.ndarray:
-    """R_nl(r) for a validated array ``r``.
-
-    One Laguerre recurrence with k = n - l - 1, a = 2l + 1 at rho = 2r/n.  The
-    envelope comes first, and the recurrence steps only the points where it
-    is nonzero; the others are exactly 0.
-    """
-    rho = (2.0 / n) * r
-    envelope = _envelope(_radial_log_const(n, l), l, rho)
-    live = envelope != 0.0
-    dead = not live.all()
-    if dead:
-        rho, envelope = rho[live], envelope[live]
-    # far out the recurrence may overflow; _combine judges the live points
-    with np.errstate(over="ignore", invalid="ignore"):
-        lag = _laguerre_scaled(n - l - 1, 2 * l + 1, rho)
-    radial = _combine(envelope, lag, f"R_{n},{l}")
-    if not dead:
-        return radial
-    out = np.zeros(live.shape)
-    out[live] = radial
-    return out
-
-
-# columns per recurrence in _radial_rows: at [210, 250] on the 2048-node rule,
-# one full-width block measured 39.9 ms against 29.2 ms for two of 1024, and
-# 2 MB more peak memory
-_BLOCK_COLUMNS = 1024
+# elements per recurrence tile in _radial_rows; a tile holds whole rows, so a
+# 16 000-point table steps one level at a time and the 2048-node moment rule
+# steps 12 levels together
+_TILE_ELEMENTS = 24576
 
 
 def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
-    """R_nl(r) for each level n of the integer array ``ns`` (one row each) on
-    validated radii ``r``.
+    """R_nl(r) for each level n of the integer array ``ns`` (one row each) at
+    the 1-d radii ``r``; ValueError on an invalid (n, l) or a negative radius.
 
-    Every level of a column block shares one Laguerre recurrence, stepped to
-    the largest degree by ``_laguerre_rows``.  Each element sees the same
-    operations and constants as in ``_radial_kernel``, so row i equals
-    ``hydrogen_radial(ns[i], l, r)`` bit for bit.  Points whose envelope
-    underflowed are exactly 0; a live value that is not finite raises
-    NumericalError naming the first such level.
+    The rows are stepped in tiles of max(1, _TILE_ELEMENTS // r.size) levels,
+    and every level of a tile shares one Laguerre recurrence, stepped to the
+    largest degree by ``_laguerre_rows``.  The envelope comes first: a tile
+    is trimmed to its last column where any envelope is nonzero, so on sorted
+    radii the recurrence skips the far points, and the product is taken only
+    where the envelope is nonzero.  Everywhere else the value is exactly 0;
+    a live value that is not finite raises NumericalError naming the first
+    such level.
     """
+    if ns.size:
+        _check_nl(int(ns.min()), l)
+    if (r < 0).any():
+        raise ValueError("radius must be non-negative")
     log_const = np.array([_radial_log_const(int(n), l) for n in ns])[:, None]
     scale = (2.0 / ns)[:, None]
     out = np.zeros((ns.size, r.size))
-    for lo in range(0, r.size, _BLOCK_COLUMNS):
-        cols = slice(lo, lo + _BLOCK_COLUMNS)
-        rho = scale * r[cols]
-        envelope = _envelope(log_const, l, rho)
-        lag = _laguerre_rows(ns - l - 1, 2 * l + 1, rho)
+    step = max(1, _TILE_ELEMENTS // max(r.size, 1))
+    for lo in range(0, ns.size, step):
+        rows = slice(lo, lo + step)
+        rho = scale[rows] * r
+        envelope = _envelope(log_const[rows], l, rho)
+        live = envelope != 0.0
+        cols = live.any(axis=0)
+        end = r.size - int(np.argmax(cols[::-1])) if cols.any() else 0
+        lag = _laguerre_rows(ns[rows] - l - 1, 2 * l + 1, rho[:, :end])
+        tile = out[rows, :end]
         with np.errstate(over="ignore"):
-            np.multiply(envelope, lag, out=out[:, cols], where=envelope != 0.0)
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        raise NumericalError(f"overflow while evaluating R_{ns[np.argmax(bad)]},{l}")
+            np.multiply(envelope[:, :end], lag, out=tile, where=live[:, :end])
+        bad = ~np.isfinite(tile).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"overflow while evaluating R_{ns[lo + np.argmax(bad)]},{l}")
     return out
 
 
@@ -322,30 +296,30 @@ def hydrogen_radial(n: int, l: int, r):
     The prefactor is assembled in log space so that values remain finite for
     n well beyond 100.
     """
-    _check_nl(n, l)
     r = np.asarray(r, dtype=float)
-    if (r < 0).any():
-        raise ValueError("radius must be non-negative")
-    if r.ndim == 0:
-        return float(_radial_kernel(n, l, r.reshape(1))[0])
-    return _radial_kernel(n, l, r)
+    values = _radial_rows(np.array([n]), l, r.reshape(-1))[0]
+    return float(values[0]) if r.ndim == 0 else values.reshape(r.shape)
 
 
-def radial_quadrature(r_max: float, n_nodes: int = 4096, nodes_per_panel: int = 64):
+# Gauss-Legendre nodes per panel of radial_quadrature
+_NODES_PER_PANEL = 64
+
+
+def radial_quadrature(r_max: float, n_nodes: int = 4096):
     """Panelized Gauss-Legendre rule on [0, r_max].
 
-    Returns ``(x, w)`` with all nodes strictly inside (0, r_max).  Panel edges
-    are graded quadratically toward the origin, matching the sqrt(r) growth of
-    the local oscillation wavelength of bound Coulomb eigenfunctions, so the
-    node density per wavelength is roughly uniform across the domain.
+    Returns ``(x, w)`` with all nodes strictly inside (0, r_max), in panels
+    of up to 64 nodes.  Panel edges are graded quadratically toward the
+    origin, matching the sqrt(r) growth of the local oscillation wavelength of
+    bound Coulomb eigenfunctions, so the node density per wavelength is
+    roughly uniform across the domain.
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
-    if n_nodes < nodes_per_panel:
-        nodes_per_panel = n_nodes
-    n_panels = -(-n_nodes // nodes_per_panel)
+    per_panel = min(n_nodes, _NODES_PER_PANEL)
+    n_panels = -(-n_nodes // per_panel)
     edges = r_max * np.linspace(0.0, 1.0, n_panels + 1) ** 2
-    xg, wg = _legendre_rule(nodes_per_panel)
+    xg, wg = _legendre_rule(per_panel)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()

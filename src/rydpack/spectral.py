@@ -12,8 +12,8 @@ Gauss-Laguerre rule for the weight t^beta e^{-t} with M > k/2 nodes
 integrates it exactly; for complex sigma_n (gamma1 != 0) the rule still holds
 by rotating the contour, since Re sigma_n > 0.  beta is the same for every
 level, so one rule serves a whole batch of levels.  The guard projects again
-with M + 8 nodes: disagreement beyond ``err_tol``, or a value that is not
-finite, raises NumericalError.
+with M + 8 nodes: disagreement beyond 1e-9 (``_ERR_TOL``), or a value that
+is not finite, raises NumericalError.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .specfun import (
     _gauss_laguerre,
     _laguerre_rows,
     _radial_log_const,
-    hydrogen_radial,
+    _radial_rows,
 )
 from .squeezed import RadialSqueezedState, moment_r
 
@@ -48,8 +48,10 @@ __all__ = [
 DEFAULT_DEFICIT_TOL = 1e-4
 N_CAP = 400
 
-# the guard's second rule has this many more nodes than the first
+# the guard's second rule has this many more nodes than the first, and the
+# two projections may disagree by at most _ERR_TOL
 _CHECK_NODES = 8
+_ERR_TOL = 1e-9
 
 
 class DeficitToleranceWarning(UserWarning):
@@ -141,15 +143,15 @@ def _project_on_rule(state, ns, l, m):
         return np.sum(np.exp(log_w + log_const[:, None]) * lag, axis=1)
 
 
-def _project(state, ns, l, m, err_tol):
+def _project(state, ns, l, m):
     """Projections onto the levels ``ns`` on the m-node rule, guarded by a
     second projection with m + _CHECK_NODES nodes."""
     c = _project_on_rule(state, ns, l, m)
     err = np.max(np.abs(c - _project_on_rule(state, ns, l, m + _CHECK_NODES)))
-    if not err <= err_tol:  # a NaN error fails too
+    if not err <= _ERR_TOL:  # a NaN error fails too
         raise NumericalError(
             f"projection quadrature did not converge: estimated error "
-            f"{err:.3e} > {err_tol:g}"
+            f"{err:.3e} > {_ERR_TOL:g}"
         )
     return c
 
@@ -158,16 +160,15 @@ def project_coefficient(
     state: RadialSqueezedState,
     n: int,
     l: int = 1,
-    err_tol: float = 1e-9,
 ) -> complex:
     """c_n = int R_nl(r) psi(r) r^2 dr on the Gauss-Laguerre rule of ``decompose``.
 
-    A disagreement with the rule of 8 more nodes beyond ``err_tol``, or a
-    value that is not finite, raises NumericalError.
+    A disagreement with the rule of 8 more nodes beyond 1e-9, or a value that
+    is not finite, raises NumericalError.
     """
     if n < l + 1:
         raise ValueError(f"need n >= l+1 = {l + 1}, got {n}")
-    return complex(_project(state, [n], l, _rule_size(n - l - 1), err_tol)[0])
+    return complex(_project(state, [n], l, _rule_size(n - l - 1))[0])
 
 
 def decompose(
@@ -177,7 +178,6 @@ def decompose(
     deficit_tol: float = DEFAULT_DEFICIT_TOL,
     n_cap: int = N_CAP,
     l: int = 1,
-    err_tol: float = 1e-9,
 ) -> EigenExpansion:
     """Expand the state over bound levels.
 
@@ -187,13 +187,13 @@ def decompose(
     which case a DeficitToleranceWarning reports the achieved deficit.
     Each batch of new levels is projected on one Gauss-Laguerre rule sized
     for its largest degree and checked against a rule of 8 more nodes;
-    disagreement beyond ``err_tol`` raises NumericalError.
+    disagreement beyond 1e-9 raises NumericalError.
     """
     if center is None:
         center = _default_center(state)
 
     def batch(ns):
-        return _project(state, ns, l, _rule_size(max(ns) - l - 1), err_tol)
+        return _project(state, ns, l, _rule_size(max(ns) - l - 1))
 
     if window is not None:
         n_min, n_max = int(window[0]), int(window[1])
@@ -246,12 +246,8 @@ def _finish(l, n_min, n_max, coeffs) -> EigenExpansion:
 def reconstruct(exp: EigenExpansion, r):
     """Sum c_n R_nl(r); complex, aligned with ``r``."""
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.zeros(r.shape, dtype=complex)
-    for n, c in zip(exp.ns, exp.coeffs):
-        out += c * hydrogen_radial(int(n), exp.l, r)
-    return complex(out[0]) if scalar else out
+    out = exp.coeffs @ _radial_rows(exp.ns, exp.l, r.reshape(-1))
+    return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 def coefficient_spread(exp: EigenExpansion):

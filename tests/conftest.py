@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import rydpack as rp
-from rydpack import evolution
-from rydpack.specfun import laguerre, radial_log_prefactor
+from rydpack import evolution, specfun
+from rydpack.specfun import NumericalError, laguerre, radial_log_prefactor
 
 NBAR = 85
 
@@ -77,3 +77,32 @@ def _radial_pr(n, l, r):
 def radial_pr():
     """A reference (d/dr + 1/r) R_nl built from the public Laguerre values."""
     return _radial_pr
+
+
+def _per_level_radial(n, l, r):
+    """R_nl(r) one level at a time: an independent reference for the tiled
+    kernel ``specfun._radial_rows``.
+
+    The envelope comes first, and one Laguerre recurrence with k = n - l - 1,
+    a = 2l + 1 at rho = 2r/n steps only the points where it is nonzero; the
+    others are exactly 0.  A live value that is not finite raises
+    NumericalError.
+    """
+    shape = np.shape(r)
+    rho = (2.0 / n) * np.asarray(r, dtype=float).reshape(-1)
+    envelope = specfun._envelope(specfun._radial_log_const(n, l), l, rho)
+    live = envelope != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = specfun._laguerre_scaled(n - l - 1, 2 * l + 1, rho[live])
+        radial = envelope[live] * lag
+    if not np.isfinite(radial).all():
+        raise NumericalError(f"overflow while evaluating R_{n},{l}")
+    out = np.zeros(rho.shape)
+    out[live] = radial
+    return out.reshape(shape)
+
+
+@pytest.fixture(scope="session")
+def per_level_radial():
+    """A reference R_nl that steps one level per recurrence on its live points."""
+    return _per_level_radial

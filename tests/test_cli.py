@@ -402,3 +402,15 @@ def test_density_bad_time_expression(pipeline20, tmp_path):
         "--times", "0,bogus", "-o", str(tmp_path),
     )
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("prominence", ["1", "1.5"])
+def test_prominence_of_one_or_more_fails_before_any_work(pipeline20, tmp_path, capsys, prominence):
+    # count_packets refuses it too, but only after the basis build and the
+    # first snapshot; the config check exits before any work
+    out = tmp_path / "out"
+    code = main(["density", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+                 "--times", "0,Tcl", "--prominence", prominence, "-o", str(out)])
+    assert code == 1
+    assert "usage error: prominence must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()

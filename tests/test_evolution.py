@@ -170,7 +170,7 @@ def test_observables_answer_every_nbar150_point():
         assert observables(exp, t, grid).product >= 0.5 - 1e-9
 
 
-def test_moment_matrices_run_one_recurrence_per_column_block(monkeypatch):
+def test_moment_matrices_run_one_recurrence_per_tile(monkeypatch):
     calls = []
     steps = specfun._laguerre_steps
     monkeypatch.setattr(
@@ -179,28 +179,56 @@ def test_moment_matrices_run_one_recurrence_per_column_block(monkeypatch):
     evolution._moment_matrices.cache_clear()
     try:
         evolution._moment_matrices(1, 10, 17)
+        # 12 levels of the 2048-node rule fill a tile: [73, 97] takes three
+        calls_10_17, calls[:] = calls[:], []
+        evolution._moment_matrices(1, 73, 97)
     finally:
         evolution._moment_matrices.cache_clear()
-    # the 2048-node rule is two blocks of 1024 nodes; each steps all eight
-    # levels together to the window's largest degree, 17 - 2
-    assert calls == [(15, (8, 1024)), (15, (8, 1024))]
-
-
-def reference_moment_matrices(l, n_min, n_max):
-    """The moment stack level by level: ``hydrogen_radial`` per level on the
-    same rule, then the same five products."""
-    x, w = radial_quadrature(max(4.0 * n_max**2, 196.0), 2048)
-    vals = np.array([hydrogen_radial(n, l, x) for n in range(n_min, n_max + 1)])
-    wv = vals * (w * x * x)
-    return np.stack(
-        [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
-    )
+    # one tile steps all eight levels on every node to the largest degree, 17 - 2
+    assert calls_10_17 == [(15, (8, 2048))]
+    assert calls == [(82, (12, 2048)), (94, (12, 2048)), (95, (1, 2048))]
 
 
 @pytest.mark.parametrize("window", [(7, 30), (73, 97), (210, 250), (265, 305)])
-def test_moment_matrices_equal_per_level_reference(window):
+def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
+    # the same rule and five products, with R_nl one level at a time;
     # (265, 305): the far nodes are dead (envelope underflowed) for the low rows
-    assert np.array_equal(evolution._moment_matrices(1, *window), reference_moment_matrices(1, *window))
+    n_min, n_max = window
+    x, w = radial_quadrature(max(4.0 * n_max**2, 196.0), 2048)
+    vals = np.array([per_level_radial(n, 1, x) for n in range(n_min, n_max + 1)])
+    wv = vals * (w * x * x)
+    want = np.stack(
+        [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
+    )
+    assert np.array_equal(evolution._moment_matrices(1, *window), want)
+
+
+def test_basis_table_runs_one_recurrence_per_level(monkeypatch):
+    calls = []
+    steps = specfun._laguerre_steps
+    monkeypatch.setattr(
+        specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
+    )
+    BasisTable.build(np.arange(20, 23), 1, np.linspace(0.0, 1600.0, 16000))
+    assert calls == [(18, (1, 16000)), (19, (1, 16000)), (20, (1, 16000))]
+
+
+@pytest.mark.parametrize("nbar", [20, 85, 150, 230])
+def test_basis_table_equals_per_level_reference(nbar, per_level_radial):
+    exp = decompose(fit_parameters(QuantumNumbers(nbar)), center=nbar)
+    grid = RadialGrid.uniform(4.0 * nbar**2, 16000)  # the CLI default
+    table = BasisTable.for_expansion(exp, grid)
+    assert table.values.shape == (exp.ns.size, grid.points.size)
+    for n, row in zip(exp.ns, table.values):
+        assert np.array_equal(row, per_level_radial(int(n), 1, grid.points)), n
+
+
+def test_basis_table_validates_levels_and_radii():
+    with pytest.raises(ValueError, match="angular momentum"):
+        BasisTable.build(np.arange(2, 5), 2, np.linspace(0.0, 10.0, 5))
+    with pytest.raises(ValueError, match="non-negative"):
+        BasisTable.build(np.arange(2, 5), 1, np.linspace(-1.0, 10.0, 5))
+    assert BasisTable.build(np.arange(2, 2), 1, np.linspace(0.0, 10.0, 5)).values.shape == (0, 5)
 
 
 def test_moment_matrices_overflow_names_the_first_failing_level():

@@ -122,12 +122,21 @@ def test_laguerre_in_place_steps_are_bit_identical():
         assert np.array_equal(laguerre(7, 3.0, grid), _laguerre_allocating(7, 3.0, grid))
 
 
-def test_radial_pair_costs_one_recurrence(monkeypatch):
-    degrees = []
-    scaled = specfun._laguerre_scaled
-    monkeypatch.setattr(specfun, "_laguerre_scaled", lambda n, a, x: degrees.append(n) or scaled(n, a, x))
+def test_radial_costs_one_recurrence_on_the_live_columns(monkeypatch):
+    calls = []
+    steps = specfun._laguerre_steps
+    monkeypatch.setattr(
+        specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
+    )
     hydrogen_radial(20, 1, np.linspace(0.0, 800.0, 101))
-    assert degrees == [18]
+    assert calls == [(18, (1, 101))]
+    # on a sorted grid the recurrence stops at the last point whose envelope
+    # is nonzero
+    r = np.linspace(0.0, 4.0 * 230**2, 16000)
+    hydrogen_radial(20, 1, r)
+    envelope = specfun._envelope(specfun._radial_log_const(20, 1), 1, (2.0 / 20) * r)
+    last = np.flatnonzero(envelope)[-1]
+    assert calls[1:] == [(18, (1, last + 1))] and last < 2000
 
 
 def _mp_radial(mp, n, l, r):
@@ -290,15 +299,38 @@ def test_radial_kernel_is_pointwise_on_unsorted_radii(n):
     assert np.all(values[far] == 0.0)
 
 
-def test_combine_raises_on_any_non_finite_product():
-    # a zero envelope no longer excuses an overflowed polynomial: only live
-    # points reach _combine
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_radial_rows_raise_on_any_non_finite_live_value(monkeypatch, bad):
+    # at r = 0 every l = 1 envelope is exactly 0; at r = 1 it is live
+    ns, r = np.array([8, 9, 10]), np.array([0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for poly in ([np.inf, 1.0], [np.nan, 1.0], [1.0, -np.inf]):
-            with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_9,1"):
-                specfun._combine(np.array([0.0, 1.0]), np.array(poly), "R_9,1")
-    assert np.array_equal(specfun._combine(np.array([0.0, 2.0]), np.array([5.0, 3.0]), "x"), [0.0, 6.0])
+        poly = np.array([[1.0, 1.0], [3.0, bad], [1.0, bad]])
+        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x: poly)
+        with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_9,1"):
+            specfun._radial_rows(ns, 1, r)
+        poly = np.array([[bad, 1.0], [bad, 3.0], [bad, 2.0]])
+        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x: poly)
+        values = specfun._radial_rows(ns, 1, r)
+    for i, n in enumerate(ns):
+        envelope = specfun._envelope(specfun._radial_log_const(int(n), 1), 1, (2.0 / n) * r)
+        assert values[i, 0] == 0.0 and values[i, 1] == envelope[1] * poly[i, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 85, 230, 285])
+def test_hydrogen_radial_equals_per_level_reference(n, per_level_radial):
+    # the tiled kernel against the per-level reference on scalar, 2-d, empty
+    # and unsorted radii
+    l = min(1, n - 1)
+    rng = np.random.default_rng(n)
+    for x in (0.0, 1.5, 2.0 * n * n):
+        value = hydrogen_radial(n, l, x)
+        assert type(value) is float and value == per_level_radial(n, l, x)
+    grid = rng.uniform(0.0, 5.0 * n * n, (9, 31))
+    assert np.array_equal(hydrogen_radial(n, l, grid), per_level_radial(n, l, grid))
+    assert hydrogen_radial(n, l, np.array([])).shape == (0,)
+    r = rng.permutation(np.linspace(0.0, 4.0 * 230**2, 16000))
+    assert np.array_equal(hydrogen_radial(n, l, r), per_level_radial(n, l, r))
 
 
 @pytest.mark.parametrize("m, beta", [(3, 4.0), (20, 1.5), (60, 171.2), (140, 461.0)])

@@ -45,7 +45,7 @@ def test_project_detects_bad_quadrature():
     for n, m in ((7, 2), (40, 2)):
         assert m < (n - 1) / 2
         with pytest.raises(NumericalError, match="did not converge"):
-            spectral._project(st, [n], 1, m, 1e-9)
+            spectral._project(st, [n], 1, m)
 
 
 def test_decompose_pure_eigenstate():
