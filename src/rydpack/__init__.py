@@ -25,12 +25,10 @@ from .evolution import (
     observables,
 )
 from .specfun import (
-    HydrogenLevel,
     NumericalError,
     hydrogen_energy,
     hydrogen_radial,
     laguerre,
-    log_gamma,
     radial_quadrature,
 )
 from .spectral import (
@@ -65,7 +63,6 @@ __all__ = [
     "EigenExpansion",
     "FitError",
     "FractionalRevival",
-    "HydrogenLevel",
     "NumericalError",
     "OrbitGeometry",
     "PacketReport",
@@ -90,7 +87,6 @@ __all__ = [
     "hydrogen_energy",
     "hydrogen_radial",
     "laguerre",
-    "log_gamma",
     "moment_r",
     "observables",
     "orbit_geometry",

@@ -2,8 +2,9 @@
 
 Intermediate artifacts (state record, expansion) persist as files between
 subcommands because the decomposition is the expensive step and is reused
-across scans.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 fit failure.
+across scans.  The served range is nbar >= 3: at nbar = 2 the matching
+conditions have no solution, and `fit` exits 3.  Exit codes: 0 success,
+1 usage error, 2 numerical failure, 3 fit failure.
 """
 
 from __future__ import annotations
@@ -278,6 +279,11 @@ def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
     if not Path(state_path).exists():
         raise UsageError(f"state file not found: {state_path}")
     nbar, l, state = rio.read_state(state_path)
+    if (nbar, l) != (cfg.nbar, cfg.l):
+        raise UsageError(
+            f"{state_path} holds nbar={nbar}, l={l}; the run is configured for "
+            f"nbar={cfg.nbar}, l={cfg.l}"
+        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeficitToleranceWarning)
         exp = decompose(
@@ -308,6 +314,8 @@ def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
     if not Path(expansion_path).exists():
         raise UsageError(f"expansion file not found: {expansion_path}")
     exp = rio.read_expansion(expansion_path)
+    if exp.l != cfg.l:
+        raise UsageError(f"{expansion_path} expands l={exp.l}; the run is configured for l={cfg.l}")
     if exp.deficit > 10.0 * cfg.deficit_tol:
         raise NumericalError(
             f"expansion deficit {exp.deficit:.6e} exceeds 10 x deficit_tol "
@@ -402,7 +410,8 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--nbar", type=int, help="central principal quantum number")
+        p.add_argument("--nbar", type=int,
+                       help="central principal quantum number (served from 3 up)")
         p.add_argument("--l", type=int, help="angular momentum (must be 1)")
         p.add_argument("--deltan", type=float, help="level spread for t_int")
         p.add_argument("--potential", dest="potential_mode", choices=POTENTIAL_MODES)

@@ -31,15 +31,12 @@ nonzero, and wherever the envelope is zero the value is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "NumericalError",
-    "HydrogenLevel",
-    "log_gamma",
     "laguerre",
     "hydrogen_energy",
     "hydrogen_radial",
@@ -52,31 +49,11 @@ class NumericalError(RuntimeError):
     """A numerical guard tripped (overflow, quadrature non-convergence, ...)."""
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def hydrogen_energy(n: int) -> float:
     """Bound-state energy -1/(2 n^2) in hartree."""
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {n}")
     return -0.5 / (n * n)
-
-
-@dataclass(frozen=True)
-class HydrogenLevel:
-    """A bound level (n, l); the energy field is always -1/(2 n^2)."""
-
-    n: int
-    l: int
-    energy: float = 0.0
-
-    def __post_init__(self):
-        _check_nl(self.n, self.l)
-        object.__setattr__(self, "energy", hydrogen_energy(self.n))
 
 
 def _check_nl(n: int, l: int) -> None:
@@ -225,7 +202,7 @@ def radial_log_prefactor(n: int, l: int) -> float:
     """
     _check_nl(n, l)
     return 1.5 * math.log(2.0 / n) + 0.5 * (
-        log_gamma(n - l) - math.log(2.0 * n) - log_gamma(n + l + 1)
+        math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1)
     )
 
 

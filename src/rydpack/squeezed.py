@@ -8,6 +8,17 @@ Closed-form moments, expectation values, uncertainty algebra, and the fit of
 i.e. the state starts at the outer apsidal point of the corresponding
 classical orbit, at rest, with the energy of the central level nbar.
 
+The fit is closed form.  <p_r> = 0 gives gamma1 = 0, and with s = 2 alpha + 3
+and R = r_out, <r> = R gives gamma0 = s/(2R).  The apsidal point solves
+R^2 - 2 nbar^2 R + 2 nbar^2 = 0, so E_nbar = -(R - 1)/R^2 exactly, and
+<H> = E_nbar becomes the cubic
+
+    s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0.
+
+Its roots add to 1 and multiply to -16(R - 1) < 0.  For nbar >= 3 all three
+are real: one negative, one with alpha in (-1/2, 0), and the largest, which
+is the fit.  At nbar = 2 the only real root is negative, so there is no fit.
+
 These states saturate the uncertainty relation dR dP >= <r^-2>/2 for the
 operator pair R = (2 - r)/(2 r), P = p_r, whose commutator is -i r^-2.
 """
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import hydrogen_energy, log_gamma
+from .specfun import hydrogen_energy
 
 __all__ = [
     "FitError",
@@ -41,11 +52,8 @@ POTENTIAL_MODES = ("paper", "centrifugal")
 
 
 class FitError(RuntimeError):
-    """The matching conditions could not be solved; carries scan diagnostics."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
+    """The matching conditions have no solution with alpha > 0, or the solution
+    misses <r> = r_out or <H> = E_nbar by more than 1e-10 relative."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class RadialSqueezedState:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0!r}")
         if self.log_norm is None:
             a = 2.0 * self.alpha + 3.0
-            log_norm = -0.5 * (log_gamma(a) - a * math.log(2.0 * self.gamma0))
+            log_norm = -0.5 * (math.lgamma(a) - a * math.log(2.0 * self.gamma0))
             object.__setattr__(self, "log_norm", log_norm)
 
     def log_envelope(self, r):
@@ -125,7 +133,7 @@ def moment_r(state: RadialSqueezedState, k: float) -> float:
     if not k > -(a + 1.0):
         raise ValueError(f"moment order k={k} at or below normalizability bound {-(a + 1.0)}")
     b = 2.0 * state.gamma0
-    return math.exp(log_gamma(a + k + 1.0) - log_gamma(a + 1.0) - k * math.log(b))
+    return math.exp(math.lgamma(a + k + 1.0) - math.lgamma(a + 1.0) - k * math.log(b))
 
 
 def expectation_pr(state: RadialSqueezedState) -> float:
@@ -143,23 +151,18 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"potential mode must be one of {POTENTIAL_MODES}, got {mode!r}")
 
 
-def _energy_expectation(alpha, gamma0, gamma1, mode: str = "paper"):
-    """<H> from the closed-form moment identities; vectorizes over alpha/gamma0.
+def expectation_H(state: RadialSqueezedState, mode: str = "paper") -> float:
+    """<H> = <p_r^2>/2 + <V_eff> in hartree, V_eff being the l = 1 radial potential.
 
-    The effective potential carries the p-state (l = 1) centrifugal barrier,
-    <V> = <r^-2> - <r^-1>; the two accepted mode names coincide for l = 1 and
+    The effective potential carries the p-state centrifugal barrier,
+    <V_eff> = <r^-2> - <r^-1>; the two accepted mode names coincide for l = 1 and
     are kept for configuration compatibility and sensitivity reporting.
     """
     _check_mode(mode)
-    pr2 = gamma1 ** 2 + gamma0 ** 2 / (2.0 * alpha + 1.0)
+    alpha, gamma0 = state.alpha, state.gamma0
     m_inv1 = gamma0 / (alpha + 1.0)
     m_inv2 = 2.0 * gamma0 ** 2 / ((alpha + 1.0) * (2.0 * alpha + 1.0))
-    return 0.5 * pr2 + m_inv2 - m_inv1
-
-
-def expectation_H(state: RadialSqueezedState, mode: str = "paper") -> float:
-    """<H> = <p_r^2>/2 + <V_eff> in hartree, V_eff being the l = 1 radial potential."""
-    return float(_energy_expectation(state.alpha, state.gamma0, state.gamma1, mode))
+    return 0.5 * expectation_pr2(state) + m_inv2 - m_inv1
 
 
 def uncertainties_rp(state: RadialSqueezedState):
@@ -191,65 +194,33 @@ def orbit_geometry(q: QuantumNumbers) -> OrbitGeometry:
     return OrbitGeometry(r_out=r_out, eccentricity=ecc, r1=n * n * (1.0 + ecc))
 
 
-_ALPHA_SCAN_LO = 1e-3
-_ALPHA_SCAN_HI = 1e7
-_ALPHA_SCAN_PER_DECADE = 64
-
-
 def fit_parameters(q: QuantumNumbers, mode: str = "paper") -> RadialSqueezedState:
-    """Solve the three matching conditions for (alpha, gamma0, gamma1).
+    """Solve the three matching conditions for (alpha, gamma0, gamma1) in closed form.
 
-    <p_r> = 0 forces gamma1 = 0 exactly.  <r> = r_out eliminates
-    gamma0 = (2 alpha + 3)/(2 r_out) in closed form, leaving one scalar
-    equation <H>(alpha) = E_nbar, solved by a geometric sign scan followed by
-    bisection.  The returned state satisfies both residuals to better than
-    1e-10 relative; an unbracketed root raises FitError with the scan range.
+    With R = r_out, E_nbar = -(R - 1)/R^2 exactly, and the conditions give
+    gamma1 = 0, alpha = (s - 3)/2 and gamma0 = s/(2R), where s is the largest
+    real root of s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0 (module docstring),
+    taken from `np.roots` and polished by one Newton step.  FitError if that
+    root has s <= 3 (alpha <= 0), as at nbar = 2, or if a residual of
+    <r> = r_out or <H> = E_nbar exceeds 1e-10 relative.
     """
     _check_mode(mode)
-    geo = orbit_geometry(q)
+    r_out = orbit_geometry(q).r_out
     e_target = hydrogen_energy(q.nbar)
-
-    def gamma0_of(alpha):
-        return (2.0 * alpha + 3.0) / (2.0 * geo.r_out)
-
-    def resid(alpha):
-        return _energy_expectation(alpha, gamma0_of(alpha), 0.0, mode) - e_target
-
-    decades = math.log10(_ALPHA_SCAN_HI / _ALPHA_SCAN_LO)
-    grid = np.geomspace(_ALPHA_SCAN_LO, _ALPHA_SCAN_HI, int(decades * _ALPHA_SCAN_PER_DECADE) + 1)
-    vals = resid(grid)
-    sign_change = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
-    if sign_change.size == 0:
+    cubic = [1.0, -1.0, -8.0 * (r_out - 3.0), 16.0 * (r_out - 1.0)]
+    s = max(z.real for z in np.roots(cubic) if z.imag == 0.0)
+    if not s > 3.0:
         raise FitError(
-            f"energy residual has no sign change for nbar={q.nbar} over "
-            f"alpha in [{_ALPHA_SCAN_LO:g}, {_ALPHA_SCAN_HI:g}] "
-            f"(residual range [{vals.min():.3e}, {vals.max():.3e}])",
-            bracket=(_ALPHA_SCAN_LO, _ALPHA_SCAN_HI),
+            f"the matching conditions have no solution with alpha > 0 for nbar={q.nbar}"
         )
-    i = sign_change[0]
-    lo, hi = float(grid[i]), float(grid[i + 1])
-    flo = resid(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-14 * max(1.0, mid):
-            break
-        fmid = resid(mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo <= 0.0) == (fmid <= 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    state = RadialSqueezedState(alpha=alpha, gamma0=gamma0_of(alpha), gamma1=0.0)
+    s = float(s - np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s))
+    state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out), gamma1=0.0)
 
-    r_resid = abs(moment_r(state, 1.0) - geo.r_out) / geo.r_out
+    r_resid = abs(moment_r(state, 1.0) - r_out) / r_out
     h_resid = abs(expectation_H(state, mode) - e_target) / abs(e_target)
     if r_resid > 1e-10 or h_resid > 1e-10:
         raise FitError(
             f"fit residuals too large for nbar={q.nbar}: "
-            f"|<r>-r_out|/r_out={r_resid:.3e}, |<H>-E|/|E|={h_resid:.3e}",
-            bracket=(lo, hi),
+            f"|<r>-r_out|/r_out={r_resid:.3e}, |<H>-E|/|E|={h_resid:.3e}"
         )
     return state

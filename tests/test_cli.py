@@ -260,6 +260,25 @@ def test_bad_state_file_is_usage_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "expansion.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, flags",
+    [("nbar", 20, ["--nbar", "85"]), ("l", 0, ["--nbar", "20"])],
+    ids=["other-nbar", "l-0"],
+)
+def test_decompose_state_for_other_config_is_usage_error(tmp_path, capsys, key, value, flags):
+    # an nbar-20 state decomposed as nbar 85, and an s state where only l = 1 is served
+    path = tmp_path / "state.json"
+    write_state(path, 20, 1, fit_parameters(QuantumNumbers(20)))
+    record = json.loads(path.read_text())
+    record[key] = value
+    path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    code = main(["decompose", *flags, "--state", str(path), "-o", str(out)])
+    assert code == 1
+    assert "the run is configured for" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_output(pipeline20):
     exp = read_expansion(pipeline20 / "expansion.csv")
     assert exp.deficit < 1e-4
@@ -337,6 +356,23 @@ def test_expansion_for_other_nbar_is_usage_error(pipeline20, tmp_path, capsys, c
     assert code == 1
     assert "outside the expansion window" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
+)
+def test_expansion_for_other_l_is_usage_error(pipeline20, tmp_path, capsys, command, times):
+    lines = (pipeline20 / "expansion.csv").read_text().splitlines()
+    assert lines[1].startswith("1,")
+    lines[1] = "0," + lines[1][2:]
+    expansion = tmp_path / "expansion.csv"
+    expansion.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
+    assert code == 1
+    assert "expands l=0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_quadrature_failure(pipeline20, tmp_path, coarse_quadrature, capsys):

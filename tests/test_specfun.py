@@ -7,34 +7,11 @@ from scipy.integrate import simpson
 
 from rydpack import specfun
 from rydpack.specfun import (
-    HydrogenLevel,
     hydrogen_energy,
     hydrogen_radial,
     laguerre,
-    log_gamma,
     radial_quadrature,
 )
-
-# reference values computed once with 40-digit arbitrary precision arithmetic
-LGAMMA_GOLDEN = {
-    0.5: 0.5723649429247001,
-    1.0: 0.0,
-    2.0: 0.0,
-    340.45: 1642.468882349463,
-    2000.0: 13198.923448054265,
-}
-
-
-def test_log_gamma_reference_values():
-    for x, want in LGAMMA_GOLDEN.items():
-        got = log_gamma(x)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 def test_laguerre_low_orders():
@@ -180,15 +157,6 @@ def test_hydrogen_energy():
     assert hydrogen_energy(85) == pytest.approx(-1.0 / 14450.0, rel=1e-15)
     with pytest.raises(ValueError):
         hydrogen_energy(0)
-
-
-def test_hydrogen_level():
-    lvl = HydrogenLevel(n=85, l=1, energy=123.0)  # energy field is recomputed
-    assert lvl.energy == hydrogen_energy(85)
-    with pytest.raises(ValueError):
-        HydrogenLevel(n=2, l=2)
-    with pytest.raises(ValueError):
-        HydrogenLevel(n=0, l=0)
 
 
 def test_radial_ground_state_value():

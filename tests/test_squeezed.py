@@ -249,10 +249,35 @@ def test_fit_round_trip_residuals(nbar):
     assert expectation_pr(st) == 0.0
 
 
-def test_fit_failure_reports_bracket():
-    with pytest.raises(FitError) as info:
+def test_fit_matches_mpmath_oracle():
+    # the oracle solves the matching condition <H>(alpha) = E_nbar itself, with
+    # gamma0 = (2 alpha + 3)/(2 r_out), at 50 digits: this checks the reduction
+    # to the cubic as well as its root
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for nbar in range(3, 401):
+            n = mpmath.mpf(nbar)
+            r_out = n * n + n * mpmath.sqrt(n * n - 2)
+
+            def gamma0_of(a):
+                return (2 * a + 3) / (2 * r_out)
+
+            def resid(a):
+                g = gamma0_of(a)
+                kinetic = g * g / (2 * (2 * a + 1))
+                potential = 2 * g * g / ((a + 1) * (2 * a + 1)) - g / (a + 1)
+                return kinetic + potential + 1 / (2 * n * n)
+
+            alpha = mpmath.findroot(resid, 2 * n)
+            st = fit_parameters(QuantumNumbers(nbar))
+            assert abs(st.alpha - alpha) <= 1e-15 * alpha, nbar
+            assert abs(st.gamma0 - gamma0_of(alpha)) <= 1e-15 * gamma0_of(alpha), nbar
+
+
+def test_fit_has_no_solution_at_nbar_2():
+    # the cubic's only real root at nbar 2 is negative
+    with pytest.raises(FitError, match="nbar=2"):
         fit_parameters(QuantumNumbers(2))
-    assert info.value.bracket is not None
 
 
 def test_fit_modes_agree_for_p_states():
