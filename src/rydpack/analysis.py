@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .squeezed import QuantumNumbers
-from .units import au_to_s
 
 __all__ = [
     "FractionalRevival",
@@ -30,14 +29,11 @@ class FractionalRevival:
 
 @dataclass(frozen=True)
 class Timescales:
-    """Classical period, revival and interference times, in a.u. and seconds."""
+    """Classical period, revival and interference times, in a.u."""
 
     T_cl_au: float
     t_rev_au: float
     t_int_au: float
-    T_cl_s: float
-    t_rev_s: float
-    t_int_s: float
     fractional: tuple[FractionalRevival, ...]
 
 
@@ -60,15 +56,7 @@ def timescales(q: QuantumNumbers, fractional_orders=(2, 3, 4)) -> Timescales:
         FractionalRevival(order=int(r), t_au=t_rev / r, period_au=t_cl / r)
         for r in fractional_orders
     )
-    return Timescales(
-        T_cl_au=t_cl,
-        t_rev_au=t_rev,
-        t_int_au=t_int,
-        T_cl_s=au_to_s(t_cl),
-        t_rev_s=au_to_s(t_rev),
-        t_int_s=au_to_s(t_int),
-        fractional=fractional,
-    )
+    return Timescales(T_cl_au=t_cl, t_rev_au=t_rev, t_int_au=t_int, fractional=fractional)
 
 
 def count_packets(

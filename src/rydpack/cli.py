@@ -1,8 +1,8 @@
 """Command-line pipeline: fit -> decompose -> scan / density.
 
 Intermediate artifacts (state record, expansion) persist as files between
-subcommands because the decomposition is the expensive step and is reused
-across scans.  The served range is nbar >= 3: at nbar = 2 the matching
+subcommands, so one expansion serves any number of scans and density
+snapshots.  The served range is nbar >= 3: at nbar = 2 the matching
 conditions have no solution, and `fit` exits 3.  Exit codes: 0 success,
 1 usage error, 2 numerical failure, 3 fit failure.
 """
@@ -26,7 +26,7 @@ from .analysis import count_packets, timescales
 from .evolution import BasisTable, RadialGrid, observables
 from .evolution import autocorrelation as autocorr
 from .specfun import NumericalError, hydrogen_energy
-from .spectral import DeficitToleranceWarning, decompose, coefficient_spread
+from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, coefficient_spread, decompose
 from .squeezed import (
     POTENTIAL_MODES,
     FitError,
@@ -57,10 +57,8 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunConfig:
     nbar: int | None = None
-    l: int = 1
     deltan: float | None = None
-    potential_mode: str = "paper"
-    deficit_tol: float = 1e-4
+    deficit_tol: float = DEFAULT_DEFICIT_TOL
     grid_points: int = 16000
     r_max_factor: float = 4.0
     prominence: float = 0.05
@@ -79,10 +77,6 @@ class RunConfig:
             raise UsageError("nbar is required (flag --nbar or config file)")
         if self.nbar < 2:
             raise UsageError(f"nbar must be >= 2, got {self.nbar}")
-        if self.l != 1:
-            raise UsageError("only l = 1 is supported")
-        if self.potential_mode not in POTENTIAL_MODES:
-            raise UsageError(f"potential mode must be one of {POTENTIAL_MODES}")
         for name in ("deficit_tol", "grid_points", "r_max_factor", "prominence"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
@@ -98,9 +92,7 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 _FIELD_KINDS = {
     "nbar": int,
-    "l": int,
     "deltan": float,
-    "potential_mode": str,
     "deficit_tol": float,
     "grid_points": int,
     "r_max_factor": float,
@@ -125,10 +117,10 @@ def _load_config(args) -> RunConfig:
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         unknown = set(raw) - _CONFIG_FIELDS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -207,7 +199,7 @@ def _grid(cfg: RunConfig) -> RadialGrid:
 
 
 def _quantum_numbers(cfg: RunConfig) -> QuantumNumbers:
-    return QuantumNumbers(nbar=cfg.nbar, l=cfg.l, deltan=cfg.deltan or 1.0)
+    return QuantumNumbers(nbar=cfg.nbar, deltan=cfg.deltan or 1.0)
 
 
 def _timescale_block(cfg: RunConfig) -> dict:
@@ -230,19 +222,16 @@ def _timescale_block(cfg: RunConfig) -> dict:
 
 def cmd_fit(cfg: RunConfig) -> int:
     q = _quantum_numbers(cfg)
-    state = fit_parameters(q, mode=cfg.potential_mode)
+    fits = {mode: fit_parameters(q, mode=mode) for mode in POTENTIAL_MODES}
+    state = fits["paper"]
     geo = orbit_geometry(q)
     e_target = hydrogen_energy(q.nbar)
     dr, dpr = uncertainties_rp(state)
     dR, dP, bound = uncertainties_RP(state)
-    sensitivity = {}
-    for mode in POTENTIAL_MODES:
-        alt = state if mode == cfg.potential_mode else fit_parameters(q, mode=mode)
-        sensitivity[mode] = {"alpha": alt.alpha, "gamma0": alt.gamma0}
     report = {
         "nbar": q.nbar,
         "l": q.l,
-        "potential_mode": cfg.potential_mode,
+        "potential_mode": "paper",
         "alpha": state.alpha,
         "gamma0": state.gamma0,
         "gamma1": state.gamma1,
@@ -252,8 +241,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "r1": geo.r1,
         "energy_target": e_target,
         "residual_r_rel": abs(moment_r(state, 1.0) - geo.r_out) / geo.r_out,
-        "residual_H_rel": abs(expectation_H(state, cfg.potential_mode) - e_target)
-        / abs(e_target),
+        "residual_H_rel": abs(expectation_H(state, "paper") - e_target) / abs(e_target),
         "dr": dr,
         "dpr": dpr,
         "product": dr * dpr,
@@ -262,7 +250,9 @@ def cmd_fit(cfg: RunConfig) -> int:
         "dP": dP,
         "bound_half_rm2": bound,
         "timescales": _timescale_block(cfg),
-        "potential_sensitivity": sensitivity,
+        "potential_sensitivity": {
+            mode: {"alpha": fit.alpha, "gamma0": fit.gamma0} for mode, fit in fits.items()
+        },
     }
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, q.l, state)
     rio.write_text_atomic(
@@ -276,13 +266,11 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
-    if not Path(state_path).exists():
-        raise UsageError(f"state file not found: {state_path}")
     nbar, l, state = rio.read_state(state_path)
-    if (nbar, l) != (cfg.nbar, cfg.l):
+    if (nbar, l) != (cfg.nbar, 1):
         raise UsageError(
             f"{state_path} holds nbar={nbar}, l={l}; the run is configured for "
-            f"nbar={cfg.nbar}, l={cfg.l}"
+            f"nbar={cfg.nbar}, l=1"
         )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeficitToleranceWarning)
@@ -311,11 +299,9 @@ def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
 
 
 def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
-    if not Path(expansion_path).exists():
-        raise UsageError(f"expansion file not found: {expansion_path}")
     exp = rio.read_expansion(expansion_path)
-    if exp.l != cfg.l:
-        raise UsageError(f"{expansion_path} expands l={exp.l}; the run is configured for l={cfg.l}")
+    if exp.l != 1:
+        raise UsageError(f"{expansion_path} expands l={exp.l}; the run is configured for l=1")
     if exp.deficit > 10.0 * cfg.deficit_tol:
         raise NumericalError(
             f"expansion deficit {exp.deficit:.6e} exceeds 10 x deficit_tol "
@@ -412,9 +398,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--nbar", type=int,
                        help="central principal quantum number (served from 3 up)")
-        p.add_argument("--l", type=int, help="angular momentum (must be 1)")
         p.add_argument("--deltan", type=float, help="level spread for t_int")
-        p.add_argument("--potential", dest="potential_mode", choices=POTENTIAL_MODES)
         p.add_argument("--deficit-tol", dest="deficit_tol", type=float)
         p.add_argument("--grid-points", dest="grid_points", type=int,
                        help="points of the density-snapshot grid (density only)")
@@ -462,7 +446,7 @@ def main(argv=None) -> int:
         if args.command == "density":
             return cmd_density(cfg, args.expansion, args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -41,7 +41,6 @@ class RadialGrid:
     """Strictly increasing sample radii in bohr."""
 
     points: np.ndarray
-    description: str = "custom"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -53,10 +52,7 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, r_max: float, n_points: int) -> "RadialGrid":
-        return cls(
-            points=np.linspace(0.0, float(r_max), int(n_points)),
-            description=f"uniform[0,{r_max:g}]x{n_points}",
-        )
+        return cls(np.linspace(0.0, float(r_max), int(n_points)))
 
     @property
     def r_max(self) -> float:
@@ -205,9 +201,9 @@ def observables(
     the expansion window, normalized by the norm c(t)^dagger S c(t) on the
     Gram matrix S, so shared quadrature error cancels between numerator and
     denominator.  <p_r> and <p_r^2> follow from the energies and the r,
-    r^-1 and r^-2 forms; no grid is sampled.  ``grid`` and ``basis`` only
-    shape density snapshots: a supplied ``basis`` must still match the
-    expansion/grid pair, else ValueError.
+    r^-1 and r^-2 forms; no grid is sampled.  Neither ``grid`` nor ``basis``
+    enters the result: a supplied ``basis`` is only checked against the
+    expansion and grid, and a mismatch raises ValueError.
 
     The quadrature is checked once per window, when its matrices are built
     (see ``_GRAM_TOL``); NumericalError can arise only there, never from a

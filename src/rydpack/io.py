@@ -126,6 +126,8 @@ def read_expansion(path) -> EigenExpansion:
         raise ValueError(f"{path}: not an expansion file")
     l_s, nmin_s, nmax_s, deficit_s = lines[1].split(",")
     rows = [line.split(",") for line in lines[3:] if line]
+    if any(len(r) != 3 for r in rows):
+        raise ValueError(f"{path}: every coefficient row must hold the three fields n,re,im")
     ns = [int(r[0]) for r in rows]
     if ns != list(range(int(nmin_s), int(nmax_s) + 1)):
         raise ValueError(f"{path}: coefficient rows do not match the declared window")

@@ -196,13 +196,6 @@ def test_fit_usage_and_failure_exit_codes(tmp_path):
     assert res.returncode == 1
 
 
-def test_fit_potential_mode_flag(tmp_path):
-    res = run_cli("fit", "--nbar", "20", "--potential", "centrifugal", "-o", str(tmp_path))
-    assert res.returncode == 0
-    _, _, state = read_state(tmp_path / "state.json")
-    assert state.alpha == pytest.approx(38.142900907876616, rel=1e-3)
-
-
 def test_config_file_and_overrides(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"nbar": 20, "output_dir": str(tmp_path / "from_cfg")}))
@@ -222,7 +215,7 @@ def test_config_file_and_overrides(tmp_path):
     [
         {"nbar": "85"},
         {"nbar": 20.0},
-        {"nbar": 20, "l": True},
+        {"nbar": True},
         {"nbar": 20, "grid_points": None},
         {"nbar": 20, "grid_points": "16000"},
         {"nbar": 20, "deficit_tol": "1e-4"},
@@ -238,6 +231,55 @@ def test_ill_typed_config_is_usage_error(tmp_path, monkeypatch, capsys, bad):
     assert main(["fit", "--config", str(cfg)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "state.json").exists()
+
+
+def assert_one_usage_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("raw", ['["nbar"]', "3", "null", "[]"])
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(raw)
+    assert main(["fit", "--config", str(cfg)]) == 1
+    assert_one_usage_error(capsys)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [(["--l", "1"], None), (["--potential", "paper"], None),
+     ([], {"nbar": 20, "l": 1}), ([], {"nbar": 20, "potential_mode": "paper"})],
+    ids=["flag-l", "flag-potential", "key-l", "key-potential_mode"],
+)
+def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, capsys, flags, config):
+    # only l = 1 is served, and for l = 1 both potential modes give the same fit
+    monkeypatch.chdir(tmp_path)
+    argv = ["fit", *flags]
+    if config is None:
+        argv += ["--nbar", "20"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    assert main(argv) == 1
+    assert_one_usage_error(capsys)
+    assert not (tmp_path / "state.json").exists()
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit"], ["decompose", "--state", "s.json"], ["scan", "--expansion", "e.csv"],
+     ["density", "--expansion", "e.csv", "--times", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_config_fields_are_declared_once_everywhere(argv):
+    # a setting lives in RunConfig, in _FIELD_KINDS and as a flag of every subcommand
+    assert set(cli._FIELD_KINDS) == cli._CONFIG_FIELDS
+    assert cli._CONFIG_FIELDS <= set(vars(cli._build_parser().parse_args(argv)))
 
 
 @pytest.mark.parametrize(
@@ -314,6 +356,26 @@ def test_decompose_missing_state(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv, out_is_file",
+    [(["decompose", "--nbar", "20", "--state", "."], False),
+     (["scan", "--nbar", "20", "--expansion", ".", "--t-stop", "Tcl"], False),
+     (["fit", "--nbar", "20"], True)],
+    ids=["state-dir", "expansion-dir", "output-file"],
+)
+def test_unusable_path_is_usage_error(tmp_path, monkeypatch, capsys, argv, out_is_file):
+    # a directory where a file is read, or a file where the output directory goes
+    monkeypatch.chdir(tmp_path)
+    if out_is_file:
+        (tmp_path / "out").write_text("keep")
+    assert main([*argv, "-o", "out"]) == 1
+    assert_one_usage_error(capsys)
+    if out_is_file:
+        assert (tmp_path / "out").read_text() == "keep"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_series(pipeline20, tmp_path):
     res = run_cli(
         "scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
@@ -372,6 +434,20 @@ def test_expansion_for_other_l_is_usage_error(pipeline20, tmp_path, capsys, comm
     code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
     assert code == 1
     assert "expands l=0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["1", "2", "3"]], ids=["one-field", "four-fields"])
+def test_malformed_coefficient_row_is_usage_error(pipeline20, tmp_path, capsys, extra):
+    lines = (pipeline20 / "expansion.csv").read_text().splitlines()
+    lines[8] = ",".join([lines[8].split(",")[0], *extra])  # n stays in its window
+    expansion = tmp_path / "expansion.csv"
+    expansion.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["scan", "--nbar", "20", "--expansion", str(expansion),
+                 "--t-stop", "Tcl", "--t-steps", "3", "-o", str(out)])
+    assert code == 1
+    assert str(expansion) in assert_one_usage_error(capsys)
     assert not out.exists()
 
 
