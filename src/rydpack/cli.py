@@ -359,11 +359,11 @@ def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
     if smooth is None:
         # envelope scale: one third of the initial packet width
         smooth = observables(exp, 0.0, grid, basis).dr / 3.0
+    names = [f"density_{i:02d}.csv" for i in range(len(times))]
+    densities = [density_at(exp, grid, t, basis) for t in times]
+    rio.write_density([_out_path(cfg, name) for name in names], grid.points, densities, times)
     snapshots = []
-    for i, (expr, t) in enumerate(zip(exprs, times)):
-        f = density_at(exp, grid, t, basis)
-        name = f"density_{i:02d}.csv"
-        rio.write_density(_out_path(cfg, name), grid.points, f, t)
+    for name, expr, t, f in zip(names, exprs, times, densities):
         report = count_packets(
             grid.points, f, prominence_threshold=cfg.prominence, t=t, smooth=smooth
         )

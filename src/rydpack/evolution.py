@@ -17,6 +17,7 @@ from a table of the same kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -85,6 +86,9 @@ class BasisTable:
     an evolved wavefunction afterwards is a single matrix-vector product, so
     one table serves any number of snapshot times.  ``observables`` does not need
     a table; it only checks one it is given against the expansion and grid.
+    ``build`` keeps the caller's arrays, so a table built for an expansion and
+    grid holds their very ``ns`` and ``points`` and is accepted by identity,
+    without comparing the radii again.
     """
 
     def __init__(self, ns, l, points, values):
@@ -103,6 +107,8 @@ class BasisTable:
         return cls.build(exp.ns, exp.l, grid.points)
 
     def matches(self, exp: EigenExpansion, grid: RadialGrid) -> bool:
+        if self.points is grid.points and self.ns is exp.ns and self.l == exp.l:
+            return True
         return (
             self.l == exp.l
             and self.ns.size == exp.ns.size
@@ -173,12 +179,11 @@ def evolve(exp: EigenExpansion, t: float) -> EigenExpansion:
 
 def autocorrelation(exp: EigenExpansion, t: float) -> float:
     """|<psi(0)|psi(t)>|^2 within the expansion, normalized to 1 at t = 0."""
-    p = np.abs(exp.coeffs) ** 2
-    s = p.sum()
+    s = exp.weight
     if s == 0.0:
         raise ValueError("empty expansion has no autocorrelation")
-    amp = np.dot(p, np.exp(-1j * exp.energies * t))
-    return float(abs(amp) ** 2 / s**2)
+    amp = np.dot(exp.populations, np.exp(-1j * exp.energies * t))
+    return float(abs(amp)) ** 2 / s**2
 
 
 def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisTable | None = None):
@@ -203,36 +208,43 @@ def observables(
     denominator.  <p_r> and <p_r^2> follow from the energies and the r,
     r^-1 and r^-2 forms; no grid is sampled.  Neither ``grid`` nor ``basis``
     enters the result: a supplied ``basis`` is only checked against the
-    expansion and grid, and a mismatch raises ValueError.
+    expansion and grid (a table built for them is accepted by identity), and
+    a mismatch raises ValueError.
 
-    The quadrature is checked once per window, when its matrices are built
-    (see ``_GRAM_TOL``); NumericalError can arise only there, never from a
-    particular time.
+    After the matrix products the arithmetic runs on Python floats, in the
+    same IEEE operations and order as on NumPy scalars, so the record has the
+    same bits either way.  The quadrature is checked once per window, when
+    its matrices are built (see ``_GRAM_TOL``); past that, NumericalError
+    arises only for a state with no momentum spread (dp_r = 0, so the ratio
+    dr / dp_r is undefined), and ValueError for an expansion of zero weight.
     """
     if basis is not None:
         _table_for(exp, grid, basis)  # validated only; the moments need no table
     energies = exp.energies
     coeff_t = exp.coeffs * np.exp(-1j * energies * t)
     mc = _moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t
-    forms = mc @ np.conj(coeff_t)
-    norm = forms[0].real
-    m1, m2, w1, w2 = forms[1:].real / norm
+    norm, m1, m2, w1, w2 = (mc @ np.conj(coeff_t)).real.tolist()
+    if norm == 0.0:
+        raise ValueError("empty expansion has no observables")
+    m1, m2, w1, w2 = m1 / norm, m2 / norm, w1 / norm, w2 / norm
 
     # <n|(d/dr + 1/r)|m> = (E_m - E_n) <n|r|m>
     ec = energies * coeff_t
-    pr = -2.0 * np.vdot(ec, mc[1]).imag / norm
-    pr2 = 2.0 * np.vdot(coeff_t, ec).real / norm + 2.0 * w1 - exp.l * (exp.l + 1) * w2
+    pr = -2.0 * float(np.vdot(ec, mc[1]).imag) / norm
+    pr2 = 2.0 * float(np.vdot(coeff_t, ec).real) / norm + 2.0 * w1 - exp.l * (exp.l + 1) * w2
 
-    dr = np.sqrt(max(m2 - m1 * m1, 0.0))
-    dpr = np.sqrt(max(pr2 - pr * pr, 0.0))
-    dR = np.sqrt(max(w2 - w1 * w1, 0.0))
+    dr = math.sqrt(max(m2 - m1 * m1, 0.0))
+    dpr = math.sqrt(max(pr2 - pr * pr, 0.0))
+    if dpr == 0.0:
+        raise NumericalError(f"no momentum spread at t = {t}: dp_r = 0, so dr / dp_r is undefined")
+    dR = math.sqrt(max(w2 - w1 * w1, 0.0))
     return UncertaintyRecord(
         t=float(t),
-        dr=float(dr),
-        dpr=float(dpr),
-        product=float(dr * dpr),
-        ratio=float(dr / dpr),
-        dR=float(dR),
-        dP=float(dpr),
-        bound_half_rm2=float(0.5 * w2),
+        dr=dr,
+        dpr=dpr,
+        product=dr * dpr,
+        ratio=dr / dpr,
+        dR=dR,
+        dP=dpr,
+        bound_half_rm2=0.5 * w2,
     )

@@ -2,6 +2,9 @@
 
 Numeric text output always carries 17 significant digits so files round-trip
 bit-exactly and identical configurations produce byte-identical artifacts.
+Density snapshots of one grid share their r column: it is formatted once into
+a row template with a ``%.17g`` slot for f, and each snapshot fills the
+template with one ``%`` over its values instead of formatting every row.
 Every artifact is written whole or not at all: the text goes to a temporary
 file in the target directory, which then replaces the target.
 """
@@ -165,10 +168,18 @@ def write_series(path, records, autocorrelations) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_density(path, r, f, t_au: float) -> None:
-    lines = [f"# t_au={_fmt(t_au)} t_ns={_fmt(au_to_ns(t_au))}", "r,f"]
-    lines.extend(f"{_fmt(ri)},{_fmt(fi)}" for ri, fi in zip(r, f))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def write_density(paths, r, densities, times_au) -> None:
+    """One density file per snapshot: ``paths[i]`` gets ``densities[i]`` at
+    ``times_au[i]``, every snapshot on the radii ``r``.
+
+    The r column is formatted once into a row template that holds a ``%.17g``
+    slot for f on each row; a snapshot is then one ``%`` over its values.
+    ``%.17g`` gives the same text as ``format(x, ".17g")``.
+    """
+    rows = ("%.17g,%%.17g\n" * len(r)) % tuple(np.asarray(r, dtype=float).tolist())
+    for path, f, t_au in zip(paths, densities, times_au):
+        header = f"# t_au={_fmt(t_au)} t_ns={_fmt(au_to_ns(t_au))}\nr,f\n"
+        write_text_atomic(path, header + rows % tuple(np.asarray(f, dtype=float).tolist()))
 
 
 def read_density(path):

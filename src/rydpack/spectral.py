@@ -103,10 +103,17 @@ class EigenExpansion:
         energies.flags.writeable = False
         return energies
 
-    @property
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """The level populations |c_n|^2, computed once and read-only."""
+        populations = np.abs(self.coeffs) ** 2
+        populations.flags.writeable = False
+        return populations
+
+    @cached_property
     def weight(self) -> float:
-        """Captured probability sum |c_n|^2."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        """Captured probability sum |c_n|^2, computed once."""
+        return float(self.populations.sum())
 
 
 def _default_center(state: RadialSqueezedState) -> int:
@@ -256,8 +263,7 @@ def coefficient_spread(exp: EigenExpansion):
     The RMS width is the operational level-spread deltan entering the
     interference timescale.
     """
-    p = np.abs(exp.coeffs) ** 2
-    s = p.sum()
+    p, s = exp.populations, exp.weight
     if s == 0.0:
         return float("nan"), float("nan")
     ns = exp.ns.astype(float)

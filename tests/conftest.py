@@ -39,6 +39,11 @@ def basis85(exp85, grid85):
 
 
 @pytest.fixture(scope="session")
+def exp150():
+    return rp.decompose(rp.fit_parameters(rp.QuantumNumbers(150)), center=150)
+
+
+@pytest.fixture(scope="session")
 def scan85(exp85, grid85, basis85, ts85):
     """Uncertainty records over the first orbit, spaced T_cl/100."""
     times = np.linspace(0.0, ts85.T_cl_au, 101)
@@ -106,3 +111,46 @@ def _per_level_radial(n, l, r):
 def per_level_radial():
     """A reference R_nl that steps one level per recurrence on its live points."""
     return _per_level_radial
+
+
+def _numpy_scalar_observables(exp, t):
+    """``evolution.observables`` as it was computed on NumPy scalars, with
+    |c_n|^2 formed afresh: the reference the Python-float tail must equal
+    bit for bit."""
+    energies = exp.energies
+    coeff_t = exp.coeffs * np.exp(-1j * energies * t)
+    mc = evolution._moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t
+    forms = mc @ np.conj(coeff_t)
+    norm = forms[0].real
+    m1, m2, w1, w2 = forms[1:].real / norm
+    ec = energies * coeff_t
+    pr = -2.0 * np.vdot(ec, mc[1]).imag / norm
+    pr2 = 2.0 * np.vdot(coeff_t, ec).real / norm + 2.0 * w1 - exp.l * (exp.l + 1) * w2
+    dr = np.sqrt(max(m2 - m1 * m1, 0.0))
+    dpr = np.sqrt(max(pr2 - pr * pr, 0.0))
+    dR = np.sqrt(max(w2 - w1 * w1, 0.0))
+    return evolution.UncertaintyRecord(
+        t=float(t),
+        dr=float(dr),
+        dpr=float(dpr),
+        product=float(dr * dpr),
+        ratio=float(dr / dpr),
+        dR=float(dR),
+        dP=float(dpr),
+        bound_half_rm2=float(0.5 * w2),
+    )
+
+
+def _numpy_scalar_autocorrelation(exp, t):
+    """``evolution.autocorrelation`` with |c_n|^2 and their sum recomputed on
+    every call, on NumPy scalars."""
+    p = np.abs(exp.coeffs) ** 2
+    s = p.sum()
+    amp = np.dot(p, np.exp(-1j * exp.energies * t))
+    return float(abs(amp) ** 2 / s**2)
+
+
+@pytest.fixture(scope="session")
+def numpy_scalar_point():
+    """A reference scan point (record, autocorrelation) on NumPy scalars."""
+    return lambda exp, t: (_numpy_scalar_observables(exp, t), _numpy_scalar_autocorrelation(exp, t))

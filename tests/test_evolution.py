@@ -273,6 +273,56 @@ def test_observables_rejects_mismatched_basis(exp85, grid85, basis85):
         observables(exp85, 0.0, other, basis85)
 
 
+@pytest.mark.parametrize("nbar", [85, 150])
+def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_point):
+    # the Python-float tail and the cached populations keep every bit
+    exp = request.getfixturevalue(f"exp{nbar}")
+    t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
+    times = [0.0] + np.random.default_rng(nbar).uniform(0.0, 4.0 * t_cl, 300).tolist()
+    for t in times:
+        want, want_ac = numpy_scalar_point(exp, t)
+        got = observables(exp, t, None)
+        for field, a, b in zip(UncertaintyRecord.__dataclass_fields__, astuple(got), astuple(want)):
+            assert type(a) is float and a.hex() == b.hex(), (t, field)
+        ac = autocorrelation(exp, t)
+        assert type(ac) is float and ac.hex() == want_ac.hex(), t
+
+
+def test_observables_accepts_its_own_table_by_identity(exp85, grid85, basis85, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was compared again")
+
+    monkeypatch.setattr(np, "array_equal", refuse)
+    assert observables(exp85, 1.0e5, grid85, basis85) == observables(exp85, 1.0e5, None)
+
+
+def test_equal_grid_copy_matches_through_the_full_comparison(exp85, grid85, basis85, monkeypatch):
+    copy = RadialGrid(grid85.points.copy())
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(a.size) or array_equal(a, b))
+    assert basis85.matches(exp85, copy)
+    assert compared == [exp85.ns.size, grid85.points.size]
+    observables(exp85, 0.0, copy, basis85)
+
+
+def test_observables_without_momentum_spread_raise(monkeypatch):
+    # one level with <r^-1> = 1/4 and <r^-2> = 1/8: <p_r^2> = 2 E_2 + 2/4 - 2/8 = 0
+    stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]]])
+    monkeypatch.setattr(evolution, "_moment_matrices", lambda l, n_min, n_max: stack)
+    single = EigenExpansion(l=1, n_min=2, n_max=2, coeffs=np.array([1.0]), deficit=0.0)
+    with pytest.raises(NumericalError, match="dp_r = 0"):
+        observables(single, 0.0, None)
+
+
+def test_zero_weight_expansion_has_no_observables():
+    empty = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.zeros(2), deficit=1.0)
+    with pytest.raises(ValueError, match="empty expansion"):
+        observables(empty, 0.0, None)
+    with pytest.raises(ValueError, match="empty expansion"):
+        autocorrelation(empty, 0.0)
+
+
 def test_scan_heisenberg_floor_and_bound(scan85):
     _, records = scan85
     for rec in records:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rydpack.evolution import UncertaintyRecord
 from rydpack.io import (
+    read_density,
     read_expansion,
     read_state,
     write_density,
@@ -17,6 +18,7 @@ from rydpack.io import (
 )
 from rydpack.spectral import EigenExpansion
 from rydpack.squeezed import RadialSqueezedState
+from rydpack.units import au_to_ns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=5e-324, allow_infinity=False)
@@ -62,6 +64,38 @@ def test_expansion_round_trips_bit_exactly(tmp_path_factory, l, offset, parts, d
     assert got.coeffs.tobytes() == exp.coeffs.tobytes()
 
 
+# zero of both signs, the smallest subnormal, 1e16 and 1e17 on either side of
+# the switch of %.17g to an exponent, and the largest double
+SPECIAL = [0.0, -0.0, 5e-324, 1e16, 1e17, 1.7976931348623157e308]
+
+
+def _density_text(r, f, t_au):
+    # the per-row text the row template must reproduce byte for byte
+    fmt = lambda x: format(x, ".17g")
+    lines = [f"# t_au={fmt(t_au)} t_ns={fmt(au_to_ns(t_au))}", "r,f"]
+    lines.extend(f"{fmt(ri)},{fmt(fi)}" for ri, fi in zip(r, f))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(st.tuples(finite, finite), min_size=0, max_size=40),
+    times=st.lists(finite, min_size=1, max_size=3),
+)
+def test_density_round_trips_bit_exactly(tmp_path_factory, rows, times):
+    r = np.array(SPECIAL + [ri for ri, _ in rows])
+    densities = [np.array(SPECIAL[::-1] + [fi * (k + 1) for _, fi in rows]) for k in range(len(times))]
+    out = tmp_path_factory.mktemp("density")
+    paths = [out / f"density_{k:02d}.csv" for k in range(len(times))]
+    write_density(paths, r, densities, times)
+    for path, f, t_au in zip(paths, densities, times):
+        assert path.read_text() == _density_text(r.tolist(), f.tolist(), t_au)
+        got_t, got_r, got_f = read_density(path)
+        assert np.float64(got_t).tobytes() == np.float64(t_au).tobytes()
+        assert got_r.tobytes() == r.tobytes()
+        assert got_f.tobytes() == f.tobytes()
+
+
 def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
     # each writer's second call fails at the replace: the first call's bytes
     # stay, and no temporary file is left beside them
@@ -72,7 +106,7 @@ def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
         "state.json": lambda path, k: write_state(path, 20 + k, 1, state),
         "expansion.csv": lambda path, k: write_expansion(path, replace(exp, deficit=0.1 * k)),
         "scan.csv": lambda path, k: write_series(path, [record] * (k + 1), [1.0] * (k + 1)),
-        "density_00.csv": lambda path, k: write_density(path, np.arange(3.0), np.ones(3) * k, 0.0),
+        "density_00.csv": lambda path, k: write_density([path], np.arange(3.0), [np.ones(3) * k], [0.0]),
     }
     for name, write in writers.items():
         write(tmp_path / name, 0)

@@ -31,6 +31,14 @@ def test_expansion_validation():
             EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, bad]), deficit=0.0)
 
 
+def test_populations_and_weight_are_computed_once():
+    exp = EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.array([0.6, 0.48j, -0.64]), deficit=0.0)
+    assert np.array_equal(exp.populations, np.abs(exp.coeffs) ** 2)
+    assert not exp.populations.flags.writeable
+    assert exp.populations is exp.populations
+    assert type(exp.weight) is float and exp.weight == float(np.sum(np.abs(exp.coeffs) ** 2))
+
+
 def test_project_pure_eigenstate():
     st = pure_p_eigenstate()
     assert project_coefficient(st, 2) == pytest.approx(1.0, abs=1e-11)

@@ -77,6 +77,19 @@ def test_moment_r_reference_point():
     assert moment_r(st, -2.0) == pytest.approx(oracle[-2.0], rel=1e-8)
 
 
+@pytest.mark.parametrize("nbar", [3, 4, 20, 85, 150, 230, 300, 393, 400])
+def test_integer_moments_match_mpmath_oracle(nbar):
+    # at large alpha a log-gamma difference keeps only about 1e-12 relative;
+    # the product route for integer k is exact to a few ulp
+    mp = pytest.importorskip("mpmath")
+    st = fit_parameters(QuantumNumbers(nbar))
+    with mp.workdps(50):
+        a, b = 2 * mp.mpf(st.alpha) + 2, 2 * mp.mpf(st.gamma0)
+        for k in (-2, 1, 2):
+            want = mp.gamma(a + k + 1) / (mp.gamma(a + 1) * b**k)
+            assert abs(float(moment_r(st, float(k)) / want - 1)) <= 1e-14, k
+
+
 def test_moment_r_domain():
     st = RadialSqueezedState(1.0, 1.0)
     with pytest.raises(ValueError):
