@@ -39,16 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing sample radii in bohr."""
+    """Strictly increasing sample radii in bohr, held in a read-only copy."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise ValueError("grid needs at least 3 points")
         if pts[0] < 0 or np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be non-negative and strictly increasing")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -88,7 +89,8 @@ class BasisTable:
     a table; it only checks one it is given against the expansion and grid.
     ``build`` keeps the caller's arrays, so a table built for an expansion and
     grid holds their very ``ns`` and ``points`` and is accepted by identity,
-    without comparing the radii again.
+    without comparing the radii again.  Both arrays are read-only, so
+    identity proves that the values still belong to them.
     """
 
     def __init__(self, ns, l, points, values):
@@ -171,10 +173,14 @@ def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
     return mats
 
 
+def _phases(exp: EigenExpansion, t: float) -> np.ndarray:
+    return np.exp(-1j * exp.energies * t)
+
+
 def evolve(exp: EigenExpansion, t: float) -> EigenExpansion:
-    """Multiply each coefficient by exp(-i E_n t); the deficit is unchanged."""
-    phases = np.exp(-1j * exp.energies * t)
-    return replace(exp, coeffs=exp.coeffs * phases)
+    """Multiply each coefficient by exp(-i E_n t); the evolved coefficients
+    give the same deficit up to rounding."""
+    return replace(exp, coeffs=exp.coeffs * _phases(exp, t))
 
 
 def autocorrelation(exp: EigenExpansion, t: float) -> float:
@@ -182,15 +188,14 @@ def autocorrelation(exp: EigenExpansion, t: float) -> float:
     s = exp.weight
     if s == 0.0:
         raise ValueError("empty expansion has no autocorrelation")
-    amp = np.dot(exp.populations, np.exp(-1j * exp.energies * t))
+    amp = np.dot(exp.populations, _phases(exp, t))
     return float(abs(amp)) ** 2 / s**2
 
 
 def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisTable | None = None):
     """Radial probability density f(r) = r^2 |psi_t(r)|^2 on the grid."""
     basis = _table_for(exp, grid, basis)
-    coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)
-    amp = coeff_t @ basis.values
+    amp = (exp.coeffs * _phases(exp, t)) @ basis.values
     return grid.points**2 * np.abs(amp) ** 2
 
 
@@ -221,7 +226,7 @@ def observables(
     if basis is not None:
         _table_for(exp, grid, basis)  # validated only; the moments need no table
     energies = exp.energies
-    coeff_t = exp.coeffs * np.exp(-1j * energies * t)
+    coeff_t = exp.coeffs * _phases(exp, t)
     mc = _moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t
     norm, m1, m2, w1, w2 = (mc @ np.conj(coeff_t)).real.tolist()
     if norm == 0.0:

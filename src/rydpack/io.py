@@ -124,6 +124,8 @@ def write_expansion(path, exp: EigenExpansion) -> None:
 
 
 def read_expansion(path) -> EigenExpansion:
+    """Inverse of `write_expansion`; raises ValueError if the header deficit is
+    not the one the coefficient rows give."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3 or lines[0] != "l,n_min,n_max,deficit" or lines[2] != "n,re,im":
         raise ValueError(f"{path}: not an expansion file")
@@ -135,13 +137,11 @@ def read_expansion(path) -> EigenExpansion:
     if ns != list(range(int(nmin_s), int(nmax_s) + 1)):
         raise ValueError(f"{path}: coefficient rows do not match the declared window")
     coeffs = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    return EigenExpansion(
-        l=int(l_s),
-        n_min=int(nmin_s),
-        n_max=int(nmax_s),
-        coeffs=coeffs,
-        deficit=float(deficit_s),
-    )
+    exp = EigenExpansion(int(l_s), int(nmin_s), int(nmax_s), coeffs)
+    # the coefficients round-trip bit-exactly, and so does the deficit they give
+    if float(deficit_s) != exp.deficit:
+        raise ValueError(f"{path}: header deficit {deficit_s} disagrees with the coefficient rows")
+    return exp
 
 
 def write_series(path, records, autocorrelations) -> None:

@@ -2,7 +2,8 @@
 
 Continuum states are dropped entirely; the completeness deficit
 1 - sum |c_n|^2 is the honest record of everything omitted (continuum plus
-out-of-window bound states) and is carried on every expansion.
+out-of-window bound states).  An expansion stores only its coefficients and
+derives the deficit from them, so no copy of it can disagree with them.
 
 The projections c_n = int R_nl psi r^2 dr are exact up to rounding.  With
 beta = alpha + l + 2, sigma_n = gamma0 + i gamma1 + 1/n, k = n - l - 1 and
@@ -62,7 +63,9 @@ class DeficitToleranceWarning(UserWarning):
 class EigenExpansion:
     """Coefficients c_n over the bound-state window n in [n_min, n_max], l fixed.
 
-    ``deficit`` is 1 - sum |c_n|^2.  The coefficients must be finite, and
+    The coefficients are the whole record: ``weight`` sum |c_n|^2 and
+    ``deficit`` 1 - weight are derived from them, never stored beside them.
+    The coefficients must be finite with a weight of at most 1 + 1e-9, and
     the array is treated as immutable once the expansion is built.
     """
 
@@ -70,7 +73,6 @@ class EigenExpansion:
     n_min: int
     n_max: int
     coeffs: np.ndarray
-    deficit: float
 
     def __post_init__(self):
         if self.n_min < self.l + 1:
@@ -86,8 +88,8 @@ class EigenExpansion:
         if bad.any():
             raise ValueError(f"coefficient of n={self.n_min + int(np.argmax(bad))} is not finite")
         object.__setattr__(self, "coeffs", coeffs)
-        if not -1e-9 <= self.deficit < 1.0 + 1e-12:
-            raise ValueError(f"deficit out of range: {self.deficit!r}")
+        if not self.weight <= 1.0 + 1e-9:
+            raise ValueError(f"captured weight exceeds 1: {self.weight!r}")
 
     @cached_property
     def ns(self) -> np.ndarray:
@@ -114,6 +116,12 @@ class EigenExpansion:
     def weight(self) -> float:
         """Captured probability sum |c_n|^2, computed once."""
         return float(self.populations.sum())
+
+    @cached_property
+    def deficit(self) -> float:
+        """Completeness deficit 1 - weight, computed once; a weight above 1
+        by rounding gives 0.0."""
+        return max(1.0 - self.weight, 0.0)
 
 
 def _default_center(state: RadialSqueezedState) -> int:
@@ -188,37 +196,38 @@ def decompose(
 ) -> EigenExpansion:
     """Expand the state over bound levels.
 
-    With an explicit ``window`` the coefficients are computed exactly there.
-    Otherwise the window grows symmetrically about the packet center until the
-    deficit falls below ``deficit_tol`` or the bounds [l+1, n_cap] are hit, in
-    which case a DeficitToleranceWarning reports the achieved deficit.
+    The window starts at [center - 4, center + 4] and grows by 8 levels per
+    side until the deficit falls below ``deficit_tol`` or the bounds
+    [l+1, n_cap] are hit, in which case a DeficitToleranceWarning reports the
+    achieved deficit.  An explicit ``window`` is the starting window with
+    growth switched off.
     Each batch of new levels is projected on one Gauss-Laguerre rule sized
     for its largest degree and checked against a rule of 8 more nodes;
-    disagreement beyond 1e-9 raises NumericalError.
+    disagreement beyond 1e-9, or a captured weight that is not at most
+    1 + 1e-9, raises NumericalError.
     """
-    if center is None:
-        center = _default_center(state)
+    if window is None:
+        if center is None:
+            center = _default_center(state)
+        center = min(max(center, l + 1), n_cap)
+        n_min, n_max, step = max(l + 1, center - 4), min(n_cap, center + 4), 8
+    else:
+        n_min, n_max, step = int(window[0]), int(window[1]), 0
+        if n_min < l + 1 or n_max > n_cap or n_max < n_min:
+            raise ValueError(f"window [{n_min}, {n_max}] outside [{l + 1}, {n_cap}]")
 
     def batch(ns):
         return _project(state, ns, l, _rule_size(max(ns) - l - 1))
 
-    if window is not None:
-        n_min, n_max = int(window[0]), int(window[1])
-        if n_min < l + 1 or n_max > n_cap or n_max < n_min:
-            raise ValueError(f"window [{n_min}, {n_max}] outside [{l + 1}, {n_cap}]")
-        coeffs = batch(list(range(n_min, n_max + 1)))
-        return _finish(l, n_min, n_max, coeffs)
-
-    center = min(max(center, l + 1), n_cap)
-    n_min = max(l + 1, center - 4)
-    n_max = min(n_cap, center + 4)
-    known = {n: c for n, c in zip(range(n_min, n_max + 1), batch(list(range(n_min, n_max + 1))))}
+    coeffs = batch(list(range(n_min, n_max + 1)))
     while True:
-        weight = sum(abs(c) ** 2 for c in known.values())
-        if 1.0 - weight < deficit_tol:
+        weight = float(np.sum(np.abs(coeffs) ** 2))
+        if not weight <= 1.0 + 1e-9:  # a NaN weight fails too
+            raise NumericalError(f"captured weight {weight!r} is not <= 1 + 1e-9")
+        if not step or 1.0 - weight < deficit_tol:
             break
-        lo_new = max(l + 1, n_min - 8)
-        hi_new = min(n_cap, n_max + 8)
+        lo_new = max(l + 1, n_min - step)
+        hi_new = min(n_cap, n_max + step)
         fresh = list(range(lo_new, n_min)) + list(range(n_max + 1, hi_new + 1))
         if not fresh:
             warnings.warn(
@@ -228,26 +237,10 @@ def decompose(
                 stacklevel=2,
             )
             break
-        for n, c in zip(fresh, batch(fresh)):
-            known[n] = c
+        c = batch(fresh)
+        coeffs = np.concatenate([c[: n_min - lo_new], coeffs, c[n_min - lo_new :]])
         n_min, n_max = lo_new, hi_new
-    ns = sorted(known)
-    coeffs = np.array([known[n] for n in ns], dtype=complex)
-    return _finish(l, ns[0], ns[-1], coeffs)
-
-
-def _finish(l, n_min, n_max, coeffs) -> EigenExpansion:
-    weight = float(np.sum(np.abs(coeffs) ** 2))
-    if not math.isfinite(weight):
-        raise NumericalError(f"captured weight is not finite: {weight!r}")
-    deficit = 1.0 - weight
-    if deficit < 0.0:
-        if deficit < -1e-9:
-            raise NumericalError(
-                f"captured weight exceeds 1 by {-deficit:.3e}; quadrature inconsistent"
-            )
-        deficit = 0.0
-    return EigenExpansion(l=l, n_min=n_min, n_max=n_max, coeffs=coeffs, deficit=deficit)
+    return EigenExpansion(l, n_min, n_max, coeffs)
 
 
 def reconstruct(exp: EigenExpansion, r):

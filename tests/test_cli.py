@@ -411,6 +411,30 @@ def test_scan_refuses_deficient_expansion(pipeline20, tmp_path):
     "command,times",
     [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
 )
+def test_edited_header_deficit_is_usage_error(pipeline20, tmp_path, capsys, command, times):
+    # the window [18, 22] leaves a deficit of 2.1e-2, far above 10 x deficit_tol;
+    # a header claiming 0 must not get the expansion past the scan guard
+    code = main(["decompose", "--nbar", "20", "--state", str(pipeline20 / "state.json"),
+                 "--window", "18", "22", "-o", str(tmp_path)])
+    assert code == 0
+    expansion = tmp_path / "expansion.csv"
+    lines = expansion.read_text().splitlines()
+    assert float(lines[1].split(",")[3]) > 0.02
+    lines[1] = "1,18,22,0"
+    expansion.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
+    assert code == 1
+    err = assert_one_usage_error(capsys)
+    assert str(expansion) in err and "header deficit 0 disagrees" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
+)
 def test_expansion_for_other_nbar_is_usage_error(pipeline20, tmp_path, capsys, command, times):
     # T_cl and t_rev of nbar 85 would be applied to the nbar-20 expansion
     code = main([command, "--nbar", "85", "--expansion", str(pipeline20 / "expansion.csv"),

@@ -28,9 +28,7 @@ from rydpack.squeezed import QuantumNumbers, fit_parameters, uncertainties_RP, u
 
 
 def two_level_toy():
-    return EigenExpansion(
-        l=1, n_min=2, n_max=3, coeffs=np.ones(2) / math.sqrt(2.0), deficit=0.0
-    )
+    return EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.ones(2) / math.sqrt(2.0))
 
 
 def test_grid_validation():
@@ -42,6 +40,21 @@ def test_grid_validation():
         RadialGrid(points=np.array([-1.0, 0.0, 1.0]))
     g = RadialGrid.uniform(10.0, 11)
     assert g.points[0] == 0.0 and g.r_max == 10.0
+
+
+def test_grid_points_are_a_read_only_copy():
+    exp = decompose(fit_parameters(QuantumNumbers(20)))
+    radii = np.linspace(0.0, 1600.0, 16000)
+    grid = RadialGrid(radii)
+    assert grid.points is not radii and radii.flags.writeable
+    table = BasisTable.for_expansion(exp, grid)
+    before = density(exp, grid, 0.0, table)
+    # a table matched by identity can no longer meet radii changed under it
+    with pytest.raises(ValueError, match="read-only"):
+        grid.points[200] = 1e-3
+    radii[200] = 1e-3
+    assert np.array_equal(density(exp, grid, 0.0, table), before)
+    assert np.array_equal(density(exp, grid, 0.0), before)
 
 
 def test_evolve_identity_and_unitarity(exp85):
@@ -72,7 +85,7 @@ def test_two_level_beat_period():
 
 
 def test_single_eigenstate_is_stationary():
-    single = EigenExpansion(l=1, n_min=5, n_max=5, coeffs=np.ones(1), deficit=0.0)
+    single = EigenExpansion(l=1, n_min=5, n_max=5, coeffs=np.ones(1))
     for t in (0.0, 17.3, 9.9e7):
         assert autocorrelation(single, t) == pytest.approx(1.0, abs=1e-14)
 
@@ -310,13 +323,13 @@ def test_observables_without_momentum_spread_raise(monkeypatch):
     # one level with <r^-1> = 1/4 and <r^-2> = 1/8: <p_r^2> = 2 E_2 + 2/4 - 2/8 = 0
     stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]]])
     monkeypatch.setattr(evolution, "_moment_matrices", lambda l, n_min, n_max: stack)
-    single = EigenExpansion(l=1, n_min=2, n_max=2, coeffs=np.array([1.0]), deficit=0.0)
+    single = EigenExpansion(l=1, n_min=2, n_max=2, coeffs=np.array([1.0]))
     with pytest.raises(NumericalError, match="dp_r = 0"):
         observables(single, 0.0, None)
 
 
 def test_zero_weight_expansion_has_no_observables():
-    empty = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.zeros(2), deficit=1.0)
+    empty = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.zeros(2))
     with pytest.raises(ValueError, match="empty expansion"):
         observables(empty, 0.0, None)
     with pytest.raises(ValueError, match="empty expansion"):

@@ -21,6 +21,8 @@ from rydpack.squeezed import RadialSqueezedState
 from rydpack.units import au_to_ns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# up to 30 coefficients of modulus at most sqrt(2)/8 keep sum |c_n|^2 below 1
+small = st.floats(min_value=-0.125, max_value=0.125)
 positive = st.floats(min_value=5e-324, allow_infinity=False)
 
 
@@ -48,17 +50,18 @@ def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, l, alpha, gamma0,
 @given(
     l=st.integers(0, 5),
     offset=st.integers(0, 300),
-    parts=st.lists(st.tuples(finite, finite), min_size=0, max_size=30),
-    deficit=st.floats(min_value=-1e-9, max_value=1.0, exclude_max=True),
+    parts=st.lists(st.tuples(small, small), min_size=0, max_size=30),
 )
-def test_expansion_round_trips_bit_exactly(tmp_path_factory, l, offset, parts, deficit):
+def test_expansion_round_trips_bit_exactly(tmp_path_factory, l, offset, parts):
     n_min = l + 1 + offset
     coeffs = np.array([complex(re, im) for re, im in parts], dtype=complex)
-    exp = EigenExpansion(l=l, n_min=n_min, n_max=n_min + len(parts) - 1, coeffs=coeffs, deficit=deficit)
+    exp = EigenExpansion(l=l, n_min=n_min, n_max=n_min + len(parts) - 1, coeffs=coeffs)
     path = tmp_path_factory.mktemp("expansion") / "expansion.csv"
     write_expansion(path, exp)
     got = read_expansion(path)
     assert (got.l, got.n_min, got.n_max) == (exp.l, exp.n_min, exp.n_max)
+    header_deficit = float(path.read_text().splitlines()[1].split(",")[3])
+    assert np.float64(header_deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert np.float64(got.deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert got.coeffs.dtype == exp.coeffs.dtype
     assert got.coeffs.tobytes() == exp.coeffs.tobytes()
@@ -100,11 +103,11 @@ def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
     # each writer's second call fails at the replace: the first call's bytes
     # stay, and no temporary file is left beside them
     state = RadialSqueezedState(alpha=3.0, gamma0=0.5, gamma1=0.0, log_norm=0.25)
-    exp = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, 0.8j]), deficit=0.0)
+    exp = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, 0.8j]))
     record = UncertaintyRecord(1.0, 2.0, 3.0, 6.0, 2.0 / 3.0, 4.0, 3.0, 0.5)
     writers = {
         "state.json": lambda path, k: write_state(path, 20 + k, 1, state),
-        "expansion.csv": lambda path, k: write_expansion(path, replace(exp, deficit=0.1 * k)),
+        "expansion.csv": lambda path, k: write_expansion(path, replace(exp, coeffs=exp.coeffs / (k + 1))),
         "scan.csv": lambda path, k: write_series(path, [record] * (k + 1), [1.0] * (k + 1)),
         "density_00.csv": lambda path, k: write_density([path], np.arange(3.0), [np.ones(3) * k], [0.0]),
     }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,22 +23,33 @@ def pure_p_eigenstate():
 
 def test_expansion_validation():
     with pytest.raises(ValueError):
-        EigenExpansion(l=1, n_min=1, n_max=3, coeffs=np.zeros(3), deficit=0.0)
+        EigenExpansion(l=1, n_min=1, n_max=3, coeffs=np.zeros(3))
     with pytest.raises(ValueError):
-        EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.zeros(2), deficit=0.0)
-    with pytest.raises(ValueError):
-        EigenExpansion(l=1, n_min=2, n_max=2, coeffs=np.ones(1), deficit=1.5)
+        EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.zeros(2))
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         with pytest.raises(ValueError, match="coefficient of n=3 is not finite"):
-            EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, bad]), deficit=0.0)
+            EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, bad]))
+
+
+def test_expansion_weight_is_at_most_one():
+    with pytest.raises(ValueError, match="captured weight exceeds 1"):
+        EigenExpansion(1, 2, 2, np.array([1.0 + 1e-6]))
+    with pytest.raises(ValueError, match="captured weight exceeds 1"):
+        EigenExpansion(1, 2, 3, np.array([0.6, 0.8 + 1e-9]))
+    # a weight above 1 by rounding is accepted, and its deficit is clamped to 0
+    exp = EigenExpansion(1, 2, 3, np.array([0.6, 0.8 + 1e-12]))
+    assert exp.weight > 1.0
+    assert exp.deficit == 0.0 and math.copysign(1.0, exp.deficit) == 1.0
 
 
 def test_populations_and_weight_are_computed_once():
-    exp = EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.array([0.6, 0.48j, -0.64]), deficit=0.0)
+    exp = EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.array([0.6, 0.48j, -0.64]))
     assert np.array_equal(exp.populations, np.abs(exp.coeffs) ** 2)
     assert not exp.populations.flags.writeable
     assert exp.populations is exp.populations
     assert type(exp.weight) is float and exp.weight == float(np.sum(np.abs(exp.coeffs) ** 2))
+    assert type(exp.deficit) is float and exp.deficit == max(1.0 - exp.weight, 0.0)
+    assert exp.deficit is exp.deficit
 
 
 def test_project_pure_eigenstate():
@@ -84,9 +97,36 @@ def test_nbar_300_fails_on_first_batch(monkeypatch):
     assert calls == [list(range(296, 305))]
 
 
-def test_finish_rejects_nonfinite_weight():
-    with pytest.raises(NumericalError, match="not finite"):
-        spectral._finish(1, 2, 3, np.array([np.nan, 0.1]))
+@pytest.mark.parametrize("window", [None, (83, 87)], ids=["grown", "explicit"])
+@pytest.mark.parametrize("bad", [np.nan, 1.0 + 1e-6], ids=["nan", "above-one"])
+def test_decompose_rejects_a_bad_captured_weight(monkeypatch, state85, window, bad):
+    # a projection that slips past its own guard must fail as a numerical
+    # error, not as the constructor's ValueError
+    def project(state, ns, l, m):
+        c = np.zeros(len(ns))
+        c[0] = bad
+        return c
+
+    monkeypatch.setattr(spectral, "_project", project)
+    with pytest.raises(NumericalError, match="captured weight"):
+        decompose(state85, window=window, center=85)
+
+
+@pytest.mark.parametrize(
+    "nbar, window",
+    [(4, (2, 32)), (5, (2, 9)), (10, (6, 14)), (20, (16, 24)),
+     (85, (73, 97)), (150, (138, 162)), (230, (210, 250))],
+)
+def test_grown_windows(nbar, window):
+    exp = decompose(fit_parameters(QuantumNumbers(nbar)), center=nbar)
+    assert (exp.n_min, exp.n_max) == window
+    assert exp.deficit < spectral.DEFAULT_DEFICIT_TOL
+
+
+def test_nbar_3_grows_to_the_cap_and_warns():
+    with pytest.warns(DeficitToleranceWarning, match="achieved deficit 1.353855e-03"):
+        exp = decompose(fit_parameters(QuantumNumbers(3)), center=3)
+    assert (exp.n_min, exp.n_max) == (2, spectral.N_CAP)
 
 
 def coefficient_oracle(state, n, l, dps):
@@ -182,7 +222,7 @@ def test_reconstruct_pure_eigenstate():
 
 
 def test_reconstruct_empty_window_is_zero():
-    empty = EigenExpansion(l=1, n_min=2, n_max=1, coeffs=np.zeros(0, complex), deficit=1.0)
+    empty = EigenExpansion(l=1, n_min=2, n_max=1, coeffs=np.zeros(0, complex))
     assert np.all(reconstruct(empty, np.linspace(0, 10, 5)) == 0.0)
 
 
