@@ -5,11 +5,13 @@ phase exp(-i E_n t).  Every moment an uncertainty needs comes from quadratic
 forms c(t)^dagger M c(t) in those coefficients, so the matrices of 1, r, r^2,
 r^-1 and r^-2 are integrated once per expansion window on a Gauss-Legendre
 rule and no wavefunction is ever sampled for them.  The rule reaches
-max(4 n_max^2, 196) bohr, so small windows keep their tails, and the window's
-eigenfunctions come from ``specfun._radial_rows``, whose Laguerre recurrence
-steps about 12 levels of the window at once.  The radial momentum
-p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r gives
-<n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
+max(4 n_max^2, 196) bohr, so small windows keep their tails, and is sized to
+the window: ceil(n_max/16) + ceil(n_max/n_min) panels of 64 nodes, at most 32
+(576 nodes at nbar 85, 832 at nbar 150).  The window's eigenfunctions come
+from ``specfun._radial_rows``, whose Laguerre recurrence steps a tile of
+levels at once, the whole 25-level window at nbar 85 and 150.  The radial
+momentum p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r
+gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
 p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set.
 Only density snapshots evaluate the wavefunction, on a caller-supplied grid,
 from a table of the same kernel.
@@ -137,21 +139,42 @@ _GRAM_TOL = 1e-6
 # [2, 2]); every window with n_max >= 7 keeps 4 n_max^2
 _R_MAX_FLOOR = 196.0
 
+# the moment rule has at most this many 64-node panels (2048 nodes)
+_MAX_PANELS = 32
+
+
+def _moment_rule(n_min: int, n_max: int):
+    """The Gauss-Legendre rule (x, w) of the window's moment matrices.
+
+    It spans [0, max(4 n_max^2, 196)] in ceil(n_max/16) + ceil(n_max/n_min)
+    panels of 64 nodes, at most _MAX_PANELS.  The first term gives about four
+    nodes per oscillation of the top level; the second keeps the
+    quadratically graded first panels fine enough for the lowest level of a
+    wide window.  Gauss rules converge geometrically on these analytic
+    integrands, so on every window ``decompose`` grows for nbar 4 to 288 each
+    matrix agrees with its 2048-node build to 2e-12 of its largest entry,
+    and a window that asks for more panels gets that rule itself.
+    """
+    panels = min(_MAX_PANELS, -(-n_max // 16) + -(-n_max // n_min))
+    return radial_quadrature(max(4.0 * n_max * n_max, _R_MAX_FLOOR), 64 * panels)
+
 
 @lru_cache(maxsize=8)
 def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
     """The (5, N, N) operator matrices of the window [n_min, n_max], read-only.
 
     In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m> and <n|r^-2|m>, all
-    integrated with the measure r^2 dr on a 2048-node panelized
-    Gauss-Legendre rule over [0, max(4 n_max^2, 196)].  The R_nl values come
-    from ``specfun._radial_rows``: one Laguerre recurrence steps about 12
-    levels of the window at once, and each is read off at its own degree.
-    The Gram matrix S = <n|m> must satisfy ||S - I||_2 <= _GRAM_TOL,
-    else NumericalError; then |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c
-    for every coefficient vector c, so one check covers every time.
+    integrated with the measure r^2 dr on the window's panelized
+    Gauss-Legendre rule (``_moment_rule``: 448 nodes on [7, 30], 576 on
+    [73, 97], at most 2048).  The R_nl values come from
+    ``specfun._radial_rows``, whose one Laguerre recurrence steps a tile of
+    levels at once (the whole window at nbar 85 and 150) and reads each off
+    at its own degree.  The Gram matrix S = <n|m> must satisfy
+    ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
+    |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c for every
+    coefficient vector c, so one check covers every time.
     """
-    x, w = radial_quadrature(max(4.0 * n_max * n_max, _R_MAX_FLOOR), 2048)
+    x, w = _moment_rule(n_min, n_max)
     vals = _radial_rows(np.arange(n_min, n_max + 1), l, x)
     wv = vals * (w * x * x)
     mats = np.stack(

@@ -18,10 +18,11 @@ level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
 ``spectral.reconstruct`` and the moment matrices.  It works in tiles of whole
 rows, about 24 576 elements each: on a table of many thousand radii a tile is
 one level, whose recurrence already runs at the arithmetic floor (about 2 ns
-per element and step), while on the 2048-node moment rule a tile steps about
-12 levels at once and reads each row off at its own degree
-(``_laguerre_rows``, which the projection in ``spectral`` uses too), since one
-recurrence per level would there be bound by NumPy call overhead.  Each
+per element and step), while on a moment rule (sized to the window, 128 to
+2048 nodes) a tile steps 12 or more levels at once, the whole window at
+nbar 85 and 150, and reads each row off at its own degree
+(``_laguerre_rows``, which the projection in ``spectral`` uses too), since
+one recurrence per level would there be bound by NumPy call overhead.  Each
 element sees the same operations and constants whatever the tiling, so the
 values do not depend on it.  The envelope is computed first; the recurrence
 skips the columns past the last one where any envelope of the tile is
@@ -223,8 +224,9 @@ def _envelope(log_const, l: int, rho: np.ndarray) -> np.ndarray:
 
 
 # elements per recurrence tile in _radial_rows; a tile holds whole rows, so a
-# 16 000-point table steps one level at a time and the 2048-node moment rule
-# steps 12 levels together
+# 16 000-point table steps one level at a time, and a moment rule steps 42
+# levels together at 576 nodes (nbar 85), 29 at 832 (nbar 150) and 12 at the
+# cap of 2048
 _TILE_ELEMENTS = 24576
 
 

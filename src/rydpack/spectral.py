@@ -54,9 +54,16 @@ N_CAP = 400
 _CHECK_NODES = 8
 _ERR_TOL = 1e-9
 
+# a window that reaches l + 1 stops growing once the bound weight predicted
+# above n_max is below _TAIL_FRACTION of the tolerance while the deficit
+# without it still exceeds _TAIL_MARGIN times the tolerance
+_TAIL_FRACTION = 0.05
+_TAIL_MARGIN = 2.0
+
 
 class DeficitToleranceWarning(UserWarning):
-    """The requested completeness deficit could not be reached within the cap."""
+    """The requested completeness deficit could not be reached: the window hit
+    [l+1, n_cap], or the n^-3 tail law showed that more levels cannot help."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +206,14 @@ def decompose(
     The window starts at [center - 4, center + 4] and grows by 8 levels per
     side until the deficit falls below ``deficit_tol`` or the bounds
     [l+1, n_cap] are hit, in which case a DeficitToleranceWarning reports the
-    achieved deficit.  An explicit ``window`` is the starting window with
-    growth switched off.
+    achieved deficit.  Growth also stops, with the same warning, once the
+    window reaches l + 1 and the n^-3 law shows the tolerance is out of
+    reach: where the bound series joins the continuum, |c_n|^2 -> C/n^3, so
+    the weight above n_max is about C/(2 n_max^2) with C = n_max^3 |c_n_max|^2.
+    When that tail is below 5% of the tolerance (the deficit is then settled
+    to that much) and the deficit less the tail, the estimated continuum
+    weight, is still above twice the tolerance, more levels cannot help.
+    An explicit ``window`` is the starting window with growth switched off.
     Each batch of new levels is projected on one Gauss-Laguerre rule sized
     for its largest degree and checked against a rule of 8 more nodes;
     disagreement beyond 1e-9, or a captured weight that is not at most
@@ -233,6 +246,21 @@ def decompose(
             warnings.warn(
                 f"deficit tolerance {deficit_tol:g} unreachable within "
                 f"[{l + 1}, {n_cap}]; achieved deficit {1.0 - weight:.6e}",
+                DeficitToleranceWarning,
+                stacklevel=2,
+            )
+            break
+        tail = 0.5 * n_max * abs(coeffs[-1]) ** 2  # C / (2 n_max^2)
+        if (
+            n_min == l + 1
+            and tail < _TAIL_FRACTION * deficit_tol
+            and 1.0 - weight - tail > _TAIL_MARGIN * deficit_tol
+        ):
+            warnings.warn(
+                f"deficit tolerance {deficit_tol:g} unreachable: the window "
+                f"[{n_min}, {n_max}] holds all but about {tail:.1e} of the bound "
+                f"weight; estimated continuum weight {1.0 - weight - tail:.6e}, "
+                f"achieved deficit {1.0 - weight:.6e}",
                 DeficitToleranceWarning,
                 stacklevel=2,
             )

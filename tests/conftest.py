@@ -50,12 +50,26 @@ def scan85(exp85, grid85, basis85, ts85):
     return times, [rp.observables(exp85, t, grid85, basis85) for t in times]
 
 
+def _full_moment_rule(n_min, n_max, n_nodes=2048):
+    """The window's moment span, [0, max(4 n_max^2, 196)], on a rule of
+    ``n_nodes`` nodes whatever the window; by default the capped rule."""
+    return specfun.radial_quadrature(max(4.0 * n_max**2, evolution._R_MAX_FLOOR), n_nodes)
+
+
+@pytest.fixture(scope="session")
+def full_moment_rule():
+    """A stand-in for ``evolution._moment_rule`` with 2048 nodes for every window."""
+    return _full_moment_rule
+
+
 @pytest.fixture
 def coarse_quadrature(monkeypatch):
-    """Build the moment matrices on a 32-node rule, far too coarse to pass the
-    norm guard; the matrix cache is emptied before and after."""
-    fine = evolution.radial_quadrature
-    monkeypatch.setattr(evolution, "radial_quadrature", lambda r_max, n_nodes: fine(r_max, 32))
+    """Build the moment matrices on a 32-node rule over the window's span, far
+    too coarse to pass the norm guard; the matrix cache is emptied before and
+    after."""
+    monkeypatch.setattr(
+        evolution, "_moment_rule", lambda n_min, n_max: _full_moment_rule(n_min, n_max, 32)
+    )
     evolution._moment_matrices.cache_clear()
     yield
     evolution._moment_matrices.cache_clear()

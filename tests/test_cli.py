@@ -350,6 +350,22 @@ def test_decompose_window_warning(pipeline20, tmp_path):
     assert exp.deficit > 0.999
 
 
+def test_nbar_3_decompose_warns_and_scan_refuses(tmp_path, capsys):
+    # the window stops on the n^-3 tail law: decompose keeps its warning and
+    # exit 0, and scan keeps its exit 2 on the deficit above 10 x deficit_tol
+    common = ["--nbar", "3", "-o", str(tmp_path)]
+    assert main(["fit", *common]) == 0
+    capsys.readouterr()
+    assert main(["decompose", *common, "--state", str(tmp_path / "state.json")]) == 0
+    assert "warning: deficit tolerance 0.0001 unreachable" in capsys.readouterr().err
+    exp = read_expansion(tmp_path / "expansion.csv")
+    assert exp.n_min == 2 and exp.n_max < 400
+    code = main(["scan", *common, "--expansion", str(tmp_path / "expansion.csv"), "--t-stop", "Tcl"])
+    assert code == 2
+    assert "exceeds 10 x deficit_tol" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_decompose_missing_state(tmp_path):
     res = run_cli("decompose", "--nbar", "20", "--state", str(tmp_path / "nope.json"),
                   "-o", str(tmp_path))

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from rydpack.specfun import (
     hydrogen_radial,
     radial_quadrature,
 )
-from rydpack.spectral import EigenExpansion, decompose
+from rydpack.spectral import DeficitToleranceWarning, EigenExpansion, decompose
 from rydpack.squeezed import QuantumNumbers, fit_parameters, uncertainties_RP, uncertainties_rp
 
 
@@ -192,28 +192,99 @@ def test_moment_matrices_run_one_recurrence_per_tile(monkeypatch):
     evolution._moment_matrices.cache_clear()
     try:
         evolution._moment_matrices(1, 10, 17)
-        # 12 levels of the 2048-node rule fill a tile: [73, 97] takes three
+        # 42 rows of the 576-node rule fill a tile, so all 25 levels of
+        # [73, 97] share one recurrence
         calls_10_17, calls[:] = calls[:], []
         evolution._moment_matrices(1, 73, 97)
     finally:
         evolution._moment_matrices.cache_clear()
     # one tile steps all eight levels on every node to the largest degree, 17 - 2
-    assert calls_10_17 == [(15, (8, 2048))]
-    assert calls == [(82, (12, 2048)), (94, (12, 2048)), (95, (1, 2048))]
+    assert calls_10_17 == [(15, (8, 256))]
+    assert calls == [(95, (25, 576))]
 
 
-@pytest.mark.parametrize("window", [(7, 30), (73, 97), (210, 250), (265, 305)])
+# each window and the node count of its sized rule
+RULE_SIZES = {(7, 30): 448, (73, 97): 576, (210, 250): 1152, (265, 305): 1408}
+
+
+@pytest.mark.parametrize("window", list(RULE_SIZES))
 def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
     # the same rule and five products, with R_nl one level at a time;
     # (265, 305): the far nodes are dead (envelope underflowed) for the low rows
     n_min, n_max = window
-    x, w = radial_quadrature(max(4.0 * n_max**2, 196.0), 2048)
+    x, w = evolution._moment_rule(*window)
+    assert x.size == w.size == RULE_SIZES[window]
     vals = np.array([per_level_radial(n, 1, x) for n in range(n_min, n_max + 1)])
     wv = vals * (w * x * x)
     want = np.stack(
         [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
     )
     assert np.array_equal(evolution._moment_matrices(1, *window), want)
+
+
+def _full_stack(monkeypatch, rule, window):
+    # the uncached build on ``rule``, leaving the matrix cache untouched
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_moment_rule", rule)
+        return evolution._moment_matrices.__wrapped__(1, *window)
+
+
+# the windows decompose grows at nbar 4, 5, 10, 20, 50, 85, 120, 150, 200,
+# 230, 260 and 288, and two wide windows from n = 2
+SIZED_WINDOWS = [
+    (2, 32), (2, 9), (6, 14), (16, 24), (38, 62), (73, 97), (108, 132),
+    (138, 162), (180, 220), (210, 250), (240, 280), (268, 308), (2, 15), (2, 40),
+]
+
+
+@pytest.mark.parametrize("window", SIZED_WINDOWS)
+def test_sized_moment_rule_agrees_with_the_2048_node_rule(window, monkeypatch, full_moment_rule):
+    sized = evolution._moment_matrices(1, *window)
+    full = _full_stack(monkeypatch, full_moment_rule, window)
+    for got, want in zip(sized, full):
+        assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
+
+
+def test_window_past_the_panel_cap_gets_the_2048_node_rule(monkeypatch, full_moment_rule):
+    # [2, 120] asks for ceil(120/16) + ceil(120/2) = 8 + 60 panels, more than 32
+    assert evolution._moment_rule(2, 120)[0].size == 2048
+    full = _full_stack(monkeypatch, full_moment_rule, (2, 120))
+    assert np.array_equal(evolution._moment_matrices(1, 2, 120), full)
+
+
+@pytest.mark.parametrize(
+    "nbar, deficit_tol", [(3, 2e-3), (4, 1e-4), (20, 1e-4), (85, 1e-4), (150, 1e-4), (230, 1e-4), (285, 1e-4)]
+)
+def test_observables_across_the_served_range(nbar, deficit_tol, monkeypatch, full_moment_rule):
+    # nbar 3 reaches 2e-3 on [2, 15]; every record agrees with one on the
+    # 2048-node stack and keeps the Heisenberg floor.  dR^2 = <r^-2> - <r^-1>^2
+    # cancels about three digits near the outer turning point (nbar 230 at
+    # t = 0), so dR is compared through its square, against <r^-2>
+    q = QuantumNumbers(nbar)
+    exp = decompose(fit_parameters(q), center=nbar, deficit_tol=deficit_tol)
+    times = [0.0] + np.random.default_rng(nbar).uniform(0.0, 2.0 * timescales(q).T_cl_au, 8).tolist()
+    evolution._moment_matrices.cache_clear()
+    try:
+        got = [observables(exp, t, None) for t in times]
+        monkeypatch.setattr(evolution, "_moment_rule", full_moment_rule)
+        evolution._moment_matrices.cache_clear()
+        want = [observables(exp, t, None) for t in times]
+    finally:
+        evolution._moment_matrices.cache_clear()
+    for rec, ref in zip(got, want):
+        assert astuple(replace(rec, dR=0.0)) == pytest.approx(
+            astuple(replace(ref, dR=0.0)), rel=1e-10, abs=0.0
+        ), rec.t
+        assert abs(rec.dR**2 - ref.dR**2) <= 1e-10 * 2.0 * ref.bound_half_rm2, rec.t
+        assert rec.product >= 0.5 - 1e-9
+
+
+def test_nbar_3_expansion_answers_at_t0():
+    # the default tolerance stops growth on the n^-3 law well below N_CAP, so
+    # the moment stack no longer needs R_329,1
+    with pytest.warns(DeficitToleranceWarning):
+        exp = decompose(fit_parameters(QuantumNumbers(3)), center=3)
+    assert observables(exp, 0.0, None).product >= 0.5 - 1e-9
 
 
 def test_basis_table_runs_one_recurrence_per_level(monkeypatch):

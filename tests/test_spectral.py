@@ -123,10 +123,21 @@ def test_grown_windows(nbar, window):
     assert exp.deficit < spectral.DEFAULT_DEFICIT_TOL
 
 
-def test_nbar_3_grows_to_the_cap_and_warns():
-    with pytest.warns(DeficitToleranceWarning, match="achieved deficit 1.353855e-03"):
-        exp = decompose(fit_parameters(QuantumNumbers(3)), center=3)
-    assert (exp.n_min, exp.n_max) == (2, spectral.N_CAP)
+def test_nbar_3_stops_growing_on_the_tail_law_and_warns():
+    # about 0.135% of nbar 3 is continuum, so 1e-4 is out of reach; the n^-3
+    # law stops the window well below N_CAP with nearly the capped deficit
+    state = fit_parameters(QuantumNumbers(3))
+    with pytest.warns(DeficitToleranceWarning, match="estimated continuum weight 1.3535"):
+        exp = decompose(state, center=3)
+    assert exp.n_min == 2 and exp.n_max <= 150
+    assert abs(exp.deficit - decompose(state, window=(2, spectral.N_CAP)).deficit) <= 1e-5
+
+
+def test_window_that_meets_the_cap_first_warns_at_the_cap():
+    # at n_max = 60 the tail law still expects more bound weight above
+    with pytest.warns(DeficitToleranceWarning, match=r"unreachable within \[2, 60\]"):
+        exp = decompose(fit_parameters(QuantumNumbers(3)), center=3, n_cap=60)
+    assert (exp.n_min, exp.n_max) == (2, 60)
 
 
 def coefficient_oracle(state, n, l, dps):
