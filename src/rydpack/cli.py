@@ -25,11 +25,13 @@ from . import io as rio
 from .analysis import count_packets, timescales
 from .evolution import BasisTable, RadialGrid, observables
 from .evolution import autocorrelation as autocorr
+from .evolution import density as density_at
 from .specfun import NumericalError, hydrogen_energy
 from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, coefficient_spread, decompose
 from .squeezed import (
     POTENTIAL_MODES,
     FitError,
+    L,
     QuantumNumbers,
     expectation_H,
     fit_parameters,
@@ -41,6 +43,10 @@ from .squeezed import (
 from .units import ATOMIC_TIME_S, au_to_ns, au_to_ps
 
 __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
+
+# the most points a density grid or a scan range may ask for: 62 times the
+# default grid, and about 30 s of scan points at nbar 85
+_MAX_POINTS = 1_000_000
 
 
 class UsageError(Exception):
@@ -80,6 +86,8 @@ class RunConfig:
         for name in ("deficit_tol", "grid_points", "r_max_factor", "prominence"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
+        if self.grid_points > _MAX_POINTS:
+            raise UsageError(f"grid_points must be at most {_MAX_POINTS}, got {self.grid_points}")
         if self.prominence >= 1:
             raise UsageError("prominence must lie in (0, 1)")
         if self.deltan is not None and self.deltan <= 0:
@@ -230,7 +238,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     dR, dP, bound = uncertainties_RP(state)
     report = {
         "nbar": q.nbar,
-        "l": q.l,
+        "l": L,
         "potential_mode": "paper",
         "alpha": state.alpha,
         "gamma0": state.gamma0,
@@ -254,7 +262,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             mode: {"alpha": fit.alpha, "gamma0": fit.gamma0} for mode, fit in fits.items()
         },
     }
-    rio.write_state(_out_path(cfg, "state.json"), q.nbar, q.l, state)
+    rio.write_state(_out_path(cfg, "state.json"), q.nbar, state)
     rio.write_text_atomic(
         _out_path(cfg, "fit_report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
@@ -266,11 +274,10 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
-    nbar, l, state = rio.read_state(state_path)
-    if (nbar, l) != (cfg.nbar, 1):
+    nbar, state = rio.read_state(state_path)
+    if nbar != cfg.nbar:
         raise UsageError(
-            f"{state_path} holds nbar={nbar}, l={l}; the run is configured for "
-            f"nbar={cfg.nbar}, l=1"
+            f"{state_path} holds nbar={nbar}; the run is configured for nbar={cfg.nbar}"
         )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeficitToleranceWarning)
@@ -279,7 +286,6 @@ def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
             window=tuple(window) if window else None,
             center=nbar,
             deficit_tol=cfg.deficit_tol,
-            l=l,
         )
     rio.write_expansion(_out_path(cfg, "expansion.csv"), exp)
     mean_n, deltan = coefficient_spread(exp)
@@ -300,8 +306,6 @@ def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
 
 def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
     exp = rio.read_expansion(expansion_path)
-    if exp.l != 1:
-        raise UsageError(f"{expansion_path} expands l={exp.l}; the run is configured for l=1")
     if exp.deficit > 10.0 * cfg.deficit_tol:
         raise NumericalError(
             f"expansion deficit {exp.deficit:.6e} exceeds 10 x deficit_tol "
@@ -316,31 +320,35 @@ def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
     return exp
 
 
-def _time_list(cfg: RunConfig, text: str) -> tuple[list[str], list[float]]:
-    """The stripped expressions of a comma-separated time list, with their values in au."""
-    ts = timescales(_quantum_numbers(cfg))
-    exprs = [s.strip() for s in text.split(",") if s.strip()]
-    if not exprs:
-        raise UsageError("empty time list")
-    return exprs, [parse_time_expression(s, ts.T_cl_au, ts.t_rev_au) for s in exprs]
+def _times(cfg: RunConfig, args) -> tuple[list[str] | None, list[float]]:
+    """The expressions of ``--times`` and their values in au.
 
-
-def _scan_times(cfg: RunConfig, args) -> list[float]:
-    if args.times:
-        return _time_list(cfg, args.times)[1]
+    Without ``--times`` (scan only), the values are --t-steps points from
+    --t-start to --t-stop, and there are no expressions.
+    """
     ts = timescales(_quantum_numbers(cfg))
+
+    def parse(text):
+        return parse_time_expression(text, ts.T_cl_au, ts.t_rev_au)
+
+    if args.times is not None:
+        exprs = [s.strip() for s in args.times.split(",") if s.strip()]
+        if not exprs:
+            raise UsageError("empty time list")
+        return exprs, [parse(s) for s in exprs]
     if args.t_stop is None:
         raise UsageError("provide either --times or --t-start/--t-stop/--t-steps")
-    t0 = parse_time_expression(args.t_start, ts.T_cl_au, ts.t_rev_au)
-    t1 = parse_time_expression(args.t_stop, ts.T_cl_au, ts.t_rev_au)
+    t0, t1 = parse(args.t_start), parse(args.t_stop)
     if args.t_steps < 2:
         raise UsageError("t-steps must be >= 2")
-    return list(np.linspace(t0, t1, args.t_steps))
+    if args.t_steps > _MAX_POINTS:
+        raise UsageError(f"t-steps must be at most {_MAX_POINTS}, got {args.t_steps}")
+    return None, list(np.linspace(t0, t1, args.t_steps))
 
 
 def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
     exp = _load_expansion_checked(cfg, expansion_path)
-    times = sorted(_scan_times(cfg, args))
+    times = sorted(_times(cfg, args)[1])
     records = [observables(exp, t, None) for t in times]
     acs = [autocorr(exp, t) for t in times]
     rio.write_series(_out_path(cfg, "scan.csv"), records, acs)
@@ -349,10 +357,8 @@ def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
 
 
 def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
-    from .evolution import density as density_at
-
     exp = _load_expansion_checked(cfg, expansion_path)
-    exprs, times = _time_list(cfg, args.times)
+    exprs, times = _times(cfg, args)
     grid = _grid(cfg)
     basis = BasisTable.for_expansion(exp, grid)
     smooth = cfg.smooth
@@ -443,9 +449,7 @@ def main(argv=None) -> int:
             return cmd_decompose(cfg, args.state, args.window)
         if args.command == "scan":
             return cmd_scan(cfg, args.expansion, args)
-        if args.command == "density":
-            return cmd_density(cfg, args.expansion, args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_density(cfg, args.expansion, args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

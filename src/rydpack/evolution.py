@@ -27,6 +27,7 @@ import numpy as np
 
 from .specfun import NumericalError, _radial_rows, radial_quadrature
 from .spectral import EigenExpansion
+from .squeezed import L
 
 __all__ = [
     "RadialGrid",
@@ -82,7 +83,8 @@ class UncertaintyRecord:
 
 
 class BasisTable:
-    """Eigenfunction values R_nl tabulated on fixed radii, for density snapshots.
+    """Eigenfunction values R_nl of the levels ``ns``, l = ``L``, tabulated on
+    fixed radii, for density snapshots.
 
     The table is one call of ``specfun._radial_rows``, which on a grid of
     many thousand points steps one level per Laguerre recurrence; evaluating
@@ -95,27 +97,25 @@ class BasisTable:
     identity proves that the values still belong to them.
     """
 
-    def __init__(self, ns, l, points, values):
+    def __init__(self, ns, points, values):
         self.ns = ns
-        self.l = l
         self.points = points
         self.values = values
 
     @classmethod
-    def build(cls, ns, l: int, points) -> "BasisTable":
+    def build(cls, ns, points) -> "BasisTable":
         ns, points = np.asarray(ns), np.asarray(points, dtype=float)
-        return cls(ns, l, points, _radial_rows(ns, l, points))
+        return cls(ns, points, _radial_rows(ns, L, points))
 
     @classmethod
     def for_expansion(cls, exp: EigenExpansion, grid: RadialGrid) -> "BasisTable":
-        return cls.build(exp.ns, exp.l, grid.points)
+        return cls.build(exp.ns, grid.points)
 
     def matches(self, exp: EigenExpansion, grid: RadialGrid) -> bool:
-        if self.points is grid.points and self.ns is exp.ns and self.l == exp.l:
+        if self.points is grid.points and self.ns is exp.ns:
             return True
         return (
-            self.l == exp.l
-            and self.ns.size == exp.ns.size
+            self.ns.size == exp.ns.size
             and np.array_equal(self.ns, exp.ns)
             and self.points.size == grid.points.size
             and np.array_equal(self.points, grid.points)
@@ -160,7 +160,7 @@ def _moment_rule(n_min: int, n_max: int):
 
 
 @lru_cache(maxsize=8)
-def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
+def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     """The (5, N, N) operator matrices of the window [n_min, n_max], read-only.
 
     In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m> and <n|r^-2|m>, all
@@ -175,7 +175,7 @@ def _moment_matrices(l: int, n_min: int, n_max: int) -> np.ndarray:
     coefficient vector c, so one check covers every time.
     """
     x, w = _moment_rule(n_min, n_max)
-    vals = _radial_rows(np.arange(n_min, n_max + 1), l, x)
+    vals = _radial_rows(np.arange(n_min, n_max + 1), L, x)
     wv = vals * (w * x * x)
     mats = np.stack(
         [
@@ -250,7 +250,7 @@ def observables(
         _table_for(exp, grid, basis)  # validated only; the moments need no table
     energies = exp.energies
     coeff_t = exp.coeffs * _phases(exp, t)
-    mc = _moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t
+    mc = _moment_matrices(exp.n_min, exp.n_max) @ coeff_t
     norm, m1, m2, w1, w2 = (mc @ np.conj(coeff_t)).real.tolist()
     if norm == 0.0:
         raise ValueError("empty expansion has no observables")
@@ -259,7 +259,7 @@ def observables(
     # <n|(d/dr + 1/r)|m> = (E_m - E_n) <n|r|m>
     ec = energies * coeff_t
     pr = -2.0 * float(np.vdot(ec, mc[1]).imag) / norm
-    pr2 = 2.0 * float(np.vdot(coeff_t, ec).real) / norm + 2.0 * w1 - exp.l * (exp.l + 1) * w2
+    pr2 = 2.0 * float(np.vdot(coeff_t, ec).real) / norm + 2.0 * w1 - L * (L + 1) * w2
 
     dr = math.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = math.sqrt(max(pr2 - pr * pr, 0.0))

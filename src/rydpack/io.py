@@ -6,7 +6,9 @@ Density snapshots of one grid share their r column: it is formatted once into
 a row template with a ``%.17g`` slot for f, and each snapshot fills the
 template with one ``%`` over its values instead of formatting every row.
 Every artifact is written whole or not at all: the text goes to a temporary
-file in the target directory, which then replaces the target.
+file in the target directory, which then replaces the target.  State and
+expansion files record the angular momentum l, always ``squeezed.L`` = 1, and
+the readers refuse any other value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import EigenExpansion
-from .squeezed import RadialSqueezedState
+from .squeezed import L, RadialSqueezedState
 from .units import au_to_ns
 
 __all__ = [
@@ -69,10 +71,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_state(path, nbar: int, l: int, state: RadialSqueezedState) -> None:
+def write_state(path, nbar: int, state: RadialSqueezedState) -> None:
     record = {
         "nbar": int(nbar),
-        "l": int(l),
+        "l": L,
         "alpha": float(state.alpha),
         "gamma0": float(state.gamma0),
         "gamma1": float(state.gamma1),
@@ -92,8 +94,8 @@ _STATE_KEYS = {
 
 
 def read_state(path):
-    """Inverse of `write_state`; raises ValueError naming a missing or
-    ill-typed key."""
+    """Inverse of `write_state`, giving (nbar, state); raises ValueError naming
+    a missing or ill-typed key, or an l other than ``L``."""
     record = json.loads(Path(path).read_text())
     if not isinstance(record, dict):
         raise ValueError(f"{path}: not a state file")
@@ -103,19 +105,23 @@ def read_state(path):
         value = record[key]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"{path}: state key {key!r} has ill-typed value {value!r}")
+    if record["l"] != L:
+        raise ValueError(
+            f"{path}: state file holds l={record['l']}; only p states (l={L}) are supported"
+        )
     state = RadialSqueezedState(
         alpha=record["alpha"],
         gamma0=record["gamma0"],
         gamma1=record["gamma1"],
         log_norm=record["log_norm"],
     )
-    return record["nbar"], record["l"], state
+    return record["nbar"], state
 
 
 def write_expansion(path, exp: EigenExpansion) -> None:
     lines = [
         "l,n_min,n_max,deficit",
-        f"{exp.l},{exp.n_min},{exp.n_max},{_fmt(exp.deficit)}",
+        f"{L},{exp.n_min},{exp.n_max},{_fmt(exp.deficit)}",
         "n,re,im",
     ]
     for n, c in zip(exp.ns, exp.coeffs):
@@ -124,12 +130,14 @@ def write_expansion(path, exp: EigenExpansion) -> None:
 
 
 def read_expansion(path) -> EigenExpansion:
-    """Inverse of `write_expansion`; raises ValueError if the header deficit is
-    not the one the coefficient rows give."""
+    """Inverse of `write_expansion`; raises ValueError for an l other than
+    ``L``, or if the header deficit is not the one the coefficient rows give."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3 or lines[0] != "l,n_min,n_max,deficit" or lines[2] != "n,re,im":
         raise ValueError(f"{path}: not an expansion file")
     l_s, nmin_s, nmax_s, deficit_s = lines[1].split(",")
+    if int(l_s) != L:
+        raise ValueError(f"{path}: expands l={l_s}; only p states (l={L}) are supported")
     rows = [line.split(",") for line in lines[3:] if line]
     if any(len(r) != 3 for r in rows):
         raise ValueError(f"{path}: every coefficient row must hold the three fields n,re,im")
@@ -137,7 +145,7 @@ def read_expansion(path) -> EigenExpansion:
     if ns != list(range(int(nmin_s), int(nmax_s) + 1)):
         raise ValueError(f"{path}: coefficient rows do not match the declared window")
     coeffs = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    exp = EigenExpansion(int(l_s), int(nmin_s), int(nmax_s), coeffs)
+    exp = EigenExpansion(int(nmin_s), coeffs)
     # the coefficients round-trip bit-exactly, and so does the deficit they give
     if float(deficit_s) != exp.deficit:
         raise ValueError(f"{path}: header deficit {deficit_s} disagrees with the coefficient rows")

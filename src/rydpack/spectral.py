@@ -2,8 +2,10 @@
 
 Continuum states are dropped entirely; the completeness deficit
 1 - sum |c_n|^2 is the honest record of everything omitted (continuum plus
-out-of-window bound states).  An expansion stores only its coefficients and
-derives the deficit from them, so no copy of it can disagree with them.
+out-of-window bound states).  An expansion stores only its lowest level and
+its coefficients, and derives its top level and deficit from them, so no copy
+of either can disagree with them.  The angular momentum is the package
+constant l = ``squeezed.L`` = 1, and the window never reaches past ``N_CAP``.
 
 The projections c_n = int R_nl psi r^2 dr are exact up to rounding.  With
 beta = alpha + l + 2, sigma_n = gamma0 + i gamma1 + 1/n, k = n - l - 1 and
@@ -33,7 +35,7 @@ from .specfun import (
     _radial_log_const,
     _radial_rows,
 )
-from .squeezed import RadialSqueezedState, moment_r
+from .squeezed import L, RadialSqueezedState, moment_r
 
 __all__ = [
     "DEFAULT_DEFICIT_TOL",
@@ -54,7 +56,7 @@ N_CAP = 400
 _CHECK_NODES = 8
 _ERR_TOL = 1e-9
 
-# a window that reaches l + 1 stops growing once the bound weight predicted
+# a window that reaches L + 1 stops growing once the bound weight predicted
 # above n_max is below _TAIL_FRACTION of the tolerance while the deficit
 # without it still exceeds _TAIL_MARGIN times the tolerance
 _TAIL_FRACTION = 0.05
@@ -63,40 +65,40 @@ _TAIL_MARGIN = 2.0
 
 class DeficitToleranceWarning(UserWarning):
     """The requested completeness deficit could not be reached: the window hit
-    [l+1, n_cap], or the n^-3 tail law showed that more levels cannot help."""
+    [L+1, N_CAP], or the n^-3 tail law showed that more levels cannot help."""
 
 
 @dataclass(frozen=True)
 class EigenExpansion:
-    """Coefficients c_n over the bound-state window n in [n_min, n_max], l fixed.
+    """Coefficients c_n of the p levels n_min, n_min + 1, ..., n_max.
 
-    The coefficients are the whole record: ``weight`` sum |c_n|^2 and
-    ``deficit`` 1 - weight are derived from them, never stored beside them.
-    The coefficients must be finite with a weight of at most 1 + 1e-9, and
-    the array is treated as immutable once the expansion is built.
+    The coefficients are the whole record: the window's top ``n_max``, the
+    ``weight`` sum |c_n|^2 and the ``deficit`` 1 - weight are derived from
+    them, never stored beside them.  The coefficients must be a 1-d array of
+    finite values with a weight of at most 1 + 1e-9, and the array is treated
+    as immutable once the expansion is built.
     """
 
-    l: int
     n_min: int
-    n_max: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.n_min < self.l + 1:
-            raise ValueError(f"n_min must be >= l+1 = {self.l + 1}, got {self.n_min}")
+        if self.n_min < L + 1:
+            raise ValueError(f"n_min must be >= l+1 = {L + 1}, got {self.n_min}")
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        span = self.n_max - self.n_min + 1
-        if span < 0 or coeffs.shape != (span,):
-            raise ValueError(
-                f"coefficient array of shape {coeffs.shape} does not match "
-                f"window [{self.n_min}, {self.n_max}]"
-            )
+        if coeffs.ndim != 1:
+            raise ValueError(f"coefficients must form a 1-d array, got shape {coeffs.shape}")
         bad = ~np.isfinite(coeffs)
         if bad.any():
             raise ValueError(f"coefficient of n={self.n_min + int(np.argmax(bad))} is not finite")
         object.__setattr__(self, "coeffs", coeffs)
         if not self.weight <= 1.0 + 1e-9:
             raise ValueError(f"captured weight exceeds 1: {self.weight!r}")
+
+    @cached_property
+    def n_max(self) -> int:
+        """The top level n_min + len(coeffs) - 1; n_min - 1 for no coefficients."""
+        return self.n_min + len(self.coeffs) - 1
 
     @cached_property
     def ns(self) -> np.ndarray:
@@ -141,14 +143,14 @@ def _rule_size(k_max: int) -> int:
     return k_max // 2 + 1 + 4
 
 
-def _project_on_rule(state, ns, l, m):
+def _project_on_rule(state, ns, m):
     """int R_nl psi r^2 dr for each level n in ``ns`` on the m-node rule.
 
     One recurrence steps every level's nodes up to the largest degree, and
     each level's row is read off at its own degree k = n - l - 1, where it
     carries m_k L_k (``specfun._laguerre_rows``).
     """
-    beta = state.alpha + l + 2.0
+    beta = state.alpha + L + 2.0
     t, log_w = _gauss_laguerre(m, beta)
     ns = np.asarray(ns)
     sigma = state.gamma0 + 1.0 / ns
@@ -156,20 +158,20 @@ def _project_on_rule(state, ns, l, m):
         sigma = sigma + 1j * state.gamma1
     log_const = (
         state.log_norm
-        + np.array([_radial_log_const(int(n), l) for n in ns])
-        + l * np.log(2.0 / ns)
+        + np.array([_radial_log_const(int(n), L) for n in ns])
+        + L * np.log(2.0 / ns)
         - (beta + 1.0) * np.log(sigma)
     )
-    lag = _laguerre_rows(ns - l - 1, 2 * l + 1, (2.0 / (ns * sigma))[:, None] * t)
+    lag = _laguerre_rows(ns - L - 1, 2 * L + 1, (2.0 / (ns * sigma))[:, None] * t)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.sum(np.exp(log_w + log_const[:, None]) * lag, axis=1)
 
 
-def _project(state, ns, l, m):
+def _project(state, ns, m):
     """Projections onto the levels ``ns`` on the m-node rule, guarded by a
     second projection with m + _CHECK_NODES nodes."""
-    c = _project_on_rule(state, ns, l, m)
-    err = np.max(np.abs(c - _project_on_rule(state, ns, l, m + _CHECK_NODES)))
+    c = _project_on_rule(state, ns, m)
+    err = np.max(np.abs(c - _project_on_rule(state, ns, m + _CHECK_NODES)))
     if not err <= _ERR_TOL:  # a NaN error fails too
         raise NumericalError(
             f"projection quadrature did not converge: estimated error "
@@ -178,19 +180,16 @@ def _project(state, ns, l, m):
     return c
 
 
-def project_coefficient(
-    state: RadialSqueezedState,
-    n: int,
-    l: int = 1,
-) -> complex:
-    """c_n = int R_nl(r) psi(r) r^2 dr on the Gauss-Laguerre rule of ``decompose``.
+def project_coefficient(state: RadialSqueezedState, n: int) -> complex:
+    """c_n = int R_nl(r) psi(r) r^2 dr, l = ``L``, on the Gauss-Laguerre rule
+    of ``decompose``.
 
     A disagreement with the rule of 8 more nodes beyond 1e-9, or a value that
     is not finite, raises NumericalError.
     """
-    if n < l + 1:
-        raise ValueError(f"need n >= l+1 = {l + 1}, got {n}")
-    return complex(_project(state, [n], l, _rule_size(n - l - 1))[0])
+    if n < L + 1:
+        raise ValueError(f"need n >= l+1 = {L + 1}, got {n}")
+    return complex(_project(state, [n], _rule_size(n - L - 1))[0])
 
 
 def decompose(
@@ -198,16 +197,14 @@ def decompose(
     window: tuple[int, int] | None = None,
     center: int | None = None,
     deficit_tol: float = DEFAULT_DEFICIT_TOL,
-    n_cap: int = N_CAP,
-    l: int = 1,
 ) -> EigenExpansion:
-    """Expand the state over bound levels.
+    """Expand the state over bound p levels.
 
     The window starts at [center - 4, center + 4] and grows by 8 levels per
     side until the deficit falls below ``deficit_tol`` or the bounds
-    [l+1, n_cap] are hit, in which case a DeficitToleranceWarning reports the
+    [L+1, N_CAP] are hit, in which case a DeficitToleranceWarning reports the
     achieved deficit.  Growth also stops, with the same warning, once the
-    window reaches l + 1 and the n^-3 law shows the tolerance is out of
+    window reaches L + 1 and the n^-3 law shows the tolerance is out of
     reach: where the bound series joins the continuum, |c_n|^2 -> C/n^3, so
     the weight above n_max is about C/(2 n_max^2) with C = n_max^3 |c_n_max|^2.
     When that tail is below 5% of the tolerance (the deficit is then settled
@@ -222,15 +219,15 @@ def decompose(
     if window is None:
         if center is None:
             center = _default_center(state)
-        center = min(max(center, l + 1), n_cap)
-        n_min, n_max, step = max(l + 1, center - 4), min(n_cap, center + 4), 8
+        center = min(max(center, L + 1), N_CAP)
+        n_min, n_max, step = max(L + 1, center - 4), min(N_CAP, center + 4), 8
     else:
         n_min, n_max, step = int(window[0]), int(window[1]), 0
-        if n_min < l + 1 or n_max > n_cap or n_max < n_min:
-            raise ValueError(f"window [{n_min}, {n_max}] outside [{l + 1}, {n_cap}]")
+        if n_min < L + 1 or n_max > N_CAP or n_max < n_min:
+            raise ValueError(f"window [{n_min}, {n_max}] outside [{L + 1}, {N_CAP}]")
 
     def batch(ns):
-        return _project(state, ns, l, _rule_size(max(ns) - l - 1))
+        return _project(state, ns, _rule_size(max(ns) - L - 1))
 
     coeffs = batch(list(range(n_min, n_max + 1)))
     while True:
@@ -239,20 +236,20 @@ def decompose(
             raise NumericalError(f"captured weight {weight!r} is not <= 1 + 1e-9")
         if not step or 1.0 - weight < deficit_tol:
             break
-        lo_new = max(l + 1, n_min - step)
-        hi_new = min(n_cap, n_max + step)
+        lo_new = max(L + 1, n_min - step)
+        hi_new = min(N_CAP, n_max + step)
         fresh = list(range(lo_new, n_min)) + list(range(n_max + 1, hi_new + 1))
         if not fresh:
             warnings.warn(
                 f"deficit tolerance {deficit_tol:g} unreachable within "
-                f"[{l + 1}, {n_cap}]; achieved deficit {1.0 - weight:.6e}",
+                f"[{L + 1}, {N_CAP}]; achieved deficit {1.0 - weight:.6e}",
                 DeficitToleranceWarning,
                 stacklevel=2,
             )
             break
         tail = 0.5 * n_max * abs(coeffs[-1]) ** 2  # C / (2 n_max^2)
         if (
-            n_min == l + 1
+            n_min == L + 1
             and tail < _TAIL_FRACTION * deficit_tol
             and 1.0 - weight - tail > _TAIL_MARGIN * deficit_tol
         ):
@@ -268,13 +265,13 @@ def decompose(
         c = batch(fresh)
         coeffs = np.concatenate([c[: n_min - lo_new], coeffs, c[n_min - lo_new :]])
         n_min, n_max = lo_new, hi_new
-    return EigenExpansion(l, n_min, n_max, coeffs)
+    return EigenExpansion(n_min, coeffs)
 
 
 def reconstruct(exp: EigenExpansion, r):
     """Sum c_n R_nl(r); complex, aligned with ``r``."""
     r = np.asarray(r, dtype=float)
-    out = exp.coeffs @ _radial_rows(exp.ns, exp.l, r.reshape(-1))
+    out = exp.coeffs @ _radial_rows(exp.ns, L, r.reshape(-1))
     return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from .specfun import hydrogen_energy
 
 __all__ = [
+    "L",
     "FitError",
     "QuantumNumbers",
     "OrbitGeometry",
@@ -50,6 +51,10 @@ __all__ = [
 
 POTENTIAL_MODES = ("paper", "centrifugal")
 
+# the angular momentum of every state in the package: the paper's packets are
+# p states, and the fit and <H> use the l = 1 radial potential
+L = 1
+
 
 class FitError(RuntimeError):
     """The matching conditions have no solution with alpha > 0, or the solution
@@ -58,18 +63,15 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Central principal quantum number nbar, angular momentum l (pinned to 1),
-    and the level-spread estimate deltan used only for the interference time."""
+    """Central principal quantum number nbar of a p state (l = ``L``), and the
+    level-spread estimate deltan used only for the interference time."""
 
     nbar: int
-    l: int = 1
     deltan: float = 1.0
 
     def __post_init__(self):
         if int(self.nbar) != self.nbar or self.nbar < 2:
             raise ValueError(f"nbar must be an integer >= 2, got {self.nbar!r}")
-        if self.l != 1:
-            raise ValueError("only p states (l = 1) are supported")
         if not self.deltan > 0:
             raise ValueError(f"deltan must be positive, got {self.deltan!r}")
 

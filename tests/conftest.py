@@ -4,6 +4,7 @@ import pytest
 import rydpack as rp
 from rydpack import evolution, specfun
 from rydpack.specfun import NumericalError, laguerre, radial_log_prefactor
+from rydpack.squeezed import L
 
 NBAR = 85
 
@@ -133,13 +134,13 @@ def _numpy_scalar_observables(exp, t):
     bit for bit."""
     energies = exp.energies
     coeff_t = exp.coeffs * np.exp(-1j * energies * t)
-    mc = evolution._moment_matrices(exp.l, exp.n_min, exp.n_max) @ coeff_t
+    mc = evolution._moment_matrices(exp.n_min, exp.n_max) @ coeff_t
     forms = mc @ np.conj(coeff_t)
     norm = forms[0].real
     m1, m2, w1, w2 = forms[1:].real / norm
     ec = energies * coeff_t
     pr = -2.0 * np.vdot(ec, mc[1]).imag / norm
-    pr2 = 2.0 * np.vdot(coeff_t, ec).real / norm + 2.0 * w1 - exp.l * (exp.l + 1) * w2
+    pr2 = 2.0 * np.vdot(coeff_t, ec).real / norm + 2.0 * w1 - L * (L + 1) * w2
     dr = np.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = np.sqrt(max(pr2 - pr * pr, 0.0))
     dR = np.sqrt(max(w2 - w1 * w1, 0.0))

@@ -90,12 +90,47 @@ def test_bad_time_expression_is_usage_error(pipeline20, tmp_path, capsys, comman
 
 def test_empty_time_list_is_one_usage_error(pipeline20, tmp_path, capsys):
     errors = []
-    for command in ("scan", "density"):
-        code = main([command, "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
-                     "--times", ",", "-o", str(tmp_path)])
-        assert code == 1
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] == "usage error: empty time list\n"
+    for times in (",", ""):
+        for command in ("scan", "density"):
+            code = main([command, "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+                         "--times", times, "-o", str(tmp_path)])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+    assert errors == ["usage error: empty time list\n"] * 4
+
+
+class Allocated(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "command, flags, name",
+    [
+        ("scan", ["--t-stop", "Tcl", "--t-steps", "1000000000"], "t-steps"),
+        ("density", ["--times", "0", "--grid-points", "1000000000"], "grid_points"),
+        ("density", ["--times", "0", "--grid-points", "1000001"], "grid_points"),
+    ],
+    ids=["t-steps-1e9", "grid-points-1e9", "grid-points-just-above"],
+)
+def test_size_settings_are_capped_before_allocation(
+    pipeline20, tmp_path, monkeypatch, capsys, command, flags, name
+):
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    monkeypatch.setattr(evolution.RadialGrid, "uniform", refuse)
+    code = main([command, "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+                 *flags, "-o", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"{name} must be at most 1000000" in err
+
+
+@pytest.mark.parametrize("argv", [["bogus"], []], ids=["unknown-command", "no-command"])
+def test_missing_or_unknown_command_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_pipeline_at_nbar_230_emits_no_warnings(tmp_path):
@@ -157,10 +192,11 @@ def test_fit_outputs_and_determinism(tmp_path):
         assert "alpha=38.142901" in res.stdout
     for name in ("state.json", "fit_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    nbar, l, state = read_state(out1 / "state.json")
-    assert (nbar, l) == (20, 1)
+    nbar, state = read_state(out1 / "state.json")
+    assert nbar == 20
     assert state.alpha == pytest.approx(38.142900907876616, rel=1e-9)
     report = json.loads((out1 / "fit_report.json").read_text())
+    assert report["l"] == 1
     assert report["residual_H_rel"] <= 1e-10
     assert report["timescales"]["T_cl_au"] == pytest.approx(2 * np.pi * 20**3)
     sens = report["potential_sensitivity"]
@@ -289,7 +325,7 @@ def test_config_fields_are_declared_once_everywhere(argv):
 )
 def test_bad_state_file_is_usage_error(tmp_path, capsys, key, value):
     path = tmp_path / "state.json"
-    write_state(path, 20, 1, fit_parameters(QuantumNumbers(20)))
+    write_state(path, 20, fit_parameters(QuantumNumbers(20)))
     record = json.loads(path.read_text())
     if value is None:
         del record[key]
@@ -303,21 +339,27 @@ def test_bad_state_file_is_usage_error(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "key, value, flags",
-    [("nbar", 20, ["--nbar", "85"]), ("l", 0, ["--nbar", "20"])],
+    "key, value, flags, message",
+    [
+        ("nbar", 20, ["--nbar", "85"], "the run is configured for nbar=85"),
+        ("l", 0, ["--nbar", "20"], "state file holds l=0"),
+    ],
     ids=["other-nbar", "l-0"],
 )
-def test_decompose_state_for_other_config_is_usage_error(tmp_path, capsys, key, value, flags):
+def test_decompose_state_for_other_config_is_usage_error(
+    tmp_path, capsys, key, value, flags, message
+):
     # an nbar-20 state decomposed as nbar 85, and an s state where only l = 1 is served
     path = tmp_path / "state.json"
-    write_state(path, 20, 1, fit_parameters(QuantumNumbers(20)))
+    write_state(path, 20, fit_parameters(QuantumNumbers(20)))
     record = json.loads(path.read_text())
     record[key] = value
     path.write_text(json.dumps(record))
     out = tmp_path / "out"
     code = main(["decompose", *flags, "--state", str(path), "-o", str(out)])
     assert code == 1
-    assert "the run is configured for" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
     assert not out.exists()
 
 
@@ -329,7 +371,7 @@ def test_decompose_output(pipeline20):
 
 
 def test_decompose_pure_eigenstate(tmp_path):
-    write_state(tmp_path / "state.json", 2, 1, RadialSqueezedState(1.0, 0.5))
+    write_state(tmp_path / "state.json", 2, RadialSqueezedState(1.0, 0.5))
     res = run_cli("decompose", "--nbar", "2", "--state", str(tmp_path / "state.json"),
                   "-o", str(tmp_path))
     assert res.returncode == 0, res.stderr
@@ -522,7 +564,7 @@ def test_non_finite_coefficient_is_usage_error(pipeline20, tmp_path, capsys, com
 
 def test_decompose_nan_projection_is_numerical_failure(tmp_path):
     # at nbar 300 the Laguerre recurrence overflows and the projections are NaN
-    write_state(tmp_path / "state.json", 300, 1, fit_parameters(QuantumNumbers(300)))
+    write_state(tmp_path / "state.json", 300, fit_parameters(QuantumNumbers(300)))
     res = run_cli("decompose", "--nbar", "300", "--state", str(tmp_path / "state.json"),
                   "-o", str(tmp_path))
     assert res.returncode == 2, res.stderr

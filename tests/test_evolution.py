@@ -24,11 +24,11 @@ from rydpack.specfun import (
     radial_quadrature,
 )
 from rydpack.spectral import DeficitToleranceWarning, EigenExpansion, decompose
-from rydpack.squeezed import QuantumNumbers, fit_parameters, uncertainties_RP, uncertainties_rp
+from rydpack.squeezed import L, QuantumNumbers, fit_parameters, uncertainties_RP, uncertainties_rp
 
 
 def two_level_toy():
-    return EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.ones(2) / math.sqrt(2.0))
+    return EigenExpansion(n_min=2, coeffs=np.ones(2) / math.sqrt(2.0))
 
 
 def test_grid_validation():
@@ -85,7 +85,7 @@ def test_two_level_beat_period():
 
 
 def test_single_eigenstate_is_stationary():
-    single = EigenExpansion(l=1, n_min=5, n_max=5, coeffs=np.ones(1))
+    single = EigenExpansion(n_min=5, coeffs=np.ones(1))
     for t in (0.0, 17.3, 9.9e7):
         assert autocorrelation(single, t) == pytest.approx(1.0, abs=1e-14)
 
@@ -127,8 +127,8 @@ def direct_record(exp, t, radial_pr, r_max=None):
     psi = np.zeros(x.size, dtype=complex)
     dpsi = np.zeros(x.size, dtype=complex)
     for n, c in zip(exp.ns, evolve(exp, t).coeffs):
-        psi += c * hydrogen_radial(int(n), exp.l, x)
-        dpsi += c * radial_pr(int(n), exp.l, x)
+        psi += c * hydrogen_radial(int(n), L, x)
+        dpsi += c * radial_pr(int(n), L, x)
     wr2 = w * x**2
     dens = wr2 * np.abs(psi) ** 2
     norm = dens.sum()
@@ -191,11 +191,11 @@ def test_moment_matrices_run_one_recurrence_per_tile(monkeypatch):
     )
     evolution._moment_matrices.cache_clear()
     try:
-        evolution._moment_matrices(1, 10, 17)
+        evolution._moment_matrices(10, 17)
         # 42 rows of the 576-node rule fill a tile, so all 25 levels of
         # [73, 97] share one recurrence
         calls_10_17, calls[:] = calls[:], []
-        evolution._moment_matrices(1, 73, 97)
+        evolution._moment_matrices(73, 97)
     finally:
         evolution._moment_matrices.cache_clear()
     # one tile steps all eight levels on every node to the largest degree, 17 - 2
@@ -219,14 +219,14 @@ def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
     want = np.stack(
         [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
     )
-    assert np.array_equal(evolution._moment_matrices(1, *window), want)
+    assert np.array_equal(evolution._moment_matrices(*window), want)
 
 
 def _full_stack(monkeypatch, rule, window):
     # the uncached build on ``rule``, leaving the matrix cache untouched
     with monkeypatch.context() as m:
         m.setattr(evolution, "_moment_rule", rule)
-        return evolution._moment_matrices.__wrapped__(1, *window)
+        return evolution._moment_matrices.__wrapped__(*window)
 
 
 # the windows decompose grows at nbar 4, 5, 10, 20, 50, 85, 120, 150, 200,
@@ -239,7 +239,7 @@ SIZED_WINDOWS = [
 
 @pytest.mark.parametrize("window", SIZED_WINDOWS)
 def test_sized_moment_rule_agrees_with_the_2048_node_rule(window, monkeypatch, full_moment_rule):
-    sized = evolution._moment_matrices(1, *window)
+    sized = evolution._moment_matrices(*window)
     full = _full_stack(monkeypatch, full_moment_rule, window)
     for got, want in zip(sized, full):
         assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
@@ -249,7 +249,7 @@ def test_window_past_the_panel_cap_gets_the_2048_node_rule(monkeypatch, full_mom
     # [2, 120] asks for ceil(120/16) + ceil(120/2) = 8 + 60 panels, more than 32
     assert evolution._moment_rule(2, 120)[0].size == 2048
     full = _full_stack(monkeypatch, full_moment_rule, (2, 120))
-    assert np.array_equal(evolution._moment_matrices(1, 2, 120), full)
+    assert np.array_equal(evolution._moment_matrices(2, 120), full)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +293,7 @@ def test_basis_table_runs_one_recurrence_per_level(monkeypatch):
     monkeypatch.setattr(
         specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
     )
-    BasisTable.build(np.arange(20, 23), 1, np.linspace(0.0, 1600.0, 16000))
+    BasisTable.build(np.arange(20, 23), np.linspace(0.0, 1600.0, 16000))
     assert calls == [(18, (1, 16000)), (19, (1, 16000)), (20, (1, 16000))]
 
 
@@ -308,25 +308,26 @@ def test_basis_table_equals_per_level_reference(nbar, per_level_radial):
 
 
 def test_basis_table_validates_levels_and_radii():
+    # a p state needs n >= 2
     with pytest.raises(ValueError, match="angular momentum"):
-        BasisTable.build(np.arange(2, 5), 2, np.linspace(0.0, 10.0, 5))
+        BasisTable.build(np.arange(1, 4), np.linspace(0.0, 10.0, 5))
     with pytest.raises(ValueError, match="non-negative"):
-        BasisTable.build(np.arange(2, 5), 1, np.linspace(-1.0, 10.0, 5))
-    assert BasisTable.build(np.arange(2, 2), 1, np.linspace(0.0, 10.0, 5)).values.shape == (0, 5)
+        BasisTable.build(np.arange(2, 5), np.linspace(-1.0, 10.0, 5))
+    assert BasisTable.build(np.arange(2, 2), np.linspace(0.0, 10.0, 5)).values.shape == (0, 5)
 
 
 def test_moment_matrices_overflow_names_the_first_failing_level():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="overflow while evaluating R_329,1"):
-            evolution._moment_matrices(1, 280, 330)
+            evolution._moment_matrices(280, 330)
 
 
 def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
     # below n_max = 7 the rule reaches 196 bohr instead of 4 n_max^2
     for n_min in range(2, 7):
         for n_max in range(n_min, 7):
-            s = evolution._moment_matrices(1, n_min, n_max)[0]
+            s = evolution._moment_matrices(n_min, n_max)[0]
             assert np.linalg.norm(s - np.eye(s.shape[0]), 2) <= 1e-12, (n_min, n_max)
 
 
@@ -335,7 +336,7 @@ def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
 )
 def test_moment_matrices_match_closed_form_diagonals(window):
     # <r>, <r^2>, <r^-1> and <r^-2> of a bound level (Bethe & Salpeter, section 3)
-    mats = evolution._moment_matrices(1, *window)
+    mats = evolution._moment_matrices(*window)
     ns = np.arange(window[0], window[1] + 1.0)
     assert mats.shape == (5, ns.size, ns.size)
     assert not mats.flags.writeable
@@ -393,14 +394,14 @@ def test_equal_grid_copy_matches_through_the_full_comparison(exp85, grid85, basi
 def test_observables_without_momentum_spread_raise(monkeypatch):
     # one level with <r^-1> = 1/4 and <r^-2> = 1/8: <p_r^2> = 2 E_2 + 2/4 - 2/8 = 0
     stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]]])
-    monkeypatch.setattr(evolution, "_moment_matrices", lambda l, n_min, n_max: stack)
-    single = EigenExpansion(l=1, n_min=2, n_max=2, coeffs=np.array([1.0]))
+    monkeypatch.setattr(evolution, "_moment_matrices", lambda n_min, n_max: stack)
+    single = EigenExpansion(n_min=2, coeffs=np.array([1.0]))
     with pytest.raises(NumericalError, match="dp_r = 0"):
         observables(single, 0.0, None)
 
 
 def test_zero_weight_expansion_has_no_observables():
-    empty = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.zeros(2))
+    empty = EigenExpansion(n_min=2, coeffs=np.zeros(2))
     with pytest.raises(ValueError, match="empty expansion"):
         observables(empty, 0.0, None)
     with pytest.raises(ValueError, match="empty expansion"):

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,3 +18,32 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def _signatures(obj):
+    # a callable's own signature, and for a class those of its public methods
+    try:
+        yield obj.__qualname__, inspect.signature(obj)
+    except (TypeError, ValueError):
+        pass
+    if inspect.isclass(obj):
+        for key, member in vars(obj).items():
+            member = getattr(member, "__func__", member)
+            if not key.startswith("_") and callable(member):
+                yield from _signatures(member)
+
+
+@pytest.mark.parametrize("module", ["spectral", "evolution", "io", "squeezed"])
+def test_no_public_callable_takes_l_or_n_cap(module):
+    # l is the constant squeezed.L and the level cap is spectral.N_CAP;
+    # neither is a setting above the special functions
+    mod = importlib.import_module(f"rydpack.{module}")
+    found = [
+        f"{where}({name})"
+        for attr in mod.__all__
+        if callable(getattr(mod, attr))
+        for where, sig in _signatures(getattr(mod, attr))
+        for name in sig.parameters
+        if name in ("l", "n_cap")
+    ]
+    assert found == []

@@ -1,3 +1,4 @@
+import json
 import os
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from rydpack.io import (
     write_state,
 )
 from rydpack.spectral import EigenExpansion
-from rydpack.squeezed import RadialSqueezedState
+from rydpack.squeezed import L, RadialSqueezedState
 from rydpack.units import au_to_ns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -29,18 +30,17 @@ positive = st.floats(min_value=5e-324, allow_infinity=False)
 @settings(max_examples=40, deadline=None)
 @given(
     nbar=st.integers(2, 400),
-    l=st.integers(0, 5),
     alpha=positive,
     gamma0=positive,
     gamma1=finite,
     log_norm=finite,
 )
-def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, l, alpha, gamma0, gamma1, log_norm):
+def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, alpha, gamma0, gamma1, log_norm):
     state = RadialSqueezedState(alpha=alpha, gamma0=gamma0, gamma1=gamma1, log_norm=log_norm)
     path = tmp_path_factory.mktemp("state") / "state.json"
-    write_state(path, nbar, l, state)
-    got_nbar, got_l, got = read_state(path)
-    assert (got_nbar, got_l) == (nbar, l)
+    write_state(path, nbar, state)
+    got_nbar, got = read_state(path)
+    assert got_nbar == nbar
     for name in ("alpha", "gamma0", "gamma1", "log_norm"):
         # same bits, so -0.0 and the subnormals come back as written
         assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(state, name)).tobytes()
@@ -48,23 +48,44 @@ def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, l, alpha, gamma0,
 
 @settings(max_examples=40, deadline=None)
 @given(
-    l=st.integers(0, 5),
     offset=st.integers(0, 300),
     parts=st.lists(st.tuples(small, small), min_size=0, max_size=30),
 )
-def test_expansion_round_trips_bit_exactly(tmp_path_factory, l, offset, parts):
-    n_min = l + 1 + offset
+def test_expansion_round_trips_bit_exactly(tmp_path_factory, offset, parts):
     coeffs = np.array([complex(re, im) for re, im in parts], dtype=complex)
-    exp = EigenExpansion(l=l, n_min=n_min, n_max=n_min + len(parts) - 1, coeffs=coeffs)
+    exp = EigenExpansion(n_min=L + 1 + offset, coeffs=coeffs)
     path = tmp_path_factory.mktemp("expansion") / "expansion.csv"
     write_expansion(path, exp)
     got = read_expansion(path)
-    assert (got.l, got.n_min, got.n_max) == (exp.l, exp.n_min, exp.n_max)
-    header_deficit = float(path.read_text().splitlines()[1].split(",")[3])
+    assert (got.n_min, got.n_max) == (exp.n_min, exp.n_max)
+    header = path.read_text().splitlines()[1].split(",")
+    assert header[0] == str(L)
+    header_deficit = float(header[3])
     assert np.float64(header_deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert np.float64(got.deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert got.coeffs.dtype == exp.coeffs.dtype
     assert got.coeffs.tobytes() == exp.coeffs.tobytes()
+
+
+def test_state_file_of_another_l_is_refused(tmp_path):
+    path = tmp_path / "state.json"
+    write_state(path, 20, RadialSqueezedState(alpha=3.0, gamma0=0.5))
+    assert json.loads(path.read_text())["l"] == L
+    path.write_text(path.read_text().replace('"l": 1', '"l": 0'))
+    with pytest.raises(ValueError, match="l=0") as info:
+        read_state(path)
+    assert str(path) in str(info.value)
+
+
+def test_expansion_file_of_another_l_is_refused(tmp_path):
+    path = tmp_path / "expansion.csv"
+    write_expansion(path, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("1,")
+    path.write_text("\n".join([lines[0], "0," + lines[1][2:], *lines[2:]]) + "\n")
+    with pytest.raises(ValueError, match="l=0") as info:
+        read_expansion(path)
+    assert str(path) in str(info.value)
 
 
 # zero of both signs, the smallest subnormal, 1e16 and 1e17 on either side of
@@ -103,10 +124,10 @@ def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
     # each writer's second call fails at the replace: the first call's bytes
     # stay, and no temporary file is left beside them
     state = RadialSqueezedState(alpha=3.0, gamma0=0.5, gamma1=0.0, log_norm=0.25)
-    exp = EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, 0.8j]))
+    exp = EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j]))
     record = UncertaintyRecord(1.0, 2.0, 3.0, 6.0, 2.0 / 3.0, 4.0, 3.0, 0.5)
     writers = {
-        "state.json": lambda path, k: write_state(path, 20 + k, 1, state),
+        "state.json": lambda path, k: write_state(path, 20 + k, state),
         "expansion.csv": lambda path, k: write_expansion(path, replace(exp, coeffs=exp.coeffs / (k + 1))),
         "scan.csv": lambda path, k: write_series(path, [record] * (k + 1), [1.0] * (k + 1)),
         "density_00.csv": lambda path, k: write_density([path], np.arange(3.0), [np.ones(3) * k], [0.0]),

@@ -13,7 +13,7 @@ from rydpack.spectral import (
     project_coefficient,
     reconstruct,
 )
-from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
+from rydpack.squeezed import L, QuantumNumbers, RadialSqueezedState, fit_parameters
 
 
 def pure_p_eigenstate():
@@ -23,27 +23,34 @@ def pure_p_eigenstate():
 
 def test_expansion_validation():
     with pytest.raises(ValueError):
-        EigenExpansion(l=1, n_min=1, n_max=3, coeffs=np.zeros(3))
-    with pytest.raises(ValueError):
-        EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.zeros(2))
+        EigenExpansion(n_min=1, coeffs=np.zeros(3))
+    with pytest.raises(ValueError, match="1-d array"):
+        EigenExpansion(n_min=2, coeffs=np.zeros((2, 1)))
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         with pytest.raises(ValueError, match="coefficient of n=3 is not finite"):
-            EigenExpansion(l=1, n_min=2, n_max=3, coeffs=np.array([0.6, bad]))
+            EigenExpansion(n_min=2, coeffs=np.array([0.6, bad]))
+
+
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_expansion_window_top_comes_from_the_coefficients(size):
+    exp = EigenExpansion(2, np.full(size, 0.5))
+    assert exp.n_max == 1 + size
+    assert np.array_equal(exp.ns, np.arange(2, 2 + size))
 
 
 def test_expansion_weight_is_at_most_one():
     with pytest.raises(ValueError, match="captured weight exceeds 1"):
-        EigenExpansion(1, 2, 2, np.array([1.0 + 1e-6]))
+        EigenExpansion(2, np.array([1.0 + 1e-6]))
     with pytest.raises(ValueError, match="captured weight exceeds 1"):
-        EigenExpansion(1, 2, 3, np.array([0.6, 0.8 + 1e-9]))
+        EigenExpansion(2, np.array([0.6, 0.8 + 1e-9]))
     # a weight above 1 by rounding is accepted, and its deficit is clamped to 0
-    exp = EigenExpansion(1, 2, 3, np.array([0.6, 0.8 + 1e-12]))
+    exp = EigenExpansion(2, np.array([0.6, 0.8 + 1e-12]))
     assert exp.weight > 1.0
     assert exp.deficit == 0.0 and math.copysign(1.0, exp.deficit) == 1.0
 
 
 def test_populations_and_weight_are_computed_once():
-    exp = EigenExpansion(l=1, n_min=2, n_max=4, coeffs=np.array([0.6, 0.48j, -0.64]))
+    exp = EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.48j, -0.64]))
     assert np.array_equal(exp.populations, np.abs(exp.coeffs) ** 2)
     assert not exp.populations.flags.writeable
     assert exp.populations is exp.populations
@@ -66,7 +73,7 @@ def test_project_detects_bad_quadrature():
     for n, m in ((7, 2), (40, 2)):
         assert m < (n - 1) / 2
         with pytest.raises(NumericalError, match="did not converge"):
-            spectral._project(st, [n], 1, m)
+            spectral._project(st, [n], m)
 
 
 def test_decompose_pure_eigenstate():
@@ -102,7 +109,7 @@ def test_nbar_300_fails_on_first_batch(monkeypatch):
 def test_decompose_rejects_a_bad_captured_weight(monkeypatch, state85, window, bad):
     # a projection that slips past its own guard must fail as a numerical
     # error, not as the constructor's ValueError
-    def project(state, ns, l, m):
+    def project(state, ns, m):
         c = np.zeros(len(ns))
         c[0] = bad
         return c
@@ -133,10 +140,11 @@ def test_nbar_3_stops_growing_on_the_tail_law_and_warns():
     assert abs(exp.deficit - decompose(state, window=(2, spectral.N_CAP)).deficit) <= 1e-5
 
 
-def test_window_that_meets_the_cap_first_warns_at_the_cap():
+def test_window_that_meets_the_cap_first_warns_at_the_cap(monkeypatch):
     # at n_max = 60 the tail law still expects more bound weight above
+    monkeypatch.setattr(spectral, "N_CAP", 60)
     with pytest.warns(DeficitToleranceWarning, match=r"unreachable within \[2, 60\]"):
-        exp = decompose(fit_parameters(QuantumNumbers(3)), center=3, n_cap=60)
+        exp = decompose(fit_parameters(QuantumNumbers(3)), center=3)
     assert (exp.n_min, exp.n_max) == (2, 60)
 
 
@@ -167,8 +175,8 @@ def coefficient_oracle(state, n, l, dps):
 
 def assert_matches_oracle(state, exp, ns):
     for n in ns:
-        ref = coefficient_oracle(state, n, exp.l, 200)
-        assert abs(ref - coefficient_oracle(state, n, exp.l, 300)) < 1e-15, n
+        ref = coefficient_oracle(state, n, L, 200)
+        assert abs(ref - coefficient_oracle(state, n, L, 300)) < 1e-15, n
         assert abs(exp.coeffs[n - exp.n_min] - ref) < 1e-12, (n, exp.coeffs[n - exp.n_min], ref)
 
 
@@ -210,9 +218,10 @@ def test_projection_against_dense_trapezoid(state85):
         assert project_coefficient(state85, n) == pytest.approx(oracle, abs=2e-8)
 
 
-def test_decompose_window_misses_packet(state85):
+def test_decompose_window_misses_packet(state85, monkeypatch):
+    monkeypatch.setattr(spectral, "N_CAP", 20)
     with pytest.warns(DeficitToleranceWarning):
-        exp = decompose(state85, window=None, center=85, n_cap=20)
+        exp = decompose(state85, window=None, center=85)
     assert exp.deficit > 0.99
     low = decompose(state85, window=(2, 10))
     assert low.deficit > 0.999
@@ -233,7 +242,7 @@ def test_reconstruct_pure_eigenstate():
 
 
 def test_reconstruct_empty_window_is_zero():
-    empty = EigenExpansion(l=1, n_min=2, n_max=1, coeffs=np.zeros(0, complex))
+    empty = EigenExpansion(n_min=2, coeffs=np.zeros(0, complex))
     assert np.all(reconstruct(empty, np.linspace(0, 10, 5)) == 0.0)
 
 
