@@ -10,6 +10,7 @@ import numpy as np
 from .squeezed import QuantumNumbers
 
 __all__ = [
+    "FRACTIONAL_ORDERS",
     "FractionalRevival",
     "Timescales",
     "PacketReport",
@@ -39,22 +40,33 @@ class Timescales:
 
 @dataclass(frozen=True)
 class PacketReport:
+    """Packets found in the snapshot at time t, at or above the threshold;
+    ``peak_count`` is the number of ``peak_positions``."""
+
     t: float
     peak_positions: tuple[float, ...]
-    peak_count: int
     prominence_threshold: float
 
+    @property
+    def peak_count(self) -> int:
+        return len(self.peak_positions)
 
-def timescales(q: QuantumNumbers, fractional_orders=(2, 3, 4)) -> Timescales:
+
+# the orders r of the fractional revivals that `timescales` reports
+FRACTIONAL_ORDERS = (2, 3, 4)
+
+
+def timescales(q: QuantumNumbers) -> Timescales:
     """T_cl = 2 pi nbar^3, t_rev = nbar T_cl / 3, t_int = nbar T_cl / (3 deltan),
-    plus fractional-revival times t_r = t_rev / r with periods T_r = T_cl / r."""
+    plus fractional-revival times t_r = t_rev / r with periods T_r = T_cl / r
+    for r in ``FRACTIONAL_ORDERS``."""
     n = float(q.nbar)
     t_cl = 2.0 * math.pi * n**3
     t_rev = n * t_cl / 3.0
     t_int = n * t_cl / (3.0 * q.deltan)
     fractional = tuple(
         FractionalRevival(order=int(r), t_au=t_rev / r, period_au=t_cl / r)
-        for r in fractional_orders
+        for r in FRACTIONAL_ORDERS
     )
     return Timescales(T_cl_au=t_cl, t_rev_au=t_rev, t_int_au=t_int, fractional=fractional)
 
@@ -100,12 +112,10 @@ def count_packets(
         f = _gaussian_smooth(f, smooth / steps[0])
     fmax = f.max() if f.size else 0.0
     if fmax <= 0.0:
-        return PacketReport(t=t, peak_positions=(), peak_count=0,
-                            prominence_threshold=prominence_threshold)
+        return PacketReport(t=t, peak_positions=(), prominence_threshold=prominence_threshold)
     idx = _prominent_peaks(f, prominence_threshold * fmax)
     positions = tuple(float(v) for v in r[idx])
-    return PacketReport(t=t, peak_positions=positions, peak_count=len(positions),
-                        prominence_threshold=prominence_threshold)
+    return PacketReport(t=t, peak_positions=positions, prominence_threshold=prominence_threshold)
 
 
 def _gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:

@@ -90,6 +90,8 @@ class RunConfig:
             raise UsageError(f"grid_points must be at most {_MAX_POINTS}, got {self.grid_points}")
         if self.prominence >= 1:
             raise UsageError("prominence must lie in (0, 1)")
+        if self.deficit_tol >= 1:
+            raise UsageError("deficit_tol must lie in (0, 1)")
         if self.deltan is not None and self.deltan <= 0:
             raise UsageError("deltan must be positive")
         if self.smooth is not None and self.smooth < 0:
@@ -249,7 +251,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "r1": geo.r1,
         "energy_target": e_target,
         "residual_r_rel": abs(moment_r(state, 1.0) - geo.r_out) / geo.r_out,
-        "residual_H_rel": abs(expectation_H(state, "paper") - e_target) / abs(e_target),
+        "residual_H_rel": abs(expectation_H(state) - e_target) / abs(e_target),
         "dr": dr,
         "dpr": dpr,
         "product": dr * dpr,

@@ -68,18 +68,28 @@ class RadialGrid:
 class UncertaintyRecord:
     """Uncertainties of one evolved state at time t (atomic units throughout).
 
-    ``product`` = dr * dpr, ``ratio`` = dr / dpr (bohr^2), and
-    ``bound_half_rm2`` = <r^-2>/2 is the lower bound on dR * dP.
+    ``bound_half_rm2`` = <r^-2>/2 is the lower bound on dR * dP.  The derived
+    ``product`` = dr * dpr, ``ratio`` = dr / dpr (bohr^2) and ``dP`` = dpr
+    (P = p_r) are properties, so a record cannot contradict its own fields.
     """
 
     t: float
     dr: float
     dpr: float
-    product: float
-    ratio: float
     dR: float
-    dP: float
     bound_half_rm2: float
+
+    @property
+    def product(self) -> float:
+        return self.dr * self.dpr
+
+    @property
+    def ratio(self) -> float:
+        return self.dr / self.dpr
+
+    @property
+    def dP(self) -> float:
+        return self.dpr
 
 
 class BasisTable:
@@ -91,21 +101,22 @@ class BasisTable:
     an evolved wavefunction afterwards is a single matrix-vector product, so
     one table serves any number of snapshot times.  ``observables`` does not need
     a table; it only checks one it is given against the expansion and grid.
-    ``build`` keeps the caller's arrays, so a table built for an expansion and
-    grid holds their very ``ns`` and ``points`` and is accepted by identity,
-    without comparing the radii again.  Both arrays are read-only, so
-    identity proves that the values still belong to them.
+    The constructor computes the values itself and keeps the caller's arrays,
+    so a table built for an expansion and grid holds their very ``ns`` and
+    ``points`` and is accepted by identity, without comparing the radii
+    again.  Those arrays and the values are all read-only, so identity
+    proves that the values still belong to them.
     """
 
-    def __init__(self, ns, points, values):
-        self.ns = ns
-        self.points = points
-        self.values = values
+    def __init__(self, ns, points):
+        self.ns = np.asarray(ns)
+        self.points = np.asarray(points, dtype=float)
+        self.values = _radial_rows(self.ns, L, self.points)
+        self.values.flags.writeable = False
 
     @classmethod
     def build(cls, ns, points) -> "BasisTable":
-        ns, points = np.asarray(ns), np.asarray(points, dtype=float)
-        return cls(ns, points, _radial_rows(ns, L, points))
+        return cls(ns, points)
 
     @classmethod
     def for_expansion(cls, exp: EigenExpansion, grid: RadialGrid) -> "BasisTable":
@@ -266,13 +277,4 @@ def observables(
     if dpr == 0.0:
         raise NumericalError(f"no momentum spread at t = {t}: dp_r = 0, so dr / dp_r is undefined")
     dR = math.sqrt(max(w2 - w1 * w1, 0.0))
-    return UncertaintyRecord(
-        t=float(t),
-        dr=dr,
-        dpr=dpr,
-        product=dr * dpr,
-        ratio=dr / dpr,
-        dR=dR,
-        dP=dpr,
-        bound_half_rm2=0.5 * w2,
-    )
+    return UncertaintyRecord(t=float(t), dr=dr, dpr=dpr, dR=dR, bound_half_rm2=0.5 * w2)

@@ -8,7 +8,9 @@ template with one ``%`` over its values instead of formatting every row.
 Every artifact is written whole or not at all: the text goes to a temporary
 file in the target directory, which then replaces the target.  State and
 expansion files record the angular momentum l, always ``squeezed.L`` = 1, and
-the readers refuse any other value.
+the readers refuse any other value.  They also record values the rest of the
+file fixes, a state's ``log_norm`` and an expansion's deficit, and the readers
+refuse a file whose recorded value is not, bit for bit, the derived one.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ _STATE_KEYS = {
 
 def read_state(path):
     """Inverse of `write_state`, giving (nbar, state); raises ValueError naming
-    a missing or ill-typed key, or an l other than ``L``."""
+    a missing or ill-typed key, an l other than ``L``, or a ``log_norm`` that
+    is not the one alpha and gamma0 give."""
     record = json.loads(Path(path).read_text())
     if not isinstance(record, dict):
         raise ValueError(f"{path}: not a state file")
@@ -110,11 +113,10 @@ def read_state(path):
             f"{path}: state file holds l={record['l']}; only p states (l={L}) are supported"
         )
     state = RadialSqueezedState(
-        alpha=record["alpha"],
-        gamma0=record["gamma0"],
-        gamma1=record["gamma1"],
-        log_norm=record["log_norm"],
+        alpha=record["alpha"], gamma0=record["gamma0"], gamma1=record["gamma1"]
     )
+    if record["log_norm"] != state.log_norm:
+        raise ValueError(f"{path}: log_norm {record['log_norm']!r} disagrees with alpha and gamma0")
     return record["nbar"], state
 
 
@@ -153,7 +155,8 @@ def read_expansion(path) -> EigenExpansion:
 
 
 def write_series(path, records, autocorrelations) -> None:
-    """One row per time point: UncertaintyRecord fields plus autocorrelation."""
+    """One row per time point: an UncertaintyRecord's fields and derived
+    values in ``SERIES_COLUMNS`` order, plus the autocorrelation."""
     lines = [",".join(SERIES_COLUMNS)]
     for rec, ac in zip(records, autocorrelations):
         lines.append(

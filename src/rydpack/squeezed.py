@@ -21,12 +21,16 @@ is the fit.  At nbar = 2 the only real root is negative, so there is no fit.
 
 These states saturate the uncertainty relation dR dP >= <r^-2>/2 for the
 operator pair R = (2 - r)/(2 r), P = p_r, whose commutator is -i r^-2.
+
+A state is its three parameters: the normalization ln N is a function of
+alpha and gamma0, computed on first use and never passed in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,24 +93,34 @@ class OrbitGeometry:
 class RadialSqueezedState:
     """Parameters of one squeezed state; immutable after construction.
 
-    ``log_norm`` is ln N fixed by <r^0> = 1.  It is computed when not given,
-    so deserialized states round-trip exactly.
+    ``log_norm`` is ln N fixed by <r^0> = 1.  It is derived from alpha and
+    gamma0, never given, so a state cannot carry a stale one; a state whose
+    normalization is not finite (alpha or gamma0 near the float range) raises
+    ValueError.
     """
 
     alpha: float
     gamma0: float
     gamma1: float = 0.0
-    log_norm: float | None = None
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if not self.gamma0 > 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0!r}")
-        if self.log_norm is None:
-            a = 2.0 * self.alpha + 3.0
-            log_norm = -0.5 * (math.lgamma(a) - a * math.log(2.0 * self.gamma0))
-            object.__setattr__(self, "log_norm", log_norm)
+        try:
+            finite = math.isfinite(self.log_norm)
+        except OverflowError:  # lgamma of a finite argument above about 2.5e305
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"alpha={self.alpha!r}, gamma0={self.gamma0!r} have no finite normalization"
+            )
+
+    @cached_property
+    def log_norm(self) -> float:
+        a = 2.0 * self.alpha + 3.0
+        return -0.5 * (math.lgamma(a) - a * math.log(2.0 * self.gamma0))
 
     def log_envelope(self, r):
         """ln |psi(r)| for r > 0 (`-inf` at r = 0)."""
@@ -169,14 +183,12 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"potential mode must be one of {POTENTIAL_MODES}, got {mode!r}")
 
 
-def expectation_H(state: RadialSqueezedState, mode: str = "paper") -> float:
+def expectation_H(state: RadialSqueezedState) -> float:
     """<H> = <p_r^2>/2 + <V_eff> in hartree, V_eff being the l = 1 radial potential.
 
     The effective potential carries the p-state centrifugal barrier,
-    <V_eff> = <r^-2> - <r^-1>; the two accepted mode names coincide for l = 1 and
-    are kept for configuration compatibility and sensitivity reporting.
+    <V_eff> = <r^-2> - <r^-1>; both potential modes of `fit_parameters` name it.
     """
-    _check_mode(mode)
     alpha, gamma0 = state.alpha, state.gamma0
     m_inv1 = gamma0 / (alpha + 1.0)
     m_inv2 = 2.0 * gamma0 ** 2 / ((alpha + 1.0) * (2.0 * alpha + 1.0))
@@ -199,7 +211,7 @@ def uncertainties_RP(state: RadialSqueezedState):
     """
     alpha, gamma0 = state.alpha, state.gamma0
     dR = gamma0 / ((alpha + 1.0) * math.sqrt(2.0 * alpha + 1.0))
-    dP = gamma0 / math.sqrt(2.0 * alpha + 1.0)
+    dP = uncertainties_rp(state)[1]
     bound = 0.5 * moment_r(state, -2.0)
     return dR, dP, bound
 
@@ -235,7 +247,7 @@ def fit_parameters(q: QuantumNumbers, mode: str = "paper") -> RadialSqueezedStat
     state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out), gamma1=0.0)
 
     r_resid = abs(moment_r(state, 1.0) - r_out) / r_out
-    h_resid = abs(expectation_H(state, mode) - e_target) / abs(e_target)
+    h_resid = abs(expectation_H(state) - e_target) / abs(e_target)
     if r_resid > 1e-10 or h_resid > 1e-10:
         raise FitError(
             f"fit residuals too large for nbar={q.nbar}: "

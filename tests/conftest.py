@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,8 @@ def _numpy_scalar_observables(exp, t):
     dr = np.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = np.sqrt(max(pr2 - pr * pr, 0.0))
     dR = np.sqrt(max(w2 - w1 * w1, 0.0))
-    return evolution.UncertaintyRecord(
+    # a record's fields, and its derived values as formed on NumPy scalars
+    return SimpleNamespace(
         t=float(t),
         dr=float(dr),
         dpr=float(dpr),

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rydpack.analysis import (
+    FRACTIONAL_ORDERS,
     PacketReport,
     _gaussian_smooth,
     _prominent_peaks,
@@ -33,13 +35,15 @@ def test_timescales_reference_values():
 
 
 def test_timescale_algebra():
-    ts = timescales(QuantumNumbers(85), fractional_orders=(2, 3))
+    ts = timescales(QuantumNumbers(85))
     assert ts.t_rev_au / ts.T_cl_au == pytest.approx(85.0 / 3.0, rel=1e-15)
-    t2, t3 = ts.fractional
-    assert (t2.order, t3.order) == (2, 3)
+    t2, t3, t4 = ts.fractional
+    assert (t2.order, t3.order, t4.order) == FRACTIONAL_ORDERS == (2, 3, 4)
     assert t2.t_au == pytest.approx(ts.t_rev_au / 2.0, rel=1e-15)
     assert t3.t_au == pytest.approx(ts.t_rev_au / 3.0, rel=1e-15)
+    assert t4.t_au == pytest.approx(ts.t_rev_au / 4.0, rel=1e-15)
     assert t2.period_au == pytest.approx(ts.T_cl_au / 2.0, rel=1e-15)
+    assert t4.period_au == pytest.approx(ts.T_cl_au / 4.0, rel=1e-15)
 
 
 def test_interference_time():
@@ -57,6 +61,8 @@ def test_count_packets_simple():
     assert rep.peak_count == 2
     assert rep.peak_positions[0] == pytest.approx(600.0, abs=2.0)
     assert rep.peak_positions[1] == pytest.approx(1400.0, abs=2.0)
+    # the count is the number of positions, so it cannot go stale
+    assert replace(rep, peak_positions=(600.0,)).peak_count == 1
 
 
 def test_count_packets_scaling_invariance():

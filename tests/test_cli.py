@@ -363,6 +363,41 @@ def test_decompose_state_for_other_config_is_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", [0.1, -0.1, 1e-12])
+def test_edited_state_log_norm_is_usage_error(tmp_path, capsys, delta):
+    # ln N is fixed by alpha and gamma0; a stored value off by even a few ulp
+    # would rescale every coefficient, so the file is refused and nothing written
+    path = tmp_path / "state.json"
+    write_state(path, 85, fit_parameters(QuantumNumbers(85)))
+    record = json.loads(path.read_text())
+    assert record["log_norm"] + delta != record["log_norm"]
+    record["log_norm"] += delta
+    path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    code = main(["decompose", "--nbar", "85", "--state", str(path), "-o", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "log_norm" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1", "2"])
+@pytest.mark.parametrize("command", ["decompose", "scan"])
+def test_deficit_tol_of_one_or_more_is_usage_error(pipeline20, tmp_path, capsys, command, tol):
+    # a deficit never exceeds 1, so such a tolerance would switch off
+    # decompose's growth and scan's 10 x deficit_tol guard
+    source = (
+        ["--state", str(pipeline20 / "state.json")]
+        if command == "decompose"
+        else ["--expansion", str(pipeline20 / "expansion.csv"), "--times", "0"]
+    )
+    out = tmp_path / "out"
+    code = main([command, "--nbar", "20", *source, "--deficit-tol", tol, "-o", str(out)])
+    assert code == 1
+    assert "usage error: deficit_tol must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_output(pipeline20):
     exp = read_expansion(pipeline20 / "expansion.csv")
     assert exp.deficit < 1e-4

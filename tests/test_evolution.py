@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,15 @@ from rydpack.specfun import (
 )
 from rydpack.spectral import DeficitToleranceWarning, EigenExpansion, decompose
 from rydpack.squeezed import L, QuantumNumbers, fit_parameters, uncertainties_RP, uncertainties_rp
+
+
+# an UncertaintyRecord's fields and derived values, in the scan.csv order;
+# astuple would drop the derived ones
+RECORD = ("t", "dr", "dpr", "product", "ratio", "dR", "dP", "bound_half_rm2")
+
+
+def as_tuple(rec):
+    return tuple(getattr(rec, name) for name in RECORD)
 
 
 def two_level_toy():
@@ -119,6 +128,15 @@ def test_observables_match_closed_forms_at_t0(state85, exp85, grid85, basis85):
     assert rec.ratio == rec.dr / rec.dpr
 
 
+def test_record_derives_product_ratio_and_dP():
+    rec = UncertaintyRecord(t=1.0, dr=2.0, dpr=3.0, dR=4.0, bound_half_rm2=0.5)
+    assert (rec.product, rec.ratio, rec.dP) == (6.0, 2.0 / 3.0, 3.0)
+    # a replaced field gives freshly derived values, never stale ones
+    moved = replace(rec, dr=4.0)
+    assert (moved.product, moved.ratio, moved.dP) == (12.0, 4.0 / 3.0, 3.0)
+    assert replace(rec, dpr=5.0).dP == 5.0
+
+
 def direct_record(exp, t, radial_pr, r_max=None):
     """Reference: the same moments by sampling psi(t) and (d/dr + 1/r) psi(t)
     on the 4096-node rule over [0, r_max] (default 4 n_max^2) and summing,
@@ -137,14 +155,14 @@ def direct_record(exp, t, radial_pr, r_max=None):
     pr = (wr2 * np.imag(np.conj(psi) * dpsi)).sum() / norm
     pr2 = (wr2 * np.abs(dpsi) ** 2).sum() / norm
     dr, dpr, dR = math.sqrt(m2 - m1 * m1), math.sqrt(pr2 - pr * pr), math.sqrt(w2 - w1 * w1)
-    return UncertaintyRecord(t, dr, dpr, dr * dpr, dr / dpr, dR, dpr, 0.5 * w2)
+    return UncertaintyRecord(t, dr, dpr, dR, 0.5 * w2)
 
 
 @pytest.mark.parametrize("orbits", [0.0, 0.5, 1.0, 4.0])
 def test_observables_match_direct_quadrature(exp85, ts85, radial_pr, orbits):
     t = orbits * ts85.T_cl_au
-    got = astuple(observables(exp85, t, None))
-    want = astuple(direct_record(exp85, t, radial_pr))
+    got = as_tuple(observables(exp85, t, None))
+    want = as_tuple(direct_record(exp85, t, radial_pr))
     assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -153,8 +171,8 @@ def test_observables_answer_on_the_two_level_toy(radial_pr, t):
     # a rule over [0, 4 n_max^2] = [0, 36] would cut the tail of R_31 short
     # and fail the Gram guard; the reference reaches 400 bohr
     rec = observables(two_level_toy(), t, None)
-    want = astuple(direct_record(two_level_toy(), t, radial_pr, r_max=400.0))
-    assert astuple(rec) == pytest.approx(want, rel=1e-8)
+    want = as_tuple(direct_record(two_level_toy(), t, radial_pr, r_max=400.0))
+    assert as_tuple(rec) == pytest.approx(want, rel=1e-8)
     assert rec.product >= 0.5 - 1e-9
 
 
@@ -272,8 +290,8 @@ def test_observables_across_the_served_range(nbar, deficit_tol, monkeypatch, ful
     finally:
         evolution._moment_matrices.cache_clear()
     for rec, ref in zip(got, want):
-        assert astuple(replace(rec, dR=0.0)) == pytest.approx(
-            astuple(replace(ref, dR=0.0)), rel=1e-10, abs=0.0
+        assert as_tuple(replace(rec, dR=0.0)) == pytest.approx(
+            as_tuple(replace(ref, dR=0.0)), rel=1e-10, abs=0.0
         ), rec.t
         assert abs(rec.dR**2 - ref.dR**2) <= 1e-10 * 2.0 * ref.bound_half_rm2, rec.t
         assert rec.product >= 0.5 - 1e-9
@@ -314,6 +332,15 @@ def test_basis_table_validates_levels_and_radii():
     with pytest.raises(ValueError, match="non-negative"):
         BasisTable.build(np.arange(2, 5), np.linspace(-1.0, 10.0, 5))
     assert BasisTable.build(np.arange(2, 2), np.linspace(0.0, 10.0, 5)).values.shape == (0, 5)
+
+
+def test_basis_table_values_are_computed_and_read_only(exp85, grid85, basis85):
+    # the table computes its values, and nothing can write them afterwards, so
+    # a table accepted by identity of ns and points still holds their values
+    assert not basis85.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        basis85.values[0, 0] = 1.0
+    assert basis85.ns is exp85.ns and basis85.points is grid85.points
 
 
 def test_moment_matrices_overflow_names_the_first_failing_level():
@@ -367,7 +394,7 @@ def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_po
     for t in times:
         want, want_ac = numpy_scalar_point(exp, t)
         got = observables(exp, t, None)
-        for field, a, b in zip(UncertaintyRecord.__dataclass_fields__, astuple(got), astuple(want)):
+        for field, a, b in zip(RECORD, as_tuple(got), as_tuple(want)):
             assert type(a) is float and a.hex() == b.hex(), (t, field)
         ac = autocorrelation(exp, t)
         assert type(ac) is float and ac.hex() == want_ac.hex(), t

@@ -5,6 +5,9 @@ import pkgutil
 import pytest
 
 import rydpack
+from rydpack.analysis import PacketReport, timescales
+from rydpack.evolution import BasisTable, UncertaintyRecord
+from rydpack.squeezed import RadialSqueezedState, expectation_H
 
 SUBMODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(rydpack.__path__) if name != "__main__"
@@ -47,3 +50,23 @@ def test_no_public_callable_takes_l_or_n_cap(module):
         if name in ("l", "n_cap")
     ]
     assert found == []
+
+
+INDEPENDENT_VALUES = [
+    (RadialSqueezedState, ("alpha", "gamma0", "gamma1")),
+    (UncertaintyRecord, ("t", "dr", "dpr", "dR", "bound_half_rm2")),
+    (PacketReport, ("t", "peak_positions", "prominence_threshold")),
+    (BasisTable, ("ns", "points")),
+    (expectation_H, ("state",)),
+    (timescales, ("q",)),
+]
+
+
+@pytest.mark.parametrize(
+    "obj, params", INDEPENDENT_VALUES, ids=[obj.__name__ for obj, _ in INDEPENDENT_VALUES]
+)
+def test_callers_pass_only_independent_values(obj, params):
+    # log_norm, product, ratio, dP, peak_count and a table's values are derived
+    # from these, and potential mode and fractional orders take one value each;
+    # none of them may come back as an argument that could contradict the rest
+    assert tuple(inspect.signature(obj).parameters) == params

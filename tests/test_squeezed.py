@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,13 +51,27 @@ def test_quantum_numbers_validation():
 def test_state_normalization_and_validation():
     st = RadialSqueezedState(2.0, 0.5)
     assert moment_r(st, 0.0) == 1.0
-    # stored log_norm round-trips untouched
-    st2 = RadialSqueezedState(2.0, 0.5, 0.0, log_norm=st.log_norm)
-    assert st2.log_norm == st.log_norm
+    # ln N is derived from alpha and gamma0, never passed in
+    with pytest.raises(TypeError):
+        RadialSqueezedState(2.0, 0.5, 0.0, log_norm=st.log_norm)
     with pytest.raises(ValueError):
         RadialSqueezedState(-1.0, 0.5)
     with pytest.raises(ValueError):
         RadialSqueezedState(2.0, 0.0)
+
+
+def test_replaced_state_derives_its_norm_afresh():
+    moved = replace(RadialSqueezedState(2.0, 0.5), alpha=3.0)
+    assert moved.log_norm == RadialSqueezedState(3.0, 0.5).log_norm
+    assert moment_r(moved, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha, gamma0", [(1e308, 1.0), (2e307, 1.0), (1.0, 1e308)])
+def test_state_without_a_finite_norm_is_refused(alpha, gamma0):
+    # 2 alpha + 3 overflows to inf at 1e308 (ln N would be NaN),
+    # lgamma(2 alpha + 3) overflows at 2e307, and 2 gamma0 at 1e308
+    with pytest.raises(ValueError, match="no finite normalization"):
+        RadialSqueezedState(alpha, gamma0)
 
 
 def test_psi_at_origin_and_phase():
@@ -148,7 +163,8 @@ def test_expectation_H_reference_energy():
     st = RadialSqueezedState(ALPHA_85, GAMMA0_85)
     e85 = hydrogen_energy(85)
     assert expectation_H(st) == pytest.approx(e85, rel=5e-6)
-    with pytest.raises(ValueError):
+    # the p-state potential is the only one, so there is no mode to pass
+    with pytest.raises(TypeError):
         expectation_H(st, mode="other")
 
 
