@@ -40,7 +40,6 @@ from .spectral import (
     reconstruct,
 )
 from .squeezed import (
-    POTENTIAL_MODES,
     FitError,
     OrbitGeometry,
     QuantumNumbers,
@@ -66,7 +65,6 @@ __all__ = [
     "NumericalError",
     "OrbitGeometry",
     "PacketReport",
-    "POTENTIAL_MODES",
     "QuantumNumbers",
     "RadialGrid",
     "RadialSqueezedState",

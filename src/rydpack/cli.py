@@ -29,7 +29,6 @@ from .evolution import density as density_at
 from .specfun import NumericalError, hydrogen_energy
 from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, coefficient_spread, decompose
 from .squeezed import (
-    POTENTIAL_MODES,
     FitError,
     L,
     QuantumNumbers,
@@ -232,8 +231,7 @@ def _timescale_block(cfg: RunConfig) -> dict:
 
 def cmd_fit(cfg: RunConfig) -> int:
     q = _quantum_numbers(cfg)
-    fits = {mode: fit_parameters(q, mode=mode) for mode in POTENTIAL_MODES}
-    state = fits["paper"]
+    state = fit_parameters(q)
     geo = orbit_geometry(q)
     e_target = hydrogen_energy(q.nbar)
     dr, dpr = uncertainties_rp(state)
@@ -241,7 +239,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     report = {
         "nbar": q.nbar,
         "l": L,
-        "potential_mode": "paper",
         "alpha": state.alpha,
         "gamma0": state.gamma0,
         "gamma1": state.gamma1,
@@ -260,9 +257,6 @@ def cmd_fit(cfg: RunConfig) -> int:
         "dP": dP,
         "bound_half_rm2": bound,
         "timescales": _timescale_block(cfg),
-        "potential_sensitivity": {
-            mode: {"alpha": fit.alpha, "gamma0": fit.gamma0} for mode, fit in fits.items()
-        },
     }
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, state)
     rio.write_text_atomic(
@@ -286,7 +280,6 @@ def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
         exp = decompose(
             state,
             window=tuple(window) if window else None,
-            center=nbar,
             deficit_tol=cfg.deficit_tol,
         )
     rio.write_expansion(_out_path(cfg, "expansion.csv"), exp)
@@ -295,12 +288,6 @@ def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
         f"decompose nbar={nbar}: window=[{exp.n_min},{exp.n_max}] "
         f"deficit={exp.deficit:.6e} mean_n={mean_n:.3f} deltan={deltan:.4f}"
     )
-    if window and exp.deficit >= cfg.deficit_tol:
-        print(
-            f"warning: deficit {exp.deficit:.6e} above tolerance {cfg.deficit_tol:g} "
-            f"for window [{exp.n_min},{exp.n_max}]",
-            file=sys.stderr,
-        )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return 0

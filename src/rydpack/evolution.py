@@ -59,10 +59,6 @@ class RadialGrid:
     def uniform(cls, r_max: float, n_points: int) -> "RadialGrid":
         return cls(np.linspace(0.0, float(r_max), int(n_points)))
 
-    @property
-    def r_max(self) -> float:
-        return float(self.points[-1])
-
 
 @dataclass(frozen=True)
 class UncertaintyRecord:

@@ -97,8 +97,9 @@ _STATE_KEYS = {
 
 def read_state(path):
     """Inverse of `write_state`, giving (nbar, state); raises ValueError naming
-    a missing or ill-typed key, an l other than ``L``, or a ``log_norm`` that
-    is not the one alpha and gamma0 give."""
+    the file and a missing or ill-typed key, an l other than ``L``, parameters
+    that are no state, or a ``log_norm`` that is not the one alpha and gamma0
+    give."""
     record = json.loads(Path(path).read_text())
     if not isinstance(record, dict):
         raise ValueError(f"{path}: not a state file")
@@ -112,9 +113,12 @@ def read_state(path):
         raise ValueError(
             f"{path}: state file holds l={record['l']}; only p states (l={L}) are supported"
         )
-    state = RadialSqueezedState(
-        alpha=record["alpha"], gamma0=record["gamma0"], gamma1=record["gamma1"]
-    )
+    try:
+        state = RadialSqueezedState(
+            alpha=record["alpha"], gamma0=record["gamma0"], gamma1=record["gamma1"]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if record["log_norm"] != state.log_norm:
         raise ValueError(f"{path}: log_norm {record['log_norm']!r} disagrees with alpha and gamma0")
     return record["nbar"], state

@@ -65,7 +65,8 @@ _TAIL_MARGIN = 2.0
 
 class DeficitToleranceWarning(UserWarning):
     """The requested completeness deficit could not be reached: the window hit
-    [L+1, N_CAP], or the n^-3 tail law showed that more levels cannot help."""
+    [L+1, N_CAP], the n^-3 tail law showed that more levels cannot help, or
+    an explicit window holds too little of the state."""
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,8 @@ def decompose(
     When that tail is below 5% of the tolerance (the deficit is then settled
     to that much) and the deficit less the tail, the estimated continuum
     weight, is still above twice the tolerance, more levels cannot help.
-    An explicit ``window`` is the starting window with growth switched off.
+    An explicit ``window`` is the starting window with growth switched off;
+    a deficit at or above ``deficit_tol`` there gets the same warning.
     Each batch of new levels is projected on one Gauss-Laguerre rule sized
     for its largest degree and checked against a rule of 8 more nodes;
     disagreement beyond 1e-9, or a captured weight that is not at most
@@ -234,7 +236,15 @@ def decompose(
         weight = float(np.sum(np.abs(coeffs) ** 2))
         if not weight <= 1.0 + 1e-9:  # a NaN weight fails too
             raise NumericalError(f"captured weight {weight!r} is not <= 1 + 1e-9")
-        if not step or 1.0 - weight < deficit_tol:
+        if 1.0 - weight < deficit_tol:
+            break
+        if not step:
+            warnings.warn(
+                f"deficit {1.0 - weight:.6e} above tolerance {deficit_tol:g} "
+                f"for window [{n_min},{n_max}]",
+                DeficitToleranceWarning,
+                stacklevel=2,
+            )
             break
         lo_new = max(L + 1, n_min - step)
         hi_new = min(N_CAP, n_max + step)

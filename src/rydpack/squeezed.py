@@ -6,7 +6,11 @@ Closed-form moments, expectation values, uncertainty algebra, and the fit of
     <p_r> = 0,    <r> = r_out,    <H> = E_nbar,
 
 i.e. the state starts at the outer apsidal point of the corresponding
-classical orbit, at rest, with the energy of the central level nbar.
+classical orbit, at rest, with the energy of the central level nbar.  H has
+one potential: for the paper's p states the centrifugal barrier
+l(l+1)/(2 r^2) is exactly 1/r^2, so the paper's effective potential
+r^-2 - r^-1 and the centrifugal convention are the same function, and there
+is no convention to choose.
 
 The fit is closed form.  <p_r> = 0 gives gamma1 = 0, and with s = 2 alpha + 3
 and R = r_out, <r> = R gives gamma0 = s/(2R).  The apsidal point solves
@@ -42,7 +46,6 @@ __all__ = [
     "QuantumNumbers",
     "OrbitGeometry",
     "RadialSqueezedState",
-    "POTENTIAL_MODES",
     "moment_r",
     "expectation_pr",
     "expectation_pr2",
@@ -52,8 +55,6 @@ __all__ = [
     "orbit_geometry",
     "fit_parameters",
 ]
-
-POTENTIAL_MODES = ("paper", "centrifugal")
 
 # the angular momentum of every state in the package: the paper's packets are
 # p states, and the fit and <H> use the l = 1 radial potential
@@ -95,8 +96,8 @@ class RadialSqueezedState:
 
     ``log_norm`` is ln N fixed by <r^0> = 1.  It is derived from alpha and
     gamma0, never given, so a state cannot carry a stale one; a state whose
-    normalization is not finite (alpha or gamma0 near the float range) raises
-    ValueError.
+    normalization is not finite (alpha or gamma0 near the float range), or
+    whose gamma1 is not finite, raises ValueError.
     """
 
     alpha: float
@@ -108,6 +109,8 @@ class RadialSqueezedState:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if not self.gamma0 > 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0!r}")
+        if not math.isfinite(self.gamma1):
+            raise ValueError(f"gamma1 must be finite, got {self.gamma1!r}")
         try:
             finite = math.isfinite(self.log_norm)
         except OverflowError:  # lgamma of a finite argument above about 2.5e305
@@ -178,16 +181,12 @@ def expectation_pr2(state: RadialSqueezedState) -> float:
     return state.gamma1 ** 2 + state.gamma0 ** 2 / (2.0 * state.alpha + 1.0)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in POTENTIAL_MODES:
-        raise ValueError(f"potential mode must be one of {POTENTIAL_MODES}, got {mode!r}")
-
-
 def expectation_H(state: RadialSqueezedState) -> float:
     """<H> = <p_r^2>/2 + <V_eff> in hartree, V_eff being the l = 1 radial potential.
 
     The effective potential carries the p-state centrifugal barrier,
-    <V_eff> = <r^-2> - <r^-1>; both potential modes of `fit_parameters` name it.
+    <V_eff> = <r^-2> - <r^-1> from the closed forms of both moments; for
+    l = 1 this is the centrifugal form L(L+1)/2 <r^-2> - <r^-1> term for term.
     """
     alpha, gamma0 = state.alpha, state.gamma0
     m_inv1 = gamma0 / (alpha + 1.0)
@@ -224,7 +223,7 @@ def orbit_geometry(q: QuantumNumbers) -> OrbitGeometry:
     return OrbitGeometry(r_out=r_out, eccentricity=ecc, r1=n * n * (1.0 + ecc))
 
 
-def fit_parameters(q: QuantumNumbers, mode: str = "paper") -> RadialSqueezedState:
+def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     """Solve the three matching conditions for (alpha, gamma0, gamma1) in closed form.
 
     With R = r_out, E_nbar = -(R - 1)/R^2 exactly, and the conditions give
@@ -232,9 +231,9 @@ def fit_parameters(q: QuantumNumbers, mode: str = "paper") -> RadialSqueezedStat
     real root of s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0 (module docstring),
     taken from `np.roots` and polished by one Newton step.  FitError if that
     root has s <= 3 (alpha <= 0), as at nbar = 2, or if a residual of
-    <r> = r_out or <H> = E_nbar exceeds 1e-10 relative.
+    <r> = r_out or <H> = E_nbar exceeds 1e-10 relative.  The potential is the
+    one of `expectation_H`, so the quantum numbers are the only input.
     """
-    _check_mode(mode)
     r_out = orbit_geometry(q).r_out
     e_target = hydrogen_energy(q.nbar)
     cubic = [1.0, -1.0, -8.0 * (r_out - 3.0), 16.0 * (r_out - 1.0)]

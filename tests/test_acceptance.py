@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rydpack as rp
-from rydpack.squeezed import RadialSqueezedState, moment_r
+from rydpack.squeezed import L, RadialSqueezedState, moment_r
 from rydpack.units import au_to_ns, au_to_ps
 
 NBAR = 85
@@ -31,7 +31,7 @@ def revival_scan(exp85, ts85):
 
 
 def test_criterion_1_parameter_fit(q85):
-    state = rp.fit_parameters(q85, mode="paper")
+    state = rp.fit_parameters(q85)
     assert state.alpha == pytest.approx(168.225, abs=0.01)
     assert state.gamma0 == pytest.approx(0.0117465, abs=1e-6)
     assert state.gamma1 == 0.0
@@ -183,13 +183,18 @@ def test_criterion_7_property_suites(state85, exp85, scan85):
     )
 
 
-def test_criterion_8_potential_sensitivity(q85):
-    fits = {mode: rp.fit_parameters(q85, mode=mode) for mode in rp.POTENTIAL_MODES}
-    g_paper = fits["paper"].gamma0
-    g_centrifugal = fits["centrifugal"].gamma0
-    rel = abs(g_paper - g_centrifugal) / g_paper
+def test_criterion_8_potential_sensitivity(q85, state85):
+    # the paper's potential r^-2 - r^-1 in closed form, against the centrifugal
+    # form L(L+1)/(2 r^2) - 1/r through moment_r's product route
+    h_paper = rp.expectation_H(state85)
+    h_centrifugal = (
+        0.5 * rp.expectation_pr2(state85)
+        + L * (L + 1) / 2 * rp.moment_r(state85, -2)
+        - rp.moment_r(state85, -1)
+    )
+    rel = abs(h_paper - h_centrifugal) / abs(rp.hydrogen_energy(q85.nbar))
     assert rel < 1e-5
     note(
-        "8 sensitivity (informational): gamma0 paper vs centrifugal differ by "
-        f"{rel:.2e} (< 1e-5); the two conventions coincide for p states"
+        "8 sensitivity (informational): <H> paper vs centrifugal differ by "
+        f"{rel:.2e} of |E_nbar| (< 1e-5); the two conventions coincide for p states"
     )

@@ -12,7 +12,7 @@ import rydpack
 from rydpack import cli, evolution
 from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
-from rydpack.squeezed import POTENTIAL_MODES, QuantumNumbers, RadialSqueezedState, fit_parameters
+from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
 from rydpack.units import ATOMIC_TIME_S
 
 TCL = 100.0
@@ -199,26 +199,23 @@ def test_fit_outputs_and_determinism(tmp_path):
     assert report["l"] == 1
     assert report["residual_H_rel"] <= 1e-10
     assert report["timescales"]["T_cl_au"] == pytest.approx(2 * np.pi * 20**3)
-    sens = report["potential_sensitivity"]
-    g0 = {m: sens[m]["gamma0"] for m in ("paper", "centrifugal")}
-    assert abs(g0["paper"] - g0["centrifugal"]) <= 1e-5 * g0["paper"]
+    # there is one potential, so the report names no convention and no second fit
+    assert "potential_mode" not in report and "potential_sensitivity" not in report
 
 
-def test_fit_runs_one_fit_per_mode(tmp_path, monkeypatch):
+def test_fit_runs_one_fit(tmp_path, monkeypatch):
     calls = []
 
-    def counted(q, mode):
-        calls.append(mode)
-        return fit_parameters(q, mode=mode)
+    def counted(q):
+        calls.append(q)
+        return fit_parameters(q)
 
     monkeypatch.setattr(cli, "fit_parameters", counted)
     assert main(["fit", "--nbar", "20", "-o", str(tmp_path)]) == 0
-    assert sorted(calls) == sorted(POTENTIAL_MODES)
-    # the reused fit reports exactly what a separate fit per mode reports
-    sens = json.loads((tmp_path / "fit_report.json").read_text())["potential_sensitivity"]
-    for mode in POTENTIAL_MODES:
-        alt = fit_parameters(QuantumNumbers(20), mode=mode)
-        assert sens[mode] == {"alpha": alt.alpha, "gamma0": alt.gamma0}
+    assert calls == [QuantumNumbers(20)]
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    state = fit_parameters(QuantumNumbers(20))
+    assert (report["alpha"], report["gamma0"]) == (state.alpha, state.gamma0)
 
 
 def test_fit_usage_and_failure_exit_codes(tmp_path):
@@ -381,6 +378,23 @@ def test_edited_state_log_norm_is_usage_error(tmp_path, capsys, delta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma1", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_gamma1_is_usage_error(tmp_path, gamma1):
+    # json writes and reads these as the literals NaN and Infinity; the state
+    # refuses them before any projection could turn them into a numerical failure
+    path = tmp_path / "state.json"
+    write_state(path, 20, fit_parameters(QuantumNumbers(20)))
+    record = json.loads(path.read_text())
+    record["gamma1"] = gamma1
+    path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    res = run_cli("decompose", "--nbar", "20", "--state", str(path), "-o", str(out))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("usage error:") and str(path) in res.stderr
+    assert "gamma1 must be finite" in res.stderr
+    assert not (out / "expansion.csv").exists()
+
+
 @pytest.mark.parametrize("tol", ["1", "2"])
 @pytest.mark.parametrize("command", ["decompose", "scan"])
 def test_deficit_tol_of_one_or_more_is_usage_error(pipeline20, tmp_path, capsys, command, tol):
@@ -422,7 +436,8 @@ def test_decompose_window_warning(pipeline20, tmp_path):
         "--window", "2", "10", "-o", str(tmp_path),
     )
     assert res.returncode == 0
-    assert "warning" in res.stderr.lower()
+    # decompose's own warning, printed once
+    assert res.stderr == "warning: deficit 1.000000e+00 above tolerance 0.0001 for window [2,10]\n"
     exp = read_expansion(tmp_path / "expansion.csv")
     assert exp.deficit > 0.999
 

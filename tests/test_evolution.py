@@ -48,7 +48,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         RadialGrid(points=np.array([-1.0, 0.0, 1.0]))
     g = RadialGrid.uniform(10.0, 11)
-    assert g.points[0] == 0.0 and g.r_max == 10.0
+    assert g.points[0] == 0.0 and g.points[-1] == 10.0
 
 
 def test_grid_points_are_a_read_only_copy():

@@ -7,7 +7,7 @@ import pytest
 import rydpack
 from rydpack.analysis import PacketReport, timescales
 from rydpack.evolution import BasisTable, UncertaintyRecord
-from rydpack.squeezed import RadialSqueezedState, expectation_H
+from rydpack.squeezed import RadialSqueezedState, expectation_H, fit_parameters
 
 SUBMODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(rydpack.__path__) if name != "__main__"
@@ -58,6 +58,7 @@ INDEPENDENT_VALUES = [
     (PacketReport, ("t", "peak_positions", "prominence_threshold")),
     (BasisTable, ("ns", "points")),
     (expectation_H, ("state",)),
+    (fit_parameters, ("q",)),
     (timescales, ("q",)),
 ]
 
@@ -67,6 +68,7 @@ INDEPENDENT_VALUES = [
 )
 def test_callers_pass_only_independent_values(obj, params):
     # log_norm, product, ratio, dP, peak_count and a table's values are derived
-    # from these, and potential mode and fractional orders take one value each;
-    # none of them may come back as an argument that could contradict the rest
+    # from these; the potential (l = 1 in <H> and in the fit) and the fractional
+    # orders take one value each; none of them may come back as an argument
+    # that could contradict the rest
     assert tuple(inspect.signature(obj).parameters) == params

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -130,6 +131,12 @@ def test_grown_windows(nbar, window):
     assert exp.deficit < spectral.DEFAULT_DEFICIT_TOL
 
 
+def test_default_center_of_a_fit_is_its_nbar():
+    # so a caller holding a fitted state need not restate nbar as the center
+    for nbar in range(3, spectral.N_CAP + 1):
+        assert spectral._default_center(fit_parameters(QuantumNumbers(nbar))) == nbar, nbar
+
+
 def test_nbar_3_stops_growing_on_the_tail_law_and_warns():
     # about 0.135% of nbar 3 is continuum, so 1e-4 is out of reach; the n^-3
     # law stops the window well below N_CAP with nearly the capped deficit
@@ -137,7 +144,9 @@ def test_nbar_3_stops_growing_on_the_tail_law_and_warns():
     with pytest.warns(DeficitToleranceWarning, match="estimated continuum weight 1.3535"):
         exp = decompose(state, center=3)
     assert exp.n_min == 2 and exp.n_max <= 150
-    assert abs(exp.deficit - decompose(state, window=(2, spectral.N_CAP)).deficit) <= 1e-5
+    with pytest.warns(DeficitToleranceWarning, match=r"above tolerance 0.0001 for window \[2,400\]"):
+        capped = decompose(state, window=(2, spectral.N_CAP))
+    assert abs(exp.deficit - capped.deficit) <= 1e-5
 
 
 def test_window_that_meets_the_cap_first_warns_at_the_cap(monkeypatch):
@@ -182,14 +191,17 @@ def assert_matches_oracle(state, exp, ns):
 
 @pytest.mark.parametrize("nbar, window", [(3, (2, 12)), (8, None), (24, None), (85, None), (150, None), (230, None)])
 def test_projection_matches_mpmath_oracle(nbar, window):
+    # the explicit window at nbar 3 misses the continuum weight, and says so
     state = fit_parameters(QuantumNumbers(nbar))
-    exp = decompose(state, window=window, center=nbar)
+    with pytest.warns(DeficitToleranceWarning) if window else contextlib.nullcontext():
+        exp = decompose(state, window=window, center=nbar)
     assert_matches_oracle(state, exp, sorted({exp.n_min, nbar, (exp.n_min + exp.n_max) // 2, exp.n_max}))
 
 
 def test_projection_matches_mpmath_oracle_complex_sigma():
     state = RadialSqueezedState(8.0, 0.5, gamma1=-0.4)
-    exp = decompose(state, window=(2, 40))
+    with pytest.warns(DeficitToleranceWarning, match=r"for window \[2,40\]"):
+        exp = decompose(state, window=(2, 40))
     assert np.abs(exp.coeffs.imag).max() > 0.1
     assert_matches_oracle(state, exp, exp.ns)
 
@@ -223,12 +235,14 @@ def test_decompose_window_misses_packet(state85, monkeypatch):
     with pytest.warns(DeficitToleranceWarning):
         exp = decompose(state85, window=None, center=85)
     assert exp.deficit > 0.99
-    low = decompose(state85, window=(2, 10))
+    with pytest.warns(DeficitToleranceWarning, match=r"deficit 1.000000e\+00 above tolerance"):
+        low = decompose(state85, window=(2, 10))
     assert low.deficit > 0.999
 
 
 def test_window_extension_monotonicity(state85):
-    inner = decompose(state85, window=(78, 92))
+    with pytest.warns(DeficitToleranceWarning, match=r"for window \[78,92\]"):
+        inner = decompose(state85, window=(78, 92))
     outer = decompose(state85, window=(70, 100))
     assert outer.deficit <= inner.deficit
 

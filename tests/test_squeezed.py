@@ -6,6 +6,7 @@ import pytest
 
 from rydpack.specfun import hydrogen_energy, radial_quadrature
 from rydpack.squeezed import (
+    L,
     FitError,
     OrbitGeometry,
     QuantumNumbers,
@@ -72,6 +73,14 @@ def test_state_without_a_finite_norm_is_refused(alpha, gamma0):
     # lgamma(2 alpha + 3) overflows at 2e307, and 2 gamma0 at 1e308
     with pytest.raises(ValueError, match="no finite normalization"):
         RadialSqueezedState(alpha, gamma0)
+
+
+@pytest.mark.parametrize("gamma1", [math.nan, math.inf, -math.inf])
+def test_state_with_a_non_finite_gamma1_is_refused(gamma1):
+    # every projection would be NaN; a finite gamma1, however large, stays a state
+    with pytest.raises(ValueError, match="gamma1 must be finite"):
+        RadialSqueezedState(2.0, 0.5, gamma1)
+    assert RadialSqueezedState(2.0, 0.5, 1e300).gamma1 == 1e300
 
 
 def test_psi_at_origin_and_phase():
@@ -310,7 +319,12 @@ def test_fit_has_no_solution_at_nbar_2():
         fit_parameters(QuantumNumbers(2))
 
 
-def test_fit_modes_agree_for_p_states():
-    a = fit_parameters(QuantumNumbers(40), mode="paper")
-    b = fit_parameters(QuantumNumbers(40), mode="centrifugal")
-    assert a.alpha == b.alpha and a.gamma0 == b.gamma0
+def test_paper_and_centrifugal_potentials_agree_for_p_states():
+    # for l = 1 the barrier L(L+1)/(2 r^2) is r^-2, so the closed-form <H> and
+    # the centrifugal form through moment_r's product route agree to rounding
+    for nbar in (3, 20, 40, 85, 150, 300, 400):
+        st = fit_parameters(QuantumNumbers(nbar))
+        centrifugal = (
+            0.5 * expectation_pr2(st) + L * (L + 1) / 2 * moment_r(st, -2) - moment_r(st, -1)
+        )
+        assert abs(expectation_H(st) - centrifugal) <= 1e-14 * abs(hydrogen_energy(nbar)), nbar
