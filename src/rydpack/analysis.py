@@ -95,7 +95,9 @@ def count_packets(
     (d c b a | a b c d | d c b a).  Overlapping sub-packets interfere, so the
     raw density carries fringes at the local de Broglie scale; smoothing at a
     fraction of the packet width recovers the envelope humps those fringes
-    ride on.  Requires a uniform grid of at least two points when non-zero.
+    ride on.  Requires a uniform grid of at least two points when non-zero,
+    and a kernel narrower than the grid: 4 ``smooth`` at or above the grid's
+    extent raises ValueError before anything is allocated.
     """
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -106,6 +108,11 @@ def count_packets(
     if smooth > 0.0:
         if r.size < 2:
             raise ValueError("envelope smoothing needs at least two grid points")
+        if 4.0 * smooth >= r[-1] - r[0]:
+            raise ValueError(
+                f"smoothing width {smooth:g} bohr is too wide: its 4-sigma kernel "
+                f"spans the whole grid extent of {r[-1] - r[0]:g} bohr"
+            )
         steps = np.diff(r)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("envelope smoothing requires a uniform grid")
@@ -171,28 +178,25 @@ def detect_revival(times, values, window):
     return float(sub_t[i]), float(sub_v[i])
 
 
-def fractional_period_check(
-    r,
-    f_a,
-    f_b,
-    r_out: float,
-    position_tol: float = 0.05,
-    prominence_threshold: float = 0.05,
-    smooth: float = 0.0,
-) -> bool:
+# two snapshots match when every paired peak agrees within this fraction of r_out
+_POSITION_TOL = 0.05
+
+
+def fractional_period_check(r, f_a, f_b, r_out: float, smooth: float = 0.0) -> bool:
     """True when two snapshots carry the same packet configuration.
 
+    Packets are counted with `count_packets`' default prominence threshold.
     Peaks are matched greedily by nearest position (packet counts are small,
     so greedy pairing is exact in practice); every pair must agree within
-    ``position_tol * r_out``.
+    0.05 ``r_out``.
     """
     r = np.asarray(r, dtype=float)
     f_a = np.asarray(f_a, dtype=float)
     f_b = np.asarray(f_b, dtype=float)
     if f_a.shape != r.shape or f_b.shape != r.shape:
         raise ValueError("snapshots must share one grid")
-    pa = count_packets(r, f_a, prominence_threshold, smooth=smooth)
-    pb = count_packets(r, f_b, prominence_threshold, smooth=smooth)
+    pa = count_packets(r, f_a, smooth=smooth)
+    pb = count_packets(r, f_b, smooth=smooth)
     if pa.peak_count != pb.peak_count:
         return False
     if pa.peak_count == 0:
@@ -205,4 +209,4 @@ def fractional_period_check(
         d, i, j = min(pairs)
         worst = max(worst, d)
         del a[i], b[j]
-    return worst <= position_tol * r_out
+    return worst <= _POSITION_TOL * r_out

@@ -16,7 +16,7 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,23 +59,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _setting(kind, default=None, help=None, alias=None):
+    # a RunConfig field with its kind (int, float or str), help and short flag
+    return field(default=default, metadata={"kind": kind, "help": help, "alias": alias})
+
+
 @dataclass
 class RunConfig:
-    nbar: int | None = None
-    deltan: float | None = None
-    deficit_tol: float = DEFAULT_DEFICIT_TOL
-    grid_points: int = 16000
-    r_max_factor: float = 4.0
-    prominence: float = 0.05
-    smooth: float | None = None
-    output_dir: str = "."
+    """The run settings.  Each field is the one declaration of its setting:
+    the default, plus the kind that `validate` checks and the help and short
+    flag from which `_build_parser` makes its flag."""
+
+    nbar: int | None = _setting(int, help="central principal quantum number (served from 3 up)")
+    deltan: float | None = _setting(float, help="level spread for t_int")
+    deficit_tol: float = _setting(float, DEFAULT_DEFICIT_TOL)
+    grid_points: int = _setting(int, 16000, "points of the density-snapshot grid (density only)")
+    r_max_factor: float = _setting(
+        float, 4.0, "density-snapshot grid extent in nbar^2 bohr (density only)"
+    )
+    prominence: float = _setting(float, 0.05)
+    smooth: float | None = _setting(float, help="envelope width (bohr) for packet counting")
+    output_dir: str = _setting(str, ".", alias="-o")
 
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.default is None:
                 continue
-            kind = _FIELD_KINDS[f.name]
+            kind = f.metadata["kind"]
             if not _is_kind(value, kind):
                 raise UsageError(f"{f.name} must be {_KIND_NAMES[kind]}, got {value!r}")
         if self.nbar is None:
@@ -99,16 +110,6 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-_FIELD_KINDS = {
-    "nbar": int,
-    "deltan": float,
-    "deficit_tol": float,
-    "grid_points": int,
-    "r_max_factor": float,
-    "prominence": float,
-    "smooth": float,
-    "output_dir": str,
-}
 _KIND_NAMES = {int: "an integer", float: "a finite real number", str: "a string"}
 
 
@@ -356,12 +357,15 @@ def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
         smooth = observables(exp, 0.0, grid, basis).dr / 3.0
     names = [f"density_{i:02d}.csv" for i in range(len(times))]
     densities = [density_at(exp, grid, t, basis) for t in times]
+    # every snapshot is counted before any file is written, so a refused
+    # smoothing width leaves no file behind
+    reports = [
+        count_packets(grid.points, f, prominence_threshold=cfg.prominence, t=t, smooth=smooth)
+        for t, f in zip(times, densities)
+    ]
     rio.write_density([_out_path(cfg, name) for name in names], grid.points, densities, times)
     snapshots = []
-    for name, expr, t, f in zip(names, exprs, times, densities):
-        report = count_packets(
-            grid.points, f, prominence_threshold=cfg.prominence, t=t, smooth=smooth
-        )
+    for name, expr, t, report in zip(names, exprs, times, reports):
         snapshots.append(
             {
                 "file": name,
@@ -391,17 +395,11 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--nbar", type=int,
-                       help="central principal quantum number (served from 3 up)")
-        p.add_argument("--deltan", type=float, help="level spread for t_int")
-        p.add_argument("--deficit-tol", dest="deficit_tol", type=float)
-        p.add_argument("--grid-points", dest="grid_points", type=int,
-                       help="points of the density-snapshot grid (density only)")
-        p.add_argument("--r-max-factor", dest="r_max_factor", type=float,
-                       help="density-snapshot grid extent in nbar^2 bohr (density only)")
-        p.add_argument("--prominence", type=float)
-        p.add_argument("--smooth", type=float, help="envelope width (bohr) for packet counting")
-        p.add_argument("--output-dir", "-o", dest="output_dir")
+        for f in fields(RunConfig):
+            names = ["--" + f.name.replace("_", "-")]
+            if f.metadata["alias"]:
+                names.append(f.metadata["alias"])
+            p.add_argument(*names, dest=f.name, type=f.metadata["kind"], help=f.metadata["help"])
 
     p_fit = sub.add_parser("fit", help="solve the matching conditions for a squeezed state")
     add_common(p_fit)

@@ -2,9 +2,11 @@
 
 Numeric text output always carries 17 significant digits so files round-trip
 bit-exactly and identical configurations produce byte-identical artifacts.
-Density snapshots of one grid share their r column: it is formatted once into
-a row template with a ``%.17g`` slot for f, and each snapshot fills the
-template with one ``%`` over its values instead of formatting every row.
+``SERIES_COLUMNS`` is the one statement of the scan CSV's column order: a row
+reads each column by name from its UncertaintyRecord.  Density snapshots of
+one grid share their r column: it is formatted once into a row template with
+a ``%.17g`` slot for f, and each snapshot fills the template with one ``%``
+over its values instead of formatting every row.
 Every artifact is written whole or not at all: the text goes to a temporary
 file in the target directory, which then replaces the target.  State and
 expansion files record the angular momentum l, always ``squeezed.L`` = 1, and
@@ -159,26 +161,14 @@ def read_expansion(path) -> EigenExpansion:
 
 
 def write_series(path, records, autocorrelations) -> None:
-    """One row per time point: an UncertaintyRecord's fields and derived
-    values in ``SERIES_COLUMNS`` order, plus the autocorrelation."""
+    """One row per time point in ``SERIES_COLUMNS`` order: the time in au
+    (the record's ``t``) and ns, the autocorrelation, and every other column
+    the UncertaintyRecord attribute of that name."""
     lines = [",".join(SERIES_COLUMNS)]
     for rec, ac in zip(records, autocorrelations):
+        row = {"t_au": rec.t, "t_ns": au_to_ns(rec.t), "autocorrelation": ac}
         lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    rec.t,
-                    au_to_ns(rec.t),
-                    rec.dr,
-                    rec.dpr,
-                    rec.product,
-                    rec.ratio,
-                    rec.dR,
-                    rec.dP,
-                    rec.bound_half_rm2,
-                    ac,
-                )
-            )
+            ",".join(_fmt(row[c] if c in row else getattr(rec, c)) for c in SERIES_COLUMNS)
         )
     write_text_atomic(path, "\n".join(lines) + "\n")
 

@@ -142,27 +142,26 @@ class RadialSqueezedState:
         return complex(out[0]) if scalar else out
 
 
-# integer moment orders up to this size take the product route; its rounding
-# grows by about one ulp per factor, and the package itself uses k = -2 and 1
-_PRODUCT_MAX_K = 8
+# the largest order |k| that `moment_r` takes; the product's rounding grows by
+# about one ulp per factor, and the package itself uses k = -2 and 1
+_MAX_ORDER = 8
 
 
 def moment_r(state: RadialSqueezedState, k: float) -> float:
     """<r^k> = Gamma(a + k + 1) / (b^k Gamma(a + 1)), a = 2 alpha + 2, b = 2 gamma0.
 
-    For an integer order |k| <= 8 the gamma ratio is a short product,
-    (a + 1)/b ... (a + k)/b for k > 0 and b/a ... b/(a + k + 1) for k < 0,
-    exact to a few ulp.  Other orders go through log-gamma differences, so
-    large alpha never overflows; at large alpha each lgamma is in the
-    thousands, and their difference keeps only about 1e-12 relative.
-    Independent of gamma1, which only contributes a phase.
+    The order k is an integer with |k| <= 8, so the gamma ratio is a short
+    product, (a + 1)/b ... (a + k)/b for k > 0 and b/a ... b/(a + k + 1) for
+    k < 0, exact to a few ulp at any alpha.  Any other order, or one at or
+    below the normalizability bound -(a + 1), raises ValueError.  Independent
+    of gamma1, which only contributes a phase.
     """
+    if not abs(k) <= _MAX_ORDER or k != int(k):
+        raise ValueError(f"moment order k={k} is not an integer of size at most {_MAX_ORDER}")
     a = 2.0 * state.alpha + 2.0
     if not k > -(a + 1.0):
         raise ValueError(f"moment order k={k} at or below normalizability bound {-(a + 1.0)}")
     b = 2.0 * state.gamma0
-    if abs(k) > _PRODUCT_MAX_K or k != int(k):
-        return math.exp(math.lgamma(a + k + 1.0) - math.lgamma(a + 1.0) - k * math.log(b))
     moment = 1.0
     for j in range(1, int(k) + 1):
         moment *= (a + j) / b

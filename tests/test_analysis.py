@@ -105,6 +105,12 @@ def test_count_packets_edge_cases():
     for size in (0, 1):  # no grid step to smooth over
         with pytest.raises(ValueError, match="two grid points"):
             count_packets(np.zeros(size), np.ones(size), smooth=1.0)
+    # a 4-sigma kernel as wide as the grid is refused before it is built; a
+    # width of 1e300 would otherwise ask for an impossible kernel
+    assert count_packets(r, np.ones_like(r), smooth=2.49).peak_count == 0
+    for smooth in (2.5, 1e300):
+        with pytest.raises(ValueError, match="too wide"):
+            count_packets(r, np.ones_like(r), smooth=smooth)
 
 
 def test_detect_revival_constant_series_first_index():
@@ -151,6 +157,8 @@ def test_fractional_period_check_synthetic():
     assert not fractional_period_check(r, a, c, r_out=1500.0)  # counts differ
     far = gaussians(r, [300.0, 1700.0], [1.0, 0.8])
     assert not fractional_period_check(r, a, far, r_out=1500.0)  # positions differ
+    empty = np.zeros_like(r)
+    assert fractional_period_check(r, empty, empty, r_out=1500.0)  # no packets in either
     with pytest.raises(ValueError):
         fractional_period_check(r, a, b[:100], r_out=1500.0)
 

@@ -272,7 +272,7 @@ def assert_one_usage_error(capsys):
     return err
 
 
-@pytest.mark.parametrize("raw", ['["nbar"]', "3", "null", "[]"])
+@pytest.mark.parametrize("raw", ['["nbar"]', "3", "null", "[]", "{nbar: 20}"])
 def test_config_that_is_not_an_object_is_usage_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "config.json"
@@ -310,8 +310,7 @@ def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, capsys, flags,
     ids=lambda argv: argv[0],
 )
 def test_config_fields_are_declared_once_everywhere(argv):
-    # a setting lives in RunConfig, in _FIELD_KINDS and as a flag of every subcommand
-    assert set(cli._FIELD_KINDS) == cli._CONFIG_FIELDS
+    # a setting lives in RunConfig and as a flag of every subcommand
     assert cli._CONFIG_FIELDS <= set(vars(cli._build_parser().parse_args(argv)))
 
 
@@ -646,6 +645,41 @@ def test_density_bad_time_expression(pipeline20, tmp_path):
         "--times", "0,bogus", "-o", str(tmp_path),
     )
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--prominence", "0"], "prominence must be positive"),
+        (["fit", "--r-max-factor", "0"], "r_max_factor must be positive"),
+        (["fit", "--deficit-tol", "0"], "deficit_tol must be positive"),
+        (["fit", "--deltan", "0"], "deltan must be positive"),
+        (["fit", "--smooth", "-1"], "smooth must be non-negative"),
+        (["decompose", "--state", "{state}", "--window", "1", "10"], "window [1, 10] outside"),
+        (["decompose", "--state", "{state}", "--window", "10", "5"], "window [10, 5] outside"),
+        (["decompose", "--state", "{state}", "--window", "390", "401"],
+         "window [390, 401] outside"),
+        (["scan", "--expansion", "{expansion}"], "provide either --times or"),
+        (["scan", "--expansion", "{expansion}", "--t-stop", "Tcl", "--t-steps", "1"],
+         "t-steps must be >= 2"),
+        # the grid extent at nbar 20 is 1600 bohr; a 4-sigma kernel that wide
+        # is refused before any file is written
+        (["density", "--expansion", "{expansion}", "--times", "0,Tcl", "--smooth", "400"],
+         "smoothing width 400 bohr is too wide"),
+        (["density", "--expansion", "{expansion}", "--times", "0", "--smooth", "1e5"],
+         "smoothing width 100000 bohr is too wide"),
+    ],
+    ids=["prominence-0", "r-max-factor-0", "deficit-tol-0", "deltan-0", "smooth-negative",
+         "window-below-2", "window-reversed", "window-above-cap", "scan-without-times",
+         "t-steps-1", "smooth-400", "smooth-1e5"],
+)
+def test_out_of_range_value_is_one_usage_error(pipeline20, tmp_path, capsys, argv, message):
+    paths = {"state": pipeline20 / "state.json", "expansion": pipeline20 / "expansion.csv"}
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--nbar", "20", "-o", str(out)]) == 1
+    assert message in assert_one_usage_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("prominence", ["1", "1.5"])

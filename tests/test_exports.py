@@ -5,7 +5,7 @@ import pkgutil
 import pytest
 
 import rydpack
-from rydpack.analysis import PacketReport, timescales
+from rydpack.analysis import PacketReport, fractional_period_check, timescales
 from rydpack.evolution import BasisTable, UncertaintyRecord
 from rydpack.squeezed import RadialSqueezedState, expectation_H, fit_parameters
 
@@ -21,6 +21,22 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+REEXPORTED = ["analysis", "evolution", "specfun", "spectral", "squeezed"]
+
+
+def test_package_exports_the_union_of_its_modules():
+    # each module's __all__ is the one list of its public names; the package
+    # re-exports every one of them as the very same object
+    modules = [importlib.import_module(f"rydpack.{name}") for name in REEXPORTED]
+    assert rydpack.__all__ == sorted({name for mod in modules for name in mod.__all__})
+    assert [
+        (mod.__name__, name)
+        for mod in modules
+        for name in mod.__all__
+        if getattr(rydpack, name) is not getattr(mod, name)
+    ] == []
 
 
 def _signatures(obj):
@@ -60,6 +76,7 @@ INDEPENDENT_VALUES = [
     (expectation_H, ("state",)),
     (fit_parameters, ("q",)),
     (timescales, ("q",)),
+    (fractional_period_check, ("r", "f_a", "f_b", "r_out", "smooth")),
 ]
 
 
@@ -68,7 +85,8 @@ INDEPENDENT_VALUES = [
 )
 def test_callers_pass_only_independent_values(obj, params):
     # log_norm, product, ratio, dP, peak_count and a table's values are derived
-    # from these; the potential (l = 1 in <H> and in the fit) and the fractional
-    # orders take one value each; none of them may come back as an argument
-    # that could contradict the rest
+    # from these; the potential (l = 1 in <H> and in the fit), the fractional
+    # orders and the packet-matching tolerance and prominence take one value
+    # each; none of them may come back as an argument that could contradict
+    # the rest
     assert tuple(inspect.signature(obj).parameters) == params

@@ -94,6 +94,30 @@ def test_expansion_file_of_another_l_is_refused(tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "reader, edit, message",
+    [
+        (read_state, lambda path: "[]\n", "not a state file"),
+        (read_expansion, lambda path: path.read_text().replace("deficit", "weight"),
+         "not an expansion file"),
+        # the window becomes [2, 4] and the row of level 3 that of level 4
+        (read_expansion,
+         lambda path: path.read_text().replace("\n1,2,3,", "\n1,2,4,").replace("\n3,", "\n4,"),
+         "coefficient rows do not match the declared window"),
+        (read_density, lambda path: path.read_text(), "not a density file"),
+    ],
+    ids=["state-list", "expansion-header", "expansion-skips-a-level", "density-of-an-expansion"],
+)
+def test_reader_refuses_a_file_of_another_kind(tmp_path, reader, edit, message):
+    # the fixture is a valid expansion for levels 2 and 3, then edited
+    path = tmp_path / "artifact"
+    write_expansion(path, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    path.write_text(edit(path))
+    with pytest.raises(ValueError, match=message) as info:
+        reader(path)
+    assert str(path) in str(info.value)
+
+
 # zero of both signs, the smallest subnormal, 1e16 and 1e17 on either side of
 # the switch of %.17g to an exponent, and the largest double
 SPECIAL = [0.0, -0.0, 5e-324, 1e16, 1e17, 1.7976931348623157e308]

@@ -65,6 +65,8 @@ def test_project_pure_eigenstate():
     assert project_coefficient(st, 2) == pytest.approx(1.0, abs=1e-11)
     for n in (3, 4, 7):
         assert abs(project_coefficient(st, n)) < 1e-11
+    with pytest.raises(ValueError, match="need n >= l\\+1 = 2, got 1"):
+        project_coefficient(st, 1)
 
 
 def test_project_detects_bad_quadrature():

@@ -119,6 +119,10 @@ def test_moment_r_domain():
     st = RadialSqueezedState(1.0, 1.0)
     with pytest.raises(ValueError):
         moment_r(st, -(2.0 * st.alpha + 3.0))
+    # only the exact product route is served: integer orders up to 8
+    for k in (0.5, -1.5, 9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="not an integer of size at most 8"):
+            moment_r(st, k)
 
 
 def test_moments_match_quadrature_randomized():
