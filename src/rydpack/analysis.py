@@ -30,11 +30,10 @@ class FractionalRevival:
 
 @dataclass(frozen=True)
 class Timescales:
-    """Classical period, revival and interference times, in a.u."""
+    """Classical period, revival and fractional-revival times of nbar, in a.u."""
 
     T_cl_au: float
     t_rev_au: float
-    t_int_au: float
     fractional: tuple[FractionalRevival, ...]
 
 
@@ -57,18 +56,17 @@ FRACTIONAL_ORDERS = (2, 3, 4)
 
 
 def timescales(q: QuantumNumbers) -> Timescales:
-    """T_cl = 2 pi nbar^3, t_rev = nbar T_cl / 3, t_int = nbar T_cl / (3 deltan),
-    plus fractional-revival times t_r = t_rev / r with periods T_r = T_cl / r
-    for r in ``FRACTIONAL_ORDERS``."""
+    """T_cl = 2 pi nbar^3 and t_rev = nbar T_cl / 3, plus fractional-revival
+    times t_r = t_rev / r with periods T_r = T_cl / r for r in
+    ``FRACTIONAL_ORDERS``."""
     n = float(q.nbar)
     t_cl = 2.0 * math.pi * n**3
     t_rev = n * t_cl / 3.0
-    t_int = n * t_cl / (3.0 * q.deltan)
     fractional = tuple(
         FractionalRevival(order=int(r), t_au=t_rev / r, period_au=t_cl / r)
         for r in FRACTIONAL_ORDERS
     )
-    return Timescales(T_cl_au=t_cl, t_rev_au=t_rev, t_int_au=t_int, fractional=fractional)
+    return Timescales(T_cl_au=t_cl, t_rev_au=t_rev, fractional=fractional)
 
 
 def count_packets(
@@ -97,7 +95,8 @@ def count_packets(
     fraction of the packet width recovers the envelope humps those fringes
     ride on.  Requires a uniform grid of at least two points when non-zero,
     and a kernel narrower than the grid: 4 ``smooth`` at or above the grid's
-    extent raises ValueError before anything is allocated.
+    extent, or a negative or NaN width, raises ValueError before anything
+    is allocated.
     """
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -105,6 +104,8 @@ def count_packets(
         raise ValueError("positions and density values must have the same shape")
     if not 0.0 < prominence_threshold < 1.0:
         raise ValueError("prominence threshold must lie in (0, 1)")
+    if not smooth >= 0.0:  # a NaN width fails too
+        raise ValueError(f"smoothing width must be non-negative, got {smooth!r}")
     if smooth > 0.0:
         if r.size < 2:
             raise ValueError("envelope smoothing needs at least two grid points")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as rio
-from .analysis import count_packets, timescales
+from .analysis import Timescales, count_packets, timescales
 from .evolution import BasisTable, RadialGrid, observables
 from .evolution import autocorrelation as autocorr
 from .evolution import density as density_at
@@ -71,7 +71,6 @@ class RunConfig:
     flag from which `_build_parser` makes its flag."""
 
     nbar: int | None = _setting(int, help="central principal quantum number (served from 3 up)")
-    deltan: float | None = _setting(float, help="level spread for t_int")
     deficit_tol: float = _setting(float, DEFAULT_DEFICIT_TOL)
     grid_points: int = _setting(int, 16000, "points of the density-snapshot grid (density only)")
     r_max_factor: float = _setting(
@@ -102,8 +101,6 @@ class RunConfig:
             raise UsageError("prominence must lie in (0, 1)")
         if self.deficit_tol >= 1:
             raise UsageError("deficit_tol must lie in (0, 1)")
-        if self.deltan is not None and self.deltan <= 0:
-            raise UsageError("deltan must be positive")
         if self.smooth is not None and self.smooth < 0:
             raise UsageError("smooth must be non-negative")
         return self
@@ -208,12 +205,7 @@ def _grid(cfg: RunConfig) -> RadialGrid:
     return RadialGrid.uniform(cfg.r_max_factor * cfg.nbar**2, cfg.grid_points)
 
 
-def _quantum_numbers(cfg: RunConfig) -> QuantumNumbers:
-    return QuantumNumbers(nbar=cfg.nbar, deltan=cfg.deltan or 1.0)
-
-
-def _timescale_block(cfg: RunConfig) -> dict:
-    ts = timescales(_quantum_numbers(cfg))
+def _timescale_block(ts: Timescales, deltan: float = 0.0) -> dict:
     block = {
         "T_cl_au": ts.T_cl_au,
         "T_cl_ps": au_to_ps(ts.T_cl_au),
@@ -224,14 +216,14 @@ def _timescale_block(cfg: RunConfig) -> dict:
             for fr in ts.fractional
         ],
     }
-    if cfg.deltan is not None:
-        block["t_int_au"] = ts.t_int_au
-        block["t_int_ns"] = au_to_ns(ts.t_int_au)
+    if deltan > 0.0:  # t_int of the expansion's level spread; one level has none
+        t_int = ts.t_rev_au / deltan
+        block.update(t_int_au=t_int, t_int_ns=au_to_ns(t_int))
     return block
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    q = _quantum_numbers(cfg)
+    q = QuantumNumbers(cfg.nbar)
     state = fit_parameters(q)
     geo = orbit_geometry(q)
     e_target = hydrogen_energy(q.nbar)
@@ -257,7 +249,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "dR": dR,
         "dP": dP,
         "bound_half_rm2": bound,
-        "timescales": _timescale_block(cfg),
+        "timescales": _timescale_block(timescales(q)),
     }
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, state)
     rio.write_text_atomic(
@@ -310,13 +302,12 @@ def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
     return exp
 
 
-def _times(cfg: RunConfig, args) -> tuple[list[str] | None, list[float]]:
+def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float]]:
     """The expressions of ``--times`` and their values in au.
 
     Without ``--times`` (scan only), the values are --t-steps points from
     --t-start to --t-stop, and there are no expressions.
     """
-    ts = timescales(_quantum_numbers(cfg))
 
     def parse(text):
         return parse_time_expression(text, ts.T_cl_au, ts.t_rev_au)
@@ -338,7 +329,7 @@ def _times(cfg: RunConfig, args) -> tuple[list[str] | None, list[float]]:
 
 def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
     exp = _load_expansion_checked(cfg, expansion_path)
-    times = sorted(_times(cfg, args)[1])
+    times = sorted(_times(timescales(QuantumNumbers(cfg.nbar)), args)[1])
     records = [observables(exp, t, None) for t in times]
     acs = [autocorr(exp, t) for t in times]
     rio.write_series(_out_path(cfg, "scan.csv"), records, acs)
@@ -348,7 +339,8 @@ def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
 
 def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
     exp = _load_expansion_checked(cfg, expansion_path)
-    exprs, times = _times(cfg, args)
+    ts = timescales(QuantumNumbers(cfg.nbar))
+    exprs, times = _times(ts, args)
     grid = _grid(cfg)
     basis = BasisTable.for_expansion(exp, grid)
     smooth = cfg.smooth
@@ -380,7 +372,7 @@ def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
     packets = {
         "prominence_threshold": cfg.prominence,
         "smooth": smooth,
-        "timescales": _timescale_block(cfg),
+        "timescales": _timescale_block(ts, coefficient_spread(exp)[1]),
         "snapshots": snapshots,
     }
     rio.write_text_atomic(

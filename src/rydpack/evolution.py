@@ -97,16 +97,16 @@ class BasisTable:
     an evolved wavefunction afterwards is a single matrix-vector product, so
     one table serves any number of snapshot times.  ``observables`` does not need
     a table; it only checks one it is given against the expansion and grid.
-    The constructor computes the values itself and keeps the caller's arrays,
-    so a table built for an expansion and grid holds their very ``ns`` and
-    ``points`` and is accepted by identity, without comparing the radii
-    again.  Those arrays and the values are all read-only, so identity
-    proves that the values still belong to them.
+    The constructor computes the values, and keeps an input array only when
+    it is read-only and owns its data (an expansion's ``ns``, a grid's
+    ``points``), else a read-only copy.  So a table built for an expansion
+    and grid is accepted by identity, without comparing the radii again, and
+    identity proves that its read-only values still belong to them.
     """
 
     def __init__(self, ns, points):
-        self.ns = np.asarray(ns)
-        self.points = np.asarray(points, dtype=float)
+        self.ns = _read_only(np.asarray(ns))
+        self.points = _read_only(np.asarray(points, dtype=float))
         self.values = _radial_rows(self.ns, L, self.points)
         self.values.flags.writeable = False
 
@@ -127,6 +127,13 @@ class BasisTable:
             and self.points.size == grid.points.size
             and np.array_equal(self.points, grid.points)
         )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def _table_for(exp, grid, basis):

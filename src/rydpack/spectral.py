@@ -216,8 +216,10 @@ def decompose(
     Each batch of new levels is projected on one Gauss-Laguerre rule sized
     for its largest degree and checked against a rule of 8 more nodes;
     disagreement beyond 1e-9, or a captured weight that is not at most
-    1 + 1e-9, raises NumericalError.
+    1 + 1e-9, raises NumericalError; a ``deficit_tol`` outside (0, 1), ValueError.
     """
+    if not 0.0 < deficit_tol < 1.0:  # a NaN tolerance fails too
+        raise ValueError(f"deficit_tol must lie in (0, 1), got {deficit_tol!r}")
     if window is None:
         if center is None:
             center = _default_center(state)
@@ -288,8 +290,8 @@ def reconstruct(exp: EigenExpansion, r):
 def coefficient_spread(exp: EigenExpansion):
     """Mean and RMS width of the |c_n|^2 distribution over n.
 
-    The RMS width is the operational level-spread deltan entering the
-    interference timescale.
+    The RMS width is the level spread deltan, which sets the collapse time
+    t_int = nbar T_cl / (3 deltan) = t_rev / deltan that ``rydpack density`` reports.
     """
     p, s = exp.populations, exp.weight
     if s == 0.0:

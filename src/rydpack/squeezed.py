@@ -68,17 +68,14 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Central principal quantum number nbar of a p state (l = ``L``), and the
-    level-spread estimate deltan used only for the interference time."""
+    """Central principal quantum number nbar of a p state (l = ``L``); the
+    level spread is measured on an expansion (``coefficient_spread``)."""
 
     nbar: int
-    deltan: float = 1.0
 
     def __post_init__(self):
         if int(self.nbar) != self.nbar or self.nbar < 2:
             raise ValueError(f"nbar must be an integer >= 2, got {self.nbar!r}")
-        if not self.deltan > 0:
-            raise ValueError(f"deltan must be positive, got {self.deltan!r}")
 
 
 @dataclass(frozen=True)

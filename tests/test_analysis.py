@@ -46,13 +46,6 @@ def test_timescale_algebra():
     assert t4.period_au == pytest.approx(ts.T_cl_au / 4.0, rel=1e-15)
 
 
-def test_interference_time():
-    # with the level spread at nbar/12 the interference time sits at 4 T_cl
-    ts = timescales(QuantumNumbers(85, deltan=85.0 / 12.0))
-    assert ts.t_int_au == pytest.approx(4.0 * ts.T_cl_au, rel=1e-12)
-    assert ts.t_int_au < ts.t_rev_au
-
-
 def test_count_packets_simple():
     r = np.linspace(0.0, 2000.0, 4001)
     f = gaussians(r, [600.0, 1400.0], [1.0, 0.7])
@@ -110,6 +103,10 @@ def test_count_packets_edge_cases():
     assert count_packets(r, np.ones_like(r), smooth=2.49).peak_count == 0
     for smooth in (2.5, 1e300):
         with pytest.raises(ValueError, match="too wide"):
+            count_packets(r, np.ones_like(r), smooth=smooth)
+    # a negative or NaN width is refused, not read as no smoothing
+    for smooth in (-5.0, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
             count_packets(r, np.ones_like(r), smooth=smooth)
 
 

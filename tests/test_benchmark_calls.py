@@ -1,0 +1,63 @@
+"""The benchmark's in-process passes, run through its own child script.
+
+`perfbench/child.py` calls rydpack's public functions with fixed signatures
+(`QuantumNumbers(nbar=)`, `decompose(state, center=)`,
+`BasisTable.for_expansion`, the traced `BasisTable.build`,
+`observables(exp, t, grid, basis)`, `density(exp, grid, t, basis)` and
+`count_packets(..., t=, smooth=)`).  A change that narrows one of them fails
+here, not only in a benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rydpack as rp
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+SRC = str(Path(rp.__file__).resolve().parents[1])
+NBARS = (20, 85)
+
+
+def acceptance_times(nbar):
+    # t = 0, t_rev/3 - T_cl/3 and t_rev/2 - 0.05 T_cl, as the benchmark takes
+    # them before its jitter
+    ts = rp.timescales(rp.QuantumNumbers(nbar))
+    return [0.0, ts.t_rev_au / 3.0 - ts.T_cl_au / 3.0, ts.t_rev_au / 2.0 - 0.05 * ts.T_cl_au]
+
+
+@pytest.mark.parametrize(
+    "kind, ops, spans",
+    [
+        ("scan", {"point", "check.fit", "check.product"}, {"evolution.observables"}),
+        ("sweep", {"snapshot", "check.fit", "check.product", "check.packets"},
+         {"evolution.density", "analysis.count_packets"}),
+    ],
+)
+def test_benchmark_pass_runs_clean(tmp_path, kind, ops, spans):
+    spec = {
+        "kind": kind,
+        "nbars": list(NBARS),
+        "times": {str(n): acceptance_times(n) for n in NBARS},
+        "grid_points": 16000,
+        "r_max_factor": 4.0,
+        "trace": True,
+    }
+    spec_path, result_path = tmp_path / "spec.json", tmp_path / "result.json"
+    spec_path.write_text(json.dumps(spec))
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, str(CHILD), "pass", str(spec_path), str(result_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stderr
+    result = json.loads(result_path.read_text())
+    assert [op for op in result["ops"] if op["error"] is not None] == []
+    assert {op["op"] for op in result["ops"]} == {"fit", "decompose", "basis"} | ops
+    assert {"evolution.basis_build"} | spans <= {s["name"] for s in result["spans"]}

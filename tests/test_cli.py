@@ -12,8 +12,9 @@ import rydpack
 from rydpack import cli, evolution
 from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
+from rydpack.spectral import coefficient_spread
 from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
-from rydpack.units import ATOMIC_TIME_S
+from rydpack.units import ATOMIC_TIME_S, au_to_ns
 
 TCL = 100.0
 TREV = 1000.0
@@ -284,12 +285,14 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize(
     "flags, config",
-    [(["--l", "1"], None), (["--potential", "paper"], None),
-     ([], {"nbar": 20, "l": 1}), ([], {"nbar": 20, "potential_mode": "paper"})],
-    ids=["flag-l", "flag-potential", "key-l", "key-potential_mode"],
+    [(["--l", "1"], None), (["--potential", "paper"], None), (["--deltan", "2"], None),
+     ([], {"nbar": 20, "l": 1}), ([], {"nbar": 20, "potential_mode": "paper"}),
+     ([], {"nbar": 20, "deltan": 2})],
+    ids=["flag-l", "flag-potential", "flag-deltan", "key-l", "key-potential_mode", "key-deltan"],
 )
 def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, capsys, flags, config):
-    # only l = 1 is served, and for l = 1 both potential modes give the same fit
+    # only l = 1 is served, for l = 1 both potential modes give the same fit,
+    # and the level spread is measured on the expansion
     monkeypatch.chdir(tmp_path)
     argv = ["fit", *flags]
     if config is None:
@@ -639,6 +642,34 @@ def test_density_snapshots_and_packets(pipeline20, tmp_path):
     assert snap0["expression"] == "0"
 
 
+def _packets_timescales(out, window=(), settings=()):
+    # fit -> decompose -> density at nbar 85, in process; the timescales block
+    # of packets.json and the expansion it was computed from
+    common = ["--nbar", "85", *settings, "-o", str(out)]
+    assert main(["fit", *common]) == 0
+    assert main(["decompose", "--state", str(out / "state.json"), *window, *common]) == 0
+    assert main(["density", "--expansion", str(out / "expansion.csv"), "--times", "0",
+                 *common]) == 0
+    packets = json.loads((out / "packets.json").read_text())
+    return packets["timescales"], read_expansion(out / "expansion.csv")
+
+
+def test_interference_time(tmp_path):
+    # t_int = t_rev / deltan with the level spread measured on the expansion
+    # that was evolved: deltan = 2.3131 puts it at about 12.25 T_cl
+    ts, exp = _packets_timescales(tmp_path / "full")
+    assert ts["t_int_au"] == ts["t_rev_au"] / coefficient_spread(exp)[1]
+    assert ts["t_int_au"] == pytest.approx(4.727e7, rel=1e-3)
+    assert ts["t_int_au"] == pytest.approx(12.25 * ts["T_cl_au"], rel=1e-3)
+    assert ts["t_int_ns"] == au_to_ns(ts["t_int_au"])
+    # one level has no spread, so no interference time
+    ts, exp = _packets_timescales(
+        tmp_path / "one", window=["--window", "85", "85"], settings=["--deficit-tol", "0.9"]
+    )
+    assert coefficient_spread(exp)[1] == 0.0
+    assert "t_int_au" not in ts and "t_int_ns" not in ts
+
+
 def test_density_bad_time_expression(pipeline20, tmp_path):
     res = run_cli(
         "density", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
@@ -653,7 +684,6 @@ def test_density_bad_time_expression(pipeline20, tmp_path):
         (["fit", "--prominence", "0"], "prominence must be positive"),
         (["fit", "--r-max-factor", "0"], "r_max_factor must be positive"),
         (["fit", "--deficit-tol", "0"], "deficit_tol must be positive"),
-        (["fit", "--deltan", "0"], "deltan must be positive"),
         (["fit", "--smooth", "-1"], "smooth must be non-negative"),
         (["decompose", "--state", "{state}", "--window", "1", "10"], "window [1, 10] outside"),
         (["decompose", "--state", "{state}", "--window", "10", "5"], "window [10, 5] outside"),
@@ -669,7 +699,7 @@ def test_density_bad_time_expression(pipeline20, tmp_path):
         (["density", "--expansion", "{expansion}", "--times", "0", "--smooth", "1e5"],
          "smoothing width 100000 bohr is too wide"),
     ],
-    ids=["prominence-0", "r-max-factor-0", "deficit-tol-0", "deltan-0", "smooth-negative",
+    ids=["prominence-0", "r-max-factor-0", "deficit-tol-0", "smooth-negative",
          "window-below-2", "window-reversed", "window-above-cap", "scan-without-times",
          "t-steps-1", "smooth-400", "smooth-1e5"],
 )

@@ -343,6 +343,30 @@ def test_basis_table_values_are_computed_and_read_only(exp85, grid85, basis85):
     assert basis85.ns is exp85.ns and basis85.points is grid85.points
 
 
+def test_basis_table_keeps_no_writable_caller_array():
+    # a caller that rewrites the arrays it passed in cannot make a table claim
+    # another expansion or grid: the table keeps read-only copies of them
+    exp = decompose(fit_parameters(QuantumNumbers(20)))
+    grid = RadialGrid.uniform(4.0 * 20**2, 2000)
+    ns = exp.ns + 1  # the window shifted up by one level
+    shifted = BasisTable(ns, grid.points)
+    ns[:] = exp.ns
+    assert not shifted.matches(exp, grid)
+    with pytest.raises(ValueError, match="read-only"):
+        shifted.ns[0] = exp.n_min
+    points = grid.points.copy()
+    table = BasisTable(exp.ns, points)
+    points[1] *= 2.0
+    assert table.matches(exp, grid)
+    # a read-only view of a writable array is copied too
+    base = exp.ns.copy()
+    view = base[:]
+    view.flags.writeable = False
+    table = BasisTable(view, grid.points)
+    base += 1
+    assert table.matches(exp, grid)
+
+
 def test_moment_matrices_overflow_names_the_first_failing_level():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

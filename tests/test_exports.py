@@ -7,7 +7,7 @@ import pytest
 import rydpack
 from rydpack.analysis import PacketReport, fractional_period_check, timescales
 from rydpack.evolution import BasisTable, UncertaintyRecord
-from rydpack.squeezed import RadialSqueezedState, expectation_H, fit_parameters
+from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, expectation_H, fit_parameters
 
 SUBMODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(rydpack.__path__) if name != "__main__"
@@ -69,6 +69,7 @@ def test_no_public_callable_takes_l_or_n_cap(module):
 
 
 INDEPENDENT_VALUES = [
+    (QuantumNumbers, ("nbar",)),
     (RadialSqueezedState, ("alpha", "gamma0", "gamma1")),
     (UncertaintyRecord, ("t", "dr", "dpr", "dR", "bound_half_rm2")),
     (PacketReport, ("t", "peak_positions", "prominence_threshold")),
@@ -85,7 +86,7 @@ INDEPENDENT_VALUES = [
 )
 def test_callers_pass_only_independent_values(obj, params):
     # log_norm, product, ratio, dP, peak_count and a table's values are derived
-    # from these; the potential (l = 1 in <H> and in the fit), the fractional
+    # from these, and the level spread is measured on an expansion; the potential (l = 1 in <H> and in the fit), the fractional
     # orders and the packet-matching tolerance and prominence take one value
     # each; none of them may come back as an argument that could contradict
     # the rest

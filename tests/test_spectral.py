@@ -133,6 +133,20 @@ def test_grown_windows(nbar, window):
     assert exp.deficit < spectral.DEFAULT_DEFICIT_TOL
 
 
+@pytest.mark.parametrize("window", [None, (16, 24)], ids=["grown", "explicit"])
+@pytest.mark.parametrize("tol", [0.0, -1e-4, 1.0, 1.5, math.nan, math.inf])
+def test_decompose_refuses_a_deficit_tol_outside_0_1(monkeypatch, window, tol):
+    # the CLI's range; it is checked before anything is projected (a NaN
+    # tolerance used to grow the window to [2, 400] and then warn)
+    def refuse(*args):
+        raise AssertionError("projected before the tolerance was checked")
+
+    state = fit_parameters(QuantumNumbers(20))
+    monkeypatch.setattr(spectral, "_project", refuse)
+    with pytest.raises(ValueError, match=r"deficit_tol must lie in \(0, 1\)"):
+        decompose(state, window=window, deficit_tol=tol)
+
+
 def test_default_center_of_a_fit_is_its_nbar():
     # so a caller holding a fitted state need not restate nbar as the center
     for nbar in range(3, spectral.N_CAP + 1):

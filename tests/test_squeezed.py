@@ -37,16 +37,13 @@ def quadrature_moments(state, ks):
 
 
 def test_quantum_numbers_validation():
-    q = QuantumNumbers(85)
-    assert q.deltan == 1.0
+    assert QuantumNumbers(85).nbar == 85
     for bad in (1, 0, -3):
         with pytest.raises(ValueError):
             QuantumNumbers(bad)
     # l is the package constant L, not a field
     with pytest.raises(TypeError):
         QuantumNumbers(85, l=0)
-    with pytest.raises(ValueError):
-        QuantumNumbers(85, deltan=0.0)
 
 
 def test_state_normalization_and_validation():
