@@ -14,7 +14,9 @@ momentum p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r
 gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
 p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set.
 Only density snapshots evaluate the wavefunction, on a caller-supplied grid,
-from a table of the same kernel.
+from a table of the same kernel: a snapshot is one real (2, N) product of the
+stacked Re/Im coefficients with the real table, so the table is never copied
+to complex.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import NumericalError, _radial_rows, radial_quadrature
-from .spectral import EigenExpansion
+from .spectral import EigenExpansion, _amplitude_parts
 from .squeezed import L
 
 __all__ = [
@@ -94,9 +96,10 @@ class BasisTable:
 
     The table is one call of ``specfun._radial_rows``, which on a grid of
     many thousand points steps one level per Laguerre recurrence; evaluating
-    an evolved wavefunction afterwards is a single matrix-vector product, so
-    one table serves any number of snapshot times.  ``observables`` does not need
-    a table; it only checks one it is given against the expansion and grid.
+    an evolved wavefunction afterwards is one real (2, N) product of the
+    stacked Re/Im coefficients, so one table serves any number of snapshot
+    times.  ``observables`` does not need a table; it only checks one it is
+    given against the expansion and grid.
     The constructor computes the values, and keeps an input array only when
     it is read-only and owns its data (an expansion's ``ns``, a grid's
     ``points``), else a read-only copy.  So a table built for an expansion
@@ -230,10 +233,14 @@ def autocorrelation(exp: EigenExpansion, t: float) -> float:
 
 
 def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisTable | None = None):
-    """Radial probability density f(r) = r^2 |psi_t(r)|^2 on the grid."""
+    """Radial probability density f(r) = r^2 |psi_t(r)|^2 on the grid.
+
+    Re and Im of psi_t come from one real (2, N) product of the stacked
+    Re/Im coefficients c(t) with the real table, and f = r^2 (re^2 + im^2).
+    """
     basis = _table_for(exp, grid, basis)
-    amp = (exp.coeffs * _phases(exp, t)) @ basis.values
-    return grid.points**2 * np.abs(amp) ** 2
+    re, im = _amplitude_parts(exp.coeffs * _phases(exp, t), basis.values)
+    return grid.points**2 * (re * re + im * im)
 
 
 def observables(

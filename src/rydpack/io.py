@@ -188,9 +188,20 @@ def write_density(paths, r, densities, times_au) -> None:
 
 
 def read_density(path):
+    """Inverse of `write_density` for one file, giving (t_au, r, f); raises
+    ValueError naming the file if it holds no rows, a row that is not the two
+    fields r,f, or a field that is not a number."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 2 or not lines[0].startswith("# t_au=") or lines[1] != "r,f":
         raise ValueError(f"{path}: not a density file")
-    t_au = float(lines[0].split()[1].split("=")[1])
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[2:] if line])
+    rows = [line.split(",") for line in lines[2:] if line]
+    if not rows:
+        raise ValueError(f"{path}: density file holds no rows")
+    if any(len(row) != 2 for row in rows):
+        raise ValueError(f"{path}: every density row must hold the two fields r,f")
+    try:
+        t_au = float(lines[0].split()[1].split("=")[1])
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return t_au, data[:, 0], data[:, 1]

@@ -280,10 +280,26 @@ def decompose(
     return EigenExpansion(n_min, coeffs)
 
 
+def _amplitude_parts(coeffs, table) -> np.ndarray:
+    """Re and Im of sum_n c_n table[n] as the rows of one real (2, P) array.
+
+    The stacked real and imaginary parts of the complex ``coeffs`` (N) form
+    one real (2, N) matrix, multiplied by the real (N, P) ``table`` with
+    plain ``@``; a complex product would first copy the whole table to
+    complex, twice its size.
+    """
+    return np.stack([coeffs.real, coeffs.imag]) @ table
+
+
 def reconstruct(exp: EigenExpansion, r):
-    """Sum c_n R_nl(r); complex, aligned with ``r``."""
+    """Sum c_n R_nl(r); complex, aligned with ``r``.
+
+    The sum is one real (2, N) product of the stacked Re/Im coefficients with
+    the real table of R_nl on ``r`` (``_amplitude_parts``).
+    """
     r = np.asarray(r, dtype=float)
-    out = exp.coeffs @ _radial_rows(exp.ns, L, r.reshape(-1))
+    re, im = _amplitude_parts(exp.coeffs, _radial_rows(exp.ns, L, r.reshape(-1)))
+    out = re + 1j * im
     return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 

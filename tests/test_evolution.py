@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from rydpack.specfun import (
     hydrogen_radial,
     radial_quadrature,
 )
-from rydpack.spectral import DeficitToleranceWarning, EigenExpansion, decompose
+from rydpack.spectral import DeficitToleranceWarning, EigenExpansion, decompose, reconstruct
 from rydpack.squeezed import L, QuantumNumbers, fit_parameters, uncertainties_RP, uncertainties_rp
 
 
@@ -106,6 +107,42 @@ def test_density_initial_peak_and_norm(exp85, grid85, basis85):
     assert peak_r == pytest.approx(14449.0, rel=0.02)
     total = simpson(f, x=grid85.points)
     assert total == pytest.approx(1.0 - exp85.deficit, abs=1e-6)
+
+
+@pytest.mark.parametrize("nbar", [20, 85, 150])
+def test_density_and_reconstruct_match_the_complex_product(nbar, per_level_radial):
+    # the reference is the complex product c(t) @ T with an independent table
+    q = QuantumNumbers(nbar)
+    exp = decompose(fit_parameters(q), center=nbar)
+    grid = RadialGrid.uniform(4.0 * nbar**2, 16000)  # the CLI default
+    table = np.array([per_level_radial(int(n), 1, grid.points) for n in exp.ns])
+    basis = BasisTable.for_expansion(exp, grid)
+    ts = timescales(q)
+    for t in (0.0, ts.T_cl_au / 2.0, ts.t_rev_au / 2.0):
+        evolved = evolve(exp, t)
+        psi = evolved.coeffs @ table
+        want = grid.points**2 * np.abs(psi) ** 2
+        f = density(exp, grid, t, basis)
+        assert np.max(np.abs(f - want)) <= 2e-15 * np.max(want), t
+        # near the core the levels cancel to a fraction of a percent of their
+        # sum (sum |c_n R_n| reaches 1200 max |psi| at t = 0), so the rounding
+        # of either route is bounded pointwise by that sum, not by max |psi|
+        scale = np.abs(evolved.coeffs) @ np.abs(table)
+        got = reconstruct(evolved, grid.points)
+        assert np.all(np.abs(got - psi) <= 2e-15 * scale), t
+
+
+def test_density_makes_no_complex_copy_of_the_table(exp85, grid85, basis85):
+    # a complex c(t) @ table would first copy the table to complex, twice its
+    # size; the real (2, N) product allocates a few grid-sized rows
+    density(exp85, grid85, 1.0e5, basis85)
+    tracemalloc.start()
+    try:
+        density(exp85, grid85, 1.0e5, basis85)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis85.values.nbytes / 2
 
 
 def test_density_core_focus_at_half_period(exp85, grid85, basis85, ts85):
@@ -401,6 +438,12 @@ def test_moment_matrices_match_closed_form_diagonals(window):
     for mat, diag in zip(mats[1:], want):
         assert np.max(np.abs(np.diag(mat) / diag - 1.0)) <= 5e-12
     assert np.linalg.norm(mats[0] - np.eye(ns.size), 2) <= 1e-12
+    # off the diagonal, the double commutator [[H, r^2], H] gives
+    # (E_n - E_m)^2 <n|r^2|m> = -2 <n|r^-1|m> for n != m
+    energies = -0.5 / ns**2
+    residual = (energies[:, None] - energies[None, :]) ** 2 * mats[2] + 2.0 * mats[3]
+    off = ~np.eye(ns.size, dtype=bool)
+    assert np.max(np.abs(residual[off])) <= 1e-10 * np.max(np.abs(mats[3][off]))
 
 
 def test_observables_rejects_mismatched_basis(exp85, grid85, basis85):

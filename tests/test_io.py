@@ -94,6 +94,9 @@ def test_expansion_file_of_another_l_is_refused(tmp_path):
     assert str(path) in str(info.value)
 
 
+DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
+
+
 @pytest.mark.parametrize(
     "reader, edit, message",
     [
@@ -105,8 +108,21 @@ def test_expansion_file_of_another_l_is_refused(tmp_path):
          lambda path: path.read_text().replace("\n1,2,3,", "\n1,2,4,").replace("\n3,", "\n4,"),
          "coefficient rows do not match the declared window"),
         (read_density, lambda path: path.read_text(), "not a density file"),
+        (read_density, lambda path: DENSITY_HEADER, "holds no rows"),
+        (read_density, lambda path: DENSITY_HEADER + "0,1\n1\n", "two fields r,f"),
+        (read_density, lambda path: DENSITY_HEADER + "1,2,3\n", "two fields r,f"),
+        (read_density, lambda path: DENSITY_HEADER + "0,x\n", "could not convert"),
     ],
-    ids=["state-list", "expansion-header", "expansion-skips-a-level", "density-of-an-expansion"],
+    ids=[
+        "state-list",
+        "expansion-header",
+        "expansion-skips-a-level",
+        "density-of-an-expansion",
+        "density-without-rows",
+        "density-ragged-row",
+        "density-row-of-three",
+        "density-field-not-a-number",
+    ],
 )
 def test_reader_refuses_a_file_of_another_kind(tmp_path, reader, edit, message):
     # the fixture is a valid expansion for levels 2 and 3, then edited
