@@ -12,11 +12,18 @@ from ``specfun._radial_rows``, whose Laguerre recurrence steps a tile of
 levels at once, the whole 25-level window at nbar 85 and 150.  The radial
 momentum p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r
 gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
-p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set.
-Only density snapshots evaluate the wavefunction, on a caller-supplied grid,
-from a table of the same kernel: a snapshot is one real (2, N) product of the
-stacked Re/Im coefficients with the real table, so the table is never copied
-to complex.
+p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set,
+so a record's stack is the five moment matrices plus E_n <n|r|m> and
+diag(E_n), held complex once per window.  One routine evaluates the records
+of a block of times: the phases exp(-i E_n t) once, one stack product, one
+reduction, then a Python-float tail per time.  ``observables`` is a one-time
+block, and ``scan`` runs fixed-width blocks of times (``cli._SCAN_BLOCK``)
+and takes the autocorrelations from the same phases.  A record does not
+depend on which other times share its block, but a one-time block may
+differ from it in the last bits.  Only density snapshots evaluate the
+wavefunction, on a caller-supplied grid, from a table of the same kernel: a
+snapshot is one real (2, N) product of the stacked Re/Im coefficients with
+the real table, so the table is never copied to complex.
 """
 
 from __future__ import annotations
@@ -176,7 +183,11 @@ def _moment_rule(n_min: int, n_max: int):
     return radial_quadrature(max(4.0 * n_max * n_max, _R_MAX_FLOOR), 64 * panels)
 
 
-@lru_cache(maxsize=8)
+# windows whose moment matrices (and record stacks) are kept
+_WINDOWS_HELD = 8
+
+
+@lru_cache(maxsize=_WINDOWS_HELD)
 def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     """The (5, N, N) operator matrices of the window [n_min, n_max], read-only.
 
@@ -213,8 +224,82 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     return mats
 
 
-def _phases(exp: EigenExpansion, t: float) -> np.ndarray:
-    return np.exp(-1j * exp.energies * t)
+# each window's record stack, beside the moment matrices it was derived from
+_record_stacks: dict = {}
+
+
+def _record_stack(exp: EigenExpansion) -> np.ndarray:
+    """The complex (7, N, N) stack of a record: the five moment matrices, then
+    E_n <n|r|m> and diag(E_n), read-only.
+
+    It is derived from what ``_moment_matrices`` returns and rebuilt whenever
+    that is another array, so ``_moment_matrices.cache_clear()`` clears what a
+    record reads, and no stale stack can be served.  It is held complex, the
+    dtype of the product with the evolved coefficients, so no call casts it.
+    """
+    mats = _moment_matrices(exp.n_min, exp.n_max)
+    window = (exp.n_min, exp.n_max)
+    held = _record_stacks.get(window)
+    if held is not None and held[0] is mats:
+        return held[1]
+    energies = exp.energies
+    stack = np.empty((7,) + mats.shape[1:], dtype=complex)
+    stack[:5] = mats
+    stack[5] = energies[:, None] * mats[1]
+    stack[6] = np.diag(energies)
+    stack.flags.writeable = False
+    if len(_record_stacks) >= _WINDOWS_HELD:
+        _record_stacks.clear()
+    _record_stacks[window] = (mats, stack)
+    return stack
+
+
+def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[UncertaintyRecord]:
+    """The records at the times ``ts``, whose phases exp(-i E_n t) are the
+    rows of ``phases``.
+
+    One stack product and one reduction give every quadratic form
+    c(t)^dagger M c(t) of the block: c(t)^T M for the seven matrices of
+    ``_record_stack``, then the conjugated dot product with c(t).  The rest
+    runs on Python floats, time by time.
+    """
+    coeff_t = exp.coeffs * phases
+    forms = np.vecdot(coeff_t, coeff_t @ _record_stack(exp))
+    records = []
+    for t, (norm, m1, m2, w1, w2, r_e, e) in zip(ts, forms.T.tolist()):
+        norm = norm.real
+        if norm == 0.0:
+            raise ValueError("empty expansion has no observables")
+        m1, m2, w1, w2 = m1.real / norm, m2.real / norm, w1.real / norm, w2.real / norm
+        # <n|p_r|m> = -i (E_m - E_n) <n|r|m>, so <p_r> = 2 Im c^dagger r E c
+        pr = 2.0 * r_e.imag / norm
+        pr2 = 2.0 * e.real / norm + 2.0 * w1 - L * (L + 1) * w2
+        dr = math.sqrt(max(m2 - m1 * m1, 0.0))
+        dpr = math.sqrt(max(pr2 - pr * pr, 0.0))
+        if dpr == 0.0:
+            raise NumericalError(f"no momentum spread at t = {t}: dp_r = 0, so dr / dp_r is undefined")
+        dR = math.sqrt(max(w2 - w1 * w1, 0.0))
+        records.append(UncertaintyRecord(t=t, dr=dr, dpr=dpr, dR=dR, bound_half_rm2=0.5 * w2))
+    return records
+
+
+def _scan_block(exp: EigenExpansion, ts) -> tuple[list[UncertaintyRecord], list[float]]:
+    """The records and autocorrelations at the times ``ts`` from one block of
+    phases; ``scan`` runs it on blocks of a fixed width.
+
+    Each autocorrelation is the dot product of its phase row with the
+    populations, conjugated, which has the bits of ``autocorrelation``.
+    """
+    ts = np.array(ts, dtype=float)
+    phases = _phases(exp, ts[:, None])
+    records = _records(exp, ts.tolist(), phases)
+    s = exp.weight
+    return records, [abs(amp) ** 2 / s**2 for amp in np.vecdot(phases, exp.populations).tolist()]
+
+
+def _phases(exp: EigenExpansion, t) -> np.ndarray:
+    """exp(-i E_n t): a row for a scalar t, a (B, N) block for a (B, 1) column."""
+    return np.exp(exp.phase_rates * t)
 
 
 def evolve(exp: EigenExpansion, t: float) -> EigenExpansion:
@@ -224,7 +309,11 @@ def evolve(exp: EigenExpansion, t: float) -> EigenExpansion:
 
 
 def autocorrelation(exp: EigenExpansion, t: float) -> float:
-    """|<psi(0)|psi(t)>|^2 within the expansion, normalized to 1 at t = 0."""
+    """|<psi(0)|psi(t)>|^2 within the expansion, normalized to 1 at t = 0.
+
+    The phases come from the expansion's cached rates -i E_n, with the bits
+    of exp(-1j * E_n * t).  A scan's block of times gives each time the same
+    bits as this call, whatever the block."""
     s = exp.weight
     if s == 0.0:
         raise ValueError("empty expansion has no autocorrelation")
@@ -260,31 +349,19 @@ def observables(
     expansion and grid (a table built for them is accepted by identity), and
     a mismatch raises ValueError.
 
-    After the matrix products the arithmetic runs on Python floats, in the
-    same IEEE operations and order as on NumPy scalars, so the record has the
-    same bits either way.  The quadrature is checked once per window, when
-    its matrices are built (see ``_GRAM_TOL``); past that, NumericalError
-    arises only for a state with no momentum spread (dp_r = 0, so the ratio
-    dr / dp_r is undefined), and ValueError for an expansion of zero weight.
+    This is a one-time block of the record routine (``_records``) that
+    ``scan`` runs on blocks of times.  After the stack product the
+    arithmetic runs on Python floats, in the same IEEE operations and order
+    as on NumPy scalars, so the record has the same bits either way.  A time
+    gets the same bits in every block of two or more times, but a one-time
+    call may differ from them in the last bits: the product of one row takes
+    another BLAS path, and the variances behind dr, dp_r and dR cancel
+    digits, so dp_r moves by up to about 2e-12 relative at nbar 150, and dR
+    more.  The quadrature is checked once per window, when its matrices are
+    built (see ``_GRAM_TOL``); past that, NumericalError arises only for a
+    state with no momentum spread (dp_r = 0, so the ratio dr / dp_r is
+    undefined), and ValueError for an expansion of zero weight.
     """
     if basis is not None:
         _table_for(exp, grid, basis)  # validated only; the moments need no table
-    energies = exp.energies
-    coeff_t = exp.coeffs * _phases(exp, t)
-    mc = _moment_matrices(exp.n_min, exp.n_max) @ coeff_t
-    norm, m1, m2, w1, w2 = (mc @ np.conj(coeff_t)).real.tolist()
-    if norm == 0.0:
-        raise ValueError("empty expansion has no observables")
-    m1, m2, w1, w2 = m1 / norm, m2 / norm, w1 / norm, w2 / norm
-
-    # <n|(d/dr + 1/r)|m> = (E_m - E_n) <n|r|m>
-    ec = energies * coeff_t
-    pr = -2.0 * float(np.vdot(ec, mc[1]).imag) / norm
-    pr2 = 2.0 * float(np.vdot(coeff_t, ec).real) / norm + 2.0 * w1 - L * (L + 1) * w2
-
-    dr = math.sqrt(max(m2 - m1 * m1, 0.0))
-    dpr = math.sqrt(max(pr2 - pr * pr, 0.0))
-    if dpr == 0.0:
-        raise NumericalError(f"no momentum spread at t = {t}: dp_r = 0, so dr / dp_r is undefined")
-    dR = math.sqrt(max(w2 - w1 * w1, 0.0))
-    return UncertaintyRecord(t=float(t), dr=dr, dpr=dpr, dR=dR, bound_half_rm2=0.5 * w2)
+    return _records(exp, [float(t)], _phases(exp, t)[None])[0]

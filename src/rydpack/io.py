@@ -138,25 +138,32 @@ def write_expansion(path, exp: EigenExpansion) -> None:
 
 
 def read_expansion(path) -> EigenExpansion:
-    """Inverse of `write_expansion`; raises ValueError for an l other than
-    ``L``, or if the header deficit is not the one the coefficient rows give."""
+    """Inverse of `write_expansion`; raises ValueError naming the file for a
+    header or row of the wrong fields, a field that is not a number,
+    coefficients that are no expansion, an l other than ``L``, or a header
+    deficit that is not the one the coefficient rows give."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3 or lines[0] != "l,n_min,n_max,deficit" or lines[2] != "n,re,im":
         raise ValueError(f"{path}: not an expansion file")
-    l_s, nmin_s, nmax_s, deficit_s = lines[1].split(",")
-    if int(l_s) != L:
-        raise ValueError(f"{path}: expands l={l_s}; only p states (l={L}) are supported")
+    header = lines[1].split(",")
+    if len(header) != 4:
+        raise ValueError(f"{path}: the header row must hold the four fields l,n_min,n_max,deficit")
     rows = [line.split(",") for line in lines[3:] if line]
     if any(len(r) != 3 for r in rows):
         raise ValueError(f"{path}: every coefficient row must hold the three fields n,re,im")
-    ns = [int(r[0]) for r in rows]
-    if ns != list(range(int(nmin_s), int(nmax_s) + 1)):
+    try:
+        l, n_min, n_max, deficit = int(header[0]), int(header[1]), int(header[2]), float(header[3])
+        ns = [int(r[0]) for r in rows]
+        exp = EigenExpansion(n_min, [complex(float(r[1]), float(r[2])) for r in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if l != L:
+        raise ValueError(f"{path}: expands l={l}; only p states (l={L}) are supported")
+    if ns != list(range(n_min, n_max + 1)):
         raise ValueError(f"{path}: coefficient rows do not match the declared window")
-    coeffs = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    exp = EigenExpansion(int(nmin_s), coeffs)
     # the coefficients round-trip bit-exactly, and so does the deficit they give
-    if float(deficit_s) != exp.deficit:
-        raise ValueError(f"{path}: header deficit {deficit_s} disagrees with the coefficient rows")
+    if deficit != exp.deficit:
+        raise ValueError(f"{path}: header deficit {header[3]} disagrees with the coefficient rows")
     return exp
 
 

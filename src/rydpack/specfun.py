@@ -308,8 +308,47 @@ def radial_quadrature(r_max: float, n_nodes: int = 4096):
 
 @lru_cache(maxsize=4)
 def _legendre_rule(m: int):
-    """The m-node Gauss-Legendre rule on [-1, 1], cached and read-only."""
-    rule = np.polynomial.legendre.leggauss(m)
-    for a in rule:
+    """The m-node Gauss-Legendre rule on [-1, 1], cached and read-only.
+
+    The arithmetic of NumPy 2.4's ``numpy.polynomial.legendre.leggauss``,
+    operation for operation, so the rule has its bits without the few
+    milliseconds that importing ``numpy.polynomial`` costs a cold process:
+    the eigenvalues of the symmetric companion matrix of P_m, one Newton
+    step, weights 1/(P_{m-1} P_m') from the scaled values, symmetrized and
+    normalized to sum 2.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(m) + 1)
+    companion = np.zeros((m, m))
+    off = np.arange(1, m) * scl[: m - 1] * scl[1:m]
+    companion.flat[1 :: m + 1] = off
+    companion.flat[m :: m + 1] = off
+    x = np.linalg.eigvalsh(companion)
+    p_m = [0.0] * m + [1.0]  # P_m as a Legendre series
+    # P_m' = sum of (2k + 1) P_k over k = m - 1, m - 3, ...
+    dp_m = [(2.0 * k + 1.0) * ((m - 1 - k) % 2 == 0) for k in range(m)]
+    df = _legendre_series(x, dp_m)
+    x -= _legendre_series(x, p_m) / df
+    fm = _legendre_series(x, p_m[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    for a in (x, w):
         a.flags.writeable = False
-    return rule
+    return x, w
+
+
+def _legendre_series(x: np.ndarray, c) -> np.ndarray:
+    """sum_k c[k] P_k(x) by NumPy's ``legval`` Clenshaw recurrence."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    if len(c) == 2:
+        return c[0] + c[1] * x
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x

@@ -116,6 +116,14 @@ class EigenExpansion:
         return energies
 
     @cached_property
+    def phase_rates(self) -> np.ndarray:
+        """The rates -i E_n of the phases exp(-i E_n t), computed once and
+        read-only; ``phase_rates * t`` has the bits of ``-1j * energies * t``."""
+        rates = -1j * self.energies
+        rates.flags.writeable = False
+        return rates
+
+    @cached_property
     def populations(self) -> np.ndarray:
         """The level populations |c_n|^2, computed once and read-only."""
         populations = np.abs(self.coeffs) ** 2

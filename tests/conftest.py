@@ -131,18 +131,15 @@ def per_level_radial():
 
 
 def _numpy_scalar_observables(exp, t):
-    """``evolution.observables`` as it was computed on NumPy scalars, with
-    |c_n|^2 formed afresh: the reference the Python-float tail must equal
-    bit for bit."""
-    energies = exp.energies
-    coeff_t = exp.coeffs * np.exp(-1j * energies * t)
-    mc = evolution._moment_matrices(exp.n_min, exp.n_max) @ coeff_t
-    forms = mc @ np.conj(coeff_t)
+    """``evolution.observables`` as computed on NumPy scalars, with the phases
+    formed from the energies afresh: the record stack's forms of a one-time
+    block, then the reference the Python-float tail must equal bit for bit."""
+    coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)[None]
+    forms = np.vecdot(coeff_t, coeff_t @ evolution._record_stack(exp))[:, 0]
     norm = forms[0].real
-    m1, m2, w1, w2 = forms[1:].real / norm
-    ec = energies * coeff_t
-    pr = -2.0 * np.vdot(ec, mc[1]).imag / norm
-    pr2 = 2.0 * np.vdot(coeff_t, ec).real / norm + 2.0 * w1 - L * (L + 1) * w2
+    m1, m2, w1, w2 = forms[1:5].real / norm
+    pr = 2.0 * forms[5].imag / norm
+    pr2 = 2.0 * forms[6].real / norm + 2.0 * w1 - L * (L + 1) * w2
     dr = np.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = np.sqrt(max(pr2 - pr * pr, 0.0))
     dR = np.sqrt(max(w2 - w1 * w1, 0.0))

@@ -545,6 +545,27 @@ def test_edited_header_deficit_is_usage_error(pipeline20, tmp_path, capsys, comm
     "command,times",
     [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
 )
+@pytest.mark.parametrize(
+    "edit",
+    [lambda line: line.rsplit(",", 1)[0], lambda line: line.replace(",", ",x", 1)],
+    ids=["header-of-three-fields", "n-min-not-a-number"],
+)
+def test_unparseable_expansion_is_usage_error_naming_it(pipeline20, tmp_path, capsys, command, times, edit):
+    lines = (pipeline20 / "expansion.csv").read_text().splitlines()
+    lines[1] = edit(lines[1])
+    expansion = tmp_path / "expansion.csv"
+    expansion.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
+    assert code == 1
+    assert str(expansion) in assert_one_usage_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
+)
 def test_expansion_for_other_nbar_is_usage_error(pipeline20, tmp_path, capsys, command, times):
     # T_cl and t_rev of nbar 85 would be applied to the nbar-20 expansion
     code = main([command, "--nbar", "85", "--expansion", str(pipeline20 / "expansion.csv"),

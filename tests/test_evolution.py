@@ -423,11 +423,26 @@ def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
     "window", [(2, 30), (16, 24), (73, 97), (138, 162), (210, 250), (265, 305), (2, 3), (2, 6)]
 )
 def test_moment_matrices_match_closed_form_diagonals(window):
-    # <r>, <r^2>, <r^-1> and <r^-2> of a bound level (Bethe & Salpeter, section 3)
     mats = evolution._moment_matrices(*window)
     ns = np.arange(window[0], window[1] + 1.0)
     assert mats.shape == (5, ns.size, ns.size)
     assert not mats.flags.writeable
+    assert_hydrogen_identities(mats, ns)
+    assert np.linalg.norm(mats[0] - np.eye(ns.size), 2) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "nbar, deficit_tol", [(3, 2e-3), (4, 1e-4), (20, 1e-4), (85, 1e-4), (150, 1e-4), (230, 1e-4), (285, 1e-4)]
+)
+def test_moment_matrices_keep_hydrogen_identities_across_the_served_range(nbar, deficit_tol):
+    # an oracle for the stack that does not depend on the radial kernel, on
+    # the windows decompose grows
+    exp = decompose(fit_parameters(QuantumNumbers(nbar)), center=nbar, deficit_tol=deficit_tol)
+    assert_hydrogen_identities(evolution._moment_matrices(exp.n_min, exp.n_max), exp.ns.astype(float))
+
+
+def assert_hydrogen_identities(mats, ns):
+    # <r>, <r^2>, <r^-1> and <r^-2> of a bound level (Bethe & Salpeter, section 3)
     ll = 2.0  # l (l + 1) at l = 1
     want = [
         (3.0 * ns**2 - ll) / 2.0,
@@ -437,7 +452,6 @@ def test_moment_matrices_match_closed_form_diagonals(window):
     ]
     for mat, diag in zip(mats[1:], want):
         assert np.max(np.abs(np.diag(mat) / diag - 1.0)) <= 5e-12
-    assert np.linalg.norm(mats[0] - np.eye(ns.size), 2) <= 1e-12
     # off the diagonal, the double commutator [[H, r^2], H] gives
     # (E_n - E_m)^2 <n|r^2|m> = -2 <n|r^-1|m> for n != m
     energies = -0.5 / ns**2
@@ -454,7 +468,8 @@ def test_observables_rejects_mismatched_basis(exp85, grid85, basis85):
 
 @pytest.mark.parametrize("nbar", [85, 150])
 def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_point):
-    # the Python-float tail and the cached populations keep every bit
+    # the Python-float tail, the cached phase rates and the cached
+    # populations keep every bit
     exp = request.getfixturevalue(f"exp{nbar}")
     t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
     times = [0.0] + np.random.default_rng(nbar).uniform(0.0, 4.0 * t_cl, 300).tolist()
@@ -465,6 +480,66 @@ def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_po
             assert type(a) is float and a.hex() == b.hex(), (t, field)
         ac = autocorrelation(exp, t)
         assert type(ac) is float and ac.hex() == want_ac.hex(), t
+
+
+def test_record_stack_adds_the_energy_rows_to_the_moment_matrices(exp85):
+    stack = evolution._record_stack(exp85)
+    mats = evolution._moment_matrices(exp85.n_min, exp85.n_max)
+    energies = exp85.energies
+    assert stack.dtype == complex and not stack.flags.writeable
+    assert not stack.imag.any()
+    assert np.array_equal(stack.real[:5], mats)
+    assert np.array_equal(stack.real[5], energies[:, None] * mats[1])
+    assert np.array_equal(stack.real[6], np.diag(energies))
+    assert evolution._record_stack(exp85) is stack
+
+
+def test_record_stack_follows_the_moment_matrix_cache(exp85, monkeypatch, full_moment_rule):
+    # clearing the matrix cache clears what a record reads: no stale stack
+    stack = evolution._record_stack(exp85)
+    monkeypatch.setattr(evolution, "_moment_rule", full_moment_rule)
+    evolution._moment_matrices.cache_clear()
+    try:
+        rebuilt = evolution._record_stack(exp85)
+        assert rebuilt is not stack
+        assert np.array_equal(rebuilt.real[:5], evolution._moment_matrices(exp85.n_min, exp85.n_max))
+        assert not np.array_equal(rebuilt, stack)
+    finally:
+        evolution._moment_matrices.cache_clear()
+
+
+@pytest.mark.parametrize("nbar", [85, 150])
+def test_scan_block_records_do_not_depend_on_their_block(nbar, request):
+    exp = request.getfixturevalue(f"exp{nbar}")
+    t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
+    times = [0.0] + np.random.default_rng(nbar).uniform(0.0, 4.0 * t_cl, 300).tolist()
+    records, acs = evolution._scan_block(exp, times)
+    for block in (times[::-1], times[7:9], times[100:237], [times[50], 0.0, times[50]]):
+        got, got_acs = evolution._scan_block(exp, block)
+        for rec, ac in zip(got, got_acs):
+            i = times.index(rec.t)
+            assert rec == records[i] and ac == acs[i], rec.t
+    # the autocorrelations have the bits of the one-time call
+    for t, ac in zip(times, acs):
+        assert ac == autocorrelation(exp, t), t
+
+
+@pytest.mark.parametrize("nbar", [85, 150])
+def test_one_time_record_matches_its_row_of_a_block(nbar, request):
+    # the one-row product may differ in its last bits.  dR^2 = <r^-2> - <r^-1>^2
+    # and dp_r^2 = <p_r^2> - <p_r>^2 cancel digits, dp_r up to 2e-12 relative
+    # at nbar 150, so they are compared through their squares: against <r^-2>,
+    # and against -2 <E>, the scale of <p^2> by the virial theorem
+    exp = request.getfixturevalue(f"exp{nbar}")
+    t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
+    times = [0.0] + np.random.default_rng(nbar + 1).uniform(0.0, 4.0 * t_cl, 200).tolist()
+    p2_scale = -2.0 * float(np.dot(exp.populations, exp.energies)) / exp.weight
+    for row in evolution._scan_block(exp, times)[0]:
+        one = observables(exp, row.t, None)
+        assert one.t == row.t
+        assert [one.dr, one.bound_half_rm2] == pytest.approx([row.dr, row.bound_half_rm2], rel=1e-12)
+        assert abs(one.dR**2 - row.dR**2) <= 1e-12 * 2.0 * row.bound_half_rm2, row.t
+        assert abs(one.dpr**2 - row.dpr**2) <= 1e-12 * p2_scale, row.t
 
 
 def test_observables_accepts_its_own_table_by_identity(exp85, grid85, basis85, monkeypatch):

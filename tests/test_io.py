@@ -107,6 +107,10 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
         (read_expansion,
          lambda path: path.read_text().replace("\n1,2,3,", "\n1,2,4,").replace("\n3,", "\n4,"),
          "coefficient rows do not match the declared window"),
+        (read_expansion, lambda path: path.read_text().replace("\n1,2,3,", "\n1,2,"),
+         "header row must hold the four fields"),
+        (read_expansion, lambda path: path.read_text().replace("\n3,0,", "\n3,x,"),
+         "could not convert"),
         (read_density, lambda path: path.read_text(), "not a density file"),
         (read_density, lambda path: DENSITY_HEADER, "holds no rows"),
         (read_density, lambda path: DENSITY_HEADER + "0,1\n1\n", "two fields r,f"),
@@ -117,6 +121,8 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
         "state-list",
         "expansion-header",
         "expansion-skips-a-level",
+        "expansion-header-of-three-fields",
+        "expansion-field-not-a-number",
         "density-of-an-expansion",
         "density-without-rows",
         "density-ragged-row",

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +316,41 @@ def test_gauss_laguerre_rule_is_exact_to_degree_2m_minus_1(m, beta):
         top = terms.max()
         got = top + math.log(np.exp(terms - top).sum())
         assert got == pytest.approx(math.lgamma(beta + j + 1.0), rel=1e-14), j
+
+
+def test_legendre_rule_has_the_bits_of_numpy_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    for m in range(1, 129):
+        got, want = specfun._legendre_rule.__wrapped__(m), leggauss(m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), m
+        assert not any(a.flags.writeable for a in got)
+
+
+COLD_PIPELINE = """
+import sys
+from rydpack import cli
+out = sys.argv[1]
+common = ["--nbar", "20", "-o", out]
+assert cli.main(["fit", *common]) == 0
+assert cli.main(["decompose", *common, "--state", out + "/state.json"]) == 0
+exp = ["--expansion", out + "/expansion.csv"]
+assert cli.main(["scan", *common, *exp, "--t-stop", "Tcl", "--t-steps", "11"]) == 0
+assert cli.main(["density", *common, *exp, "--times", "0,trev/2"]) == 0
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_cli_pipeline_never_imports_numpy_polynomial(tmp_path):
+    # the moment rules need no numpy.polynomial, whose import costs a cold
+    # process a few milliseconds
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", COLD_PIPELINE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
