@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as rio
 from .analysis import Timescales, count_packets, timescales
-from .evolution import BasisTable, RadialGrid, _scan_block, observables
+from .evolution import BasisTable, RadialGrid, _scan, observables
 from .evolution import density as density_at
 from .specfun import NumericalError, hydrogen_energy
 from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, coefficient_spread, decompose
@@ -47,10 +47,6 @@ __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 # at 137 MB (one BLAS thread, 2-core VM), so a scan at the cap takes about
 # 25 s
 _MAX_POINTS = 1_000_000
-
-# scan times per block of phases: a block's (7, 1024, N) stack product is
-# under 6 MB at N = 41 (nbar 285)
-_SCAN_BLOCK = 1024
 
 
 class UsageError(Exception):
@@ -335,11 +331,7 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float]]:
 def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
     exp = _load_expansion_checked(cfg, expansion_path)
     times = sorted(_times(timescales(QuantumNumbers(cfg.nbar)), args)[1])
-    records, acs = [], []
-    for lo in range(0, len(times), _SCAN_BLOCK):
-        block_records, block_acs = _scan_block(exp, times[lo : lo + _SCAN_BLOCK])
-        records += block_records
-        acs += block_acs
+    records, acs = _scan(exp, times)
     rio.write_series(_out_path(cfg, "scan.csv"), records, acs)
     print(f"scan: {len(times)} time points -> scan.csv")
     return 0

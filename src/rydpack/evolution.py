@@ -17,8 +17,8 @@ so a record's stack is the five moment matrices plus E_n <n|r|m> and
 diag(E_n), held complex once per window.  One routine evaluates the records
 of a block of times: the phases exp(-i E_n t) once, one stack product, one
 reduction, then a Python-float tail per time.  ``observables`` is a one-time
-block, and ``scan`` runs fixed-width blocks of times (``cli._SCAN_BLOCK``)
-and takes the autocorrelations from the same phases.  A record does not
+block, and ``scan`` runs near-equal blocks of at most ``_SCAN_BLOCK``
+times and takes the autocorrelations from the same phases.  A record does not
 depend on which other times share its block, but a one-time block may
 differ from it in the last bits.  Only density snapshots evaluate the
 wavefunction, on a caller-supplied grid, from a table of the same kernel: a
@@ -283,9 +283,27 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     return records
 
 
+# the most times in one block of phases: a block's (7, 1024, N) stack product
+# is under 6 MB at N = 41 (nbar 285)
+_SCAN_BLOCK = 1024
+
+
+def _scan(exp: EigenExpansion, times) -> tuple[list[UncertaintyRecord], list[float]]:
+    """The records and autocorrelations at ``times``, in the fewest blocks of
+    at most ``_SCAN_BLOCK`` times, of near-equal sizes.  So a block holds one
+    time only when the whole scan does, and every record of a longer scan
+    has the bits it has in any block of two or more times."""
+    records, acs = [], []
+    for block in np.array_split(np.asarray(times, dtype=float), -(-len(times) // _SCAN_BLOCK)):
+        block_records, block_acs = _scan_block(exp, block)
+        records += block_records
+        acs += block_acs
+    return records, acs
+
+
 def _scan_block(exp: EigenExpansion, ts) -> tuple[list[UncertaintyRecord], list[float]]:
     """The records and autocorrelations at the times ``ts`` from one block of
-    phases; ``scan`` runs it on blocks of a fixed width.
+    phases.
 
     Each autocorrelation is the dot product of its phase row with the
     populations, conjugated, which has the bits of ``autocorrelation``.

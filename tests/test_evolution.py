@@ -525,6 +525,26 @@ def test_scan_block_records_do_not_depend_on_their_block(nbar, request):
 
 
 @pytest.mark.parametrize("nbar", [85, 150])
+def test_scan_leaves_no_time_in_a_block_of_its_own(nbar, request, monkeypatch):
+    # 1025 times are two blocks of 513 and 512, not 1024 and a one-time
+    # block, so every record has the bits of one block of them all
+    exp = request.getfixturevalue(f"exp{nbar}")
+    t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
+    times = np.sort(np.random.default_rng(nbar + 2).uniform(0.0, 4.0 * t_cl, 1025)).tolist()
+    want = evolution._scan_block(exp, times)
+    sizes = []
+
+    def counted(exp, ts):
+        sizes.append(len(ts))
+        return scan_block(exp, ts)
+
+    scan_block = evolution._scan_block
+    monkeypatch.setattr(evolution, "_scan_block", counted)
+    assert evolution._scan(exp, times) == want
+    assert sizes == [513, 512]
+
+
+@pytest.mark.parametrize("nbar", [85, 150])
 def test_one_time_record_matches_its_row_of_a_block(nbar, request):
     # the one-row product may differ in its last bits.  dR^2 = <r^-2> - <r^-1>^2
     # and dp_r^2 = <p_r^2> - <p_r>^2 cancel digits, dp_r up to 2e-12 relative

@@ -319,12 +319,19 @@ def test_gauss_laguerre_rule_is_exact_to_degree_2m_minus_1(m, beta):
 
 
 def test_legendre_rule_has_the_bits_of_numpy_leggauss():
+    # the rule ports NumPy 2.4's leggauss.  A NumPy that rounds the Clenshaw
+    # recurrence as (c1 * (nd - 1)) / nd moves the weights by up to 4.3e-11
+    # relative at m <= 128 (the port with that rounding, against itself)
     from numpy.polynomial.legendre import leggauss
 
+    exact = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
     for m in range(1, 129):
-        got, want = specfun._legendre_rule.__wrapped__(m), leggauss(m)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), m
-        assert not any(a.flags.writeable for a in got)
+        (x, w), (want_x, want_w) = specfun._legendre_rule.__wrapped__(m), leggauss(m)
+        if exact:
+            assert np.array_equal(x, want_x) and np.array_equal(w, want_w), m
+        else:
+            assert np.max(np.abs(x - want_x)) <= 1e-15 and np.allclose(w, want_w, rtol=1e-10, atol=0.0), m
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 COLD_PIPELINE = """
