@@ -43,9 +43,9 @@ from .units import ATOMIC_TIME_S, au_to_ns, au_to_ps
 __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 
 # the most points a density grid or a scan range may ask for: 62 times the
-# default grid.  A 10^5-point scan at nbar 85 takes 2.4-2.5 s CPU and peaks
-# at 137 MB (one BLAS thread, 2-core VM), so a scan at the cap takes about
-# 25 s
+# default grid.  A scan writes its CSV one block of times at a time: at
+# nbar 85 a 10^5-point scan takes 2.4-3 s CPU and peaks at 38 MB RSS, and a
+# scan at the cap about 24 s and 45 MB (one BLAS thread, 2-core VM)
 _MAX_POINTS = 1_000_000
 
 
@@ -235,7 +235,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "l": L,
         "alpha": state.alpha,
         "gamma0": state.gamma0,
-        "gamma1": state.gamma1,
+        "gamma1": 0.0,
         "log_norm": state.log_norm,
         "r_out": geo.r_out,
         "eccentricity": geo.eccentricity,
@@ -254,7 +254,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     }
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, state)
     rio.write_text_atomic(
-        _out_path(cfg, "fit_report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _out_path(cfg, "fit_report.json"), [json.dumps(report, indent=2, sort_keys=True) + "\n"]
     )
     print(
         f"fit nbar={q.nbar}: alpha={state.alpha:.6f} gamma0={state.gamma0:.9f} "
@@ -303,11 +303,11 @@ def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
     return exp
 
 
-def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float]]:
+def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.ndarray]:
     """The expressions of ``--times`` and their values in au.
 
-    Without ``--times`` (scan only), the values are --t-steps points from
-    --t-start to --t-stop, and there are no expressions.
+    Without ``--times`` (scan only), the values are an array of --t-steps
+    points from --t-start to --t-stop, and there are no expressions.
     """
 
     def parse(text):
@@ -325,14 +325,15 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float]]:
         raise UsageError("t-steps must be >= 2")
     if args.t_steps > _MAX_POINTS:
         raise UsageError(f"t-steps must be at most {_MAX_POINTS}, got {args.t_steps}")
-    return None, list(np.linspace(t0, t1, args.t_steps))
+    return None, np.linspace(t0, t1, args.t_steps)
 
 
 def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
     exp = _load_expansion_checked(cfg, expansion_path)
-    times = sorted(_times(timescales(QuantumNumbers(cfg.nbar)), args)[1])
-    records, acs = _scan(exp, times)
-    rio.write_series(_out_path(cfg, "scan.csv"), records, acs)
+    # a stable sort keeps the order of equal times, 0.0 and -0.0, as sorted() does
+    times = np.sort(_times(timescales(QuantumNumbers(cfg.nbar)), args)[1], kind="stable")
+    # each block of times is evaluated as the file takes its rows
+    rio.write_series(_out_path(cfg, "scan.csv"), _scan(exp, times))
     print(f"scan: {len(times)} time points -> scan.csv")
     return 0
 
@@ -376,7 +377,7 @@ def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
         "snapshots": snapshots,
     }
     rio.write_text_atomic(
-        _out_path(cfg, "packets.json"), json.dumps(packets, indent=2, sort_keys=True) + "\n"
+        _out_path(cfg, "packets.json"), [json.dumps(packets, indent=2, sort_keys=True) + "\n"]
     )
     return 0
 

@@ -29,6 +29,7 @@ the real table, so the table is never copied to complex.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -288,17 +289,15 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
 _SCAN_BLOCK = 1024
 
 
-def _scan(exp: EigenExpansion, times) -> tuple[list[UncertaintyRecord], list[float]]:
-    """The records and autocorrelations at ``times``, in the fewest blocks of
-    at most ``_SCAN_BLOCK`` times, of near-equal sizes.  So a block holds one
-    time only when the whole scan does, and every record of a longer scan
-    has the bits it has in any block of two or more times."""
-    records, acs = [], []
+def _scan(exp: EigenExpansion, times) -> Iterator[tuple[list[UncertaintyRecord], list[float]]]:
+    """Yield the records and autocorrelations at ``times`` block by block, as
+    (records, autocorrelations) pairs, in the fewest blocks of at most
+    ``_SCAN_BLOCK`` times, of near-equal sizes.  So a block holds one time
+    only when the whole scan does, and every record of a longer scan has the
+    bits it has in any block of two or more times.  A block is evaluated when
+    it is asked for, so a consumer that drops each block holds only one."""
     for block in np.array_split(np.asarray(times, dtype=float), -(-len(times) // _SCAN_BLOCK)):
-        block_records, block_acs = _scan_block(exp, block)
-        records += block_records
-        acs += block_acs
-    return records, acs
+        yield _scan_block(exp, block)
 
 
 def _scan_block(exp: EigenExpansion, ts) -> tuple[list[UncertaintyRecord], list[float]]:

@@ -7,12 +7,14 @@ reads each column by name from its UncertaintyRecord.  Density snapshots of
 one grid share their r column: it is formatted once into a row template with
 a ``%.17g`` slot for f, and each snapshot fills the template with one ``%``
 over its values instead of formatting every row.
-Every artifact is written whole or not at all: the text goes to a temporary
-file in the target directory, which then replaces the target.  State and
-expansion files record the angular momentum l, always ``squeezed.L`` = 1, and
-the readers refuse any other value.  They also record values the rest of the
-file fixes, a state's ``log_norm`` and an expansion's deficit, and the readers
-refuse a file whose recorded value is not, bit for bit, the derived one.
+Every artifact is written whole or not at all: its text goes, chunk by
+chunk, to a temporary file in the target directory, which then replaces the
+target; a scan CSV goes one block of rows at a time.  State and expansion
+files record the angular momentum l, always ``squeezed.L`` = 1, and a state
+file the paper's gamma1, always 0.0 (``squeezed``); the readers refuse any
+other value.  They also record values the rest of the file fixes, a state's
+``log_norm`` and an expansion's deficit, and the readers refuse a file whose
+recorded value is not, bit for bit, the derived one.
 """
 
 from __future__ import annotations
@@ -52,19 +54,23 @@ SERIES_COLUMNS = (
 )
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` so that readers see the old file or the new
-    one, never a part: a temporary file beside it replaces it.
+def write_text_atomic(path, chunks) -> None:
+    """Write the text chunks of the iterable ``chunks`` to ``path``, in order,
+    so that readers see the old file or the new one, never a part: a
+    temporary file beside it replaces it.
 
-    The temporary file is created with the permissions a plain write would
-    give a new file, and is removed if anything fails before the replace.
+    Each chunk is written as the iterable yields it, so a generator's text is
+    never held whole.  The temporary file is created with the permissions a
+    plain write would give a new file, and is removed if anything fails
+    before the replace, a chunk that raises included.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -81,10 +87,10 @@ def write_state(path, nbar: int, state: RadialSqueezedState) -> None:
         "l": L,
         "alpha": float(state.alpha),
         "gamma0": float(state.gamma0),
-        "gamma1": float(state.gamma1),
+        "gamma1": 0.0,
         "log_norm": float(state.log_norm),
     }
-    write_text_atomic(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, [json.dumps(record, indent=2, sort_keys=True) + "\n"])
 
 
 _STATE_KEYS = {
@@ -99,10 +105,14 @@ _STATE_KEYS = {
 
 def read_state(path):
     """Inverse of `write_state`, giving (nbar, state); raises ValueError naming
-    the file and a missing or ill-typed key, an l other than ``L``, parameters
-    that are no state, or a ``log_norm`` that is not the one alpha and gamma0
-    give."""
-    record = json.loads(Path(path).read_text())
+    the file for text that is not JSON, a missing or ill-typed key, an l other
+    than ``L``, a gamma1 other than 0 (NaN and infinities included),
+    parameters that are no state, or a ``log_norm`` that is not the one alpha
+    and gamma0 give."""
+    try:
+        record = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a state file: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: not a state file")
     for key, types in _STATE_KEYS.items():
@@ -115,10 +125,10 @@ def read_state(path):
         raise ValueError(
             f"{path}: state file holds l={record['l']}; only p states (l={L}) are supported"
         )
+    if record["gamma1"] != 0.0:  # <p_r> = 0 fixes it; a NaN fails too
+        raise ValueError(f"{path}: state file holds gamma1={record['gamma1']!r}, not 0")
     try:
-        state = RadialSqueezedState(
-            alpha=record["alpha"], gamma0=record["gamma0"], gamma1=record["gamma1"]
-        )
+        state = RadialSqueezedState(alpha=record["alpha"], gamma0=record["gamma0"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if record["log_norm"] != state.log_norm:
@@ -134,7 +144,7 @@ def write_expansion(path, exp: EigenExpansion) -> None:
     ]
     for n, c in zip(exp.ns, exp.coeffs):
         lines.append(f"{int(n)},{_fmt(c.real)},{_fmt(c.imag)}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, ["\n".join(lines) + "\n"])
 
 
 def read_expansion(path) -> EigenExpansion:
@@ -167,17 +177,26 @@ def read_expansion(path) -> EigenExpansion:
     return exp
 
 
-def write_series(path, records, autocorrelations) -> None:
+def write_series(path, blocks) -> None:
     """One row per time point in ``SERIES_COLUMNS`` order: the time in au
     (the record's ``t``) and ns, the autocorrelation, and every other column
-    the UncertaintyRecord attribute of that name."""
-    lines = [",".join(SERIES_COLUMNS)]
-    for rec, ac in zip(records, autocorrelations):
-        row = {"t_au": rec.t, "t_ns": au_to_ns(rec.t), "autocorrelation": ac}
-        lines.append(
-            ",".join(_fmt(row[c] if c in row else getattr(rec, c)) for c in SERIES_COLUMNS)
+    the UncertaintyRecord attribute of that name.  ``blocks`` yields
+    (records, autocorrelations) pairs, as ``evolution._scan`` does, and each
+    pair's rows are written before the next pair is asked for.
+    """
+
+    def row(rec, ac):
+        values = {"t_au": rec.t, "t_ns": au_to_ns(rec.t), "autocorrelation": ac}
+        return ",".join(
+            _fmt(values[c] if c in values else getattr(rec, c)) for c in SERIES_COLUMNS
         )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield ",".join(SERIES_COLUMNS) + "\n"
+        for records, autocorrelations in blocks:
+            yield "".join(row(rec, ac) + "\n" for rec, ac in zip(records, autocorrelations))
+
+    write_text_atomic(path, chunks())
 
 
 def write_density(paths, r, densities, times_au) -> None:
@@ -191,7 +210,7 @@ def write_density(paths, r, densities, times_au) -> None:
     rows = ("%.17g,%%.17g\n" * len(r)) % tuple(np.asarray(r, dtype=float).tolist())
     for path, f, t_au in zip(paths, densities, times_au):
         header = f"# t_au={_fmt(t_au)} t_ns={_fmt(au_to_ns(t_au))}\nr,f\n"
-        write_text_atomic(path, header + rows % tuple(np.asarray(f, dtype=float).tolist()))
+        write_text_atomic(path, [header, rows % tuple(np.asarray(f, dtype=float).tolist())])
 
 
 def read_density(path):

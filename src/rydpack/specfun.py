@@ -242,6 +242,13 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     where the envelope is nonzero.  Everywhere else the value is exactly 0;
     a live value that is not finite raises NumericalError naming the first
     such level.
+
+    That 0 is a cut, not always the value.  The envelope underflows from
+    about rho = 1469 on, where R_nl can still be a normal double, P_k being
+    large there: on the nbar-230 density grid (16 000 points to 4 nbar^2)
+    the first cut column of R_210,1, R_230,1 and R_250,1 holds 0.0 where
+    50-digit mpmath gives 1.66e-74, 1.30e-61 and 7.29e-50.  A per-element
+    exponent carried with P_k would keep them.
     """
     if ns.size:
         _check_nl(int(ns.min()), l)

@@ -8,12 +8,12 @@ of either can disagree with them.  The angular momentum is the package
 constant l = ``squeezed.L`` = 1, and the window never reaches past ``N_CAP``.
 
 The projections c_n = int R_nl psi r^2 dr are exact up to rounding.  With
-beta = alpha + l + 2, sigma_n = gamma0 + i gamma1 + 1/n, k = n - l - 1 and
+beta = alpha + l + 2, sigma_n = gamma0 + 1/n, k = n - l - 1 and
 t = sigma_n r, the integrand is t^beta e^{-t} times the degree-k polynomial
 L_k^{2l+1}(2t / (n sigma_n)), up to constant factors, so a generalized
 Gauss-Laguerre rule for the weight t^beta e^{-t} with M > k/2 nodes
-integrates it exactly; for complex sigma_n (gamma1 != 0) the rule still holds
-by rotating the contour, since Re sigma_n > 0.  beta is the same for every
+integrates it exactly.  sigma_n and every c_n are real, since <p_r> = 0
+fixes the paper's gamma1 at 0 (``squeezed``).  beta is the same for every
 level, so one rule serves a whole batch of levels.  The guard projects again
 with M + 8 nodes: disagreement beyond 1e-9 (``_ERR_TOL``), or a value that
 is not finite, raises NumericalError.
@@ -163,8 +163,6 @@ def _project_on_rule(state, ns, m):
     t, log_w = _gauss_laguerre(m, beta)
     ns = np.asarray(ns)
     sigma = state.gamma0 + 1.0 / ns
-    if state.gamma1 != 0.0:
-        sigma = sigma + 1j * state.gamma1
     log_const = (
         state.log_norm
         + np.array([_radial_log_const(int(n), L) for n in ns])

@@ -1,7 +1,7 @@
-"""Radial squeezed states psi(r) = N r^alpha exp(-gamma0 r) exp(-i gamma1 r).
+"""Radial squeezed states psi(r) = N r^alpha exp(-gamma0 r).
 
 Closed-form moments, expectation values, uncertainty algebra, and the fit of
-(alpha, gamma0, gamma1) from the matching conditions
+(alpha, gamma0) from the matching conditions
 
     <p_r> = 0,    <r> = r_out,    <H> = E_nbar,
 
@@ -12,10 +12,12 @@ l(l+1)/(2 r^2) is exactly 1/r^2, so the paper's effective potential
 r^-2 - r^-1 and the centrifugal convention are the same function, and there
 is no convention to choose.
 
-The fit is closed form.  <p_r> = 0 gives gamma1 = 0, and with s = 2 alpha + 3
-and R = r_out, <r> = R gives gamma0 = s/(2R).  The apsidal point solves
-R^2 - 2 nbar^2 R + 2 nbar^2 = 0, so E_nbar = -(R - 1)/R^2 exactly, and
-<H> = E_nbar becomes the cubic
+The paper's states carry a momentum phase exp(-i gamma1 r), which gives
+<p_r> = -gamma1, so the first condition fixes gamma1 = 0 for every packet: a
+state here is real and has no gamma1.  The fit is closed form.  With
+s = 2 alpha + 3 and R = r_out, <r> = R gives gamma0 = s/(2R).  The apsidal
+point solves R^2 - 2 nbar^2 R + 2 nbar^2 = 0, so E_nbar = -(R - 1)/R^2
+exactly, and <H> = E_nbar becomes the cubic
 
     s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0.
 
@@ -26,7 +28,7 @@ is the fit.  At nbar = 2 the only real root is negative, so there is no fit.
 These states saturate the uncertainty relation dR dP >= <r^-2>/2 for the
 operator pair R = (2 - r)/(2 r), P = p_r, whose commutator is -i r^-2.
 
-A state is its three parameters: the normalization ln N is a function of
+A state is its two parameters: the normalization ln N is a function of
 alpha and gamma0, computed on first use and never passed in.
 """
 
@@ -47,7 +49,6 @@ __all__ = [
     "OrbitGeometry",
     "RadialSqueezedState",
     "moment_r",
-    "expectation_pr",
     "expectation_pr2",
     "expectation_H",
     "uncertainties_rp",
@@ -93,21 +94,18 @@ class RadialSqueezedState:
 
     ``log_norm`` is ln N fixed by <r^0> = 1.  It is derived from alpha and
     gamma0, never given, so a state cannot carry a stale one; a state whose
-    normalization is not finite (alpha or gamma0 near the float range), or
-    whose gamma1 is not finite, raises ValueError.
+    normalization is not finite (alpha or gamma0 near the float range)
+    raises ValueError.
     """
 
     alpha: float
     gamma0: float
-    gamma1: float = 0.0
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if not self.gamma0 > 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0!r}")
-        if not math.isfinite(self.gamma1):
-            raise ValueError(f"gamma1 must be finite, got {self.gamma1!r}")
         try:
             finite = math.isfinite(self.log_norm)
         except OverflowError:  # lgamma of a finite argument above about 2.5e305
@@ -129,14 +127,9 @@ class RadialSqueezedState:
             return self.log_norm + self.alpha * np.log(r) - self.gamma0 * r
 
     def psi(self, r):
-        """Complex wavefunction values; zero at r = 0 since alpha > 0."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.exp(self.log_envelope(r)).astype(complex)
-        if self.gamma1 != 0.0:
-            out *= np.exp(-1j * self.gamma1 * r)
-        return complex(out[0]) if scalar else out
+        """Real wavefunction values exp(``log_envelope``); zero at r = 0 since
+        alpha > 0."""
+        return np.exp(self.log_envelope(r))
 
 
 # the largest order |k| that `moment_r` takes; the product's rounding grows by
@@ -150,8 +143,7 @@ def moment_r(state: RadialSqueezedState, k: float) -> float:
     The order k is an integer with |k| <= 8, so the gamma ratio is a short
     product, (a + 1)/b ... (a + k)/b for k > 0 and b/a ... b/(a + k + 1) for
     k < 0, exact to a few ulp at any alpha.  Any other order, or one at or
-    below the normalizability bound -(a + 1), raises ValueError.  Independent
-    of gamma1, which only contributes a phase.
+    below the normalizability bound -(a + 1), raises ValueError.
     """
     if not abs(k) <= _MAX_ORDER or k != int(k):
         raise ValueError(f"moment order k={k} is not an integer of size at most {_MAX_ORDER}")
@@ -167,14 +159,9 @@ def moment_r(state: RadialSqueezedState, k: float) -> float:
     return moment
 
 
-def expectation_pr(state: RadialSqueezedState) -> float:
-    """<p_r> = -gamma1, from p_r = -i (d/dr + 1/r) applied to the state."""
-    return -state.gamma1
-
-
 def expectation_pr2(state: RadialSqueezedState) -> float:
-    """<p_r^2> = gamma1^2 + gamma0^2 / (2 alpha + 1)."""
-    return state.gamma1 ** 2 + state.gamma0 ** 2 / (2.0 * state.alpha + 1.0)
+    """<p_r^2> = gamma0^2 / (2 alpha + 1); <p_r> is 0, as for every real state."""
+    return state.gamma0 ** 2 / (2.0 * state.alpha + 1.0)
 
 
 def expectation_H(state: RadialSqueezedState) -> float:
@@ -220,11 +207,12 @@ def orbit_geometry(q: QuantumNumbers) -> OrbitGeometry:
 
 
 def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
-    """Solve the three matching conditions for (alpha, gamma0, gamma1) in closed form.
+    """Solve the matching conditions for (alpha, gamma0) in closed form.
 
-    With R = r_out, E_nbar = -(R - 1)/R^2 exactly, and the conditions give
-    gamma1 = 0, alpha = (s - 3)/2 and gamma0 = s/(2R), where s is the largest
-    real root of s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0 (module docstring),
+    <p_r> = 0 is the paper's gamma1 = 0, which every state here has (module
+    docstring).  With R = r_out, E_nbar = -(R - 1)/R^2 exactly, and the
+    other two conditions give alpha = (s - 3)/2 and gamma0 = s/(2R), where s
+    is the largest real root of s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0,
     taken from `np.roots` and polished by one Newton step.  FitError if that
     root has s <= 3 (alpha <= 0), as at nbar = 2, or if a residual of
     <r> = r_out or <H> = E_nbar exceeds 1e-10 relative.  The potential is the
@@ -239,7 +227,7 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
             f"the matching conditions have no solution with alpha > 0 for nbar={q.nbar}"
         )
     s = float(s - np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s))
-    state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out), gamma1=0.0)
+    state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out))
 
     r_resid = abs(moment_r(state, 1.0) - r_out) / r_out
     h_resid = abs(expectation_H(state) - e_target) / abs(e_target)

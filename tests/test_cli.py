@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -380,21 +381,25 @@ def test_edited_state_log_norm_is_usage_error(tmp_path, capsys, delta):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("gamma1", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "gamma1", [0.5, float("nan"), float("inf")], ids=["0.5", "NaN", "Infinity"]
+)
 def test_non_finite_gamma1_is_usage_error(tmp_path, gamma1):
-    # json writes and reads these as the literals NaN and Infinity; the state
-    # refuses them before any projection could turn them into a numerical failure
+    # json writes and reads the non-finite values as the literals NaN and
+    # Infinity; <p_r> = 0 fixes gamma1 at 0, so any other value, finite or
+    # not, is refused before a projection could turn it into a numerical failure
     path = tmp_path / "state.json"
     write_state(path, 20, fit_parameters(QuantumNumbers(20)))
     record = json.loads(path.read_text())
+    assert record["gamma1"] == 0.0
     record["gamma1"] = gamma1
     path.write_text(json.dumps(record))
     out = tmp_path / "out"
     res = run_cli("decompose", "--nbar", "20", "--state", str(path), "-o", str(out))
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("usage error:") and str(path) in res.stderr
-    assert "gamma1 must be finite" in res.stderr
-    assert not (out / "expansion.csv").exists()
+    assert f"gamma1={gamma1!r}" in res.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["1", "2"])
@@ -604,6 +609,46 @@ def test_malformed_coefficient_row_is_usage_error(pipeline20, tmp_path, capsys, 
     assert code == 1
     assert str(expansion) in assert_one_usage_error(capsys)
     assert not out.exists()
+
+
+def test_long_scan_holds_one_block_of_rows_at_a_time(pipeline20, tmp_path):
+    # scan.csv is written block by block, so ten times the points take about
+    # the same traced memory: the times themselves, and one block in flight
+    common = ["scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+              "--t-stop", "4*Tcl"]
+    assert main([*common, "--t-steps", "3", "-o", str(tmp_path / "warm")]) == 0
+    peaks = []
+    for steps in (2049, 20481):
+        tracemalloc.start()
+        try:
+            assert main([*common, "--t-steps", str(steps), "-o", str(tmp_path / str(steps))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        lines = (tmp_path / str(steps) / "scan.csv").read_text().splitlines()
+        assert len(lines) == steps + 1
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_scan_failing_in_a_later_block_leaves_no_file(pipeline20, tmp_path, capsys, monkeypatch):
+    # 2048 times are two blocks of 1024; the first is written before the
+    # second fails, and the failure still leaves no scan.csv and no temporary file
+    calls = []
+    scan_block = evolution._scan_block
+
+    def second_fails(exp, ts):
+        calls.append(len(ts))
+        if len(calls) == 2:
+            raise evolution.NumericalError("second block failed")
+        return scan_block(exp, ts)
+
+    monkeypatch.setattr(evolution, "_scan_block", second_fails)
+    code = main(["scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+                 "--t-stop", "4*Tcl", "--t-steps", "2048", "-o", str(tmp_path)])
+    assert code == 2
+    assert "second block failed" in capsys.readouterr().err
+    assert calls == [1024, 1024]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_quadrature_failure(pipeline20, tmp_path, coarse_quadrature, capsys):

