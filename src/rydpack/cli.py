@@ -124,9 +124,9 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}")
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise UsageError(f"config file {args.config} is not UTF-8 JSON: {exc}")
         if not isinstance(raw, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
         unknown = set(raw) - _CONFIG_FIELDS

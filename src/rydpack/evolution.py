@@ -13,12 +13,13 @@ levels at once, the whole 25-level window at nbar 85 and 150.  The radial
 momentum p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r
 gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
 p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set,
-so a record's stack is the five moment matrices plus E_n <n|r|m> and
-diag(E_n), held complex once per window.  One routine evaluates the records
-of a block of times: the phases exp(-i E_n t) once, one stack product, one
-reduction, then a Python-float tail per time.  ``observables`` is a one-time
-block, and ``scan`` runs near-equal blocks of at most ``_SCAN_BLOCK``
-times and takes the autocorrelations from the same phases.  A record does not
+so one cached build per window (``_moment_matrices``) holds the seven
+layers a record reads: the five moment matrices, E_n <n|r|m> and diag(E_n),
+in one complex stack.  One routine evaluates the records of a block of
+times: the phases exp(-i E_n t) once, one stack product, one reduction, then
+a Python-float tail per time.  ``observables`` is a one-time block, and
+``scan`` runs near-equal blocks of at most ``_SCAN_BLOCK`` times and takes
+the autocorrelations from the same phases.  A record does not
 depend on which other times share its block, but a one-time block may
 differ from it in the last bits.  Only density snapshots evaluate the
 wavefunction, on a caller-supplied grid, from a table of the same kernel: a
@@ -184,18 +185,23 @@ def _moment_rule(n_min: int, n_max: int):
     return radial_quadrature(max(4.0 * n_max * n_max, _R_MAX_FLOOR), 64 * panels)
 
 
-# windows whose moment matrices (and record stacks) are kept
+# windows whose record stacks are kept
 _WINDOWS_HELD = 8
 
 
 @lru_cache(maxsize=_WINDOWS_HELD)
 def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
-    """The (5, N, N) operator matrices of the window [n_min, n_max], read-only.
+    """The complex (7, N, N) record stack of the window [n_min, n_max],
+    read-only: the one cached build a record reads.
 
-    In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m> and <n|r^-2|m>, all
-    integrated with the measure r^2 dr on the window's panelized
-    Gauss-Legendre rule (``_moment_rule``: 448 nodes on [7, 30], 576 on
-    [73, 97], at most 2048).  The R_nl values come from
+    In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m>, <n|r^-2|m>, E_n <n|r|m>
+    and diag(E_n), with E_n = -1/(2 n^2) formed as
+    ``EigenExpansion.energies`` forms it.  The five moments are integrated
+    with the measure r^2 dr on the window's panelized Gauss-Legendre rule
+    (``_moment_rule``: 448 nodes on [7, 30], 576 on [73, 97], at most 2048),
+    each real product written into its layer, so every imaginary part is 0;
+    complex is the dtype of the product with the evolved coefficients, so no
+    call casts the stack.  The R_nl values come from
     ``specfun._radial_rows``, whose one Laguerre recurrence steps a tile of
     levels at once (the whole window at nbar 85 and 150) and reads each off
     at its own degree.  The Gram matrix S = <n|m> must satisfy
@@ -204,54 +210,25 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     coefficient vector c, so one check covers every time.
     """
     x, w = _moment_rule(n_min, n_max)
-    vals = _radial_rows(np.arange(n_min, n_max + 1), L, x)
+    ns = np.arange(n_min, n_max + 1)
+    vals = _radial_rows(ns, L, x)
     wv = vals * (w * x * x)
-    mats = np.stack(
-        [
-            wv @ vals.T,
-            (wv * x) @ vals.T,
-            (wv * x * x) @ vals.T,
-            (wv / x) @ vals.T,
-            (vals * w) @ vals.T,
-        ]
-    )
-    gap = np.linalg.norm(mats[0] - np.eye(len(vals)), 2)
+    stack = np.empty((7, ns.size, ns.size), dtype=complex)
+    stack[0] = wv @ vals.T
+    stack[1] = (wv * x) @ vals.T
+    stack[2] = (wv * x * x) @ vals.T
+    stack[3] = (wv / x) @ vals.T
+    stack[4] = (vals * w) @ vals.T
+    energies = -0.5 / ns.astype(float) ** 2
+    stack[5] = energies[:, None] * stack[1].real
+    stack[6] = np.diag(energies)
+    gap = np.linalg.norm(stack[0].real - np.eye(ns.size), 2)
     if not gap <= _GRAM_TOL:  # a NaN gap fails too
         raise NumericalError(
             f"quadrature too coarse for the window [{n_min}, {n_max}]: "
             f"||S - I||_2 = {gap:.3e} > {_GRAM_TOL:g}"
         )
-    mats.flags.writeable = False
-    return mats
-
-
-# each window's record stack, beside the moment matrices it was derived from
-_record_stacks: dict = {}
-
-
-def _record_stack(exp: EigenExpansion) -> np.ndarray:
-    """The complex (7, N, N) stack of a record: the five moment matrices, then
-    E_n <n|r|m> and diag(E_n), read-only.
-
-    It is derived from what ``_moment_matrices`` returns and rebuilt whenever
-    that is another array, so ``_moment_matrices.cache_clear()`` clears what a
-    record reads, and no stale stack can be served.  It is held complex, the
-    dtype of the product with the evolved coefficients, so no call casts it.
-    """
-    mats = _moment_matrices(exp.n_min, exp.n_max)
-    window = (exp.n_min, exp.n_max)
-    held = _record_stacks.get(window)
-    if held is not None and held[0] is mats:
-        return held[1]
-    energies = exp.energies
-    stack = np.empty((7,) + mats.shape[1:], dtype=complex)
-    stack[:5] = mats
-    stack[5] = energies[:, None] * mats[1]
-    stack[6] = np.diag(energies)
     stack.flags.writeable = False
-    if len(_record_stacks) >= _WINDOWS_HELD:
-        _record_stacks.clear()
-    _record_stacks[window] = (mats, stack)
     return stack
 
 
@@ -260,12 +237,12 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     rows of ``phases``.
 
     One stack product and one reduction give every quadratic form
-    c(t)^dagger M c(t) of the block: c(t)^T M for the seven matrices of
-    ``_record_stack``, then the conjugated dot product with c(t).  The rest
-    runs on Python floats, time by time.
+    c(t)^dagger M c(t) of the block: c(t)^T M for the seven matrices of the
+    window's stack (``_moment_matrices``), then the conjugated dot product
+    with c(t).  The rest runs on Python floats, time by time.
     """
     coeff_t = exp.coeffs * phases
-    forms = np.vecdot(coeff_t, coeff_t @ _record_stack(exp))
+    forms = np.vecdot(coeff_t, coeff_t @ _moment_matrices(exp.n_min, exp.n_max))
     records = []
     for t, (norm, m1, m2, w1, w2, r_e, e) in zip(ts, forms.T.tolist()):
         norm = norm.real

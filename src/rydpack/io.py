@@ -77,6 +77,15 @@ def write_text_atomic(path, chunks) -> None:
         raise
 
 
+def _read_text(path, kind: str) -> str:
+    """The text of ``path`` read as UTF-8, the encoding ``write_text_atomic``
+    writes; ValueError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {kind}: {exc}") from None
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -105,13 +114,13 @@ _STATE_KEYS = {
 
 def read_state(path):
     """Inverse of `write_state`, giving (nbar, state); raises ValueError naming
-    the file for text that is not JSON, a missing or ill-typed key, an l other
-    than ``L``, a gamma1 other than 0 (NaN and infinities included),
+    the file for text that is not UTF-8 JSON, a missing or ill-typed key, an
+    l other than ``L``, a gamma1 other than 0 (NaN and infinities included),
     parameters that are no state, or a ``log_norm`` that is not the one alpha
     and gamma0 give."""
     try:
-        record = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: not a state file: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: not a state file")
@@ -148,11 +157,11 @@ def write_expansion(path, exp: EigenExpansion) -> None:
 
 
 def read_expansion(path) -> EigenExpansion:
-    """Inverse of `write_expansion`; raises ValueError naming the file for a
-    header or row of the wrong fields, a field that is not a number,
-    coefficients that are no expansion, an l other than ``L``, or a header
+    """Inverse of `write_expansion`; raises ValueError naming the file for
+    text that is not UTF-8, a header or row of the wrong fields, a field that
+    is not a number, coefficients that are no expansion, an l other than ``L``, or a header
     deficit that is not the one the coefficient rows give."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path, "an expansion file").splitlines()
     if len(lines) < 3 or lines[0] != "l,n_min,n_max,deficit" or lines[2] != "n,re,im":
         raise ValueError(f"{path}: not an expansion file")
     header = lines[1].split(",")
@@ -215,9 +224,9 @@ def write_density(paths, r, densities, times_au) -> None:
 
 def read_density(path):
     """Inverse of `write_density` for one file, giving (t_au, r, f); raises
-    ValueError naming the file if it holds no rows, a row that is not the two
-    fields r,f, or a field that is not a number."""
-    lines = Path(path).read_text().splitlines()
+    ValueError naming the file if it is not UTF-8 or holds no rows, a row
+    that is not the two fields r,f, or a field that is not a number."""
+    lines = _read_text(path, "a density file").splitlines()
     if len(lines) < 2 or not lines[0].startswith("# t_au=") or lines[1] != "r,f":
         raise ValueError(f"{path}: not a density file")
     rows = [line.split(",") for line in lines[2:] if line]

@@ -135,7 +135,7 @@ def _numpy_scalar_observables(exp, t):
     formed from the energies afresh: the record stack's forms of a one-time
     block, then the reference the Python-float tail must equal bit for bit."""
     coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)[None]
-    forms = np.vecdot(coeff_t, coeff_t @ evolution._record_stack(exp))[:, 0]
+    forms = np.vecdot(coeff_t, coeff_t @ evolution._moment_matrices(exp.n_min, exp.n_max))[:, 0]
     norm = forms[0].real
     m1, m2, w1, w2 = forms[1:5].real / norm
     pr = 2.0 * forms[5].imag / norm

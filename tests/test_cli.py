@@ -285,6 +285,21 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe", "is not UTF-8 JSON: 'utf-8' codec"), (b"{", "is not UTF-8 JSON: Expecting")],
+    ids=["not-utf8", "not-json"],
+)
+def test_unreadable_config_is_a_usage_error_naming_the_file(tmp_path, monkeypatch, capsys, content, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert main(["fit", "--config", str(cfg)]) == 1
+    err = assert_one_usage_error(capsys)
+    assert f"config file {cfg} {message}" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
     "flags, config",
     [(["--l", "1"], None), (["--potential", "paper"], None), (["--deltan", "2"], None),
      ([], {"nbar": 20, "l": 1}), ([], {"nbar": 20, "potential_mode": "paper"}),
@@ -564,6 +579,20 @@ def test_unparseable_expansion_is_usage_error_naming_it(pipeline20, tmp_path, ca
     code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
     assert code == 1
     assert str(expansion) in assert_one_usage_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
+)
+def test_expansion_that_is_not_utf8_is_usage_error_naming_it(tmp_path, capsys, command, times):
+    expansion = tmp_path / "expansion.csv"
+    expansion.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
+    assert code == 1
+    assert f"{expansion}: not an expansion file: 'utf-8' codec" in assert_one_usage_error(capsys)
     assert not out.exists()
 
 

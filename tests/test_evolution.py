@@ -275,7 +275,9 @@ def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
     want = np.stack(
         [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
     )
-    assert np.array_equal(evolution._moment_matrices(*window), want)
+    stack = evolution._moment_matrices(*window)
+    assert np.array_equal(stack.real[:5], want)
+    assert not stack.imag.any()
 
 
 def _full_stack(monkeypatch, rule, window):
@@ -424,10 +426,12 @@ def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
     "window", [(2, 30), (16, 24), (73, 97), (138, 162), (210, 250), (265, 305), (2, 3), (2, 6)]
 )
 def test_moment_matrices_match_closed_form_diagonals(window):
-    mats = evolution._moment_matrices(*window)
+    stack = evolution._moment_matrices(*window)
     ns = np.arange(window[0], window[1] + 1.0)
-    assert mats.shape == (5, ns.size, ns.size)
-    assert not mats.flags.writeable
+    assert stack.shape == (7, ns.size, ns.size)
+    assert not stack.flags.writeable
+    assert not stack.imag.any()
+    mats = stack.real[:5]
     assert_hydrogen_identities(mats, ns)
     assert np.linalg.norm(mats[0] - np.eye(ns.size), 2) <= 1e-12
 
@@ -484,29 +488,56 @@ def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_po
 
 
 def test_record_stack_adds_the_energy_rows_to_the_moment_matrices(exp85):
-    stack = evolution._record_stack(exp85)
-    mats = evolution._moment_matrices(exp85.n_min, exp85.n_max)
+    # the layers 1, r, r^2, r^-1, r^-2 on the window's rule, then E_n r and
+    # diag(E_n) with the expansion's energies
+    stack = evolution._moment_matrices(exp85.n_min, exp85.n_max)
+    x, w = evolution._moment_rule(exp85.n_min, exp85.n_max)
+    vals = specfun._radial_rows(exp85.ns, L, x)
+    wv = vals * (w * x * x)
     energies = exp85.energies
     assert stack.dtype == complex and not stack.flags.writeable
     assert not stack.imag.any()
-    assert np.array_equal(stack.real[:5], mats)
-    assert np.array_equal(stack.real[5], energies[:, None] * mats[1])
+    for layer, weighted in zip(stack.real[:5], [wv, wv * x, wv * x * x, wv / x, vals * w]):
+        assert np.array_equal(layer, weighted @ vals.T)
+    assert np.array_equal(stack.real[5], energies[:, None] * stack.real[1])
     assert np.array_equal(stack.real[6], np.diag(energies))
-    assert evolution._record_stack(exp85) is stack
+    assert evolution._moment_matrices(exp85.n_min, exp85.n_max) is stack
 
 
 def test_record_stack_follows_the_moment_matrix_cache(exp85, monkeypatch, full_moment_rule):
-    # clearing the matrix cache clears what a record reads: no stale stack
-    stack = evolution._record_stack(exp85)
+    # clearing the cache clears what a record reads: no stale stack is served
+    times = np.random.default_rng(85).uniform(0.0, 1.0e7, 16)
+    phases = evolution._phases(exp85, times[:, None])
+    stale = evolution._records(exp85, times.tolist(), phases)
     monkeypatch.setattr(evolution, "_moment_rule", full_moment_rule)
     evolution._moment_matrices.cache_clear()
     try:
-        rebuilt = evolution._record_stack(exp85)
-        assert rebuilt is not stack
-        assert np.array_equal(rebuilt.real[:5], evolution._moment_matrices(exp85.n_min, exp85.n_max))
-        assert not np.array_equal(rebuilt, stack)
+        got = evolution._records(exp85, times.tolist(), phases)
+        fresh = evolution._moment_matrices.__wrapped__(exp85.n_min, exp85.n_max)
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_moment_matrices", lambda n_min, n_max: fresh)
+            want = evolution._records(exp85, times.tolist(), phases)
     finally:
         evolution._moment_matrices.cache_clear()
+    assert [as_tuple(rec) for rec in got] == [as_tuple(rec) for rec in want]
+    assert [as_tuple(rec) for rec in got] != [as_tuple(rec) for rec in stale]
+
+
+def test_scan_builds_each_window_once(exp85, monkeypatch):
+    # three blocks of times read one build of the window's stack
+    calls = []
+    rule = evolution._moment_rule
+    monkeypatch.setattr(
+        evolution, "_moment_rule", lambda n_min, n_max: calls.append((n_min, n_max)) or rule(n_min, n_max)
+    )
+    times = np.linspace(0.0, 1.0e7, 2049)
+    evolution._moment_matrices.cache_clear()
+    try:
+        blocks = list(evolution._scan(exp85, times))
+    finally:
+        evolution._moment_matrices.cache_clear()
+    assert [len(records) for records, _ in blocks] == [683, 683, 683]
+    assert calls == [(exp85.n_min, exp85.n_max)]
 
 
 @pytest.mark.parametrize("nbar", [85, 150])
@@ -586,8 +617,10 @@ def test_equal_grid_copy_matches_through_the_full_comparison(exp85, grid85, basi
 
 
 def test_observables_without_momentum_spread_raise(monkeypatch):
-    # one level with <r^-1> = 1/4 and <r^-2> = 1/8: <p_r^2> = 2 E_2 + 2/4 - 2/8 = 0
-    stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]]])
+    # one level with <r^-1> = 1/4 and <r^-2> = 1/8: <p_r^2> = 2 E_2 + 2/4 - 2/8 = 0,
+    # E_2 = -1/8
+    e2 = -0.125
+    stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]], [[e2 * 5.0]], [[e2]]], dtype=complex)
     monkeypatch.setattr(evolution, "_moment_matrices", lambda n_min, n_max: stack)
     single = EigenExpansion(n_min=2, coeffs=np.array([1.0]))
     with pytest.raises(NumericalError, match="dp_r = 0"):

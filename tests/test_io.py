@@ -118,6 +118,9 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
         (read_density, lambda path: DENSITY_HEADER + "0,1\n1\n", "two fields r,f"),
         (read_density, lambda path: DENSITY_HEADER + "1,2,3\n", "two fields r,f"),
         (read_density, lambda path: DENSITY_HEADER + "0,x\n", "could not convert"),
+        (read_state, lambda path: b"\xff\xfe", "not a state file: 'utf-8' codec"),
+        (read_expansion, lambda path: b"\xff\xfe", "not an expansion file: 'utf-8' codec"),
+        (read_density, lambda path: b"\xff\xfe", "not a density file: 'utf-8' codec"),
     ],
     ids=[
         "state-list",
@@ -131,13 +134,17 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
         "density-ragged-row",
         "density-row-of-three",
         "density-field-not-a-number",
+        "state-not-utf8",
+        "expansion-not-utf8",
+        "density-not-utf8",
     ],
 )
 def test_reader_refuses_a_file_of_another_kind(tmp_path, reader, edit, message):
     # the fixture is a valid expansion for levels 2 and 3, then edited
     path = tmp_path / "artifact"
     write_expansion(path, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
-    path.write_text(edit(path))
+    content = edit(path)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(ValueError, match=message) as info:
         reader(path)
     assert str(path) in str(info.value)
