@@ -23,10 +23,10 @@ import numpy as np
 
 from . import io as rio
 from .analysis import Timescales, count_packets, timescales
-from .evolution import BasisTable, RadialGrid, _scan, observables
+from .evolution import BasisTable, RadialGrid, observables
 from .evolution import density as density_at
 from .specfun import NumericalError, hydrogen_energy
-from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, coefficient_spread, decompose
+from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, _scan, coefficient_spread, decompose
 from .squeezed import (
     FitError,
     L,

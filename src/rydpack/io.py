@@ -190,7 +190,7 @@ def write_series(path, blocks) -> None:
     """One row per time point in ``SERIES_COLUMNS`` order: the time in au
     (the record's ``t``) and ns, the autocorrelation, and every other column
     the UncertaintyRecord attribute of that name.  ``blocks`` yields
-    (records, autocorrelations) pairs, as ``evolution._scan`` does, and each
+    (records, autocorrelations) pairs, as ``spectral._scan`` does, and each
     pair's rows are written before the next pair is asked for.
     """
 

@@ -15,10 +15,11 @@ three rotating buffers, so a step allocates nothing; it is written once, in
 
 One radial kernel, ``_radial_rows``, evaluates every R_nl table: a single
 level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
-``spectral.reconstruct`` and the moment matrices.  It works in tiles of whole
-rows, about 24 576 elements each: on a table of many thousand radii a tile is
-one level, whose recurrence already runs at the arithmetic floor (about 2 ns
-per element and step), while on a moment rule (sized to the window, 128 to
+``spectral.reconstruct`` and the moment matrices
+(``spectral._moment_matrices``).  It works in tiles of whole rows, about
+24 576 elements each: on a table of many thousand radii a tile is one
+level, whose recurrence already runs at the arithmetic floor (about 2 ns per
+element and step), while on a moment rule (sized to the window, 128 to
 2048 nodes) a tile steps 12 or more levels at once, the whole window at
 nbar 85 and 150, and reads each row off at its own degree
 (``_laguerre_rows``, which the projection in ``spectral`` uses too), since

@@ -17,23 +17,43 @@ fixes the paper's gamma1 at 0 (``squeezed``).  beta is the same for every
 level, so one rule serves a whole batch of levels.  The guard projects again
 with M + 8 nodes: disagreement beyond 1e-9 (``_ERR_TOL``), or a value that
 is not finite, raises NumericalError.
+
+The moment window.  Each coefficient of an evolved expansion picks up the
+phase exp(-i E_n t) (``_phases``), so every moment an uncertainty needs is a
+quadratic form c(t)^dagger M c(t): the matrices of 1, r, r^2, r^-1 and r^-2
+are integrated once per window on a Gauss-Legendre rule sized to it
+(``_moment_rule``), and no wavefunction is sampled for them.  The radial
+momentum p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r
+gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
+p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set,
+so one cached build per window (``_moment_matrices``) holds the seven layers
+a record reads: the five moment matrices, E_n <n|r|m> and diag(E_n), in one
+complex stack.  ``_records`` evaluates a block of times: the phases once,
+one stack product, one reduction, then a Python-float tail per time.
+``evolution.observables`` is a one-time block, and ``_scan`` runs near-equal
+blocks of at most ``_SCAN_BLOCK`` times and takes the autocorrelations from
+the same phases.  A record does not depend on which other times share its
+block, but a one-time block may differ from it in the last bits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .specfun import (
+    _NODES_PER_PANEL,
     NumericalError,
     _gauss_laguerre,
     _laguerre_rows,
     _radial_log_const,
     _radial_rows,
+    radial_quadrature,
 )
 from .squeezed import L, RadialSqueezedState, moment_r
 
@@ -42,6 +62,7 @@ __all__ = [
     "N_CAP",
     "DeficitToleranceWarning",
     "EigenExpansion",
+    "UncertaintyRecord",
     "project_coefficient",
     "decompose",
     "reconstruct",
@@ -67,6 +88,12 @@ class DeficitToleranceWarning(UserWarning):
     """The requested completeness deficit could not be reached: the window hit
     [L+1, N_CAP], the n^-3 tail law showed that more levels cannot help, or
     an explicit window holds too little of the state."""
+
+
+def _energies(ns: np.ndarray) -> np.ndarray:
+    """The energies -1/(2 n^2) of the levels ``ns``, for an expansion and
+    for the energy layers of its window's record stack."""
+    return -0.5 / ns.astype(float) ** 2
 
 
 @dataclass(frozen=True)
@@ -111,7 +138,7 @@ class EigenExpansion:
     @cached_property
     def energies(self) -> np.ndarray:
         """The level energies -1/(2 n^2), computed once and read-only."""
-        energies = -0.5 / self.ns.astype(float) ** 2
+        energies = _energies(self.ns)
         energies.flags.writeable = False
         return energies
 
@@ -322,3 +349,172 @@ def coefficient_spread(exp: EigenExpansion):
     mean = float(np.dot(p, ns) / s)
     rms = float(math.sqrt(np.dot(p, (ns - mean) ** 2) / s))
     return mean, rms
+
+
+@dataclass(frozen=True)
+class UncertaintyRecord:
+    """Uncertainties of one evolved state at time t (atomic units throughout).
+
+    ``bound_half_rm2`` = <r^-2>/2 is the lower bound on dR * dP.  The derived
+    ``product`` = dr * dpr, ``ratio`` = dr / dpr (bohr^2) and ``dP`` = dpr
+    (P = p_r) are properties, so a record cannot contradict its own fields.
+    """
+
+    t: float
+    dr: float
+    dpr: float
+    dR: float
+    bound_half_rm2: float
+
+    @property
+    def product(self) -> float:
+        return self.dr * self.dpr
+
+    @property
+    def ratio(self) -> float:
+        return self.dr / self.dpr
+
+    @property
+    def dP(self) -> float:
+        return self.dpr
+
+
+# the moment matrices are trusted only while the Gram matrix S is this close
+# to the identity in the spectral norm
+_GRAM_TOL = 1e-6
+
+# the moment rule reaches at least this far (bohr): 4 n^2 at n = 7.  Below
+# that, 4 n_max^2 cuts the tail of the top level short (||S - I||_2 = 4e-4 on
+# [2, 2]); every window with n_max >= 7 keeps 4 n_max^2
+_R_MAX_FLOOR = 196.0
+
+# the moment rule has at most this many 64-node panels (2048 nodes)
+_MAX_PANELS = 32
+
+
+def _moment_rule(n_min: int, n_max: int):
+    """The Gauss-Legendre rule (x, w) of the window's moment matrices.
+
+    It spans [0, max(4 n_max^2, 196)] in ceil(n_max/16) + ceil(n_max/n_min)
+    panels of ``specfun._NODES_PER_PANEL`` (64) nodes, at most _MAX_PANELS.
+    The first term gives about four nodes per oscillation of the top level;
+    the second keeps the quadratically graded first panels fine enough for
+    the lowest level of a wide window.  Gauss rules converge geometrically on these analytic
+    integrands, so on every window ``decompose`` grows for nbar 4 to 288 each
+    matrix agrees with its 2048-node build to 2e-12 of its largest entry,
+    and a window that asks for more panels gets that rule itself.
+    """
+    panels = min(_MAX_PANELS, -(-n_max // 16) + -(-n_max // n_min))
+    return radial_quadrature(max(4.0 * n_max * n_max, _R_MAX_FLOOR), _NODES_PER_PANEL * panels)
+
+
+# windows whose record stacks are kept
+_WINDOWS_HELD = 8
+
+
+@lru_cache(maxsize=_WINDOWS_HELD)
+def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
+    """The complex (7, N, N) record stack of the window [n_min, n_max],
+    read-only: the one cached build a record reads.
+
+    In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m>, <n|r^-2|m>, E_n <n|r|m>
+    and diag(E_n), with E_n = -1/(2 n^2) from ``_energies``, as
+    ``EigenExpansion.energies`` has them.  The five moments are integrated
+    with the measure r^2 dr on the window's panelized Gauss-Legendre rule
+    (``_moment_rule``: 448 nodes on [7, 30], 576 on [73, 97], at most 2048),
+    each real product written into its layer, so every imaginary part is 0;
+    complex is the dtype of the product with the evolved coefficients, so no
+    call casts the stack.  The R_nl values come from
+    ``specfun._radial_rows``, whose one Laguerre recurrence steps a tile of
+    levels at once (the whole window at nbar 85 and 150) and reads each off
+    at its own degree.  The Gram matrix S = <n|m> must satisfy
+    ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
+    |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c for every
+    coefficient vector c, so one check covers every time.
+    """
+    x, w = _moment_rule(n_min, n_max)
+    ns = np.arange(n_min, n_max + 1)
+    vals = _radial_rows(ns, L, x)
+    wv = vals * (w * x * x)
+    stack = np.empty((7, ns.size, ns.size), dtype=complex)
+    stack[0] = wv @ vals.T
+    stack[1] = (wv * x) @ vals.T
+    stack[2] = (wv * x * x) @ vals.T
+    stack[3] = (wv / x) @ vals.T
+    stack[4] = (vals * w) @ vals.T
+    energies = _energies(ns)
+    stack[5] = energies[:, None] * stack[1].real
+    stack[6] = np.diag(energies)
+    gap = np.linalg.norm(stack[0].real - np.eye(ns.size), 2)
+    if not gap <= _GRAM_TOL:  # a NaN gap fails too
+        raise NumericalError(
+            f"quadrature too coarse for the window [{n_min}, {n_max}]: "
+            f"||S - I||_2 = {gap:.3e} > {_GRAM_TOL:g}"
+        )
+    stack.flags.writeable = False
+    return stack
+
+
+def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[UncertaintyRecord]:
+    """The records at the times ``ts``, whose phases exp(-i E_n t) are the
+    rows of ``phases``.
+
+    One stack product and one reduction give every quadratic form
+    c(t)^dagger M c(t) of the block: c(t)^T M for the seven matrices of the
+    window's stack (``_moment_matrices``), then the conjugated dot product
+    with c(t).  The rest runs on Python floats, time by time.
+    """
+    coeff_t = exp.coeffs * phases
+    forms = np.vecdot(coeff_t, coeff_t @ _moment_matrices(exp.n_min, exp.n_max))
+    records = []
+    for t, (norm, m1, m2, w1, w2, r_e, e) in zip(ts, forms.T.tolist()):
+        norm = norm.real
+        if norm == 0.0:
+            raise ValueError("empty expansion has no observables")
+        m1, m2, w1, w2 = m1.real / norm, m2.real / norm, w1.real / norm, w2.real / norm
+        # <n|p_r|m> = -i (E_m - E_n) <n|r|m>, so <p_r> = 2 Im c^dagger r E c
+        pr = 2.0 * r_e.imag / norm
+        pr2 = 2.0 * e.real / norm + 2.0 * w1 - L * (L + 1) * w2
+        dr = math.sqrt(max(m2 - m1 * m1, 0.0))
+        dpr = math.sqrt(max(pr2 - pr * pr, 0.0))
+        if dpr == 0.0:
+            raise NumericalError(f"no momentum spread at t = {t}: dp_r = 0, so dr / dp_r is undefined")
+        dR = math.sqrt(max(w2 - w1 * w1, 0.0))
+        records.append(UncertaintyRecord(t=t, dr=dr, dpr=dpr, dR=dR, bound_half_rm2=0.5 * w2))
+    return records
+
+
+# the most times in one block of phases: a block's (7, 1024, N) stack product
+# is under 6 MB at N = 41 (nbar 285)
+_SCAN_BLOCK = 1024
+
+
+def _scan(exp: EigenExpansion, times) -> Iterator[tuple[list[UncertaintyRecord], list[float]]]:
+    """Yield the records and autocorrelations at ``times`` block by block, as
+    (records, autocorrelations) pairs, in the fewest blocks of at most
+    ``_SCAN_BLOCK`` times, of near-equal sizes.  So a block holds one time
+    only when the whole scan does, and every record of a longer scan has the
+    bits it has in any block of two or more times.  A block is evaluated when
+    it is asked for, so a consumer that drops each block holds only one."""
+    for block in np.array_split(np.asarray(times, dtype=float), -(-len(times) // _SCAN_BLOCK)):
+        yield _scan_block(exp, block)
+
+
+def _scan_block(exp: EigenExpansion, ts) -> tuple[list[UncertaintyRecord], list[float]]:
+    """The records and autocorrelations at the times ``ts`` from one block of
+    phases.
+
+    Each autocorrelation is the dot product of its phase row with the
+    populations, conjugated, which has the bits of
+    ``evolution.autocorrelation``.
+    """
+    ts = np.array(ts, dtype=float)
+    phases = _phases(exp, ts[:, None])
+    records = _records(exp, ts.tolist(), phases)
+    s = exp.weight
+    return records, [abs(amp) ** 2 / s**2 for amp in np.vecdot(phases, exp.populations).tolist()]
+
+
+def _phases(exp: EigenExpansion, t) -> np.ndarray:
+    """exp(-i E_n t): a row for a scalar t, a (B, N) block for a (B, 1) column."""
+    return np.exp(exp.phase_rates * t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rydpack as rp
-from rydpack import evolution, specfun
+from rydpack import specfun, spectral
 from rydpack.specfun import NumericalError, laguerre, radial_log_prefactor
 from rydpack.squeezed import L
 
@@ -56,12 +56,12 @@ def scan85(exp85, grid85, basis85, ts85):
 def _full_moment_rule(n_min, n_max, n_nodes=2048):
     """The window's moment span, [0, max(4 n_max^2, 196)], on a rule of
     ``n_nodes`` nodes whatever the window; by default the capped rule."""
-    return specfun.radial_quadrature(max(4.0 * n_max**2, evolution._R_MAX_FLOOR), n_nodes)
+    return specfun.radial_quadrature(max(4.0 * n_max**2, spectral._R_MAX_FLOOR), n_nodes)
 
 
 @pytest.fixture(scope="session")
 def full_moment_rule():
-    """A stand-in for ``evolution._moment_rule`` with 2048 nodes for every window."""
+    """A stand-in for ``spectral._moment_rule`` with 2048 nodes for every window."""
     return _full_moment_rule
 
 
@@ -71,11 +71,11 @@ def coarse_quadrature(monkeypatch):
     too coarse to pass the norm guard; the matrix cache is emptied before and
     after."""
     monkeypatch.setattr(
-        evolution, "_moment_rule", lambda n_min, n_max: _full_moment_rule(n_min, n_max, 32)
+        spectral, "_moment_rule", lambda n_min, n_max: _full_moment_rule(n_min, n_max, 32)
     )
-    evolution._moment_matrices.cache_clear()
+    spectral._moment_matrices.cache_clear()
     yield
-    evolution._moment_matrices.cache_clear()
+    spectral._moment_matrices.cache_clear()
 
 
 def _radial_pr(n, l, r):
@@ -135,7 +135,7 @@ def _numpy_scalar_observables(exp, t):
     formed from the energies afresh: the record stack's forms of a one-time
     block, then the reference the Python-float tail must equal bit for bit."""
     coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)[None]
-    forms = np.vecdot(coeff_t, coeff_t @ evolution._moment_matrices(exp.n_min, exp.n_max))[:, 0]
+    forms = np.vecdot(coeff_t, coeff_t @ spectral._moment_matrices(exp.n_min, exp.n_max))[:, 0]
     norm = forms[0].real
     m1, m2, w1, w2 = forms[1:5].real / norm
     pr = 2.0 * forms[5].imag / norm

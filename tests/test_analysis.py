@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,16 @@ def test_count_packets_smoothing_recovers_envelope():
     smoothed = count_packets(r, fringed, smooth=60.0)
     assert raw.peak_count > 2
     assert smoothed.peak_count == 2
+
+
+def test_count_packets_wide_smoothing_on_a_fine_grid_is_fast():
+    # a width just under the cap on 200 000 points: a direct sum over the
+    # 400 000-sample kernel takes tens of seconds, the FFT a fraction of one
+    r = np.linspace(0.0, 1600.0, 200_000)
+    start = time.perf_counter()
+    report = count_packets(r, gaussians(r, [800.0], [1.0], sigma=100.0), smooth=399.0)
+    assert time.perf_counter() - start < 5.0
+    assert report.peak_count == 1
 
 
 def test_count_packets_edge_cases():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rydpack
-from rydpack import cli, evolution
+from rydpack import cli, evolution, spectral
 from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
 from rydpack.spectral import coefficient_spread
@@ -155,7 +155,7 @@ def test_pipeline_at_nbar_230_emits_no_warnings(tmp_path):
 def test_nbar85_artifacts_are_byte_identical_across_runs(tmp_path):
     runs = []
     for name in ("a", "b"):
-        evolution._moment_matrices.cache_clear()
+        spectral._moment_matrices.cache_clear()
         out = tmp_path / name
         common = ["--nbar", "85", "-o", str(out)]
         exp = str(out / "expansion.csv")
@@ -663,15 +663,15 @@ def test_scan_failing_in_a_later_block_leaves_no_file(pipeline20, tmp_path, caps
     # 2048 times are two blocks of 1024; the first is written before the
     # second fails, and the failure still leaves no scan.csv and no temporary file
     calls = []
-    scan_block = evolution._scan_block
+    scan_block = spectral._scan_block
 
     def second_fails(exp, ts):
         calls.append(len(ts))
         if len(calls) == 2:
-            raise evolution.NumericalError("second block failed")
+            raise spectral.NumericalError("second block failed")
         return scan_block(exp, ts)
 
-    monkeypatch.setattr(evolution, "_scan_block", second_fails)
+    monkeypatch.setattr(spectral, "_scan_block", second_fails)
     code = main(["scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
                  "--t-stop", "4*Tcl", "--t-steps", "2048", "-o", str(tmp_path)])
     assert code == 2

@@ -6,12 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydpack import evolution, specfun
+from rydpack import specfun, spectral
 from rydpack.analysis import timescales
 from rydpack.evolution import (
     BasisTable,
     RadialGrid,
-    UncertaintyRecord,
     autocorrelation,
     density,
     evolve,
@@ -23,7 +22,13 @@ from rydpack.specfun import (
     hydrogen_radial,
     radial_quadrature,
 )
-from rydpack.spectral import DeficitToleranceWarning, EigenExpansion, decompose, reconstruct
+from rydpack.spectral import (
+    DeficitToleranceWarning,
+    EigenExpansion,
+    UncertaintyRecord,
+    decompose,
+    reconstruct,
+)
 from rydpack.squeezed import L, QuantumNumbers, fit_parameters, uncertainties_RP, uncertainties_rp
 
 
@@ -245,15 +250,15 @@ def test_moment_matrices_run_one_recurrence_per_tile(monkeypatch):
     monkeypatch.setattr(
         specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
     )
-    evolution._moment_matrices.cache_clear()
+    spectral._moment_matrices.cache_clear()
     try:
-        evolution._moment_matrices(10, 17)
+        spectral._moment_matrices(10, 17)
         # 42 rows of the 576-node rule fill a tile, so all 25 levels of
         # [73, 97] share one recurrence
         calls_10_17, calls[:] = calls[:], []
-        evolution._moment_matrices(73, 97)
+        spectral._moment_matrices(73, 97)
     finally:
-        evolution._moment_matrices.cache_clear()
+        spectral._moment_matrices.cache_clear()
     # one tile steps all eight levels on every node to the largest degree, 17 - 2
     assert calls_10_17 == [(15, (8, 256))]
     assert calls == [(95, (25, 576))]
@@ -268,14 +273,14 @@ def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
     # the same rule and five products, with R_nl one level at a time;
     # (265, 305): the far nodes are dead (envelope underflowed) for the low rows
     n_min, n_max = window
-    x, w = evolution._moment_rule(*window)
+    x, w = spectral._moment_rule(*window)
     assert x.size == w.size == RULE_SIZES[window]
     vals = np.array([per_level_radial(n, 1, x) for n in range(n_min, n_max + 1)])
     wv = vals * (w * x * x)
     want = np.stack(
         [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
     )
-    stack = evolution._moment_matrices(*window)
+    stack = spectral._moment_matrices(*window)
     assert np.array_equal(stack.real[:5], want)
     assert not stack.imag.any()
 
@@ -283,8 +288,8 @@ def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
 def _full_stack(monkeypatch, rule, window):
     # the uncached build on ``rule``, leaving the matrix cache untouched
     with monkeypatch.context() as m:
-        m.setattr(evolution, "_moment_rule", rule)
-        return evolution._moment_matrices.__wrapped__(*window)
+        m.setattr(spectral, "_moment_rule", rule)
+        return spectral._moment_matrices.__wrapped__(*window)
 
 
 # the windows decompose grows at nbar 4, 5, 10, 20, 50, 85, 120, 150, 200,
@@ -297,7 +302,7 @@ SIZED_WINDOWS = [
 
 @pytest.mark.parametrize("window", SIZED_WINDOWS)
 def test_sized_moment_rule_agrees_with_the_2048_node_rule(window, monkeypatch, full_moment_rule):
-    sized = evolution._moment_matrices(*window)
+    sized = spectral._moment_matrices(*window)
     full = _full_stack(monkeypatch, full_moment_rule, window)
     for got, want in zip(sized, full):
         assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
@@ -305,9 +310,9 @@ def test_sized_moment_rule_agrees_with_the_2048_node_rule(window, monkeypatch, f
 
 def test_window_past_the_panel_cap_gets_the_2048_node_rule(monkeypatch, full_moment_rule):
     # [2, 120] asks for ceil(120/16) + ceil(120/2) = 8 + 60 panels, more than 32
-    assert evolution._moment_rule(2, 120)[0].size == 2048
+    assert spectral._moment_rule(2, 120)[0].size == 2048
     full = _full_stack(monkeypatch, full_moment_rule, (2, 120))
-    assert np.array_equal(evolution._moment_matrices(2, 120), full)
+    assert np.array_equal(spectral._moment_matrices(2, 120), full)
 
 
 @pytest.mark.parametrize(
@@ -321,14 +326,14 @@ def test_observables_across_the_served_range(nbar, deficit_tol, monkeypatch, ful
     q = QuantumNumbers(nbar)
     exp = decompose(fit_parameters(q), center=nbar, deficit_tol=deficit_tol)
     times = [0.0] + np.random.default_rng(nbar).uniform(0.0, 2.0 * timescales(q).T_cl_au, 8).tolist()
-    evolution._moment_matrices.cache_clear()
+    spectral._moment_matrices.cache_clear()
     try:
         got = [observables(exp, t, None) for t in times]
-        monkeypatch.setattr(evolution, "_moment_rule", full_moment_rule)
-        evolution._moment_matrices.cache_clear()
+        monkeypatch.setattr(spectral, "_moment_rule", full_moment_rule)
+        spectral._moment_matrices.cache_clear()
         want = [observables(exp, t, None) for t in times]
     finally:
-        evolution._moment_matrices.cache_clear()
+        spectral._moment_matrices.cache_clear()
     for rec, ref in zip(got, want):
         assert as_tuple(replace(rec, dR=0.0)) == pytest.approx(
             as_tuple(replace(ref, dR=0.0)), rel=1e-10, abs=0.0
@@ -411,14 +416,14 @@ def test_moment_matrices_overflow_names_the_first_failing_level():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="overflow while evaluating R_329,1"):
-            evolution._moment_matrices(280, 330)
+            spectral._moment_matrices(280, 330)
 
 
 def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
     # below n_max = 7 the rule reaches 196 bohr instead of 4 n_max^2
     for n_min in range(2, 7):
         for n_max in range(n_min, 7):
-            s = evolution._moment_matrices(n_min, n_max)[0]
+            s = spectral._moment_matrices(n_min, n_max)[0]
             assert np.linalg.norm(s - np.eye(s.shape[0]), 2) <= 1e-12, (n_min, n_max)
 
 
@@ -426,7 +431,7 @@ def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
     "window", [(2, 30), (16, 24), (73, 97), (138, 162), (210, 250), (265, 305), (2, 3), (2, 6)]
 )
 def test_moment_matrices_match_closed_form_diagonals(window):
-    stack = evolution._moment_matrices(*window)
+    stack = spectral._moment_matrices(*window)
     ns = np.arange(window[0], window[1] + 1.0)
     assert stack.shape == (7, ns.size, ns.size)
     assert not stack.flags.writeable
@@ -443,7 +448,7 @@ def test_moment_matrices_keep_hydrogen_identities_across_the_served_range(nbar, 
     # an oracle for the stack that does not depend on the radial kernel, on
     # the windows decompose grows
     exp = decompose(fit_parameters(QuantumNumbers(nbar)), center=nbar, deficit_tol=deficit_tol)
-    assert_hydrogen_identities(evolution._moment_matrices(exp.n_min, exp.n_max), exp.ns.astype(float))
+    assert_hydrogen_identities(spectral._moment_matrices(exp.n_min, exp.n_max), exp.ns.astype(float))
 
 
 def assert_hydrogen_identities(mats, ns):
@@ -490,8 +495,8 @@ def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_po
 def test_record_stack_adds_the_energy_rows_to_the_moment_matrices(exp85):
     # the layers 1, r, r^2, r^-1, r^-2 on the window's rule, then E_n r and
     # diag(E_n) with the expansion's energies
-    stack = evolution._moment_matrices(exp85.n_min, exp85.n_max)
-    x, w = evolution._moment_rule(exp85.n_min, exp85.n_max)
+    stack = spectral._moment_matrices(exp85.n_min, exp85.n_max)
+    x, w = spectral._moment_rule(exp85.n_min, exp85.n_max)
     vals = specfun._radial_rows(exp85.ns, L, x)
     wv = vals * (w * x * x)
     energies = exp85.energies
@@ -501,24 +506,24 @@ def test_record_stack_adds_the_energy_rows_to_the_moment_matrices(exp85):
         assert np.array_equal(layer, weighted @ vals.T)
     assert np.array_equal(stack.real[5], energies[:, None] * stack.real[1])
     assert np.array_equal(stack.real[6], np.diag(energies))
-    assert evolution._moment_matrices(exp85.n_min, exp85.n_max) is stack
+    assert spectral._moment_matrices(exp85.n_min, exp85.n_max) is stack
 
 
 def test_record_stack_follows_the_moment_matrix_cache(exp85, monkeypatch, full_moment_rule):
     # clearing the cache clears what a record reads: no stale stack is served
     times = np.random.default_rng(85).uniform(0.0, 1.0e7, 16)
-    phases = evolution._phases(exp85, times[:, None])
-    stale = evolution._records(exp85, times.tolist(), phases)
-    monkeypatch.setattr(evolution, "_moment_rule", full_moment_rule)
-    evolution._moment_matrices.cache_clear()
+    phases = spectral._phases(exp85, times[:, None])
+    stale = spectral._records(exp85, times.tolist(), phases)
+    monkeypatch.setattr(spectral, "_moment_rule", full_moment_rule)
+    spectral._moment_matrices.cache_clear()
     try:
-        got = evolution._records(exp85, times.tolist(), phases)
-        fresh = evolution._moment_matrices.__wrapped__(exp85.n_min, exp85.n_max)
+        got = spectral._records(exp85, times.tolist(), phases)
+        fresh = spectral._moment_matrices.__wrapped__(exp85.n_min, exp85.n_max)
         with monkeypatch.context() as m:
-            m.setattr(evolution, "_moment_matrices", lambda n_min, n_max: fresh)
-            want = evolution._records(exp85, times.tolist(), phases)
+            m.setattr(spectral, "_moment_matrices", lambda n_min, n_max: fresh)
+            want = spectral._records(exp85, times.tolist(), phases)
     finally:
-        evolution._moment_matrices.cache_clear()
+        spectral._moment_matrices.cache_clear()
     assert [as_tuple(rec) for rec in got] == [as_tuple(rec) for rec in want]
     assert [as_tuple(rec) for rec in got] != [as_tuple(rec) for rec in stale]
 
@@ -526,16 +531,16 @@ def test_record_stack_follows_the_moment_matrix_cache(exp85, monkeypatch, full_m
 def test_scan_builds_each_window_once(exp85, monkeypatch):
     # three blocks of times read one build of the window's stack
     calls = []
-    rule = evolution._moment_rule
+    rule = spectral._moment_rule
     monkeypatch.setattr(
-        evolution, "_moment_rule", lambda n_min, n_max: calls.append((n_min, n_max)) or rule(n_min, n_max)
+        spectral, "_moment_rule", lambda n_min, n_max: calls.append((n_min, n_max)) or rule(n_min, n_max)
     )
     times = np.linspace(0.0, 1.0e7, 2049)
-    evolution._moment_matrices.cache_clear()
+    spectral._moment_matrices.cache_clear()
     try:
-        blocks = list(evolution._scan(exp85, times))
+        blocks = list(spectral._scan(exp85, times))
     finally:
-        evolution._moment_matrices.cache_clear()
+        spectral._moment_matrices.cache_clear()
     assert [len(records) for records, _ in blocks] == [683, 683, 683]
     assert calls == [(exp85.n_min, exp85.n_max)]
 
@@ -545,9 +550,9 @@ def test_scan_block_records_do_not_depend_on_their_block(nbar, request):
     exp = request.getfixturevalue(f"exp{nbar}")
     t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
     times = [0.0] + np.random.default_rng(nbar).uniform(0.0, 4.0 * t_cl, 300).tolist()
-    records, acs = evolution._scan_block(exp, times)
+    records, acs = spectral._scan_block(exp, times)
     for block in (times[::-1], times[7:9], times[100:237], [times[50], 0.0, times[50]]):
-        got, got_acs = evolution._scan_block(exp, block)
+        got, got_acs = spectral._scan_block(exp, block)
         for rec, ac in zip(got, got_acs):
             i = times.index(rec.t)
             assert rec == records[i] and ac == acs[i], rec.t
@@ -563,16 +568,16 @@ def test_scan_leaves_no_time_in_a_block_of_its_own(nbar, request, monkeypatch):
     exp = request.getfixturevalue(f"exp{nbar}")
     t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
     times = np.sort(np.random.default_rng(nbar + 2).uniform(0.0, 4.0 * t_cl, 1025)).tolist()
-    want = evolution._scan_block(exp, times)
+    want = spectral._scan_block(exp, times)
     sizes = []
 
     def counted(exp, ts):
         sizes.append(len(ts))
         return scan_block(exp, ts)
 
-    scan_block = evolution._scan_block
-    monkeypatch.setattr(evolution, "_scan_block", counted)
-    blocks = evolution._scan(exp, times)
+    scan_block = spectral._scan_block
+    monkeypatch.setattr(spectral, "_scan_block", counted)
+    blocks = spectral._scan(exp, times)
     assert sizes == []  # a block is evaluated only when it is asked for
     blocks = list(blocks)
     assert sizes == [513, 512]
@@ -590,7 +595,7 @@ def test_one_time_record_matches_its_row_of_a_block(nbar, request):
     t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
     times = [0.0] + np.random.default_rng(nbar + 1).uniform(0.0, 4.0 * t_cl, 200).tolist()
     p2_scale = -2.0 * float(np.dot(exp.populations, exp.energies)) / exp.weight
-    for row in evolution._scan_block(exp, times)[0]:
+    for row in spectral._scan_block(exp, times)[0]:
         one = observables(exp, row.t, None)
         assert one.t == row.t
         assert [one.dr, one.bound_half_rm2] == pytest.approx([row.dr, row.bound_half_rm2], rel=1e-12)
@@ -621,7 +626,7 @@ def test_observables_without_momentum_spread_raise(monkeypatch):
     # E_2 = -1/8
     e2 = -0.125
     stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]], [[e2 * 5.0]], [[e2]]], dtype=complex)
-    monkeypatch.setattr(evolution, "_moment_matrices", lambda n_min, n_max: stack)
+    monkeypatch.setattr(spectral, "_moment_matrices", lambda n_min, n_max: stack)
     single = EigenExpansion(n_min=2, coeffs=np.array([1.0]))
     with pytest.raises(NumericalError, match="dp_r = 0"):
         observables(single, 0.0, None)

@@ -1,12 +1,15 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import rydpack
 from rydpack.analysis import PacketReport, fractional_period_check, timescales
-from rydpack.evolution import BasisTable, UncertaintyRecord
+from rydpack.evolution import BasisTable
+from rydpack.spectral import UncertaintyRecord
 from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, expectation_H, fit_parameters
 
 SUBMODULES = sorted(
@@ -91,3 +94,46 @@ def test_callers_pass_only_independent_values(obj, params):
     # each; none of them may come back as an argument that could contradict
     # the rest
     assert tuple(inspect.signature(obj).parameters) == params
+
+
+# the package's modules from the bottom up; a module imports only from the
+# layers below its own, so no import cycle can form
+LAYERS = [
+    {"units"},
+    {"specfun"},
+    {"squeezed"},
+    {"spectral"},
+    {"evolution", "analysis"},
+    {"io"},
+    {"cli"},
+    {"__init__", "__main__"},
+]
+
+
+def _package_imports(tree):
+    # the rydpack modules a module's source imports, at any depth
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "rydpack":
+            yield from node.module.split(".")[1:2] or (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("rydpack."):
+                    yield alias.name.split(".")[1]
+
+
+def test_package_imports_only_go_down_the_layers():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    sources = sorted(Path(rydpack.__file__).parent.glob("*.py"))
+    assert sorted(path.stem for path in sources) == sorted(rank)
+    upward = [
+        (path.stem, target)
+        for path in sources
+        for target in _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if rank[target] >= rank[path.stem]
+    ]
+    assert upward == []

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydpack.evolution import UncertaintyRecord
 from rydpack.io import (
     read_density,
     read_expansion,
@@ -17,7 +16,7 @@ from rydpack.io import (
     write_series,
     write_state,
 )
-from rydpack.spectral import EigenExpansion
+from rydpack.spectral import EigenExpansion, UncertaintyRecord
 from rydpack.squeezed import L, RadialSqueezedState
 from rydpack.units import au_to_ns
 
