@@ -402,7 +402,9 @@ def _build_parser() -> _Parser:
     p_dec.add_argument("--state", required=True, help="state.json from fit")
     p_dec.add_argument("--window", nargs=2, type=int, metavar=("NMIN", "NMAX"))
 
-    p_scan = sub.add_parser("scan", help="uncertainty/autocorrelation time series")
+    # cmd_scan makes -o before the first block of times is evaluated
+    epilog = "a scan that fails while it evaluates leaves a new -o directory behind, empty"
+    p_scan = sub.add_parser("scan", help="uncertainty/autocorrelation time series", epilog=epilog)
     add_common(p_scan)
     p_scan.add_argument("--expansion", required=True, help="expansion.csv from decompose")
     p_scan.add_argument("--times", help="comma-separated time expressions")

@@ -145,27 +145,25 @@ def observables(
 ) -> UncertaintyRecord:
     """Uncertainties of the evolved state at time t, as matrix elements.
 
-    The r-moments are c(t)^dagger M c(t) with the cached operator matrices of
-    the expansion window, normalized by the norm c(t)^dagger S c(t) on the
-    Gram matrix S, so shared quadrature error cancels between numerator and
-    denominator.  <p_r> and <p_r^2> follow from the energies and the r,
-    r^-1 and r^-2 forms; no grid is sampled.  Neither ``grid`` nor ``basis``
-    enters the result: a supplied ``basis`` is only checked against the
-    expansion and grid (a table built for them is accepted by identity), and
-    a mismatch raises ValueError.
+    The moments are c(t)^dagger M c(t) with the cached operator matrices of
+    the expansion window (r, r^2, r^-1, r^-2 and p_r), normalized by the norm
+    c(t)^dagger S c(t) on the Gram matrix S, so shared quadrature error
+    cancels between numerator and denominator.  <p_r^2> follows from the
+    energies and the r^-1 and r^-2 forms; no grid is sampled.  Neither
+    ``grid`` nor ``basis`` enters the result: a supplied ``basis`` is only
+    checked against the expansion and grid (a table built for them is
+    accepted by identity), and a mismatch raises ValueError.
 
     This is a one-time block of the record routine (``spectral._records``)
-    that ``scan`` runs on blocks of times.  After the stack product the
-    arithmetic runs on Python floats, in the same IEEE operations and order
-    as on NumPy scalars, so the record has the same bits either way.  A time
-    gets the same bits in every block of two or more times, but a one-time
-    call may differ from them in the last bits: the product of one row takes
-    another BLAS path, and the variances behind dr, dp_r and dR cancel
-    digits, so dp_r moves by up to about 2e-12 relative at nbar 150, and dR
-    more.  The quadrature is checked once per window, when its matrices are
-    built (see ``spectral._GRAM_TOL``); past that, NumericalError arises
-    only for a state with no momentum spread (dp_r = 0, so the ratio
-    dr / dp_r is undefined), and ValueError for an expansion of zero weight.
+    that ``scan`` runs on blocks of times; its Python-float tail has the bits
+    of the same arithmetic on NumPy scalars.  A time gets the same bits in
+    every block of two or more times, but a one-time call takes another BLAS
+    path and may differ in the last bits: dp_r by up to 4.3e-14 relative at
+    nbar 150 (200 times over 4 T_cl), and dR more, through their cancelling
+    variances.  The quadrature is checked once per window, when its matrices
+    are built (``spectral._GRAM_TOL``); past that, NumericalError arises only
+    for a state with no momentum spread (dp_r = 0, so dr / dp_r is
+    undefined), and ValueError for an expansion of zero weight.
     """
     if basis is not None:
         _table_for(exp, grid, basis)  # validated only; the moments need no table

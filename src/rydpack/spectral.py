@@ -23,13 +23,14 @@ phase exp(-i E_n t) (``_phases``), so every moment an uncertainty needs is a
 quadratic form c(t)^dagger M c(t): the matrices of 1, r, r^2, r^-1 and r^-2
 are integrated once per window on a Gauss-Legendre rule sized to it
 (``_moment_rule``), and no wavefunction is sampled for them.  The radial
-momentum p_r = -i (d/dr + 1/r) needs no matrix of its own: [H, r] = -i p_r
+momentum p_r = -i (d/dr + 1/r) needs no integral of its own: [H, r] = -i p_r
 gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
-p_r^2 = 2 (H + 1/r) - l(l+1)/r^2.  Both hold exactly within the bound set,
-so one cached build per window (``_moment_matrices``) holds the seven layers
-a record reads: the five moment matrices, E_n <n|r|m> and diag(E_n), in one
-complex stack.  ``_records`` evaluates a block of times: the phases once,
-one stack product, one reduction, then a Python-float tail per time.
+p_r^2 = 2 (H + 1/r) - l(l+1)/r^2, with the constant <H> = sum |c_n|^2 E_n.
+Both hold exactly within the bound set, so one cached build per window
+(``_moment_matrices``) holds the matrices of 1, r, r^2, r^-1, r^-2 and p_r,
+one observable per layer of a complex stack.  ``_records`` evaluates a
+block of times: the phases once, one stack product, one reduction, then a
+Python-float tail per time.
 ``evolution.observables`` is a one-time block, and ``_scan`` runs near-equal
 blocks of at most ``_SCAN_BLOCK`` times and takes the autocorrelations from
 the same phases.  A record does not depend on which other times share its
@@ -91,8 +92,7 @@ class DeficitToleranceWarning(UserWarning):
 
 
 def _energies(ns: np.ndarray) -> np.ndarray:
-    """The energies -1/(2 n^2) of the levels ``ns``, for an expansion and
-    for the energy layers of its window's record stack."""
+    """The energies -1/(2 n^2) of the levels ``ns``, of an expansion and its p_r layer."""
     return -0.5 / ns.astype(float) ** 2
 
 
@@ -358,6 +358,8 @@ class UncertaintyRecord:
     ``bound_half_rm2`` = <r^-2>/2 is the lower bound on dR * dP.  The derived
     ``product`` = dr * dpr, ``ratio`` = dr / dpr (bohr^2) and ``dP`` = dpr
     (P = p_r) are properties, so a record cannot contradict its own fields.
+    dR = sqrt(<r^-2> - <r^-1>^2) cancels about three digits near the outer
+    turning point: at nbar 230 it carries 1000 times the stack's relative error.
     """
 
     t: float
@@ -414,21 +416,21 @@ _WINDOWS_HELD = 8
 
 @lru_cache(maxsize=_WINDOWS_HELD)
 def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
-    """The complex (7, N, N) record stack of the window [n_min, n_max],
+    """The complex (6, N, N) record stack of the window [n_min, n_max],
     read-only: the one cached build a record reads.
 
-    In order: <n|m>, <n|r|m>, <n|r^2|m>, <n|r^-1|m>, <n|r^-2|m>, E_n <n|r|m>
-    and diag(E_n), with E_n = -1/(2 n^2) from ``_energies``, as
-    ``EigenExpansion.energies`` has them.  The five moments are integrated
-    with the measure r^2 dr on the window's panelized Gauss-Legendre rule
-    (``_moment_rule``: 448 nodes on [7, 30], 576 on [73, 97], at most 2048),
-    each real product written into its layer, so every imaginary part is 0;
-    complex is the dtype of the product with the evolved coefficients, so no
-    call casts the stack.  The R_nl values come from
-    ``specfun._radial_rows``, whose one Laguerre recurrence steps a tile of
-    levels at once (the whole window at nbar 85 and 150) and reads each off
-    at its own degree.  The Gram matrix S = <n|m> must satisfy
-    ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
+    Each layer is the matrix of one observable: 1, r, r^2, r^-1, r^-2 and
+    p_r.  ``_records`` reads a layer M as c^dagger M^T c, so it holds <m|O|n>
+    at [n, m].  The five moments are integrated with the measure r^2 dr on
+    the window's panelized Gauss-Legendre rule (``_moment_rule``: 448 nodes
+    on [7, 30], 576 on [73, 97], at most 2048), each real product written
+    into its layer.  The p_r layer, <m|p_r|n> = i (E_m - E_n) <n|r|m> with
+    E_n from ``_energies``, is imaginary.  Complex is the dtype of the
+    product with the evolved coefficients, so no call casts the stack.  The
+    R_nl values come from ``specfun._radial_rows``, whose one Laguerre
+    recurrence steps a tile of levels at once (the whole window at nbar 85
+    and 150) and reads each off at its own degree.  The Gram matrix S = <n|m>
+    must satisfy ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
     |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c for every
     coefficient vector c, so one check covers every time.
     """
@@ -436,15 +438,14 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     ns = np.arange(n_min, n_max + 1)
     vals = _radial_rows(ns, L, x)
     wv = vals * (w * x * x)
-    stack = np.empty((7, ns.size, ns.size), dtype=complex)
+    stack = np.empty((6, ns.size, ns.size), dtype=complex)
     stack[0] = wv @ vals.T
     stack[1] = (wv * x) @ vals.T
     stack[2] = (wv * x * x) @ vals.T
     stack[3] = (wv / x) @ vals.T
     stack[4] = (vals * w) @ vals.T
     energies = _energies(ns)
-    stack[5] = energies[:, None] * stack[1].real
-    stack[6] = np.diag(energies)
+    stack[5] = 1j * (energies[None, :] - energies[:, None]) * stack[1].real
     gap = np.linalg.norm(stack[0].real - np.eye(ns.size), 2)
     if not gap <= _GRAM_TOL:  # a NaN gap fails too
         raise NumericalError(
@@ -460,21 +461,20 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     rows of ``phases``.
 
     One stack product and one reduction give every quadratic form
-    c(t)^dagger M c(t) of the block: c(t)^T M for the seven matrices of the
+    c(t)^dagger M c(t) of the block: c(t)^T M for the six matrices of the
     window's stack (``_moment_matrices``), then the conjugated dot product
-    with c(t).  The rest runs on Python floats, time by time.
+    with c(t).  sum |c_n|^2 E_n (<H> times the weight) is one dot product per
+    call; the rest runs on Python floats, time by time.
     """
     coeff_t = exp.coeffs * phases
-    forms = np.vecdot(coeff_t, coeff_t @ _moment_matrices(exp.n_min, exp.n_max))
+    forms = np.vecdot(coeff_t, coeff_t @ _moment_matrices(exp.n_min, exp.n_max)).real
+    energy = float(np.dot(exp.populations, exp.energies))
     records = []
-    for t, (norm, m1, m2, w1, w2, r_e, e) in zip(ts, forms.T.tolist()):
-        norm = norm.real
+    for t, (norm, m1, m2, w1, w2, pr) in zip(ts, forms.T.tolist()):
         if norm == 0.0:
             raise ValueError("empty expansion has no observables")
-        m1, m2, w1, w2 = m1.real / norm, m2.real / norm, w1.real / norm, w2.real / norm
-        # <n|p_r|m> = -i (E_m - E_n) <n|r|m>, so <p_r> = 2 Im c^dagger r E c
-        pr = 2.0 * r_e.imag / norm
-        pr2 = 2.0 * e.real / norm + 2.0 * w1 - L * (L + 1) * w2
+        m1, m2, w1, w2, pr = m1 / norm, m2 / norm, w1 / norm, w2 / norm, pr / norm
+        pr2 = 2.0 * energy / norm + 2.0 * w1 - L * (L + 1) * w2
         dr = math.sqrt(max(m2 - m1 * m1, 0.0))
         dpr = math.sqrt(max(pr2 - pr * pr, 0.0))
         if dpr == 0.0:
@@ -484,8 +484,8 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     return records
 
 
-# the most times in one block of phases: a block's (7, 1024, N) stack product
-# is under 6 MB at N = 41 (nbar 285)
+# the most times in one block of phases: a block's (6, 1024, N) stack product
+# is under 5 MB at N = 41 (nbar 285)
 _SCAN_BLOCK = 1024
 
 

@@ -132,14 +132,14 @@ def per_level_radial():
 
 def _numpy_scalar_observables(exp, t):
     """``evolution.observables`` as computed on NumPy scalars, with the phases
-    formed from the energies afresh: the record stack's forms of a one-time
+    and the populations formed afresh: the record stack's forms of a one-time
     block, then the reference the Python-float tail must equal bit for bit."""
     coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)[None]
-    forms = np.vecdot(coeff_t, coeff_t @ spectral._moment_matrices(exp.n_min, exp.n_max))[:, 0]
-    norm = forms[0].real
-    m1, m2, w1, w2 = forms[1:5].real / norm
-    pr = 2.0 * forms[5].imag / norm
-    pr2 = 2.0 * forms[6].real / norm + 2.0 * w1 - L * (L + 1) * w2
+    forms = np.vecdot(coeff_t, coeff_t @ spectral._moment_matrices(exp.n_min, exp.n_max))[:, 0].real
+    norm = forms[0]
+    m1, m2, w1, w2, pr = forms[1:6] / norm
+    energy = np.dot(np.abs(exp.coeffs) ** 2, exp.energies)
+    pr2 = 2.0 * energy / norm + 2.0 * w1 - L * (L + 1) * w2
     dr = np.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = np.sqrt(max(pr2 - pr * pr, 0.0))
     dR = np.sqrt(max(w2 - w1 * w1, 0.0))

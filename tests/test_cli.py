@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,30 +26,37 @@ TREV = 1000.0
 SRC = str(Path(rydpack.__file__).resolve().parents[1])
 
 
-def run_python(*args, cwd=None):
+def run_python(*args):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
 
 
-def run_cli(*args, cwd=None):
-    return run_python("-m", "rydpack", *args, cwd=cwd)
+def run_cli(capsys, *args):
+    """``cli.main`` on ``args`` in this process: its exit code, stdout and stderr."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=out, stderr=err)
 
 
 @pytest.fixture(scope="module")
 def pipeline20(tmp_path_factory):
     """fit + decompose for nbar=20, shared across CLI tests."""
     out = tmp_path_factory.mktemp("run20")
-    r1 = run_cli("fit", "--nbar", "20", "-o", str(out))
-    assert r1.returncode == 0, r1.stderr
-    r2 = run_cli("decompose", "--nbar", "20", "--state", str(out / "state.json"), "-o", str(out))
-    assert r2.returncode == 0, r2.stderr
+    assert main(["fit", "--nbar", "20", "-o", str(out)]) == 0
+    assert main(["decompose", "--nbar", "20", "--state", str(out / "state.json"), "-o", str(out)]) == 0
     return out
+
+
+def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
+    # python -m rydpack hands main's code to the interpreter: 3 for a fit failure
+    res = run_python("-m", "rydpack", "fit", "--nbar", "2", "-o", str(tmp_path))
+    assert res.returncode == 3
+    assert res.stderr.startswith("fit failure:")
 
 
 def test_time_expressions():
@@ -186,10 +194,10 @@ def test_import_does_not_load_scipy():
     assert res.stdout.strip() == ""
 
 
-def test_fit_outputs_and_determinism(tmp_path):
+def test_fit_outputs_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        res = run_cli("fit", "--nbar", "20", "-o", str(out))
+        res = run_cli(capsys, "fit", "--nbar", "20", "-o", str(out))
         assert res.returncode == 0, res.stderr
         assert "alpha=38.142901" in res.stdout
     for name in ("state.json", "fit_report.json"):
@@ -220,29 +228,29 @@ def test_fit_runs_one_fit(tmp_path, monkeypatch):
     assert (report["alpha"], report["gamma0"]) == (state.alpha, state.gamma0)
 
 
-def test_fit_usage_and_failure_exit_codes(tmp_path):
-    res = run_cli("fit", "--nbar", "1", "-o", str(tmp_path))
+def test_fit_usage_and_failure_exit_codes(tmp_path, capsys):
+    res = run_cli(capsys, "fit", "--nbar", "1", "-o", str(tmp_path))
     assert res.returncode == 1
-    res = run_cli("fit", "--nbar", "2", "-o", str(tmp_path))
+    res = run_cli(capsys, "fit", "--nbar", "2", "-o", str(tmp_path))
     assert res.returncode == 3
-    res = run_cli("fit", "-o", str(tmp_path))  # nbar missing
+    res = run_cli(capsys, "fit", "-o", str(tmp_path))  # nbar missing
     assert res.returncode == 1
-    res = run_cli("nonsense")
+    res = run_cli(capsys, "nonsense")
     assert res.returncode == 1
 
 
-def test_config_file_and_overrides(tmp_path):
+def test_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"nbar": 20, "output_dir": str(tmp_path / "from_cfg")}))
-    res = run_cli("fit", "--config", str(cfg))
+    res = run_cli(capsys, "fit", "--config", str(cfg))
     assert res.returncode == 0
     assert (tmp_path / "from_cfg" / "state.json").exists()
     # flag overrides config
-    res = run_cli("fit", "--config", str(cfg), "-o", str(tmp_path / "flag_wins"))
+    res = run_cli(capsys, "fit", "--config", str(cfg), "-o", str(tmp_path / "flag_wins"))
     assert res.returncode == 0
     assert (tmp_path / "flag_wins" / "state.json").exists()
     cfg.write_text(json.dumps({"nbar": 20, "bogus_key": 1}))
-    assert run_cli("fit", "--config", str(cfg)).returncode == 1
+    assert run_cli(capsys, "fit", "--config", str(cfg)).returncode == 1
 
 
 @pytest.mark.parametrize(
@@ -399,7 +407,7 @@ def test_edited_state_log_norm_is_usage_error(tmp_path, capsys, delta):
 @pytest.mark.parametrize(
     "gamma1", [0.5, float("nan"), float("inf")], ids=["0.5", "NaN", "Infinity"]
 )
-def test_non_finite_gamma1_is_usage_error(tmp_path, gamma1):
+def test_non_finite_gamma1_is_usage_error(tmp_path, capsys, gamma1):
     # json writes and reads the non-finite values as the literals NaN and
     # Infinity; <p_r> = 0 fixes gamma1 at 0, so any other value, finite or
     # not, is refused before a projection could turn it into a numerical failure
@@ -410,7 +418,7 @@ def test_non_finite_gamma1_is_usage_error(tmp_path, gamma1):
     record["gamma1"] = gamma1
     path.write_text(json.dumps(record))
     out = tmp_path / "out"
-    res = run_cli("decompose", "--nbar", "20", "--state", str(path), "-o", str(out))
+    res = run_cli(capsys, "decompose", "--nbar", "20", "--state", str(path), "-o", str(out))
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("usage error:") and str(path) in res.stderr
     assert f"gamma1={gamma1!r}" in res.stderr
@@ -441,9 +449,9 @@ def test_decompose_output(pipeline20):
     assert exp.weight + exp.deficit == pytest.approx(1.0, abs=1e-12)
 
 
-def test_decompose_pure_eigenstate(tmp_path):
+def test_decompose_pure_eigenstate(tmp_path, capsys):
     write_state(tmp_path / "state.json", 2, RadialSqueezedState(1.0, 0.5))
-    res = run_cli("decompose", "--nbar", "2", "--state", str(tmp_path / "state.json"),
+    res = run_cli(capsys, "decompose", "--nbar", "2", "--state", str(tmp_path / "state.json"),
                   "-o", str(tmp_path))
     assert res.returncode == 0, res.stderr
     exp = read_expansion(tmp_path / "expansion.csv")
@@ -452,9 +460,9 @@ def test_decompose_pure_eigenstate(tmp_path):
     assert p.max() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_decompose_window_warning(pipeline20, tmp_path):
+def test_decompose_window_warning(pipeline20, tmp_path, capsys):
     res = run_cli(
-        "decompose", "--nbar", "20", "--state", str(pipeline20 / "state.json"),
+        capsys, "decompose", "--nbar", "20", "--state", str(pipeline20 / "state.json"),
         "--window", "2", "10", "-o", str(tmp_path),
     )
     assert res.returncode == 0
@@ -480,8 +488,8 @@ def test_nbar_3_decompose_warns_and_scan_refuses(tmp_path, capsys):
     assert not (tmp_path / "scan.csv").exists()
 
 
-def test_decompose_missing_state(tmp_path):
-    res = run_cli("decompose", "--nbar", "20", "--state", str(tmp_path / "nope.json"),
+def test_decompose_missing_state(tmp_path, capsys):
+    res = run_cli(capsys, "decompose", "--nbar", "20", "--state", str(tmp_path / "nope.json"),
                   "-o", str(tmp_path))
     assert res.returncode == 1
 
@@ -506,9 +514,9 @@ def test_unusable_path_is_usage_error(tmp_path, monkeypatch, capsys, argv, out_i
         assert list(tmp_path.iterdir()) == []
 
 
-def test_scan_series(pipeline20, tmp_path):
+def test_scan_series(pipeline20, tmp_path, capsys):
     res = run_cli(
-        "scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+        capsys, "scan", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
         "--t-start", "0", "--t-stop", "2*Tcl", "--t-steps", "11", "-o", str(tmp_path),
     )
     assert res.returncode == 0, res.stderr
@@ -525,14 +533,14 @@ def test_scan_series(pipeline20, tmp_path):
     assert rows[0, 9] == pytest.approx(1.0, abs=1e-9)  # autocorrelation at t=0
 
 
-def test_scan_refuses_deficient_expansion(pipeline20, tmp_path):
+def test_scan_refuses_deficient_expansion(pipeline20, tmp_path, capsys):
     bad_dir = tmp_path / "bad"
     res = run_cli(
-        "decompose", "--nbar", "20", "--state", str(pipeline20 / "state.json"),
+        capsys, "decompose", "--nbar", "20", "--state", str(pipeline20 / "state.json"),
         "--window", "2", "10", "-o", str(bad_dir),
     )
     assert res.returncode == 0
-    res = run_cli("scan", "--nbar", "20", "--expansion", str(bad_dir / "expansion.csv"),
+    res = run_cli(capsys, "scan", "--nbar", "20", "--expansion", str(bad_dir / "expansion.csv"),
                   "--t-stop", "Tcl", "-o", str(tmp_path))
     assert res.returncode == 2
 
@@ -709,18 +717,18 @@ def test_non_finite_coefficient_is_usage_error(pipeline20, tmp_path, capsys, com
     assert list(out.iterdir()) == []
 
 
-def test_decompose_nan_projection_is_numerical_failure(tmp_path):
+def test_decompose_nan_projection_is_numerical_failure(tmp_path, capsys):
     # at nbar 300 the Laguerre recurrence overflows and the projections are NaN
     write_state(tmp_path / "state.json", 300, fit_parameters(QuantumNumbers(300)))
-    res = run_cli("decompose", "--nbar", "300", "--state", str(tmp_path / "state.json"),
+    res = run_cli(capsys, "decompose", "--nbar", "300", "--state", str(tmp_path / "state.json"),
                   "-o", str(tmp_path))
     assert res.returncode == 2, res.stderr
     assert "numerical failure" in res.stderr
 
 
-def test_density_snapshots_and_packets(pipeline20, tmp_path):
+def test_density_snapshots_and_packets(pipeline20, tmp_path, capsys):
     res = run_cli(
-        "density", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+        capsys, "density", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
         "--times", "0,0.5*Tcl,Tcl", "-o", str(tmp_path),
     )
     assert res.returncode == 0, res.stderr
@@ -765,9 +773,9 @@ def test_interference_time(tmp_path):
     assert "t_int_au" not in ts and "t_int_ns" not in ts
 
 
-def test_density_bad_time_expression(pipeline20, tmp_path):
+def test_density_bad_time_expression(pipeline20, tmp_path, capsys):
     res = run_cli(
-        "density", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
+        capsys, "density", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),
         "--times", "0,bogus", "-o", str(tmp_path),
     )
     assert res.returncode == 1

@@ -281,8 +281,10 @@ def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
         [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
     )
     stack = spectral._moment_matrices(*window)
+    assert stack.shape == (6, n_max - n_min + 1, n_max - n_min + 1)
     assert np.array_equal(stack.real[:5], want)
-    assert not stack.imag.any()
+    # the five moments are real, and the p_r layer is imaginary
+    assert not stack[:5].imag.any() and not stack[5].real.any()
 
 
 def _full_stack(monkeypatch, rule, window):
@@ -433,9 +435,9 @@ def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
 def test_moment_matrices_match_closed_form_diagonals(window):
     stack = spectral._moment_matrices(*window)
     ns = np.arange(window[0], window[1] + 1.0)
-    assert stack.shape == (7, ns.size, ns.size)
+    assert stack.shape == (6, ns.size, ns.size)
     assert not stack.flags.writeable
-    assert not stack.imag.any()
+    assert not stack[:5].imag.any() and not stack[5].real.any()
     mats = stack.real[:5]
     assert_hydrogen_identities(mats, ns)
     assert np.linalg.norm(mats[0] - np.eye(ns.size), 2) <= 1e-12
@@ -492,21 +494,42 @@ def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_po
         assert type(ac) is float and ac.hex() == want_ac.hex(), t
 
 
-def test_record_stack_adds_the_energy_rows_to_the_moment_matrices(exp85):
-    # the layers 1, r, r^2, r^-1, r^-2 on the window's rule, then E_n r and
-    # diag(E_n) with the expansion's energies
+def test_record_stack_adds_the_momentum_layer_to_the_moment_matrices(exp85):
+    # the layers 1, r, r^2, r^-1, r^-2 on the window's rule, then p_r from
+    # [H, r] = -i p_r with the expansion's energies: <m|p_r|n> at [n, m]
     stack = spectral._moment_matrices(exp85.n_min, exp85.n_max)
     x, w = spectral._moment_rule(exp85.n_min, exp85.n_max)
     vals = specfun._radial_rows(exp85.ns, L, x)
     wv = vals * (w * x * x)
     energies = exp85.energies
     assert stack.dtype == complex and not stack.flags.writeable
-    assert not stack.imag.any()
+    assert stack.shape == (6, exp85.ns.size, exp85.ns.size)
+    assert not stack[:5].imag.any()
     for layer, weighted in zip(stack.real[:5], [wv, wv * x, wv * x * x, wv / x, vals * w]):
         assert np.array_equal(layer, weighted @ vals.T)
-    assert np.array_equal(stack.real[5], energies[:, None] * stack.real[1])
-    assert np.array_equal(stack.real[6], np.diag(energies))
+    assert not stack[5].real.any()
+    assert np.array_equal(stack[5].imag, (energies[None, :] - energies[:, None]) * stack.real[1])
     assert spectral._moment_matrices(exp85.n_min, exp85.n_max) is stack
+
+
+@pytest.mark.parametrize("nbar", [20, 85, 150, 285])
+def test_momentum_form_is_the_rate_of_the_r_form(nbar):
+    # Ehrenfest: d<r>/dt = <p_r>.  dp_r squares <p_r>, so only this checks its
+    # sign; the forms are read as the record tail reads them
+    exp = decompose(fit_parameters(QuantumNumbers(nbar)), center=nbar)
+    stack = spectral._moment_matrices(exp.n_min, exp.n_max)
+    t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
+    times = np.random.default_rng(nbar).uniform(0.0, 4.0 * t_cl, 40)
+    h = 1e-5 * t_cl
+
+    def mean(layer, ts):
+        coeff_t = exp.coeffs * spectral._phases(exp, ts[:, None])
+        forms = np.vecdot(coeff_t, coeff_t @ stack).real
+        return forms[layer] / forms[0]
+
+    pr = mean(5, times)
+    rate = (mean(1, times + h) - mean(1, times - h)) / (2.0 * h)
+    assert np.max(np.abs(pr - rate)) <= 1e-6 * np.max(np.abs(pr))
 
 
 def test_record_stack_follows_the_moment_matrix_cache(exp85, monkeypatch, full_moment_rule):
@@ -588,7 +611,7 @@ def test_scan_leaves_no_time_in_a_block_of_its_own(nbar, request, monkeypatch):
 @pytest.mark.parametrize("nbar", [85, 150])
 def test_one_time_record_matches_its_row_of_a_block(nbar, request):
     # the one-row product may differ in its last bits.  dR^2 = <r^-2> - <r^-1>^2
-    # and dp_r^2 = <p_r^2> - <p_r>^2 cancel digits, dp_r up to 2e-12 relative
+    # and dp_r^2 = <p_r^2> - <p_r>^2 cancel digits, dp_r up to 4.3e-14 relative
     # at nbar 150, so they are compared through their squares: against <r^-2>,
     # and against -2 <E>, the scale of <p^2> by the virial theorem
     exp = request.getfixturevalue(f"exp{nbar}")
@@ -623,9 +646,8 @@ def test_equal_grid_copy_matches_through_the_full_comparison(exp85, grid85, basi
 
 def test_observables_without_momentum_spread_raise(monkeypatch):
     # one level with <r^-1> = 1/4 and <r^-2> = 1/8: <p_r^2> = 2 E_2 + 2/4 - 2/8 = 0,
-    # E_2 = -1/8
-    e2 = -0.125
-    stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]], [[e2 * 5.0]], [[e2]]], dtype=complex)
+    # E_2 = -1/8, and <p_r> = 0
+    stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]], [[0.0]]], dtype=complex)
     monkeypatch.setattr(spectral, "_moment_matrices", lambda n_min, n_max: stack)
     single = EigenExpansion(n_min=2, coeffs=np.array([1.0]))
     with pytest.raises(NumericalError, match="dp_r = 0"):
