@@ -2,9 +2,12 @@
 
 Intermediate artifacts (state record, expansion) persist as files between
 subcommands, so one expansion serves any number of scans and density
-snapshots.  The served range is nbar >= 3: at nbar = 2 the matching
-conditions have no solution, and `fit` exits 3.  Exit codes: 0 success,
-1 usage error, 2 numerical failure, 3 fit failure.
+snapshots.  They hold nbar: `fit` writes it to state.json and `decompose` to
+the expansion.csv header (l,nbar,n_min,n_max,deficit), whence `scan` and
+`density` take T_cl, t_rev and the grid extent; there --nbar may restate it.
+The served range is nbar >= 3: at nbar = 2 the matching conditions have no
+solution, and `fit` exits 3.  Exit codes: 0 success, 1 usage error,
+2 numerical failure, 3 fit failure.
 """
 
 from __future__ import annotations
@@ -60,26 +63,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _setting(kind, default=None, help=None, alias=None):
-    # a RunConfig field with its kind (int, float or str), help and short flag
-    return field(default=default, metadata={"kind": kind, "help": help, "alias": alias})
+def _setting(kind, default, help, reads=("fit", "decompose", "scan", "density"), alias=None):
+    # a RunConfig field: its kind (int, float or str), help, readers and short flag
+    return field(default=default, metadata={"kind": kind, "help": help, "reads": reads, "alias": alias})
 
 
 @dataclass
 class RunConfig:
     """The run settings.  Each field is the one declaration of its setting:
-    the default, plus the kind that `validate` checks and the help and short
-    flag from which `_build_parser` makes its flag."""
+    the default, the kind that `validate` checks, and the help and short flag
+    of the flag `_build_parser` gives each subcommand that reads it."""
 
-    nbar: int | None = _setting(int, help="central principal quantum number (served from 3 up)")
-    deficit_tol: float = _setting(float, DEFAULT_DEFICIT_TOL)
-    grid_points: int = _setting(int, 16000, "points of the density-snapshot grid (density only)")
-    r_max_factor: float = _setting(
-        float, 4.0, "density-snapshot grid extent in nbar^2 bohr (density only)"
+    nbar: int | None = _setting(
+        int, None, "central principal quantum number (served from 3 up); fit needs it, and "
+        "elsewhere it must equal the input file's",
     )
-    prominence: float = _setting(float, 0.05)
-    smooth: float | None = _setting(float, help="envelope width (bohr) for packet counting")
-    output_dir: str = _setting(str, ".", alias="-o")
+    deficit_tol: float = _setting(
+        float, DEFAULT_DEFICIT_TOL, "largest norm deficit: decompose grows its window to it, and "
+        "scan and density refuse 10 times it", ("decompose", "scan", "density"),
+    )
+    grid_points: int = _setting(int, 16000, "points of the density-snapshot grid", ("density",))
+    r_max_factor: float = _setting(float, 4.0, "density grid extent in nbar^2 bohr", ("density",))
+    prominence: float = _setting(
+        float, 0.05, "least prominence of a counted packet, relative to the highest peak", ("density",)
+    )
+    smooth: float | None = _setting(
+        float, None, "envelope width (bohr) for packet counting (default dr(t = 0) / 3)", ("density",)
+    )
+    output_dir: str = _setting(str, ".", "directory the artifacts are written to", alias="-o")
 
     def validate(self):
         for f in fields(self):
@@ -89,9 +100,7 @@ class RunConfig:
             kind = f.metadata["kind"]
             if not _is_kind(value, kind):
                 raise UsageError(f"{f.name} must be {_KIND_NAMES[kind]}, got {value!r}")
-        if self.nbar is None:
-            raise UsageError("nbar is required (flag --nbar or config file)")
-        if self.nbar < 2:
+        if self.nbar is not None and self.nbar < 2:
             raise UsageError(f"nbar must be >= 2, got {self.nbar}")
         for name in ("deficit_tol", "grid_points", "r_max_factor", "prominence"):
             if getattr(self, name) <= 0:
@@ -202,10 +211,6 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return out / name
 
 
-def _grid(cfg: RunConfig) -> RadialGrid:
-    return RadialGrid.uniform(cfg.r_max_factor * cfg.nbar**2, cfg.grid_points)
-
-
 def _timescale_block(ts: Timescales, deltan: float = 0.0) -> dict:
     block = {
         "T_cl_au": ts.T_cl_au,
@@ -223,7 +228,9 @@ def _timescale_block(ts: Timescales, deltan: float = 0.0) -> dict:
     return block
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: RunConfig, args) -> int:
+    if cfg.nbar is None:
+        raise UsageError("nbar is required (flag --nbar or config file)")
     q = QuantumNumbers(cfg.nbar)
     state = fit_parameters(q)
     geo = orbit_geometry(q)
@@ -263,20 +270,18 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
-    nbar, state = rio.read_state(state_path)
-    if nbar != cfg.nbar:
-        raise UsageError(
-            f"{state_path} holds nbar={nbar}; the run is configured for nbar={cfg.nbar}"
-        )
+def _check_nbar(cfg: RunConfig, path: str, nbar: int) -> None:
+    if cfg.nbar is not None and cfg.nbar != nbar:
+        raise UsageError(f"{path} holds nbar={nbar}; the run is configured for nbar={cfg.nbar}")
+
+
+def cmd_decompose(cfg: RunConfig, args) -> int:
+    nbar, state = rio.read_state(args.state)
+    _check_nbar(cfg, args.state, nbar)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeficitToleranceWarning)
-        exp = decompose(
-            state,
-            window=tuple(window) if window else None,
-            deficit_tol=cfg.deficit_tol,
-        )
-    rio.write_expansion(_out_path(cfg, "expansion.csv"), exp)
+        exp = decompose(state, window=args.window, deficit_tol=cfg.deficit_tol)
+    rio.write_expansion(_out_path(cfg, "expansion.csv"), nbar, exp)
     mean_n, deltan = coefficient_spread(exp)
     print(
         f"decompose nbar={nbar}: window=[{exp.n_min},{exp.n_max}] "
@@ -287,20 +292,15 @@ def cmd_decompose(cfg: RunConfig, state_path: str, window) -> int:
     return 0
 
 
-def _load_expansion_checked(cfg: RunConfig, expansion_path: str):
-    exp = rio.read_expansion(expansion_path)
+def _load_expansion(cfg: RunConfig, path: str):
+    nbar, exp = rio.read_expansion(path)
+    _check_nbar(cfg, path, nbar)
     if exp.deficit > 10.0 * cfg.deficit_tol:
         raise NumericalError(
             f"expansion deficit {exp.deficit:.6e} exceeds 10 x deficit_tol "
             f"({10.0 * cfg.deficit_tol:g}); refusing to scan"
         )
-    if not exp.n_min <= cfg.nbar <= exp.n_max:
-        # T_cl and t_rev come from nbar; they must describe this expansion
-        raise UsageError(
-            f"nbar {cfg.nbar} lies outside the expansion window "
-            f"[{exp.n_min}, {exp.n_max}] of {expansion_path}"
-        )
-    return exp
+    return nbar, exp
 
 
 def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.ndarray]:
@@ -328,21 +328,21 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.nda
     return None, np.linspace(t0, t1, args.t_steps)
 
 
-def cmd_scan(cfg: RunConfig, expansion_path: str, args) -> int:
-    exp = _load_expansion_checked(cfg, expansion_path)
+def cmd_scan(cfg: RunConfig, args) -> int:
+    nbar, exp = _load_expansion(cfg, args.expansion)
     # a stable sort keeps the order of equal times, 0.0 and -0.0, as sorted() does
-    times = np.sort(_times(timescales(QuantumNumbers(cfg.nbar)), args)[1], kind="stable")
+    times = np.sort(_times(timescales(QuantumNumbers(nbar)), args)[1], kind="stable")
     # each block of times is evaluated as the file takes its rows
     rio.write_series(_out_path(cfg, "scan.csv"), _scan(exp, times))
     print(f"scan: {len(times)} time points -> scan.csv")
     return 0
 
 
-def cmd_density(cfg: RunConfig, expansion_path: str, args) -> int:
-    exp = _load_expansion_checked(cfg, expansion_path)
-    ts = timescales(QuantumNumbers(cfg.nbar))
+def cmd_density(cfg: RunConfig, args) -> int:
+    nbar, exp = _load_expansion(cfg, args.expansion)
+    ts = timescales(QuantumNumbers(nbar))
     exprs, times = _times(ts, args)
-    grid = _grid(cfg)
+    grid = RadialGrid.uniform(cfg.r_max_factor * nbar**2, cfg.grid_points)
     basis = BasisTable.for_expansion(exp, grid)
     smooth = cfg.smooth
     if smooth is None:
@@ -386,35 +386,35 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rydpack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
+    def add_command(name, run, **kwargs):
+        # a subcommand that runs ``run``, with the flag of each setting it reads
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON config file of any settings; flags override its values")
         for f in fields(RunConfig):
-            names = ["--" + f.name.replace("_", "-")]
-            if f.metadata["alias"]:
-                names.append(f.metadata["alias"])
-            p.add_argument(*names, dest=f.name, type=f.metadata["kind"], help=f.metadata["help"])
+            if name in f.metadata["reads"]:
+                flags = filter(None, ("--" + f.name.replace("_", "-"), f.metadata["alias"]))
+                p.add_argument(*flags, type=f.metadata["kind"], help=f.metadata["help"])
+        return p
 
-    p_fit = sub.add_parser("fit", help="solve the matching conditions for a squeezed state")
-    add_common(p_fit)
+    add_command("fit", cmd_fit, help="solve the matching conditions for a squeezed state")
 
-    p_dec = sub.add_parser("decompose", help="expand a state over bound p eigenstates")
-    add_common(p_dec)
+    p_dec = add_command("decompose", cmd_decompose, help="expand a state over bound p eigenstates")
     p_dec.add_argument("--state", required=True, help="state.json from fit")
-    p_dec.add_argument("--window", nargs=2, type=int, metavar=("NMIN", "NMAX"))
+    p_dec.add_argument("--window", nargs=2, type=int, metavar=("NMIN", "NMAX"),
+                       help="expand over these levels instead of growing a window")
 
     # cmd_scan makes -o before the first block of times is evaluated
     epilog = "a scan that fails while it evaluates leaves a new -o directory behind, empty"
-    p_scan = sub.add_parser("scan", help="uncertainty/autocorrelation time series", epilog=epilog)
-    add_common(p_scan)
+    p_scan = add_command("scan", cmd_scan, help="uncertainty/autocorrelation time series", epilog=epilog)
     p_scan.add_argument("--expansion", required=True, help="expansion.csv from decompose")
     p_scan.add_argument("--times", help="comma-separated time expressions")
-    p_scan.add_argument("--t-start", dest="t_start", default="0")
-    p_scan.add_argument("--t-stop", dest="t_stop")
-    p_scan.add_argument("--t-steps", dest="t_steps", type=int, default=201)
+    p_scan.add_argument("--t-start", default="0", help="first time of the range (default 0)")
+    p_scan.add_argument("--t-stop", help="last time of an evenly spaced range, used without --times")
+    p_scan.add_argument("--t-steps", type=int, default=201, help="points of the range (default 201)")
 
-    p_den = sub.add_parser("density", help="density snapshots plus packet reports")
-    add_common(p_den)
-    p_den.add_argument("--expansion", required=True)
+    p_den = add_command("density", cmd_density, help="density snapshots plus packet reports")
+    p_den.add_argument("--expansion", required=True, help="expansion.csv from decompose")
     p_den.add_argument("--times", required=True, help="comma-separated time expressions")
 
     return parser
@@ -424,14 +424,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _load_config(args)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "decompose":
-            return cmd_decompose(cfg, args.state, args.window)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.expansion, args)
-        return cmd_density(cfg, args.expansion, args)
+        return args.run(_load_config(args), args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,11 +10,13 @@ over its values instead of formatting every row.
 Every artifact is written whole or not at all: its text goes, chunk by
 chunk, to a temporary file in the target directory, which then replaces the
 target; a scan CSV goes one block of rows at a time.  State and expansion
-files record the angular momentum l, always ``squeezed.L`` = 1, and a state
-file the paper's gamma1, always 0.0 (``squeezed``); the readers refuse any
-other value.  They also record values the rest of the file fixes, a state's
-``log_norm`` and an expansion's deficit, and the readers refuse a file whose
-recorded value is not, bit for bit, the derived one.
+files record nbar (the expansion in its header, ``l,nbar,n_min,n_max,deficit``)
+and the angular momentum l, always ``squeezed.L`` = 1, and a state file the
+paper's gamma1, always 0.0 (``squeezed``); the readers refuse a file without
+nbar, an nbar below 2 and any other l or gamma1.  They also record values
+the rest of the file fixes, a state's ``log_norm`` and an expansion's
+deficit, and the readers refuse a file whose recorded value is not, bit for
+bit, the derived one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import EigenExpansion
-from .squeezed import L, RadialSqueezedState
+from .squeezed import L, QuantumNumbers, RadialSqueezedState
 from .units import au_to_ns
 
 __all__ = [
@@ -52,6 +54,7 @@ SERIES_COLUMNS = (
     "bound_half_rm2",
     "autocorrelation",
 )
+_EXPANSION_HEADER = "l,nbar,n_min,n_max,deficit"
 
 
 def write_text_atomic(path, chunks) -> None:
@@ -115,9 +118,9 @@ _STATE_KEYS = {
 def read_state(path):
     """Inverse of `write_state`, giving (nbar, state); raises ValueError naming
     the file for text that is not UTF-8 JSON, a missing or ill-typed key, an
-    l other than ``L``, a gamma1 other than 0 (NaN and infinities included),
-    parameters that are no state, or a ``log_norm`` that is not the one alpha
-    and gamma0 give."""
+    nbar below 2, an l other than ``L``, a gamma1 other than 0 (NaN and
+    infinities included), parameters that are no state, or a ``log_norm``
+    that is not the one alpha and gamma0 give."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -137,6 +140,7 @@ def read_state(path):
     if record["gamma1"] != 0.0:  # <p_r> = 0 fixes it; a NaN fails too
         raise ValueError(f"{path}: state file holds gamma1={record['gamma1']!r}, not 0")
     try:
+        QuantumNumbers(record["nbar"])  # nbar >= 2
         state = RadialSqueezedState(alpha=record["alpha"], gamma0=record["gamma0"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -145,10 +149,10 @@ def read_state(path):
     return record["nbar"], state
 
 
-def write_expansion(path, exp: EigenExpansion) -> None:
+def write_expansion(path, nbar: int, exp: EigenExpansion) -> None:
     lines = [
-        "l,n_min,n_max,deficit",
-        f"{L},{exp.n_min},{exp.n_max},{_fmt(exp.deficit)}",
+        _EXPANSION_HEADER,
+        f"{L},{int(nbar)},{exp.n_min},{exp.n_max},{_fmt(exp.deficit)}",
         "n,re,im",
     ]
     for n, c in zip(exp.ns, exp.coeffs):
@@ -156,22 +160,24 @@ def write_expansion(path, exp: EigenExpansion) -> None:
     write_text_atomic(path, ["\n".join(lines) + "\n"])
 
 
-def read_expansion(path) -> EigenExpansion:
-    """Inverse of `write_expansion`; raises ValueError naming the file for
-    text that is not UTF-8, a header or row of the wrong fields, a field that
-    is not a number, coefficients that are no expansion, an l other than ``L``, or a header
+def read_expansion(path):
+    """Inverse of `write_expansion`, giving (nbar, exp); raises ValueError
+    naming the file for text that is not UTF-8, a header (without nbar, say)
+    or row of the wrong fields, a field that is not a number, coefficients
+    that are no expansion, an nbar below 2, an l other than ``L``, or a header
     deficit that is not the one the coefficient rows give."""
     lines = _read_text(path, "an expansion file").splitlines()
-    if len(lines) < 3 or lines[0] != "l,n_min,n_max,deficit" or lines[2] != "n,re,im":
-        raise ValueError(f"{path}: not an expansion file")
+    if len(lines) < 3 or lines[0] != _EXPANSION_HEADER or lines[2] != "n,re,im":
+        raise ValueError(f"{path}: not an expansion file with the header {_EXPANSION_HEADER}")
     header = lines[1].split(",")
-    if len(header) != 4:
-        raise ValueError(f"{path}: the header row must hold the four fields l,n_min,n_max,deficit")
+    if len(header) != 5:
+        raise ValueError(f"{path}: the header row must hold the five fields {_EXPANSION_HEADER}")
     rows = [line.split(",") for line in lines[3:] if line]
     if any(len(r) != 3 for r in rows):
         raise ValueError(f"{path}: every coefficient row must hold the three fields n,re,im")
     try:
-        l, n_min, n_max, deficit = int(header[0]), int(header[1]), int(header[2]), float(header[3])
+        l, nbar, n_min, n_max, deficit = *map(int, header[:4]), float(header[4])
+        QuantumNumbers(nbar)  # nbar >= 2
         ns = [int(r[0]) for r in rows]
         exp = EigenExpansion(n_min, [complex(float(r[1]), float(r[2])) for r in rows])
     except ValueError as exc:
@@ -182,8 +188,8 @@ def read_expansion(path) -> EigenExpansion:
         raise ValueError(f"{path}: coefficient rows do not match the declared window")
     # the coefficients round-trip bit-exactly, and so does the deficit they give
     if deficit != exp.deficit:
-        raise ValueError(f"{path}: header deficit {header[3]} disagrees with the coefficient rows")
-    return exp
+        raise ValueError(f"{path}: header deficit {header[4]} disagrees with the coefficient rows")
+    return nbar, exp
 
 
 def write_series(path, blocks) -> None:

@@ -432,7 +432,10 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     and 150) and reads each off at its own degree.  The Gram matrix S = <n|m>
     must satisfy ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
     |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c for every
-    coefficient vector c, so one check covers every time.
+    coefficient vector c, so one check covers every time.  The diagonals of
+    the r, r^2, r^-1 and r^-2 layers must match their closed forms within
+    _GRAM_TOL, relative, else NumericalError naming the worst: each sees the
+    rule's error in its own moment, which S can miss.
     """
     x, w = _moment_rule(n_min, n_max)
     ns = np.arange(n_min, n_max + 1)
@@ -451,6 +454,23 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
         raise NumericalError(
             f"quadrature too coarse for the window [{n_min}, {n_max}]: "
             f"||S - I||_2 = {gap:.3e} > {_GRAM_TOL:g}"
+        )
+    # the closed-form diagonals of layers 1-4 (Bethe & Salpeter, section 3)
+    n = ns.astype(float)
+    ll = L * (L + 1)
+    closed = {
+        "<r>": (3.0 * n * n - ll) / 2.0,
+        "<r^2>": n * n * (5.0 * n * n + 1.0 - 3.0 * ll) / 2.0,
+        "<r^-1>": 1.0 / (n * n),
+        "<r^-2>": 1.0 / (n**3 * (L + 0.5)),
+    }
+    diagonals = stack[1:5].real.diagonal(axis1=1, axis2=2)
+    residuals = np.max(np.abs(diagonals / list(closed.values()) - 1.0), axis=1)
+    worst = int(np.argmax(residuals))  # the first NaN, if any
+    if not residuals[worst] <= _GRAM_TOL:
+        raise NumericalError(
+            f"quadrature too coarse for the window [{n_min}, {n_max}]: the {list(closed)[worst]} "
+            f"diagonal is {residuals[worst]:.3e} off its closed form, > {_GRAM_TOL:g}"
         )
     stack.flags.writeable = False
     return stack

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -330,6 +331,15 @@ def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, capsys, flags,
     assert not (tmp_path / "fit_report.json").exists()
 
 
+# the settings each subcommand reads, and so takes as flags
+READS = {
+    "fit": {"nbar", "output_dir"},
+    "decompose": {"nbar", "deficit_tol", "output_dir"},
+    "scan": {"nbar", "deficit_tol", "output_dir"},
+    "density": cli._CONFIG_FIELDS,
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["fit"], ["decompose", "--state", "s.json"], ["scan", "--expansion", "e.csv"],
@@ -337,8 +347,71 @@ def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, capsys, flags,
     ids=lambda argv: argv[0],
 )
 def test_config_fields_are_declared_once_everywhere(argv):
-    # a setting lives in RunConfig and as a flag of every subcommand
-    assert cli._CONFIG_FIELDS <= set(vars(cli._build_parser().parse_args(argv)))
+    # a setting lives in RunConfig, and as a flag of each subcommand that reads it
+    names = set(vars(cli._build_parser().parse_args(argv)))
+    assert names & cli._CONFIG_FIELDS == READS[argv[0]]
+
+
+def test_flag_slots_are_the_settings_read_plus_each_subcommands_own():
+    # --config, one flag per setting read (2, 3, 3 and 7; -o is the short form
+    # of --output-dir), then --state and --window, five scan flags and two density flags
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    slots = {
+        name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+        for name, p in commands.items()
+    }
+    assert slots == {"fit": 3, "decompose": 6, "scan": 9, "density": 10}
+    assert sum(slots.values()) == 28
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", "--grid-points", "5"], ["fit", "--deficit-tol", "0.1"],
+     ["decompose", "--state", "s.json", "--prominence", "0.1"],
+     ["scan", "--expansion", "e.csv", "--smooth", "1"]],
+    ids=["fit-grid-points", "fit-deficit-tol", "decompose-prominence", "scan-smooth"],
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--nbar", "20"]) == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in assert_one_usage_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_config_of_every_key_runs_the_whole_pipeline(tmp_path, capsys):
+    # each subcommand accepts and validates every key, and reads its own
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "nbar": 20, "deficit_tol": 1e-4, "grid_points": 4000, "r_max_factor": 4.0,
+        "prominence": 0.05, "smooth": 10.0, "output_dir": str(out),
+    }))
+    assert sorted(json.loads(config.read_text())) == sorted(cli._CONFIG_FIELDS)
+    expansion = str(out / "expansion.csv")
+    for argv in (["fit"], ["decompose", "--state", str(out / "state.json")],
+                 ["scan", "--expansion", expansion, "--t-stop", "Tcl", "--t-steps", "3"],
+                 ["density", "--expansion", expansion, "--times", "0"]):
+        res = run_cli(capsys, *argv, "--config", str(config))
+        assert res.returncode == 0, res.stderr
+    packets = json.loads((out / "packets.json").read_text())
+    assert packets["smooth"] == 10.0
+    assert len(read_density(out / "density_00.csv")[1]) == 4000
+
+
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "5"]), ("density", ["--times", "0,Tcl/2,trev"])],
+)
+def test_nbar_comes_from_the_expansion(pipeline20, tmp_path, capsys, command, times):
+    # T_cl, t_rev and the grid extent are the expansion's, so --nbar changes no byte
+    runs = []
+    for name, flags in (("with", ["--nbar", "20"]), ("without", [])):
+        out = tmp_path / name
+        res = run_cli(capsys, command, "--expansion", str(pipeline20 / "expansion.csv"),
+                      *times, *flags, "-o", str(out))
+        assert res.returncode == 0, res.stderr
+        runs.append((res.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(
@@ -443,7 +516,8 @@ def test_deficit_tol_of_one_or_more_is_usage_error(pipeline20, tmp_path, capsys,
 
 
 def test_decompose_output(pipeline20):
-    exp = read_expansion(pipeline20 / "expansion.csv")
+    nbar, exp = read_expansion(pipeline20 / "expansion.csv")
+    assert nbar == 20
     assert exp.deficit < 1e-4
     assert exp.n_min <= 20 <= exp.n_max
     assert exp.weight + exp.deficit == pytest.approx(1.0, abs=1e-12)
@@ -454,7 +528,7 @@ def test_decompose_pure_eigenstate(tmp_path, capsys):
     res = run_cli(capsys, "decompose", "--nbar", "2", "--state", str(tmp_path / "state.json"),
                   "-o", str(tmp_path))
     assert res.returncode == 0, res.stderr
-    exp = read_expansion(tmp_path / "expansion.csv")
+    _, exp = read_expansion(tmp_path / "expansion.csv")
     p = np.abs(exp.coeffs) ** 2
     assert int(exp.ns[np.argmax(p)]) == 2
     assert p.max() == pytest.approx(1.0, abs=1e-6)
@@ -468,7 +542,7 @@ def test_decompose_window_warning(pipeline20, tmp_path, capsys):
     assert res.returncode == 0
     # decompose's own warning, printed once
     assert res.stderr == "warning: deficit 1.000000e+00 above tolerance 0.0001 for window [2,10]\n"
-    exp = read_expansion(tmp_path / "expansion.csv")
+    _, exp = read_expansion(tmp_path / "expansion.csv")
     assert exp.deficit > 0.999
 
 
@@ -480,7 +554,7 @@ def test_nbar_3_decompose_warns_and_scan_refuses(tmp_path, capsys):
     capsys.readouterr()
     assert main(["decompose", *common, "--state", str(tmp_path / "state.json")]) == 0
     assert "warning: deficit tolerance 0.0001 unreachable" in capsys.readouterr().err
-    exp = read_expansion(tmp_path / "expansion.csv")
+    _, exp = read_expansion(tmp_path / "expansion.csv")
     assert exp.n_min == 2 and exp.n_max < 400
     code = main(["scan", *common, "--expansion", str(tmp_path / "expansion.csv"), "--t-stop", "Tcl"])
     assert code == 2
@@ -557,8 +631,8 @@ def test_edited_header_deficit_is_usage_error(pipeline20, tmp_path, capsys, comm
     assert code == 0
     expansion = tmp_path / "expansion.csv"
     lines = expansion.read_text().splitlines()
-    assert float(lines[1].split(",")[3]) > 0.02
-    lines[1] = "1,18,22,0"
+    assert float(lines[1].split(",")[4]) > 0.02
+    lines[1] = "1,20,18,22,0"
     expansion.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     out = tmp_path / "out"
@@ -575,7 +649,8 @@ def test_edited_header_deficit_is_usage_error(pipeline20, tmp_path, capsys, comm
 )
 @pytest.mark.parametrize(
     "edit",
-    [lambda line: line.rsplit(",", 1)[0], lambda line: line.replace(",", ",x", 1)],
+    [lambda line: line.rsplit(",", 2)[0],
+     lambda line: ",".join(f"x{v}" if i == 2 else v for i, v in enumerate(line.split(",")))],
     ids=["header-of-three-fields", "n-min-not-a-number"],
 )
 def test_unparseable_expansion_is_usage_error_naming_it(pipeline20, tmp_path, capsys, command, times, edit):
@@ -609,12 +684,44 @@ def test_expansion_that_is_not_utf8_is_usage_error_naming_it(tmp_path, capsys, c
     [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
 )
 def test_expansion_for_other_nbar_is_usage_error(pipeline20, tmp_path, capsys, command, times):
-    # T_cl and t_rev of nbar 85 would be applied to the nbar-20 expansion
-    code = main([command, "--nbar", "85", "--expansion", str(pipeline20 / "expansion.csv"),
-                 *times, "-o", str(tmp_path)])
+    # an --nbar must restate the nbar the expansion records
+    expansion = pipeline20 / "expansion.csv"
+    code = main([command, "--nbar", "85", "--expansion", str(expansion), *times, "-o", str(tmp_path)])
     assert code == 1
-    assert "outside the expansion window" in capsys.readouterr().err
+    err = assert_one_usage_error(capsys)
+    assert f"{expansion} holds nbar=20; the run is configured for nbar=85" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("scan", lambda lines: ["l,n_min,n_max,deficit", lines[1].replace("1,20,", "1,", 1)],
+         "not an expansion file with the header l,nbar,n_min,n_max,deficit"),
+        ("density", lambda lines: [lines[0], lines[1].replace("1,20,", "1,1,", 1)],
+         "nbar must be an integer >= 2, got 1"),
+        ("decompose", None, "nbar must be an integer >= 2, got 0"),
+    ],
+    ids=["expansion-without-nbar", "expansion-nbar-1", "state-nbar-0"],
+)
+def test_file_without_a_served_nbar_is_usage_error(pipeline20, tmp_path, capsys, command, edit, message):
+    # with --nbar optional, the file's nbar is the run's: it must be there, and >= 2
+    if edit is None:
+        path = tmp_path / "state.json"
+        record = json.loads((pipeline20 / "state.json").read_text())
+        path.write_text(json.dumps({**record, "nbar": 0}))
+        source = ["--state", str(path)]
+    else:
+        path = tmp_path / "expansion.csv"
+        lines = (pipeline20 / "expansion.csv").read_text().splitlines()
+        lines[:2] = edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        source = ["--expansion", str(path), "--times", "0"]
+    out = tmp_path / "out"
+    assert main([command, *source, "-o", str(out)]) == 1
+    err = assert_one_usage_error(capsys)
+    assert str(path) in err and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -747,14 +854,15 @@ def test_density_snapshots_and_packets(pipeline20, tmp_path, capsys):
 
 def _packets_timescales(out, window=(), settings=()):
     # fit -> decompose -> density at nbar 85, in process; the timescales block
-    # of packets.json and the expansion it was computed from
-    common = ["--nbar", "85", *settings, "-o", str(out)]
-    assert main(["fit", *common]) == 0
-    assert main(["decompose", "--state", str(out / "state.json"), *window, *common]) == 0
+    # of packets.json and the expansion it was computed from.  ``settings``
+    # go to decompose and density, which read them
+    assert main(["fit", "--nbar", "85", "-o", str(out)]) == 0
+    assert main(["decompose", "--state", str(out / "state.json"), *window, *settings,
+                 "-o", str(out)]) == 0
     assert main(["density", "--expansion", str(out / "expansion.csv"), "--times", "0",
-                 *common]) == 0
+                 *settings, "-o", str(out)]) == 0
     packets = json.loads((out / "packets.json").read_text())
-    return packets["timescales"], read_expansion(out / "expansion.csv")
+    return packets["timescales"], read_expansion(out / "expansion.csv")[1]
 
 
 def test_interference_time(tmp_path):
@@ -784,10 +892,13 @@ def test_density_bad_time_expression(pipeline20, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["fit", "--prominence", "0"], "prominence must be positive"),
-        (["fit", "--r-max-factor", "0"], "r_max_factor must be positive"),
-        (["fit", "--deficit-tol", "0"], "deficit_tol must be positive"),
-        (["fit", "--smooth", "-1"], "smooth must be non-negative"),
+        (["density", "--expansion", "{expansion}", "--times", "0", "--prominence", "0"],
+         "prominence must be positive"),
+        (["density", "--expansion", "{expansion}", "--times", "0", "--r-max-factor", "0"],
+         "r_max_factor must be positive"),
+        (["decompose", "--state", "{state}", "--deficit-tol", "0"], "deficit_tol must be positive"),
+        (["density", "--expansion", "{expansion}", "--times", "0", "--smooth", "-1"],
+         "smooth must be non-negative"),
         (["decompose", "--state", "{state}", "--window", "1", "10"], "window [1, 10] outside"),
         (["decompose", "--state", "{state}", "--window", "10", "5"], "window [10, 5] outside"),
         (["decompose", "--state", "{state}", "--window", "390", "401"],

@@ -236,6 +236,26 @@ def test_observables_rejects_coarse_quadrature(exp85, ts85, coarse_quadrature):
         observables(exp85, ts85.T_cl_au / 2.0, None)
 
 
+def test_moment_guard_refuses_a_diagonal_that_s_passes(monkeypatch):
+    # a rule cut at 2.6 n_max^2 on nbar 20's window [16, 24]: ||S - I||_2 is
+    # 7.9e-7, within _GRAM_TOL, but <r^2> of the top level, which weighs the
+    # cut tail most, is 2.2e-6 off its closed form
+    monkeypatch.setattr(
+        spectral, "_moment_rule", lambda n_min, n_max: specfun.radial_quadrature(2.6 * n_max**2, 256)
+    )
+    ns = np.arange(16, 25)
+    x, w = spectral._moment_rule(16, 24)
+    vals = specfun._radial_rows(ns, L, x)
+    gap = np.linalg.norm((vals * (w * x * x)) @ vals.T - np.eye(ns.size), 2)
+    assert 1e-7 < gap <= spectral._GRAM_TOL
+    spectral._moment_matrices.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match=r"the <r\^2> diagonal is 2\.19\de-06 off its closed form"):
+            spectral._moment_matrices(16, 24)
+    finally:
+        spectral._moment_matrices.cache_clear()
+
+
 def test_observables_answer_every_nbar150_point():
     q = QuantumNumbers(150)
     exp = decompose(fit_parameters(q), center=150)

@@ -54,19 +54,23 @@ def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, alpha, gamma0):
 
 @settings(max_examples=40, deadline=None)
 @given(
+    nbar=st.integers(2, 400),
     offset=st.integers(0, 300),
     parts=st.lists(st.tuples(small, small), min_size=0, max_size=30),
 )
-def test_expansion_round_trips_bit_exactly(tmp_path_factory, offset, parts):
+def test_expansion_round_trips_bit_exactly(tmp_path_factory, nbar, offset, parts):
     coeffs = np.array([complex(re, im) for re, im in parts], dtype=complex)
     exp = EigenExpansion(n_min=L + 1 + offset, coeffs=coeffs)
     path = tmp_path_factory.mktemp("expansion") / "expansion.csv"
-    write_expansion(path, exp)
-    got = read_expansion(path)
+    write_expansion(path, nbar, exp)
+    got_nbar, got = read_expansion(path)
+    assert got_nbar == nbar
     assert (got.n_min, got.n_max) == (exp.n_min, exp.n_max)
-    header = path.read_text().splitlines()[1].split(",")
-    assert header[0] == str(L)
-    header_deficit = float(header[3])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "l,nbar,n_min,n_max,deficit"
+    header = lines[1].split(",")
+    assert header[:2] == [str(L), str(nbar)]
+    header_deficit = float(header[4])
     assert np.float64(header_deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert np.float64(got.deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert got.coeffs.dtype == exp.coeffs.dtype
@@ -85,13 +89,37 @@ def test_state_file_of_another_l_is_refused(tmp_path):
 
 def test_expansion_file_of_another_l_is_refused(tmp_path):
     path = tmp_path / "expansion.csv"
-    write_expansion(path, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
     lines = path.read_text().splitlines()
     assert lines[1].startswith("1,")
     path.write_text("\n".join([lines[0], "0," + lines[1][2:], *lines[2:]]) + "\n")
     with pytest.raises(ValueError, match="l=0") as info:
         read_expansion(path)
     assert str(path) in str(info.value)
+
+
+def test_expansion_header_without_nbar_is_refused(tmp_path):
+    # the header of an expansion written before nbar was recorded in it
+    path = tmp_path / "expansion.csv"
+    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    lines = path.read_text().splitlines()
+    lines[:2] = ["l,n_min,n_max,deficit", lines[1].replace("1,2,", "1,", 1)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="not an expansion file with the header l,nbar,n_min") as info:
+        read_expansion(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("nbar", [1, 0, -5])
+def test_nbar_below_two_is_refused(tmp_path, nbar):
+    # the QuantumNumbers rule: both readers name the file
+    state_path, expansion_path = tmp_path / "state.json", tmp_path / "expansion.csv"
+    write_state(state_path, nbar, RadialSqueezedState(alpha=3.0, gamma0=0.5))
+    write_expansion(expansion_path, nbar, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    for reader, path in ((read_state, state_path), (read_expansion, expansion_path)):
+        with pytest.raises(ValueError, match=f"nbar must be an integer >= 2, got {nbar}") as info:
+            reader(path)
+        assert str(path) in str(info.value)
 
 
 DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
@@ -106,10 +134,10 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
          "not an expansion file"),
         # the window becomes [2, 4] and the row of level 3 that of level 4
         (read_expansion,
-         lambda path: path.read_text().replace("\n1,2,3,", "\n1,2,4,").replace("\n3,", "\n4,"),
+         lambda path: path.read_text().replace("\n1,2,2,3,", "\n1,2,2,4,").replace("\n3,", "\n4,"),
          "coefficient rows do not match the declared window"),
-        (read_expansion, lambda path: path.read_text().replace("\n1,2,3,", "\n1,2,"),
-         "header row must hold the four fields"),
+        (read_expansion, lambda path: path.read_text().replace("\n1,2,2,3,", "\n1,2,"),
+         "header row must hold the five fields"),
         (read_expansion, lambda path: path.read_text().replace("\n3,0,", "\n3,x,"),
          "could not convert"),
         (read_density, lambda path: path.read_text(), "not a density file"),
@@ -139,9 +167,9 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
     ],
 )
 def test_reader_refuses_a_file_of_another_kind(tmp_path, reader, edit, message):
-    # the fixture is a valid expansion for levels 2 and 3, then edited
+    # the fixture is a valid nbar-2 expansion for levels 2 and 3, then edited
     path = tmp_path / "artifact"
-    write_expansion(path, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
     content = edit(path)
     path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(ValueError, match=message) as info:
@@ -189,7 +217,7 @@ def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
     record = UncertaintyRecord(1.0, 2.0, 3.0, 4.0, 0.5)
     writers = {
         "state.json": lambda path, k: write_state(path, 20 + k, state),
-        "expansion.csv": lambda path, k: write_expansion(path, replace(exp, coeffs=exp.coeffs / (k + 1))),
+        "expansion.csv": lambda path, k: write_expansion(path, 20, replace(exp, coeffs=exp.coeffs / (k + 1))),
         "scan.csv": lambda path, k: write_series(path, [([record] * (k + 1), [1.0] * (k + 1))]),
         "density_00.csv": lambda path, k: write_density([path], np.arange(3.0), [np.ones(3) * k], [0.0]),
     }
