@@ -7,7 +7,7 @@ the expansion.csv header (l,nbar,n_min,n_max,deficit), whence `scan` and
 `density` take T_cl, t_rev and the grid extent; there --nbar may restate it.
 The served range is nbar >= 3: at nbar = 2 the matching conditions have no
 solution, and `fit` exits 3.  Exit codes: 0 success, 1 usage error,
-2 numerical failure, 3 fit failure.
+2 numerical failure (a LAPACK failure included), 3 fit failure.
 """
 
 from __future__ import annotations
@@ -425,12 +425,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(_load_config(args), args)
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except FitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return 3

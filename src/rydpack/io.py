@@ -3,10 +3,11 @@
 Numeric text output always carries 17 significant digits so files round-trip
 bit-exactly and identical configurations produce byte-identical artifacts.
 ``SERIES_COLUMNS`` is the one statement of the scan CSV's column order: a row
-reads each column by name from its UncertaintyRecord.  Density snapshots of
-one grid share their r column: it is formatted once into a row template with
-a ``%.17g`` slot for f, and each snapshot fills the template with one ``%``
-over its values instead of formatting every row.
+reads each column by name from its UncertaintyRecord.  Text is formatted by
+row templates of ``%.17g`` slots, filled with one ``%`` per chunk instead of
+one call per value: a block of scan rows fills a template of its rows, and
+density snapshots of one grid share their r column, formatted once into a
+template with a slot for f on each row.
 Every artifact is written whole or not at all: its text goes, chunk by
 chunk, to a temporary file in the target directory, which then replaces the
 target; a scan CSV goes one block of rows at a time.  State and expansion
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -197,19 +199,21 @@ def write_series(path, blocks) -> None:
     (the record's ``t``) and ns, the autocorrelation, and every other column
     the UncertaintyRecord attribute of that name.  ``blocks`` yields
     (records, autocorrelations) pairs, as ``spectral._scan`` does, and each
-    pair's rows are written before the next pair is asked for.
+    pair's rows are written before the next pair is asked for: one ``%`` over
+    a row template of ``%.17g`` slots, as in ``write_density``.
     """
-
-    def row(rec, ac):
-        values = {"t_au": rec.t, "t_ns": au_to_ns(rec.t), "autocorrelation": ac}
-        return ",".join(
-            _fmt(values[c] if c in values else getattr(rec, c)) for c in SERIES_COLUMNS
-        )
+    slots = ",".join(["%.17g"] * len(SERIES_COLUMNS)) + "\n"
 
     def chunks():
         yield ",".join(SERIES_COLUMNS) + "\n"
         for records, autocorrelations in blocks:
-            yield "".join(row(rec, ac) + "\n" for rec, ac in zip(records, autocorrelations))
+            t = [rec.t for rec in records]
+            named = {"t_au": t, "t_ns": [au_to_ns(x) for x in t], "autocorrelation": autocorrelations}
+            columns = [
+                named[c] if c in named else [getattr(rec, c) for rec in records]
+                for c in SERIES_COLUMNS
+            ]
+            yield (slots * len(t)) % tuple(chain.from_iterable(zip(*columns)))
 
     write_text_atomic(path, chunks())
 

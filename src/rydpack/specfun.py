@@ -11,7 +11,9 @@ k! = m_k 2^{E_k} with m_k in [1/2, 1), so the carried value stays within a
 factor 2 of L_k.  Every scaling in its step is an exact power of two and the
 step has no division; consumers add -ln m_k in log space.  It runs in place on
 three rotating buffers, so a step allocates nothing; it is written once, in
-``_laguerre_steps``, which also serves the Gauss-Laguerre rule.
+``_laguerre_rows``, which steps rows of arguments together and reads each off
+at its own degree.  Every Laguerre value comes from it: ``laguerre`` and the
+Gauss-Laguerre rule make one-row calls.
 
 One radial kernel, ``_radial_rows``, evaluates every R_nl table: a single
 level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
@@ -21,13 +23,13 @@ level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
 level, whose recurrence already runs at the arithmetic floor (about 2 ns per
 element and step), while on a moment rule (sized to the window, 128 to
 2048 nodes) a tile steps 12 or more levels at once, the whole window at
-nbar 85 and 150, and reads each row off at its own degree
-(``_laguerre_rows``, which the projection in ``spectral`` uses too), since
-one recurrence per level would there be bound by NumPy call overhead.  Each
-element sees the same operations and constants whatever the tiling, so the
-values do not depend on it.  The envelope is computed first; the recurrence
-skips the columns past the last one where any envelope of the tile is
-nonzero, and wherever the envelope is zero the value is exactly 0.
+nbar 85 and 150, in one call of ``_laguerre_rows`` (which the projection in
+``spectral`` makes too), since one recurrence per level would there be
+bound by NumPy call overhead.  Each element sees the same operations and
+constants whatever the tiling, so the values do not depend on it.  The
+envelope is computed first; the recurrence skips the columns past the last
+one where any envelope of the tile is nonzero, and wherever the envelope is
+zero the value is exactly 0.
 """
 
 from __future__ import annotations
@@ -76,10 +78,9 @@ def laguerre(n: int, a: float, x):
     if a <= -1.0:
         raise ValueError(f"Laguerre parameter must be > -1, got {a}")
     x = np.asarray(x, dtype=float)
+    p_n = _laguerre_rows([n], a, x[None])[0]
     m_n = _factorial_scale(n)[0][n]
-    if x.ndim == 0:
-        return float(_laguerre_scaled(n, a, x.reshape(-1))[0] / m_n)
-    return _laguerre_scaled(n, a, x) / m_n
+    return float(p_n / m_n) if x.ndim == 0 else p_n / m_n
 
 
 def _factorial_scale(n: int):
@@ -102,27 +103,35 @@ def _factorial_table(size: int):
     return tuple(m), tuple(e)
 
 
-def _laguerre_steps(n: int, a: float, x: np.ndarray):
-    """Yield P_k for k = 0, 1, ..., n.
+def _laguerre_rows(degrees, a: float, x: np.ndarray) -> np.ndarray:
+    """Row i of the result is P_k = m_k L_k^a(x[i]) at k = degrees[i], with
+    (m, E) from ``_factorial_scale``.
 
-    P_k = k! 2^{-E_k} L_k^a(x) = m_k L_k^a(x), with (m, E) from
-    ``_factorial_scale``.  Abramowitz & Stegun 22.7.12 times (k - 1)! 2^{-E_k}
-    gives, with e_k = E_k - E_{k-1},
+    Abramowitz & Stegun 22.7.12 times (k - 1)! 2^{-E_k} gives, with
+    e_k = E_k - E_{k-1},
     P_k = (2k - 1 + a - x) 2^{-e_k} P_{k-1} - (k - 1)(k - 1 + a) 2^{-(E_k - E_{k-2})} P_{k-2},
     so a step has no division and every scaling in it is exact.  ``x`` may be
-    real or complex.  Each step is four in-place passes on three buffers that
-    rotate, so a step allocates nothing and a yielded array is overwritten by
-    later steps.  e_k is j or j + 1 with j = floor(log2 k), so the copies
-    x 2^{-j} and x 2^{-j-1} are all the step reads of x; they are halved in
-    place when j grows.
+    real or complex, of any shape; its first axis holds the rows, so a single
+    degree k on an array y is ``_laguerre_rows([k], a, y[None])[0]``.  One
+    recurrence steps every row to the largest degree, and the rows of each
+    degree, repeated or not and in any order, are copied out as it passes.
+    Each step is four in-place passes on three buffers that rotate, so a step
+    allocates nothing.  e_k is j or j + 1 with j = floor(log2 k), so the
+    copies x 2^{-j} and x 2^{-j-1} are all the step reads of x; they are
+    halved in place when j grows.  Rows stepped past their degree may
+    overflow; callers that judge finiteness silence that and check only the
+    values they read.
     """
+    rows_at = {}
+    for i, k in enumerate(degrees):
+        rows_at.setdefault(int(k), []).append(i)
+    n = max(rows_at)
     _, E = _factorial_scale(n)
-    buf, cur = np.empty_like(x), np.ones_like(x)
-    yield cur
-    if n == 0:
-        return
-    prev, cur = cur, 1.0 + a - x
-    yield cur
+    out = np.empty_like(x)
+    buf, prev, cur = np.empty_like(x), np.ones_like(x), 1.0 + a - x  # P_0, P_1
+    for k, p in ((0, prev), (1, cur)):
+        if k in rows_at:
+            out[rows_at[k]] = p[rows_at[k]]
     j = 1
     scaled = (x * 0.5, x * 0.25)
     for k in range(2, n + 1):
@@ -136,32 +145,8 @@ def _laguerre_steps(n: int, a: float, x: np.ndarray):
         prev *= math.ldexp((k - 1.0) * (k - 1.0 + a), E[k - 2] - E[k])
         buf -= prev
         prev, cur, buf = cur, buf, prev
-        yield cur
-
-
-def _laguerre_scaled(n: int, a: float, x: np.ndarray) -> np.ndarray:
-    """P_n = m_n L_n^a(x) of ``_laguerre_steps`` for an array x."""
-    for p in _laguerre_steps(n, a, x):
-        pass
-    return p
-
-
-def _laguerre_rows(degrees, a: float, x: np.ndarray) -> np.ndarray:
-    """Row i of the result is P_{degrees[i]} of ``_laguerre_steps`` at x[i].
-
-    One recurrence steps every row of the 2-d array ``x`` up to the largest
-    degree, and each row is copied out when the recurrence passes its own
-    degree; the degrees must be distinct.  Rows stepped past their degree may
-    overflow harmlessly, so overflow is silenced here and callers judge only
-    the values they read.
-    """
-    row_at = {int(k): i for i, k in enumerate(degrees)}
-    out = np.empty_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, p in enumerate(_laguerre_steps(max(row_at), a, x)):
-            i = row_at.get(k)
-            if i is not None:
-                out[i] = p[i]
+        if k in rows_at:
+            out[rows_at[k]] = cur[rows_at[k]]
     return out
 
 
@@ -182,7 +167,7 @@ def _gauss_laguerre(m: int, beta: float):
     jacobi.flat[m :: m + 1] = np.sqrt(i * (i + beta))
     t = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lag = _laguerre_scaled(m + 1, beta, t)  # m_{m+1} L_{m+1}^beta(t)
+        lag = _laguerre_rows([m + 1], beta, t[None])[0]  # m_{m+1} L_{m+1}^beta(t)
         log_w = (
             math.lgamma(m + beta + 1.0)
             - math.lgamma(m + 1.0)
@@ -236,8 +221,9 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     the 1-d radii ``r``; ValueError on an invalid (n, l) or a negative radius.
 
     The rows are stepped in tiles of max(1, _TILE_ELEMENTS // r.size) levels,
-    and every level of a tile shares one Laguerre recurrence, stepped to the
-    largest degree by ``_laguerre_rows``.  The envelope comes first: a tile
+    and every level of a tile shares one Laguerre recurrence, one call of
+    ``_laguerre_rows``, stepped to the largest degree of the tile; the levels
+    may come in any order and repeat.  The envelope comes first: a tile
     is trimmed to its last column where any envelope is nonzero, so on sorted
     radii the recurrence skips the far points, and the product is taken only
     where the envelope is nonzero.  Everywhere else the value is exactly 0;
@@ -266,9 +252,9 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
         live = envelope != 0.0
         cols = live.any(axis=0)
         end = r.size - int(np.argmax(cols[::-1])) if cols.any() else 0
-        lag = _laguerre_rows(ns[rows] - l - 1, 2 * l + 1, rho[:, :end])
         tile = out[rows, :end]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lag = _laguerre_rows(ns[rows] - l - 1, 2 * l + 1, rho[:, :end])
             np.multiply(envelope[:, :end], lag, out=tile, where=live[:, :end])
         bad = ~np.isfinite(tile).all(axis=1)
         if bad.any():

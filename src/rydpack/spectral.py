@@ -196,8 +196,8 @@ def _project_on_rule(state, ns, m):
         + L * np.log(2.0 / ns)
         - (beta + 1.0) * np.log(sigma)
     )
-    lag = _laguerre_rows(ns - L - 1, 2 * L + 1, (2.0 / (ns * sigma))[:, None] * t)
     with np.errstate(over="ignore", invalid="ignore"):
+        lag = _laguerre_rows(ns - L - 1, 2 * L + 1, (2.0 / (ns * sigma))[:, None] * t)
         return np.sum(np.exp(log_w + log_const[:, None]) * lag, axis=1)
 
 

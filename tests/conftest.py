@@ -115,7 +115,7 @@ def _per_level_radial(n, l, r):
     envelope = specfun._envelope(specfun._radial_log_const(n, l), l, rho)
     live = envelope != 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = specfun._laguerre_scaled(n - l - 1, 2 * l + 1, rho[live])
+        lag = specfun._laguerre_rows([n - l - 1], 2 * l + 1, rho[None, live])[0]
         radial = envelope[live] * lag
     if not np.isfinite(radial).all():
         raise NumericalError(f"overflow while evaluating R_{n},{l}")

@@ -833,6 +833,19 @@ def test_decompose_nan_projection_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in res.stderr
 
 
+def test_decompose_lapack_failure_is_numerical_failure(pipeline20, tmp_path, capsys, monkeypatch):
+    # numpy.linalg.LinAlgError is a ValueError, yet a LAPACK failure in the
+    # Golub-Welsch rule is no usage error
+    def fails(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    code = main(["decompose", "--state", str(pipeline20 / "state.json"), "-o", str(tmp_path)])
+    assert code == 2
+    assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_density_snapshots_and_packets(pipeline20, tmp_path, capsys):
     res = run_cli(
         capsys, "density", "--nbar", "20", "--expansion", str(pipeline20 / "expansion.csv"),

@@ -266,9 +266,11 @@ def test_observables_answer_every_nbar150_point():
 
 def test_moment_matrices_run_one_recurrence_per_tile(monkeypatch):
     calls = []
-    steps = specfun._laguerre_steps
+    rows = specfun._laguerre_rows
     monkeypatch.setattr(
-        specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
+        specfun,
+        "_laguerre_rows",
+        lambda degrees, a, x: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x),
     )
     spectral._moment_matrices.cache_clear()
     try:
@@ -374,12 +376,23 @@ def test_nbar_3_expansion_answers_at_t0():
 
 def test_basis_table_runs_one_recurrence_per_level(monkeypatch):
     calls = []
-    steps = specfun._laguerre_steps
+    rows = specfun._laguerre_rows
     monkeypatch.setattr(
-        specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
+        specfun,
+        "_laguerre_rows",
+        lambda degrees, a, x: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x),
     )
     BasisTable.build(np.arange(20, 23), np.linspace(0.0, 1600.0, 16000))
     assert calls == [(18, (1, 16000)), (19, (1, 16000)), (20, (1, 16000))]
+
+
+def test_basis_table_gives_repeated_and_unsorted_levels_their_own_rows(per_level_radial):
+    # on 50 radii one tile holds all four rows; a repeated level is read off
+    # into every row that asks for it
+    ns, r = np.array([5, 5, 7, 5]), np.linspace(0.0, 100.0, 50)
+    table = BasisTable.build(ns, r)
+    for n, row in zip(ns, table.values):
+        assert np.array_equal(row, per_level_radial(int(n), 1, r)), n
 
 
 @pytest.mark.parametrize("nbar", [20, 85, 150, 230])

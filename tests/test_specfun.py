@@ -69,8 +69,9 @@ def test_laguerre_matches_mpmath_oracle(k, a):
 def _laguerre_allocating(n, a, x):
     # allocate-per-step reference of the carried recurrence
     # P_k = k! 2^-E_k L_k = (2k-1+a-x) 2^-e_k P_{k-1} - (k-1)(k-1+a) 2^-(E_k-E_{k-2}) P_{k-2},
-    # with k! = m_k 2^E_k from a running frexp product; L_n = P_n / m_n
-    x = np.asarray(x, dtype=float)
+    # with k! = m_k 2^E_k from a running frexp product; L_n = P_n / m_n at
+    # real or complex x
+    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     m, E = [1.0, 1.0], [0, 0]
     for k in range(2, n + 1):
         frac, shift = math.frexp(m[-1] * k)
@@ -104,9 +105,11 @@ def test_laguerre_in_place_steps_are_bit_identical():
 
 def test_radial_costs_one_recurrence_on_the_live_columns(monkeypatch):
     calls = []
-    steps = specfun._laguerre_steps
+    rows = specfun._laguerre_rows
     monkeypatch.setattr(
-        specfun, "_laguerre_steps", lambda n, a, x: calls.append((n, x.shape)) or steps(n, a, x)
+        specfun,
+        "_laguerre_rows",
+        lambda degrees, a, x: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x),
     )
     hydrogen_radial(20, 1, np.linspace(0.0, 800.0, 101))
     assert calls == [(18, (1, 101))]
@@ -236,14 +239,17 @@ def test_radial_quadrature_returns_fresh_arrays():
 @pytest.mark.parametrize("complex_x", [False, True])
 def test_laguerre_rows_read_each_row_at_its_own_degree(complex_x):
     # one recurrence to the largest degree gives, row by row, exactly the
-    # values of a recurrence stopped at that row's degree
-    degrees = [30, 3, 0, 17, 1]
-    x = np.linspace(0.1, 60.0, 5 * 40).reshape(5, 40)
+    # values of a one-row call stopped at that row's degree and of the
+    # allocating reference, whatever the order of the degrees and repeats
+    degrees = [30, 3, 0, 17, 1, 3, 30]
+    x = np.linspace(0.1, 60.0, 7 * 40).reshape(7, 40)
     if complex_x:
         x = x * (0.9 + 0.2j)
     rows = specfun._laguerre_rows(degrees, 3.0, x)
+    m = specfun._factorial_scale(max(degrees))[0]
     for i, k in enumerate(degrees):
-        assert np.array_equal(rows[i], specfun._laguerre_scaled(k, 3.0, x[i].copy())), k
+        assert np.array_equal(rows[i], specfun._laguerre_rows([k], 3.0, x[i][None])[0]), k
+        assert np.array_equal(rows[i] / m[k], _laguerre_allocating(k, 3.0, x[i])), k
 
 
 def test_radial_overflow_still_raises_without_warnings():
@@ -316,6 +322,15 @@ def test_gauss_laguerre_rule_is_exact_to_degree_2m_minus_1(m, beta):
         top = terms.max()
         got = top + math.log(np.exp(terms - top).sum())
         assert got == pytest.approx(math.lgamma(beta + j + 1.0), rel=1e-14), j
+
+
+def test_gauss_laguerre_refuses_non_finite_weights(monkeypatch):
+    # L_{m+1} = 0 at a node gives an infinite log-weight
+    monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x: np.zeros_like(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(specfun.NumericalError, match=r"weights overflowed \(20 nodes, beta=1\.5\)"):
+            specfun._gauss_laguerre(20, 1.5)
 
 
 def test_legendre_rule_has_the_bits_of_numpy_leggauss():

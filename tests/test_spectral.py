@@ -283,3 +283,8 @@ def test_coefficient_spread(exp85):
     mean, rms = coefficient_spread(exp85)
     assert mean == pytest.approx(85.0, abs=0.5)
     assert 1.8 < rms < 2.8
+
+
+def test_coefficient_spread_of_a_zero_weight_expansion_is_nan():
+    mean, rms = coefficient_spread(EigenExpansion(n_min=2, coeffs=np.zeros(3, dtype=complex)))
+    assert math.isnan(mean) and math.isnan(rms)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rydpack import squeezed
 from rydpack.io import read_state, write_state
 from rydpack.specfun import hydrogen_energy, radial_quadrature
 from rydpack.squeezed import (
@@ -334,6 +335,14 @@ def test_fit_has_no_solution_at_nbar_2():
     # the cubic's only real root at nbar 2 is negative
     with pytest.raises(FitError, match="nbar=2"):
         fit_parameters(QuantumNumbers(2))
+
+
+def test_fit_refuses_a_residual_above_1e_10(monkeypatch):
+    # an <r> off by 1e-9 relative stands in for a root the Newton polish missed
+    exact = squeezed.moment_r
+    monkeypatch.setattr(squeezed, "moment_r", lambda state, k: exact(state, k) * (1.0 + 1e-9))
+    with pytest.raises(FitError, match=r"residuals too large for nbar=85: \|<r>-r_out\|/r_out=1\.0"):
+        fit_parameters(QuantumNumbers(85))
 
 
 def test_paper_and_centrifugal_potentials_agree_for_p_states():
