@@ -26,8 +26,7 @@ import numpy as np
 
 from . import io as rio
 from .analysis import Timescales, count_packets, timescales
-from .evolution import BasisTable, RadialGrid, observables
-from .evolution import density as density_at
+from .evolution import RadialGrid, _densities, observables
 from .specfun import NumericalError, hydrogen_energy
 from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, _scan, coefficient_spread, decompose
 from .squeezed import (
@@ -48,7 +47,10 @@ __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 # the most points a density grid or a scan range may ask for: 62 times the
 # default grid.  A scan writes its CSV one block of times at a time: at
 # nbar 85 a 10^5-point scan takes 2.4-3 s CPU and peaks at 38 MB RSS, and a
-# scan at the cap about 24 s and 45 MB (one BLAS thread, 2-core VM)
+# scan at the cap about 24 s and 45 MB.  Density evaluates blocks of radii
+# and writes blocks of rows: four snapshots at nbar 85 on a grid at the cap
+# take about 10 s CPU and peak at 152 MB RSS (about 15 s and 396 MB with a
+# whole table and whole-file text).  One BLAS thread, 2-core VM
 _MAX_POINTS = 1_000_000
 
 
@@ -343,13 +345,13 @@ def cmd_density(cfg: RunConfig, args) -> int:
     ts = timescales(QuantumNumbers(nbar))
     exprs, times = _times(ts, args)
     grid = RadialGrid.uniform(cfg.r_max_factor * nbar**2, cfg.grid_points)
-    basis = BasisTable.for_expansion(exp, grid)
     smooth = cfg.smooth
     if smooth is None:
         # envelope scale: one third of the initial packet width
-        smooth = observables(exp, 0.0, grid, basis).dr / 3.0
+        smooth = observables(exp, 0.0, grid).dr / 3.0
     names = [f"density_{i:02d}.csv" for i in range(len(times))]
-    densities = [density_at(exp, grid, t, basis) for t in times]
+    # one row per time, taken block by block of radii: no whole table is held
+    densities = _densities(exp, grid.points, times)
     # every snapshot is counted before any file is written, so a refused
     # smoothing width leaves no file behind
     reports = [

@@ -5,9 +5,15 @@ phase exp(-i E_n t).  The uncertainties of an evolved state come from the
 moment window of ``spectral``, and no wavefunction is ever sampled for them:
 ``observables`` is a one-time block of its record routine, which a scan runs
 on blocks of times.  Only density snapshots evaluate the wavefunction, on a
-caller-supplied grid, from a table of the same kernel: a snapshot is one
-real (2, N) product of the stacked Re/Im coefficients with the real table,
-so the table is never copied to complex.
+caller-supplied grid, from values of the same kernel: a snapshot is a real
+(2, N) product of the stacked Re/Im coefficients with a real table, so no
+table is ever copied to complex.  Without a ``BasisTable``, as ``rydpack
+density`` calls it, the table is built one block of radii at a time
+(``spectral._amplitude_blocks``) and every snapshot time is taken on each
+block, so memory grows with snapshots times points.  Only a caller that
+passes a ``BasisTable`` holds the whole levels-times-points table (none in
+the package; ``perfbench``'s in-process passes and the tests do), and the
+values have the same bits either way.
 """
 
 from __future__ import annotations
@@ -17,7 +23,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .specfun import _radial_rows
-from .spectral import EigenExpansion, UncertaintyRecord, _amplitude_parts, _phases, _records
+from .spectral import (
+    EigenExpansion,
+    UncertaintyRecord,
+    _amplitude_blocks,
+    _amplitude_parts,
+    _phases,
+    _records,
+)
 from .squeezed import L
 
 __all__ = [
@@ -58,8 +71,12 @@ class BasisTable:
     many thousand points steps one level per Laguerre recurrence; evaluating
     an evolved wavefunction afterwards is one real (2, N) product of the
     stacked Re/Im coefficients, so one table serves any number of snapshot
-    times.  ``observables`` does not need a table; it only checks one it is
-    given against the expansion and grid.
+    times.  It holds all levels times all points, and no code in the package
+    builds one: ``density`` without a table, ``rydpack density`` and
+    ``spectral.reconstruct`` step blocks of radii instead.  The callers that
+    hold one pass it to ``density`` call after call (``perfbench``'s
+    in-process passes, the tests).  ``observables`` does not need a table;
+    it only checks one it is given against the expansion and grid.
     The constructor computes the values, and keeps an input array only when
     it is read-only and owns its data (an expansion's ``ns``, a grid's
     ``points``), else a read-only copy.  So a table built for an expansion
@@ -99,12 +116,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _table_for(exp, grid, basis):
-    if basis is None:
-        return BasisTable.for_expansion(exp, grid)
+def _check_table(exp, grid, basis) -> None:
     if not basis.matches(exp, grid):
         raise ValueError("basis table does not match the expansion/grid pair")
-    return basis
 
 
 def evolve(exp: EigenExpansion, t: float) -> EigenExpansion:
@@ -129,12 +143,35 @@ def autocorrelation(exp: EigenExpansion, t: float) -> float:
 def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisTable | None = None):
     """Radial probability density f(r) = r^2 |psi_t(r)|^2 on the grid.
 
-    Re and Im of psi_t come from one real (2, N) product of the stacked
-    Re/Im coefficients c(t) with the real table, and f = r^2 (re^2 + im^2).
+    Re and Im of psi_t come from a real (2, N) product of the stacked Re/Im
+    coefficients c(t) with the real table, and f = r^2 (re^2 + im^2).  A
+    supplied ``basis`` must match the expansion and grid (else ValueError)
+    and serves as the whole table; without one, the table is built and used
+    one block of radii at a time (``_densities``), with the same bits.
     """
-    basis = _table_for(exp, grid, basis)
+    if basis is None:
+        return _densities(exp, grid.points, [t])[0]
+    _check_table(exp, grid, basis)
     re, im = _amplitude_parts(exp.coeffs * _phases(exp, t), basis.values)
     return grid.points**2 * (re * re + im * im)
+
+
+def _densities(exp: EigenExpansion, r: np.ndarray, times) -> np.ndarray:
+    """The (times, points) array of f = r^2 |psi_t(r)|^2 at each of the
+    ``times`` on the 1-d radii ``r``; each row has the bits of ``density``
+    on a whole ``BasisTable``.
+
+    Each block of radii builds its table once and takes every time's product
+    on it (``spectral._amplitude_blocks``), so besides the result only one
+    block's table is held.
+    """
+    coeff_rows = [exp.coeffs * _phases(exp, t) for t in times]
+    out = np.empty((len(coeff_rows), r.size))
+    for block, parts in _amplitude_blocks(exp.ns, coeff_rows, r):
+        r2 = r[block] ** 2
+        for f, (re, im) in zip(out[:, block], parts):
+            np.multiply(r2, re * re + im * im, out=f)
+    return out
 
 
 def observables(
@@ -166,5 +203,5 @@ def observables(
     undefined), and ValueError for an expansion of zero weight.
     """
     if basis is not None:
-        _table_for(exp, grid, basis)  # validated only; the moments need no table
+        _check_table(exp, grid, basis)  # validated only; the moments need no table
     return _records(exp, [float(t)], _phases(exp, t)[None])[0]

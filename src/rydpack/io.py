@@ -6,18 +6,19 @@ bit-exactly and identical configurations produce byte-identical artifacts.
 reads each column by name from its UncertaintyRecord.  Text is formatted by
 row templates of ``%.17g`` slots, filled with one ``%`` per chunk instead of
 one call per value: a block of scan rows fills a template of its rows, and
-density snapshots of one grid share their r column, formatted once into a
-template with a slot for f on each row.
+density snapshots of one grid share their r column, formatted once into one
+template per block of ``_ROW_BLOCK`` rows with a slot for f on each row.
 Every artifact is written whole or not at all: its text goes, chunk by
 chunk, to a temporary file in the target directory, which then replaces the
-target; a scan CSV goes one block of rows at a time.  State and expansion
-files record nbar (the expansion in its header, ``l,nbar,n_min,n_max,deficit``)
-and the angular momentum l, always ``squeezed.L`` = 1, and a state file the
-paper's gamma1, always 0.0 (``squeezed``); the readers refuse a file without
-nbar, an nbar below 2 and any other l or gamma1.  They also record values
-the rest of the file fixes, a state's ``log_norm`` and an expansion's
-deficit, and the readers refuse a file whose recorded value is not, bit for
-bit, the derived one.
+target; a scan CSV and a density snapshot go one block of rows at a time,
+so no whole file's text is held, only the density files' shared r
+templates.  State and expansion files record nbar (the expansion in its
+header, ``l,nbar,n_min,n_max,deficit``) and the angular momentum l, always
+``squeezed.L`` = 1, and a state file the paper's gamma1, always 0.0
+(``squeezed``); the readers refuse a file without nbar, an nbar below 2
+and any other l or gamma1.  They also record values the rest of the file
+fixes, a state's ``log_norm`` and an expansion's deficit, and the readers
+refuse a file whose recorded value is not, bit for bit, the derived one.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ SERIES_COLUMNS = (
     "autocorrelation",
 )
 _EXPANSION_HEADER = "l,nbar,n_min,n_max,deficit"
+
+# rows per chunk of a density file, the most rows of a scan block
+# (spectral._SCAN_BLOCK)
+_ROW_BLOCK = 1024
 
 
 def write_text_atomic(path, chunks) -> None:
@@ -222,14 +227,21 @@ def write_density(paths, r, densities, times_au) -> None:
     """One density file per snapshot: ``paths[i]`` gets ``densities[i]`` at
     ``times_au[i]``, every snapshot on the radii ``r``.
 
-    The r column is formatted once into a row template that holds a ``%.17g``
-    slot for f on each row; a snapshot is then one ``%`` over its values.
-    ``%.17g`` gives the same text as ``format(x, ".17g")``.
+    The r column is formatted once, into one row template per block of
+    ``_ROW_BLOCK`` rows that holds a ``%.17g`` slot for f on each row.  A
+    snapshot then goes to its file one block at a time, each one ``%`` over
+    the block's values, so the r templates are the only text held whole.
+    ``%.17g`` gives the same text as ``format(x, ".17g")``.  The caller
+    (``rydpack density``) holds every snapshot's values, not its text.
     """
-    rows = ("%.17g,%%.17g\n" * len(r)) % tuple(np.asarray(r, dtype=float).tolist())
+    r = np.asarray(r, dtype=float)
+    blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, r.size, _ROW_BLOCK)]
+    templates = [("%.17g,%%.17g\n" * len(r[b])) % tuple(r[b].tolist()) for b in blocks]
     for path, f, t_au in zip(paths, densities, times_au):
+        f = np.asarray(f, dtype=float)
         header = f"# t_au={_fmt(t_au)} t_ns={_fmt(au_to_ns(t_au))}\nr,f\n"
-        write_text_atomic(path, [header, rows % tuple(np.asarray(f, dtype=float).tolist())])
+        chunks = (rows % tuple(f[b].tolist()) for b, rows in zip(blocks, templates))
+        write_text_atomic(path, chain([header], chunks))
 
 
 def read_density(path):

@@ -17,7 +17,8 @@ Gauss-Laguerre rule make one-row calls.
 
 One radial kernel, ``_radial_rows``, evaluates every R_nl table: a single
 level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
-``spectral.reconstruct`` and the moment matrices
+the blocks of radii of ``spectral._amplitude_blocks`` (density snapshots
+without a table, ``spectral.reconstruct``) and the moment matrices
 (``spectral._moment_matrices``).  It works in tiles of whole rows, about
 24 576 elements each: on a table of many thousand radii a tile is one
 level, whose recurrence already runs at the arithmetic floor (about 2 ns per
@@ -210,9 +211,9 @@ def _envelope(log_const, l: int, rho: np.ndarray) -> np.ndarray:
 
 
 # elements per recurrence tile in _radial_rows; a tile holds whole rows, so a
-# 16 000-point table steps one level at a time, and a moment rule steps 42
-# levels together at 576 nodes (nbar 85), 29 at 832 (nbar 150) and 12 at the
-# cap of 2048
+# 16 000-point table steps one level at a time, a block of 4096 density radii
+# 6 levels together, and a moment rule 42 at 576 nodes (nbar 85), 29 at 832
+# (nbar 150) and 12 at the cap of 2048
 _TILE_ELEMENTS = 24576
 
 

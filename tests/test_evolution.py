@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydpack import specfun, spectral
+from rydpack import evolution, specfun, spectral
 from rydpack.analysis import timescales
 from rydpack.evolution import (
     BasisTable,
@@ -135,6 +135,47 @@ def test_density_and_reconstruct_match_the_complex_product(nbar, per_level_radia
         scale = np.abs(evolved.coeffs) @ np.abs(table)
         got = reconstruct(evolved, grid.points)
         assert np.all(np.abs(got - psi) <= 2e-15 * scale), t
+
+
+@pytest.mark.parametrize("points", [16000, 10007])
+@pytest.mark.parametrize("nbar", [20, 85, 150, 230])
+def test_density_without_a_table_has_the_bits_of_the_table_route(nbar, points):
+    # ``density`` without a table is one row of ``_densities``; blocks of 4096
+    # radii end in a short block on either grid, and at nbar 230 the envelope
+    # underflows on the grid, so the blocks meet cut columns too
+    q = QuantumNumbers(nbar)
+    exp = decompose(fit_parameters(q), center=nbar)
+    grid = RadialGrid.uniform(4.0 * nbar**2, points)
+    assert points % spectral._POINT_BLOCK
+    basis = BasisTable.for_expansion(exp, grid)
+    assert nbar < 230 or (basis.values[:, 1:] == 0.0).any()
+    ts = timescales(q)
+    times = [0.0, ts.T_cl_au / 2.0, ts.t_rev_au / 3.0]
+    snapshots = evolution._densities(exp, grid.points, times)
+    for t, f in zip(times, snapshots):
+        assert np.array_equal(f, density(exp, grid, t, basis)), t
+    re, im = spectral._amplitude_parts(exp.coeffs, basis.values)
+    assert np.array_equal(reconstruct(exp, grid.points), re + 1j * im)
+
+
+def test_density_memory_grows_with_points_not_levels():
+    # on 160 000 points a whole table of 41 levels is 52 MB and one of 9
+    # levels 12 MB; one block of radii at a time, the 32 more levels may add
+    # at most 5 MB to the traced peak of one snapshot
+    state = fit_parameters(QuantumNumbers(85))
+    wide = decompose(state, window=(65, 105))
+    with pytest.warns(DeficitToleranceWarning):
+        narrow = decompose(state, window=(81, 89))
+    grid = RadialGrid.uniform(4.0 * 85**2, 160_000)
+    peaks = []
+    for e in (narrow, wide):
+        tracemalloc.start()
+        try:
+            density(e, grid, 1.0e5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 5e6, peaks
 
 
 def test_density_makes_no_complex_copy_of_the_table(exp85, grid85, basis85):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydpack import io
 from rydpack.io import (
     read_density,
     read_expansion,
@@ -207,6 +208,21 @@ def test_density_round_trips_bit_exactly(tmp_path_factory, rows, times):
         assert np.float64(got_t).tobytes() == np.float64(t_au).tobytes()
         assert got_r.tobytes() == r.tobytes()
         assert got_f.tobytes() == f.tobytes()
+
+
+def test_density_longer_than_a_row_block_keeps_its_bytes(tmp_path):
+    # 2500 rows fill two blocks of 1024 and a short third; the special values
+    # open the r column, and each snapshot holds them from row 0, across the
+    # first block boundary and from row 1024.  Each file's text must be the
+    # per-row reference byte for byte
+    assert 2 * io._ROW_BLOCK < 2500 < 3 * io._ROW_BLOCK
+    r = np.concatenate([SPECIAL, np.linspace(0.5, 3e4, 2500 - len(SPECIAL))])
+    densities = [np.roll(r, k) for k in (0, 1021, 1024)]
+    times = [0.0, -0.0, 1.5e6]
+    paths = [tmp_path / f"density_{k:02d}.csv" for k in range(len(times))]
+    write_density(paths, r, densities, times)
+    for path, f, t_au in zip(paths, densities, times):
+        assert path.read_bytes() == _density_text(r.tolist(), f.tolist(), t_au).encode()
 
 
 def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
