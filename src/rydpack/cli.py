@@ -49,8 +49,8 @@ __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 # nbar 85 a 10^5-point scan takes 2.4-3 s CPU and peaks at 38 MB RSS, and a
 # scan at the cap about 24 s and 45 MB.  Density evaluates blocks of radii
 # and writes blocks of rows: four snapshots at nbar 85 on a grid at the cap
-# take about 10 s CPU and peak at 152 MB RSS (about 15 s and 396 MB with a
-# whole table and whole-file text).  One BLAS thread, 2-core VM
+# take 10-11 s CPU and peak at 152 MB RSS (about 15 s and 396 MB with a
+# whole table and whole-file text).  One BLAS thread, 2-core Xeon VM
 _MAX_POINTS = 1_000_000
 
 
@@ -410,9 +410,11 @@ def _build_parser() -> _Parser:
     epilog = "a scan that fails while it evaluates leaves a new -o directory behind, empty"
     p_scan = add_command("scan", cmd_scan, help="uncertainty/autocorrelation time series", epilog=epilog)
     p_scan.add_argument("--expansion", required=True, help="expansion.csv from decompose")
-    p_scan.add_argument("--times", help="comma-separated time expressions")
+    # a list and a range together are refused, so neither is silently dropped
+    times = p_scan.add_mutually_exclusive_group()
+    times.add_argument("--times", help="comma-separated time expressions")
     p_scan.add_argument("--t-start", default="0", help="first time of the range (default 0)")
-    p_scan.add_argument("--t-stop", help="last time of an evenly spaced range, used without --times")
+    times.add_argument("--t-stop", help="last time of an evenly spaced range, used without --times")
     p_scan.add_argument("--t-steps", type=int, default=201, help="points of the range (default 201)")
 
     p_den = add_command("density", cmd_density, help="density snapshots plus packet reports")

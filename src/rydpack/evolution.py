@@ -10,10 +10,11 @@ caller-supplied grid, from values of the same kernel: a snapshot is a real
 table is ever copied to complex.  Without a ``BasisTable``, as ``rydpack
 density`` calls it, the table is built one block of radii at a time
 (``spectral._amplitude_blocks``) and every snapshot time is taken on each
-block, so memory grows with snapshots times points.  Only a caller that
-passes a ``BasisTable`` holds the whole levels-times-points table (none in
-the package; ``perfbench``'s in-process passes and the tests do), and the
-values have the same bits either way.
+block, so memory grows with snapshots times points: one block's table, and
+within it one tile's Laguerre rows (``specfun._radial_rows``), are alive at
+a time.  Only a caller that passes a ``BasisTable`` holds the whole
+levels-times-points table (none in the package; ``perfbench``'s in-process
+passes and the tests do), and the values have the same bits either way.
 """
 
 from __future__ import annotations
@@ -163,14 +164,15 @@ def _densities(exp: EigenExpansion, r: np.ndarray, times) -> np.ndarray:
 
     Each block of radii builds its table once and takes every time's product
     on it (``spectral._amplitude_blocks``), so besides the result only one
-    block's table is held.
+    block's table is held, and no block's parts outlive it.
     """
     coeff_rows = [exp.coeffs * _phases(exp, t) for t in times]
     out = np.empty((len(coeff_rows), r.size))
     for block, parts in _amplitude_blocks(exp.ns, coeff_rows, r):
         r2 = r[block] ** 2
-        for f, (re, im) in zip(out[:, block], parts):
-            np.multiply(r2, re * re + im * im, out=f)
+        for f in out[:, block]:
+            # popped, so each part is dropped as soon as it is used
+            np.multiply(r2, np.add(*np.square(parts.pop(0))), out=f)
     return out
 
 

@@ -30,7 +30,9 @@ bound by NumPy call overhead.  Each element sees the same operations and
 constants whatever the tiling, so the values do not depend on it.  The
 envelope is computed first; the recurrence skips the columns past the last
 one where any envelope of the tile is nonzero, and wherever the envelope is
-zero the value is exactly 0.
+zero the value is exactly +0.0.  A tile's rows are stepped straight into
+its slice of the caller's table and scaled there by the envelope, so one
+tile's arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _factorial_table(size: int):
     return tuple(m), tuple(e)
 
 
-def _laguerre_rows(degrees, a: float, x: np.ndarray) -> np.ndarray:
+def _laguerre_rows(degrees, a: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row i of the result is P_k = m_k L_k^a(x[i]) at k = degrees[i], with
     (m, E) from ``_factorial_scale``.
 
@@ -121,14 +123,16 @@ def _laguerre_rows(degrees, a: float, x: np.ndarray) -> np.ndarray:
     copies x 2^{-j} and x 2^{-j-1} are all the step reads of x; they are
     halved in place when j grows.  Rows stepped past their degree may
     overflow; callers that judge finiteness silence that and check only the
-    values they read.
+    values they read.  The rows go into ``out`` when it is given, an array
+    of x's shape such as the caller's table slice, else into a new array.
     """
     rows_at = {}
     for i, k in enumerate(degrees):
         rows_at.setdefault(int(k), []).append(i)
     n = max(rows_at)
     _, E = _factorial_scale(n)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     buf, prev, cur = np.empty_like(x), np.ones_like(x), 1.0 + a - x  # P_0, P_1
     for k, p in ((0, prev), (1, cur)):
         if k in rows_at:
@@ -206,7 +210,7 @@ def _envelope(log_const, l: int, rho: np.ndarray) -> np.ndarray:
     envelope = log_const - 0.5 * rho
     if l:  # skipped at l = 0, where 0 * ln 0 would be NaN at r = 0
         with np.errstate(divide="ignore"):
-            envelope += l * np.log(rho)
+            envelope += np.log(rho) if l == 1 else l * np.log(rho)
     return np.exp(envelope, out=envelope)
 
 
@@ -226,10 +230,11 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     ``_laguerre_rows``, stepped to the largest degree of the tile; the levels
     may come in any order and repeat.  The envelope comes first: a tile
     is trimmed to its last column where any envelope is nonzero, so on sorted
-    radii the recurrence skips the far points, and the product is taken only
-    where the envelope is nonzero.  Everywhere else the value is exactly 0;
-    a live value that is not finite raises NumericalError naming the first
-    such level.
+    radii the recurrence skips the far points.  ``_laguerre_rows`` writes the
+    tile's rows into its slice of the result, which is then multiplied by the
+    envelope in place, so one tile's arrays are alive at a time.  Where the
+    envelope is zero the value is exactly +0.0; a live value that is not
+    finite raises NumericalError naming the first such level.
 
     That 0 is a cut, not always the value.  The envelope underflows from
     about rho = 1469 on, where R_nl can still be a normal double, P_k being
@@ -255,8 +260,9 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
         end = r.size - int(np.argmax(cols[::-1])) if cols.any() else 0
         tile = out[rows, :end]
         with np.errstate(over="ignore", invalid="ignore"):
-            lag = _laguerre_rows(ns[rows] - l - 1, 2 * l + 1, rho[:, :end])
-            np.multiply(envelope[:, :end], lag, out=tile, where=live[:, :end])
+            _laguerre_rows(ns[rows] - l - 1, 2 * l + 1, rho[:, :end], out=tile)
+            tile *= envelope[:, :end]
+        tile[~live[:, :end]] = 0.0  # +0.0, where 0 * P_k may be -0.0 or NaN
         bad = ~np.isfinite(tile).all(axis=1)
         if bad.any():
             raise NumericalError(f"overflow while evaluating R_{ns[lo + np.argmax(bad)]},{l}")

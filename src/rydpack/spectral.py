@@ -337,8 +337,11 @@ def _amplitude_blocks(ns, coeff_rows, r) -> Iterator[tuple[slice, list[np.ndarra
     coefficient row c on the table of R_nl, l = ``L``, of the levels ``ns`` at
     the block's radii.
 
-    One block's table is held at a time, so a caller's memory grows with its
-    rows times the points, not with the levels times the points.  Each value
+    The table is dropped before its block is yielded, so one block's table
+    is held at a time and a caller's memory grows with its rows times the
+    points, not with the levels times the points.  A caller that pops each
+    part from the list as it uses it (``evolution._densities``) holds no
+    block's parts while the next block is built.  Each value
     sees the recurrence, envelope and dot product it sees in a whole table,
     and keeps its bits: the tests compare both routes with ``np.array_equal``
     from nbar 20 to 230, on grids that end in a short block.
@@ -346,7 +349,9 @@ def _amplitude_blocks(ns, coeff_rows, r) -> Iterator[tuple[slice, list[np.ndarra
     for lo in range(0, r.size, _POINT_BLOCK):
         block = slice(lo, lo + _POINT_BLOCK)
         table = _radial_rows(ns, L, r[block])
-        yield block, [_amplitude_parts(c, table) for c in coeff_rows]
+        parts = [_amplitude_parts(c, table) for c in coeff_rows]
+        del table  # so that the next block's table is built without this one
+        yield block, parts
 
 
 def reconstruct(exp: EigenExpansion, r):
@@ -476,7 +481,8 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     stack[4] = (vals * w) @ vals.T
     energies = _energies(ns)
     stack[5] = 1j * (energies[None, :] - energies[:, None]) * stack[1].real
-    gap = np.linalg.norm(stack[0].real - np.eye(ns.size), 2)
+    # S - I is symmetric, so its spectral norm is its largest |eigenvalue|
+    gap = np.abs(np.linalg.eigvalsh(stack[0].real - np.eye(ns.size))).max()
     if not gap <= _GRAM_TOL:  # a NaN gap fails too
         raise NumericalError(
             f"quadrature too coarse for the window [{n_min}, {n_max}]: "

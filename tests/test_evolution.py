@@ -178,6 +178,20 @@ def test_density_memory_grows_with_points_not_levels():
     assert peaks[1] - peaks[0] < 5e6, peaks
 
 
+def test_density_holds_one_block_table_and_one_tile_at_a_time(exp85, grid85):
+    # a block's table is 25 levels x 4096 radii, 0.8 MB.  When the previous
+    # block's table and the previous tile's Laguerre rows stayed referenced
+    # while the next were built, one snapshot peaked at 3.5-3.7 MB
+    density(exp85, grid85, 1.0e5)
+    tracemalloc.start()
+    try:
+        density(exp85, grid85, 1.0e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * exp85.ns.size * spectral._POINT_BLOCK * 8, peak
+
+
 def test_density_makes_no_complex_copy_of_the_table(exp85, grid85, basis85):
     # a complex c(t) @ table would first copy the table to complex, twice its
     # size; the real (2, N) product allocates a few grid-sized rows
@@ -311,7 +325,7 @@ def test_moment_matrices_run_one_recurrence_per_tile(monkeypatch):
     monkeypatch.setattr(
         specfun,
         "_laguerre_rows",
-        lambda degrees, a, x: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x),
+        lambda degrees, a, x, out: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x, out),
     )
     spectral._moment_matrices.cache_clear()
     try:
@@ -421,7 +435,7 @@ def test_basis_table_runs_one_recurrence_per_level(monkeypatch):
     monkeypatch.setattr(
         specfun,
         "_laguerre_rows",
-        lambda degrees, a, x: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x),
+        lambda degrees, a, x, out: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x, out),
     )
     BasisTable.build(np.arange(20, 23), np.linspace(0.0, 1600.0, 16000))
     assert calls == [(18, (1, 16000)), (19, (1, 16000)), (20, (1, 16000))]

@@ -109,17 +109,20 @@ def test_radial_costs_one_recurrence_on_the_live_columns(monkeypatch):
     monkeypatch.setattr(
         specfun,
         "_laguerre_rows",
-        lambda degrees, a, x: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x),
+        lambda degrees, a, x, out: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x, out),
     )
     hydrogen_radial(20, 1, np.linspace(0.0, 800.0, 101))
     assert calls == [(18, (1, 101))]
     # on a sorted grid the recurrence stops at the last point whose envelope
     # is nonzero
     r = np.linspace(0.0, 4.0 * 230**2, 16000)
-    hydrogen_radial(20, 1, r)
+    values = hydrogen_radial(20, 1, r)
     envelope = specfun._envelope(specfun._radial_log_const(20, 1), 1, (2.0 / 20) * r)
     last = np.flatnonzero(envelope)[-1]
     assert calls[1:] == [(18, (1, last + 1))] and last < 2000
+    # every value where the envelope is 0 is +0.0, at r = 0 and past the end
+    cut = values[envelope == 0.0]
+    assert cut.size > 14000 and np.all(cut == 0.0) and not np.signbit(cut).any()
 
 
 def _mp_radial(mp, n, l, r):
@@ -284,15 +287,18 @@ def test_radial_rows_raise_on_any_non_finite_live_value(monkeypatch, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         poly = np.array([[1.0, 1.0], [3.0, bad], [1.0, bad]])
-        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x: poly)
+        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x, out: np.copyto(out, poly))
         with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_9,1"):
             specfun._radial_rows(ns, 1, r)
-        poly = np.array([[bad, 1.0], [bad, 3.0], [bad, 2.0]])
-        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x: poly)
+        # the rows are written into the table; a negative P_k where the
+        # envelope is 0 must give +0.0 there, not -0.0
+        poly = np.array([[bad, 1.0], [-1.0, 3.0], [bad, 2.0]])
+        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x, out: np.copyto(out, poly))
         values = specfun._radial_rows(ns, 1, r)
     for i, n in enumerate(ns):
         envelope = specfun._envelope(specfun._radial_log_const(int(n), 1), 1, (2.0 / n) * r)
         assert values[i, 0] == 0.0 and values[i, 1] == envelope[1] * poly[i, 1]
+    assert not np.signbit(values[:, 0]).any()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 85, 230, 285])
