@@ -316,18 +316,24 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.nda
         return parse_time_expression(text, ts.T_cl_au, ts.t_rev_au)
 
     if args.times is not None:
+        # a range flag beside a list is refused, not silently dropped
+        given = [f"--t-{k}" for k in ("start", "stop", "steps") if getattr(args, f"t_{k}", None) is not None]
+        if given:
+            raise UsageError(f"--times is not allowed with {', '.join(given)}")
         exprs = [s.strip() for s in args.times.split(",") if s.strip()]
         if not exprs:
             raise UsageError("empty time list")
         return exprs, [parse(s) for s in exprs]
     if args.t_stop is None:
         raise UsageError("provide either --times or --t-start/--t-stop/--t-steps")
-    t0, t1 = parse(args.t_start), parse(args.t_stop)
-    if args.t_steps < 2:
+    t0 = parse("0" if args.t_start is None else args.t_start)
+    t1 = parse(args.t_stop)
+    steps = 201 if args.t_steps is None else args.t_steps
+    if steps < 2:
         raise UsageError("t-steps must be >= 2")
-    if args.t_steps > _MAX_POINTS:
-        raise UsageError(f"t-steps must be at most {_MAX_POINTS}, got {args.t_steps}")
-    return None, np.linspace(t0, t1, args.t_steps)
+    if steps > _MAX_POINTS:
+        raise UsageError(f"t-steps must be at most {_MAX_POINTS}, got {steps}")
+    return None, np.linspace(t0, t1, steps)
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
@@ -410,12 +416,11 @@ def _build_parser() -> _Parser:
     epilog = "a scan that fails while it evaluates leaves a new -o directory behind, empty"
     p_scan = add_command("scan", cmd_scan, help="uncertainty/autocorrelation time series", epilog=epilog)
     p_scan.add_argument("--expansion", required=True, help="expansion.csv from decompose")
-    # a list and a range together are refused, so neither is silently dropped
-    times = p_scan.add_mutually_exclusive_group()
-    times.add_argument("--times", help="comma-separated time expressions")
-    p_scan.add_argument("--t-start", default="0", help="first time of the range (default 0)")
-    times.add_argument("--t-stop", help="last time of an evenly spaced range, used without --times")
-    p_scan.add_argument("--t-steps", type=int, default=201, help="points of the range (default 201)")
+    p_scan.add_argument("--times", help="comma-separated time expressions")
+    # the range flags default to None so that _times sees any given beside --times
+    p_scan.add_argument("--t-start", help="first time of the range (default 0)")
+    p_scan.add_argument("--t-stop", help="last time of an evenly spaced range, used without --times")
+    p_scan.add_argument("--t-steps", type=int, help="points of the range (default 201)")
 
     p_den = add_command("density", cmd_density, help="density snapshots plus packet reports")
     p_den.add_argument("--expansion", required=True, help="expansion.csv from decompose")

@@ -164,15 +164,12 @@ def _densities(exp: EigenExpansion, r: np.ndarray, times) -> np.ndarray:
 
     Each block of radii builds its table once and takes every time's product
     on it (``spectral._amplitude_blocks``), so besides the result only one
-    block's table is held, and no block's parts outlive it.
+    block's table is held.
     """
     coeff_rows = [exp.coeffs * _phases(exp, t) for t in times]
     out = np.empty((len(coeff_rows), r.size))
-    for block, parts in _amplitude_blocks(exp.ns, coeff_rows, r):
-        r2 = r[block] ** 2
-        for f in out[:, block]:
-            # popped, so each part is dropped as soon as it is used
-            np.multiply(r2, np.add(*np.square(parts.pop(0))), out=f)
+    for block, i, (re, im) in _amplitude_blocks(exp.ns, coeff_rows, r):
+        np.multiply(r[block] ** 2, re * re + im * im, out=out[i, block])
     return out
 
 

@@ -210,7 +210,7 @@ def _envelope(log_const, l: int, rho: np.ndarray) -> np.ndarray:
     envelope = log_const - 0.5 * rho
     if l:  # skipped at l = 0, where 0 * ln 0 would be NaN at r = 0
         with np.errstate(divide="ignore"):
-            envelope += np.log(rho) if l == 1 else l * np.log(rho)
+            envelope += l * np.log(rho)
     return np.exp(envelope, out=envelope)
 
 

@@ -331,27 +331,26 @@ def _amplitude_parts(coeffs, table) -> np.ndarray:
 _POINT_BLOCK = 4096
 
 
-def _amplitude_blocks(ns, coeff_rows, r) -> Iterator[tuple[slice, list[np.ndarray]]]:
-    """Yield the slice of each block of at most ``_POINT_BLOCK`` of the 1-d
-    radii ``r``, with the parts ``_amplitude_parts(c, table)`` of every
-    coefficient row c on the table of R_nl, l = ``L``, of the levels ``ns`` at
-    the block's radii.
+def _amplitude_blocks(ns, coeff_rows, r) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Yield, for each block of at most ``_POINT_BLOCK`` of the 1-d radii
+    ``r`` and each coefficient row ``coeff_rows[i]``, the block's slice, i and
+    the parts ``_amplitude_parts(coeff_rows[i], table)`` on the table of
+    R_nl, l = ``L``, of the levels ``ns`` at the block's radii.
 
-    The table is dropped before its block is yielded, so one block's table
-    is held at a time and a caller's memory grows with its rows times the
-    points, not with the levels times the points.  A caller that pops each
-    part from the list as it uses it (``evolution._densities``) holds no
-    block's parts while the next block is built.  Each value
-    sees the recurrence, envelope and dot product it sees in a whole table,
-    and keeps its bits: the tests compare both routes with ``np.array_equal``
-    from nbar 20 to 230, on grids that end in a short block.
+    Each part is made as it is asked for, and the table is dropped before
+    the next block's is built, so one block's table and one part are held at
+    a time: a caller's memory grows with its rows times the points, not with
+    the levels times the points.  Each value sees the recurrence, envelope
+    and dot product it sees in a whole table, and keeps its bits: the tests
+    compare both routes with ``np.array_equal`` from nbar 20 to 230, on grids
+    that end in a short block.
     """
     for lo in range(0, r.size, _POINT_BLOCK):
         block = slice(lo, lo + _POINT_BLOCK)
         table = _radial_rows(ns, L, r[block])
-        parts = [_amplitude_parts(c, table) for c in coeff_rows]
+        for i, c in enumerate(coeff_rows):
+            yield block, i, _amplitude_parts(c, table)
         del table  # so that the next block's table is built without this one
-        yield block, parts
 
 
 def reconstruct(exp: EigenExpansion, r):
@@ -363,7 +362,7 @@ def reconstruct(exp: EigenExpansion, r):
     """
     r = np.asarray(r, dtype=float)
     out = np.empty(r.size, dtype=complex)
-    for block, [(re, im)] in _amplitude_blocks(exp.ns, [exp.coeffs], r.reshape(-1)):
+    for block, _, (re, im) in _amplitude_blocks(exp.ns, [exp.coeffs], r.reshape(-1)):
         out[block] = re + 1j * im
     return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 

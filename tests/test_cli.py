@@ -919,7 +919,11 @@ def test_density_bad_time_expression(pipeline20, tmp_path, capsys):
         (["scan", "--expansion", "{expansion}"], "provide either --times or"),
         # a range beside a list would otherwise be dropped without a word
         (["scan", "--expansion", "{expansion}", "--times", "0", "--t-stop", "Tcl"],
-         "argument --t-stop: not allowed with argument --times"),
+         "--times is not allowed with --t-stop"),
+        (["scan", "--expansion", "{expansion}", "--times", "0", "--t-start", "5"],
+         "--times is not allowed with --t-start"),
+        (["scan", "--expansion", "{expansion}", "--times", "0", "--t-steps", "9"],
+         "--times is not allowed with --t-steps"),
         (["scan", "--expansion", "{expansion}", "--t-stop", "Tcl", "--t-steps", "1"],
          "t-steps must be >= 2"),
         # the grid extent at nbar 20 is 1600 bohr; a 4-sigma kernel that wide
@@ -931,7 +935,8 @@ def test_density_bad_time_expression(pipeline20, tmp_path, capsys):
     ],
     ids=["prominence-0", "r-max-factor-0", "deficit-tol-0", "smooth-negative",
          "window-below-2", "window-reversed", "window-above-cap", "scan-without-times",
-         "times-with-t-stop", "t-steps-1", "smooth-400", "smooth-1e5"],
+         "times-with-t-stop", "times-with-t-start",
+         "times-with-t-steps", "t-steps-1", "smooth-400", "smooth-1e5"],
 )
 def test_out_of_range_value_is_one_usage_error(pipeline20, tmp_path, capsys, argv, message):
     paths = {"state": pipeline20 / "state.json", "expansion": pipeline20 / "expansion.csv"}
