@@ -93,15 +93,20 @@ def count_packets(
     (d c b a | a b c d | d c b a).  Overlapping sub-packets interfere, so the
     raw density carries fringes at the local de Broglie scale; smoothing at a
     fraction of the packet width recovers the envelope humps those fringes
-    ride on.  Requires a uniform grid of at least two points when non-zero,
-    and a kernel narrower than the grid: 4 ``smooth`` at or above the grid's
-    extent, or a negative or NaN width, raises ValueError before anything
-    is allocated.
+    ride on.  Requires an increasing uniform grid of at least two points when
+    non-zero, and a kernel narrower than the grid: 4 ``smooth`` at or above the
+    grid's extent, or a negative or NaN width, raises ValueError before the
+    kernel is built.  ``r`` and ``f`` must be 1-d arrays of one shape, and
+    ``f`` must be finite.
     """
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
+    if r.ndim != 1 or f.ndim != 1:
+        raise ValueError("positions and density values must be 1-d arrays")
     if r.shape != f.shape:
         raise ValueError("positions and density values must have the same shape")
+    if not np.isfinite(f).all():
+        raise ValueError("density snapshot must be finite")
     if not 0.0 < prominence_threshold < 1.0:
         raise ValueError("prominence threshold must lie in (0, 1)")
     if not smooth >= 0.0:  # a NaN width fails too
@@ -109,14 +114,14 @@ def count_packets(
     if smooth > 0.0:
         if r.size < 2:
             raise ValueError("envelope smoothing needs at least two grid points")
+        steps = np.diff(r)
+        if not (steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+            raise ValueError("envelope smoothing requires an increasing uniform grid")
         if 4.0 * smooth >= r[-1] - r[0]:
             raise ValueError(
                 f"smoothing width {smooth:g} bohr is too wide: its 4-sigma kernel "
                 f"spans the whole grid extent of {r[-1] - r[0]:g} bohr"
             )
-        steps = np.diff(r)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("envelope smoothing requires a uniform grid")
         f = _gaussian_smooth(f, smooth / steps[0])
     fmax = f.max() if f.size else 0.0
     if fmax <= 0.0:
@@ -126,19 +131,41 @@ def count_packets(
     return PacketReport(t=t, peak_positions=positions, prominence_threshold=prominence_threshold)
 
 
+# the FFT size of `_gaussian_smooth`'s overlap-add blocks: at least 8192, so
+# that a narrow kernel's blocks still carry thousands of new samples each and
+# the per-transform overhead stays small, and at least twice the kernel's
+# length, so that each block adds at least as many new samples as it spends on
+# the kernel's tail
+_FFT_BLOCK = 8192
+
+
 def _gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian filter of width ``sigma`` samples: kernel cut at 4 sigma,
     mirror-reflected edges (numpy's "symmetric" padding).  The convolution is
-    a real FFT product zero-padded to a power of two, so it costs
-    O(n log n) in grid plus kernel size, not their product."""
+    an overlap-add of real FFT products of one fixed size: the kernel's
+    spectrum is computed once, and each slice of the padded snapshot is
+    transformed, multiplied, transformed back and added into the output.  It
+    costs O(n log m) for a kernel of m samples, and no spectrum grows with the
+    grid.  A kernel of radius 0 is the identity, so the snapshot is returned
+    unchanged (the exponent would be NaN where sigma^2 underflows)."""
     radius = int(4.0 * sigma + 0.5)
+    if radius == 0:
+        return f
     x = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-0.5 / (sigma * sigma) * x * x)
     kernel /= kernel.sum()
     padded = np.pad(f, radius, mode="symmetric")
-    size = 1 << (padded.size + 2 * radius - 1).bit_length()
-    full = np.fft.irfft(np.fft.rfft(padded, size) * np.fft.rfft(kernel, size), size)
-    return full[2 * radius : padded.size]
+    size = max(_FFT_BLOCK, 1 << (2 * kernel.size - 1).bit_length())
+    step = size - kernel.size + 1
+    spectrum = np.fft.rfft(kernel, size)
+    out = np.zeros(f.size)
+    # the full convolution's sample j lands in out[j - 2 radius]
+    for start in range(0, padded.size, step):
+        block = np.fft.irfft(np.fft.rfft(padded[start : start + step], size) * spectrum, size)
+        lo = max(start, 2 * radius)
+        hi = min(start + size, padded.size)
+        out[lo - 2 * radius : hi - 2 * radius] += block[lo - start : hi - start]
+    return out
 
 
 def _prominent_peaks(f: np.ndarray, min_prominence: float) -> np.ndarray:

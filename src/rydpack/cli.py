@@ -48,9 +48,11 @@ __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 # default grid.  A scan writes its CSV one block of times at a time: at
 # nbar 85 a 10^5-point scan takes 2.4-3 s CPU and peaks at 38 MB RSS, and a
 # scan at the cap about 24 s and 45 MB.  Density evaluates blocks of radii
-# and writes blocks of rows: four snapshots at nbar 85 on a grid at the cap
-# take 10-11 s CPU and peak at 152 MB RSS (about 15 s and 396 MB with a
-# whole table and whole-file text).  One BLAS thread, 2-core Xeon VM
+# and writes blocks of rows, and `count_packets` smooths by overlap-add in
+# fixed FFT blocks: four snapshots at nbar 85 on a grid at the cap take
+# 10.3-10.6 s CPU and peak at 121 MB RSS (about 15 s and 396 MB with a whole
+# table and whole-file text, 152 MB with a whole-grid smoothing FFT).  One
+# BLAS thread, 2-core Xeon VM
 _MAX_POINTS = 1_000_000
 
 

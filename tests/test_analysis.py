@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from rydpack.analysis import (
     FRACTIONAL_ORDERS,
+    _FFT_BLOCK,
     PacketReport,
     _gaussian_smooth,
     _prominent_peaks,
@@ -89,7 +91,8 @@ def test_count_packets_smoothing_recovers_envelope():
 
 def test_count_packets_wide_smoothing_on_a_fine_grid_is_fast():
     # a width just under the cap on 200 000 points: a direct sum over the
-    # 400 000-sample kernel takes tens of seconds, the FFT a fraction of one
+    # 400 000-sample kernel takes tens of seconds, while the overlap-add
+    # blocks, each twice the kernel's length (here one), take a fraction of one
     r = np.linspace(0.0, 1600.0, 200_000)
     start = time.perf_counter()
     report = count_packets(r, gaussians(r, [800.0], [1.0], sigma=100.0), smooth=399.0)
@@ -119,6 +122,31 @@ def test_count_packets_edge_cases():
     for smooth in (-5.0, math.nan):
         with pytest.raises(ValueError, match="non-negative"):
             count_packets(r, np.ones_like(r), smooth=smooth)
+    # 2-d positions or values are refused by name, not by numpy's truth-value error
+    for rr, ff in ((r[None], np.ones((1, 11))), (r, np.ones((11, 1))), (r[:, None], np.ones(11))):
+        with pytest.raises(ValueError, match="1-d arrays"):
+            count_packets(rr, ff)
+    # a snapshot holding NaN or inf is refused, not counted as empty
+    for bad in (math.nan, math.inf):
+        f = np.ones_like(r)
+        f[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            count_packets(r, f)
+    # a reversed uniform grid is refused as such, not as a negative extent
+    with pytest.raises(ValueError, match="increasing uniform grid"):
+        count_packets(r[::-1], np.ones_like(r), smooth=1.0)
+
+
+def test_smoothing_kernel_of_radius_zero_is_the_identity():
+    # sigma^2 underflows to 0 here, where the kernel's exponent would be NaN;
+    # the suite turns any numpy RuntimeWarning into an error
+    f = gaussians(np.linspace(0.0, 2000.0, 4001), [600.0, 1400.0], [1.0, 0.7])
+    for sigma in (1e-200, 0.1, 0.124):
+        assert np.array_equal(_gaussian_smooth(f, sigma), f)
+    r = np.linspace(0.0, 1e300, 4001)
+    scaled = count_packets(r, f, smooth=1e130)
+    assert scaled.peak_positions == count_packets(r, f).peak_positions
+    assert scaled.peak_count == 2
 
 
 def test_detect_revival_constant_series_first_index():
@@ -243,6 +271,14 @@ def test_gaussian_smooth_matches_scipy_gaussian_filter1d(snapshots):
     ndimage = pytest.importorskip("scipy.ndimage")
     rng = np.random.default_rng(1995)
     cases = [(rng.normal(size=n), sigma) for n in (1, 2, 7, 40) for sigma in (0.3, 1.0, 2.5, 30.0)]
+    # several overlap-add blocks of the minimum size, then of a size set by a
+    # kernel longer than that minimum (8801 samples, blocks of 2^15)
+    for n, sigma in ((40_000, 30.0), (80_000, 1100.0)):
+        radius = int(4.0 * sigma + 0.5)
+        size = max(_FFT_BLOCK, 1 << (2 * (2 * radius + 1) - 1).bit_length())
+        assert (n + 2 * radius) / (size - 2 * radius) > 3.0
+        cases.append((rng.normal(size=n), sigma))
+    assert 2 * int(4.0 * 1100.0 + 0.5) + 1 > _FFT_BLOCK
     cases += snapshots
     for f, sigma in cases:
         expected = ndimage.gaussian_filter1d(f, sigma)
@@ -250,3 +286,18 @@ def test_gaussian_smooth_matches_scipy_gaussian_filter1d(snapshots):
         assert got.shape == expected.shape
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-12 * scale, (f.size, sigma)
+
+
+def test_gaussian_smooth_memory_stays_near_the_snapshot_size():
+    # a width of the order of the CLI's default at its grid cap (about 9000
+    # samples at nbar 85); the overlap-add holds the padded copy, the output
+    # and one block's spectra (a whole-grid FFT held about 5.4 times the
+    # input's bytes)
+    f = np.random.default_rng(3).normal(size=1_000_000)
+    tracemalloc.start()
+    try:
+        _gaussian_smooth(f, 6900.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * f.nbytes, peak / f.nbytes
