@@ -115,14 +115,19 @@ def count_packets(
         if r.size < 2:
             raise ValueError("envelope smoothing needs at least two grid points")
         steps = np.diff(r)
-        if not (steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+        step = steps[0]
+        # every step within 1e-9 of the first, by the extremes alone (rounding
+        # is monotone, so this is |steps - step| <= 1e-9 step, NaN refused)
+        uniform = steps.max() - step <= 1e-9 * step and step - steps.min() <= 1e-9 * step
+        del steps  # before the smoothing allocates its blocks
+        if not (step > 0.0 and uniform):
             raise ValueError("envelope smoothing requires an increasing uniform grid")
         if 4.0 * smooth >= r[-1] - r[0]:
             raise ValueError(
                 f"smoothing width {smooth:g} bohr is too wide: its 4-sigma kernel "
                 f"spans the whole grid extent of {r[-1] - r[0]:g} bohr"
             )
-        f = _gaussian_smooth(f, smooth / steps[0])
+        f = _gaussian_smooth(f, smooth / step)
     fmax = f.max() if f.size else 0.0
     if fmax <= 0.0:
         return PacketReport(t=t, peak_positions=(), prominence_threshold=prominence_threshold)

@@ -69,7 +69,8 @@ class BasisTable:
     fixed radii, for density snapshots.
 
     The table is one call of ``specfun._radial_rows``, which on a grid of
-    many thousand points steps one level per Laguerre recurrence; evaluating
+    many thousand points steps one Laguerre recurrence per anchor group of
+    five levels and sums the group's other levels from it; evaluating
     an evolved wavefunction afterwards is one real (2, N) product of the
     stacked Re/Im coefficients, so one table serves any number of snapshot
     times.  It holds all levels times all points, and no code in the package
@@ -145,22 +146,32 @@ def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisT
     """Radial probability density f(r) = r^2 |psi_t(r)|^2 on the grid.
 
     Re and Im of psi_t come from a real (2, N) product of the stacked Re/Im
-    coefficients c(t) with the real table, and f = r^2 (re^2 + im^2).  A
-    supplied ``basis`` must match the expansion and grid (else ValueError)
-    and serves as the whole table; without one, the table is built and used
-    one block of radii at a time (``_densities``), with the same bits.
+    coefficients c(t) with the real table, and f = (r re)^2 + (r im)^2
+    (``_radial_density``).  A supplied ``basis`` must match the expansion and
+    grid (else ValueError) and serves as the whole table; without one, the
+    table is built and used one block of radii at a time (``_densities``),
+    with the same bits.
     """
     if basis is None:
         return _densities(exp, grid.points, [t])[0]
     _check_table(exp, grid, basis)
-    re, im = _amplitude_parts(exp.coeffs * _phases(exp, t), basis.values)
-    return grid.points**2 * (re * re + im * im)
+    return _radial_density(_amplitude_parts(exp.coeffs * _phases(exp, t), basis.values), grid.points)
+
+
+def _radial_density(parts: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f = (r re)^2 + (r im)^2 from the (2, N) ``parts`` [re, im], which are
+    scaled and squared in place.  Scaling the amplitudes first keeps f
+    finite on any finite grid: r^2 overflows past r = 1.3e154, where inf
+    times an amplitude of 0 would be NaN."""
+    parts *= r
+    np.square(parts, out=parts)
+    return np.add(parts[0], parts[1], out=out)
 
 
 def _densities(exp: EigenExpansion, r: np.ndarray, times) -> np.ndarray:
     """The (times, points) array of f = r^2 |psi_t(r)|^2 at each of the
     ``times`` on the 1-d radii ``r``; each row has the bits of ``density``
-    on a whole ``BasisTable``.
+    on a whole ``BasisTable`` (``_radial_density`` on each block).
 
     Each block of radii builds its table once and takes every time's product
     on it (``spectral._amplitude_blocks``), so besides the result only one
@@ -168,8 +179,8 @@ def _densities(exp: EigenExpansion, r: np.ndarray, times) -> np.ndarray:
     """
     coeff_rows = [exp.coeffs * _phases(exp, t) for t in times]
     out = np.empty((len(coeff_rows), r.size))
-    for block, i, (re, im) in _amplitude_blocks(exp.ns, coeff_rows, r):
-        np.multiply(r[block] ** 2, re * re + im * im, out=out[i, block])
+    for block, i, parts in _amplitude_blocks(exp.ns, coeff_rows, r):
+        _radial_density(parts, r[block], out=out[i, block])
     return out
 
 

@@ -19,26 +19,31 @@ One radial kernel, ``_radial_rows``, evaluates every R_nl table: a single
 level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
 the blocks of radii of ``spectral._amplitude_blocks`` (density snapshots
 without a table, ``spectral.reconstruct``) and the moment matrices
-(``spectral._moment_matrices``).  It works in tiles of whole rows, about
-24 576 elements each: on a table of many thousand radii a tile is one
-level, whose recurrence already runs at the arithmetic floor (about 2 ns per
-element and step), while on a moment rule (sized to the window, 128 to
-2048 nodes) a tile steps 12 or more levels at once, the whole window at
-nbar 85 and 150, in one call of ``_laguerre_rows`` (which the projection in
-``spectral`` makes too), since one recurrence per level would there be
-bound by NumPy call overhead.  Each element sees the same operations and
-constants whatever the tiling, so the values do not depend on it.  The
-envelope is computed first; the recurrence skips the columns past the last
-one where any envelope of the tile is nonzero, and wherever the envelope is
-zero the value is exactly +0.0.  A tile's rows are stepped straight into
-its slice of the caller's table and scaled there by the envelope, so one
-tile's arrays are alive at a time.
+(``spectral._moment_matrices``).  The recurrence already runs at the
+arithmetic floor (about 1.5 ns per element and step), so the kernel runs
+fewer of them: by the multiplication theorem for Laguerre polynomials
+(DLMF 18.18.13) one recurrence, at the argument of the anchor m = 5 round(n/5),
+serves the levels n = m - 2, ..., m + 2, each of the others a sum of 20 or 26
+of its values.  Levels of degree below 26 are their own anchors.  Tiles of
+whole rows step up to max(1, 24 576 // radii) anchors together: one anchor
+group at a time on a table of many thousand radii, and the whole window of a
+moment rule (sized to the window, 128 to 2048 nodes) in one call of
+``_laguerre_rows``, which the projection in ``spectral`` makes too, since a
+recurrence per group would there be bound by NumPy call overhead.  An
+anchor depends on its level alone and each element sees the same operations
+and constants whatever the tiling, so the values do not depend on it.  The
+recurrence skips the radii past the last one where any envelope of the tile
+may be nonzero, and wherever the envelope is zero the value is exactly
++0.0.  A tile's rows are summed straight into its slice of the caller's
+table and scaled there by the envelope, so one tile's arrays are alive at
+a time.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,7 +111,7 @@ def _factorial_table(size: int):
     return tuple(m), tuple(e)
 
 
-def _laguerre_rows(degrees, a: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _laguerre_rows(degrees, a: float, x: np.ndarray, out: np.ndarray | None = None, visit=None):
     """Row i of the result is P_k = m_k L_k^a(x[i]) at k = degrees[i], with
     (m, E) from ``_factorial_scale``.
 
@@ -125,18 +130,30 @@ def _laguerre_rows(degrees, a: float, x: np.ndarray, out: np.ndarray | None = No
     overflow; callers that judge finiteness silence that and check only the
     values they read.  The rows go into ``out`` when it is given, an array
     of x's shape such as the caller's table slice, else into a new array.
+
+    With ``visit``, nothing is copied and None is returned: the recurrence
+    runs to the largest of ``degrees`` and calls visit(k, p) at each of them,
+    p holding P_k on every row of x until the next step.
     """
-    rows_at = {}
-    for i, k in enumerate(degrees):
-        rows_at.setdefault(int(k), []).append(i)
-    n = max(rows_at)
+    if visit is None:
+        rows_at = {}
+        for i, k in enumerate(degrees):
+            rows_at.setdefault(int(k), []).append(i)
+        if out is None:
+            out = np.empty_like(x)
+
+        def visit(k, p):
+            out[rows_at[k]] = p[rows_at[k]]
+
+        degrees = rows_at
+    else:
+        degrees = {int(k) for k in degrees}
+    n = max(degrees)
     _, E = _factorial_scale(n)
-    if out is None:
-        out = np.empty_like(x)
     buf, prev, cur = np.empty_like(x), np.ones_like(x), 1.0 + a - x  # P_0, P_1
     for k, p in ((0, prev), (1, cur)):
-        if k in rows_at:
-            out[rows_at[k]] = p[rows_at[k]]
+        if k in degrees:
+            visit(k, p)
     j = 1
     scaled = (x * 0.5, x * 0.25)
     for k in range(2, n + 1):
@@ -150,8 +167,8 @@ def _laguerre_rows(degrees, a: float, x: np.ndarray, out: np.ndarray | None = No
         prev *= math.ldexp((k - 1.0) * (k - 1.0 + a), E[k - 2] - E[k])
         buf -= prev
         prev, cur, buf = cur, buf, prev
-        if k in rows_at:
-            out[rows_at[k]] = cur[rows_at[k]]
+        if k in degrees:
+            visit(k, cur)
     return out
 
 
@@ -214,10 +231,96 @@ def _envelope(log_const, l: int, rho: np.ndarray) -> np.ndarray:
     return np.exp(envelope, out=envelope)
 
 
-# elements per recurrence tile in _radial_rows; a tile holds whole rows, so a
-# 16 000-point table steps one level at a time, a block of 4096 density radii
-# 6 levels together, and a moment rule 42 at 576 nodes (nbar 85), 29 at 832
-# (nbar 150) and 12 at the cap of 2048
+# levels per anchor group: level n is derived from the recurrence of its
+# anchor m = 5 round(n/5), so d = n - m lies in {-2, ..., 2}; the anchor
+# depends on n (and l) alone, so a value has the same bits in every tile
+_GROUP = 5
+
+
+def _term_count(d: int) -> int:
+    """Terms t = 0, 1, ... kept while |d|^t / t! >= 2^-60."""
+    t = 0
+    while abs(d) ** t * 2**60 >= math.factorial(t):
+        t += 1
+    return t
+
+
+# terms of a derived sum by |d|: with lambda = m/n, the multiplication theorem
+# (DLMF 18.18.13) gives P_k(lambda x) = sum_t e_t P_{k-t}(x), and the t-th term
+# is about |d|^t / t! of the value for l << n (C(k + a, t) (d/n)^t ~ d^t/t!),
+# so 20 terms at |d| = 1 and 26 at |d| = 2 leave out less than 2^-60 of it
+_TERMS = {d: _term_count(d) for d in (1, 2)}
+
+# a level of degree k below the longest sum is its own anchor: its sum
+# would need every degree from about 0, so it costs no fewer operations than
+# the row it replaces in a tile's recurrence, and in NumPy calls far more
+_OWN_ANCHOR_DEGREE = max(_TERMS.values())
+
+# ln of the envelope below which exp gives exactly 0.0 (the smallest
+# subnormal is e^-744.4; the margin covers rounding in the computed exponent)
+_DEAD_LOG = -750.0
+
+
+class _Level(NamedTuple):
+    """What ``_radial_rows`` needs of a level n at l (``_level``)."""
+
+    anchor: int  # the level m whose recurrence, at rho_m = 2r/m, serves n
+    weights: np.ndarray | None  # e_0, ..., e_{T-1}, read-only; None where m = n
+    log_const: float  # _radial_log_const(n, l)
+    r_live: float  # past this radius the envelope is exactly 0 (``_live_rho``)
+
+
+@lru_cache(maxsize=1024)
+def _level(n: int, l: int) -> _Level:
+    """The anchor record of R_nl, so that P_k(2r/n) = sum_t e_t P_{k-t}(2r/m).
+
+    e_t = C(k + a, t) lambda^(k-t) (1 - lambda)^t m_k/m_{k-t} with k = n - l - 1,
+    a = 2l + 1 and lambda = m/n: e_0 = m^k/n^k is one correctly rounded
+    integer division, and e_{t+1} = e_t (k + a - t)(k - t) d / ((t + 1) m)
+    2^-(E_{k-t} - E_{k-t-1}), the ratio correctly rounded, since
+    m_j/m_{j-1} = j 2^-(E_j - E_{j-1}) exactly.
+    """
+    k, a = n - l - 1, 2 * l + 1
+    m = n if k < _OWN_ANCHOR_DEGREE else _GROUP * ((n + _GROUP // 2) // _GROUP)
+    d = n - m
+    weights = None
+    if d:
+        t = np.arange(min(_TERMS[abs(d)], k + 1) - 1)
+        E = np.array(_factorial_scale(k)[1])
+        ratio = np.ldexp(((k + a - t) * (k - t) * d) / ((t + 1) * m), E[k - t - 1] - E[k - t])
+        weights = np.cumprod(np.concatenate(([m**k / n**k], ratio)))
+        weights.flags.writeable = False
+    log_const = _radial_log_const(n, l)
+    return _Level(m, weights, log_const, 0.5 * n * _live_rho(log_const, l))
+
+
+def _live_rho(log_const: float, l: int) -> float:
+    """A rho past which log_const - rho/2 + l ln rho < _DEAD_LOG, 0.0 where
+    that holds everywhere.
+
+    The exponent is concave with its peak at rho = 2l, so Newton's method,
+    started right of the peak, lands right of the root and then falls to it
+    from the right: every iterate is a bound.
+    """
+    c = log_const - _DEAD_LOG
+    if l == 0:
+        return max(2.0 * c, 0.0)
+    if c - l + l * math.log(2.0 * l) <= 0.0:
+        return 0.0
+    rho = 4.0 * l
+    for _ in range(64):  # quadratic convergence takes under ten
+        step = (c - 0.5 * rho + l * math.log(rho)) / (l / rho - 0.5)
+        rho -= step
+        if abs(step) <= 1e-9 * rho:
+            break
+    return rho
+
+
+# elements per recurrence tile in _radial_rows: a tile steps at most
+# max(1, _TILE_ELEMENTS // radii) anchors in one recurrence, so a table of
+# 16 000 radii steps one anchor group at a time, a block of 4096 density
+# radii 6 anchors (up to 30 levels), and a moment rule 42 at 576 nodes
+# (nbar 85), 29 at 832 (nbar 150) and 12 at the cap of 2048
 _TILE_ELEMENTS = 24576
 
 
@@ -225,16 +328,28 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     """R_nl(r) for each level n of the integer array ``ns`` (one row each) at
     the 1-d radii ``r``; ValueError on an invalid (n, l) or a negative radius.
 
-    The rows are stepped in tiles of max(1, _TILE_ELEMENTS // r.size) levels,
-    and every level of a tile shares one Laguerre recurrence, one call of
-    ``_laguerre_rows``, stepped to the largest degree of the tile; the levels
-    may come in any order and repeat.  The envelope comes first: a tile
-    is trimmed to its last column where any envelope is nonzero, so on sorted
-    radii the recurrence skips the far points.  ``_laguerre_rows`` writes the
-    tile's rows into its slice of the result, which is then multiplied by the
-    envelope in place, so one tile's arrays are alive at a time.  Where the
-    envelope is zero the value is exactly +0.0; a live value that is not
-    finite raises NumericalError naming the first such level.
+    One Laguerre recurrence serves an anchor group of levels
+    (``_level``): the anchor's row at rho_m = 2r/m is stepped to the
+    group's largest degree, an anchor's own level is read off at its degree,
+    and each other level adds its terms e_t P_{k-t}(rho_m) into its row from
+    the lowest degree up, as the recurrence passes them.  The levels are
+    taken in tiles of consecutive rows with at most
+    max(1, _TILE_ELEMENTS // r.size) anchors, stepped together in one call
+    of ``_laguerre_rows``; the levels may come in any order and repeat.  A
+    tile's recurrence stops at the last radius where ``_live_rho`` allows a
+    nonzero envelope, so on sorted radii it skips the far points.  The rows
+    are summed straight into the tile's slice of the result and then
+    multiplied by the envelope in place, a few rows at a time, so one
+    tile's arrays are alive at a time.  Where the envelope is zero the value
+    is exactly +0.0; a live value that is not finite raises NumericalError
+    naming the first such level.
+
+    A summed level shares the rounding of its anchor's recurrence, which is
+    largest near r = 0.  Against 60-digit mpmath on the windows' CLI grids
+    at nbar 85, 150, 230 and 285 the worst error is 1.5e-13, 4.3e-13,
+    5.3e-13 and 3.8e-13 of the row maximum (one recurrence per level:
+    9.8e-14, 6.7e-13, 6.2e-13 and 5.6e-13); the rows of anchors and of
+    levels below _OWN_ANCHOR_DEGREE have the bits of that recurrence.
 
     That 0 is a cut, not always the value.  The envelope underflows from
     about rho = 1469 on, where R_nl can still be a normal double, P_k being
@@ -247,26 +362,119 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
         _check_nl(int(ns.min()), l)
     if (r < 0).any():
         raise ValueError("radius must be non-negative")
-    log_const = np.array([_radial_log_const(int(n), l) for n in ns])[:, None]
+    levels = [_level(int(n), l) for n in ns]
+    log_const = np.array([v.log_const for v in levels])[:, None]
     scale = (2.0 / ns)[:, None]
     out = np.zeros((ns.size, r.size))
-    step = max(1, _TILE_ELEMENTS // max(r.size, 1))
-    for lo in range(0, ns.size, step):
-        rows = slice(lo, lo + step)
-        rho = scale[rows] * r
-        envelope = _envelope(log_const[rows], l, rho)
-        live = envelope != 0.0
-        cols = live.any(axis=0)
-        end = r.size - int(np.argmax(cols[::-1])) if cols.any() else 0
+    width = max(1, _TILE_ELEMENTS // max(r.size, 1))
+    lo = 0
+    while lo < ns.size:
+        anchors, hi = {}, lo
+        while hi < ns.size and (levels[hi].anchor in anchors or len(anchors) < width):
+            anchors.setdefault(levels[hi].anchor, len(anchors))
+            hi += 1
+        rows, tiled = slice(lo, hi), levels[lo:hi]
+        end = _live_end(r, max(v.r_live for v in tiled))
         tile = out[rows, :end]
+        x = (2.0 / np.array(list(anchors)))[:, None] * r[:end]
+        ks = ns[rows] - l - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            _laguerre_rows(ns[rows] - l - 1, 2 * l + 1, rho[:, :end], out=tile)
-            tile *= envelope[:, :end]
-        tile[~live[:, :end]] = 0.0  # +0.0, where 0 * P_k may be -0.0 or NaN
+            if len(anchors) == hi - lo and all(v.weights is None for v in tiled):
+                # every level its own anchor: x holds the levels' own rho
+                envelope = _envelope(log_const[rows], l, x)
+                _laguerre_rows(ks, 2 * l + 1, x, out=tile)
+                del x
+                _scale_by_envelope(tile, envelope)
+                del envelope
+            else:
+                sources = [anchors[v.anchor] for v in tiled]
+                degrees, visit = _tile_sums(tile, ks, sources, [v.weights for v in tiled])
+                _laguerre_rows(degrees, 2 * l + 1, x, visit=visit)
+                del x, visit
+                for part in range(lo, hi, width):
+                    sub = slice(part, min(part + width, hi))
+                    _scale_by_envelope(out[sub, :end], _envelope(log_const[sub], l, scale[sub] * r[:end]))
         bad = ~np.isfinite(tile).all(axis=1)
         if bad.any():
             raise NumericalError(f"overflow while evaluating R_{ns[lo + np.argmax(bad)]},{l}")
+        lo = hi
     return out
+
+
+def _scale_by_envelope(values: np.ndarray, envelope: np.ndarray) -> None:
+    values *= envelope
+    values[envelope == 0.0] = 0.0  # +0.0, where 0 * P_k may be -0.0 or NaN
+
+
+def _live_end(r: np.ndarray, r_live: float) -> int:
+    """One past the last radius not beyond ``r_live`` (a NaN radius counts)."""
+    near = ~(r > r_live)
+    return r.size - int(np.argmax(near[::-1])) if near.any() else 0
+
+
+def _tile_sums(tile, ks, sources, weights):
+    """The degrees and the ``visit`` of one tile's recurrence, which copies
+    the anchors' own levels into ``tile`` and adds the other levels' terms.
+
+    Row i of the tile reads row sources[i] of the recurrence, and its
+    weights[i] (None for an anchor) put e_t on degree ks[i] - t.  The rows
+    are taken in ascending degree, and the terms of one degree are added in
+    one band, from the first to the last row with a term there: every row of
+    a band has its top degree at or above this one, so a zero weight in it
+    (an anchor's row, copied at its degree before the terms are added, or a
+    row whose sum starts higher) adds 0 * P_k, which changes no value that
+    ends up finite.  A band is cut into parts of at most _TILE_ELEMENTS
+    elements (single rows on a large table), and a part of zero weights is
+    skipped; a part's source rows times its weights go into a scratch
+    array, which is added into its rows, a view of the tile when the levels
+    come sorted.
+    """
+    copies, parts = {}, {}
+    order = sorted(range(ks.size), key=lambda i: ks[i])
+    summed = [col for col, i in enumerate(order) if weights[i] is not None]
+    for i in order:
+        if weights[i] is None:
+            copies.setdefault(int(ks[i]), []).append((i, sources[i]))
+    scratch = None
+    sliced = order == list(range(ks.size))
+    if summed:
+        top = [int(ks[order[col]]) for col in summed]
+        j0 = min(k + 1 - weights[order[col]].size for col, k in zip(summed, top))
+        by_degree = np.zeros((max(top) + 1 - j0, ks.size))
+        for col, k in zip(summed, top):
+            w = weights[order[col]]
+            by_degree[k + 1 - w.size - j0 : k + 1 - j0, col] = w[::-1]
+        has = by_degree != 0.0
+        first = has.argmax(axis=1).tolist()
+        last = (ks.size - has[:, ::-1].argmax(axis=1)).tolist()
+        src, dst = np.array(sources)[order], np.array(order)
+        step = max(1, _TILE_ELEMENTS // max(tile.shape[1], 1))
+        for j in np.flatnonzero(has.any(axis=1)).tolist():
+            for f in range(first[j], last[j], step):
+                b = min(f + step, last[j])
+                w = by_degree[j, f:b, None]
+                if w.any():
+                    rows = tile[f:b] if sliced else dst[f:b]
+                    parts.setdefault(j + j0, []).append((rows, src[f:b], w))
+        scratch = np.empty((max(w.shape[0] for p in parts.values() for _, _, w in p), tile.shape[1]))
+    single = len(set(sources)) == 1
+
+    def visit(k, p):
+        for i, src in copies.get(k, ()):
+            tile[i] = p[src]
+        for rows, src, w in parts.get(k, ()):
+            terms = scratch[: w.shape[0]]
+            if single:
+                np.multiply(w, p[src[0]], out=terms)
+            else:
+                p.take(src, axis=0, out=terms)
+                terms *= w
+            if sliced:
+                rows += terms  # a view of the tile's rows
+            else:
+                tile[rows] += terms
+
+    return set(copies) | set(parts), visit
 
 
 def hydrogen_radial(n: int, l: int, r):

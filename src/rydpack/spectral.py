@@ -459,9 +459,10 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     E_n from ``_energies``, is imaginary.  Complex is the dtype of the
     product with the evolved coefficients, so no call casts the stack.  The
     R_nl values come from ``specfun._radial_rows``, whose one Laguerre
-    recurrence steps a tile of levels at once (the whole window at nbar 85
-    and 150) and reads each off at its own degree.  The Gram matrix S = <n|m>
-    must satisfy ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
+    recurrence steps the anchors of a tile of levels at once (the whole
+    window at nbar 20 to 288) and gives each level its own degree's value
+    or its sum of terms.  The Gram matrix S = <n|m> must satisfy
+    ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
     |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c for every
     coefficient vector c, so one check covers every time.  The diagonals of
     the r, r^2, r^-1 and r^-2 layers must match their closed forms within

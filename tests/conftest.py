@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,22 +102,59 @@ def radial_pr():
     return _radial_pr
 
 
+def _anchor_weights(n, l):
+    """The anchor m of R_nl and its weights e_0, e_1, ... as a list of Python
+    floats, or None where m = n: an independent statement of the arithmetic
+    that ``specfun._level`` vectorizes.
+
+    m = 5 round(n/5) unless the degree k = n - l - 1 is below
+    ``specfun._OWN_ANCHOR_DEGREE``; T = min(_TERMS[|d|], k + 1) terms with
+    e_0 = m^k/n^k and each e_{t+1} = e_t * ldexp((k + a - t)(k - t) d / ((t + 1) m),
+    E_{k-t-1} - E_{k-t}), every division a correctly rounded int division.
+    """
+    k, a = n - l - 1, 2 * l + 1
+    m = n if k < specfun._OWN_ANCHOR_DEGREE else 5 * round(n / 5)
+    d = n - m
+    if d == 0:
+        return m, None
+    E = specfun._factorial_scale(k)[1]
+    e = m**k / n**k
+    weights = [e]
+    for t in range(min(specfun._TERMS[abs(d)], k + 1) - 1):
+        e *= math.ldexp((k + a - t) * (k - t) * d / ((t + 1) * m), E[k - t - 1] - E[k - t])
+        weights.append(e)
+    return m, weights
+
+
 def _per_level_radial(n, l, r):
     """R_nl(r) one level at a time: an independent reference for the tiled
-    kernel ``specfun._radial_rows``.
+    kernel ``specfun._radial_rows``, with its arithmetic.
 
-    The envelope comes first, and one Laguerre recurrence with k = n - l - 1,
-    a = 2l + 1 at rho = 2r/n steps only the points where it is nonzero; the
-    others are exactly 0.  A live value that is not finite raises
-    NumericalError.
+    The envelope comes first, and only the points where it is nonzero are
+    evaluated; the others are exactly 0.  At those points a one-row
+    recurrence at rho_m = 2r/m gives P_k(2r/n) itself when n is its own
+    anchor m; else it hands over P_{k-t}(rho_m) for every t, and P_k(2r/n) is
+    0.0 plus e_t P_{k-t}(rho_m) from the lowest degree up.  A live value
+    that is not finite raises NumericalError.
     """
     shape = np.shape(r)
-    rho = (2.0 / n) * np.asarray(r, dtype=float).reshape(-1)
+    r = np.asarray(r, dtype=float).reshape(-1)
+    rho = (2.0 / n) * r
     envelope = specfun._envelope(specfun._radial_log_const(n, l), l, rho)
     live = envelope != 0.0
+    m, weights = _anchor_weights(n, l)
+    k, rho_m = n - l - 1, (2.0 / m) * r[None, live]
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = specfun._laguerre_rows([n - l - 1], 2 * l + 1, rho[None, live])[0]
-        radial = envelope[live] * lag
+        if weights is None:
+            poly = specfun._laguerre_rows([k], 2 * l + 1, rho_m)[0]
+        else:
+            terms = {}
+            degrees = range(k + 1 - len(weights), k + 1)
+            specfun._laguerre_rows(degrees, 2 * l + 1, rho_m, visit=lambda j, p: terms.update({j: p[0].copy()}))
+            poly = np.zeros(rho_m.shape[1])
+            for t in reversed(range(len(weights))):
+                poly += weights[t] * terms[k - t]
+        radial = envelope[live] * poly
     if not np.isfinite(radial).all():
         raise NumericalError(f"overflow while evaluating R_{n},{l}")
     out = np.zeros(rho.shape)
@@ -126,8 +164,47 @@ def _per_level_radial(n, l, r):
 
 @pytest.fixture(scope="session")
 def per_level_radial():
-    """A reference R_nl that steps one level per recurrence on its live points."""
+    """A reference R_nl with the kernel's arithmetic, one level at a time."""
     return _per_level_radial
+
+
+@pytest.fixture(scope="session")
+def anchor_weights():
+    """The anchor and weights of a level, computed in Python floats."""
+    return _anchor_weights
+
+
+def _one_recurrence_radial(n, l, r):
+    """R_nl(r) from one Laguerre recurrence at rho = 2r/n per level, as the
+    kernel computed every level before anchor groups: an accuracy
+    reference, not a bit reference."""
+    rho = (2.0 / n) * np.asarray(r, dtype=float)
+    envelope = specfun._envelope(specfun._radial_log_const(n, l), l, rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = envelope * specfun._laguerre_rows([n - l - 1], 2 * l + 1, rho[None])[0]
+    values[envelope == 0.0] = 0.0
+    return values
+
+
+@pytest.fixture
+def laguerre_calls(monkeypatch):
+    """(top degree, shape of x) of every recurrence ``specfun._laguerre_rows``
+    runs while the test does."""
+    calls = []
+    rows = specfun._laguerre_rows
+
+    def recorded(degrees, a, x, out=None, visit=None):
+        calls.append((int(max(degrees)), x.shape))
+        return rows(degrees, a, x, out, visit)
+
+    monkeypatch.setattr(specfun, "_laguerre_rows", recorded)
+    return calls
+
+
+@pytest.fixture(scope="session")
+def one_recurrence_radial():
+    """R_nl with one recurrence per level, for accuracy comparisons."""
+    return _one_recurrence_radial
 
 
 def _numpy_scalar_observables(exp, t):

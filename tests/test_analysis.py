@@ -132,9 +132,32 @@ def test_count_packets_edge_cases():
         f[3] = bad
         with pytest.raises(ValueError, match="must be finite"):
             count_packets(r, f)
-    # a reversed uniform grid is refused as such, not as a negative extent
-    with pytest.raises(ValueError, match="increasing uniform grid"):
-        count_packets(r[::-1], np.ones_like(r), smooth=1.0)
+    # a reversed uniform grid is refused as such, not as a negative extent;
+    # so are a step off by more than 1e-9 and a NaN radius
+    bent, holed = r.copy(), r.copy()
+    bent[5] += 2e-9
+    holed[5] = math.nan
+    for grid in (r[::-1], bent, holed):
+        with pytest.raises(ValueError, match="increasing uniform grid"):
+            count_packets(grid, np.ones_like(r), smooth=1.0)
+    nudged = r.copy()
+    nudged[5] += 4e-10  # steps 1 - 4e-10 and 1 + 4e-10: uniform within 1e-9
+    assert count_packets(nudged, np.ones_like(r), smooth=1.0).peak_count == 0
+
+
+def test_count_packets_memory_on_a_fine_grid():
+    # 200 000 points with a smoothing width of 300 bohr: the uniform-grid
+    # check reads the steps' extremes, so the traced peak is about 35 bytes a
+    # point; comparing every step with np.allclose held about 43
+    r = np.linspace(0.0, 4.0 * 85**2, 200_000)
+    f = np.exp(-(((r - 15000.0) / 2000.0) ** 2)) * (1.0 + 0.3 * np.cos(r / 50.0))
+    tracemalloc.start()
+    try:
+        count_packets(r, f, smooth=300.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * r.size, peak / r.size
 
 
 def test_smoothing_kernel_of_radius_zero_is_the_identity():

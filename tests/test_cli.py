@@ -865,6 +865,18 @@ def test_density_snapshots_and_packets(pipeline20, tmp_path, capsys):
     assert snap0["expression"] == "0"
 
 
+def test_density_on_a_far_grid_stays_finite(pipeline20, tmp_path, capsys):
+    # r^2 overflows past r = 1.3e154 and inf times a dead amplitude is NaN;
+    # (r re)^2 + (r im)^2 stays finite, with no RuntimeWarning on the way
+    res = run_cli(
+        capsys, "density", "--expansion", str(pipeline20 / "expansion.csv"), "--times", "0",
+        "--r-max-factor", "1e300", "-o", str(tmp_path),
+    )
+    assert res.returncode == 0, res.stderr
+    _, r, f = read_density(tmp_path / "density_00.csv")
+    assert r[-1] > 1e302 and np.isfinite(f).all()
+
+
 def _packets_timescales(out, window=(), settings=()):
     # fit -> decompose -> density at nbar 85, in process; the timescales block
     # of packets.json and the expansion it was computed from.  ``settings``

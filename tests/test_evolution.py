@@ -320,26 +320,22 @@ def test_observables_answer_every_nbar150_point():
         assert observables(exp, t, grid).product >= 0.5 - 1e-9
 
 
-def test_moment_matrices_run_one_recurrence_per_tile(monkeypatch):
-    calls = []
-    rows = specfun._laguerre_rows
-    monkeypatch.setattr(
-        specfun,
-        "_laguerre_rows",
-        lambda degrees, a, x, out: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x, out),
-    )
+def test_moment_matrices_run_one_recurrence_per_tile(laguerre_calls):
+    calls = laguerre_calls
     spectral._moment_matrices.cache_clear()
     try:
         spectral._moment_matrices(10, 17)
-        # 42 rows of the 576-node rule fill a tile, so all 25 levels of
-        # [73, 97] share one recurrence
+        # 42 anchors of the 576-node rule fill a tile, so the five anchors of
+        # [73, 97] (75, 80, ..., 95) share one recurrence
         calls_10_17, calls[:] = calls[:], []
         spectral._moment_matrices(73, 97)
     finally:
         spectral._moment_matrices.cache_clear()
-    # one tile steps all eight levels on every node to the largest degree, 17 - 2
+    # below degree 26 every level is its own anchor: one tile steps all eight
+    # levels on every node to the largest degree, 17 - 2
     assert calls_10_17 == [(15, (8, 256))]
-    assert calls == [(95, (25, 576))]
+    # the anchors step to the group's largest degree, 97 - 2
+    assert calls == [(95, (5, 576))]
 
 
 # each window and the node count of its sized rule
@@ -430,16 +426,17 @@ def test_nbar_3_expansion_answers_at_t0():
     assert observables(exp, 0.0, None).product >= 0.5 - 1e-9
 
 
-def test_basis_table_runs_one_recurrence_per_level(monkeypatch):
-    calls = []
-    rows = specfun._laguerre_rows
-    monkeypatch.setattr(
-        specfun,
-        "_laguerre_rows",
-        lambda degrees, a, x, out: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x, out),
-    )
-    BasisTable.build(np.arange(20, 23), np.linspace(0.0, 1600.0, 16000))
+def test_basis_table_runs_one_recurrence_per_anchor_group(laguerre_calls):
+    calls = laguerre_calls
+    r = np.linspace(0.0, 1600.0, 16000)
+    BasisTable.build(np.arange(20, 23), r)
+    # levels of degree below 26 are their own anchors, one per recurrence
     assert calls == [(18, (1, 16000)), (19, (1, 16000)), (20, (1, 16000))]
+    calls[:] = []
+    BasisTable.build(np.arange(73, 98), np.linspace(0.0, 4.0 * 85**2, 16000))
+    # nbar 85's window on the CLI grid: five recurrences, not 25, each at its
+    # anchor m and up to the degree of m + 2
+    assert calls == [(m, (1, 16000)) for m in (75, 80, 85, 90, 95)]
 
 
 def test_basis_table_gives_repeated_and_unsorted_levels_their_own_rows(per_level_radial):
@@ -449,6 +446,14 @@ def test_basis_table_gives_repeated_and_unsorted_levels_their_own_rows(per_level
     table = BasisTable.build(ns, r)
     for n, row in zip(ns, table.values):
         assert np.array_equal(row, per_level_radial(int(n), 1, r)), n
+    # summed levels out of order and repeated, around the anchors 75, 85, 90
+    # and 95: on 50 radii one tile gathers from all four anchors, on 16 000
+    # each tile holds one anchor's run of rows (86 and 84 share 85)
+    ns = np.array([88, 86, 84, 90, 86, 73, 97, 75, 86])
+    for r in (np.linspace(0.0, 4.0 * 85**2, 50), np.linspace(0.0, 4.0 * 85**2, 16000)):
+        table = BasisTable.build(ns, r)
+        for n, row in zip(ns, table.values):
+            assert np.array_equal(row, per_level_radial(int(n), 1, r)), (n, r.size)
 
 
 @pytest.mark.parametrize("nbar", [20, 85, 150, 230])
@@ -506,7 +511,9 @@ def test_basis_table_keeps_no_writable_caller_array():
 def test_moment_matrices_overflow_names_the_first_failing_level():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="overflow while evaluating R_329,1"):
+        # R_327,1 is summed from its anchor's recurrence at 2r/325, which
+        # overflows first (one recurrence per level overflowed at R_329,1)
+        with pytest.raises(NumericalError, match="overflow while evaluating R_327,1"):
             spectral._moment_matrices(280, 330)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -103,26 +104,32 @@ def test_laguerre_in_place_steps_are_bit_identical():
         assert np.array_equal(laguerre(7, 3.0, grid), _laguerre_allocating(7, 3.0, grid))
 
 
-def test_radial_costs_one_recurrence_on_the_live_columns(monkeypatch):
-    calls = []
-    rows = specfun._laguerre_rows
-    monkeypatch.setattr(
-        specfun,
-        "_laguerre_rows",
-        lambda degrees, a, x, out: calls.append((int(max(degrees)), x.shape)) or rows(degrees, a, x, out),
-    )
+def test_radial_costs_one_recurrence_on_the_live_columns(laguerre_calls):
+    calls = laguerre_calls
     hydrogen_radial(20, 1, np.linspace(0.0, 800.0, 101))
     assert calls == [(18, (1, 101))]
-    # on a sorted grid the recurrence stops at the last point whose envelope
-    # is nonzero
+    # on a sorted grid the recurrence stops at the first radius past the
+    # bound of the live envelope, a few points past the last live one (the
+    # bound sits where ln envelope = -750, about 10 in rho beyond exp's cut)
     r = np.linspace(0.0, 4.0 * 230**2, 16000)
     values = hydrogen_radial(20, 1, r)
     envelope = specfun._envelope(specfun._radial_log_const(20, 1), 1, (2.0 / 20) * r)
     last = np.flatnonzero(envelope)[-1]
-    assert calls[1:] == [(18, (1, last + 1))] and last < 2000
+    assert len(calls) == 2 and calls[1][0] == 18 and last < 2000
+    assert last + 1 < calls[1][1][1] <= last + 1 + 10.0 / (2.0 / 20 * (r[1] - r[0]))
     # every value where the envelope is 0 is +0.0, at r = 0 and past the end
     cut = values[envelope == 0.0]
     assert cut.size > 14000 and np.all(cut == 0.0) and not np.signbit(cut).any()
+    # and so for a derived level: R_87,1 steps its anchor 85 to its own
+    # degree, 87 - 2
+    calls[:] = []
+    values = hydrogen_radial(87, 1, r)
+    envelope = specfun._envelope(specfun._radial_log_const(87, 1), 1, (2.0 / 87) * r)
+    last = np.flatnonzero(envelope)[-1]
+    assert len(calls) == 1 and calls[0][0] == 85
+    assert last + 1 < calls[0][1][1] <= last + 1 + 10.0 / (2.0 / 87 * (r[1] - r[0]))
+    cut = values[envelope == 0.0]
+    assert cut.size > 3000 and np.all(cut == 0.0) and not np.signbit(cut).any()
 
 
 def _mp_radial(mp, n, l, r):
@@ -135,14 +142,109 @@ def _mp_radius_grid(n):
     return 2.2 * n * n * (np.arange(37) + 0.5) / 37.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 20, 85, 150, 200, 230, 285, 320])
+# every residue of n mod 5 (so every offset d = n - m from an anchor) at
+# small and large n; n = 2 and n = 3 put the Laguerre recurrence at degree 0
+# and 1
+@pytest.mark.parametrize("n", [2, 3, 20, *range(36, 41), 85, 150, 200, 230, *range(281, 286), 320])
 def test_radial_kernel_matches_mpmath_oracle(n):
-    # n = 2 and n = 3 put the Laguerre recurrence at degree 0 and 1
+    # l = 0, 1, 2 and n - 1, whose degree 0 makes the level its own anchor
     mp = pytest.importorskip("mpmath")
     r = _mp_radius_grid(n)
-    with mp.workdps(40):
-        ref = np.array([float(_mp_radial(mp, n, 1, mp.mpf(x))) for x in r])
-    assert np.max(np.abs(hydrogen_radial(n, 1, r) - ref)) <= 2e-12 * np.max(np.abs(ref))
+    for l in sorted({0, 1, 2, n - 1} & set(range(n))):
+        with mp.workdps(40):
+            ref = np.array([float(_mp_radial(mp, n, l, mp.mpf(x))) for x in r])
+        assert np.max(np.abs(hydrogen_radial(n, l, r) - ref)) <= 2e-12 * np.max(np.abs(ref)), l
+
+
+def test_anchor_groups_and_term_counts():
+    # |d|^t / t! >= 2^-60 keeps t = 0..19 at |d| = 1 and t = 0..25 at |d| = 2
+    assert specfun._TERMS == {1: 20, 2: 26} and specfun._OWN_ANCHOR_DEGREE == 26
+    for n in range(2, 401):
+        level = specfun._level(n, 1)
+        if n - 2 < 26:
+            assert level.anchor == n and level.weights is None, n
+        else:
+            d = n - level.anchor
+            assert level.anchor % 5 == 0 and -2 <= d <= 2, n
+            assert (level.weights is None) == (d == 0), n
+            if d:
+                assert level.weights.size == {1: 20, 2: 26}[abs(d)] and not level.weights.flags.writeable
+
+
+@pytest.mark.parametrize("m", [35, 285])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_anchor_weights_match_the_multiplication_theorem(m, l):
+    # each weight against e_t = C(k + a, t) lambda^(k-t) (1 - lambda)^t m_k/m_{k-t}
+    # in 50 digits, and the truncated sum against L_k^a(2r/n) itself
+    mp = pytest.importorskip("mpmath")
+    a = 2 * l + 1
+    for d in (-2, -1, 1, 2):
+        n = m + d
+        k = n - l - 1
+        level = specfun._level(n, l)
+        assert level.anchor == m
+        E = specfun._factorial_scale(k)[1]
+        rho_m = np.linspace(0.0, 3.0 * n, 25)
+        with mp.workdps(50):
+            lam = mp.mpf(m) / n
+
+            def scale(j):
+                return mp.factorial(j) / mp.mpf(2) ** E[j]
+
+            for t, w in enumerate(level.weights):
+                exact = mp.binomial(k + a, t) * lam ** (k - t) * (1 - lam) ** t * scale(k) / scale(k - t)
+                assert abs(w - exact) <= 2e-15 * abs(exact), (n, t)
+            want = np.array([float(scale(k) * mp.laguerre(k, a, lam * mp.mpf(x))) for x in rho_m])
+        terms = [specfun._laguerre_rows([k - t], a, rho_m[None])[0] for t in range(level.weights.size)]
+        got = sum(w * p for w, p in zip(level.weights, terms))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
+
+
+def test_kernel_weights_equal_the_python_float_reference(anchor_weights):
+    # the vectorized weights of the kernel against the conftest reference's
+    # loop in Python floats, bit for bit
+    for l in (0, 1, 2):
+        for n in range(l + 1, 401):
+            m, weights = anchor_weights(n, l)
+            level = specfun._level(n, l)
+            assert level.anchor == m, (n, l)
+            if weights is None:
+                assert level.weights is None, (n, l)
+            else:
+                assert np.array_equal(level.weights, weights), (n, l)
+
+
+@pytest.mark.parametrize("nbar, window", [(20, (16, 24)), (85, (73, 97)), (150, (138, 162)), (230, (210, 250)), (285, (265, 305))])
+def test_anchor_groups_stay_close_to_one_recurrence_per_level(nbar, window, one_recurrence_radial):
+    # on the CLI grid, every row within 2e-12 of its maximum of the
+    # one-recurrence-per-level values, and the rows read off a recurrence
+    # at their own rho (anchors, levels of degree below 26) keep its bits
+    ns = np.arange(window[0], window[1] + 1)
+    r = np.linspace(0.0, 4.0 * nbar**2, 16000)
+    table = specfun._radial_rows(ns, 1, r)
+    for n, row in zip(ns, table):
+        want = one_recurrence_radial(int(n), 1, r)
+        if specfun._level(int(n), 1).weights is None:
+            assert np.array_equal(row, want), n
+        else:
+            assert np.max(np.abs(row - want)) <= 2e-12 * np.max(np.abs(want)), n
+
+
+def test_table_transient_memory_stays_below_one_recurrence_per_level():
+    # a 16 000-point table of nbar 85's window: beside the table, the
+    # kernel holds the anchor's rho, the recurrence's five buffers and one
+    # scratch row, 7.4 grid rows at its peak; one recurrence per level held
+    # 8.3 (rho, envelope and live mask beside the five buffers)
+    ns, r = np.arange(73, 98), np.linspace(0.0, 4.0 * 85**2, 16000)
+    specfun._radial_rows(ns, 1, r)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = specfun._radial_rows(ns, 1, r)
+        transient = tracemalloc.get_traced_memory()[1] - base - table.nbytes
+    finally:
+        tracemalloc.stop()
+    assert transient <= 8.3 * 8 * r.size, transient / (8 * r.size)
 
 
 @pytest.mark.parametrize("n", [2, 3, 20, 85, 150])
@@ -301,7 +403,7 @@ def test_radial_rows_raise_on_any_non_finite_live_value(monkeypatch, bad):
     assert not np.signbit(values[:, 0]).any()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 20, 85, 230, 285])
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 85, 86, 87, 88, 89, 230, 283, 284, 285])
 def test_hydrogen_radial_equals_per_level_reference(n, per_level_radial):
     # the tiled kernel against the per-level reference on scalar, 2-d, empty
     # and unsorted radii
@@ -365,13 +467,13 @@ assert cli.main(["decompose", *common, "--state", out + "/state.json"]) == 0
 exp = ["--expansion", out + "/expansion.csv"]
 assert cli.main(["scan", *common, *exp, "--t-stop", "Tcl", "--t-steps", "11"]) == 0
 assert cli.main(["density", *common, *exp, "--times", "0,trev/2"]) == 0
-print("numpy.polynomial" in sys.modules)
+print(*(name in sys.modules for name in ("numpy.polynomial", "fractions", "decimal")))
 """
 
 
 def test_cli_pipeline_never_imports_numpy_polynomial(tmp_path):
-    # the moment rules need no numpy.polynomial, whose import costs a cold
-    # process a few milliseconds
+    # the moment rules need no numpy.polynomial, and the anchor weights no
+    # fractions or decimal, whose imports cost every cold process
     src = str(Path(specfun.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run(
@@ -381,4 +483,4 @@ def test_cli_pipeline_never_imports_numpy_polynomial(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "False"
+    assert res.stdout.splitlines()[-1] == "False False False"
