@@ -24,19 +24,21 @@ arithmetic floor (about 1.5 ns per element and step), so the kernel runs
 fewer of them: by the multiplication theorem for Laguerre polynomials
 (DLMF 18.18.13) one recurrence, at the argument of the anchor m = 5 round(n/5),
 serves the levels n = m - 2, ..., m + 2, each of the others a sum of 20 or 26
-of its values.  Levels of degree below 26 are their own anchors.  Tiles of
-whole rows step up to max(1, 24 576 // radii) anchors together: one anchor
-group at a time on a table of many thousand radii, and the whole window of a
-moment rule (sized to the window, 128 to 2048 nodes) in one call of
-``_laguerre_rows``, which the projection in ``spectral`` makes too, since a
-recurrence per group would there be bound by NumPy call overhead.  An
-anchor depends on its level alone and each element sees the same operations
-and constants whatever the tiling, so the values do not depend on it.  The
-recurrence skips the radii past the last one where any envelope of the tile
-may be nonzero, and wherever the envelope is zero the value is exactly
-+0.0.  A tile's rows are summed straight into its slice of the caller's
-table and scaled there by the envelope, so one tile's arrays are alive at
-a time.
+of its values; below rho = 2r/n = 1, where its row has its maximum and the
+recurrence its largest rounding, a summed level takes its values from a lane
+of the same recurrence at its own rho instead.  Levels of degree below 26
+are their own anchors.  Tiles of whole rows step up to
+max(1, 24 576 // radii) anchors together: one anchor group at a time on a
+table of many thousand radii, and the whole window of a moment rule (sized
+to the window, 128 to 2048 nodes) in one call of ``_laguerre_rows``, which
+the projection in ``spectral`` makes too, since a recurrence per group would
+there be bound by NumPy call overhead.  An anchor depends on its level alone
+and each element sees the same operations and constants whatever the
+tiling, so the values do not depend on it.  The recurrence skips the radii
+past the last one where any envelope of the tile is nonzero, and wherever
+the envelope is zero the value is exactly +0.0.  A tile's rows are summed
+straight into its slice of the caller's table and scaled there by the
+envelope, so one tile's arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -221,13 +223,18 @@ def _radial_log_const(n: int, l: int) -> float:
     return radial_log_prefactor(n, l) - math.log(_factorial_scale(k)[0][k])
 
 
-def _envelope(log_const, l: int, rho: np.ndarray) -> np.ndarray:
+def _envelope(log_const, l: int, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(log_const - rho/2 + l ln rho), so that R_nl = envelope * P_k at
-    rho = 2r/n; ``log_const`` is a float, or a column against rows of rho."""
-    envelope = log_const - 0.5 * rho
+    rho = 2r/n; ``log_const`` is a float, or a column against rows of rho.
+    The result goes into ``out`` when it is given, which may be rho itself."""
     if l:  # skipped at l = 0, where 0 * ln 0 would be NaN at r = 0
         with np.errstate(divide="ignore"):
-            envelope += l * np.log(rho)
+            log_rho = np.log(rho)
+        log_rho *= l
+    envelope = np.multiply(rho, -0.5, out=out)
+    envelope += log_const
+    if l:
+        envelope += log_rho
     return np.exp(envelope, out=envelope)
 
 
@@ -246,15 +253,26 @@ def _term_count(d: int) -> int:
 
 
 # terms of a derived sum by |d|: with lambda = m/n, the multiplication theorem
-# (DLMF 18.18.13) gives P_k(lambda x) = sum_t e_t P_{k-t}(x), and the t-th term
-# is about |d|^t / t! of the value for l << n (C(k + a, t) (d/n)^t ~ d^t/t!),
-# so 20 terms at |d| = 1 and 26 at |d| = 2 leave out less than 2^-60 of it
+# (DLMF 18.18.13) gives P_k(lambda x) = sum_t e_t P_{k-t}(x).  With the
+# Laguerre values at 0, L_{k-t}^a / L_k^a = C(k - t + a, k - t) / C(k + a, k),
+# the t-th term is C(k, t) (d/n)^t <= |d|^t / t! of the value for every l
+# (k < n), so 20 terms at |d| = 1 and 26 at |d| = 2 leave out less than 2^-60
+# of it; the mpmath tests check l = n // 2 and n - 27, the largest summed l
 _TERMS = {d: _term_count(d) for d in (1, 2)}
 
 # a level of degree k below the longest sum is its own anchor: its sum
 # would need every degree from about 0, so it costs no fewer operations than
 # the row it replaces in a tile's recurrence, and in NumPy calls far more
 _OWN_ANCHOR_DEGREE = max(_TERMS.values())
+
+# below rho = 2r/n = _NEAR_RHO a summed level takes P_k from a lane of its
+# anchor's recurrence at its own rho (_tile_arguments).  There lie its first
+# lobes (k >= 26 puts the first zero of L_k^a, about j_{a,1}^2 / 4k, below
+# rho = 0.4 at l = 1), which hold the row's maximum, and there the
+# recurrence's rounding is largest against it; a sum passes its anchor's
+# rounding at the neighbouring degrees to its level, which lifted nbar 85's
+# worst error against mpmath from 9.8e-14 to 1.5e-13 of the row maximum
+_NEAR_RHO = 1.0
 
 # ln of the envelope below which exp gives exactly 0.0 (the smallest
 # subnormal is e^-744.4; the margin covers rounding in the computed exponent)
@@ -332,24 +350,26 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     (``_level``): the anchor's row at rho_m = 2r/m is stepped to the
     group's largest degree, an anchor's own level is read off at its degree,
     and each other level adds its terms e_t P_{k-t}(rho_m) into its row from
-    the lowest degree up, as the recurrence passes them.  The levels are
-    taken in tiles of consecutive rows with at most
+    the lowest degree up, as the recurrence passes them (``_tile_sums``).
+    The levels are taken in tiles of consecutive rows with at most
     max(1, _TILE_ELEMENTS // r.size) anchors, stepped together in one call
     of ``_laguerre_rows``; the levels may come in any order and repeat.  A
-    tile's recurrence stops at the last radius where ``_live_rho`` allows a
-    nonzero envelope, so on sorted radii it skips the far points.  The rows
+    tile's recurrence stops at its last radius where any envelope is
+    nonzero (``_live_end``), so on sorted radii it skips the far points.
+    Below rho = _NEAR_RHO a summed level's values come from a lane of the
+    same recurrence at its own rho instead (``_tile_arguments``).  The rows
     are summed straight into the tile's slice of the result and then
-    multiplied by the envelope in place, a few rows at a time, so one
-    tile's arrays are alive at a time.  Where the envelope is zero the value
-    is exactly +0.0; a live value that is not finite raises NumericalError
-    naming the first such level.
+    multiplied by the envelope, a few rows at a time, formed in the buffer
+    of the recurrence's arguments, so one tile's arrays are alive at a time.
+    Where the envelope is zero the value is exactly +0.0; a live value that
+    is not finite raises NumericalError naming the first such level.
 
-    A summed level shares the rounding of its anchor's recurrence, which is
-    largest near r = 0.  Against 60-digit mpmath on the windows' CLI grids
-    at nbar 85, 150, 230 and 285 the worst error is 1.5e-13, 4.3e-13,
-    5.3e-13 and 3.8e-13 of the row maximum (one recurrence per level:
-    9.8e-14, 6.7e-13, 6.2e-13 and 5.6e-13); the rows of anchors and of
-    levels below _OWN_ANCHOR_DEGREE have the bits of that recurrence.
+    Every value below _NEAR_RHO, and every row of an anchor or of a level
+    below _OWN_ANCHOR_DEGREE, has the bits of a recurrence at the level's own
+    rho.  Against 60-digit mpmath on the windows' CLI grids at nbar 85, 150,
+    230 and 285 (the first 39 radii and every 97th) the worst error is
+    9.8e-14, 6.7e-13, 6.2e-13 and 5.6e-13 of the row maximum, in each case
+    that of one recurrence per level, at the first radii.
 
     That 0 is a cut, not always the value.  The envelope underflows from
     about rho = 1469 on, where R_nl can still be a normal double, P_k being
@@ -374,26 +394,19 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
             anchors.setdefault(levels[hi].anchor, len(anchors))
             hi += 1
         rows, tiled = slice(lo, hi), levels[lo:hi]
-        end = _live_end(r, max(v.r_live for v in tiled))
+        end = _live_end(r, log_const[rows], l, scale[rows], max(v.r_live for v in tiled))
         tile = out[rows, :end]
-        x = (2.0 / np.array(list(anchors)))[:, None] * r[:end]
-        ks = ns[rows] - l - 1
+        x, near = _tile_arguments(ns[rows], tiled, anchors, r[:end], min(hi - lo, width))
+        sources = [anchors[v.anchor] for v in tiled]
+        degrees, visit = _tile_sums(tile, ns[rows] - l - 1, sources, [v.weights for v in tiled], near, x.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(anchors) == hi - lo and all(v.weights is None for v in tiled):
-                # every level its own anchor: x holds the levels' own rho
-                envelope = _envelope(log_const[rows], l, x)
-                _laguerre_rows(ks, 2 * l + 1, x, out=tile)
-                del x
-                _scale_by_envelope(tile, envelope)
-                del envelope
-            else:
-                sources = [anchors[v.anchor] for v in tiled]
-                degrees, visit = _tile_sums(tile, ks, sources, [v.weights for v in tiled])
-                _laguerre_rows(degrees, 2 * l + 1, x, visit=visit)
-                del x, visit
-                for part in range(lo, hi, width):
-                    sub = slice(part, min(part + width, hi))
-                    _scale_by_envelope(out[sub, :end], _envelope(log_const[sub], l, scale[sub] * r[:end]))
+            _laguerre_rows(degrees, 2 * l + 1, x[: len(anchors)], visit=visit)
+            del visit
+            for part in range(lo, hi, width):
+                sub = slice(part, min(part + width, hi))
+                rho = np.multiply(scale[sub], r[:end], out=x[: sub.stop - part, :end])
+                _scale_by_envelope(out[sub, :end], _envelope(log_const[sub], l, rho, out=rho))
+            del x, rho
         bad = ~np.isfinite(tile).all(axis=1)
         if bad.any():
             raise NumericalError(f"overflow while evaluating R_{ns[lo + np.argmax(bad)]},{l}")
@@ -401,23 +414,83 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tile_arguments(ns, levels, anchors, r: np.ndarray, parts: int):
+    """The arguments x of one tile's recurrence, and {row: (offset, columns)}
+    of the summed rows' lanes in it.
+
+    Row j of x holds rho_m = 2r/m of the tile's j-th anchor m, followed by a
+    lane for each summed level of its group with radii below rho = _NEAR_RHO:
+    those radii at the level's own rho = 2r/n, so the recurrence passes
+    P_k(2r/n) itself there.  Rows are padded with zeros to the longest.  x
+    has at least ``parts`` rows, the rows beyond the anchors' left unset, so
+    that the envelope of a part of that many rows can be formed in it.
+    """
+    summed = [i for i, v in enumerate(levels) if v.weights is not None]
+    ends, near = [r.size] * len(anchors), {}
+    if summed:
+        limit = 0.5 * _NEAR_RHO * ns[summed]
+        cand = np.flatnonzero(r < limit.max())
+        below = r[cand] < limit[:, None]
+        for i, mask, count in zip(summed, below, below.sum(axis=1).tolist()):
+            if count:
+                j = anchors[levels[i].anchor]
+                near[i] = (ends[j], cand[mask])
+                ends[j] += count
+    x = np.empty((max(parts, len(anchors)), max(ends)))
+    np.multiply((2.0 / np.array(list(anchors)))[:, None], r, out=x[: len(anchors), : r.size])
+    if near:
+        x[: len(anchors), r.size :] = 0.0
+        values = ((2.0 / ns[summed])[:, None] * r[cand])[below]  # level after level
+        start = 0
+        for i, (offset, cols) in near.items():
+            x[anchors[levels[i].anchor], offset : offset + cols.size] = values[start : start + cols.size]
+            start += cols.size
+    return x, near
+
+
 def _scale_by_envelope(values: np.ndarray, envelope: np.ndarray) -> None:
     values *= envelope
     values[envelope == 0.0] = 0.0  # +0.0, where 0 * P_k may be -0.0 or NaN
 
 
-def _live_end(r: np.ndarray, r_live: float) -> int:
-    """One past the last radius not beyond ``r_live`` (a NaN radius counts)."""
-    near = ~(r > r_live)
-    return r.size - int(np.argmax(near[::-1])) if near.any() else 0
+def _live_end(r: np.ndarray, log_const: np.ndarray, l: int, scale: np.ndarray, r_live: float) -> int:
+    """One past the last radius where any row's envelope (``log_const`` and
+    ``scale`` = 2/n, columns) is nonzero; a NaN radius counts as live.
+
+    Every radius past ``r_live`` is dead.  The last one not beyond it is
+    live if some row's exponent there, in Python floats, is above -744,
+    which exp keeps nonzero whatever the rounding; else the envelopes of the
+    radii before it are evaluated, back from there in spans that double,
+    until a live one is found.
+    """
+    if r.size and r[-1] <= r_live:  # sorted radii within the bound
+        end = r.size
+    else:
+        inside = ~(r > r_live)
+        end = r.size - int(np.argmax(inside[::-1])) if inside.any() else 0
+    last = float(r[end - 1]) if end else 0.0
+    if last > 0.0:
+        for c, s in zip(log_const[:, 0].tolist(), scale[:, 0].tolist()):
+            if c - 0.5 * s * last + l * math.log(s * last) > -744.0:
+                return end
+    span = 8
+    while end:
+        start = max(end - span, 0)
+        live = (_envelope(log_const, l, scale * r[start:end]) != 0.0).any(axis=0)
+        if live.any():
+            return end - int(np.argmax(live[::-1]))
+        end, span = start, 2 * span
+    return 0
 
 
-def _tile_sums(tile, ks, sources, weights):
+def _tile_sums(tile, ks, sources, weights, near, columns: int):
     """The degrees and the ``visit`` of one tile's recurrence, which copies
     the anchors' own levels into ``tile`` and adds the other levels' terms.
 
     Row i of the tile reads row sources[i] of the recurrence, and its
-    weights[i] (None for an anchor) put e_t on degree ks[i] - t.  The rows
+    weights[i] (None for an anchor) put e_t on degree ks[i] - t.  A summed
+    row's lane (``_tile_arguments``), near[i] = (offset, columns), is copied
+    over its columns at its degree, after its last term.  The rows
     are taken in ascending degree, and the terms of one degree are added in
     one band, from the first to the last row with a term there: every row of
     a band has its top degree at or above this one, so a zero weight in it
@@ -425,56 +498,66 @@ def _tile_sums(tile, ks, sources, weights):
     row whose sum starts higher) adds 0 * P_k, which changes no value that
     ends up finite.  A band is cut into parts of at most _TILE_ELEMENTS
     elements (single rows on a large table), and a part of zero weights is
-    skipped; a part's source rows times its weights go into a scratch
-    array, which is added into its rows, a view of the tile when the levels
-    come sorted.
+    skipped; a part's source rows, whole (``columns``, the width of the
+    recurrence's rows, lanes included) so that no strided copy is taken,
+    times its weights go into a scratch array, which is added into its rows,
+    a view of the tile when the levels come sorted.
     """
     copies, parts = {}, {}
-    order = sorted(range(ks.size), key=lambda i: ks[i])
+    ks = ks.tolist()
+    order = sorted(range(len(ks)), key=ks.__getitem__)
     summed = [col for col, i in enumerate(order) if weights[i] is not None]
     for i in order:
         if weights[i] is None:
-            copies.setdefault(int(ks[i]), []).append((i, sources[i]))
+            copies.setdefault(ks[i], []).append((i, sources[i]))
     scratch = None
-    sliced = order == list(range(ks.size))
+    sliced = order == list(range(len(ks)))
     if summed:
-        top = [int(ks[order[col]]) for col in summed]
+        top = [ks[order[col]] for col in summed]
         j0 = min(k + 1 - weights[order[col]].size for col, k in zip(summed, top))
-        by_degree = np.zeros((max(top) + 1 - j0, ks.size))
+        by_degree = np.zeros((max(top) + 1 - j0, len(ks)))
         for col, k in zip(summed, top):
             w = weights[order[col]]
             by_degree[k + 1 - w.size - j0 : k + 1 - j0, col] = w[::-1]
         has = by_degree != 0.0
         first = has.argmax(axis=1).tolist()
-        last = (ks.size - has[:, ::-1].argmax(axis=1)).tolist()
+        last = (len(ks) - has[:, ::-1].argmax(axis=1)).tolist()
         src, dst = np.array(sources)[order], np.array(order)
         step = max(1, _TILE_ELEMENTS // max(tile.shape[1], 1))
         for j in np.flatnonzero(has.any(axis=1)).tolist():
             for f in range(first[j], last[j], step):
                 b = min(f + step, last[j])
                 w = by_degree[j, f:b, None]
-                if w.any():
+                if b - f == last[j] - first[j] or w.any():  # a whole band has a term
                     rows = tile[f:b] if sliced else dst[f:b]
                     parts.setdefault(j + j0, []).append((rows, src[f:b], w))
-        scratch = np.empty((max(w.shape[0] for p in parts.values() for _, _, w in p), tile.shape[1]))
+        scratch = np.empty((max(w.shape[0] for p in parts.values() for _, _, w in p), columns))
     single = len(set(sources)) == 1
+    lanes = {}
+    for i, (offset, cols) in near.items():
+        lanes.setdefault(ks[i], []).append((i, sources[i], slice(offset, offset + cols.size), cols))
+    width = tile.shape[1]
 
     def visit(k, p):
+        head = p[:, :width]
         for i, src in copies.get(k, ()):
-            tile[i] = p[src]
+            tile[i] = head[src]
         for rows, src, w in parts.get(k, ()):
-            terms = scratch[: w.shape[0]]
+            gathered = scratch[: w.shape[0]]
+            terms = gathered[:, :width]
             if single:
-                np.multiply(w, p[src[0]], out=terms)
+                np.multiply(w, head[src[0]], out=terms)
             else:
-                p.take(src, axis=0, out=terms)
+                p.take(src, axis=0, out=gathered, mode="clip")  # in range; "raise" buffers out
                 terms *= w
             if sliced:
                 rows += terms  # a view of the tile's rows
             else:
                 tile[rows] += terms
+        for i, src, lane, cols in lanes.get(k, ()):
+            tile[i, cols] = p[src, lane]
 
-    return set(copies) | set(parts), visit
+    return set(copies) | set(parts) | set(lanes), visit
 
 
 def hydrogen_radial(n: int, l: int, r):

@@ -134,8 +134,9 @@ def _per_level_radial(n, l, r):
     evaluated; the others are exactly 0.  At those points a one-row
     recurrence at rho_m = 2r/m gives P_k(2r/n) itself when n is its own
     anchor m; else it hands over P_{k-t}(rho_m) for every t, and P_k(2r/n) is
-    0.0 plus e_t P_{k-t}(rho_m) from the lowest degree up.  A live value
-    that is not finite raises NumericalError.
+    0.0 plus e_t P_{k-t}(rho_m) from the lowest degree up, except below
+    rho = ``specfun._NEAR_RHO``, where a one-row recurrence at rho = 2r/n
+    gives it.  A live value that is not finite raises NumericalError.
     """
     shape = np.shape(r)
     r = np.asarray(r, dtype=float).reshape(-1)
@@ -154,6 +155,8 @@ def _per_level_radial(n, l, r):
             poly = np.zeros(rho_m.shape[1])
             for t in reversed(range(len(weights))):
                 poly += weights[t] * terms[k - t]
+            near = r[live] < 0.5 * specfun._NEAR_RHO * n
+            poly[near] = specfun._laguerre_rows([k], 2 * l + 1, rho[None, live][:, near])[0]
         radial = envelope[live] * poly
     if not np.isfinite(radial).all():
         raise NumericalError(f"overflow while evaluating R_{n},{l}")

@@ -334,8 +334,11 @@ def test_moment_matrices_run_one_recurrence_per_tile(laguerre_calls):
     # below degree 26 every level is its own anchor: one tile steps all eight
     # levels on every node to the largest degree, 17 - 2
     assert calls_10_17 == [(15, (8, 256))]
-    # the anchors step to the group's largest degree, 97 - 2
-    assert calls == [(95, (5, 576))]
+    # the anchors step to the group's largest degree, 97 - 2, on the 576
+    # nodes and a lane per summed level n of its nodes below rho = 1 (r < n/2)
+    x = spectral._moment_rule(73, 97)[0]
+    lanes = [sum(int((x < n / 2).sum()) for n in (m - 2, m - 1, m + 1, m + 2) if n <= 97) for m in range(75, 100, 5)]
+    assert calls == [(95, (5, 576 + max(lanes)))] and max(lanes) == 52
 
 
 # each window and the node count of its sized rule
@@ -433,10 +436,14 @@ def test_basis_table_runs_one_recurrence_per_anchor_group(laguerre_calls):
     # levels of degree below 26 are their own anchors, one per recurrence
     assert calls == [(18, (1, 16000)), (19, (1, 16000)), (20, (1, 16000))]
     calls[:] = []
-    BasisTable.build(np.arange(73, 98), np.linspace(0.0, 4.0 * 85**2, 16000))
+    r = np.linspace(0.0, 4.0 * 85**2, 16000)
+    BasisTable.build(np.arange(73, 98), r)
     # nbar 85's window on the CLI grid: five recurrences, not 25, each at its
-    # anchor m and up to the degree of m + 2
-    assert calls == [(m, (1, 16000)) for m in (75, 80, 85, 90, 95)]
+    # anchor m and up to the degree of m + 2, on the 16 000 radii and a lane
+    # per summed level n of its radii below rho = 1 (r < n/2)
+    lanes = [sum(int((r < n / 2).sum()) for n in (m - 2, m - 1, m + 1, m + 2) if n >= 73) for m in range(75, 100, 5)]
+    assert calls == [(m, (1, 16000 + w)) for m, w in zip(range(75, 100, 5), lanes)]
+    assert lanes == [86, 90, 96, 102, 107]
 
 
 def test_basis_table_gives_repeated_and_unsorted_levels_their_own_rows(per_level_radial):

@@ -108,26 +108,24 @@ def test_radial_costs_one_recurrence_on_the_live_columns(laguerre_calls):
     calls = laguerre_calls
     hydrogen_radial(20, 1, np.linspace(0.0, 800.0, 101))
     assert calls == [(18, (1, 101))]
-    # on a sorted grid the recurrence stops at the first radius past the
-    # bound of the live envelope, a few points past the last live one (the
-    # bound sits where ln envelope = -750, about 10 in rho beyond exp's cut)
+    # on a sorted grid the recurrence stops at the last point whose envelope
+    # is nonzero
     r = np.linspace(0.0, 4.0 * 230**2, 16000)
     values = hydrogen_radial(20, 1, r)
     envelope = specfun._envelope(specfun._radial_log_const(20, 1), 1, (2.0 / 20) * r)
     last = np.flatnonzero(envelope)[-1]
-    assert len(calls) == 2 and calls[1][0] == 18 and last < 2000
-    assert last + 1 < calls[1][1][1] <= last + 1 + 10.0 / (2.0 / 20 * (r[1] - r[0]))
+    assert calls[1:] == [(18, (1, last + 1))] and last < 2000
     # every value where the envelope is 0 is +0.0, at r = 0 and past the end
     cut = values[envelope == 0.0]
     assert cut.size > 14000 and np.all(cut == 0.0) and not np.signbit(cut).any()
-    # and so for a derived level: R_87,1 steps its anchor 85 to its own
-    # degree, 87 - 2
+    # and so for a summed level: R_87,1 steps its anchor 85 to its own
+    # degree, 87 - 2, on the live radii and a lane of the 4 radii below
+    # rho = 1 (r < 43.5) at its own rho
     calls[:] = []
     values = hydrogen_radial(87, 1, r)
     envelope = specfun._envelope(specfun._radial_log_const(87, 1), 1, (2.0 / 87) * r)
     last = np.flatnonzero(envelope)[-1]
-    assert len(calls) == 1 and calls[0][0] == 85
-    assert last + 1 < calls[0][1][1] <= last + 1 + 10.0 / (2.0 / 87 * (r[1] - r[0]))
+    assert calls == [(85, (1, last + 1 + 4))] and r[3] < 43.5 < r[4]
     cut = values[envelope == 0.0]
     assert cut.size > 3000 and np.all(cut == 0.0) and not np.signbit(cut).any()
 
@@ -147,10 +145,12 @@ def _mp_radius_grid(n):
 # and 1
 @pytest.mark.parametrize("n", [2, 3, 20, *range(36, 41), 85, 150, 200, 230, *range(281, 286), 320])
 def test_radial_kernel_matches_mpmath_oracle(n):
-    # l = 0, 1, 2 and n - 1, whose degree 0 makes the level its own anchor
+    # l = 0, 1, 2, n // 2 and n - 27 (from n = 54 on a summed level of
+    # degree 26 or more, the largest summed l) and n - 1, whose degree 0 makes
+    # the level its own anchor
     mp = pytest.importorskip("mpmath")
     r = _mp_radius_grid(n)
-    for l in sorted({0, 1, 2, n - 1} & set(range(n))):
+    for l in sorted({0, 1, 2, n // 2, n - 27, n - 1} & set(range(n))):
         with mp.workdps(40):
             ref = np.array([float(_mp_radial(mp, n, l, mp.mpf(x))) for x in r])
         assert np.max(np.abs(hydrogen_radial(n, l, r) - ref)) <= 2e-12 * np.max(np.abs(ref)), l
@@ -228,13 +228,56 @@ def test_anchor_groups_stay_close_to_one_recurrence_per_level(nbar, window, one_
             assert np.array_equal(row, want), n
         else:
             assert np.max(np.abs(row - want)) <= 2e-12 * np.max(np.abs(want)), n
+            # below rho = 1 a summed level has the bits of its own recurrence
+            near = r < n / 2
+            assert near.sum() >= 4 and np.array_equal(row[near], want[near]), n
+
+
+def test_anchor_groups_are_no_less_accurate_than_one_recurrence_per_level(one_recurrence_radial):
+    # nbar 85's window on its CLI grid, the first 39 radii (where each row
+    # has its maximum) and every 400th, against 60-digit mpmath: the worst
+    # error over the row maximum is no larger than that of one recurrence
+    # per level (9.75e-14, at R_85,1 and r = 1.8); summing at the first
+    # radii gave 1.5e-13 at R_86,1
+    mp = pytest.importorskip("mpmath")
+    ns = np.arange(73, 98)
+    r = np.linspace(0.0, 4.0 * 85**2, 16000)
+    idx = np.unique(np.concatenate([np.arange(1, 40), np.arange(0, 16000, 400)]))
+    table = specfun._radial_rows(ns, 1, r)[:, idx]
+    worst = {"groups": 0.0, "one": 0.0}
+    for n, row in zip(ns, table):
+        with mp.workdps(60):
+            ref = np.array([float(_mp_radial(mp, int(n), 1, mp.mpf(float(x)))) for x in r[idx]])
+        top = np.max(np.abs(ref))
+        worst["groups"] = max(worst["groups"], np.max(np.abs(row - ref)) / top)
+        worst["one"] = max(worst["one"], np.max(np.abs(one_recurrence_radial(int(n), 1, r[idx]) - ref)) / top)
+    assert worst["groups"] <= worst["one"] < 2e-13, worst
+
+
+def test_live_end_is_one_past_the_last_live_radius():
+    # against every envelope, on sorted, unsorted and far radii, with r = 0
+    # (dead at l >= 1) and a NaN radius (live) in last place
+    rng = np.random.default_rng(5)
+    for ns, l in ((np.array([20, 21, 87]), 1), (np.array([30]), 0), (np.array([150, 148]), 2)):
+        levels = [specfun._level(int(n), l) for n in ns]
+        log_const = np.array([v.log_const for v in levels])[:, None]
+        scale = (2.0 / ns)[:, None]
+        r_live = max(v.r_live for v in levels)
+        far = np.linspace(0.0, 2.0 * r_live, 3000)
+        edge = np.flatnonzero((specfun._envelope(log_const, l, scale * far) != 0.0).any(axis=0))[-1]
+        # far[edge + 1] is dead with ln envelope above _DEAD_LOG
+        shadow = far[: edge + 2]
+        for r in (far, rng.permutation(far), shadow, np.append(far[:2000], 0.0), np.append(far, np.nan), far[far > r_live]):
+            live = (specfun._envelope(log_const, l, scale * r) != 0.0).any(axis=0) | np.isnan(r)
+            want = np.flatnonzero(live)[-1] + 1 if live.any() else 0
+            assert specfun._live_end(r, log_const, l, scale, r_live) == want, (ns, l)
 
 
 def test_table_transient_memory_stays_below_one_recurrence_per_level():
     # a 16 000-point table of nbar 85's window: beside the table, the
-    # kernel holds the anchor's rho, the recurrence's five buffers and one
-    # scratch row, 7.4 grid rows at its peak; one recurrence per level held
-    # 8.3 (rho, envelope and live mask beside the five buffers)
+    # kernel holds the anchor's rho and lanes, the recurrence's five buffers
+    # and one scratch row, 7.4 grid rows at its peak; one recurrence per
+    # level held 8.3 (rho, envelope and live mask beside the five buffers)
     ns, r = np.arange(73, 98), np.linspace(0.0, 4.0 * 85**2, 16000)
     specfun._radial_rows(ns, 1, r)
     tracemalloc.start()
@@ -388,14 +431,14 @@ def test_radial_rows_raise_on_any_non_finite_live_value(monkeypatch, bad):
     ns, r = np.array([8, 9, 10]), np.array([0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # each level is its own anchor, so the stub's row i is level i's P_k
+        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x, out=None, visit=None: [visit(k, poly) for k in sorted(degrees)])
         poly = np.array([[1.0, 1.0], [3.0, bad], [1.0, bad]])
-        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x, out: np.copyto(out, poly))
         with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_9,1"):
             specfun._radial_rows(ns, 1, r)
         # the rows are written into the table; a negative P_k where the
         # envelope is 0 must give +0.0 there, not -0.0
         poly = np.array([[bad, 1.0], [-1.0, 3.0], [bad, 2.0]])
-        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x, out: np.copyto(out, poly))
         values = specfun._radial_rows(ns, 1, r)
     for i, n in enumerate(ns):
         envelope = specfun._envelope(specfun._radial_log_const(int(n), 1), 1, (2.0 / n) * r)
