@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing sample radii in bohr, held in a read-only copy."""
+    """Finite, strictly increasing sample radii in bohr, held in a read-only copy."""
 
     points: np.ndarray
 
@@ -54,6 +54,8 @@ class RadialGrid:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise ValueError("grid needs at least 3 points")
+        if not np.isfinite(pts).all():
+            raise ValueError("grid points must be finite")
         if pts[0] < 0 or np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be non-negative and strictly increasing")
         pts.flags.writeable = False

@@ -34,11 +34,14 @@ to the window, 128 to 2048 nodes) in one call of ``_laguerre_rows``, which
 the projection in ``spectral`` makes too, since a recurrence per group would
 there be bound by NumPy call overhead.  An anchor depends on its level alone
 and each element sees the same operations and constants whatever the
-tiling, so the values do not depend on it.  The recurrence skips the radii
-past the last one where any envelope of the tile is nonzero, and wherever
-the envelope is zero the value is exactly +0.0.  A tile's rows are summed
-straight into its slice of the caller's table and scaled there by the
-envelope, so one tile's arrays are alive at a time.
+tiling, so the values do not depend on it.  The kernel takes its levels
+strictly increasing and its radii sorted, as every caller in the package
+passes them; other orders are sorted at its door and scattered back.  The
+recurrence stops at the tile's analytic live bound, past which every
+envelope is zero, and wherever the envelope is zero the value is exactly
++0.0.  A tile's rows are summed straight into its slice of the caller's
+table and scaled there by the envelope, so one tile's arrays are alive at
+a time.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def _factorial_table(size: int):
     return tuple(m), tuple(e)
 
 
-def _laguerre_rows(degrees, a: float, x: np.ndarray, out: np.ndarray | None = None, visit=None):
+def _laguerre_rows(degrees, a: float, x: np.ndarray, visit=None):
     """Row i of the result is P_k = m_k L_k^a(x[i]) at k = degrees[i], with
     (m, E) from ``_factorial_scale``.
 
@@ -130,19 +133,18 @@ def _laguerre_rows(degrees, a: float, x: np.ndarray, out: np.ndarray | None = No
     copies x 2^{-j} and x 2^{-j-1} are all the step reads of x; they are
     halved in place when j grows.  Rows stepped past their degree may
     overflow; callers that judge finiteness silence that and check only the
-    values they read.  The rows go into ``out`` when it is given, an array
-    of x's shape such as the caller's table slice, else into a new array.
+    values they read.
 
     With ``visit``, nothing is copied and None is returned: the recurrence
     runs to the largest of ``degrees`` and calls visit(k, p) at each of them,
     p holding P_k on every row of x until the next step.
     """
+    out = None
     if visit is None:
         rows_at = {}
         for i, k in enumerate(degrees):
             rows_at.setdefault(int(k), []).append(i)
-        if out is None:
-            out = np.empty_like(x)
+        out = np.empty_like(x)
 
         def visit(k, p):
             out[rows_at[k]] = p[rows_at[k]]
@@ -344,25 +346,28 @@ _TILE_ELEMENTS = 24576
 
 def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     """R_nl(r) for each level n of the integer array ``ns`` (one row each) at
-    the 1-d radii ``r``; ValueError on an invalid (n, l) or a negative radius.
+    the 1-d radii ``r``; ValueError on an invalid (n, l) or a negative or
+    NaN radius.
 
-    One Laguerre recurrence serves an anchor group of levels
-    (``_level``): the anchor's row at rho_m = 2r/m is stepped to the
-    group's largest degree, an anchor's own level is read off at its degree,
-    and each other level adds its terms e_t P_{k-t}(rho_m) into its row from
-    the lowest degree up, as the recurrence passes them (``_tile_sums``).
-    The levels are taken in tiles of consecutive rows with at most
+    The tiles take strictly increasing levels and sorted radii, as every
+    table the package builds has them; a call in another order is evaluated
+    on the sorted unique levels and sorted radii and scattered back.  One
+    Laguerre recurrence serves an anchor group of levels (``_level``): the
+    anchor's row at rho_m = 2r/m is stepped to the group's largest degree,
+    an anchor's own level is read off at its degree, and each other level
+    adds its terms e_t P_{k-t}(rho_m) into its row from the lowest degree
+    up, as the recurrence passes them (``_tile_sums``).  The levels are
+    taken in tiles of consecutive rows with at most
     max(1, _TILE_ELEMENTS // r.size) anchors, stepped together in one call
-    of ``_laguerre_rows``; the levels may come in any order and repeat.  A
-    tile's recurrence stops at its last radius where any envelope is
-    nonzero (``_live_end``), so on sorted radii it skips the far points.
-    Below rho = _NEAR_RHO a summed level's values come from a lane of the
-    same recurrence at its own rho instead (``_tile_arguments``).  The rows
-    are summed straight into the tile's slice of the result and then
-    multiplied by the envelope, a few rows at a time, formed in the buffer
-    of the recurrence's arguments, so one tile's arrays are alive at a time.
-    Where the envelope is zero the value is exactly +0.0; a live value that
-    is not finite raises NumericalError naming the first such level.
+    of ``_laguerre_rows`` on the radii below the tile's largest ``r_live``;
+    the few of them past the last live radius have a zero envelope.  Below
+    rho = _NEAR_RHO a summed level's values come from a lane of the same
+    recurrence at its own rho instead (``_tile_arguments``).  The rows are
+    summed straight into the tile's slice of the result and then multiplied
+    by the envelope, a few rows at a time, formed in the buffer of the
+    recurrence's arguments, so one tile's arrays are alive at a time.  Where
+    the envelope is zero the value is exactly +0.0; a live value that is not
+    finite raises NumericalError naming the first such level.
 
     Every value below _NEAR_RHO, and every row of an anchor or of a level
     below _OWN_ANCHOR_DEGREE, has the bits of a recurrence at the level's own
@@ -380,8 +385,14 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     """
     if ns.size:
         _check_nl(int(ns.min()), l)
-    if (r < 0).any():
-        raise ValueError("radius must be non-negative")
+    if not (r >= 0.0).all():
+        raise ValueError("radius is NaN" if np.isnan(r).any() else "radius must be non-negative")
+    if (ns[1:] <= ns[:-1]).any() or (r[1:] < r[:-1]).any():
+        unique, rows = np.unique(ns, return_inverse=True)
+        order = np.argsort(r, kind="stable")
+        out = np.empty((ns.size, r.size))
+        out[:, order] = _radial_rows(unique, l, r[order])[rows]
+        return out
     levels = [_level(int(n), l) for n in ns]
     log_const = np.array([v.log_const for v in levels])[:, None]
     scale = (2.0 / ns)[:, None]
@@ -394,7 +405,7 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
             anchors.setdefault(levels[hi].anchor, len(anchors))
             hi += 1
         rows, tiled = slice(lo, hi), levels[lo:hi]
-        end = _live_end(r, log_const[rows], l, scale[rows], max(v.r_live for v in tiled))
+        end = int(np.searchsorted(r, max(v.r_live for v in tiled)))
         tile = out[rows, :end]
         x, near = _tile_arguments(ns[rows], tiled, anchors, r[:end], min(hi - lo, width))
         sources = [anchors[v.anchor] for v in tiled]
@@ -415,36 +426,31 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
 
 
 def _tile_arguments(ns, levels, anchors, r: np.ndarray, parts: int):
-    """The arguments x of one tile's recurrence, and {row: (offset, columns)}
+    """The arguments x of one tile's recurrence, and {row: (offset, count)}
     of the summed rows' lanes in it.
 
     Row j of x holds rho_m = 2r/m of the tile's j-th anchor m, followed by a
-    lane for each summed level of its group with radii below rho = _NEAR_RHO:
-    those radii at the level's own rho = 2r/n, so the recurrence passes
-    P_k(2r/n) itself there.  Rows are padded with zeros to the longest.  x
-    has at least ``parts`` rows, the rows beyond the anchors' left unset, so
-    that the envelope of a part of that many rows can be formed in it.
+    lane for each summed level of its group: the first ``count`` radii, those
+    below rho = _NEAR_RHO, at the level's own rho = 2r/n, so the recurrence
+    passes P_k(2r/n) itself there.  Rows are padded with zeros to the
+    longest.  x has at least ``parts`` rows, the rows beyond the anchors'
+    left unset, so that the envelope of a part of that many rows can be
+    formed in it.
     """
     summed = [i for i, v in enumerate(levels) if v.weights is not None]
     ends, near = [r.size] * len(anchors), {}
     if summed:
-        limit = 0.5 * _NEAR_RHO * ns[summed]
-        cand = np.flatnonzero(r < limit.max())
-        below = r[cand] < limit[:, None]
-        for i, mask, count in zip(summed, below, below.sum(axis=1).tolist()):
+        for i, count in zip(summed, np.searchsorted(r, 0.5 * _NEAR_RHO * ns[summed]).tolist()):
             if count:
                 j = anchors[levels[i].anchor]
-                near[i] = (ends[j], cand[mask])
+                near[i] = (ends[j], count)
                 ends[j] += count
     x = np.empty((max(parts, len(anchors)), max(ends)))
     np.multiply((2.0 / np.array(list(anchors)))[:, None], r, out=x[: len(anchors), : r.size])
     if near:
         x[: len(anchors), r.size :] = 0.0
-        values = ((2.0 / ns[summed])[:, None] * r[cand])[below]  # level after level
-        start = 0
-        for i, (offset, cols) in near.items():
-            x[anchors[levels[i].anchor], offset : offset + cols.size] = values[start : start + cols.size]
-            start += cols.size
+        for i, (offset, count) in near.items():
+            np.multiply(r[:count], 2.0 / int(ns[i]), out=x[anchors[levels[i].anchor], offset : offset + count])
     return x, near
 
 
@@ -453,89 +459,54 @@ def _scale_by_envelope(values: np.ndarray, envelope: np.ndarray) -> None:
     values[envelope == 0.0] = 0.0  # +0.0, where 0 * P_k may be -0.0 or NaN
 
 
-def _live_end(r: np.ndarray, log_const: np.ndarray, l: int, scale: np.ndarray, r_live: float) -> int:
-    """One past the last radius where any row's envelope (``log_const`` and
-    ``scale`` = 2/n, columns) is nonzero; a NaN radius counts as live.
-
-    Every radius past ``r_live`` is dead.  The last one not beyond it is
-    live if some row's exponent there, in Python floats, is above -744,
-    which exp keeps nonzero whatever the rounding; else the envelopes of the
-    radii before it are evaluated, back from there in spans that double,
-    until a live one is found.
-    """
-    if r.size and r[-1] <= r_live:  # sorted radii within the bound
-        end = r.size
-    else:
-        inside = ~(r > r_live)
-        end = r.size - int(np.argmax(inside[::-1])) if inside.any() else 0
-    last = float(r[end - 1]) if end else 0.0
-    if last > 0.0:
-        for c, s in zip(log_const[:, 0].tolist(), scale[:, 0].tolist()):
-            if c - 0.5 * s * last + l * math.log(s * last) > -744.0:
-                return end
-    span = 8
-    while end:
-        start = max(end - span, 0)
-        live = (_envelope(log_const, l, scale * r[start:end]) != 0.0).any(axis=0)
-        if live.any():
-            return end - int(np.argmax(live[::-1]))
-        end, span = start, 2 * span
-    return 0
-
-
 def _tile_sums(tile, ks, sources, weights, near, columns: int):
     """The degrees and the ``visit`` of one tile's recurrence, which copies
     the anchors' own levels into ``tile`` and adds the other levels' terms.
 
     Row i of the tile reads row sources[i] of the recurrence, and its
     weights[i] (None for an anchor) put e_t on degree ks[i] - t.  A summed
-    row's lane (``_tile_arguments``), near[i] = (offset, columns), is copied
-    over its columns at its degree, after its last term.  The rows
-    are taken in ascending degree, and the terms of one degree are added in
-    one band, from the first to the last row with a term there: every row of
-    a band has its top degree at or above this one, so a zero weight in it
-    (an anchor's row, copied at its degree before the terms are added, or a
-    row whose sum starts higher) adds 0 * P_k, which changes no value that
+    row's lane (``_tile_arguments``), near[i] = (offset, count), is copied
+    over its first ``count`` columns at its degree, after its last term.
+    The rows come in ascending degree, and the terms of one degree are added
+    in one band, from the first to the last row with a term there: every row
+    of a band has its top degree at or above this one, so a zero weight in
+    it (an anchor's row, copied at its degree before the terms are added, or
+    a row whose sum starts higher) adds 0 * P_k, which changes no value that
     ends up finite.  A band is cut into parts of at most _TILE_ELEMENTS
     elements (single rows on a large table), and a part of zero weights is
     skipped; a part's source rows, whole (``columns``, the width of the
     recurrence's rows, lanes included) so that no strided copy is taken,
-    times its weights go into a scratch array, which is added into its rows,
-    a view of the tile when the levels come sorted.
+    times its weights go into a scratch array, which is added into the view
+    of its rows of the tile.
     """
     copies, parts = {}, {}
     ks = ks.tolist()
-    order = sorted(range(len(ks)), key=ks.__getitem__)
-    summed = [col for col, i in enumerate(order) if weights[i] is not None]
-    for i in order:
+    summed = [i for i, w in enumerate(weights) if w is not None]
+    for i, k in enumerate(ks):
         if weights[i] is None:
-            copies.setdefault(ks[i], []).append((i, sources[i]))
+            copies.setdefault(k, []).append((i, sources[i]))
     scratch = None
-    sliced = order == list(range(len(ks)))
     if summed:
-        top = [ks[order[col]] for col in summed]
-        j0 = min(k + 1 - weights[order[col]].size for col, k in zip(summed, top))
-        by_degree = np.zeros((max(top) + 1 - j0, len(ks)))
-        for col, k in zip(summed, top):
-            w = weights[order[col]]
-            by_degree[k + 1 - w.size - j0 : k + 1 - j0, col] = w[::-1]
+        j0 = min(ks[i] + 1 - weights[i].size for i in summed)
+        by_degree = np.zeros((ks[summed[-1]] + 1 - j0, len(ks)))
+        for i in summed:
+            by_degree[ks[i] + 1 - weights[i].size - j0 : ks[i] + 1 - j0, i] = weights[i][::-1]
         has = by_degree != 0.0
         first = has.argmax(axis=1).tolist()
         last = (len(ks) - has[:, ::-1].argmax(axis=1)).tolist()
-        src, dst = np.array(sources)[order], np.array(order)
+        src = np.array(sources)
         step = max(1, _TILE_ELEMENTS // max(tile.shape[1], 1))
         for j in np.flatnonzero(has.any(axis=1)).tolist():
             for f in range(first[j], last[j], step):
                 b = min(f + step, last[j])
                 w = by_degree[j, f:b, None]
                 if b - f == last[j] - first[j] or w.any():  # a whole band has a term
-                    rows = tile[f:b] if sliced else dst[f:b]
-                    parts.setdefault(j + j0, []).append((rows, src[f:b], w))
+                    parts.setdefault(j + j0, []).append((tile[f:b], src[f:b], w))
         scratch = np.empty((max(w.shape[0] for p in parts.values() for _, _, w in p), columns))
     single = len(set(sources)) == 1
     lanes = {}
-    for i, (offset, cols) in near.items():
-        lanes.setdefault(ks[i], []).append((i, sources[i], slice(offset, offset + cols.size), cols))
+    for i, (offset, count) in near.items():
+        lanes.setdefault(ks[i], []).append((i, sources[i], slice(offset, offset + count), count))
     width = tile.shape[1]
 
     def visit(k, p):
@@ -550,12 +521,9 @@ def _tile_sums(tile, ks, sources, weights, near, columns: int):
             else:
                 p.take(src, axis=0, out=gathered, mode="clip")  # in range; "raise" buffers out
                 terms *= w
-            if sliced:
-                rows += terms  # a view of the tile's rows
-            else:
-                tile[rows] += terms
-        for i, src, lane, cols in lanes.get(k, ()):
-            tile[i, cols] = p[src, lane]
+            rows += terms  # a view of the tile's rows
+        for i, src, lane, count in lanes.get(k, ()):
+            tile[i, :count] = p[src, lane]
 
     return set(copies) | set(parts) | set(lanes), visit
 

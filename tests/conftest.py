@@ -196,9 +196,9 @@ def laguerre_calls(monkeypatch):
     calls = []
     rows = specfun._laguerre_rows
 
-    def recorded(degrees, a, x, out=None, visit=None):
+    def recorded(degrees, a, x, visit=None):
         calls.append((int(max(degrees)), x.shape))
-        return rows(degrees, a, x, out, visit)
+        return rows(degrees, a, x, visit)
 
     monkeypatch.setattr(specfun, "_laguerre_rows", recorded)
     return calls

@@ -1,11 +1,13 @@
-"""The benchmark's in-process passes, run through its own child script.
+"""The benchmark's in-process passes and traced CLI steps, run through its
+own child script.
 
 `perfbench/child.py` calls rydpack's public functions with fixed signatures
 (`QuantumNumbers(nbar=)`, `decompose(state, center=)`,
 `BasisTable.for_expansion`, the traced `BasisTable.build`,
 `observables(exp, t, grid, basis)`, `density(exp, grid, t, basis)` and
 `count_packets(..., t=, smooth=)`).  A change that narrows one of them fails
-here, not only in a benchmark run.
+here, not only in a benchmark run.  Its `cli` mode runs the command line
+under the tracer, as the traced `cli-85` passes do.
 """
 
 import json
@@ -61,3 +63,29 @@ def test_benchmark_pass_runs_clean(tmp_path, kind, ops, spans):
     assert [op for op in result["ops"] if op["error"] is not None] == []
     assert {op["op"] for op in result["ops"]} == {"fit", "decompose", "basis"} | ops
     assert {"evolution.basis_build"} | spans <= {s["name"] for s in result["spans"]}
+
+
+# the traced CLI steps of a benchmark pass, each with the spans it must record
+CLI_STEPS = [
+    (["fit"], {"squeezed.fit_parameters", "io.write_state"}),
+    (["decompose", "--state", "{out}/state.json"], {"spectral.decompose", "io.write_expansion"}),
+    (["scan", "--expansion", "{out}/expansion.csv", "--t-stop", "Tcl", "--t-steps", "11"], {"io.write_series"}),
+    (["density", "--expansion", "{out}/expansion.csv", "--times", "0,trev/2"],
+     {"evolution.observables", "analysis.count_packets", "io.write_density"}),
+]
+
+
+def test_benchmark_cli_steps_run_clean(tmp_path):
+    out = tmp_path / "out"
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    for args, spans in CLI_STEPS:
+        spans_path = tmp_path / f"{args[0]}.json"
+        argv = [a.format(out=out) for a in args] + ["--nbar", "20", "-o", str(out)]
+        res = subprocess.run(
+            [sys.executable, str(CHILD), "cli", str(spans_path), *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert res.returncode == 0, (args[0], res.stderr)
+        assert {"import.rydpack"} | spans <= {s["name"] for s in json.loads(spans_path.read_text())}, args[0]

@@ -52,6 +52,13 @@ def test_grid_validation():
         RadialGrid(points=np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
         RadialGrid(points=np.array([-1.0, 0.0, 1.0]))
+    # NaN compares False in every order check, so non-finite points are
+    # refused by name
+    for points in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            RadialGrid(points=np.array(points))
+    with pytest.raises(ValueError, match="finite"):
+        RadialGrid.uniform(np.nan, 5)
     g = RadialGrid.uniform(10.0, 11)
     assert g.points[0] == 0.0 and g.points[-1] == 10.0
 

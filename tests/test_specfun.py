@@ -108,24 +108,26 @@ def test_radial_costs_one_recurrence_on_the_live_columns(laguerre_calls):
     calls = laguerre_calls
     hydrogen_radial(20, 1, np.linspace(0.0, 800.0, 101))
     assert calls == [(18, (1, 101))]
-    # on a sorted grid the recurrence stops at the last point whose envelope
-    # is nonzero
+    # on a sorted grid the recurrence stops at the level's live bound, the
+    # first radius past r_live, a few columns past the last point whose
+    # envelope is nonzero
     r = np.linspace(0.0, 4.0 * 230**2, 16000)
     values = hydrogen_radial(20, 1, r)
     envelope = specfun._envelope(specfun._radial_log_const(20, 1), 1, (2.0 / 20) * r)
     last = np.flatnonzero(envelope)[-1]
-    assert calls[1:] == [(18, (1, last + 1))] and last < 2000
+    end = np.searchsorted(r, specfun._level(20, 1).r_live)
+    assert calls[1:] == [(18, (1, end))] and last < end and last < 2000
     # every value where the envelope is 0 is +0.0, at r = 0 and past the end
     cut = values[envelope == 0.0]
     assert cut.size > 14000 and np.all(cut == 0.0) and not np.signbit(cut).any()
     # and so for a summed level: R_87,1 steps its anchor 85 to its own
-    # degree, 87 - 2, on the live radii and a lane of the 4 radii below
-    # rho = 1 (r < 43.5) at its own rho
+    # degree, 87 - 2, on the radii up to its bound and a lane of the 4 radii
+    # below rho = 1 (r < 43.5) at its own rho
     calls[:] = []
     values = hydrogen_radial(87, 1, r)
     envelope = specfun._envelope(specfun._radial_log_const(87, 1), 1, (2.0 / 87) * r)
-    last = np.flatnonzero(envelope)[-1]
-    assert calls == [(85, (1, last + 1 + 4))] and r[3] < 43.5 < r[4]
+    end = np.searchsorted(r, specfun._level(87, 1).r_live)
+    assert calls == [(85, (1, end + 4))] and r[3] < 43.5 < r[4]
     cut = values[envelope == 0.0]
     assert cut.size > 3000 and np.all(cut == 0.0) and not np.signbit(cut).any()
 
@@ -254,23 +256,78 @@ def test_anchor_groups_are_no_less_accurate_than_one_recurrence_per_level(one_re
     assert worst["groups"] <= worst["one"] < 2e-13, worst
 
 
-def test_live_end_is_one_past_the_last_live_radius():
-    # against every envelope, on sorted, unsorted and far radii, with r = 0
-    # (dead at l >= 1) and a NaN radius (live) in last place
-    rng = np.random.default_rng(5)
-    for ns, l in ((np.array([20, 21, 87]), 1), (np.array([30]), 0), (np.array([150, 148]), 2)):
-        levels = [specfun._level(int(n), l) for n in ns]
-        log_const = np.array([v.log_const for v in levels])[:, None]
-        scale = (2.0 / ns)[:, None]
-        r_live = max(v.r_live for v in levels)
-        far = np.linspace(0.0, 2.0 * r_live, 3000)
-        edge = np.flatnonzero((specfun._envelope(log_const, l, scale * far) != 0.0).any(axis=0))[-1]
-        # far[edge + 1] is dead with ln envelope above _DEAD_LOG
-        shadow = far[: edge + 2]
-        for r in (far, rng.permutation(far), shadow, np.append(far[:2000], 0.0), np.append(far, np.nan), far[far > r_live]):
-            live = (specfun._envelope(log_const, l, scale * r) != 0.0).any(axis=0) | np.isnan(r)
-            want = np.flatnonzero(live)[-1] + 1 if live.any() else 0
-            assert specfun._live_end(r, log_const, l, scale, r_live) == want, (ns, l)
+def _assert_stops_at_the_live_bound(tiles, l, r, tile_calls):
+    # the recurrence of each tile (a list of levels) steps the radii before the
+    # first past the tile's largest r_live, and the summed levels' lanes
+    # below rho = 1; every radius from there on has a zero envelope in every
+    # row, and at most 1% of the radii are stepped past the last live one
+    for tile, (_, shape) in zip(tiles, tile_calls, strict=True):
+        levels = [specfun._level(n, l) for n in tile]
+        end = np.searchsorted(r, max(v.r_live for v in levels))
+        lanes = sum(np.searchsorted(r, 0.5 * n) for n, v in zip(tile, levels) if v.weights is not None)
+        assert shape == (len({v.anchor for v in levels}), end + lanes), tile
+        envelope = np.array([specfun._envelope(v.log_const, l, (2.0 / n) * r) for n, v in zip(tile, levels)])
+        live = np.flatnonzero(envelope.any(axis=0))
+        assert live[-1] < end and not envelope[:, end:].any(), tile
+        assert end - (live[-1] + 1) <= 0.01 * r.size, (tile, end - live[-1] - 1)
+
+
+def test_recurrence_stops_at_the_tiles_live_bound(laguerre_calls):
+    # far radii, to twice the bound, on tiles of up to eight anchors
+    for ns, l in (([20, 21, 87], 1), ([30], 0), ([148, 150], 2)):
+        r_live = max(specfun._level(n, l).r_live for n in ns)
+        r = np.linspace(0.0, 2.0 * r_live, 3000)
+        laguerre_calls[:] = []
+        specfun._radial_rows(np.array(ns), l, r)
+        _assert_stops_at_the_live_bound([ns], l, r, laguerre_calls)
+    # 16 000-point tables, one anchor group per tile
+    for nbar, (lo, hi) in ((20, (16, 24)), (85, (73, 97)), (150, (138, 162)), (230, (210, 250)), (285, (265, 305))):
+        r = np.linspace(0.0, 4.0 * nbar**2, 16000)
+        groups = {}
+        for n in range(lo, hi + 1):
+            groups.setdefault(specfun._level(n, 1).anchor, []).append(n)
+        laguerre_calls[:] = []
+        specfun._radial_rows(np.arange(lo, hi + 1), 1, r)
+        _assert_stops_at_the_live_bound(list(groups.values()), 1, r, laguerre_calls)
+
+
+def test_package_tables_come_in_the_kernels_own_order(tmp_path, monkeypatch, capsys):
+    # every table the package builds has strictly increasing levels and
+    # non-decreasing radii, so none takes the kernel's sorting step: the CLI
+    # pipeline at nbar 20 and 85 (the moment rules of scan and density, the
+    # density blocks) and in-process tables, snapshots and reconstructions
+    import rydpack as rp
+    from rydpack import cli, evolution, spectral
+
+    kernel, calls = specfun._radial_rows, []
+
+    def recorded(ns, l, r):
+        calls.append(bool((np.diff(ns) > 0).all() and (np.diff(r) >= 0.0).all()))
+        return kernel(ns, l, r)
+
+    # a caller's unsorted call is recorded before the door sorts it
+    for module in (specfun, spectral, evolution):
+        monkeypatch.setattr(module, "_radial_rows", recorded)
+    spectral._moment_matrices.cache_clear()
+    for nbar in (20, 85):
+        out = tmp_path / str(nbar)
+        common = ["--nbar", str(nbar), "-o", str(out)]
+        exp = ["--expansion", str(out / "expansion.csv")]
+        assert cli.main(["fit", *common]) == 0
+        assert cli.main(["decompose", *common, "--state", str(out / "state.json")]) == 0
+        assert cli.main(["scan", *common, *exp, "--t-stop", "Tcl", "--t-steps", "11"]) == 0
+        assert cli.main(["density", *common, *exp, "--times", "0,trev/2"]) == 0
+        expansion = rp.decompose(rp.fit_parameters(rp.QuantumNumbers(nbar)))
+        grid = rp.RadialGrid.uniform(4.0 * nbar**2, 16000)
+        before = len(calls)
+        rp.BasisTable.for_expansion(expansion, grid)
+        rp.density(expansion, grid, 0.0)
+        rp.reconstruct(expansion, grid.points)
+        assert len(calls) - before == 1 + 2 * 4  # a table, then 4 blocks each
+    capsys.readouterr()
+    # per nbar: scan's moment build (density reuses it), density's 4 blocks
+    # and the 9 in-process calls
+    assert len(calls) == 2 * (1 + 4 + 9) and all(calls), calls
 
 
 def test_table_transient_memory_stays_below_one_recurrence_per_level():
@@ -411,8 +468,9 @@ def test_radial_overflow_still_raises_without_warnings():
 
 @pytest.mark.parametrize("n", [210, 230, 250])
 def test_radial_kernel_is_pointwise_on_unsorted_radii(n):
-    # live points are chosen by mask, so any order of the radii gives the same
-    # values, permuted; where the envelope underflows the value is exactly 0
+    # unsorted radii are evaluated sorted and scattered back, so any order of
+    # the radii gives the same values, permuted; where the envelope
+    # underflows the value is exactly 0
     r = np.linspace(0.0, 4.0 * 230**2, 16000)
     perm = np.random.default_rng(n).permutation(r.size)
     values = hydrogen_radial(n, 1, r)
@@ -432,7 +490,7 @@ def test_radial_rows_raise_on_any_non_finite_live_value(monkeypatch, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # each level is its own anchor, so the stub's row i is level i's P_k
-        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x, out=None, visit=None: [visit(k, poly) for k in sorted(degrees)])
+        monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x, visit=None: [visit(k, poly) for k in sorted(degrees)])
         poly = np.array([[1.0, 1.0], [3.0, bad], [1.0, bad]])
         with pytest.raises(specfun.NumericalError, match="overflow while evaluating R_9,1"):
             specfun._radial_rows(ns, 1, r)

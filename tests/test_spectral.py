@@ -268,6 +268,18 @@ def test_reconstruct_empty_window_is_zero():
     assert np.all(reconstruct(empty, np.linspace(0, 10, 5)) == 0.0)
 
 
+def test_nan_radius_is_refused_and_an_infinite_one_gives_zero(exp85):
+    # a NaN radius is bad input, a ValueError, not an overflow of R_85,1
+    with pytest.raises(ValueError, match="radius is NaN"):
+        hydrogen_radial(85, 1, np.nan)
+    with pytest.raises(ValueError, match="radius is NaN"):
+        reconstruct(exp85, [1.0, np.nan])
+    # an infinite radius lies past every live bound
+    assert hydrogen_radial(85, 1, np.inf) == 0.0
+    values = reconstruct(exp85, [1.0, np.inf])
+    assert values[0] != 0.0 and values[1] == 0.0
+
+
 def test_parseval_residual(state85, exp85):
     # L2 norm of (psi - reconstruction) equals the deficit within quadrature error
     from rydpack.specfun import radial_quadrature
