@@ -24,24 +24,23 @@ arithmetic floor (about 1.5 ns per element and step), so the kernel runs
 fewer of them: by the multiplication theorem for Laguerre polynomials
 (DLMF 18.18.13) one recurrence, at the argument of the anchor m = 5 round(n/5),
 serves the levels n = m - 2, ..., m + 2, each of the others a sum of 20 or 26
-of its values; below rho = 2r/n = 1, where its row has its maximum and the
-recurrence its largest rounding, a summed level takes its values from a lane
-of the same recurrence at its own rho instead.  Levels of degree below 26
-are their own anchors.  Tiles of whole rows step up to
-max(1, 24 576 // radii) anchors together: one anchor group at a time on a
-table of many thousand radii, and the whole window of a moment rule (sized
-to the window, 128 to 2048 nodes) in one call of ``_laguerre_rows``, which
-the projection in ``spectral`` makes too, since a recurrence per group would
-there be bound by NumPy call overhead.  An anchor depends on its level alone
-and each element sees the same operations and constants whatever the
-tiling, so the values do not depend on it.  The kernel takes its levels
-strictly increasing and its radii sorted, as every caller in the package
-passes them; other orders are sorted at its door and scattered back.  The
-recurrence stops at the tile's analytic live bound, past which every
-envelope is zero, and wherever the envelope is zero the value is exactly
-+0.0.  A tile's rows are summed straight into its slice of the caller's
-table and scaled there by the envelope, so one tile's arrays are alive at
-a time.
+of its values, each term one multiply-add into the level's own row; below
+rho = 2r/n = 1, where its row has its maximum and the recurrence its largest
+rounding, a summed level takes its values from a lane of the same recurrence
+at its own rho instead.  Levels of degree below 26 are their own anchors.
+Tiles of whole rows step up to max(1, 24 576 // radii) anchors together: one
+anchor group at a time on a table of many thousand radii, and the whole window
+of a moment rule (sized to the window, 128 to 2048 nodes) in one call of
+``_laguerre_rows``, which the projection in ``spectral`` makes too, since a
+recurrence per group would there be bound by NumPy call overhead.  An anchor
+depends on its level alone and each element sees the same operations and
+constants whatever the tiling, so the values do not depend on it.  The kernel
+takes its levels strictly increasing and its radii sorted, as every caller in
+the package passes them; other orders are sorted at its door and scattered
+back.  The recurrence stops at the tile's analytic live bound, past which
+every envelope is zero, and wherever the envelope is zero the value is exactly
++0.0.  A tile's rows are summed straight into its slice of the caller's table
+and scaled there by the envelope, so one tile's arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -68,16 +67,29 @@ class NumericalError(RuntimeError):
 
 def hydrogen_energy(n: int) -> float:
     """Bound-state energy -1/(2 n^2) in hartree."""
+    n = _whole("principal quantum number", n)
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {n}")
     return -0.5 / (n * n)
 
 
-def _check_nl(n: int, l: int) -> None:
-    if n < 1:
-        raise ValueError(f"principal quantum number must be >= 1, got {n}")
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"angular momentum must satisfy 0 <= l <= n-1, got l={l}, n={n}")
+def _whole(name: str, x) -> int:
+    """int(x), or ValueError naming x where it is not a whole number (85.0 is)."""
+    if not (math.isfinite(x) and int(x) == x):
+        raise ValueError(f"{name} must be a whole number, got {x}")
+    return int(x)
+
+
+def _check_nl(ns, l) -> None:
+    """ValueError unless l and every level n of ``ns`` are whole numbers with
+    n >= 1 and 0 <= l <= n - 1."""
+    l = _whole("angular momentum", l)
+    for n in ns:
+        n = _whole("principal quantum number", n)
+        if n < 1:
+            raise ValueError(f"principal quantum number must be >= 1, got {n}")
+        if not 0 <= l <= n - 1:
+            raise ValueError(f"angular momentum must satisfy 0 <= l <= n-1, got l={l}, n={n}")
 
 
 def laguerre(n: int, a: float, x):
@@ -86,6 +98,7 @@ def laguerre(n: int, a: float, x):
     Uses the three-term recurrence upward in the degree, which is the stable
     direction for a > -1.  Accepts scalar or array ``x``.
     """
+    n = _whole("Laguerre degree", n)
     if n < 0:
         raise ValueError(f"Laguerre degree must be >= 0, got {n}")
     if a <= -1.0:
@@ -213,7 +226,7 @@ def radial_log_prefactor(n: int, l: int) -> float:
     R_nl(r) = exp(radial_log_prefactor) * exp(-rho/2) * rho^l * L_{n-l-1}^{2l+1}(rho)
     with rho = 2 r / n, normalized so that the integral of R^2 r^2 dr is 1.
     """
-    _check_nl(n, l)
+    _check_nl((n,), l)
     return 1.5 * math.log(2.0 / n) + 0.5 * (
         math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1)
     )
@@ -305,9 +318,10 @@ def _level(n: int, l: int) -> _Level:
     d = n - m
     weights = None
     if d:
-        t = np.arange(min(_TERMS[abs(d)], k + 1) - 1)
-        E = np.array(_factorial_scale(k)[1])
-        ratio = np.ldexp(((k + a - t) * (k - t) * d) / ((t + 1) * m), E[k - t - 1] - E[k - t])
+        T = min(_TERMS[abs(d)], k + 1)
+        t = np.arange(T - 1)
+        E = np.array(_factorial_scale(k)[1][k + 1 - T : k + 1][::-1])  # E_k, ..., E_{k+1-T}
+        ratio = np.ldexp(((k + a - t) * (k - t) * d) / ((t + 1) * m), E[1:] - E[:-1])
         weights = np.cumprod(np.concatenate(([m**k / n**k], ratio)))
         weights.flags.writeable = False
     log_const = _radial_log_const(n, l)
@@ -355,11 +369,12 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     Laguerre recurrence serves an anchor group of levels (``_level``): the
     anchor's row at rho_m = 2r/m is stepped to the group's largest degree,
     an anchor's own level is read off at its degree, and each other level
-    adds its terms e_t P_{k-t}(rho_m) into its row from the lowest degree
-    up, as the recurrence passes them (``_tile_sums``).  The levels are
-    taken in tiles of consecutive rows with at most
-    max(1, _TILE_ELEMENTS // r.size) anchors, stepped together in one call
-    of ``_laguerre_rows`` on the radii below the tile's largest ``r_live``;
+    adds its terms e_t P_{k-t}(rho_m) into its own row, one multiply-add per
+    term from the lowest degree up, as the recurrence passes them
+    (``_tile_sums``).  The levels are taken in tiles of consecutive rows
+    with at most max(1, _TILE_ELEMENTS // r.size) anchors, stepped together
+    in one call of ``_laguerre_rows`` on the radii below the tile's largest
+    ``r_live``;
     the few of them past the last live radius have a zero envelope.  Below
     rho = _NEAR_RHO a summed level's values come from a lane of the same
     recurrence at its own rho instead (``_tile_arguments``).  The rows are
@@ -383,8 +398,8 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     50-digit mpmath gives 1.66e-74, 1.30e-61 and 7.29e-50.  A per-element
     exponent carried with P_k would keep them.
     """
-    if ns.size:
-        _check_nl(int(ns.min()), l)
+    _check_nl(ns.tolist(), l)
+    l = int(l)
     if not (r >= 0.0).all():
         raise ValueError("radius is NaN" if np.isnan(r).any() else "radius must be non-negative")
     if (ns[1:] <= ns[:-1]).any() or (r[1:] < r[:-1]).any():
@@ -409,7 +424,7 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
         tile = out[rows, :end]
         x, near = _tile_arguments(ns[rows], tiled, anchors, r[:end], min(hi - lo, width))
         sources = [anchors[v.anchor] for v in tiled]
-        degrees, visit = _tile_sums(tile, ns[rows] - l - 1, sources, [v.weights for v in tiled], near, x.shape[1])
+        degrees, visit = _tile_sums(tile, ns[rows] - l - 1, sources, [v.weights for v in tiled], near)
         with np.errstate(over="ignore", invalid="ignore"):
             _laguerre_rows(degrees, 2 * l + 1, x[: len(anchors)], visit=visit)
             del visit
@@ -459,73 +474,43 @@ def _scale_by_envelope(values: np.ndarray, envelope: np.ndarray) -> None:
     values[envelope == 0.0] = 0.0  # +0.0, where 0 * P_k may be -0.0 or NaN
 
 
-def _tile_sums(tile, ks, sources, weights, near, columns: int):
+def _tile_sums(tile, ks, sources, weights, near):
     """The degrees and the ``visit`` of one tile's recurrence, which copies
     the anchors' own levels into ``tile`` and adds the other levels' terms.
 
     Row i of the tile reads row sources[i] of the recurrence, and its
-    weights[i] (None for an anchor) put e_t on degree ks[i] - t.  A summed
-    row's lane (``_tile_arguments``), near[i] = (offset, count), is copied
-    over its first ``count`` columns at its degree, after its last term.
-    The rows come in ascending degree, and the terms of one degree are added
-    in one band, from the first to the last row with a term there: every row
-    of a band has its top degree at or above this one, so a zero weight in
-    it (an anchor's row, copied at its degree before the terms are added, or
-    a row whose sum starts higher) adds 0 * P_k, which changes no value that
-    ends up finite.  A band is cut into parts of at most _TILE_ELEMENTS
-    elements (single rows on a large table), and a part of zero weights is
-    skipped; a part's source rows, whole (``columns``, the width of the
-    recurrence's rows, lanes included) so that no strided copy is taken,
-    times its weights go into a scratch array, which is added into the view
-    of its rows of the tile.
+    weights[i] (None for an anchor) put e_t on degree ks[i] - t: at that
+    degree the source row times e_t goes into a one-row scratch, which is
+    added into row i, so each row sums its own terms in ascending degree.  A
+    summed row's lane (``_tile_arguments``), near[i] = (offset, count), is
+    copied over its first ``count`` columns at its degree, after its last
+    term.
     """
-    copies, parts = {}, {}
-    ks = ks.tolist()
-    summed = [i for i, w in enumerate(weights) if w is not None]
-    for i, k in enumerate(ks):
-        if weights[i] is None:
-            copies.setdefault(k, []).append((i, sources[i]))
-    scratch = None
-    if summed:
-        j0 = min(ks[i] + 1 - weights[i].size for i in summed)
-        by_degree = np.zeros((ks[summed[-1]] + 1 - j0, len(ks)))
-        for i in summed:
-            by_degree[ks[i] + 1 - weights[i].size - j0 : ks[i] + 1 - j0, i] = weights[i][::-1]
-        has = by_degree != 0.0
-        first = has.argmax(axis=1).tolist()
-        last = (len(ks) - has[:, ::-1].argmax(axis=1)).tolist()
-        src = np.array(sources)
-        step = max(1, _TILE_ELEMENTS // max(tile.shape[1], 1))
-        for j in np.flatnonzero(has.any(axis=1)).tolist():
-            for f in range(first[j], last[j], step):
-                b = min(f + step, last[j])
-                w = by_degree[j, f:b, None]
-                if b - f == last[j] - first[j] or w.any():  # a whole band has a term
-                    parts.setdefault(j + j0, []).append((tile[f:b], src[f:b], w))
-        scratch = np.empty((max(w.shape[0] for p in parts.values() for _, _, w in p), columns))
-    single = len(set(sources)) == 1
-    lanes = {}
-    for i, (offset, count) in near.items():
-        lanes.setdefault(ks[i], []).append((i, sources[i], slice(offset, offset + count), count))
+    copies, terms, lanes = {}, {}, {}
+    for i, (k, src, w) in enumerate(zip(ks.tolist(), sources, weights)):
+        if w is None:
+            copies.setdefault(k, []).append((i, src))
+            continue
+        row = tile[i]
+        for t, e in enumerate(w.tolist()):
+            terms.setdefault(k - t, []).append((row, src, e))
+        if i in near:
+            offset, count = near[i]
+            lanes.setdefault(k, []).append((row[:count], src, slice(offset, offset + count)))
     width = tile.shape[1]
+    scratch = np.empty(width)
 
     def visit(k, p):
         head = p[:, :width]
         for i, src in copies.get(k, ()):
             tile[i] = head[src]
-        for rows, src, w in parts.get(k, ()):
-            gathered = scratch[: w.shape[0]]
-            terms = gathered[:, :width]
-            if single:
-                np.multiply(w, head[src[0]], out=terms)
-            else:
-                p.take(src, axis=0, out=gathered, mode="clip")  # in range; "raise" buffers out
-                terms *= w
-            rows += terms  # a view of the tile's rows
-        for i, src, lane, count in lanes.get(k, ()):
-            tile[i, :count] = p[src, lane]
+        for row, src, e in terms.get(k, ()):
+            np.multiply(head[src], e, out=scratch)
+            row += scratch
+        for row, src, lane in lanes.get(k, ()):
+            row[...] = p[src, lane]
 
-    return set(copies) | set(parts) | set(lanes), visit
+    return set(copies) | set(terms) | set(lanes), visit
 
 
 def hydrogen_radial(n: int, l: int, r):
@@ -551,10 +536,15 @@ def radial_quadrature(r_max: float, n_nodes: int = 4096):
     of up to 64 nodes.  Panel edges are graded quadratically toward the
     origin, matching the sqrt(r) growth of the local oscillation wavelength of
     bound Coulomb eigenfunctions, so the node density per wavelength is
-    roughly uniform across the domain.
+    roughly uniform across the domain.  A non-finite or non-positive
+    ``r_max``, or an ``n_nodes`` that is not a whole number >= 1, is a
+    ValueError.
     """
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    n_nodes = _whole("n_nodes", n_nodes)
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     per_panel = min(n_nodes, _NODES_PER_PANEL)
     n_panels = -(-n_nodes // per_panel)
     edges = r_max * np.linspace(0.0, 1.0, n_panels + 1) ** 2

@@ -54,6 +54,7 @@ from .specfun import (
     _laguerre_rows,
     _radial_log_const,
     _radial_rows,
+    _whole,
     radial_quadrature,
 )
 from .squeezed import L, RadialSqueezedState, moment_r
@@ -221,6 +222,7 @@ def project_coefficient(state: RadialSqueezedState, n: int) -> complex:
     A disagreement with the rule of 8 more nodes beyond 1e-9, or a value that
     is not finite, raises NumericalError.
     """
+    n = _whole("principal quantum number", n)
     if n < L + 1:
         raise ValueError(f"need n >= l+1 = {L + 1}, got {n}")
     return complex(_project(state, [n], _rule_size(n - L - 1))[0])

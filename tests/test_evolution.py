@@ -455,19 +455,22 @@ def test_basis_table_runs_one_recurrence_per_anchor_group(laguerre_calls):
 
 def test_basis_table_gives_repeated_and_unsorted_levels_their_own_rows(per_level_radial):
     # on 50 radii one tile holds all four rows; a repeated level is read off
-    # into every row that asks for it
+    # into every row that asks for it.  Bytes are compared, so that -0.0 and
+    # +0.0 differ
     ns, r = np.array([5, 5, 7, 5]), np.linspace(0.0, 100.0, 50)
     table = BasisTable.build(ns, r)
     for n, row in zip(ns, table.values):
-        assert np.array_equal(row, per_level_radial(int(n), 1, r)), n
+        assert row.tobytes() == per_level_radial(int(n), 1, r).tobytes(), n
     # summed levels out of order and repeated, around the anchors 75, 85, 90
-    # and 95: on 50 radii one tile gathers from all four anchors, on 16 000
-    # each tile holds one anchor's run of rows (86 and 84 share 85)
+    # and 95: on 50 radii and on the [73, 97] moment rule one tile reads
+    # from all four anchors, on 16 000 each tile holds one anchor's run of
+    # rows (86 and 84 share 85), and a 4096-point density block is between
+    grid = np.linspace(0.0, 4.0 * 85**2, 16000)
     ns = np.array([88, 86, 84, 90, 86, 73, 97, 75, 86])
-    for r in (np.linspace(0.0, 4.0 * 85**2, 50), np.linspace(0.0, 4.0 * 85**2, 16000)):
+    for r in (np.linspace(0.0, 4.0 * 85**2, 50), grid, grid[:4096], spectral._moment_rule(73, 97)[0]):
         table = BasisTable.build(ns, r)
         for n, row in zip(ns, table.values):
-            assert np.array_equal(row, per_level_radial(int(n), 1, r)), (n, r.size)
+            assert row.tobytes() == per_level_radial(int(n), 1, r).tobytes(), (n, r.size)
 
 
 @pytest.mark.parametrize("nbar", [20, 85, 150, 230])
@@ -476,8 +479,13 @@ def test_basis_table_equals_per_level_reference(nbar, per_level_radial):
     grid = RadialGrid.uniform(4.0 * nbar**2, 16000)  # the CLI default
     table = BasisTable.for_expansion(exp, grid)
     assert table.values.shape == (exp.ns.size, grid.points.size)
-    for n, row in zip(exp.ns, table.values):
-        assert np.array_equal(row, per_level_radial(int(n), 1, grid.points)), n
+    # the grid, its first 4096-point density block and the window's moment
+    # rule; bytes are compared, so that -0.0 and +0.0 differ
+    block = BasisTable.build(exp.ns, grid.points[:4096])
+    rule = spectral._moment_rule(exp.n_min, exp.n_max)[0]
+    for points, values in ((grid.points, table.values), (block.points, block.values), (rule, BasisTable.build(exp.ns, rule).values)):
+        for n, row in zip(exp.ns, values):
+            assert row.tobytes() == per_level_radial(int(n), 1, points).tobytes(), (n, points.size)
 
 
 def test_basis_table_validates_levels_and_radii():

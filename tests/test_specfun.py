@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from rydpack import specfun
+from rydpack.evolution import BasisTable
 from rydpack.specfun import (
     hydrogen_energy,
     hydrogen_radial,
     laguerre,
+    radial_log_prefactor,
     radial_quadrature,
 )
+from rydpack.spectral import project_coefficient
 
 
 def test_laguerre_low_orders():
@@ -439,6 +442,54 @@ def test_radial_quadrature_returns_fresh_arrays():
     w1[:] = 0.0
     x3, w3 = radial_quadrature(50.0, 2048)
     assert np.array_equal(x3, x2) and np.array_equal(w3, w2)
+
+
+_RADII = np.linspace(0.0, 4.0 * 85**2, 200)
+
+
+@pytest.mark.parametrize(
+    "call, bad, whole",
+    [
+        (lambda state, v: hydrogen_energy(v), 2.5, 2.0),
+        (lambda state, v: hydrogen_energy(v), math.nan, 2.0),
+        (lambda state, v: hydrogen_radial(v, 1, _RADII), 85.5, 85.0),
+        (lambda state, v: hydrogen_radial(85, v, _RADII), 1.5, 1.0),
+        (lambda state, v: radial_log_prefactor(v, 1), 85.5, 85.0),
+        (lambda state, v: radial_log_prefactor(85, v), 1.5, 1.0),
+        (lambda state, v: laguerre(v, 1.0, _RADII), 3.5, 3.0),
+        (lambda state, v: project_coefficient(state, v), 85.5, 85.0),
+        # the second level is checked too, not only the lowest
+        (lambda state, v: BasisTable.build(np.array([85.0, v]), _RADII).values, 86.5, 86.0),
+    ],
+    ids=["energy", "energy-nan", "radial-n", "radial-l", "prefactor-n", "prefactor-l", "laguerre", "project", "table"],
+)
+def test_levels_and_degrees_must_be_whole_numbers(call, bad, whole, state85):
+    # QuantumNumbers' rule: a fractional level, l or degree is refused by
+    # name, and a whole float gives the bits of the int
+    with pytest.raises(ValueError, match=f"whole number, got {bad}"):
+        call(state85, bad)
+    want = np.asarray(call(state85, int(whole)))
+    assert np.asarray(call(state85, whole)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "r_max, n_nodes, message",
+    [
+        (50.0, 0, "n_nodes must be >= 1"),
+        (50.0, -5, "n_nodes must be >= 1"),
+        (50.0, 2.5, "n_nodes must be a whole number"),
+        (math.nan, 64, "r_max must be positive and finite"),
+        (math.inf, 64, "r_max must be positive and finite"),
+        (0.0, 64, "r_max must be positive and finite"),
+    ],
+)
+def test_radial_quadrature_refuses_bad_inputs_by_name(r_max, n_nodes, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            radial_quadrature(r_max, n_nodes)
+    # a whole float is a node count
+    assert all(np.array_equal(a, b) for a, b in zip(radial_quadrature(50.0, 64.0), radial_quadrature(50.0, 64)))
 
 
 @pytest.mark.parametrize("complex_x", [False, True])
