@@ -138,7 +138,7 @@ def _load_config(args) -> RunConfig:
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
             raise UsageError(f"config file {args.config} is not UTF-8 JSON: {exc}")
         if not isinstance(raw, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import EigenExpansion
+from .spectral import N_CAP, EigenExpansion
 from .squeezed import L, QuantumNumbers, RadialSqueezedState
 from .units import au_to_ns
 
@@ -130,7 +130,7 @@ def read_state(path):
     that is not the one alpha and gamma0 give."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
         raise ValueError(f"{path}: not a state file: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: not a state file")
@@ -171,8 +171,9 @@ def read_expansion(path):
     """Inverse of `write_expansion`, giving (nbar, exp); raises ValueError
     naming the file for text that is not UTF-8, a header (without nbar, say)
     or row of the wrong fields, a field that is not a number, coefficients
-    that are no expansion, an nbar below 2, an l other than ``L``, or a header
-    deficit that is not the one the coefficient rows give."""
+    that are no expansion, an nbar below 2, an l other than ``L``, a level
+    above ``N_CAP``, or a header deficit that is not the one the
+    coefficient rows give."""
     lines = _read_text(path, "an expansion file").splitlines()
     if len(lines) < 3 or lines[0] != _EXPANSION_HEADER or lines[2] != "n,re,im":
         raise ValueError(f"{path}: not an expansion file with the header {_EXPANSION_HEADER}")
@@ -193,6 +194,8 @@ def read_expansion(path):
         raise ValueError(f"{path}: expands l={l}; only p states (l={L}) are supported")
     if ns != list(range(n_min, n_max + 1)):
         raise ValueError(f"{path}: coefficient rows do not match the declared window")
+    if exp.n_max > N_CAP:
+        raise ValueError(f"{path}: level {exp.n_max} lies above N_CAP = {N_CAP}")
     # the coefficients round-trip bit-exactly, and so does the deficit they give
     if deficit != exp.deficit:
         raise ValueError(f"{path}: header deficit {header[4]} disagrees with the coefficient rows")

@@ -9,11 +9,10 @@ magnitude remains representable for the argument ranges arising here.
 The Laguerre three-term recurrence carries P_k = k! 2^{-E_k} L_k^a, where
 k! = m_k 2^{E_k} with m_k in [1/2, 1), so the carried value stays within a
 factor 2 of L_k.  Every scaling in its step is an exact power of two and the
-step has no division; consumers add -ln m_k in log space.  It runs in place on
-three rotating buffers, so a step allocates nothing; it is written once, in
-``_laguerre_rows``, which steps rows of arguments together and reads each off
-at its own degree.  Every Laguerre value comes from it: ``laguerre`` and the
-Gauss-Laguerre rule make one-row calls.
+step has no division; consumers add -ln m_k in log space.  It is written
+once, in ``_laguerre_rows``, which steps rows of arguments together and reads
+each off at its own degree.  Every Laguerre value comes from it: ``laguerre``
+makes a one-row call, and ``_gauss_laguerre`` one call for all of its rules.
 
 One radial kernel, ``_radial_rows``, evaluates every R_nl table: a single
 level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
@@ -28,19 +27,12 @@ of its values, each term one multiply-add into the level's own row; below
 rho = 2r/n = 1, where its row has its maximum and the recurrence its largest
 rounding, a summed level takes its values from a lane of the same recurrence
 at its own rho instead.  Levels of degree below 26 are their own anchors.
-Tiles of whole rows step up to max(1, 24 576 // radii) anchors together: one
-anchor group at a time on a table of many thousand radii, and the whole window
-of a moment rule (sized to the window, 128 to 2048 nodes) in one call of
-``_laguerre_rows``, which the projection in ``spectral`` makes too, since a
-recurrence per group would there be bound by NumPy call overhead.  An anchor
+Tiles of whole rows step up to max(1, 24 576 // radii) anchors together
+(``_TILE_ELEMENTS``), so a moment rule's window at nbar 20 to 288 is one
+recurrence, as a batch of projections in ``spectral`` is: one per group would
+be bound by NumPy call overhead on a few hundred nodes.  An anchor
 depends on its level alone and each element sees the same operations and
-constants whatever the tiling, so the values do not depend on it.  The kernel
-takes its levels strictly increasing and its radii sorted, as every caller in
-the package passes them; other orders are sorted at its door and scattered
-back.  The recurrence stops at the tile's analytic live bound, past which
-every envelope is zero, and wherever the envelope is zero the value is exactly
-+0.0.  A tile's rows are summed straight into its slice of the caller's table
-and scaled there by the envelope, so one tile's arrays are alive at a time.
+constants whatever the tiling, so the values do not depend on it.
 """
 
 from __future__ import annotations
@@ -189,35 +181,39 @@ def _laguerre_rows(degrees, a: float, x: np.ndarray, visit=None):
     return out
 
 
-def _gauss_laguerre(m: int, beta: float):
-    """Nodes t_i and log-weights ln w_i of the m-node Gauss rule for the
-    weight t^beta e^{-t} on (0, inf), exact for polynomials of degree 2m - 1.
+def _gauss_laguerre(sizes, beta: float):
+    """The Gauss rules (t_i, ln w_i) for the weight t^beta e^{-t} on (0, inf),
+    one per node count m of ``sizes``, each exact to degree 2m - 1.
 
     The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch 1969),
     diagonal 2i + beta + 1 and off-diagonal sqrt(i (i + beta)).  The weights
     come from Abramowitz & Stegun 25.4.45,
     w_i = Gamma(m + beta + 1) t_i / (m! (m + 1)^2 L_{m+1}^beta(t_i)^2),
     in log space: eigenvector components would underflow for beta of a few
-    hundred.
+    hundred.  One recurrence steps every rule's nodes, zero-padded, and reads
+    each rule's row off at its degree m + 1, so a rule has the bits it has
+    built alone.  The first rule in ``sizes`` whose weights are not all
+    finite raises NumericalError.
     """
-    jacobi = np.zeros((m, m))
-    i = np.arange(1.0, m)
-    jacobi.flat[:: m + 1] = np.arange(m) * 2.0 + (beta + 1.0)
-    jacobi.flat[m :: m + 1] = np.sqrt(i * (i + beta))
-    t = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
+    nodes = np.zeros((len(sizes), max(sizes)))
+    for row, m in zip(nodes, sizes):
+        jacobi = np.zeros((m, m))
+        i = np.arange(1.0, m)
+        jacobi.flat[:: m + 1] = np.arange(m) * 2.0 + (beta + 1.0)
+        jacobi.flat[m :: m + 1] = np.sqrt(i * (i + beta))
+        row[:m] = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
+        del jacobi  # so that the next rule's matrix is built without this one
+    rules = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lag = _laguerre_rows([m + 1], beta, t[None])[0]  # m_{m+1} L_{m+1}^beta(t)
-        log_w = (
-            math.lgamma(m + beta + 1.0)
-            - math.lgamma(m + 1.0)
-            - 2.0 * math.log(m + 1.0)
-            + 2.0 * math.log(_factorial_scale(m + 1)[0][m + 1])
-            + np.log(t)
-            - 2.0 * np.log(np.abs(lag))
-        )
-    if not np.isfinite(log_w).all():
-        raise NumericalError(f"Gauss-Laguerre weights overflowed ({m} nodes, beta={beta:g})")
-    return t, log_w
+        # row j carries m_{m+1} L_{m+1}^beta(t) for m = sizes[j]
+        for m, row, p in zip(sizes, nodes, _laguerre_rows([m + 1 for m in sizes], beta, nodes)):
+            log_c = math.lgamma(m + beta + 1.0) - math.lgamma(m + 1.0) - 2.0 * math.log(m + 1.0)
+            log_w = log_c + 2.0 * math.log(_factorial_scale(m + 1)[0][m + 1]) + np.log(row[:m])
+            log_w -= 2.0 * np.log(np.abs(p[:m]))
+            if not np.isfinite(log_w).all():
+                raise NumericalError(f"Gauss-Laguerre weights overflowed ({m} nodes, beta={beta:g})")
+            rules.append((row[:m], log_w))
+    return rules
 
 
 def radial_log_prefactor(n: int, l: int) -> float:
@@ -533,12 +529,13 @@ def radial_quadrature(r_max: float, n_nodes: int = 4096):
     """Panelized Gauss-Legendre rule on [0, r_max].
 
     Returns ``(x, w)`` with all nodes strictly inside (0, r_max), in panels
-    of up to 64 nodes.  Panel edges are graded quadratically toward the
-    origin, matching the sqrt(r) growth of the local oscillation wavelength of
-    bound Coulomb eigenfunctions, so the node density per wavelength is
-    roughly uniform across the domain.  A non-finite or non-positive
-    ``r_max``, or an ``n_nodes`` that is not a whole number >= 1, is a
-    ValueError.
+    of up to 64 nodes: above 64 the count is rounded up to whole panels (65
+    and 100 both give 128 nodes).  Panel edges are graded quadratically
+    toward the origin, matching the sqrt(r) growth of the local oscillation
+    wavelength of bound Coulomb eigenfunctions, so the node density per
+    wavelength is roughly uniform across the domain.  A non-finite or
+    non-positive ``r_max``, or an ``n_nodes`` that is not a whole number
+    >= 1, is a ValueError.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")

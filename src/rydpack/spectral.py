@@ -15,8 +15,8 @@ Gauss-Laguerre rule for the weight t^beta e^{-t} with M > k/2 nodes
 integrates it exactly.  sigma_n and every c_n are real, since <p_r> = 0
 fixes the paper's gamma1 at 0 (``squeezed``).  beta is the same for every
 level, so one rule serves a whole batch of levels.  The guard projects again
-with M + 8 nodes: disagreement beyond 1e-9 (``_ERR_TOL``), or a value that
-is not finite, raises NumericalError.
+with M + 8 nodes, in the same recurrence (``_project``): disagreement beyond
+1e-9 (``_ERR_TOL``), or a value that is not finite, raises NumericalError.
 
 The moment window.  Each coefficient of an evolved expansion picks up the
 phase exp(-i E_n t) (``_phases``), so every moment an uncertainty needs is a
@@ -180,38 +180,32 @@ def _rule_size(k_max: int) -> int:
     return k_max // 2 + 1 + 4
 
 
-def _project_on_rule(state, ns, m):
-    """int R_nl psi r^2 dr for each level n in ``ns`` on the m-node rule.
+def _project(state, ns, m):
+    """int R_nl psi r^2 dr for each level n in ``ns`` on the m-node rule,
+    guarded by the rule of m + _CHECK_NODES nodes.
 
-    One recurrence steps every level's nodes up to the largest degree, and
-    each level's row is read off at its own degree k = n - l - 1, where it
-    carries m_k L_k (``specfun._laguerre_rows``).
+    One recurrence steps both rules' nodes, scaled for each level and
+    zero-padded, and reads each row off at its level's degree k = n - l - 1,
+    where it carries m_k L_k (``specfun._laguerre_rows``).
     """
     beta = state.alpha + L + 2.0
-    t, log_w = _gauss_laguerre(m, beta)
+    rules = _gauss_laguerre((m, m + _CHECK_NODES), beta)
     ns = np.asarray(ns)
     sigma = state.gamma0 + 1.0 / ns
-    log_const = (
-        state.log_norm
-        + np.array([_radial_log_const(int(n), L) for n in ns])
-        + L * np.log(2.0 / ns)
-        - (beta + 1.0) * np.log(sigma)
-    )
+    log_radial = np.array([_radial_log_const(int(n), L) for n in ns])
+    log_const = state.log_norm + log_radial + L * np.log(2.0 / ns) - (beta + 1.0) * np.log(sigma)
+    x = np.zeros((len(rules), ns.size, m + _CHECK_NODES))
+    for rows, (t, _) in zip(x, rules):
+        np.multiply((2.0 / (ns * sigma))[:, None], t, out=rows[:, : t.size])
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = _laguerre_rows(ns - L - 1, 2 * L + 1, (2.0 / (ns * sigma))[:, None] * t)
-        return np.sum(np.exp(log_w + log_const[:, None]) * lag, axis=1)
-
-
-def _project(state, ns, m):
-    """Projections onto the levels ``ns`` on the m-node rule, guarded by a
-    second projection with m + _CHECK_NODES nodes."""
-    c = _project_on_rule(state, ns, m)
-    err = np.max(np.abs(c - _project_on_rule(state, ns, m + _CHECK_NODES)))
-    if not err <= _ERR_TOL:  # a NaN error fails too
-        raise NumericalError(
-            f"projection quadrature did not converge: estimated error "
-            f"{err:.3e} > {_ERR_TOL:g}"
+        lag = _laguerre_rows(np.tile(ns - L - 1, len(rules)), 2 * L + 1, x.reshape(-1, x.shape[2]))
+        c, check = (
+            np.sum(np.exp(log_w + log_const[:, None]) * rows[:, : t.size], axis=1)
+            for rows, (t, log_w) in zip(lag.reshape(x.shape), rules)
         )
+    err = np.max(np.abs(c - check))
+    if not err <= _ERR_TOL:  # a NaN error fails too
+        raise NumericalError(f"projection quadrature did not converge: estimated error {err:.3e} > {_ERR_TOL:g}")
     return c
 
 
@@ -460,11 +454,9 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     into its layer.  The p_r layer, <m|p_r|n> = i (E_m - E_n) <n|r|m> with
     E_n from ``_energies``, is imaginary.  Complex is the dtype of the
     product with the evolved coefficients, so no call casts the stack.  The
-    R_nl values come from ``specfun._radial_rows``, whose one Laguerre
-    recurrence steps the anchors of a tile of levels at once (the whole
-    window at nbar 20 to 288) and gives each level its own degree's value
-    or its sum of terms.  The Gram matrix S = <n|m> must satisfy
-    ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
+    R_nl values come from ``specfun._radial_rows``, whose recurrence steps
+    the whole window at nbar 20 to 288.  The Gram matrix S = <n|m> must
+    satisfy ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
     |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c for every
     coefficient vector c, so one check covers every time.  The diagonals of
     the r, r^2, r^-1 and r^-2 layers must match their closed forms within

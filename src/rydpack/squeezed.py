@@ -75,7 +75,8 @@ class QuantumNumbers:
     nbar: int
 
     def __post_init__(self):
-        if int(self.nbar) != self.nbar or self.nbar < 2:
+        # abs() < inf, since int() raises on NaN and infinities
+        if not (abs(self.nbar) < math.inf and int(self.nbar) == self.nbar >= 2):
             raise ValueError(f"nbar must be an integer >= 2, got {self.nbar!r}")
 
 

@@ -189,6 +189,66 @@ def _one_recurrence_radial(n, l, r):
     return values
 
 
+def _one_gauss_laguerre_rule(m, beta):
+    """The m-node Gauss-Laguerre rule (t, ln w) built alone, with the
+    arithmetic of ``specfun._gauss_laguerre``: Jacobi eigenvalues, then
+    log-weights from a one-row recurrence to degree m + 1."""
+    jacobi = np.zeros((m, m))
+    i = np.arange(1.0, m)
+    jacobi.flat[:: m + 1] = np.arange(m) * 2.0 + (beta + 1.0)
+    jacobi.flat[m :: m + 1] = np.sqrt(i * (i + beta))
+    t = np.linalg.eigvalsh(jacobi)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lag = specfun._laguerre_rows([m + 1], beta, t[None])[0]
+        log_w = (
+            math.lgamma(m + beta + 1.0)
+            - math.lgamma(m + 1.0)
+            - 2.0 * math.log(m + 1.0)
+            + 2.0 * math.log(specfun._factorial_scale(m + 1)[0][m + 1])
+            + np.log(t)
+            - 2.0 * np.log(np.abs(lag))
+        )
+    if not np.isfinite(log_w).all():
+        raise NumericalError(f"Gauss-Laguerre weights overflowed ({m} nodes, beta={beta:g})")
+    return t, log_w
+
+
+def _per_rule_project(state, ns, m):
+    """``spectral._project`` one rule at a time: the m-node rule and the
+    guard's rule of m + ``spectral._CHECK_NODES`` nodes are each built alone
+    and each steps every level in a recurrence of its own, with the
+    arithmetic of the batched route."""
+    beta = state.alpha + L + 2.0
+    ns = np.asarray(ns)
+    sigma = state.gamma0 + 1.0 / ns
+    log_const = (
+        state.log_norm
+        + np.array([specfun._radial_log_const(int(n), L) for n in ns])
+        + L * np.log(2.0 / ns)
+        - (beta + 1.0) * np.log(sigma)
+    )
+
+    def on_rule(size):
+        t, log_w = _one_gauss_laguerre_rule(size, beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lag = specfun._laguerre_rows(ns - L - 1, 2 * L + 1, (2.0 / (ns * sigma))[:, None] * t)
+            return np.sum(np.exp(log_w + log_const[:, None]) * lag, axis=1)
+
+    c = on_rule(m)
+    err = np.max(np.abs(c - on_rule(m + spectral._CHECK_NODES)))
+    if not err <= spectral._ERR_TOL:
+        raise NumericalError(
+            f"projection quadrature did not converge: estimated error {err:.3e} > {spectral._ERR_TOL:g}"
+        )
+    return c
+
+
+@pytest.fixture(scope="session")
+def per_rule_project():
+    """A reference ``spectral._project`` that builds and steps each rule alone."""
+    return _per_rule_project
+
+
 @pytest.fixture
 def laguerre_calls(monkeypatch):
     """(top degree, shape of x) of every recurrence ``specfun._laguerre_rows``

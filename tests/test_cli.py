@@ -295,8 +295,9 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize(
     "content, message",
-    [(b"\xff\xfe", "is not UTF-8 JSON: 'utf-8' codec"), (b"{", "is not UTF-8 JSON: Expecting")],
-    ids=["not-utf8", "not-json"],
+    [(b"\xff\xfe", "is not UTF-8 JSON: 'utf-8' codec"), (b"{", "is not UTF-8 JSON: Expecting"),
+     (b"[" * 100_000, "is not UTF-8 JSON: maximum recursion depth")],
+    ids=["not-utf8", "not-json", "nested-too-deep"],
 )
 def test_unreadable_config_is_a_usage_error_naming_the_file(tmp_path, monkeypatch, capsys, content, message):
     monkeypatch.chdir(tmp_path)
@@ -662,6 +663,23 @@ def test_unparseable_expansion_is_usage_error_naming_it(pipeline20, tmp_path, ca
     code = main([command, "--nbar", "20", "--expansion", str(expansion), *times, "-o", str(out)])
     assert code == 1
     assert str(expansion) in assert_one_usage_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,times",
+    [("scan", ["--t-stop", "Tcl", "--t-steps", "3"]), ("density", ["--times", "0,Tcl"])],
+)
+def test_expansion_above_n_cap_is_usage_error_naming_it(tmp_path, capsys, command, times):
+    # a whole, well-formed expansion of the one level n = 500: outside the
+    # served range [2, N_CAP], so a bad input (exit 1), not an overflow (exit 2)
+    expansion = tmp_path / "expansion.csv"
+    expansion.write_text("l,nbar,n_min,n_max,deficit\n1,20,500,500,0\nn,re,im\n500,1,0\n")
+    out = tmp_path / "out"
+    code = main([command, "--expansion", str(expansion), *times, "-o", str(out)])
+    assert code == 1
+    err = assert_one_usage_error(capsys)
+    assert str(expansion) in err and "level 500 lies above N_CAP = 400" in err
     assert not out.exists()
 
 

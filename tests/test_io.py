@@ -149,6 +149,12 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
         (read_state, lambda path: b"\xff\xfe", "not a state file: 'utf-8' codec"),
         (read_expansion, lambda path: b"\xff\xfe", "not an expansion file: 'utf-8' codec"),
         (read_density, lambda path: b"\xff\xfe", "not a density file: 'utf-8' codec"),
+        (read_state, lambda path: "[" * 100_000, "not a state file: maximum recursion depth"),
+        # levels 400 and 401 with the same coefficients, so the deficit holds
+        (read_expansion,
+         lambda path: path.read_text().replace("\n1,2,2,3,", "\n1,2,400,401,")
+         .replace("\n2,", "\n400,").replace("\n3,", "\n401,"),
+         "level 401 lies above N_CAP = 400"),
     ],
     ids=[
         "state-list",
@@ -165,6 +171,8 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
         "state-not-utf8",
         "expansion-not-utf8",
         "density-not-utf8",
+        "state-nested-too-deep",
+        "expansion-above-n-cap",
     ],
 )
 def test_reader_refuses_a_file_of_another_kind(tmp_path, reader, edit, message):

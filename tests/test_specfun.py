@@ -431,6 +431,13 @@ def test_radial_quadrature_exactness():
         radial_quadrature(-1.0)
 
 
+def test_radial_quadrature_rounds_the_count_up_to_whole_panels():
+    # one panel of up to 64 nodes, above that whole panels of 64
+    for asked, got in ((1, 1), (64, 64), (65, 128), (100, 128), (128, 128)):
+        x, w = radial_quadrature(50.0, asked)
+        assert x.shape == w.shape == (got,), asked
+
+
 def test_radial_quadrature_returns_fresh_arrays():
     # the reference Legendre rule is cached; what callers get must not alias it
     x1, w1 = radial_quadrature(50.0, 2048)
@@ -574,23 +581,33 @@ def test_hydrogen_radial_equals_per_level_reference(n, per_level_radial):
 @pytest.mark.parametrize("m, beta", [(3, 4.0), (20, 1.5), (60, 171.2), (140, 461.0)])
 def test_gauss_laguerre_rule_is_exact_to_degree_2m_minus_1(m, beta):
     # sum_i w_i t_i^j = Gamma(beta + j + 1), compared in log space since the
-    # weights alone overflow for beta of a few hundred
-    t, log_w = specfun._gauss_laguerre(m, beta)
-    assert t.shape == (m,) and np.all(np.diff(t) > 0) and t[0] > 0
-    for j in (0, 1, m, 2 * m - 1):
-        terms = log_w + j * np.log(t)
-        top = terms.max()
-        got = top + math.log(np.exp(terms - top).sum())
-        assert got == pytest.approx(math.lgamma(beta + j + 1.0), rel=1e-14), j
+    # weights alone overflow for beta of a few hundred; the rule and its
+    # guard's rule of 8 more nodes, built together as decompose builds them
+    for size, (t, log_w) in zip((m, m + 8), specfun._gauss_laguerre((m, m + 8), beta)):
+        assert t.shape == (size,) and np.all(np.diff(t) > 0) and t[0] > 0
+        for j in (0, 1, size, 2 * size - 1):
+            terms = log_w + j * np.log(t)
+            top = terms.max()
+            got = top + math.log(np.exp(terms - top).sum())
+            assert got == pytest.approx(math.lgamma(beta + j + 1.0), rel=1e-14), (size, j)
 
 
 def test_gauss_laguerre_refuses_non_finite_weights(monkeypatch):
-    # L_{m+1} = 0 at a node gives an infinite log-weight
-    monkeypatch.setattr(specfun, "_laguerre_rows", lambda degrees, a, x: np.zeros_like(x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(specfun.NumericalError, match=r"weights overflowed \(20 nodes, beta=1\.5\)"):
-            specfun._gauss_laguerre(20, 1.5)
+    # L_{m+1} = 0 at a node gives an infinite log-weight; the rules are
+    # checked in the order of their sizes, so the message names the first
+    # rule whose weights are not finite
+    rows = specfun._laguerre_rows
+    for zero_row, m in ((0, 20), (1, 28)):
+        def zeroed(degrees, a, x, zero_row=zero_row):
+            out = rows(degrees, a, x)
+            out[zero_row:] = 0.0
+            return out
+
+        monkeypatch.setattr(specfun, "_laguerre_rows", zeroed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.NumericalError, match=rf"weights overflowed \({m} nodes, beta=1\.5\)"):
+                specfun._gauss_laguerre((20, 28), 1.5)
 
 
 def test_legendre_rule_has_the_bits_of_numpy_leggauss():

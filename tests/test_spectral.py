@@ -1,10 +1,11 @@
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rydpack import spectral
+from rydpack import specfun, spectral
 from rydpack.specfun import NumericalError, hydrogen_radial
 from rydpack.spectral import (
     DeficitToleranceWarning,
@@ -105,6 +106,53 @@ def test_nbar_300_fails_on_first_batch(monkeypatch):
     with pytest.raises(NumericalError, match="did not converge: estimated error nan"):
         decompose(state, center=300)
     assert calls == [list(range(296, 305))]
+
+
+def test_decompose_has_the_bits_of_one_rule_at_a_time(monkeypatch, per_rule_project):
+    # both rules of a batch share one Laguerre recurrence for their weights
+    # and one for the projection; each coefficient keeps the bits of a route
+    # that builds and steps each rule alone, on grown and explicit windows
+    # and through project_coefficient, and nbar 300 fails as it did
+    states = {nbar: fit_parameters(QuantumNumbers(nbar)) for nbar in (3, 4, 5, 10, 20, 85, 150, 230, 285, 288)}
+
+    def run():
+        out = []
+        for nbar, state in states.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeficitToleranceWarning)  # nbar 3's continuum
+                grown = decompose(state, center=nbar)
+                explicit = decompose(state, window=(grown.n_min, grown.n_max))
+            ends = np.array([project_coefficient(state, n) for n in (grown.n_min, grown.n_max)])
+            out.append((nbar, grown.n_min, grown.coeffs.tobytes(), explicit.coeffs.tobytes(), ends.tobytes()))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as failed:
+            decompose(fit_parameters(QuantumNumbers(300)), center=300)
+        return out, str(failed.value)
+
+    batched = run()
+    monkeypatch.setattr(spectral, "_project", per_rule_project)
+    assert run() == batched
+    assert "did not converge: estimated error nan" in batched[1]
+
+
+def test_a_batch_steps_two_laguerre_recurrences(monkeypatch):
+    # one for both rules' weights (specfun) and one for both rules'
+    # projections (spectral), where each rule used to step its own two
+    calls = []
+    for module in (specfun, spectral):
+        rows = module._laguerre_rows
+        monkeypatch.setattr(
+            module, "_laguerre_rows",
+            lambda *args, name=module.__name__, rows=rows: calls.append(name) or rows(*args),
+        )
+    batches = []
+    project = spectral._project
+    monkeypatch.setattr(spectral, "_project", lambda *a: batches.append(a[1]) or project(*a))
+    decompose(fit_parameters(QuantumNumbers(4)), center=4)  # grows [2, 8] to [2, 32]
+    assert len(batches) == 4
+    assert calls == ["rydpack.specfun", "rydpack.spectral"] * len(batches)
+    calls.clear()
+    project_coefficient(fit_parameters(QuantumNumbers(20)), 20)
+    assert calls == ["rydpack.specfun", "rydpack.spectral"]
 
 
 @pytest.mark.parametrize("window", [None, (83, 87)], ids=["grown", "explicit"])

@@ -43,6 +43,10 @@ def test_quantum_numbers_validation():
     for bad in (1, 0, -3):
         with pytest.raises(ValueError):
             QuantumNumbers(bad)
+    # a fractional or non-finite nbar gets the same message, not a failed int()
+    for bad in (2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"nbar must be an integer >= 2, got {bad!r}"):
+            QuantumNumbers(bad)
     # l is the package constant L, not a field
     with pytest.raises(TypeError):
         QuantumNumbers(85, l=0)
