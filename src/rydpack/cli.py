@@ -5,16 +5,19 @@ subcommands, so one expansion serves any number of scans and density
 snapshots.  They hold nbar: `fit` writes it to state.json and `decompose` to
 the expansion.csv header (l,nbar,n_min,n_max,deficit), whence `scan` and
 `density` take T_cl, t_rev and the grid extent; there --nbar may restate it.
-The served range is nbar >= 3: at nbar = 2 the matching conditions have no
-solution, and `fit` exits 3.  Exit codes: 0 success, 1 usage error,
-2 numerical failure (a LAPACK failure included), 3 fit failure.
+`fit` takes any whole nbar >= 3 that a float can hold (at nbar = 2 the
+matching conditions have no solution: exit 3), and its closed form holds to
+about nbar = 1e102; beyond, its floats overflow, T_cl first (written as
+Infinity), then the fit itself (exit 1, 2 or 3).
+`decompose` serves nbar up to 288 and exits 2 from nbar 289 on.  Exit codes:
+0 success, 1 usage error, 2 numerical failure (a LAPACK failure or a float
+overflow included), 3 fit failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import math
 import operator
 import sys
@@ -33,9 +36,8 @@ from .squeezed import (
     FitError,
     L,
     QuantumNumbers,
-    expectation_H,
+    _residuals,
     fit_parameters,
-    moment_r,
     orbit_geometry,
     uncertainties_RP,
     uncertainties_rp,
@@ -79,8 +81,8 @@ class RunConfig:
     of the flag `_build_parser` gives each subcommand that reads it."""
 
     nbar: int | None = _setting(
-        int, None, "central principal quantum number (served from 3 up); fit needs it, and "
-        "elsewhere it must equal the input file's",
+        int, None, "central principal quantum number: fit serves 3 to about 1e102, decompose 3 "
+        "to 288; fit needs it, and elsewhere it must equal the input file's",
     )
     deficit_tol: float = _setting(
         float, DEFAULT_DEFICIT_TOL, "largest norm deficit: decompose grows its window to it, and "
@@ -99,13 +101,8 @@ class RunConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            kind = f.metadata["kind"]
-            if not _is_kind(value, kind):
-                raise UsageError(f"{f.name} must be {_KIND_NAMES[kind]}, got {value!r}")
-        if self.nbar is not None and self.nbar < 2:
-            raise UsageError(f"nbar must be >= 2, got {self.nbar}")
+            if value is not None or f.default is not None:
+                rio.check_kind(f.name, value, f.metadata["kind"])
         for name in ("deficit_tol", "grid_points", "r_max_factor", "prominence"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
@@ -121,37 +118,17 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-_KIND_NAMES = {int: "an integer", float: "a finite real number", str: "a string"}
-
-
-def _is_kind(value, kind) -> bool:
-    # JSON configs arrive untyped: bool is an int subclass, and "85" is not 85
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
-            raise UsageError(f"config file {args.config} is not UTF-8 JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
-        unknown = set(raw) - _CONFIG_FIELDS
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            setattr(cfg, key, value)
-    for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    return cfg.validate()
+    # the config file's settings, each flag given overriding its own
+    raw = {} if args.config is None else rio.read_json(args.config, "a config file")
+    unknown = set(raw) - _CONFIG_FIELDS
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    flags = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
+    raw.update((name, value) for name, value in flags.items() if value is not None)
+    return RunConfig(**raw).validate()
 
 
 _BINOPS = {
@@ -241,6 +218,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     e_target = hydrogen_energy(q.nbar)
     dr, dpr = uncertainties_rp(state)
     dR, dP, bound = uncertainties_RP(state)
+    r_resid, h_resid = _residuals(state, geo.r_out, e_target)
     report = {
         "nbar": q.nbar,
         "l": L,
@@ -252,8 +230,8 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         "eccentricity": geo.eccentricity,
         "r1": geo.r1,
         "energy_target": e_target,
-        "residual_r_rel": abs(moment_r(state, 1.0) - geo.r_out) / geo.r_out,
-        "residual_H_rel": abs(expectation_H(state) - e_target) / abs(e_target),
+        "residual_r_rel": r_resid,
+        "residual_H_rel": h_resid,
         "dr": dr,
         "dpr": dpr,
         "product": dr * dpr,
@@ -264,9 +242,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         "timescales": _timescale_block(timescales(q)),
     }
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, state)
-    rio.write_text_atomic(
-        _out_path(cfg, "fit_report.json"), [json.dumps(report, indent=2, sort_keys=True) + "\n"]
-    )
+    rio.write_json(_out_path(cfg, "fit_report.json"), report)
     print(
         f"fit nbar={q.nbar}: alpha={state.alpha:.6f} gamma0={state.gamma0:.9f} "
         f"gamma1=0  dr*dpr={dr * dpr:.6f}  dr/dpr={dr / dpr:.6e}"
@@ -386,9 +362,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
         "timescales": _timescale_block(ts, coefficient_spread(exp)[1]),
         "snapshots": snapshots,
     }
-    rio.write_text_atomic(
-        _out_path(cfg, "packets.json"), [json.dumps(packets, indent=2, sort_keys=True) + "\n"]
-    )
+    rio.write_json(_out_path(cfg, "packets.json"), packets)
     return 0
 
 
@@ -436,7 +410,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(_load_config(args), args)
-    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    except (NumericalError, np.linalg.LinAlgError, OverflowError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, OSError) as exc:

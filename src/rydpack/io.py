@@ -17,21 +17,24 @@ header, ``l,nbar,n_min,n_max,deficit``) and the angular momentum l, always
 ``squeezed.L`` = 1, and a state file the paper's gamma1, always 0.0
 (``squeezed``); the readers refuse a file without nbar, an nbar below 2
 and any other l or gamma1.  They also record values the rest of the file
-fixes, a state's ``log_norm`` and an expansion's deficit, and the readers
-refuse a file whose recorded value is not, bit for bit, the derived one.
+fixes, a state's fit of its nbar and an expansion's deficit, and the
+readers refuse a file whose recorded value is not, bit for bit, the derived
+one.  Every JSON file is read by ``read_json``, its values checked by
+``check_kind``, and written by ``write_json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .spectral import N_CAP, EigenExpansion
-from .squeezed import L, QuantumNumbers, RadialSqueezedState
+from .squeezed import L, FitError, QuantumNumbers, RadialSqueezedState, fit_parameters
 from .units import au_to_ns
 
 __all__ = [
@@ -42,6 +45,9 @@ __all__ = [
     "write_series",
     "write_density",
     "read_density",
+    "read_json",
+    "check_kind",
+    "write_json",
     "write_text_atomic",
 ]
 
@@ -100,59 +106,75 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def read_json(path, kind: str) -> dict:
+    """The JSON object in the file ``path``, a ``kind`` ("a state file"); ValueError
+    naming the file if its text is not UTF-8, not JSON, too deep or no object."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
+        raise ValueError(f"{path}: not {kind}: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: not {kind}: not a JSON object")
+    return record
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite real number", str: "a string"}
+
+
+def check_kind(name: str, value, kind) -> None:
+    """ValueError naming ``name`` unless ``value`` is of ``kind`` (int, float or str)
+    as JSON gives it: a bool is no int, "85" no 85, and a float any number a
+    float can hold, NaN and infinities not (int <= float compares exactly)."""
+    float_ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    ok = float_ok if kind is float else isinstance(value, kind)
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def write_json(path, record: dict) -> None:
+    """``record`` as JSON, keys sorted, indent 2, a final newline; written atomically."""
+    write_text_atomic(path, [json.dumps(record, indent=2, sort_keys=True) + "\n"])
+
+
 def write_state(path, nbar: int, state: RadialSqueezedState) -> None:
-    record = {
+    write_json(path, {
         "nbar": int(nbar),
         "l": L,
         "alpha": float(state.alpha),
         "gamma0": float(state.gamma0),
         "gamma1": 0.0,
         "log_norm": float(state.log_norm),
-    }
-    write_text_atomic(path, [json.dumps(record, indent=2, sort_keys=True) + "\n"])
+    })
 
 
-_STATE_KEYS = {
-    "nbar": (int,),
-    "l": (int,),
-    "alpha": (int, float),
-    "gamma0": (int, float),
-    "gamma1": (int, float),
-    "log_norm": (int, float),
-}
+_STATE_KEYS = {"nbar": int, "l": int, "alpha": float, "gamma0": float, "gamma1": float, "log_norm": float}
 
 
 def read_state(path):
     """Inverse of `write_state`, giving (nbar, state); raises ValueError naming
     the file for text that is not UTF-8 JSON, a missing or ill-typed key, an
-    nbar below 2, an l other than ``L``, a gamma1 other than 0 (NaN and
-    infinities included), parameters that are no state, or a ``log_norm``
-    that is not the one alpha and gamma0 give."""
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
-        raise ValueError(f"{path}: not a state file: {exc}") from None
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: not a state file")
-    for key, types in _STATE_KEYS.items():
+    l other than ``L``, a gamma1 other than 0, an nbar with no fit, or an
+    alpha, gamma0 or ``log_norm`` that is not, bit for bit, that of
+    ``fit_parameters(QuantumNumbers(nbar))``: a hand-made state is not a
+    ``fit`` artifact."""
+    record = read_json(path, "a state file")
+    for key, kind in _STATE_KEYS.items():
         if key not in record:
             raise ValueError(f"{path}: state file lacks key {key!r}")
-        value = record[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"{path}: state key {key!r} has ill-typed value {value!r}")
+        check_kind(f"{path}: state key {key!r}", record[key], kind)
     if record["l"] != L:
         raise ValueError(
             f"{path}: state file holds l={record['l']}; only p states (l={L}) are supported"
         )
-    if record["gamma1"] != 0.0:  # <p_r> = 0 fixes it; a NaN fails too
+    if record["gamma1"] != 0.0:  # <p_r> = 0 fixes it
         raise ValueError(f"{path}: state file holds gamma1={record['gamma1']!r}, not 0")
     try:
-        QuantumNumbers(record["nbar"])  # nbar >= 2
-        state = RadialSqueezedState(alpha=record["alpha"], gamma0=record["gamma0"])
-    except ValueError as exc:
+        state = fit_parameters(QuantumNumbers(record["nbar"]))
+    except (ValueError, FitError) as exc:  # nbar below 2, or one with no fit
         raise ValueError(f"{path}: {exc}") from None
-    if record["log_norm"] != state.log_norm:
-        raise ValueError(f"{path}: log_norm {record['log_norm']!r} disagrees with alpha and gamma0")
+    for key in ("alpha", "gamma0", "log_norm"):
+        if record[key] != getattr(state, key):
+            raise ValueError(f"{path}: {key} {record[key]!r} is not the fit of nbar={record['nbar']}")
     return record["nbar"], state
 
 

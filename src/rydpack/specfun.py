@@ -59,29 +59,34 @@ class NumericalError(RuntimeError):
 
 def hydrogen_energy(n: int) -> float:
     """Bound-state energy -1/(2 n^2) in hartree."""
-    n = _whole("principal quantum number", n)
-    if n < 1:
-        raise ValueError(f"principal quantum number must be >= 1, got {n}")
+    # float(n) is exact below 2^53, so n * n rounds once, as the int product
+    # does; where n^2 passes the float range the energy is -0.0
+    n = float(_whole("principal quantum number", n, 1))
     return -0.5 / (n * n)
 
 
-def _whole(name: str, x) -> int:
-    """int(x), or ValueError naming x where it is not a whole number (85.0 is)."""
-    if not (math.isfinite(x) and int(x) == x):
+def _whole(name: str, x, least: int) -> int:
+    """int(x) for a whole number x, finite, within float range and at least
+    ``least`` (85.0 passes, as 85), else ValueError naming ``name``: the
+    package's one rule for levels, degrees, counts and nbar."""
+    try:
+        whole = math.isfinite(x) and int(x) == x
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"{name} must lie within float range, got an integer of {x.bit_length()} bits") from None
+    if not whole:
         raise ValueError(f"{name} must be a whole number, got {x}")
+    if x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
     return int(x)
 
 
-def _check_nl(ns, l) -> None:
-    """ValueError unless l and every level n of ``ns`` are whole numbers with
-    n >= 1 and 0 <= l <= n - 1."""
-    l = _whole("angular momentum", l)
+def _check_nl(ns, l) -> int:
+    """int(l), or ValueError unless l and every level n of ``ns`` are whole
+    numbers with 0 <= l <= n - 1."""
+    l = _whole("angular momentum", l, 0)
     for n in ns:
-        n = _whole("principal quantum number", n)
-        if n < 1:
-            raise ValueError(f"principal quantum number must be >= 1, got {n}")
-        if not 0 <= l <= n - 1:
-            raise ValueError(f"angular momentum must satisfy 0 <= l <= n-1, got l={l}, n={n}")
+        _whole("principal quantum number", n, l + 1)
+    return l
 
 
 def laguerre(n: int, a: float, x):
@@ -90,9 +95,7 @@ def laguerre(n: int, a: float, x):
     Uses the three-term recurrence upward in the degree, which is the stable
     direction for a > -1.  Accepts scalar or array ``x``.
     """
-    n = _whole("Laguerre degree", n)
-    if n < 0:
-        raise ValueError(f"Laguerre degree must be >= 0, got {n}")
+    n = _whole("Laguerre degree", n, 0)
     if a <= -1.0:
         raise ValueError(f"Laguerre parameter must be > -1, got {a}")
     x = np.asarray(x, dtype=float)
@@ -394,8 +397,7 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     50-digit mpmath gives 1.66e-74, 1.30e-61 and 7.29e-50.  A per-element
     exponent carried with P_k would keep them.
     """
-    _check_nl(ns.tolist(), l)
-    l = int(l)
+    l = _check_nl(ns.tolist(), l)
     if not (r >= 0.0).all():
         raise ValueError("radius is NaN" if np.isnan(r).any() else "radius must be non-negative")
     if (ns[1:] <= ns[:-1]).any() or (r[1:] < r[:-1]).any():
@@ -539,9 +541,7 @@ def radial_quadrature(r_max: float, n_nodes: int = 4096):
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    n_nodes = _whole("n_nodes", n_nodes)
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    n_nodes = _whole("n_nodes", n_nodes, 1)
     per_panel = min(n_nodes, _NODES_PER_PANEL)
     n_panels = -(-n_nodes // per_panel)
     edges = r_max * np.linspace(0.0, 1.0, n_panels + 1) ** 2

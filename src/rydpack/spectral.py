@@ -79,6 +79,9 @@ N_CAP = 400
 _CHECK_NODES = 8
 _ERR_TOL = 1e-9
 
+# the most a captured weight sum |c_n|^2 may exceed 1 by, through rounding
+_WEIGHT_SLACK = 1e-9
+
 # a window that reaches L + 1 stops growing once the bound weight predicted
 # above n_max is below _TAIL_FRACTION of the tolerance while the deficit
 # without it still exceeds _TAIL_MARGIN times the tolerance
@@ -103,17 +106,16 @@ class EigenExpansion:
 
     The coefficients are the whole record: the window's top ``n_max``, the
     ``weight`` sum |c_n|^2 and the ``deficit`` 1 - weight are derived from
-    them, never stored beside them.  The coefficients must be a 1-d array of
-    finite values with a weight of at most 1 + 1e-9, and the array is treated
-    as immutable once the expansion is built.
+    them, never stored beside them.  ``n_min`` is a whole number >= L + 1, the
+    coefficients a 1-d array of finite values with a weight of at most
+    1 + 1e-9, treated as immutable once the expansion is built.
     """
 
     n_min: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.n_min < L + 1:
-            raise ValueError(f"n_min must be >= l+1 = {L + 1}, got {self.n_min}")
+        object.__setattr__(self, "n_min", _whole("n_min", self.n_min, L + 1))
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must form a 1-d array, got shape {coeffs.shape}")
@@ -121,7 +123,7 @@ class EigenExpansion:
         if bad.any():
             raise ValueError(f"coefficient of n={self.n_min + int(np.argmax(bad))} is not finite")
         object.__setattr__(self, "coeffs", coeffs)
-        if not self.weight <= 1.0 + 1e-9:
+        if not self.weight <= 1.0 + _WEIGHT_SLACK:
             raise ValueError(f"captured weight exceeds 1: {self.weight!r}")
 
     @cached_property
@@ -216,9 +218,7 @@ def project_coefficient(state: RadialSqueezedState, n: int) -> complex:
     A disagreement with the rule of 8 more nodes beyond 1e-9, or a value that
     is not finite, raises NumericalError.
     """
-    n = _whole("principal quantum number", n)
-    if n < L + 1:
-        raise ValueError(f"need n >= l+1 = {L + 1}, got {n}")
+    n = _whole("principal quantum number", n, L + 1)
     return complex(_project(state, [n], _rule_size(n - L - 1))[0])
 
 
@@ -245,18 +245,18 @@ def decompose(
     Each batch of new levels is projected on one Gauss-Laguerre rule sized
     for its largest degree and checked against a rule of 8 more nodes;
     disagreement beyond 1e-9, or a captured weight that is not at most
-    1 + 1e-9, raises NumericalError; a ``deficit_tol`` outside (0, 1), ValueError.
+    1 + 1e-9, raises NumericalError; a ``deficit_tol`` outside (0, 1), or a
+    ``center`` or window end that is not a whole number >= L + 1, ValueError.
     """
     if not 0.0 < deficit_tol < 1.0:  # a NaN tolerance fails too
         raise ValueError(f"deficit_tol must lie in (0, 1), got {deficit_tol!r}")
     if window is None:
-        if center is None:
-            center = _default_center(state)
-        center = min(max(center, L + 1), N_CAP)
+        center = min(_whole("center", _default_center(state) if center is None else center, L + 1), N_CAP)
         n_min, n_max, step = max(L + 1, center - 4), min(N_CAP, center + 4), 8
     else:
-        n_min, n_max, step = int(window[0]), int(window[1]), 0
-        if n_min < L + 1 or n_max > N_CAP or n_max < n_min:
+        n_min = _whole("window's lowest level", window[0], L + 1)
+        n_max, step = _whole("window's top level", window[1], n_min), 0
+        if n_max > N_CAP:
             raise ValueError(f"window [{n_min}, {n_max}] outside [{L + 1}, {N_CAP}]")
 
     def batch(ns):
@@ -265,8 +265,8 @@ def decompose(
     coeffs = batch(list(range(n_min, n_max + 1)))
     while True:
         weight = float(np.sum(np.abs(coeffs) ** 2))
-        if not weight <= 1.0 + 1e-9:  # a NaN weight fails too
-            raise NumericalError(f"captured weight {weight!r} is not <= 1 + 1e-9")
+        if not weight <= 1.0 + _WEIGHT_SLACK:  # a NaN weight fails too
+            raise NumericalError(f"captured weight {weight!r} is not <= 1 + {_WEIGHT_SLACK:g}")
         if 1.0 - weight < deficit_tol:
             break
         if not step:

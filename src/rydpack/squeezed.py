@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import hydrogen_energy
+from .specfun import _whole, hydrogen_energy
 
 __all__ = [
     "L",
@@ -69,15 +69,13 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Central principal quantum number nbar of a p state (l = ``L``); the
+    """Central principal quantum number nbar >= 2 of a p state (l = ``L``); the
     level spread is measured on an expansion (``coefficient_spread``)."""
 
     nbar: int
 
     def __post_init__(self):
-        # abs() < inf, since int() raises on NaN and infinities
-        if not (abs(self.nbar) < math.inf and int(self.nbar) == self.nbar >= 2):
-            raise ValueError(f"nbar must be an integer >= 2, got {self.nbar!r}")
+        object.__setattr__(self, "nbar", _whole("nbar", self.nbar, 2))
 
 
 @dataclass(frozen=True)
@@ -207,6 +205,11 @@ def orbit_geometry(q: QuantumNumbers) -> OrbitGeometry:
     return OrbitGeometry(r_out=r_out, eccentricity=ecc, r1=n * n * (1.0 + ecc))
 
 
+def _residuals(state: RadialSqueezedState, r_out: float, e_target: float):
+    """The relative misses |<r> - r_out|/r_out and |<H> - E|/|E| of a fit."""
+    return abs(moment_r(state, 1.0) - r_out) / r_out, abs(expectation_H(state) - e_target) / abs(e_target)
+
+
 def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     """Solve the matching conditions for (alpha, gamma0) in closed form.
 
@@ -215,7 +218,8 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     other two conditions give alpha = (s - 3)/2 and gamma0 = s/(2R), where s
     is the largest real root of s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0,
     taken from `np.roots` and polished by one Newton step.  FitError if that
-    root has s <= 3 (alpha <= 0), as at nbar = 2, or if a residual of
+    root has s <= 3 (alpha <= 0), as at nbar = 2, or is NaN, as where the
+    cubic's values overflow (from about nbar = 1e108), or if a residual of
     <r> = r_out or <H> = E_nbar exceeds 1e-10 relative.  The potential is the
     one of `expectation_H`, so the quantum numbers are the only input.
     """
@@ -223,15 +227,14 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     e_target = hydrogen_energy(q.nbar)
     cubic = [1.0, -1.0, -8.0 * (r_out - 3.0), 16.0 * (r_out - 1.0)]
     s = max(z.real for z in np.roots(cubic) if z.imag == 0.0)
-    if not s > 3.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # the cubic passes the float range
+        s = float(s - np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s))
+    if not s > 3.0:  # a NaN root fails too
         raise FitError(
             f"the matching conditions have no solution with alpha > 0 for nbar={q.nbar}"
         )
-    s = float(s - np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s))
     state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out))
-
-    r_resid = abs(moment_r(state, 1.0) - r_out) / r_out
-    h_resid = abs(expectation_H(state) - e_target) / abs(e_target)
+    r_resid, h_resid = _residuals(state, r_out, e_target)
     if r_resid > 1e-10 or h_resid > 1e-10:
         raise FitError(
             f"fit residuals too large for nbar={q.nbar}: "

@@ -295,8 +295,8 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize(
     "content, message",
-    [(b"\xff\xfe", "is not UTF-8 JSON: 'utf-8' codec"), (b"{", "is not UTF-8 JSON: Expecting"),
-     (b"[" * 100_000, "is not UTF-8 JSON: maximum recursion depth")],
+    [(b"\xff\xfe", "not a config file: 'utf-8' codec"), (b"{", "not a config file: Expecting"),
+     (b"[" * 100_000, "not a config file: maximum recursion depth")],
     ids=["not-utf8", "not-json", "nested-too-deep"],
 )
 def test_unreadable_config_is_a_usage_error_naming_the_file(tmp_path, monkeypatch, capsys, content, message):
@@ -305,7 +305,7 @@ def test_unreadable_config_is_a_usage_error_naming_the_file(tmp_path, monkeypatc
     cfg.write_bytes(content)
     assert main(["fit", "--config", str(cfg)]) == 1
     err = assert_one_usage_error(capsys)
-    assert f"config file {cfg} {message}" in err
+    assert f"{cfg}: {message}" in err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -440,13 +440,22 @@ def test_bad_state_file_is_usage_error(tmp_path, capsys, key, value):
     [
         ("nbar", 20, ["--nbar", "85"], "the run is configured for nbar=85"),
         ("l", 0, ["--nbar", "20"], "state file holds l=0"),
+        ("nbar", 85, [], "is not the fit of nbar=85"),
+        ("nbar", 21, [], "is not the fit of nbar=21"),
+        ("alpha", 38.0, [], "alpha 38.0 is not the fit of nbar=20"),
+        ("gamma0", 0.05, [], "gamma0 0.05 is not the fit of nbar=20"),
+        ("nbar", 2, [], "no solution with alpha > 0 for nbar=2"),
     ],
-    ids=["other-nbar", "l-0"],
+    ids=["other-nbar", "l-0", "edited-nbar-85", "edited-nbar-21", "edited-alpha", "edited-gamma0",
+         "edited-nbar-2"],
 )
 def test_decompose_state_for_other_config_is_usage_error(
     tmp_path, capsys, key, value, flags, message
 ):
-    # an nbar-20 state decomposed as nbar 85, and an s state where only l = 1 is served
+    # an nbar-20 state decomposed as nbar 85, and an s state where only l = 1
+    # is served; fit derives alpha and gamma0 from nbar, so a state whose nbar
+    # or parameters were edited is not a fit artifact (an nbar-20 state edited
+    # to nbar 85 ran over the window [16, 24] with nbar 85 in its header)
     path = tmp_path / "state.json"
     write_state(path, 20, fit_parameters(QuantumNumbers(20)))
     record = json.loads(path.read_text())
@@ -455,9 +464,17 @@ def test_decompose_state_for_other_config_is_usage_error(
     out = tmp_path / "out"
     code = main(["decompose", *flags, "--state", str(path), "-o", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
+    err = assert_one_usage_error(capsys)
     assert str(path) in err and message in err
     assert not out.exists()
+
+
+def test_nbar_beyond_float_range_is_one_usage_error(tmp_path, capsys):
+    # a 401-digit nbar is a valid int flag; fit names it, with no traceback
+    res = run_cli(capsys, "fit", "--nbar", str(10**400), "-o", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert res.stderr == "usage error: nbar must lie within float range, got an integer of 1329 bits\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("delta", [0.1, -0.1, 1e-12])
@@ -484,7 +501,8 @@ def test_edited_state_log_norm_is_usage_error(tmp_path, capsys, delta):
 def test_non_finite_gamma1_is_usage_error(tmp_path, capsys, gamma1):
     # json writes and reads the non-finite values as the literals NaN and
     # Infinity; <p_r> = 0 fixes gamma1 at 0, so any other value, finite or
-    # not, is refused before a projection could turn it into a numerical failure
+    # not, is refused before a projection could turn it into a numerical
+    # failure: a non-finite one as no finite real number, 0.5 as not 0
     path = tmp_path / "state.json"
     write_state(path, 20, fit_parameters(QuantumNumbers(20)))
     record = json.loads(path.read_text())
@@ -495,7 +513,7 @@ def test_non_finite_gamma1_is_usage_error(tmp_path, capsys, gamma1):
     res = run_cli(capsys, "decompose", "--nbar", "20", "--state", str(path), "-o", str(out))
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("usage error:") and str(path) in res.stderr
-    assert f"gamma1={gamma1!r}" in res.stderr
+    assert "gamma1" in res.stderr and repr(gamma1) in res.stderr
     assert not out.exists()
 
 
@@ -525,14 +543,18 @@ def test_decompose_output(pipeline20):
 
 
 def test_decompose_pure_eigenstate(tmp_path, capsys):
-    write_state(tmp_path / "state.json", 2, RadialSqueezedState(1.0, 0.5))
-    res = run_cli(capsys, "decompose", "--nbar", "2", "--state", str(tmp_path / "state.json"),
-                  "-o", str(tmp_path))
-    assert res.returncode == 0, res.stderr
-    _, exp = read_expansion(tmp_path / "expansion.csv")
-    p = np.abs(exp.coeffs) ** 2
-    assert int(exp.ns[np.argmax(p)]) == 2
-    assert p.max() == pytest.approx(1.0, abs=1e-6)
+    # alpha = 1, gamma0 = 1/2 is R_21 itself, a state no fit gives (nbar 2 has
+    # none): the CLI refuses its file, naming it, and the in-process
+    # decomposition is tests/test_spectral.py's test_decompose_pure_eigenstate
+    path = tmp_path / "state.json"
+    write_state(path, 2, RadialSqueezedState(1.0, 0.5))
+    out = tmp_path / "out"
+    res = run_cli(capsys, "decompose", "--nbar", "2", "--state", str(path), "-o", str(out))
+    assert res.returncode == 1
+    assert res.stderr == (
+        f"usage error: {path}: the matching conditions have no solution with alpha > 0 for nbar=2\n"
+    )
+    assert not out.exists()
 
 
 def test_decompose_window_warning(pipeline20, tmp_path, capsys):
@@ -717,8 +739,8 @@ def test_expansion_for_other_nbar_is_usage_error(pipeline20, tmp_path, capsys, c
         ("scan", lambda lines: ["l,n_min,n_max,deficit", lines[1].replace("1,20,", "1,", 1)],
          "not an expansion file with the header l,nbar,n_min,n_max,deficit"),
         ("density", lambda lines: [lines[0], lines[1].replace("1,20,", "1,1,", 1)],
-         "nbar must be an integer >= 2, got 1"),
-        ("decompose", None, "nbar must be an integer >= 2, got 0"),
+         "nbar must be >= 2, got 1"),
+        ("decompose", None, "nbar must be >= 2, got 0"),
     ],
     ids=["expansion-without-nbar", "expansion-nbar-1", "state-nbar-0"],
 )
@@ -942,8 +964,10 @@ def test_density_bad_time_expression(pipeline20, tmp_path, capsys):
         (["decompose", "--state", "{state}", "--deficit-tol", "0"], "deficit_tol must be positive"),
         (["density", "--expansion", "{expansion}", "--times", "0", "--smooth", "-1"],
          "smooth must be non-negative"),
-        (["decompose", "--state", "{state}", "--window", "1", "10"], "window [1, 10] outside"),
-        (["decompose", "--state", "{state}", "--window", "10", "5"], "window [10, 5] outside"),
+        (["decompose", "--state", "{state}", "--window", "1", "10"],
+         "window's lowest level must be >= 2, got 1"),
+        (["decompose", "--state", "{state}", "--window", "10", "5"],
+         "window's top level must be >= 10, got 5"),
         (["decompose", "--state", "{state}", "--window", "390", "401"],
          "window [390, 401] outside"),
         (["scan", "--expansion", "{expansion}"], "provide either --times or"),

@@ -489,8 +489,8 @@ def test_basis_table_equals_per_level_reference(nbar, per_level_radial):
 
 
 def test_basis_table_validates_levels_and_radii():
-    # a p state needs n >= 2
-    with pytest.raises(ValueError, match="angular momentum"):
+    # a p state needs n >= l + 1 = 2
+    with pytest.raises(ValueError, match="principal quantum number must be >= 2, got 1"):
         BasisTable.build(np.arange(1, 4), np.linspace(0.0, 10.0, 5))
     with pytest.raises(ValueError, match="non-negative"):
         BasisTable.build(np.arange(2, 5), np.linspace(-1.0, 10.0, 5))

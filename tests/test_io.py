@@ -18,28 +18,19 @@ from rydpack.io import (
     write_state,
 )
 from rydpack.spectral import EigenExpansion, UncertaintyRecord
-from rydpack.squeezed import L, RadialSqueezedState
+from rydpack.squeezed import L, QuantumNumbers, RadialSqueezedState, fit_parameters
 from rydpack.units import au_to_ns
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # up to 30 coefficients of modulus at most sqrt(2)/8 keep sum |c_n|^2 below 1
 small = st.floats(min_value=-0.125, max_value=0.125)
-positive = st.floats(min_value=5e-324, allow_infinity=False)
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    nbar=st.integers(2, 400),
-    alpha=positive,
-    gamma0=positive,
-)
-def test_state_round_trips_bit_exactly(tmp_path_factory, nbar, alpha, gamma0):
-    try:
-        state = RadialSqueezedState(alpha=alpha, gamma0=gamma0)
-    except ValueError:
-        # only an alpha or gamma0 near the float range has no finite normalization
-        assert max(alpha, gamma0) > 1e300
-        return
+@given(nbar=st.integers(3, 10**100))
+def test_state_round_trips_bit_exactly(tmp_path_factory, nbar):
+    # a state file is a fit artifact: its alpha and gamma0 are those of its nbar
+    state = fit_parameters(QuantumNumbers(nbar))
     path = tmp_path_factory.mktemp("state") / "state.json"
     write_state(path, nbar, state)
     stored = json.loads(path.read_text())
@@ -76,6 +67,24 @@ def test_expansion_round_trips_bit_exactly(tmp_path_factory, nbar, offset, parts
     assert np.float64(got.deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert got.coeffs.dtype == exp.coeffs.dtype
     assert got.coeffs.tobytes() == exp.coeffs.tobytes()
+
+
+def test_state_file_holds_the_fit_of_its_nbar(tmp_path):
+    # read_state gives back fit_parameters(QuantumNumbers(nbar)); an edited
+    # nbar, a hand-made state and an nbar with no fit are refused by name
+    path = tmp_path / "state.json"
+    state = fit_parameters(QuantumNumbers(20))
+    write_state(path, 20, state)
+    assert read_state(path) == (20, state)
+    for nbar, st_, message in [
+        (85, state, "alpha .* is not the fit of nbar=85"),
+        (20, RadialSqueezedState(2.0, 0.5), "alpha 2.0 is not the fit of nbar=20"),
+        (2, RadialSqueezedState(1.0, 0.5), "no solution with alpha > 0 for nbar=2"),
+    ]:
+        write_state(path, nbar, st_)
+        with pytest.raises(ValueError, match=message) as info:
+            read_state(path)
+        assert str(path) in str(info.value)
 
 
 def test_state_file_of_another_l_is_refused(tmp_path):
@@ -118,7 +127,7 @@ def test_nbar_below_two_is_refused(tmp_path, nbar):
     write_state(state_path, nbar, RadialSqueezedState(alpha=3.0, gamma0=0.5))
     write_expansion(expansion_path, nbar, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
     for reader, path in ((read_state, state_path), (read_expansion, expansion_path)):
-        with pytest.raises(ValueError, match=f"nbar must be an integer >= 2, got {nbar}") as info:
+        with pytest.raises(ValueError, match=f"nbar must be >= 2, got {nbar}") as info:
             reader(path)
         assert str(path) in str(info.value)
 

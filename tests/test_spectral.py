@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rydpack import specfun, spectral
-from rydpack.specfun import NumericalError, hydrogen_radial
+from rydpack.specfun import NumericalError, hydrogen_energy, hydrogen_radial
 from rydpack.spectral import (
     DeficitToleranceWarning,
     EigenExpansion,
@@ -66,8 +66,30 @@ def test_project_pure_eigenstate():
     assert project_coefficient(st, 2) == pytest.approx(1.0, abs=1e-11)
     for n in (3, 4, 7):
         assert abs(project_coefficient(st, n)) < 1e-11
-    with pytest.raises(ValueError, match="need n >= l\\+1 = 2, got 1"):
+    with pytest.raises(ValueError, match="principal quantum number must be >= 2, got 1"):
         project_coefficient(st, 1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda state: hydrogen_energy(10**400), "principal quantum number"),
+        (lambda state: project_coefficient(state, 10**400), "principal quantum number"),
+        (lambda state: QuantumNumbers(-(10**400)), "nbar"),
+        (lambda state: decompose(state, center=20.5), "center"),
+        (lambda state: decompose(state, window=(16.7, 24.2)), "window's lowest level"),
+        (lambda state: decompose(state, window=(16, 24.2)), "window's top level"),
+        (lambda state: EigenExpansion(2.5, [0.5, 0.5]), "n_min"),
+    ],
+    ids=["energy-401-digits", "project-401-digits", "nbar-401-digits", "center", "window-low",
+         "window-top", "n_min"],
+)
+def test_every_whole_number_takes_one_rule(call, name, state85):
+    # specfun._whole: an int beyond float range is refused by name, not by an
+    # OverflowError, and a fractional level, center or window end is refused,
+    # not truncated or taken as a level of its own
+    with pytest.raises(ValueError, match=f"^{name} must (be a whole number|lie within float range)"):
+        call(state85)
 
 
 def test_project_detects_bad_quadrature():

@@ -45,7 +45,7 @@ def test_quantum_numbers_validation():
             QuantumNumbers(bad)
     # a fractional or non-finite nbar gets the same message, not a failed int()
     for bad in (2.5, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=rf"nbar must be an integer >= 2, got {bad!r}"):
+        with pytest.raises(ValueError, match=rf"nbar must be a whole number, got {bad!r}"):
             QuantumNumbers(bad)
     # l is the package constant L, not a field
     with pytest.raises(TypeError):
@@ -82,22 +82,23 @@ def test_state_without_a_finite_norm_is_refused(alpha, gamma0):
 def test_state_with_a_non_finite_gamma1_is_refused(tmp_path, gamma1):
     # a state has no gamma1: <p_r> = 0 fixes it at 0, so it lives on only in
     # the state file, whose reader refuses any other value, these included
-    # (json writes and reads them as NaN and Infinity)
+    # (json writes and reads them as NaN and Infinity) as no finite number
     with pytest.raises(TypeError):
         RadialSqueezedState(2.0, 0.5, gamma1)
     path = tmp_path / "state.json"
-    write_state(path, 20, RadialSqueezedState(2.0, 0.5))
+    state = fit_parameters(QuantumNumbers(20))
+    write_state(path, 20, state)
     record = json.loads(path.read_text())
     record["gamma1"] = gamma1
     path.write_text(json.dumps(record))
-    with pytest.raises(ValueError, match="state file holds gamma1") as info:
+    with pytest.raises(ValueError, match="state key 'gamma1' must be a finite real number") as info:
         read_state(path)
     assert str(path) in str(info.value)
     # an integer 0 and -0.0 are the value written, and are read
     for zero in (0, -0.0):
         record["gamma1"] = zero
         path.write_text(json.dumps(record))
-        assert read_state(path) == (20, RadialSqueezedState(2.0, 0.5))
+        assert read_state(path) == (20, state)
 
 
 def test_psi_at_origin_and_phase():
