@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import NumericalError
 from .squeezed import QuantumNumbers
 
 __all__ = [
@@ -58,10 +59,16 @@ FRACTIONAL_ORDERS = (2, 3, 4)
 def timescales(q: QuantumNumbers) -> Timescales:
     """T_cl = 2 pi nbar^3 and t_rev = nbar T_cl / 3, plus fractional-revival
     times t_r = t_rev / r with periods T_r = T_cl / r for r in
-    ``FRACTIONAL_ORDERS``."""
+    ``FRACTIONAL_ORDERS``.  Past about nbar = 7.3e76, nbar T_cl overflows, so
+    t_rev, the largest time, is not finite: NumericalError names nbar."""
     n = float(q.nbar)
-    t_cl = 2.0 * math.pi * n**3
+    try:
+        t_cl = 2.0 * math.pi * n**3
+    except OverflowError:  # nbar^3 raises from about 5.6e102, where nbar T_cl is long past the range
+        t_cl = math.inf
     t_rev = n * t_cl / 3.0
+    if not math.isfinite(t_rev):
+        raise NumericalError(f"the revival time of nbar={q.nbar:.6g} passes the float range")
     fractional = tuple(
         FractionalRevival(order=int(r), t_au=t_rev / r, period_au=t_cl / r)
         for r in FRACTIONAL_ORDERS

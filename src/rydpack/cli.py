@@ -6,9 +6,9 @@ snapshots.  They hold nbar: `fit` writes it to state.json and `decompose` to
 the expansion.csv header (l,nbar,n_min,n_max,deficit), whence `scan` and
 `density` take T_cl, t_rev and the grid extent; there --nbar may restate it.
 `fit` takes any whole nbar >= 3 that a float can hold (at nbar = 2 the
-matching conditions have no solution: exit 3), and its closed form holds to
-about nbar = 1e102; beyond, its floats overflow, T_cl first (written as
-Infinity), then the fit itself (exit 1, 2 or 3).
+matching conditions have no solution: exit 3), and serves nbar up to about
+7.3e76; beyond, t_rev passes the float range (exit 2), and from about 1e108
+the fit itself fails too (exit 2 or 3), so no artifact holds Infinity.
 `decompose` serves nbar up to 288 and exits 2 from nbar 289 on.  Exit codes:
 0 success, 1 usage error, 2 numerical failure (a LAPACK failure or a float
 overflow included), 3 fit failure.
@@ -81,7 +81,7 @@ class RunConfig:
     of the flag `_build_parser` gives each subcommand that reads it."""
 
     nbar: int | None = _setting(
-        int, None, "central principal quantum number: fit serves 3 to about 1e102, decompose 3 "
+        int, None, "central principal quantum number: fit serves 3 to about 7.3e76, decompose 3 "
         "to 288; fit needs it, and elsewhere it must equal the input file's",
     )
     deficit_tol: float = _setting(
@@ -99,10 +99,13 @@ class RunConfig:
     output_dir: str = _setting(str, ".", "directory the artifacts are written to", alias="-o")
 
     def validate(self):
+        # a float setting is stored as a float, so a JSON int of it computes as one
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 rio.check_kind(f.name, value, f.metadata["kind"])
+                if f.metadata["kind"] is float:
+                    setattr(self, f.name, float(value))
         for name in ("deficit_tol", "grid_points", "r_max_factor", "prominence"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
@@ -328,7 +331,10 @@ def cmd_density(cfg: RunConfig, args) -> int:
     nbar, exp = _load_expansion(cfg, args.expansion)
     ts = timescales(QuantumNumbers(nbar))
     exprs, times = _times(ts, args)
-    grid = RadialGrid.uniform(cfg.r_max_factor * nbar**2, cfg.grid_points)
+    r_max = cfg.r_max_factor * nbar**2
+    if not math.isfinite(r_max):
+        raise UsageError(f"r_max_factor={cfg.r_max_factor!r} puts the grid's end r_max_factor nbar^2 out of range")
+    grid = RadialGrid.uniform(r_max, cfg.grid_points)
     smooth = cfg.smooth
     if smooth is None:
         # envelope scale: one third of the initial packet width

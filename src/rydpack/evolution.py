@@ -195,13 +195,12 @@ def observables(
     """Uncertainties of the evolved state at time t, as matrix elements.
 
     The moments are c(t)^dagger M c(t) with the cached operator matrices of
-    the expansion window (r, r^2, r^-1, r^-2 and p_r), normalized by the norm
-    c(t)^dagger S c(t) on the Gram matrix S, so shared quadrature error
-    cancels between numerator and denominator.  <p_r^2> follows from the
-    energies and the r^-1 and r^-2 forms; no grid is sampled.  Neither
-    ``grid`` nor ``basis`` enters the result: a supplied ``basis`` is only
-    checked against the expansion and grid (a table built for them is
-    accepted by identity), and a mismatch raises ValueError.
+    the expansion window (r, r^2, r^-1, r^-2 and p_r), divided by the
+    expansion's weight sum |c_n|^2, which is the norm at every time.  <p_r^2>
+    follows from the energies and the r^-1 and r^-2 forms; no grid is
+    sampled.  Neither ``grid`` nor ``basis`` enters the result: a supplied
+    ``basis`` is only checked against the expansion and grid (a table built
+    for them is accepted by identity), and a mismatch raises ValueError.
 
     This is a one-time block of the record routine (``spectral._records``)
     that ``scan`` runs on blocks of times; its Python-float tail has the bits
@@ -209,10 +208,11 @@ def observables(
     every block of two or more times, but a one-time call takes another BLAS
     path and may differ in the last bits: dp_r by up to 4.3e-14 relative at
     nbar 150 (200 times over 4 T_cl), and dR more, through their cancelling
-    variances.  The quadrature is checked once per window, when its matrices
-    are built (``spectral._GRAM_TOL``); past that, NumericalError arises only
-    for a state with no momentum spread (dp_r = 0, so dr / dp_r is
-    undefined), and ValueError for an expansion of zero weight.
+    variances.  The quadrature is checked once per window, by three guards
+    when its matrices are built (``spectral._moment_matrices``); past that,
+    NumericalError arises only for a state with no momentum spread (dp_r = 0,
+    so dr / dp_r is undefined), and ValueError for an expansion of zero
+    weight.
     """
     if basis is not None:
         _check_table(exp, grid, basis)  # validated only; the moments need no table

@@ -20,17 +20,17 @@ with M + 8 nodes, in the same recurrence (``_project``): disagreement beyond
 
 The moment window.  Each coefficient of an evolved expansion picks up the
 phase exp(-i E_n t) (``_phases``), so every moment an uncertainty needs is a
-quadratic form c(t)^dagger M c(t): the matrices of 1, r, r^2, r^-1 and r^-2
+quadratic form c(t)^dagger M c(t): the matrices of r, r^2, r^-1 and r^-2
 are integrated once per window on a Gauss-Legendre rule sized to it
 (``_moment_rule``), and no wavefunction is sampled for them.  The radial
 momentum p_r = -i (d/dr + 1/r) needs no integral of its own: [H, r] = -i p_r
 gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
 p_r^2 = 2 (H + 1/r) - l(l+1)/r^2, with the constant <H> = sum |c_n|^2 E_n.
-Both hold exactly within the bound set, so one cached build per window
-(``_moment_matrices``) holds the matrices of 1, r, r^2, r^-1, r^-2 and p_r,
-one observable per layer of a complex stack.  ``_records`` evaluates a
-block of times: the phases once, one stack product, one reduction, then a
-Python-float tail per time.
+Both hold exactly within the bound set, and the levels are orthonormal, so
+the norm is the weight sum |c_n|^2 at every time.  One guarded build per
+window (``_moment_matrices``) holds the five matrices, one per layer of a
+complex stack.  ``_records`` evaluates a block of times: the phases once,
+one stack product, one reduction, then a Python-float tail per time.
 ``evolution.observables`` is a one-time block, and ``_scan`` runs near-equal
 blocks of at most ``_SCAN_BLOCK`` times and takes the autocorrelations from
 the same phases.  A record does not depend on which other times share its
@@ -408,8 +408,8 @@ class UncertaintyRecord:
         return self.dpr
 
 
-# the moment matrices are trusted only while the Gram matrix S is this close
-# to the identity in the spectral norm
+# the moment matrices are trusted only while each of their three guards
+# (``_moment_matrices``) reads at most this
 _GRAM_TOL = 1e-6
 
 # the moment rule reaches at least this far (bohr): 4 n^2 at n = 7.  Below
@@ -443,46 +443,45 @@ _WINDOWS_HELD = 8
 
 @lru_cache(maxsize=_WINDOWS_HELD)
 def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
-    """The complex (6, N, N) record stack of the window [n_min, n_max],
+    """The complex (5, N, N) record stack of the window [n_min, n_max],
     read-only: the one cached build a record reads.
 
-    Each layer is the matrix of one observable: 1, r, r^2, r^-1, r^-2 and
-    p_r.  ``_records`` reads a layer M as c^dagger M^T c, so it holds <m|O|n>
-    at [n, m].  The five moments are integrated with the measure r^2 dr on
-    the window's panelized Gauss-Legendre rule (``_moment_rule``: 448 nodes
-    on [7, 30], 576 on [73, 97], at most 2048), each real product written
-    into its layer.  The p_r layer, <m|p_r|n> = i (E_m - E_n) <n|r|m> with
-    E_n from ``_energies``, is imaginary.  Complex is the dtype of the
-    product with the evolved coefficients, so no call casts the stack.  The
-    R_nl values come from ``specfun._radial_rows``, whose recurrence steps
-    the whole window at nbar 20 to 288.  The Gram matrix S = <n|m> must
-    satisfy ||S - I||_2 <= _GRAM_TOL, else NumericalError; then
-    |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c for every
-    coefficient vector c, so one check covers every time.  The diagonals of
-    the r, r^2, r^-1 and r^-2 layers must match their closed forms within
-    _GRAM_TOL, relative, else NumericalError naming the worst: each sees the
-    rule's error in its own moment, which S can miss.
+    Each layer is the matrix of one observable: r, r^2, r^-1, r^-2 and p_r.
+    ``_records`` reads a layer M as c^dagger M^T c, so it holds <m|O|n> at
+    [n, m].  The four moments are integrated with the measure r^2 dr on the
+    window's panelized Gauss-Legendre rule (``_moment_rule``: 448 nodes on
+    [7, 30], 576 on [73, 97], at most 2048), each real product written into
+    its layer.  The p_r layer, <m|p_r|n> = i (E_m - E_n) <n|r|m> with E_n
+    from ``_energies``, is imaginary.  Complex is the dtype of the product
+    with the evolved coefficients, so no call casts the stack.  The R_nl
+    values come from ``specfun._radial_rows``, whose recurrence steps the
+    whole window at nbar 20 to 288.  Three guards on the rule, in this
+    order, raise NumericalError naming the window and the residual past
+    _GRAM_TOL.  The Gram matrix S = <n|m>, built for the guard alone, must
+    have ||S - I||_2 <= _GRAM_TOL; then |c^dagger S c - c^dagger c| <=
+    _GRAM_TOL c^dagger c for every c, so the weight is the norm at every
+    time.  The four diagonals must match their closed forms, relative: each
+    sees the rule's error in its own moment, which S can miss.  The
+    off-diagonals, which carry all of a record's time dependence, must keep
+    the k = 2 hypervirial identity (E_m - E_n)^2 <m|r^2|n> = -2 <m|r^-1|n>
+    (Hirschfelder, J. Chem. Phys. 33, 1462 (1960)): its worst miss over
+    m != n, relative to the largest |2 <m|r^-1|n>|, is 1e-13 on [16, 24].
     """
     x, w = _moment_rule(n_min, n_max)
     ns = np.arange(n_min, n_max + 1)
     vals = _radial_rows(ns, L, x)
     wv = vals * (w * x * x)
-    stack = np.empty((6, ns.size, ns.size), dtype=complex)
-    stack[0] = wv @ vals.T
-    stack[1] = (wv * x) @ vals.T
-    stack[2] = (wv * x * x) @ vals.T
-    stack[3] = (wv / x) @ vals.T
-    stack[4] = (vals * w) @ vals.T
+    stack = np.empty((5, ns.size, ns.size), dtype=complex)
+    stack[0] = (wv * x) @ vals.T
+    stack[1] = (wv * x * x) @ vals.T
+    stack[2] = (wv / x) @ vals.T
+    stack[3] = (vals * w) @ vals.T
     energies = _energies(ns)
-    stack[5] = 1j * (energies[None, :] - energies[:, None]) * stack[1].real
+    gaps = energies[None, :] - energies[:, None]
+    stack[4] = 1j * gaps * stack[0].real
     # S - I is symmetric, so its spectral norm is its largest |eigenvalue|
-    gap = np.abs(np.linalg.eigvalsh(stack[0].real - np.eye(ns.size))).max()
-    if not gap <= _GRAM_TOL:  # a NaN gap fails too
-        raise NumericalError(
-            f"quadrature too coarse for the window [{n_min}, {n_max}]: "
-            f"||S - I||_2 = {gap:.3e} > {_GRAM_TOL:g}"
-        )
-    # the closed-form diagonals of layers 1-4 (Bethe & Salpeter, section 3)
+    gap = np.abs(np.linalg.eigvalsh(wv @ vals.T - np.eye(ns.size))).max()
+    # the closed-form diagonals of the four moments (Bethe & Salpeter, section 3)
     n = ns.astype(float)
     ll = L * (L + 1)
     closed = {
@@ -491,14 +490,18 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
         "<r^-1>": 1.0 / (n * n),
         "<r^-2>": 1.0 / (n**3 * (L + 0.5)),
     }
-    diagonals = stack[1:5].real.diagonal(axis1=1, axis2=2)
-    residuals = np.max(np.abs(diagonals / list(closed.values()) - 1.0), axis=1)
+    residuals = np.max(np.abs(stack[:4].real.diagonal(axis1=1, axis2=2) / list(closed.values()) - 1.0), axis=1)
     worst = int(np.argmax(residuals))  # the first NaN, if any
-    if not residuals[worst] <= _GRAM_TOL:
-        raise NumericalError(
-            f"quadrature too coarse for the window [{n_min}, {n_max}]: the {list(closed)[worst]} "
-            f"diagonal is {residuals[worst]:.3e} off its closed form, > {_GRAM_TOL:g}"
-        )
+    off = ~np.eye(ns.size, dtype=bool)
+    miss = np.abs(gaps**2 * stack[1].real + 2.0 * stack[2].real)[off]
+    hypervirial = miss.max() / np.abs(2.0 * stack[2].real[off]).max() if miss.size else 0.0
+    for residual, what in (
+        (gap, f"||S - I||_2 = {gap:.3e}"),
+        (residuals[worst], f"the {list(closed)[worst]} diagonal is {residuals[worst]:.3e} off its closed form,"),
+        (hypervirial, f"the off-diagonal hypervirial residual is {hypervirial:.3e},"),
+    ):
+        if not residual <= _GRAM_TOL:  # a NaN residual fails too
+            raise NumericalError(f"quadrature too coarse for the window [{n_min}, {n_max}]: {what} > {_GRAM_TOL:g}")
     stack.flags.writeable = False
     return stack
 
@@ -507,19 +510,21 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     """The records at the times ``ts``, whose phases exp(-i E_n t) are the
     rows of ``phases``.
 
-    One stack product and one reduction give every quadratic form
-    c(t)^dagger M c(t) of the block: c(t)^T M for the six matrices of the
-    window's stack (``_moment_matrices``), then the conjugated dot product
-    with c(t).  sum |c_n|^2 E_n (<H> times the weight) is one dot product per
-    call; the rest runs on Python floats, time by time.
+    The norm is the weight at every time, so a zero weight is refused before
+    any product.  One stack product and one reduction give every quadratic
+    form c(t)^dagger M c(t) of the block: c(t)^T M for the five matrices of
+    the window's stack (``_moment_matrices``), then the conjugated dot
+    product with c(t).  sum |c_n|^2 E_n (<H> times the weight) is one dot
+    product per call; the rest runs on Python floats, time by time.
     """
+    norm = exp.weight
+    if norm == 0.0:
+        raise ValueError("empty expansion has no observables")
     coeff_t = exp.coeffs * phases
     forms = np.vecdot(coeff_t, coeff_t @ _moment_matrices(exp.n_min, exp.n_max)).real
     energy = float(np.dot(exp.populations, exp.energies))
     records = []
-    for t, (norm, m1, m2, w1, w2, pr) in zip(ts, forms.T.tolist()):
-        if norm == 0.0:
-            raise ValueError("empty expansion has no observables")
+    for t, (m1, m2, w1, w2, pr) in zip(ts, forms.T.tolist()):
         m1, m2, w1, w2, pr = m1 / norm, m2 / norm, w1 / norm, w2 / norm, pr / norm
         pr2 = 2.0 * energy / norm + 2.0 * w1 - L * (L + 1) * w2
         dr = math.sqrt(max(m2 - m1 * m1, 0.0))
@@ -531,8 +536,8 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     return records
 
 
-# the most times in one block of phases: a block's (6, 1024, N) stack product
-# is under 5 MB at N = 41 (nbar 285)
+# the most times in one block of phases: a block's (5, 1024, N) stack product
+# is under 4 MB at N = 41 (nbar 285)
 _SCAN_BLOCK = 1024
 
 

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _whole, hydrogen_energy
+from .specfun import NumericalError, _whole, hydrogen_energy
 
 __all__ = [
     "L",
@@ -219,13 +219,17 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     is the largest real root of s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0,
     taken from `np.roots` and polished by one Newton step.  FitError if that
     root has s <= 3 (alpha <= 0), as at nbar = 2, or is NaN, as where the
-    cubic's values overflow (from about nbar = 1e108), or if a residual of
-    <r> = r_out or <H> = E_nbar exceeds 1e-10 relative.  The potential is the
+    cubic's values overflow (from about nbar = 1e108), if the pair has no
+    finite normalization, or if a residual of <r> = r_out or <H> = E_nbar
+    exceeds 1e-10 relative; NumericalError where the cubic's coefficients
+    pass the float range.  The potential is the
     one of `expectation_H`, so the quantum numbers are the only input.
     """
     r_out = orbit_geometry(q).r_out
     e_target = hydrogen_energy(q.nbar)
     cubic = [1.0, -1.0, -8.0 * (r_out - 3.0), 16.0 * (r_out - 1.0)]
+    if not math.isfinite(cubic[3]):  # from about nbar = 2.4e153
+        raise NumericalError(f"the matching cubic of nbar={q.nbar:.6g} passes the float range")
     s = max(z.real for z in np.roots(cubic) if z.imag == 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # the cubic passes the float range
         s = float(s - np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s))
@@ -233,7 +237,10 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
         raise FitError(
             f"the matching conditions have no solution with alpha > 0 for nbar={q.nbar}"
         )
-    state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out))
+    try:
+        state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out))
+    except ValueError as exc:  # no finite normalization, as from about nbar = 1e150
+        raise FitError(f"the fit for nbar={q.nbar:.6g} is no state: {exc}") from None
     r_resid, h_resid = _residuals(state, r_out, e_target)
     if r_resid > 1e-10 or h_resid > 1e-10:
         raise FitError(

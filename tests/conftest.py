@@ -273,12 +273,14 @@ def one_recurrence_radial():
 def _numpy_scalar_observables(exp, t):
     """``evolution.observables`` as computed on NumPy scalars, with the phases
     and the populations formed afresh: the record stack's forms of a one-time
-    block, then the reference the Python-float tail must equal bit for bit."""
+    block over the weight sum |c_n|^2, then the reference the Python-float
+    tail must equal bit for bit."""
     coeff_t = exp.coeffs * np.exp(-1j * exp.energies * t)[None]
     forms = np.vecdot(coeff_t, coeff_t @ spectral._moment_matrices(exp.n_min, exp.n_max))[:, 0].real
-    norm = forms[0]
-    m1, m2, w1, w2, pr = forms[1:6] / norm
-    energy = np.dot(np.abs(exp.coeffs) ** 2, exp.energies)
+    populations = np.abs(exp.coeffs) ** 2
+    norm = populations.sum()
+    m1, m2, w1, w2, pr = forms / norm
+    energy = np.dot(populations, exp.energies)
     pr2 = 2.0 * energy / norm + 2.0 * w1 - L * (L + 1) * w2
     dr = np.sqrt(max(m2 - m1 * m1, 0.0))
     dpr = np.sqrt(max(pr2 - pr * pr, 0.0))

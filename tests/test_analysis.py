@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -18,6 +19,7 @@ from rydpack.analysis import (
     timescales,
 )
 from rydpack.evolution import BasisTable, RadialGrid, autocorrelation, density, observables
+from rydpack.specfun import NumericalError
 from rydpack.spectral import decompose
 from rydpack.squeezed import QuantumNumbers, fit_parameters
 from rydpack.units import au_to_ns, au_to_ps
@@ -47,6 +49,15 @@ def test_timescale_algebra():
     assert t4.t_au == pytest.approx(ts.t_rev_au / 4.0, rel=1e-15)
     assert t2.period_au == pytest.approx(ts.T_cl_au / 2.0, rel=1e-15)
     assert t4.period_au == pytest.approx(ts.T_cl_au / 4.0, rel=1e-15)
+
+
+def test_timescales_refuse_a_revival_time_past_the_float_range():
+    # t_rev = nbar T_cl / 3 is the largest time; nbar T_cl overflows from
+    # about nbar = 7.3e76, and nbar^3 itself raises OverflowError from 5.6e102
+    assert math.isfinite(timescales(QuantumNumbers(7 * 10**76)).t_rev_au)
+    for nbar, shown in ((10**77, "1e+77"), (4 * 10**102, "4e+102"), (10**110, "1e+110")):
+        with pytest.raises(NumericalError, match=rf"revival time of nbar={re.escape(shown)} passes the float range"):
+            timescales(QuantumNumbers(nbar))
 
 
 def test_count_packets_simple():

@@ -319,6 +319,49 @@ def test_moment_guard_refuses_a_diagonal_that_s_passes(monkeypatch):
         spectral._moment_matrices.cache_clear()
 
 
+def test_rule_too_coarse_for_the_window_trips_all_three_guards(monkeypatch, full_moment_rule):
+    # 256 nodes over [0, 4 n_max^2] on nbar 85's window [73, 97], where the
+    # sized rule has 576: every guard's residual is far past the tolerance,
+    # so the build raises on the first, ||S - I||_2
+    window, ns = (73, 97), np.arange(73, 98)
+    x, w = full_moment_rule(*window, 256)
+    vals = specfun._radial_rows(ns, L, x)
+    wv = vals * (w * x * x)
+    r, r2, rm1, rm2 = ((wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T)
+    gram = np.linalg.norm(_gram(window, (x, w)) - np.eye(ns.size), 2)
+    n = ns.astype(float)
+    closed = [(3.0 * n**2 - 2.0) / 2.0, n**2 * (5.0 * n**2 - 5.0) / 2.0, 1.0 / n**2, 1.0 / (1.5 * n**3)]
+    diagonal = max(np.max(np.abs(np.diag(m) / c - 1.0)) for m, c in zip((r, r2, rm1, rm2), closed))
+    energies = -0.5 / n**2
+    off = ~np.eye(ns.size, dtype=bool)
+    miss = ((energies[:, None] - energies[None, :]) ** 2 * r2 + 2.0 * rm1)[off]
+    hypervirial = np.max(np.abs(miss)) / np.max(np.abs(2.0 * rm1[off]))
+    assert [round(v, 2) for v in (gram, diagonal, hypervirial)] == [0.05, 0.42, 0.31]
+    monkeypatch.setattr(spectral, "_moment_rule", lambda n_min, n_max: full_moment_rule(n_min, n_max, 256))
+    spectral._moment_matrices.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match=r"window \[73, 97\]: \|\|S - I\|\|_2 = 5\.309e-02 > 1e-06"):
+            spectral._moment_matrices(*window)
+    finally:
+        spectral._moment_matrices.cache_clear()
+
+
+def test_hypervirial_guard_refuses_off_diagonals_that_miss_the_spectrum(monkeypatch):
+    # energies shifted by a quantum defect of 1e-4, as of a Rydberg level of
+    # an alkali atom, leave S and the diagonals of the hydrogen matrices
+    # untouched, but (E_m - E_n)^2 <m|r^2|n> = -2 <m|r^-1|n> then misses by
+    # 8e-6 of the largest off-diagonal on [73, 97]
+    monkeypatch.setattr(spectral, "_energies", lambda ns: -0.5 / (ns.astype(float) + 1e-4) ** 2)
+    spectral._moment_matrices.cache_clear()
+    try:
+        with pytest.raises(
+            NumericalError, match=r"window \[73, 97\]: the off-diagonal hypervirial residual is 8\.16\de-06, > 1e-06"
+        ):
+            spectral._moment_matrices(73, 97)
+    finally:
+        spectral._moment_matrices.cache_clear()
+
+
 def test_observables_answer_every_nbar150_point():
     q = QuantumNumbers(150)
     exp = decompose(fit_parameters(q), center=150)
@@ -354,21 +397,19 @@ RULE_SIZES = {(7, 30): 448, (73, 97): 576, (210, 250): 1152, (265, 305): 1408}
 
 @pytest.mark.parametrize("window", list(RULE_SIZES))
 def test_moment_matrices_equal_per_level_reference(window, per_level_radial):
-    # the same rule and five products, with R_nl one level at a time;
+    # the same rule and four products, with R_nl one level at a time;
     # (265, 305): the far nodes are dead (envelope underflowed) for the low rows
     n_min, n_max = window
     x, w = spectral._moment_rule(*window)
     assert x.size == w.size == RULE_SIZES[window]
     vals = np.array([per_level_radial(n, 1, x) for n in range(n_min, n_max + 1)])
     wv = vals * (w * x * x)
-    want = np.stack(
-        [wv @ vals.T, (wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T]
-    )
+    want = np.stack([(wv * x) @ vals.T, (wv * x * x) @ vals.T, (wv / x) @ vals.T, (vals * w) @ vals.T])
     stack = spectral._moment_matrices(*window)
-    assert stack.shape == (6, n_max - n_min + 1, n_max - n_min + 1)
-    assert np.array_equal(stack.real[:5], want)
-    # the five moments are real, and the p_r layer is imaginary
-    assert not stack[:5].imag.any() and not stack[5].real.any()
+    assert stack.shape == (5, n_max - n_min + 1, n_max - n_min + 1)
+    assert np.array_equal(stack.real[:4], want)
+    # the four moments are real, and the p_r layer is imaginary
+    assert not stack[:4].imag.any() and not stack[4].real.any()
 
 
 def _full_stack(monkeypatch, rule, window):
@@ -539,11 +580,21 @@ def test_moment_matrices_overflow_names_the_first_failing_level():
             spectral._moment_matrices(280, 330)
 
 
+def _gram(window, rule=None):
+    # the Gram matrix S of the window on its moment rule (or on ``rule``), as
+    # the guard of ``spectral._moment_matrices`` builds it
+    ns = np.arange(window[0], window[1] + 1)
+    x, w = rule or spectral._moment_rule(*window)
+    vals = specfun._radial_rows(ns, L, x)
+    return (vals * (w * x * x)) @ vals.T
+
+
 def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
     # below n_max = 7 the rule reaches 196 bohr instead of 4 n_max^2
     for n_min in range(2, 7):
         for n_max in range(n_min, 7):
-            s = spectral._moment_matrices(n_min, n_max)[0]
+            spectral._moment_matrices(n_min, n_max)  # passes all three guards
+            s = _gram((n_min, n_max))
             assert np.linalg.norm(s - np.eye(s.shape[0]), 2) <= 1e-12, (n_min, n_max)
 
 
@@ -553,12 +604,11 @@ def test_moment_matrices_small_windows_pass_the_gram_guard_tightly():
 def test_moment_matrices_match_closed_form_diagonals(window):
     stack = spectral._moment_matrices(*window)
     ns = np.arange(window[0], window[1] + 1.0)
-    assert stack.shape == (6, ns.size, ns.size)
+    assert stack.shape == (5, ns.size, ns.size)
     assert not stack.flags.writeable
-    assert not stack[:5].imag.any() and not stack[5].real.any()
-    mats = stack.real[:5]
-    assert_hydrogen_identities(mats, ns)
-    assert np.linalg.norm(mats[0] - np.eye(ns.size), 2) <= 1e-12
+    assert not stack[:4].imag.any() and not stack[4].real.any()
+    assert_hydrogen_identities(stack, ns)
+    assert np.linalg.norm(_gram(window) - np.eye(ns.size), 2) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -571,8 +621,9 @@ def test_moment_matrices_keep_hydrogen_identities_across_the_served_range(nbar, 
     assert_hydrogen_identities(spectral._moment_matrices(exp.n_min, exp.n_max), exp.ns.astype(float))
 
 
-def assert_hydrogen_identities(mats, ns):
+def assert_hydrogen_identities(stack, ns):
     # <r>, <r^2>, <r^-1> and <r^-2> of a bound level (Bethe & Salpeter, section 3)
+    mats = stack.real[:4]
     ll = 2.0  # l (l + 1) at l = 1
     want = [
         (3.0 * ns**2 - ll) / 2.0,
@@ -580,14 +631,14 @@ def assert_hydrogen_identities(mats, ns):
         1.0 / ns**2,
         1.0 / (ns**3 * 1.5),
     ]
-    for mat, diag in zip(mats[1:], want):
+    for mat, diag in zip(mats, want):
         assert np.max(np.abs(np.diag(mat) / diag - 1.0)) <= 5e-12
     # off the diagonal, the double commutator [[H, r^2], H] gives
     # (E_n - E_m)^2 <n|r^2|m> = -2 <n|r^-1|m> for n != m
     energies = -0.5 / ns**2
-    residual = (energies[:, None] - energies[None, :]) ** 2 * mats[2] + 2.0 * mats[3]
+    residual = (energies[:, None] - energies[None, :]) ** 2 * mats[1] + 2.0 * mats[2]
     off = ~np.eye(ns.size, dtype=bool)
-    assert np.max(np.abs(residual[off])) <= 1e-10 * np.max(np.abs(mats[3][off]))
+    assert np.max(np.abs(residual[off])) <= 1e-10 * np.max(np.abs(mats[2][off]))
 
 
 def test_observables_rejects_mismatched_basis(exp85, grid85, basis85):
@@ -613,7 +664,7 @@ def test_scan_point_equals_numpy_scalar_reference(nbar, request, numpy_scalar_po
 
 
 def test_record_stack_adds_the_momentum_layer_to_the_moment_matrices(exp85):
-    # the layers 1, r, r^2, r^-1, r^-2 on the window's rule, then p_r from
+    # the layers r, r^2, r^-1, r^-2 on the window's rule, then p_r from
     # [H, r] = -i p_r with the expansion's energies: <m|p_r|n> at [n, m]
     stack = spectral._moment_matrices(exp85.n_min, exp85.n_max)
     x, w = spectral._moment_rule(exp85.n_min, exp85.n_max)
@@ -621,19 +672,19 @@ def test_record_stack_adds_the_momentum_layer_to_the_moment_matrices(exp85):
     wv = vals * (w * x * x)
     energies = exp85.energies
     assert stack.dtype == complex and not stack.flags.writeable
-    assert stack.shape == (6, exp85.ns.size, exp85.ns.size)
-    assert not stack[:5].imag.any()
-    for layer, weighted in zip(stack.real[:5], [wv, wv * x, wv * x * x, wv / x, vals * w]):
+    assert stack.shape == (5, exp85.ns.size, exp85.ns.size)
+    assert not stack[:4].imag.any()
+    for layer, weighted in zip(stack.real[:4], [wv * x, wv * x * x, wv / x, vals * w]):
         assert np.array_equal(layer, weighted @ vals.T)
-    assert not stack[5].real.any()
-    assert np.array_equal(stack[5].imag, (energies[None, :] - energies[:, None]) * stack.real[1])
+    assert not stack[4].real.any()
+    assert np.array_equal(stack[4].imag, (energies[None, :] - energies[:, None]) * stack.real[0])
     assert spectral._moment_matrices(exp85.n_min, exp85.n_max) is stack
 
 
 @pytest.mark.parametrize("nbar", [20, 85, 150, 285])
 def test_momentum_form_is_the_rate_of_the_r_form(nbar):
     # Ehrenfest: d<r>/dt = <p_r>.  dp_r squares <p_r>, so only this checks its
-    # sign; the forms are read as the record tail reads them
+    # sign; the forms are read as the record tail reads them, over the weight
     exp = decompose(fit_parameters(QuantumNumbers(nbar)), center=nbar)
     stack = spectral._moment_matrices(exp.n_min, exp.n_max)
     t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
@@ -643,10 +694,10 @@ def test_momentum_form_is_the_rate_of_the_r_form(nbar):
     def mean(layer, ts):
         coeff_t = exp.coeffs * spectral._phases(exp, ts[:, None])
         forms = np.vecdot(coeff_t, coeff_t @ stack).real
-        return forms[layer] / forms[0]
+        return forms[layer] / exp.weight
 
-    pr = mean(5, times)
-    rate = (mean(1, times + h) - mean(1, times - h)) / (2.0 * h)
+    pr = mean(4, times)
+    rate = (mean(0, times + h) - mean(0, times - h)) / (2.0 * h)
     assert np.max(np.abs(pr - rate)) <= 1e-6 * np.max(np.abs(pr))
 
 
@@ -765,7 +816,7 @@ def test_equal_grid_copy_matches_through_the_full_comparison(exp85, grid85, basi
 def test_observables_without_momentum_spread_raise(monkeypatch):
     # one level with <r^-1> = 1/4 and <r^-2> = 1/8: <p_r^2> = 2 E_2 + 2/4 - 2/8 = 0,
     # E_2 = -1/8, and <p_r> = 0
-    stack = np.array([[[1.0]], [[5.0]], [[30.0]], [[0.25]], [[0.125]], [[0.0]]], dtype=complex)
+    stack = np.array([[[5.0]], [[30.0]], [[0.25]], [[0.125]], [[0.0]]], dtype=complex)
     monkeypatch.setattr(spectral, "_moment_matrices", lambda n_min, n_max: stack)
     single = EigenExpansion(n_min=2, coeffs=np.array([1.0]))
     with pytest.raises(NumericalError, match="dp_r = 0"):
@@ -778,6 +829,17 @@ def test_zero_weight_expansion_has_no_observables():
         observables(empty, 0.0, None)
     with pytest.raises(ValueError, match="empty expansion"):
         autocorrelation(empty, 0.0)
+
+
+def test_zero_weight_is_refused_before_any_product(monkeypatch):
+    # the norm is the weight, so no stack is built or read for an empty expansion
+    def refuse(n_min, n_max):
+        raise AssertionError("the stack was read")
+
+    monkeypatch.setattr(spectral, "_moment_matrices", refuse)
+    empty = EigenExpansion(n_min=2, coeffs=np.zeros(2))
+    with pytest.raises(ValueError, match="empty expansion has no observables"):
+        spectral._scan_block(empty, [0.0, 1.0])
 
 
 def test_scan_heisenberg_floor_and_bound(scan85):

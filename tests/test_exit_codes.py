@@ -4,14 +4,19 @@ Whatever a user hands `rydpack` (a `state.json`, an `expansion.csv` or a
 `--config` file with dropped, retyped, extreme, non-finite or 400-digit
 values, truncated text or deep nesting, or such flag values), `cli.main`
 returns 0, 1, 2 or 3, lets no exception escape and, on a failure, prints
-one stderr line.  On success the outputs agree with the input's own nbar.
+one stderr line.  A `fit` of a whole nbar >= 3 within float range never
+fails as a usage error, and a failure names nbar.  A float setting given as
+a JSON int runs as that float.  On success every JSON artifact is strict
+JSON (no NaN or Infinity) and the outputs agree with the input's own nbar.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydpack.analysis import timescales
-from rydpack.cli import _CONFIG_FIELDS, main
+from rydpack.cli import _CONFIG_FIELDS, RunConfig, main
 from rydpack.io import read_expansion
 from rydpack.squeezed import QuantumNumbers, fit_parameters
 
@@ -59,6 +64,8 @@ FLAGS = [
 ] + [("--state", "missing.json"), ("--expansion", "missing.csv"), ("--bogus", "1")]
 
 COMMANDS = ["fit", "decompose", "scan", "density"]
+
+FLOAT_SETTINGS = {f.name for f in fields(RunConfig) if f.metadata["kind"] is float}
 
 json_edits = st.lists(
     st.tuples(st.sampled_from(sorted(_CONFIG_FIELDS | {"l", "alpha", "gamma0", "gamma1", "log_norm", "bogus"})),
@@ -129,6 +136,20 @@ def _edit_text(text, edit):
     return "[" * edit[1] + text + "]" * edit[1]
 
 
+def _strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def _fit_nbar(case):
+    # the nbar of a fit that sets nothing else, where it is a whole number
+    # >= 3 within float range; else None
+    if case["command"] != "fit" or case["target"] != "flags" or {f for f, _ in case["flags"]} != {"--nbar"}:
+        return None
+    value = case["flags"][-1][1]
+    nbar = int(value) if value.isdigit() else 0
+    return nbar if 3 <= nbar <= sys.float_info.max else None
+
+
 def _argv(command, state, expansion):
     # each subcommand on the pipeline's files; a short scan, two snapshots
     return {
@@ -147,7 +168,34 @@ def _argv(command, state, expansion):
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(BIG))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", "2")]})
 @example(case={"target": "flags", "command": "scan", "flags": [("--deficit-tol", "1e-12")]})
+# fits whose t_rev overflows (nbar 1e77 and 4e102 wrote Infinity), whose
+# nbar^3 raises, whose pair has no finite normalization and whose cubic
+# overflows, and a config int r_max_factor whose grid end passes the float range
+@example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**77))]})
+@example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(4 * 10**102))]})
+@example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**110))]})
+@example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**150))]})
+@example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**200))]})
+@example(case={"target": "config", "command": "density", "edits": [("r_max_factor", 10**308)], "text": None})
 def test_exit_code_contract(pipeline20, case):
+    code, err, out = _run(pipeline20, case)
+    if _fit_nbar(case) is not None:
+        # the range of fit is a numerical limit, not a usage rule
+        assert code in (0, 2, 3) and (code == 0 or "nbar" in err), (case, err)
+    if case["target"] == "config" and case["text"] is None:
+        # each JSON int of a float setting, within float range, as that float
+        as_floats = [(k, float(v)) if k in FLOAT_SETTINGS and type(v) is int and abs(v) <= sys.float_info.max
+                     else (k, v) for k, v in case["edits"]]
+        if as_floats != case["edits"]:
+            twin_code, twin_err, twin_out = _run(pipeline20, {**case, "edits": as_floats})
+            assert (twin_code, twin_err) == (code, err), (case, err, twin_err)
+            assert twin_out == out
+
+
+def _run(pipeline20, case):
+    """The exit code, stderr (the case's directory written as <tmp>) and
+    output files (name -> text) of one case, after the checks every case
+    must pass."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         state, expansion = pipeline20 / "state.json", pipeline20 / "expansion.csv"
@@ -179,7 +227,11 @@ def test_exit_code_contract(pipeline20, case):
         if code:
             prefix = {1: "usage error: ", 2: "numerical failure: ", 3: "fit failure: "}[code]
             assert err.startswith(prefix) and err.count("\n") == 1, (argv, err)
-            return
+            return code, err.replace(str(tmp), "<tmp>"), {}
+        files = {path.name: path.read_text() for path in out.iterdir()}
+        for name, text in files.items():
+            if name.endswith(".json"):  # strict JSON: no NaN or Infinity
+                json.loads(text, parse_constant=_strict)
         if case["command"] == "decompose":
             # the expansion carries the state's nbar, and the state is that nbar's fit
             record = json.loads(state.read_text())
@@ -194,3 +246,4 @@ def test_exit_code_contract(pipeline20, case):
             assert [(f["order"], f["t_au"], f["period_au"]) for f in block["fractional"]] == [
                 (f.order, f.t_au, f.period_au) for f in ts.fractional
             ]
+        return code, err, files

@@ -7,7 +7,7 @@ import pytest
 
 from rydpack import squeezed
 from rydpack.io import read_state, write_state
-from rydpack.specfun import hydrogen_energy, radial_quadrature
+from rydpack.specfun import NumericalError, hydrogen_energy, radial_quadrature
 from rydpack.squeezed import (
     L,
     FitError,
@@ -340,6 +340,15 @@ def test_fit_has_no_solution_at_nbar_2():
     # the cubic's only real root at nbar 2 is negative
     with pytest.raises(FitError, match="nbar=2"):
         fit_parameters(QuantumNumbers(2))
+
+
+def test_fit_past_the_float_range_is_a_fit_or_numerical_failure():
+    # at nbar 1e150 the fitted pair has alpha = gamma0 = inf, which has no
+    # finite normalization; from about 2.4e153 the cubic's coefficients overflow
+    with pytest.raises(FitError, match=r"fit for nbar=1e\+150 is no state: .*no finite normalization"):
+        fit_parameters(QuantumNumbers(10**150))
+    with pytest.raises(NumericalError, match=r"matching cubic of nbar=1e\+200 passes the float range"):
+        fit_parameters(QuantumNumbers(10**200))
 
 
 def test_fit_refuses_a_residual_above_1e_10(monkeypatch):
