@@ -7,8 +7,8 @@ the expansion.csv header (l,nbar,n_min,n_max,deficit), whence `scan` and
 `density` take T_cl, t_rev and the grid extent; there --nbar may restate it.
 `fit` takes any whole nbar >= 3 that a float can hold (at nbar = 2 the
 matching conditions have no solution: exit 3), and serves nbar up to about
-7.3e76; beyond, t_rev passes the float range (exit 2), and from about 1e108
-the fit itself fails too (exit 2 or 3), so no artifact holds Infinity.
+7.3e76; beyond, t_rev passes the float range, and `fit` exits 2 naming nbar
+before it fits, so no artifact holds Infinity.
 `decompose` serves nbar up to 288 and exits 2 from nbar 289 on.  Exit codes:
 0 success, 1 usage error, 2 numerical failure (a LAPACK failure or a float
 overflow included), 3 fit failure.
@@ -48,8 +48,8 @@ __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 
 # the most points a density grid or a scan range may ask for: 62 times the
 # default grid.  A scan writes its CSV one block of times at a time: at
-# nbar 85 a 10^5-point scan takes 2.4-3 s CPU and peaks at 38 MB RSS, and a
-# scan at the cap about 24 s and 45 MB.  Density evaluates blocks of radii
+# nbar 85 a 10^5-point scan takes 1.3-1.7 s CPU and peaks at 37 MB RSS, and a
+# scan at the cap about 14 s and 45 MB.  Density evaluates blocks of radii
 # and writes blocks of rows, and `count_packets` smooths by overlap-add in
 # fixed FFT blocks: four snapshots at nbar 85 on a grid at the cap take
 # 10.3-10.6 s CPU and peak at 121 MB RSS (about 15 s and 396 MB with a whole
@@ -62,10 +62,23 @@ class UsageError(Exception):
     pass
 
 
+# the flags that take time expressions: argparse reads a value after a space
+# that starts with '-' (-Tcl, -0.5,0) as a flag, so such a value needs the
+# form --flag=VALUE
+_TIME_FLAGS = ("--times", "--t-start", "--t-stop")
+
+
+def _time_help(flag, text):
+    return f"{text}; a value that starts with '-' needs the form {flag}=VALUE"
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through UsageError
     # so the documented exit-code contract (usage -> 1) holds.
     def error(self, message):
+        for flag in _TIME_FLAGS:
+            if message == f"argument {flag}: expected one argument":
+                message = _time_help(flag, message)
         raise UsageError(message)
 
 
@@ -216,6 +229,8 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     if cfg.nbar is None:
         raise UsageError("nbar is required (flag --nbar or config file)")
     q = QuantumNumbers(cfg.nbar)
+    # the timescales first: past their float range the fit is not reached
+    ts = timescales(q)
     state = fit_parameters(q)
     geo = orbit_geometry(q)
     e_target = hydrogen_energy(q.nbar)
@@ -242,7 +257,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         "dR": dR,
         "dP": dP,
         "bound_half_rm2": bound,
-        "timescales": _timescale_block(timescales(q)),
+        "timescales": _timescale_block(ts),
     }
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, state)
     rio.write_json(_out_path(cfg, "fit_report.json"), report)
@@ -398,15 +413,17 @@ def _build_parser() -> _Parser:
     epilog = "a scan that fails while it evaluates leaves a new -o directory behind, empty"
     p_scan = add_command("scan", cmd_scan, help="uncertainty/autocorrelation time series", epilog=epilog)
     p_scan.add_argument("--expansion", required=True, help="expansion.csv from decompose")
-    p_scan.add_argument("--times", help="comma-separated time expressions")
+    p_scan.add_argument("--times", help=_time_help("--times", "comma-separated time expressions"))
     # the range flags default to None so that _times sees any given beside --times
-    p_scan.add_argument("--t-start", help="first time of the range (default 0)")
-    p_scan.add_argument("--t-stop", help="last time of an evenly spaced range, used without --times")
+    p_scan.add_argument("--t-start", help=_time_help("--t-start", "first time of the range (default 0)"))
+    p_scan.add_argument(
+        "--t-stop", help=_time_help("--t-stop", "last time of an evenly spaced range, used without --times")
+    )
     p_scan.add_argument("--t-steps", type=int, help="points of the range (default 201)")
 
     p_den = add_command("density", cmd_density, help="density snapshots plus packet reports")
     p_den.add_argument("--expansion", required=True, help="expansion.csv from decompose")
-    p_den.add_argument("--times", required=True, help="comma-separated time expressions")
+    p_den.add_argument("--times", required=True, help=_time_help("--times", "comma-separated time expressions"))
 
     return parser
 

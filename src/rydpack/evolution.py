@@ -203,12 +203,10 @@ def observables(
     for them is accepted by identity), and a mismatch raises ValueError.
 
     This is a one-time block of the record routine (``spectral._records``)
-    that ``scan`` runs on blocks of times; its Python-float tail has the bits
-    of the same arithmetic on NumPy scalars.  A time gets the same bits in
-    every block of two or more times, but a one-time call takes another BLAS
-    path and may differ in the last bits: dp_r by up to 4.3e-14 relative at
-    nbar 150 (200 times over 4 T_cl), and dR more, through their cancelling
-    variances.  The quadrature is checked once per window, by three guards
+    that ``scan`` runs on blocks of times, and every time takes the same
+    one-row product there, so a record has the bits of its row in any
+    block; its Python-float tail has the bits of the same arithmetic on
+    NumPy scalars.  The quadrature is checked once per window, by three guards
     when its matrices are built (``spectral._moment_matrices``); past that,
     NumericalError arises only for a state with no momentum spread (dp_r = 0,
     so dr / dp_r is undefined), and ValueError for an expansion of zero

@@ -30,11 +30,12 @@ Both hold exactly within the bound set, and the levels are orthonormal, so
 the norm is the weight sum |c_n|^2 at every time.  One guarded build per
 window (``_moment_matrices``) holds the five matrices, one per layer of a
 complex stack.  ``_records`` evaluates a block of times: the phases once,
-one stack product, one reduction, then a Python-float tail per time.
-``evolution.observables`` is a one-time block, and ``_scan`` runs near-equal
-blocks of at most ``_SCAN_BLOCK`` times and takes the autocorrelations from
-the same phases.  A record does not depend on which other times share its
-block, but a one-time block may differ from it in the last bits.
+one one-row product c(t)^T M per time and layer, one reduction, then a
+Python-float tail per time.  A record takes the same products in any block,
+so it has the same bits in every block, one of one time included:
+``evolution.observables`` is a one-time block, and ``_scan`` runs
+consecutive slices of at most ``_SCAN_BLOCK`` times and takes the
+autocorrelations from the same phases.
 """
 
 from __future__ import annotations
@@ -511,20 +512,24 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     rows of ``phases``.
 
     The norm is the weight at every time, so a zero weight is refused before
-    any product.  One stack product and one reduction give every quadratic
-    form c(t)^dagger M c(t) of the block: c(t)^T M for the five matrices of
-    the window's stack (``_moment_matrices``), then the conjugated dot
-    product with c(t).  sum |c_n|^2 E_n (<H> times the weight) is one dot
+    any product.  One broadcast product and one reduction give every
+    quadratic form c(t)^dagger M c(t) of the block: each time's c(t) is a
+    (1, N) row, multiplied by each of the five matrices of the window's
+    stack (``_moment_matrices``), then the conjugated dot product with c(t).
+    A one-row product is BLAS's matrix-vector kernel whatever the block, so
+    a time's forms have the same bits in a block of any size; a (B, N) block
+    times a matrix would take the matrix-matrix kernel, which sums in
+    another order.  sum |c_n|^2 E_n (<H> times the weight) is one dot
     product per call; the rest runs on Python floats, time by time.
     """
     norm = exp.weight
     if norm == 0.0:
         raise ValueError("empty expansion has no observables")
-    coeff_t = exp.coeffs * phases
-    forms = np.vecdot(coeff_t, coeff_t @ _moment_matrices(exp.n_min, exp.n_max)).real
+    row = (exp.coeffs * phases)[:, None, None, :]
+    forms = np.vecdot(row, row @ _moment_matrices(exp.n_min, exp.n_max))[..., 0].real
     energy = float(np.dot(exp.populations, exp.energies))
     records = []
-    for t, (m1, m2, w1, w2, pr) in zip(ts, forms.T.tolist()):
+    for t, (m1, m2, w1, w2, pr) in zip(ts, forms.tolist()):
         m1, m2, w1, w2, pr = m1 / norm, m2 / norm, w1 / norm, w2 / norm, pr / norm
         pr2 = 2.0 * energy / norm + 2.0 * w1 - L * (L + 1) * w2
         dr = math.sqrt(max(m2 - m1 * m1, 0.0))
@@ -536,20 +541,20 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     return records
 
 
-# the most times in one block of phases: a block's (5, 1024, N) stack product
-# is under 4 MB at N = 41 (nbar 285)
+# the most times in one block of phases.  It bounds memory only, since a
+# record's bits do not depend on its block: a block's (1024, 5, 1, N) stack
+# products are under 4 MB at N = 41 (nbar 285)
 _SCAN_BLOCK = 1024
 
 
 def _scan(exp: EigenExpansion, times) -> Iterator[tuple[list[UncertaintyRecord], list[float]]]:
     """Yield the records and autocorrelations at ``times`` block by block, as
-    (records, autocorrelations) pairs, in the fewest blocks of at most
-    ``_SCAN_BLOCK`` times, of near-equal sizes.  So a block holds one time
-    only when the whole scan does, and every record of a longer scan has the
-    bits it has in any block of two or more times.  A block is evaluated when
-    it is asked for, so a consumer that drops each block holds only one."""
-    for block in np.array_split(np.asarray(times, dtype=float), -(-len(times) // _SCAN_BLOCK)):
-        yield _scan_block(exp, block)
+    (records, autocorrelations) pairs, one block per consecutive slice of at
+    most ``_SCAN_BLOCK`` times.  A block is evaluated when it is asked for,
+    so a consumer that drops each block holds only one."""
+    times = np.asarray(times, dtype=float)
+    for lo in range(0, times.size, _SCAN_BLOCK):
+        yield _scan_block(exp, times[lo : lo + _SCAN_BLOCK])
 
 
 def _scan_block(exp: EigenExpansion, ts) -> tuple[list[UncertaintyRecord], list[float]]:

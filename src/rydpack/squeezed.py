@@ -222,8 +222,13 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     cubic's values overflow (from about nbar = 1e108), if the pair has no
     finite normalization, or if a residual of <r> = r_out or <H> = E_nbar
     exceeds 1e-10 relative; NumericalError where the cubic's coefficients
-    pass the float range.  The potential is the
-    one of `expectation_H`, so the quantum numbers are the only input.
+    pass the float range (from about 2.4e153).  Between 1e108 and 2.4e153
+    the result is erratic, through `np.roots`' conditioning: FitError at 38
+    of the 88 values m 10^e (m = 1, 3; e = 110 to 153), a state at the
+    rest.  No timescale is finite there (`analysis.timescales`), so `rydpack
+    fit` refuses every nbar above about 7.3e76 before it fits.  The
+    potential is the one of `expectation_H`, so the quantum numbers are the
+    only input.
     """
     r_out = orbit_geometry(q).r_out
     e_target = hydrogen_energy(q.nbar)
@@ -235,7 +240,7 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
         s = float(s - np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s))
     if not s > 3.0:  # a NaN root fails too
         raise FitError(
-            f"the matching conditions have no solution with alpha > 0 for nbar={q.nbar}"
+            f"the matching conditions have no solution with alpha > 0 for nbar={q.nbar:.6g}"
         )
     try:
         state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out))
@@ -244,7 +249,7 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     r_resid, h_resid = _residuals(state, r_out, e_target)
     if r_resid > 1e-10 or h_resid > 1e-10:
         raise FitError(
-            f"fit residuals too large for nbar={q.nbar}: "
+            f"fit residuals too large for nbar={q.nbar:.6g}: "
             f"|<r>-r_out|/r_out={r_resid:.3e}, |<H>-E|/|E|={h_resid:.3e}"
         )
     return state

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import rydpack as rp
+from rydpack.cli import main
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 SRC = str(Path(rp.__file__).resolve().parents[1])
@@ -32,15 +33,8 @@ def acceptance_times(nbar):
     return [0.0, ts.t_rev_au / 3.0 - ts.T_cl_au / 3.0, ts.t_rev_au / 2.0 - 0.05 * ts.T_cl_au]
 
 
-@pytest.mark.parametrize(
-    "kind, ops, spans",
-    [
-        ("scan", {"point", "check.fit", "check.product"}, {"evolution.observables"}),
-        ("sweep", {"snapshot", "check.fit", "check.product", "check.packets"},
-         {"evolution.density", "analysis.count_packets"}),
-    ],
-)
-def test_benchmark_pass_runs_clean(tmp_path, kind, ops, spans):
+def run_pass(tmp_path, kind):
+    """The result the child's ``kind`` pass writes at nbar 20 and 85, traced."""
     spec = {
         "kind": kind,
         "nbars": list(NBARS),
@@ -59,7 +53,19 @@ def test_benchmark_pass_runs_clean(tmp_path, kind, ops, spans):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0, res.stderr
-    result = json.loads(result_path.read_text())
+    return json.loads(result_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "kind, ops, spans",
+    [
+        ("scan", {"point", "check.fit", "check.product"}, {"evolution.observables"}),
+        ("sweep", {"snapshot", "check.fit", "check.product", "check.packets"},
+         {"evolution.density", "analysis.count_packets"}),
+    ],
+)
+def test_benchmark_pass_runs_clean(tmp_path, kind, ops, spans):
+    result = run_pass(tmp_path, kind)
     assert [op for op in result["ops"] if op["error"] is not None] == []
     assert {op["op"] for op in result["ops"]} == {"fit", "decompose", "basis"} | ops
     assert {"evolution.basis_build"} | spans <= {s["name"] for s in result["spans"]}
@@ -89,3 +95,20 @@ def test_benchmark_cli_steps_run_clean(tmp_path):
         )
         assert res.returncode == 0, (args[0], res.stderr)
         assert {"import.rydpack"} | spans <= {s["name"] for s in json.loads(spans_path.read_text())}, args[0]
+
+
+def test_benchmark_reads_one_product_error_at_nbar_85(tmp_path):
+    # criterion 2 is read twice: the scan pass from one observables call at
+    # t = 0, the CLI pass from the first row of scan.csv against
+    # fit_report.json's product.  One bit pattern per record makes them one number
+    out = tmp_path / "out"
+    for argv in (
+        ["fit"],
+        ["decompose", "--state", str(out / "state.json")],
+        ["scan", "--expansion", str(out / "expansion.csv"), "--t-stop", "Tcl", "--t-steps", "201"],
+    ):
+        assert main([*argv, "--nbar", "85", "-o", str(out)]) == 0
+    closed = json.loads((out / "fit_report.json").read_text())["product"]
+    header, first = (out / "scan.csv").read_text().splitlines()[:2]
+    product = float(first.split(",")[header.split(",").index("product")])
+    assert run_pass(tmp_path, "scan")["product_rel_err"] == abs(product / closed - 1.0)

@@ -650,6 +650,59 @@ def test_scan_series(pipeline20, tmp_path, capsys):
     assert rows[0, 9] == pytest.approx(1.0, abs=1e-9)  # autocorrelation at t=0
 
 
+def test_one_time_scan_row_and_smooth_have_the_bits_of_a_long_scan(pipeline20, tmp_path):
+    # a record has one bit pattern, whatever block holds its time: a
+    # one-time scan row is its row of a 2049-point scan, and density's
+    # default smooth is that scan's dr(0) / 3
+    expansion = str(pipeline20 / "expansion.csv")
+    long = tmp_path / "long"
+    assert main(["scan", "--expansion", expansion, "--t-stop", "4*Tcl", "--t-steps", "2049", "-o", str(long)]) == 0
+    header, *rows = (long / "scan.csv").read_text().splitlines()
+    for row in rows[::128]:
+        one = tmp_path / "one"
+        assert main(["scan", "--expansion", expansion, "--times", row.split(",")[0], "-o", str(one)]) == 0
+        assert (one / "scan.csv").read_text().splitlines() == [header, row]
+    assert main(["density", "--expansion", expansion, "--times", "0", "-o", str(tmp_path / "den")]) == 0
+    smooth = json.loads((tmp_path / "den" / "packets.json").read_text())["smooth"]
+    assert rows[0].split(",")[0] == "0"
+    assert smooth.hex() == (float(rows[0].split(",")[header.split(",").index("dr")]) / 3.0).hex()
+
+
+def _help(command, flag):
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    return next(a.help for a in commands[command]._actions if flag in a.option_strings)
+
+
+@pytest.mark.parametrize(
+    "flag, value, extra",
+    [("--times", "-0.5,0", []), ("--t-start", "-Tcl", ["--t-stop", "Tcl"]), ("--t-stop", "-Tcl", [])],
+)
+def test_scan_time_that_starts_with_a_dash_names_the_joined_form(pipeline20, tmp_path, capsys, flag, value, extra):
+    # argparse reads "--times -0.5,0" as a flag without its value; the usage
+    # error and the help name the form --times=-0.5,0, which runs
+    common = ["scan", "--expansion", str(pipeline20 / "expansion.csv"), *extra, "-o", str(tmp_path)]
+    res = run_cli(capsys, *common, flag, value)
+    assert res.returncode == 1
+    assert res.stderr == (
+        f"usage error: argument {flag}: expected one argument; "
+        f"a value that starts with '-' needs the form {flag}=VALUE\n"
+    )
+    assert f"{flag}=VALUE" in _help("scan", flag)
+    assert run_cli(capsys, *common, f"{flag}={value}").returncode == 0
+
+
+def test_density_time_that_starts_with_a_dash_names_the_joined_form(pipeline20, tmp_path, capsys):
+    common = ["density", "--expansion", str(pipeline20 / "expansion.csv"), "--grid-points", "400", "-o", str(tmp_path)]
+    res = run_cli(capsys, *common, "--times", "-Tcl/2")
+    assert res.returncode == 1
+    assert res.stderr == (
+        "usage error: argument --times: expected one argument; "
+        "a value that starts with '-' needs the form --times=VALUE\n"
+    )
+    assert "--times=VALUE" in _help("density", "--times")
+    assert run_cli(capsys, *common, "--times=-Tcl/2").returncode == 0
+
+
 def test_scan_refuses_deficient_expansion(pipeline20, tmp_path, capsys):
     bad_dir = tmp_path / "bad"
     res = run_cli(

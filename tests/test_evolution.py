@@ -733,7 +733,7 @@ def test_scan_builds_each_window_once(exp85, monkeypatch):
         blocks = list(spectral._scan(exp85, times))
     finally:
         spectral._moment_matrices.cache_clear()
-    assert [len(records) for records, _ in blocks] == [683, 683, 683]
+    assert [len(records) for records, _ in blocks] == [1024, 1024, 1]
     assert calls == [(exp85.n_min, exp85.n_max)]
 
 
@@ -754,45 +754,45 @@ def test_scan_block_records_do_not_depend_on_their_block(nbar, request):
 
 
 @pytest.mark.parametrize("nbar", [85, 150])
-def test_scan_leaves_no_time_in_a_block_of_its_own(nbar, request, monkeypatch):
-    # 1025 times are two blocks of 513 and 512, not 1024 and a one-time
-    # block, so every record has the bits of one block of them all
+def test_scan_yields_consecutive_slices_lazily(nbar, request, monkeypatch):
+    # 1025 times are a slice of 1024 and a slice of one, each evaluated when
+    # it is asked for, and their rows are those of one block of them all
     exp = request.getfixturevalue(f"exp{nbar}")
     t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
     times = np.sort(np.random.default_rng(nbar + 2).uniform(0.0, 4.0 * t_cl, 1025)).tolist()
     want = spectral._scan_block(exp, times)
-    sizes = []
+    slices = []
 
     def counted(exp, ts):
-        sizes.append(len(ts))
+        slices.append(np.asarray(ts).tolist())
         return scan_block(exp, ts)
 
     scan_block = spectral._scan_block
     monkeypatch.setattr(spectral, "_scan_block", counted)
-    blocks = spectral._scan(exp, times)
-    assert sizes == []  # a block is evaluated only when it is asked for
-    blocks = list(blocks)
-    assert sizes == [513, 512]
+    scan = spectral._scan(exp, times)
+    assert slices == []  # a block is evaluated only when it is asked for
+    blocks = [next(scan)]
+    assert slices == [times[:1024]]
+    blocks += list(scan)
+    assert slices == [times[:1024], times[1024:]]
     assert [rec for records, _ in blocks for rec in records] == want[0]
     assert [ac for _, acs in blocks for ac in acs] == want[1]
 
 
-@pytest.mark.parametrize("nbar", [85, 150])
-def test_one_time_record_matches_its_row_of_a_block(nbar, request):
-    # the one-row product may differ in its last bits.  dR^2 = <r^-2> - <r^-1>^2
-    # and dp_r^2 = <p_r^2> - <p_r>^2 cancel digits, dp_r up to 4.3e-14 relative
-    # at nbar 150, so they are compared through their squares: against <r^-2>,
-    # and against -2 <E>, the scale of <p^2> by the virial theorem
-    exp = request.getfixturevalue(f"exp{nbar}")
+@pytest.mark.parametrize("nbar", [20, 85, 150, 230, 285])
+def test_one_time_record_matches_its_row_of_a_block(nbar):
+    # every time takes the same one-row product in any block, so a record has
+    # one bit pattern: in blocks of 1, 2, 1024 and 1025 times, t = 0 among them
+    exp = decompose(fit_parameters(QuantumNumbers(nbar)), center=nbar)
     t_cl = timescales(QuantumNumbers(nbar)).T_cl_au
-    times = [0.0] + np.random.default_rng(nbar + 1).uniform(0.0, 4.0 * t_cl, 200).tolist()
-    p2_scale = -2.0 * float(np.dot(exp.populations, exp.energies)) / exp.weight
-    for row in spectral._scan_block(exp, times)[0]:
-        one = observables(exp, row.t, None)
-        assert one.t == row.t
-        assert [one.dr, one.bound_half_rm2] == pytest.approx([row.dr, row.bound_half_rm2], rel=1e-12)
-        assert abs(one.dR**2 - row.dR**2) <= 1e-12 * 2.0 * row.bound_half_rm2, row.t
-        assert abs(one.dpr**2 - row.dpr**2) <= 1e-12 * p2_scale, row.t
+    times = [0.0] + np.random.default_rng(nbar + 1).uniform(0.0, 4.0 * t_cl, 1024).tolist()
+    records = spectral._scan_block(exp, times)[0]
+    assert [as_tuple(rec) for rec in spectral._scan_block(exp, times[:1024])[0]] == [
+        as_tuple(rec) for rec in records[:1024]
+    ]
+    for t, row in zip(times, records):
+        assert as_tuple(observables(exp, t, None)) == as_tuple(row), t
+        assert as_tuple(spectral._scan_block(exp, [t, 0.0])[0][0]) == as_tuple(row), t
 
 
 def test_observables_accepts_its_own_table_by_identity(exp85, grid85, basis85, monkeypatch):

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from rydpack.analysis import timescales
 from rydpack.cli import _CONFIG_FIELDS, RunConfig, main
 from rydpack.io import read_expansion
+from rydpack.specfun import NumericalError
 from rydpack.squeezed import QuantumNumbers, fit_parameters
 
 BIG = 10**400  # 401 digits: a valid JSON and argparse int, beyond float range
@@ -175,13 +176,22 @@ def _argv(command, state, expansion):
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(4 * 10**102))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**110))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**150))]})
+# fits that np.roots' conditioning failed as exit 3 before timescales were checked
+@example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**120))]})
+@example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**149))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**200))]})
 @example(case={"target": "config", "command": "density", "edits": [("r_max_factor", 10**308)], "text": None})
 def test_exit_code_contract(pipeline20, case):
     code, err, out = _run(pipeline20, case)
-    if _fit_nbar(case) is not None:
+    nbar = _fit_nbar(case)
+    if nbar is not None:
         # the range of fit is a numerical limit, not a usage rule
         assert code in (0, 2, 3) and (code == 0 or "nbar" in err), (case, err)
+        try:
+            timescales(QuantumNumbers(nbar))
+        except NumericalError:
+            # past the timescales' float range every fit is one numerical failure
+            assert code == 2, (case, err)
     if case["target"] == "config" and case["text"] is None:
         # each JSON int of a float setting, within float range, as that float
         as_floats = [(k, float(v)) if k in FLOAT_SETTINGS and type(v) is int and abs(v) <= sys.float_info.max
