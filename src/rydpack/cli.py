@@ -11,13 +11,18 @@ matching conditions have no solution: exit 3), and serves nbar up to about
 before it fits, so no artifact holds Infinity.
 `decompose` serves nbar up to 288 and exits 2 from nbar 289 on.  Exit codes:
 0 success, 1 usage error, 2 numerical failure (a LAPACK failure or a float
-overflow included), 3 fit failure.
+overflow included), 3 fit failure; a usage error in a --config file's keys or
+values names the file.  Runs of the same config with the same NumPy build,
+CPU feature level, BLAS kernel and BLAS thread count write the same bytes;
+state.json and fit_report.json come from Python's math alone, so they
+depend on the config only.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import math
 import operator
 import sys
@@ -119,6 +124,8 @@ class RunConfig:
                 rio.check_kind(f.name, value, f.metadata["kind"])
                 if f.metadata["kind"] is float:
                     setattr(self, f.name, float(value))
+        if self.nbar is not None:
+            QuantumNumbers(self.nbar)  # a whole number >= 2 within float range
         for name in ("deficit_tol", "grid_points", "r_max_factor", "prominence"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
@@ -137,14 +144,30 @@ _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _load_config(args) -> RunConfig:
-    # the config file's settings, each flag given overriding its own
-    raw = {} if args.config is None else rio.read_json(args.config, "a config file")
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    # the config file's settings, each flag given overriding its own.  An error
+    # in the file's keys or in a value it gives names the file; the names of
+    # the settings it gives stay in ``args.config_gives`` for ``_settings``
     flags = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
-    raw.update((name, value) for name, value in flags.items() if value is not None)
-    return RunConfig(**raw).validate()
+    flags = {name: value for name, value in flags.items() if value is not None}
+    raw = {} if args.config is None else rio.read_json(args.config, "a config file")
+    args.config_gives = set(raw) - set(flags)
+    with _settings(args, *raw):
+        unknown = set(raw) - _CONFIG_FIELDS
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        RunConfig(**{name: raw[name] for name in args.config_gives}).validate()
+    return RunConfig(**{**raw, **flags}).validate()
+
+
+@contextlib.contextmanager
+def _settings(args, *names):
+    # a UsageError or ValueError in the block is a usage error of the settings
+    # ``names``, led by "<config file>: " where the config file gave one
+    try:
+        yield
+    except (UsageError, ValueError) as exc:
+        given = args.config is not None and not args.config_gives.isdisjoint(names)
+        raise UsageError(f"{args.config}: {exc}" if given else str(exc)) from None
 
 
 _BINOPS = {
@@ -227,7 +250,8 @@ def _timescale_block(ts: Timescales, deltan: float = 0.0) -> dict:
 
 def cmd_fit(cfg: RunConfig, args) -> int:
     if cfg.nbar is None:
-        raise UsageError("nbar is required (flag --nbar or config file)")
+        prefix = "" if args.config is None else f"{args.config}: "
+        raise UsageError(f"{prefix}nbar is required (flag --nbar or config file)")
     q = QuantumNumbers(cfg.nbar)
     # the timescales first: past their float range the fit is not reached
     ts = timescales(q)
@@ -268,14 +292,15 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _check_nbar(cfg: RunConfig, path: str, nbar: int) -> None:
-    if cfg.nbar is not None and cfg.nbar != nbar:
-        raise UsageError(f"{path} holds nbar={nbar}; the run is configured for nbar={cfg.nbar}")
+def _check_nbar(cfg: RunConfig, args, path: str, nbar: int) -> None:
+    with _settings(args, "nbar"):
+        if cfg.nbar is not None and cfg.nbar != nbar:
+            raise UsageError(f"{path} holds nbar={nbar}; the run is configured for nbar={cfg.nbar}")
 
 
 def cmd_decompose(cfg: RunConfig, args) -> int:
     nbar, state = rio.read_state(args.state)
-    _check_nbar(cfg, args.state, nbar)
+    _check_nbar(cfg, args, args.state, nbar)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeficitToleranceWarning)
         exp = decompose(state, window=args.window, deficit_tol=cfg.deficit_tol)
@@ -290,9 +315,9 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_expansion(cfg: RunConfig, path: str):
-    nbar, exp = rio.read_expansion(path)
-    _check_nbar(cfg, path, nbar)
+def _load_expansion(cfg: RunConfig, args):
+    nbar, exp = rio.read_expansion(args.expansion)
+    _check_nbar(cfg, args, args.expansion, nbar)
     if exp.deficit > 10.0 * cfg.deficit_tol:
         raise NumericalError(
             f"expansion deficit {exp.deficit:.6e} exceeds 10 x deficit_tol "
@@ -333,7 +358,7 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.nda
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
-    nbar, exp = _load_expansion(cfg, args.expansion)
+    nbar, exp = _load_expansion(cfg, args)
     # a stable sort keeps the order of equal times, 0.0 and -0.0, as sorted() does
     times = np.sort(_times(timescales(QuantumNumbers(nbar)), args)[1], kind="stable")
     # each block of times is evaluated as the file takes its rows
@@ -343,13 +368,14 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_density(cfg: RunConfig, args) -> int:
-    nbar, exp = _load_expansion(cfg, args.expansion)
+    nbar, exp = _load_expansion(cfg, args)
     ts = timescales(QuantumNumbers(nbar))
     exprs, times = _times(ts, args)
-    r_max = cfg.r_max_factor * nbar**2
-    if not math.isfinite(r_max):
-        raise UsageError(f"r_max_factor={cfg.r_max_factor!r} puts the grid's end r_max_factor nbar^2 out of range")
-    grid = RadialGrid.uniform(r_max, cfg.grid_points)
+    with _settings(args, "grid_points", "r_max_factor"):
+        r_max = cfg.r_max_factor * nbar**2
+        if not math.isfinite(r_max):
+            raise UsageError(f"r_max_factor={cfg.r_max_factor!r} puts the grid's end r_max_factor nbar^2 out of range")
+        grid = RadialGrid.uniform(r_max, cfg.grid_points)
     smooth = cfg.smooth
     if smooth is None:
         # envelope scale: one third of the initial packet width
@@ -358,11 +384,12 @@ def cmd_density(cfg: RunConfig, args) -> int:
     # one row per time, taken block by block of radii: no whole table is held
     densities = _densities(exp, grid.points, times)
     # every snapshot is counted before any file is written, so a refused
-    # smoothing width leaves no file behind
-    reports = [
-        count_packets(grid.points, f, prominence_threshold=cfg.prominence, t=t, smooth=smooth)
-        for t, f in zip(times, densities)
-    ]
+    # smoothing width, or a grid too short or too fine for it, leaves no file behind
+    with _settings(args, "grid_points", "r_max_factor", "smooth"):
+        reports = [
+            count_packets(grid.points, f, prominence_threshold=cfg.prominence, t=t, smooth=smooth)
+            for t, f in zip(times, densities)
+        ]
     rio.write_density([_out_path(cfg, name) for name in names], grid.points, densities, times)
     snapshots = []
     for name, expr, t, report in zip(names, exprs, times, reports):

@@ -21,6 +21,14 @@ fixes, a state's fit of its nbar and an expansion's deficit, and the
 readers refuse a file whose recorded value is not, bit for bit, the derived
 one.  Every JSON file is read by ``read_json``, its values checked by
 ``check_kind``, and written by ``write_json``.
+
+The determinism contract: the same config, NumPy build, CPU feature level,
+BLAS kernel and BLAS thread count give the same bytes.  A state file and
+``rydpack fit``'s report come from Python's ``math`` alone
+(``squeezed.fit_parameters``, ``analysis.timescales``), so they depend on
+none of these.  The expansion, scan and density files and the packet report
+pass through NumPy's SIMD ``exp`` and ``log`` or BLAS products, so any of
+the five may move their last bits.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ exactly, and <H> = E_nbar becomes the cubic
     s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0.
 
 Its roots add to 1 and multiply to -16(R - 1) < 0.  For nbar >= 3 all three
-are real: one negative, one with alpha in (-1/2, 0), and the largest, which
-is the fit.  At nbar = 2 the only real root is negative, so there is no fit.
+are real: one negative, one with alpha in (-1/2, 0), and the largest, the fit
+(Viete's form).  At nbar = 2 the only real root is negative: there is no fit.
 
 These states saturate the uncertainty relation dR dP >= <r^-2>/2 for the
 operator pair R = (2 - r)/(2 r), P = p_r, whose commutator is -i r^-2.
@@ -122,8 +122,8 @@ class RadialSqueezedState:
     def log_envelope(self, r):
         """ln |psi(r)| for r > 0 (`-inf` at r = 0)."""
         r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return self.log_norm + self.alpha * np.log(r) - self.gamma0 * r
+        log_r = np.log(r, out=np.full(r.shape, -np.inf), where=r != 0.0)  # -inf at r = 0, unwarned
+        return self.log_norm + self.alpha * log_r - self.gamma0 * r
 
     def psi(self, r):
         """Real wavefunction values exp(``log_envelope``); zero at r = 0 since
@@ -216,36 +216,36 @@ def fit_parameters(q: QuantumNumbers) -> RadialSqueezedState:
     <p_r> = 0 is the paper's gamma1 = 0, which every state here has (module
     docstring).  With R = r_out, E_nbar = -(R - 1)/R^2 exactly, and the
     other two conditions give alpha = (s - 3)/2 and gamma0 = s/(2R), where s
-    is the largest real root of s^3 - s^2 - 8(R - 3) s + 16(R - 1) = 0,
-    taken from `np.roots` and polished by one Newton step.  FitError if that
-    root has s <= 3 (alpha <= 0), as at nbar = 2, or is NaN, as where the
-    cubic's values overflow (from about nbar = 1e108), if the pair has no
-    finite normalization, or if a residual of <r> = r_out or <H> = E_nbar
-    exceeds 1e-10 relative; NumericalError where the cubic's coefficients
-    pass the float range (from about 2.4e153).  Between 1e108 and 2.4e153
-    the result is erratic, through `np.roots`' conditioning: FitError at 38
-    of the 88 values m 10^e (m = 1, 3; e = 110 to 153), a state at the
-    rest.  No timescale is finite there (`analysis.timescales`), so `rydpack
-    fit` refuses every nbar above about 7.3e76 before it fits.  The
-    potential is the one of `expectation_H`, so the quantum numbers are the
-    only input.
+    is the largest root of s^3 - s^2 + b s + c = 0, b = -8(R - 3), c =
+    16(R - 1).  In x = s - 1/3 the cubic is x^3 + p x + q = 0, and where its
+    three roots are real the largest is s = 1/3 + m cos(arccos(3q/(p m))/3),
+    m = 2 sqrt(-p/3) (Viete; Abramowitz & Stegun 3.8.2), then one Newton
+    step in Horner form, skipped where the cubic's values overflow (from
+    about nbar = 1.4e102): Python float arithmetic alone, no array library.
+    FitError if the cubic has one real root (|3q/(p m)| > 1), as at nbar =
+    2, or if a residual of <r> = r_out or <H> = E_nbar exceeds 1e-10
+    relative; NumericalError where c passes the float range, from about
+    nbar = 2.4e153.  Every whole nbar from 3 to there fits, though no
+    timescale is finite from about 7.3e76 on (`analysis.timescales`), so
+    `rydpack fit` refuses those before it fits.  nbar is the only input.
     """
     r_out = orbit_geometry(q).r_out
     e_target = hydrogen_energy(q.nbar)
-    cubic = [1.0, -1.0, -8.0 * (r_out - 3.0), 16.0 * (r_out - 1.0)]
-    if not math.isfinite(cubic[3]):  # from about nbar = 2.4e153
+    b, c = -8.0 * (r_out - 3.0), 16.0 * (r_out - 1.0)
+    if not math.isfinite(c):  # from about nbar = 2.4e153
         raise NumericalError(f"the matching cubic of nbar={q.nbar:.6g} passes the float range")
-    s = max(z.real for z in np.roots(cubic) if z.imag == 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # the cubic passes the float range
-        s = float(s - np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s))
-    if not s > 3.0:  # a NaN root fails too
+    p = b - 1.0 / 3.0
+    m = 2.0 * math.sqrt(-p / 3.0)
+    cos3 = 3.0 * ((b / 3.0 + c - 2.0 / 27.0) / p) / m  # q/p first: 3q overflows at the top
+    s = 1.0 / 3.0 + m * math.cos(math.acos(cos3) / 3.0) if abs(cos3) <= 1.0 else math.nan
+    polished = s - (((s - 1.0) * s + b) * s + c) / ((3.0 * s - 2.0) * s + b)
+    if math.isfinite(polished):
+        s = polished
+    if not s > 3.0:  # a NaN root, of a cubic with one real root, fails too
         raise FitError(
             f"the matching conditions have no solution with alpha > 0 for nbar={q.nbar:.6g}"
         )
-    try:
-        state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out))
-    except ValueError as exc:  # no finite normalization, as from about nbar = 1e150
-        raise FitError(f"the fit for nbar={q.nbar:.6g} is no state: {exc}") from None
+    state = RadialSqueezedState(alpha=(s - 3.0) / 2.0, gamma0=s / (2.0 * r_out))
     r_resid, h_resid = _residuals(state, r_out, e_target)
     if r_resid > 1e-10 or h_resid > 1e-10:
         raise FitError(

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import math
 from types import SimpleNamespace
 
@@ -6,10 +9,50 @@ import pytest
 
 import rydpack as rp
 from rydpack import specfun, spectral
+from rydpack.cli import main
 from rydpack.specfun import NumericalError, laguerre, radial_log_prefactor
 from rydpack.squeezed import L
 
 NBAR = 85
+
+
+# the ledger's pipelines (tests/test_artifact_digests.py): their nbar, and
+# the scan range and density times every one of them runs
+LEDGER_NBARS = (20, 85, 150)
+LEDGER_SCAN = ["--t-stop", "4*Tcl", "--t-steps", "2049"]
+LEDGER_TIMES = "0,0.5*Tcl,trev/3,trev/2,trev"
+
+
+def run_pipeline(nbar, out):
+    """fit -> decompose -> scan -> density at ``nbar`` through ``cli.main``,
+    with the ledger's scan range and density times, into the directory
+    ``out``; the SHA-256 hex digest of each artifact, by file name."""
+    expansion = str(out / "expansion.csv")
+    for argv in (
+        ["fit", "--nbar", str(nbar)],
+        ["decompose", "--state", str(out / "state.json")],
+        ["scan", "--expansion", expansion, *LEDGER_SCAN],
+        ["density", "--expansion", expansion, "--times", LEDGER_TIMES],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "-o", str(out)]) == 0, argv
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory):
+    """``pipeline(nbar)``: the directory of ``run_pipeline``'s artifacts at
+    nbar and their digests, taken when the run ends; one run per nbar per
+    session.  Tests read the files and write nothing there."""
+    runs = {}
+
+    def run(nbar):
+        if nbar not in runs:
+            out = tmp_path_factory.mktemp(f"pipeline{nbar}")
+            runs[nbar] = out, run_pipeline(nbar, out)
+        return runs[nbar]
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from rydpack.spectral import coefficient_spread
 from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
 from rydpack.units import ATOMIC_TIME_S, au_to_ns
 
+from conftest import run_pipeline
+
 TCL = 100.0
 TREV = 1000.0
 
@@ -27,13 +29,14 @@ TREV = 1000.0
 SRC = str(Path(rydpack.__file__).resolve().parents[1])
 
 
-def run_python(*args):
+def run_python(*args, **env):
+    """A child interpreter on ``args``, with the variables ``env`` set."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -45,12 +48,9 @@ def run_cli(capsys, *args):
 
 
 @pytest.fixture(scope="module")
-def pipeline20(tmp_path_factory):
-    """fit + decompose for nbar=20, shared across CLI tests."""
-    out = tmp_path_factory.mktemp("run20")
-    assert main(["fit", "--nbar", "20", "-o", str(out)]) == 0
-    assert main(["decompose", "--nbar", "20", "--state", str(out / "state.json"), "-o", str(out)]) == 0
-    return out
+def pipeline20(pipeline):
+    """The ledger's nbar-20 pipeline directory, shared across CLI tests."""
+    return pipeline(20)[0]
 
 
 def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
@@ -161,28 +161,44 @@ def test_pipeline_at_nbar_230_emits_no_warnings(tmp_path):
     assert packets["snapshots"][0]["peak_count"] == 1
 
 
-def test_nbar85_artifacts_are_byte_identical_across_runs(tmp_path):
-    runs = []
-    for name in ("a", "b"):
-        spectral._moment_matrices.cache_clear()
-        out = tmp_path / name
-        common = ["--nbar", "85", "-o", str(out)]
-        exp = str(out / "expansion.csv")
-        assert main(["fit", *common]) == 0
-        assert main(["decompose", *common, "--state", str(out / "state.json")]) == 0
-        assert main(["scan", *common, "--expansion", exp, "--t-stop", "Tcl", "--t-steps", "5"]) == 0
-        assert main(["density", *common, "--expansion", exp, "--times", "0,trev/2"]) == 0
-        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert sorted(runs[0]) == [
+def test_nbar85_artifacts_are_byte_identical_across_runs(pipeline, tmp_path):
+    # a second run of the ledger's nbar-85 pipeline, from an empty matrix cache
+    _, first = pipeline(85)
+    spectral._moment_matrices.cache_clear()
+    second = run_pipeline(85, tmp_path)
+    assert sorted(second) == [
         "density_00.csv",
         "density_01.csv",
+        "density_02.csv",
+        "density_03.csv",
+        "density_04.csv",
         "expansion.csv",
         "fit_report.json",
         "packets.json",
         "scan.csv",
         "state.json",
     ]
-    assert runs[0] == runs[1]
+    assert second == first
+
+
+def _openblas_dynamic_arch():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    not _openblas_dynamic_arch(),
+    reason="NumPy's BLAS is not OpenBLAS with DYNAMIC_ARCH, so OPENBLAS_CORETYPE picks no other kernel",
+)
+def test_fit_files_do_not_depend_on_the_blas_kernel(pipeline, tmp_path):
+    # the determinism contract (rydpack.io): a fit on another BLAS kernel and
+    # thread count writes the bytes of the in-process one
+    made, _ = pipeline(20)
+    res = run_python("-m", "rydpack", "fit", "--nbar", "20", "-o", str(tmp_path),
+                     OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="2")
+    assert res.returncode == 0, res.stderr
+    for name in ("state.json", "fit_report.json"):
+        assert (tmp_path / name).read_bytes() == (made / name).read_bytes(), name
 
 
 # packages a cold `import rydpack, rydpack.cli` leaves unloaded: SciPy, and

@@ -795,6 +795,19 @@ def test_one_time_record_matches_its_row_of_a_block(nbar):
         assert as_tuple(spectral._scan_block(exp, [t, 0.0])[0][0]) == as_tuple(row), t
 
 
+@pytest.mark.parametrize("nbar", [3, 4, 6, 10, 20, 40, 60, 85, 120, 150, 200, 230, 288])
+def test_records_are_even_in_time_bit_for_bit(nbar):
+    # the state is real, so c(-t) is the conjugate of c(t), and every record
+    # and autocorrelation at -t equals the one at t exactly, over [0, t_rev]
+    exp = decompose(fit_parameters(QuantumNumbers(nbar)), deficit_tol=2e-3 if nbar == 3 else 1e-4)
+    t_rev = timescales(QuantumNumbers(nbar)).t_rev_au
+    times = np.random.default_rng(nbar).uniform(0.0, t_rev, 401)
+    records, acs = spectral._scan_block(exp, times)
+    mirrored, mirrored_acs = spectral._scan_block(exp, -times)
+    assert [replace(rec, t=-rec.t) for rec in records] == mirrored
+    assert acs == mirrored_acs
+
+
 def test_observables_accepts_its_own_table_by_identity(exp85, grid85, basis85, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the table was compared again")

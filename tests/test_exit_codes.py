@@ -4,8 +4,9 @@ Whatever a user hands `rydpack` (a `state.json`, an `expansion.csv` or a
 `--config` file with dropped, retyped, extreme, non-finite or 400-digit
 values, truncated text or deep nesting, or such flag values), `cli.main`
 returns 0, 1, 2 or 3, lets no exception escape and, on a failure, prints
-one stderr line.  A `fit` of a whole nbar >= 3 within float range never
-fails as a usage error, and a failure names nbar.  A float setting given as
+one stderr line, which names the input file of a usage error in a file.  A
+`fit` of a whole nbar >= 3 within float range never fails as a usage
+error, and a failure names nbar.  A float setting given as
 a JSON int runs as that float.  On success every JSON artifact is strict
 JSON (no NaN or Infinity) and the outputs agree with the input's own nbar.
 """
@@ -66,6 +67,9 @@ FLAGS = [
 
 COMMANDS = ["fit", "decompose", "scan", "density"]
 
+# the file each input target edits, in the case's directory
+INPUT_FILES = {"state": "state.json", "expansion": "expansion.csv", "config": "config.json"}
+
 FLOAT_SETTINGS = {f.name for f in fields(RunConfig) if f.metadata["kind"] is float}
 
 json_edits = st.lists(
@@ -98,11 +102,9 @@ cases = st.one_of(
 
 
 @pytest.fixture(scope="module")
-def pipeline20(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fuzz20")
-    assert main(["fit", "--nbar", "20", "-o", str(out)]) == 0
-    assert main(["decompose", "--state", str(out / "state.json"), "-o", str(out)]) == 0
-    return out
+def pipeline20(pipeline):
+    # the ledger's nbar-20 pipeline, whose state and expansion every case edits a copy of
+    return pipeline(20)[0]
 
 
 def _edit_json(record, edits):
@@ -170,19 +172,27 @@ def _argv(command, state, expansion):
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", "2")]})
 @example(case={"target": "flags", "command": "scan", "flags": [("--deficit-tol", "1e-12")]})
 # fits whose t_rev overflows (nbar 1e77 and 4e102 wrote Infinity), whose
-# nbar^3 raises, whose pair has no finite normalization and whose cubic
-# overflows, and a config int r_max_factor whose grid end passes the float range
+# nbar^3 raises, whose Newton step overflows and whose cubic's coefficients
+# overflow, and a config int r_max_factor whose grid end passes the float range
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**77))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(4 * 10**102))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**110))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**150))]})
-# fits that np.roots' conditioning failed as exit 3 before timescales were checked
+# fits whose timescales are out of range, which a companion-matrix root once
+# failed with a spurious FitError (exit 3)
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**120))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**149))]})
 @example(case={"target": "flags", "command": "fit", "flags": [("--nbar", str(10**200))]})
 @example(case={"target": "config", "command": "density", "edits": [("r_max_factor", 10**308)], "text": None})
+# a usage error of each input file kind, which names that file
+@example(case={"target": "state", "command": "decompose", "edits": [("l", 0)], "text": None})
+@example(case={"target": "expansion", "command": "scan", "edits": [("field", 3, 1, "x")], "text": None})
+@example(case={"target": "config", "command": "fit", "edits": [("nbar", "")], "text": None})
 def test_exit_code_contract(pipeline20, case):
     code, err, out = _run(pipeline20, case)
+    if code == 1 and case["target"] in INPUT_FILES:
+        # a usage error in an input file names that file
+        assert f"<tmp>/{INPUT_FILES[case['target']]}" in err, (case, err)
     nbar = _fit_nbar(case)
     if nbar is not None:
         # the range of fit is a numerical limit, not a usage rule

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rydpack import squeezed
+from rydpack.cli import main
 from rydpack.io import read_state, write_state
 from rydpack.specfun import NumericalError, hydrogen_energy, radial_quadrature
 from rydpack.squeezed import (
@@ -343,12 +344,47 @@ def test_fit_has_no_solution_at_nbar_2():
 
 
 def test_fit_past_the_float_range_is_a_fit_or_numerical_failure():
-    # at nbar 1e150 the fitted pair has alpha = gamma0 = inf, which has no
-    # finite normalization; from about 2.4e153 the cubic's coefficients overflow
-    with pytest.raises(FitError, match=r"fit for nbar=1e\+150 is no state: .*no finite normalization"):
-        fit_parameters(QuantumNumbers(10**150))
+    # at nbar 1e150 the cubic's values overflow, so the Newton step is skipped
+    # and Viete's root stands; from about 2.4e153 the cubic's coefficients overflow
+    q = QuantumNumbers(10**150)
+    st = fit_parameters(q)
+    residuals = squeezed._residuals(st, orbit_geometry(q).r_out, hydrogen_energy(q.nbar))
+    assert max(residuals) <= 1e-10
     with pytest.raises(NumericalError, match=r"matching cubic of nbar=1e\+200 passes the float range"):
         fit_parameters(QuantumNumbers(10**200))
+
+
+def test_every_nbar_in_the_cubics_float_range_fits():
+    # a state at every m 10^e (m = 1, 3) from 1e3 to 1e153, where np.roots'
+    # conditioning once failed 38 of them; NumericalError where the cubic's
+    # coefficients pass the float range, from about 2.4e153 (3e153 here)
+    for nbar in (m * 10**e for e in range(3, 154) for m in (1, 3)):
+        if nbar < 2.4e153:
+            assert fit_parameters(QuantumNumbers(nbar)).alpha > 0, nbar
+        else:
+            with pytest.raises(NumericalError):
+                fit_parameters(QuantumNumbers(nbar))
+
+
+class _NoNumpy:
+    """A stand-in for the numpy module that refuses every attribute."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was used")
+
+
+def test_fit_makes_no_numpy_call(pipeline, monkeypatch, tmp_path):
+    # the determinism contract (rydpack.io): state.json and fit_report.json come
+    # from Python's math alone, so a fit runs with squeezed's numpy taken away
+    made = {nbar: pipeline(nbar)[0] for nbar in (20, 85)}
+    monkeypatch.setattr(squeezed, "np", _NoNumpy())
+    for nbar in range(3, 401):
+        fit_parameters(QuantumNumbers(nbar))
+    for nbar, directory in made.items():
+        out = tmp_path / str(nbar)
+        assert main(["fit", "--nbar", str(nbar), "-o", str(out)]) == 0
+        for name in ("state.json", "fit_report.json"):
+            assert (out / name).read_bytes() == (directory / name).read_bytes(), (nbar, name)
 
 
 def test_fit_refuses_a_residual_above_1e_10(monkeypatch):
