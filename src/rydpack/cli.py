@@ -9,13 +9,17 @@ the expansion.csv header (l,nbar,n_min,n_max,deficit), whence `scan` and
 matching conditions have no solution: exit 3), and serves nbar up to about
 7.3e76; beyond, t_rev passes the float range, and `fit` exits 2 naming nbar
 before it fits, so no artifact holds Infinity.
-`decompose` serves nbar up to 288 and exits 2 from nbar 289 on.  Exit codes:
-0 success, 1 usage error, 2 numerical failure (a LAPACK failure or a float
-overflow included), 3 fit failure; a usage error in a --config file's keys or
-values names the file.  Runs of the same config with the same NumPy build,
-CPU feature level, BLAS kernel and BLAS thread count write the same bytes;
-state.json and fit_report.json come from Python's math alone, so they
-depend on the config only.
+`decompose` serves nbar up to 288 and exits 2 from nbar 289 on.  `density`
+smooths its snapshots, unless --smooth says otherwise, at one third of the
+initial radial width dr of the nbar's fitted state, in closed form; it
+evaluates no moments of the expansion.  Exit codes: 0 success, 1 usage
+error, 2 numerical failure (a LAPACK failure or a float overflow included),
+3 fit failure; a usage error in a --config file's keys or values names the
+file, and one in a flag's value names the flag.  Runs of the same config
+with the same NumPy build, CPU feature level, BLAS kernel and BLAS thread
+count write the same bytes; state.json and fit_report.json come from
+Python's math alone, so they depend on the config only, and packets.json's
+smooth and t_int from math and exact sums, so no BLAS kernel moves them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import io as rio
 from .analysis import Timescales, count_packets, timescales
-from .evolution import RadialGrid, _densities, observables
+from .evolution import RadialGrid, _densities
 from .specfun import NumericalError, hydrogen_energy
 from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, _scan, coefficient_spread, decompose
 from .squeezed import (
@@ -112,7 +116,8 @@ class RunConfig:
         float, 0.05, "least prominence of a counted packet, relative to the highest peak", ("density",)
     )
     smooth: float | None = _setting(
-        float, None, "envelope width (bohr) for packet counting (default dr(t = 0) / 3)", ("density",)
+        float, None, "envelope width (bohr) for packet counting (default: one third of the initial "
+        "radial width dr of the nbar's fitted state, in closed form)", ("density",)
     )
     output_dir: str = _setting(str, ".", "directory the artifacts are written to", alias="-o")
 
@@ -151,7 +156,7 @@ def _load_config(args) -> RunConfig:
     flags = {name: value for name, value in flags.items() if value is not None}
     raw = {} if args.config is None else rio.read_json(args.config, "a config file")
     args.config_gives = set(raw) - set(flags)
-    with _settings(args, *raw):
+    with _settings(args, *args.config_gives):
         unknown = set(raw) - _CONFIG_FIELDS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -162,12 +167,14 @@ def _load_config(args) -> RunConfig:
 @contextlib.contextmanager
 def _settings(args, *names):
     # a UsageError or ValueError in the block is a usage error of the settings
-    # ``names``, led by "<config file>: " where the config file gave one
+    # or time flags ``names``, led by the config file where it gave one of them
+    # and by each flag that gave one: "<config file>, --grid-points: ..."
     try:
         yield
     except (UsageError, ValueError) as exc:
-        given = args.config is not None and not args.config_gives.isdisjoint(names)
-        raise UsageError(f"{args.config}: {exc}" if given else str(exc)) from None
+        sources = [args.config] if not args.config_gives.isdisjoint(names) else []
+        sources += ["--" + name.replace("_", "-") for name in names if getattr(args, name, None) is not None]
+        raise UsageError(f"{', '.join(sources)}: {exc}" if sources else str(exc)) from None
 
 
 _BINOPS = {
@@ -321,7 +328,7 @@ def _load_expansion(cfg: RunConfig, args):
     if exp.deficit > 10.0 * cfg.deficit_tol:
         raise NumericalError(
             f"expansion deficit {exp.deficit:.6e} exceeds 10 x deficit_tol "
-            f"({10.0 * cfg.deficit_tol:g}); refusing to scan"
+            f"({10.0 * cfg.deficit_tol:g}); {args.command} refuses it"
         )
     return nbar, exp
 
@@ -333,8 +340,10 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.nda
     points from --t-start to --t-stop, and there are no expressions.
     """
 
-    def parse(text):
-        return parse_time_expression(text, ts.T_cl_au, ts.t_rev_au)
+    def parse(text, name):
+        # an error in an expression names the flag that gave it
+        with _settings(args, name):
+            return parse_time_expression(text, ts.T_cl_au, ts.t_rev_au)
 
     if args.times is not None:
         # a range flag beside a list is refused, not silently dropped
@@ -343,17 +352,17 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.nda
             raise UsageError(f"--times is not allowed with {', '.join(given)}")
         exprs = [s.strip() for s in args.times.split(",") if s.strip()]
         if not exprs:
-            raise UsageError("empty time list")
-        return exprs, [parse(s) for s in exprs]
+            raise UsageError("--times: empty time list")
+        return exprs, [parse(s, "times") for s in exprs]
     if args.t_stop is None:
         raise UsageError("provide either --times or --t-start/--t-stop/--t-steps")
-    t0 = parse("0" if args.t_start is None else args.t_start)
-    t1 = parse(args.t_stop)
+    t0 = parse("0" if args.t_start is None else args.t_start, "t_start")
+    t1 = parse(args.t_stop, "t_stop")
     steps = 201 if args.t_steps is None else args.t_steps
     if steps < 2:
-        raise UsageError("t-steps must be >= 2")
+        raise UsageError("--t-steps must be >= 2")
     if steps > _MAX_POINTS:
-        raise UsageError(f"t-steps must be at most {_MAX_POINTS}, got {steps}")
+        raise UsageError(f"--t-steps must be at most {_MAX_POINTS}, got {steps}")
     return None, np.linspace(t0, t1, steps)
 
 
@@ -378,8 +387,14 @@ def cmd_density(cfg: RunConfig, args) -> int:
         grid = RadialGrid.uniform(r_max, cfg.grid_points)
     smooth = cfg.smooth
     if smooth is None:
-        # envelope scale: one third of the initial packet width
-        smooth = observables(exp, 0.0, grid).dr / 3.0
+        # envelope scale: one third of the fitted state's initial width, in closed form
+        try:
+            state = fit_parameters(QuantumNumbers(nbar))
+        except FitError as exc:
+            raise UsageError(
+                f"{args.expansion}: no default smoothing width, since {exc}; give --smooth"
+            ) from None
+        smooth = uncertainties_rp(state)[0] / 3.0
     names = [f"density_{i:02d}.csv" for i in range(len(times))]
     # one row per time, taken block by block of radii: no whole table is held
     densities = _densities(exp, grid.points, times)

@@ -26,9 +26,13 @@ The determinism contract: the same config, NumPy build, CPU feature level,
 BLAS kernel and BLAS thread count give the same bytes.  A state file and
 ``rydpack fit``'s report come from Python's ``math`` alone
 (``squeezed.fit_parameters``, ``analysis.timescales``), so they depend on
-none of these.  The expansion, scan and density files and the packet report
-pass through NumPy's SIMD ``exp`` and ``log`` or BLAS products, so any of
-the five may move their last bits.
+none of these.  The expansion, scan and density files pass through NumPy's
+SIMD ``exp`` and ``log`` or BLAS products, so any of the five may move their
+last bits.  The packet report's ``smooth`` (the fit's closed-form dr / 3)
+comes from ``math`` alone, and its t_int from exact sums (``math.fsum`` in
+``spectral.coefficient_spread``) over the expansion, so no BLAS kernel
+moves either; its peaks are read from the density snapshots, so they may
+move with those.
 """
 
 from __future__ import annotations

@@ -369,13 +369,15 @@ def coefficient_spread(exp: EigenExpansion):
 
     The RMS width is the level spread deltan, which sets the collapse time
     t_int = nbar T_cl / (3 deltan) = t_rev / deltan that ``rydpack density`` reports.
+    Both sums are exact (``math.fsum`` of elementwise products), so no BLAS
+    kernel or summation order moves their bits.
     """
     p, s = exp.populations, exp.weight
     if s == 0.0:
         return float("nan"), float("nan")
     ns = exp.ns.astype(float)
-    mean = float(np.dot(p, ns) / s)
-    rms = float(math.sqrt(np.dot(p, (ns - mean) ** 2) / s))
+    mean = math.fsum(p * ns) / s
+    rms = math.sqrt(math.fsum(p * (ns - mean) ** 2) / s)
     return mean, rms
 
 

@@ -9,9 +9,10 @@ root:
 
     PYTHONPATH=src python tests/test_artifact_digests.py
 
-The ledger also records the numeric libraries that decide the bits of the
-kernel-dependent files (`library_fingerprint`).  Where this machine's
-differ, only the files that come from Python's ``math`` alone
+which prints each (nbar, file) whose digest moved against the ledger it
+replaces.  The ledger also records the numeric libraries that decide the
+bits of the kernel-dependent files (`library_fingerprint`).  Where this
+machine's differ, only the files that come from Python's ``math`` alone
 (``KERNEL_FREE``, the determinism contract of ``rydpack.io``) are compared.
 """
 
@@ -29,14 +30,15 @@ LEDGER = Path(__file__).parent / "data" / "artifact_digests.json"
 # the artifacts whose bytes no BLAS kernel, thread count or CPU dispatch moves
 KERNEL_FREE = ("fit_report.json", "state.json")
 
-# the environment variables that set the BLAS thread count, or its kernel
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "OPENBLAS_CORETYPE")
+# the environment variables that pick the BLAS kernel.  The thread count is
+# left out: every digest is the same with one BLAS thread as with the default
+BLAS_VARIABLES = ("OPENBLAS_CORETYPE",)
 
 
 def library_fingerprint():
     """NumPy's version, its BLAS (the build entry without its install
     directories), the CPU features NumPy's dispatch assumes and finds, and
-    the BLAS environment variables: what the same bytes need."""
+    the BLAS kernel variables: what the same bytes need."""
     from numpy._core import _multiarray_umath as umath
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -80,6 +82,11 @@ if __name__ == "__main__":
             out = Path(tmp) / str(nbar)
             out.mkdir()
             digests[str(nbar)] = run_pipeline(nbar, out)
+    old = json.loads(LEDGER.read_text())["digests"] if LEDGER.exists() else {}
+    for nbar, files in digests.items():
+        for name, digest in files.items():
+            if old.get(nbar, {}).get(name) != digest:
+                print(f"moved: nbar {nbar} {name}")
     LEDGER.parent.mkdir(exist_ok=True)
     LEDGER.write_text(json.dumps({"fingerprint": library_fingerprint(), "digests": digests}, indent=2) + "\n")
     print(f"wrote {LEDGER}")

@@ -77,7 +77,7 @@ CLI_STEPS = [
     (["decompose", "--state", "{out}/state.json"], {"spectral.decompose", "io.write_expansion"}),
     (["scan", "--expansion", "{out}/expansion.csv", "--t-stop", "Tcl", "--t-steps", "11"], {"io.write_series"}),
     (["density", "--expansion", "{out}/expansion.csv", "--times", "0,trev/2"],
-     {"evolution.observables", "analysis.count_packets", "io.write_density"}),
+     {"squeezed.fit_parameters", "analysis.count_packets", "io.write_density"}),
 ]
 
 

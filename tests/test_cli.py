@@ -16,10 +16,10 @@ from rydpack import cli, evolution, spectral
 from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
 from rydpack.spectral import coefficient_spread
-from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters
+from rydpack.squeezed import QuantumNumbers, RadialSqueezedState, fit_parameters, uncertainties_rp
 from rydpack.units import ATOMIC_TIME_S, au_to_ns
 
-from conftest import run_pipeline
+from conftest import LEDGER_NBARS, LEDGER_TIMES, run_pipeline
 
 TCL = 100.0
 TREV = 1000.0
@@ -107,7 +107,7 @@ def test_empty_time_list_is_one_usage_error(pipeline20, tmp_path, capsys):
                          "--times", times, "-o", str(tmp_path)])
             assert code == 1
             errors.append(capsys.readouterr().err)
-    assert errors == ["usage error: empty time list\n"] * 4
+    assert errors == ["usage error: --times: empty time list\n"] * 4
 
 
 class Allocated(Exception):
@@ -190,14 +190,26 @@ def _openblas_dynamic_arch():
     not _openblas_dynamic_arch(),
     reason="NumPy's BLAS is not OpenBLAS with DYNAMIC_ARCH, so OPENBLAS_CORETYPE picks no other kernel",
 )
-def test_fit_files_do_not_depend_on_the_blas_kernel(pipeline, tmp_path):
-    # the determinism contract (rydpack.io): a fit on another BLAS kernel and
-    # thread count writes the bytes of the in-process one
+def test_kernel_free_files_do_not_depend_on_the_blas_kernel(pipeline, tmp_path):
+    # the determinism contract (rydpack.io): fit, decompose and density on
+    # another BLAS kernel and thread count write the fit files, the expansion
+    # and the packet report with the bytes of the in-process ledger run; the
+    # density CSVs are BLAS products, so they are not compared
     made, _ = pipeline(20)
-    res = run_python("-m", "rydpack", "fit", "--nbar", "20", "-o", str(tmp_path),
-                     OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="2")
+    steps = [
+        ["fit", "--nbar", "20"],
+        ["decompose", "--state", str(tmp_path / "state.json")],
+        ["density", "--expansion", str(tmp_path / "expansion.csv"), "--times", LEDGER_TIMES],
+    ]
+    script = (
+        "import json, sys\nfrom rydpack.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n    code = main([*argv, '-o', sys.argv[2]])\n"
+        "    if code:\n        sys.exit(code)\n"
+    )
+    res = run_python("-c", script, json.dumps(steps), str(tmp_path), OPENBLAS_CORETYPE="Prescott",
+                     OPENBLAS_NUM_THREADS="2")
     assert res.returncode == 0, res.stderr
-    for name in ("state.json", "fit_report.json"):
+    for name in ("state.json", "fit_report.json", "expansion.csv", "packets.json"):
         assert (tmp_path / name).read_bytes() == (made / name).read_bytes(), name
 
 
@@ -607,7 +619,8 @@ def test_decompose_window_warning(pipeline20, tmp_path, capsys):
 
 def test_nbar_3_decompose_warns_and_scan_refuses(tmp_path, capsys):
     # the window stops on the n^-3 tail law: decompose keeps its warning and
-    # exit 0, and scan keeps its exit 2 on the deficit above 10 x deficit_tol
+    # exit 0, and scan and density keep their exit 2 on the deficit above
+    # 10 x deficit_tol, each naming itself
     common = ["--nbar", "3", "-o", str(tmp_path)]
     assert main(["fit", *common]) == 0
     capsys.readouterr()
@@ -615,10 +628,14 @@ def test_nbar_3_decompose_warns_and_scan_refuses(tmp_path, capsys):
     assert "warning: deficit tolerance 0.0001 unreachable" in capsys.readouterr().err
     _, exp = read_expansion(tmp_path / "expansion.csv")
     assert exp.n_min == 2 and exp.n_max < 400
-    code = main(["scan", *common, "--expansion", str(tmp_path / "expansion.csv"), "--t-stop", "Tcl"])
-    assert code == 2
-    assert "exceeds 10 x deficit_tol" in capsys.readouterr().err
-    assert not (tmp_path / "scan.csv").exists()
+    for command, times, made in (
+        ("scan", ["--t-stop", "Tcl"], "scan.csv"),
+        ("density", ["--times", "0"], "packets.json"),
+    ):
+        assert main([command, *common, "--expansion", str(tmp_path / "expansion.csv"), *times]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds 10 x deficit_tol" in err and err.endswith(f"; {command} refuses it\n")
+        assert not (tmp_path / made).exists()
 
 
 def test_decompose_missing_state(tmp_path, capsys):
@@ -666,10 +683,9 @@ def test_scan_series(pipeline20, tmp_path, capsys):
     assert rows[0, 9] == pytest.approx(1.0, abs=1e-9)  # autocorrelation at t=0
 
 
-def test_one_time_scan_row_and_smooth_have_the_bits_of_a_long_scan(pipeline20, tmp_path):
+def test_one_time_scan_row_has_the_bits_of_a_long_scan(pipeline20, tmp_path):
     # a record has one bit pattern, whatever block holds its time: a
-    # one-time scan row is its row of a 2049-point scan, and density's
-    # default smooth is that scan's dr(0) / 3
+    # one-time scan row is its row of a 2049-point scan
     expansion = str(pipeline20 / "expansion.csv")
     long = tmp_path / "long"
     assert main(["scan", "--expansion", expansion, "--t-stop", "4*Tcl", "--t-steps", "2049", "-o", str(long)]) == 0
@@ -678,10 +694,53 @@ def test_one_time_scan_row_and_smooth_have_the_bits_of_a_long_scan(pipeline20, t
         one = tmp_path / "one"
         assert main(["scan", "--expansion", expansion, "--times", row.split(",")[0], "-o", str(one)]) == 0
         assert (one / "scan.csv").read_text().splitlines() == [header, row]
-    assert main(["density", "--expansion", expansion, "--times", "0", "-o", str(tmp_path / "den")]) == 0
-    smooth = json.loads((tmp_path / "den" / "packets.json").read_text())["smooth"]
-    assert rows[0].split(",")[0] == "0"
-    assert smooth.hex() == (float(rows[0].split(",")[header.split(",").index("dr")]) / 3.0).hex()
+
+
+@pytest.mark.parametrize("nbar", LEDGER_NBARS)
+def test_default_smooth_is_the_fitted_states_dr_over_3(pipeline, nbar):
+    # density's default smoothing width is the closed-form dr of the header
+    # nbar's fit, divided by 3, bit for bit
+    packets = json.loads((pipeline(nbar)[0] / "packets.json").read_text())
+    dr = uncertainties_rp(fit_parameters(QuantumNumbers(nbar)))[0]
+    assert packets["smooth"].hex() == (dr / 3.0).hex()
+
+
+def test_density_evaluates_no_moments(pipeline, tmp_path, monkeypatch):
+    # density takes its default smoothing width from the fit, so it makes no
+    # observables call and builds no moment window
+    def refuse(*args, **kwargs):
+        raise AssertionError("density evaluated moments of the expansion")
+
+    monkeypatch.setattr(spectral, "_moment_matrices", refuse)
+    monkeypatch.setattr(evolution, "observables", refuse)
+    expansion = pipeline(85)[0] / "expansion.csv"
+    assert main(["density", "--expansion", str(expansion), "--times", "0,trev/2", "-o", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "packets.json").read_text())["snapshots"][0]["peak_count"] == 1
+
+
+def test_density_serves_a_window_its_moments_would_overflow(tmp_path, capsys):
+    # at nbar 3 on the window [2, 400], R_n1 overflows from n = 327 on the
+    # moment rule, which density once built for its default smoothing width
+    out = str(tmp_path)
+    assert main(["fit", "--nbar", "3", "-o", out]) == 0
+    assert main(["decompose", "--state", f"{out}/state.json", "--window", "2", "400", "-o", out]) == 0
+    argv = ["density", "--expansion", f"{out}/expansion.csv", "--deficit-tol", "2e-3", "--times", "0"]
+    assert main([*argv, "-o", out]) == 0, capsys.readouterr().err
+
+
+def test_density_without_a_fit_of_the_header_nbar_needs_smooth(pipeline20, tmp_path, capsys):
+    # only a hand-made expansion holds nbar 2, which has no fit to take the
+    # default smoothing width from: a usage error naming the file
+    lines = (pipeline20 / "expansion.csv").read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(",20,", ",2,", 1)
+    expansion = tmp_path / "expansion.csv"
+    expansion.write_text("".join(lines))
+    argv = ["density", "--expansion", str(expansion), "--times", "0", "-o", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = assert_one_usage_error(capsys)
+    assert err.startswith(f"usage error: {expansion}: ") and "--smooth" in err
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--smooth", "1"]) == 0
 
 
 def _help(command, flag):

@@ -4,7 +4,8 @@ Whatever a user hands `rydpack` (a `state.json`, an `expansion.csv` or a
 `--config` file with dropped, retyped, extreme, non-finite or 400-digit
 values, truncated text or deep nesting, or such flag values), `cli.main`
 returns 0, 1, 2 or 3, lets no exception escape and, on a failure, prints
-one stderr line, which names the input file of a usage error in a file.  A
+one stderr line, which names the input file of a usage error in a file,
+and one of the flags given of a usage error in a flag's value.  A
 `fit` of a whole nbar >= 3 within float range never fails as a usage
 error, and a failure names nbar.  A float setting given as
 a JSON int runs as that float.  On success every JSON artifact is strict
@@ -15,6 +16,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from dataclasses import fields
@@ -143,6 +145,15 @@ def _strict(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
 
+def _names(err, flag, value):
+    # whether ``err`` names ``flag`` (--grid-points), its setting (grid_points)
+    # as a whole word, or the file it gives
+    words = (flag, flag[2:].replace("-", "_"))
+    if any(re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", err) for word in words):
+        return True
+    return flag in ("--state", "--expansion") and value in err
+
+
 def _fit_nbar(case):
     # the nbar of a fit that sets nothing else, where it is a whole number
     # >= 3 within float range; else None
@@ -188,11 +199,25 @@ def _argv(command, state, expansion):
 @example(case={"target": "state", "command": "decompose", "edits": [("l", 0)], "text": None})
 @example(case={"target": "expansion", "command": "scan", "edits": [("field", 3, 1, "x")], "text": None})
 @example(case={"target": "config", "command": "fit", "edits": [("nbar", "")], "text": None})
+# a usage error of each kind a flag's value gives, which names that flag:
+# every time-expression error, an empty time list, a grid of two points and a
+# default smoothing width too wide for a tiny grid
+@example(case={"target": "flags", "command": "density", "flags": [("--times", "x")]})
+@example(case={"target": "flags", "command": "density", "flags": [("--times", "trev/0")]})
+@example(case={"target": "flags", "command": "density", "flags": [("--times", "1e308*1e308")]})
+@example(case={"target": "flags", "command": "scan", "flags": [("--t-stop", "(" * 5000 + "1" + ")" * 5000)]})
+@example(case={"target": "flags", "command": "scan", "flags": [("--t-start", "x")]})
+@example(case={"target": "flags", "command": "density", "flags": [("--times", "")]})
+@example(case={"target": "flags", "command": "density", "flags": [("--grid-points", "2")]})
+@example(case={"target": "flags", "command": "density", "flags": [("--r-max-factor", "1e-300")]})
 def test_exit_code_contract(pipeline20, case):
     code, err, out = _run(pipeline20, case)
     if code == 1 and case["target"] in INPUT_FILES:
         # a usage error in an input file names that file
         assert f"<tmp>/{INPUT_FILES[case['target']]}" in err, (case, err)
+    if code == 1 and case["target"] == "flags":
+        # a usage error in flags names one of them, its setting or its file
+        assert any(_names(err, flag, value) for flag, value in case["flags"]), (case, err)
     nbar = _fit_nbar(case)
     if nbar is not None:
         # the range of fit is a numerical limit, not a usage rule
