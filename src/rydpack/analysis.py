@@ -207,12 +207,15 @@ def _prominent_peaks(f: np.ndarray, min_prominence: float) -> np.ndarray:
 def detect_revival(times, values, window):
     """Maximum of an autocorrelation series inside ``window = (t_lo, t_hi)``.
 
-    Returns (t_peak, value); ties resolve to the earliest time.
+    Returns (t_peak, value); ties resolve to the earliest time.  A NaN or
+    infinite time or value raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ValueError("times and values must have the same shape")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("times and values must be finite")
     t_lo, t_hi = float(window[0]), float(window[1])
     mask = (times >= t_lo) & (times <= t_hi)
     if not mask.any():

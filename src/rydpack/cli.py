@@ -29,6 +29,7 @@ import ast
 import contextlib
 import math
 import operator
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -405,27 +406,27 @@ def cmd_density(cfg: RunConfig, args) -> int:
             count_packets(grid.points, f, prominence_threshold=cfg.prominence, t=t, smooth=smooth)
             for t, f in zip(times, densities)
         ]
-    rio.write_density([_out_path(cfg, name) for name in names], grid.points, densities, times)
-    snapshots = []
-    for name, expr, t, report in zip(names, exprs, times, reports):
-        snapshots.append(
-            {
-                "file": name,
-                "expression": expr,
-                "t_au": t,
-                "t_ns": au_to_ns(t),
-                "peak_count": report.peak_count,
-                "peak_positions": list(report.peak_positions),
-            }
-        )
-        print(f"{name}: t={au_to_ns(t):.6f} ns  packets={report.peak_count}")
-    packets = {
+    snapshots = [
+        {"file": name, "expression": expr, "t_au": t, "t_ns": au_to_ns(t),
+         "peak_count": report.peak_count, "peak_positions": list(report.peak_positions)}
+        for name, expr, t, report in zip(names, exprs, times, reports)
+    ]
+    # the report's text is formed before any snapshot is written, and replaces
+    # packets.json last, so a failure in between leaves the old report whole
+    packets = rio._json_text({
         "prominence_threshold": cfg.prominence,
         "smooth": smooth,
         "timescales": _timescale_block(ts, coefficient_spread(exp)[1]),
         "snapshots": snapshots,
-    }
-    rio.write_json(_out_path(cfg, "packets.json"), packets)
+    })
+    rio.write_density([_out_path(cfg, name) for name in names], grid.points, densities, times)
+    for snapshot in snapshots:
+        print(f"{snapshot['file']}: t={snapshot['t_ns']:.6f} ns  packets={snapshot['peak_count']}")
+    rio.write_text_atomic(_out_path(cfg, "packets.json"), [packets])
+    # an earlier run's snapshots past this run's count would outlive its report
+    for path in Path(cfg.output_dir).glob("density_*.csv"):
+        if re.fullmatch(r"density_(0[0-9]|[1-9][0-9]+)\.csv", path.name) and path.name not in names:
+            path.unlink()
     return 0
 
 
@@ -463,7 +464,9 @@ def _build_parser() -> _Parser:
     )
     p_scan.add_argument("--t-steps", type=int, help="points of the range (default 201)")
 
-    p_den = add_command("density", cmd_density, help="density snapshots plus packet reports")
+    epilog = ("writes density_NN.csv for the NN-th of --times, then packets.json, then removes every "
+              "density_NN.csv in -o whose NN is at least the number of --times")
+    p_den = add_command("density", cmd_density, help="density snapshots plus packet reports", epilog=epilog)
     p_den.add_argument("--expansion", required=True, help="expansion.csv from decompose")
     p_den.add_argument("--times", required=True, help=_time_help("--times", "comma-separated time expressions"))
 

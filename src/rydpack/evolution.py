@@ -1,25 +1,24 @@
 """Spectral time evolution, density sampling and time-dependent observables.
 
-Propagation is exact in the bound-state basis: each coefficient picks up the
-phase exp(-i E_n t).  The uncertainties of an evolved state come from the
-moment window of ``spectral``, and no wavefunction is ever sampled for them:
-``observables`` is a one-time block of its record routine, which a scan runs
-on blocks of times.  Only density snapshots evaluate the wavefunction, on a
-caller-supplied grid, from values of the same kernel: a snapshot is a real
-(2, N) product of the stacked Re/Im coefficients with a real table, so no
-table is ever copied to complex.  Without a ``BasisTable``, as ``rydpack
-density`` calls it, the table is built one block of radii at a time
-(``spectral._amplitude_blocks``) and every snapshot time is taken on each
-block, so memory grows with snapshots times points: one block's table, and
-within it one tile's Laguerre rows (``specfun._radial_rows``), are alive at
-a time.  Only a caller that passes a ``BasisTable`` holds the whole
-levels-times-points table (none in the package; ``perfbench``'s in-process
-passes and the tests do), and the values have the same bits either way.
+An expansion is real (``spectral``), and propagation is exact in the
+bound-state basis: at time t each coefficient picks up the phase
+exp(-i E_n t) where that time is evaluated; no evolved expansion is formed.
+Every entry point refuses a time that is not finite.  The uncertainties
+come from the moment window of ``spectral``, and no wavefunction is sampled
+for them: ``observables`` is a one-time block of its record routine, which
+a scan runs on blocks of times.  Density snapshots have one route,
+``_densities``: per block of radii, a real (2, N) product of each time's
+stacked Re/Im coefficients with the block's real table
+(``spectral._amplitude_blocks``).  The block's table is built there, so
+memory grows with snapshots times points, or read from a ``BasisTable``
+that a caller holds whole (none in the package; ``perfbench``'s in-process
+passes and the tests do), with the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .spectral import (
     EigenExpansion,
     UncertaintyRecord,
     _amplitude_blocks,
-    _amplitude_parts,
     _phases,
     _records,
 )
@@ -37,7 +35,6 @@ from .squeezed import L
 __all__ = [
     "RadialGrid",
     "BasisTable",
-    "evolve",
     "autocorrelation",
     "density",
     "observables",
@@ -72,15 +69,11 @@ class BasisTable:
 
     The table is one call of ``specfun._radial_rows``, which on a grid of
     many thousand points steps one Laguerre recurrence per anchor group of
-    five levels and sums the group's other levels from it; evaluating
-    an evolved wavefunction afterwards is one real (2, N) product of the
-    stacked Re/Im coefficients, so one table serves any number of snapshot
-    times.  It holds all levels times all points, and no code in the package
-    builds one: ``density`` without a table, ``rydpack density`` and
-    ``spectral.reconstruct`` step blocks of radii instead.  The callers that
-    hold one pass it to ``density`` call after call (``perfbench``'s
-    in-process passes, the tests).  ``observables`` does not need a table;
-    it only checks one it is given against the expansion and grid.
+    five levels and sums the group's other levels from it; ``density``
+    reads its columns block by block, for any number of snapshot times.  It
+    holds all levels times all points, and no code in the package builds
+    one.  ``observables`` only checks one it is given against the expansion
+    and grid.
     The constructor computes the values, and keeps an input array only when
     it is read-only and owns its data (an expansion's ``ns``, a grid's
     ``points``), else a read-only copy.  So a table built for an expansion
@@ -120,15 +113,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_table(exp, grid, basis) -> None:
-    if not basis.matches(exp, grid):
+def _table(exp, grid, basis) -> np.ndarray | None:
+    """The values of ``basis``, None without one; ValueError unless it matches."""
+    if basis is not None and not basis.matches(exp, grid):
         raise ValueError("basis table does not match the expansion/grid pair")
+    return None if basis is None else basis.values
 
 
-def evolve(exp: EigenExpansion, t: float) -> EigenExpansion:
-    """Multiply each coefficient by exp(-i E_n t); the evolved coefficients
-    give the same deficit up to rounding."""
-    return replace(exp, coeffs=exp.coeffs * _phases(exp, t))
+def _time(t) -> float:
+    """``t`` as a float; ValueError for a NaN or infinite time."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    return t
 
 
 def autocorrelation(exp: EigenExpansion, t: float) -> float:
@@ -136,7 +133,9 @@ def autocorrelation(exp: EigenExpansion, t: float) -> float:
 
     The phases come from the expansion's cached rates -i E_n, with the bits
     of exp(-1j * E_n * t).  A scan's block of times gives each time the same
-    bits as this call, whatever the block."""
+    bits as this call, whatever the block.  A time that is not finite raises
+    ValueError."""
+    t = _time(t)
     s = exp.weight
     if s == 0.0:
         raise ValueError("empty expansion has no autocorrelation")
@@ -147,60 +146,46 @@ def autocorrelation(exp: EigenExpansion, t: float) -> float:
 def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisTable | None = None):
     """Radial probability density f(r) = r^2 |psi_t(r)|^2 on the grid.
 
-    Re and Im of psi_t come from a real (2, N) product of the stacked Re/Im
-    coefficients c(t) with the real table, and f = (r re)^2 + (r im)^2
-    (``_radial_density``).  A supplied ``basis`` must match the expansion and
-    grid (else ValueError) and serves as the whole table; without one, the
-    table is built and used one block of radii at a time (``_densities``),
-    with the same bits.
+    One row of ``_densities``.  A supplied ``basis`` must match the expansion
+    and grid (else ValueError), and its values serve as the table, block by
+    block; without one, each block's table is built as it is needed.  Both
+    give the same bits.  A time that is not finite raises ValueError.
     """
-    if basis is None:
-        return _densities(exp, grid.points, [t])[0]
-    _check_table(exp, grid, basis)
-    return _radial_density(_amplitude_parts(exp.coeffs * _phases(exp, t), basis.values), grid.points)
+    return _densities(exp, grid.points, [_time(t)], _table(exp, grid, basis))[0]
 
 
-def _radial_density(parts: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """f = (r re)^2 + (r im)^2 from the (2, N) ``parts`` [re, im], which are
-    scaled and squared in place.  Scaling the amplitudes first keeps f
-    finite on any finite grid: r^2 overflows past r = 1.3e154, where inf
-    times an amplitude of 0 would be NaN."""
-    parts *= r
-    np.square(parts, out=parts)
-    return np.add(parts[0], parts[1], out=out)
-
-
-def _densities(exp: EigenExpansion, r: np.ndarray, times) -> np.ndarray:
+def _densities(exp: EigenExpansion, r: np.ndarray, times, table=None) -> np.ndarray:
     """The (times, points) array of f = r^2 |psi_t(r)|^2 at each of the
-    ``times`` on the 1-d radii ``r``; each row has the bits of ``density``
-    on a whole ``BasisTable`` (``_radial_density`` on each block).
+    ``times`` on the 1-d radii ``r``, from the (levels, points) ``table`` of
+    R_nl on ``r`` if one is given.
 
-    Each block of radii builds its table once and takes every time's product
-    on it (``spectral._amplitude_blocks``), so besides the result only one
-    block's table is held.
+    f = (r re)^2 + (r im)^2 is formed in the memory of each block's parts
+    (``spectral._amplitude_blocks``).  Scaling the amplitudes first keeps f
+    finite on any finite grid: r^2 overflows past r = 1.3e154, where inf
+    times an amplitude of 0 would be NaN.
     """
     coeff_rows = [exp.coeffs * _phases(exp, t) for t in times]
     out = np.empty((len(coeff_rows), r.size))
-    for block, i, parts in _amplitude_blocks(exp.ns, coeff_rows, r):
-        _radial_density(parts, r[block], out=out[i, block])
+    for block, i, parts in _amplitude_blocks(exp.ns, coeff_rows, r, table):
+        parts *= r[block]
+        np.square(parts, out=parts)
+        np.add(parts[0], parts[1], out=out[i, block])
     return out
 
 
 def observables(
-    exp: EigenExpansion,
-    t: float,
-    grid: RadialGrid | None,
-    basis: BasisTable | None = None,
+    exp: EigenExpansion, t: float, grid: RadialGrid | None = None, basis: BasisTable | None = None
 ) -> UncertaintyRecord:
-    """Uncertainties of the evolved state at time t, as matrix elements.
+    """Uncertainties of the state at time t, as matrix elements.
 
-    The moments are c(t)^dagger M c(t) with the cached operator matrices of
-    the expansion window (r, r^2, r^-1, r^-2 and p_r), divided by the
-    expansion's weight sum |c_n|^2, which is the norm at every time.  <p_r^2>
-    follows from the energies and the r^-1 and r^-2 forms; no grid is
-    sampled.  Neither ``grid`` nor ``basis`` enters the result: a supplied
-    ``basis`` is only checked against the expansion and grid (a table built
-    for them is accepted by identity), and a mismatch raises ValueError.
+    The moments are c(t)^dagger M c(t), with c_n(t) = c_n exp(-i E_n t) and
+    the cached operator matrices of the expansion window (r, r^2, r^-1,
+    r^-2 and p_r), divided by the expansion's weight sum c_n^2, which is the
+    norm at every time.  <p_r^2> follows from the energies and the r^-1 and
+    r^-2 forms; no grid is sampled.  Neither ``grid`` nor ``basis`` enters
+    the result: a supplied ``basis`` is only checked against the expansion
+    and grid (a table built for them is accepted by identity), and a
+    mismatch raises ValueError.
 
     This is a one-time block of the record routine (``spectral._records``)
     that ``scan`` runs on blocks of times, and every time takes the same
@@ -209,9 +194,9 @@ def observables(
     NumPy scalars.  The quadrature is checked once per window, by three guards
     when its matrices are built (``spectral._moment_matrices``); past that,
     NumericalError arises only for a state with no momentum spread (dp_r = 0,
-    so dr / dp_r is undefined), and ValueError for an expansion of zero
-    weight.
+    so dr / dp_r is undefined), and ValueError for a time that is not finite
+    or an expansion of zero weight.
     """
-    if basis is not None:
-        _check_table(exp, grid, basis)  # validated only; the moments need no table
-    return _records(exp, [float(t)], _phases(exp, t)[None])[0]
+    t = _time(t)
+    _table(exp, grid, basis)  # validated only; the moments need no table
+    return _records(exp, [t], _phases(exp, t)[None])[0]

@@ -14,12 +14,13 @@ target; a scan CSV and a density snapshot go one block of rows at a time,
 so no whole file's text is held, only the density files' shared r
 templates.  State and expansion files record nbar (the expansion in its
 header, ``l,nbar,n_min,n_max,deficit``) and the angular momentum l, always
-``squeezed.L`` = 1, and a state file the paper's gamma1, always 0.0
-(``squeezed``); the readers refuse a file without nbar, an nbar below 2
-and any other l or gamma1.  They also record values the rest of the file
-fixes, a state's fit of its nbar and an expansion's deficit, and the
-readers refuse a file whose recorded value is not, bit for bit, the derived
-one.  Every JSON file is read by ``read_json``, its values checked by
+``squeezed.L`` = 1, a state file the paper's gamma1, always 0.0
+(``squeezed``), and an expansion file an ``im`` column beside each real
+coefficient, always 0; the readers refuse a file without nbar, an nbar
+below 2 and any other l, gamma1 or im.  They also record values the rest
+of the file fixes, a state's fit of its nbar and an expansion's deficit,
+and the readers refuse a file whose recorded value is not, bit for bit,
+the derived one.  Every JSON file is read by ``read_json``, its values checked by
 ``check_kind``, and written by ``write_json``.
 
 The determinism contract: the same config, NumPy build, CPU feature level,
@@ -143,9 +144,14 @@ def check_kind(name: str, value, kind) -> None:
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+def _json_text(record: dict) -> str:
+    """``record`` as JSON, keys sorted, indent 2, a final newline."""
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, record: dict) -> None:
-    """``record`` as JSON, keys sorted, indent 2, a final newline; written atomically."""
-    write_text_atomic(path, [json.dumps(record, indent=2, sort_keys=True) + "\n"])
+    """``record`` as ``_json_text``, written atomically."""
+    write_text_atomic(path, [_json_text(record)])
 
 
 def write_state(path, nbar: int, state: RadialSqueezedState) -> None:
@@ -197,7 +203,7 @@ def write_expansion(path, nbar: int, exp: EigenExpansion) -> None:
         "n,re,im",
     ]
     for n, c in zip(exp.ns, exp.coeffs):
-        lines.append(f"{int(n)},{_fmt(c.real)},{_fmt(c.imag)}")
+        lines.append(f"{int(n)},{_fmt(c)},0")
     write_text_atomic(path, ["\n".join(lines) + "\n"])
 
 
@@ -205,9 +211,9 @@ def read_expansion(path):
     """Inverse of `write_expansion`, giving (nbar, exp); raises ValueError
     naming the file for text that is not UTF-8, a header (without nbar, say)
     or row of the wrong fields, a field that is not a number, coefficients
-    that are no expansion, an nbar below 2, an l other than ``L``, a level
-    above ``N_CAP``, or a header deficit that is not the one the
-    coefficient rows give."""
+    that are no expansion, an ``im`` other than 0, an nbar below 2, an l
+    other than ``L``, a level above ``N_CAP``, or a header deficit that is
+    not the one the coefficient rows give."""
     lines = _read_text(path, "an expansion file").splitlines()
     if len(lines) < 3 or lines[0] != _EXPANSION_HEADER or lines[2] != "n,re,im":
         raise ValueError(f"{path}: not an expansion file with the header {_EXPANSION_HEADER}")

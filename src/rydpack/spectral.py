@@ -1,7 +1,7 @@
 """Decomposition of a radial squeezed state onto bound hydrogen p eigenstates.
 
 Continuum states are dropped entirely; the completeness deficit
-1 - sum |c_n|^2 is the honest record of everything omitted (continuum plus
+1 - sum c_n^2 is the honest record of everything omitted (continuum plus
 out-of-window bound states).  An expansion stores only its lowest level and
 its coefficients, and derives its top level and deficit from them, so no copy
 of either can disagree with them.  The angular momentum is the package
@@ -13,28 +13,31 @@ t = sigma_n r, the integrand is t^beta e^{-t} times the degree-k polynomial
 L_k^{2l+1}(2t / (n sigma_n)), up to constant factors, so a generalized
 Gauss-Laguerre rule for the weight t^beta e^{-t} with M > k/2 nodes
 integrates it exactly.  sigma_n and every c_n are real, since <p_r> = 0
-fixes the paper's gamma1 at 0 (``squeezed``).  beta is the same for every
+fixes the paper's gamma1 at 0 (``squeezed``), so an expansion holds real
+float64 coefficients and refuses a complex one with a nonzero imaginary
+part; time enters only through the phases.  beta is the same for every
 level, so one rule serves a whole batch of levels.  The guard projects again
 with M + 8 nodes, in the same recurrence (``_project``): disagreement beyond
 1e-9 (``_ERR_TOL``), or a value that is not finite, raises NumericalError.
 
-The moment window.  Each coefficient of an evolved expansion picks up the
-phase exp(-i E_n t) (``_phases``), so every moment an uncertainty needs is a
-quadratic form c(t)^dagger M c(t): the matrices of r, r^2, r^-1 and r^-2
+The moment window.  At time t each coefficient picks up the phase
+exp(-i E_n t) (``_phases``): c_n(t) = c_n exp(-i E_n t) is formed where it
+is used, never stored as an expansion.  Every moment an uncertainty needs is
+a quadratic form c(t)^dagger M c(t): the matrices of r, r^2, r^-1 and r^-2
 are integrated once per window on a Gauss-Legendre rule sized to it
 (``_moment_rule``), and no wavefunction is sampled for them.  The radial
 momentum p_r = -i (d/dr + 1/r) needs no integral of its own: [H, r] = -i p_r
 gives <n|p_r|m> = -i (E_m - E_n) <n|r|m>, and the radial Hamiltonian gives
-p_r^2 = 2 (H + 1/r) - l(l+1)/r^2, with the constant <H> = sum |c_n|^2 E_n.
-Both hold exactly within the bound set, and the levels are orthonormal, so
-the norm is the weight sum |c_n|^2 at every time.  One guarded build per
-window (``_moment_matrices``) holds the five matrices, one per layer of a
-complex stack.  ``_records`` evaluates a block of times: the phases once,
-one one-row product c(t)^T M per time and layer, one reduction, then a
-Python-float tail per time.  A record takes the same products in any block,
-so it has the same bits in every block, one of one time included:
-``evolution.observables`` is a one-time block, and ``_scan`` runs
-consecutive slices of at most ``_SCAN_BLOCK`` times and takes the
+p_r^2 = 2 (H + 1/r) - l(l+1)/r^2, with the constant <H> = sum c_n^2 E_n
+over the weight.  Both hold exactly within the bound set, and the levels
+are orthonormal, so the norm is the weight sum c_n^2 at every time.  One
+guarded build per window (``_moment_matrices``) holds the five matrices,
+one per layer of a complex stack.  ``_records`` evaluates a block of times:
+the phases once, one one-row product c(t)^T M per time and layer, one
+reduction, then a Python-float tail per time.  A record takes the same
+products in any block, so it has the same bits in every block, one of one
+time included: ``evolution.observables`` is a one-time block, and ``_scan``
+runs consecutive slices of at most ``_SCAN_BLOCK`` times and takes the
 autocorrelations from the same phases.
 """
 
@@ -103,13 +106,14 @@ def _energies(ns: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenExpansion:
-    """Coefficients c_n of the p levels n_min, n_min + 1, ..., n_max.
+    """Real coefficients c_n of the p levels n_min, n_min + 1, ..., n_max.
 
     The coefficients are the whole record: the window's top ``n_max``, the
-    ``weight`` sum |c_n|^2 and the ``deficit`` 1 - weight are derived from
+    ``weight`` sum c_n^2 and the ``deficit`` 1 - weight are derived from
     them, never stored beside them.  ``n_min`` is a whole number >= L + 1, the
-    coefficients a 1-d array of finite values with a weight of at most
-    1 + 1e-9, treated as immutable once the expansion is built.
+    coefficients a 1-d array of finite real values, held as float64, with a
+    weight of at most 1 + 1e-9, treated as immutable once the expansion is
+    built.  A complex input is accepted only where every imaginary part is 0.
     """
 
     n_min: int
@@ -117,13 +121,13 @@ class EigenExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "n_min", _whole("n_min", self.n_min, L + 1))
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+        coeffs = np.asarray(self.coeffs)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must form a 1-d array, got shape {coeffs.shape}")
-        bad = ~np.isfinite(coeffs)
-        if bad.any():
-            raise ValueError(f"coefficient of n={self.n_min + int(np.argmax(bad))} is not finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        for bad, what in ((coeffs.imag != 0, "real"), (~np.isfinite(coeffs), "finite")):
+            if bad.any():
+                raise ValueError(f"coefficient of n={self.n_min + int(np.argmax(bad))} is not {what}")
+        object.__setattr__(self, "coeffs", np.ascontiguousarray(coeffs.real, dtype=float))
         if not self.weight <= 1.0 + _WEIGHT_SLACK:
             raise ValueError(f"captured weight exceeds 1: {self.weight!r}")
 
@@ -156,15 +160,20 @@ class EigenExpansion:
 
     @cached_property
     def populations(self) -> np.ndarray:
-        """The level populations |c_n|^2, computed once and read-only."""
-        populations = np.abs(self.coeffs) ** 2
+        """The level populations c_n^2, computed once and read-only."""
+        populations = self.coeffs**2
         populations.flags.writeable = False
         return populations
 
     @cached_property
     def weight(self) -> float:
-        """Captured probability sum |c_n|^2, computed once."""
+        """Captured probability sum c_n^2, computed once."""
         return float(self.populations.sum())
+
+    @cached_property
+    def energy_sum(self) -> float:
+        """sum c_n^2 E_n, <H> times the weight, computed once."""
+        return float(np.dot(self.populations, self.energies))
 
     @cached_property
     def deficit(self) -> float:
@@ -212,7 +221,7 @@ def _project(state, ns, m):
     return c
 
 
-def project_coefficient(state: RadialSqueezedState, n: int) -> complex:
+def project_coefficient(state: RadialSqueezedState, n: int) -> float:
     """c_n = int R_nl(r) psi(r) r^2 dr, l = ``L``, on the Gauss-Laguerre rule
     of ``decompose``.
 
@@ -220,7 +229,7 @@ def project_coefficient(state: RadialSqueezedState, n: int) -> complex:
     is not finite, raises NumericalError.
     """
     n = _whole("principal quantum number", n, L + 1)
-    return complex(_project(state, [n], _rule_size(n - L - 1))[0])
+    return float(_project(state, [n], _rule_size(n - L - 1))[0])
 
 
 def decompose(
@@ -310,17 +319,6 @@ def decompose(
     return EigenExpansion(n_min, coeffs)
 
 
-def _amplitude_parts(coeffs, table) -> np.ndarray:
-    """Re and Im of sum_n c_n table[n] as the rows of one real (2, P) array.
-
-    The stacked real and imaginary parts of the complex ``coeffs`` (N) form
-    one real (2, N) matrix, multiplied by the real (N, P) ``table`` with
-    plain ``@``; a complex product would first copy the whole table to
-    complex, twice its size.
-    """
-    return np.stack([coeffs.real, coeffs.imag]) @ table
-
-
 # radii per block of ``_amplitude_blocks``: its table is 0.8 MB at 25 levels
 # (nbar 85 and 150) and 1.3 MB at 41 (nbar 230).  Five snapshots on the
 # default grid ran as fast with 4096 as with 8192 at nbar 85 to 230, and up
@@ -328,40 +326,40 @@ def _amplitude_parts(coeffs, table) -> np.ndarray:
 _POINT_BLOCK = 4096
 
 
-def _amplitude_blocks(ns, coeff_rows, r) -> Iterator[tuple[slice, int, np.ndarray]]:
+def _amplitude_blocks(ns, coeff_rows, r, table=None) -> Iterator[tuple[slice, int, np.ndarray]]:
     """Yield, for each block of at most ``_POINT_BLOCK`` of the 1-d radii
     ``r`` and each coefficient row ``coeff_rows[i]``, the block's slice, i and
-    the parts ``_amplitude_parts(coeff_rows[i], table)`` on the table of
-    R_nl, l = ``L``, of the levels ``ns`` at the block's radii.
+    the real (2, P) parts [Re, Im] of sum_n c_n R_nl, l = ``L``, over the
+    levels ``ns``: one real product of the row's stacked Re and Im with the
+    block's real table, so no table is copied to complex.
 
-    Each part is made as it is asked for, and the table is dropped before
-    the next block's is built, so one block's table and one part are held at
-    a time: a caller's memory grows with its rows times the points, not with
-    the levels times the points.  Each value sees the recurrence, envelope
-    and dot product it sees in a whole table, and keeps its bits: the tests
-    compare both routes with ``np.array_equal`` from nbar 20 to 230, on grids
-    that end in a short block.
+    The table is the block's columns of a given whole ``table`` on ``r``,
+    else ``specfun._radial_rows`` at the block's radii, dropped before the
+    next block's is built.  Each part is made as it is asked for, so a
+    caller's memory grows with its rows times the points, not with the
+    levels times the points.  Every value keeps the bits of one product
+    with a whole table: the tests compare with ``np.array_equal`` from nbar
+    20 to 230, on grids that end in a short block.
     """
     for lo in range(0, r.size, _POINT_BLOCK):
         block = slice(lo, lo + _POINT_BLOCK)
-        table = _radial_rows(ns, L, r[block])
+        values = _radial_rows(ns, L, r[block]) if table is None else table[:, block]
         for i, c in enumerate(coeff_rows):
-            yield block, i, _amplitude_parts(c, table)
-        del table  # so that the next block's table is built without this one
+            yield block, i, np.stack([c.real, c.imag]) @ values
+        del values  # so that the next block's table is built without this one
 
 
 def reconstruct(exp: EigenExpansion, r):
-    """Sum c_n R_nl(r); complex, aligned with ``r``.
+    """Sum c_n R_nl(r); real, aligned with ``r``.
 
-    The sum is one real (2, N) product of the stacked Re/Im coefficients with
-    the real table of R_nl per block of radii (``_amplitude_blocks``), so no
-    table of all the radii is held.
+    The sum is taken per block of radii on the real table of R_nl
+    (``_amplitude_blocks``), so no table of all the radii is held.
     """
     r = np.asarray(r, dtype=float)
-    out = np.empty(r.size, dtype=complex)
-    for block, _, (re, im) in _amplitude_blocks(exp.ns, [exp.coeffs], r.reshape(-1)):
-        out[block] = re + 1j * im
-    return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+    out = np.empty(r.size)
+    for block, _, (re, _) in _amplitude_blocks(exp.ns, [exp.coeffs], r.reshape(-1)):
+        out[block] = re
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 def coefficient_spread(exp: EigenExpansion):
@@ -456,7 +454,7 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     [7, 30], 576 on [73, 97], at most 2048), each real product written into
     its layer.  The p_r layer, <m|p_r|n> = i (E_m - E_n) <n|r|m> with E_n
     from ``_energies``, is imaginary.  Complex is the dtype of the product
-    with the evolved coefficients, so no call casts the stack.  The R_nl
+    with the phased coefficients c(t), so no call casts the stack.  The R_nl
     values come from ``specfun._radial_rows``, whose recurrence steps the
     whole window at nbar 20 to 288.  Three guards on the rule, in this
     order, raise NumericalError naming the window and the residual past
@@ -521,15 +519,15 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     A one-row product is BLAS's matrix-vector kernel whatever the block, so
     a time's forms have the same bits in a block of any size; a (B, N) block
     times a matrix would take the matrix-matrix kernel, which sums in
-    another order.  sum |c_n|^2 E_n (<H> times the weight) is one dot
-    product per call; the rest runs on Python floats, time by time.
+    another order.  sum c_n^2 E_n (<H> times the weight) is the expansion's
+    cached ``energy_sum``; the rest runs on Python floats, time by time.
     """
     norm = exp.weight
     if norm == 0.0:
         raise ValueError("empty expansion has no observables")
     row = (exp.coeffs * phases)[:, None, None, :]
     forms = np.vecdot(row, row @ _moment_matrices(exp.n_min, exp.n_max))[..., 0].real
-    energy = float(np.dot(exp.populations, exp.energies))
+    energy = exp.energy_sum
     records = []
     for t, (m1, m2, w1, w2, pr) in zip(ts, forms.tolist()):
         m1, m2, w1, w2, pr = m1 / norm, m2 / norm, w1 / norm, w2 / norm, pr / norm

@@ -720,12 +720,13 @@ def test_density_evaluates_no_moments(pipeline, tmp_path, monkeypatch):
 
 def test_density_serves_a_window_its_moments_would_overflow(tmp_path, capsys):
     # at nbar 3 on the window [2, 400], R_n1 overflows from n = 327 on the
-    # moment rule, which density once built for its default smoothing width
+    # moment rule, which density once built for its default smoothing width;
+    # the snapshot grid plays no part in that, so a small one serves
     out = str(tmp_path)
     assert main(["fit", "--nbar", "3", "-o", out]) == 0
     assert main(["decompose", "--state", f"{out}/state.json", "--window", "2", "400", "-o", out]) == 0
     argv = ["density", "--expansion", f"{out}/expansion.csv", "--deficit-tol", "2e-3", "--times", "0"]
-    assert main([*argv, "-o", out]) == 0, capsys.readouterr().err
+    assert main([*argv, "--grid-points", "400", "-o", out]) == 0, capsys.readouterr().err
 
 
 def test_density_without_a_fit_of_the_header_nbar_needs_smooth(pipeline20, tmp_path, capsys):
@@ -1051,6 +1052,34 @@ def test_density_snapshots_and_packets(pipeline20, tmp_path, capsys):
     snap0 = packets["snapshots"][0]
     assert snap0["peak_count"] == 1
     assert snap0["expression"] == "0"
+
+
+def test_density_removes_the_snapshots_of_a_longer_run(pipeline20, tmp_path, capsys):
+    # a second, shorter run into the same -o leaves only its own snapshot
+    # beside a report that lists it; files not named as the tool names them stay
+    argv = ["density", "--expansion", str(pipeline20 / "expansion.csv"), "--grid-points", "400", "-o", str(tmp_path)]
+    assert run_cli(capsys, *argv, "--times", "0,trev/2,trev").returncode == 0
+    kept = ["density_1.csv", "density_003.csv", "density_02.csv.bak", "density_x.csv"]
+    for name in kept:
+        (tmp_path / name).write_text("kept\n")
+    assert run_cli(capsys, *argv, "--times", "0").returncode == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["density_00.csv", "packets.json", *kept])
+    packets = json.loads((tmp_path / "packets.json").read_text())
+    assert [s["file"] for s in packets["snapshots"]] == ["density_00.csv"]
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    assert "removes every density_NN.csv in -o" in " ".join(commands["density"].format_help().split())
+
+
+def test_density_forms_its_report_before_any_snapshot_is_written(pipeline20, tmp_path, capsys, monkeypatch):
+    # a report that cannot be formed leaves no snapshot behind
+    def refuse(record):
+        raise ValueError("report refused")
+
+    monkeypatch.setattr(cli.rio, "_json_text", refuse)
+    argv = ["density", "--expansion", str(pipeline20 / "expansion.csv"), "--times", "0", "-o", str(tmp_path)]
+    assert main(argv) == 1
+    assert "report refused" in assert_one_usage_error(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_density_on_a_far_grid_stays_finite(pipeline20, tmp_path, capsys):

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from rydpack import evolution, specfun, spectral
-from rydpack.analysis import timescales
+from rydpack.analysis import detect_revival, timescales
 from rydpack.evolution import (
     BasisTable,
     RadialGrid,
     autocorrelation,
     density,
-    evolve,
     observables,
 )
 from rydpack.specfun import (
@@ -78,15 +77,49 @@ def test_grid_points_are_a_read_only_copy():
     assert np.array_equal(density(exp, grid, 0.0), before)
 
 
-def test_evolve_identity_and_unitarity(exp85):
-    same = evolve(exp85, 0.0)
-    assert np.array_equal(same.coeffs, exp85.coeffs)
-    assert same.deficit == exp85.deficit
-    later = evolve(exp85, 1.234e6)
-    assert abs(later.weight - exp85.weight) <= 1e-14
-    energy0 = float(np.dot(np.abs(exp85.coeffs) ** 2, exp85.energies))
-    energy1 = float(np.dot(np.abs(later.coeffs) ** 2, later.energies))
-    assert abs(energy1 - energy0) <= 1e-14
+def test_phases_keep_the_coefficients_at_t0_and_the_weight_and_energy_later(exp85):
+    # c(t) = c exp(-i E_n t) is c itself at t = 0, and a unit-modulus phase
+    # per level later, so the weight and sum |c_n(t)|^2 E_n do not move
+    same = exp85.coeffs * spectral._phases(exp85, 0.0)
+    assert np.array_equal(same, exp85.coeffs) and not same.imag.any()
+    later = exp85.coeffs * spectral._phases(exp85, 1.234e6)
+    assert abs(float(np.sum(np.abs(later) ** 2)) - exp85.weight) <= 1e-14
+    energy1 = float(np.dot(np.abs(later) ** 2, exp85.energies))
+    assert abs(energy1 - exp85.energy_sum) <= 1e-14
+    assert exp85.energy_sum == float(np.dot(exp85.coeffs**2, exp85.energies))
+
+
+def test_phases_of_a_block_are_the_rows_of_one_time_each(exp85):
+    # a (B, 1) column of times gives one row per time, each with the bits of
+    # the scalar call and of exp(-1j * E_n * t)
+    times = np.array([0.0, 1.0e5, -3.3e7])
+    block = spectral._phases(exp85, times[:, None])
+    assert block.shape == (3, exp85.ns.size)
+    for t, row in zip(times, block):
+        assert np.array_equal(row, spectral._phases(exp85, t))
+        assert np.array_equal(row, np.exp(-1j * exp85.energies * t))
+
+
+NON_FINITE = {
+    "observables-nan": lambda exp, grid: observables(exp, math.nan),
+    "density-nan": lambda exp, grid: density(exp, grid, math.nan),
+    "autocorrelation-nan": lambda exp, grid: autocorrelation(exp, math.nan),
+    "observables-inf": lambda exp, grid: observables(exp, math.inf),
+    "density-inf": lambda exp, grid: density(exp, grid, math.inf),
+    "autocorrelation-minus-inf": lambda exp, grid: autocorrelation(exp, -math.inf),
+    "density-table-minus-inf": lambda exp, grid: density(exp, grid, -math.inf, BasisTable.for_expansion(exp, grid)),
+    "detect_revival-nan-values": lambda exp, grid: detect_revival([0.0, 1.0, 2.0], [math.nan] * 3, (0.0, 2.0)),
+    "detect_revival-inf-time": lambda exp, grid: detect_revival([0.0, math.inf], [1.0, 0.5], (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_times_and_values_are_refused(call):
+    # a ValueError naming the cause, before any NaN record or RuntimeWarning
+    # (the suite turns every warning into an error)
+    exp = two_level_toy()
+    with pytest.raises(ValueError, match="must be finite"):
+        call(exp, RadialGrid.uniform(400.0, 50))
 
 
 def test_energy_matches_fit_target(exp85):
@@ -131,17 +164,17 @@ def test_density_and_reconstruct_match_the_complex_product(nbar, per_level_radia
     basis = BasisTable.for_expansion(exp, grid)
     ts = timescales(q)
     for t in (0.0, ts.T_cl_au / 2.0, ts.t_rev_au / 2.0):
-        evolved = evolve(exp, t)
-        psi = evolved.coeffs @ table
+        psi = (exp.coeffs * spectral._phases(exp, t)) @ table
         want = grid.points**2 * np.abs(psi) ** 2
         f = density(exp, grid, t, basis)
         assert np.max(np.abs(f - want)) <= 2e-15 * np.max(want), t
-        # near the core the levels cancel to a fraction of a percent of their
-        # sum (sum |c_n R_n| reaches 1200 max |psi| at t = 0), so the rounding
-        # of either route is bounded pointwise by that sum, not by max |psi|
-        scale = np.abs(evolved.coeffs) @ np.abs(table)
-        got = reconstruct(evolved, grid.points)
-        assert np.all(np.abs(got - psi) <= 2e-15 * scale), t
+    # near the core the levels cancel to a fraction of a percent of their
+    # sum (sum |c_n R_n| reaches 1200 max |psi| at t = 0), so the rounding
+    # of either route is bounded pointwise by that sum, not by max |psi|
+    scale = np.abs(exp.coeffs) @ np.abs(table)
+    got = reconstruct(exp, grid.points)
+    assert got.dtype == float
+    assert np.all(np.abs(got - exp.coeffs @ table) <= 2e-15 * scale)
 
 
 @pytest.mark.parametrize("points", [16000, 10007])
@@ -161,8 +194,12 @@ def test_density_without_a_table_has_the_bits_of_the_table_route(nbar, points):
     snapshots = evolution._densities(exp, grid.points, times)
     for t, f in zip(times, snapshots):
         assert np.array_equal(f, density(exp, grid, t, basis)), t
-    re, im = spectral._amplitude_parts(exp.coeffs, basis.values)
-    assert np.array_equal(reconstruct(exp, grid.points), re + 1j * im)
+        # and both have the bits of one real product with the whole table
+        c = exp.coeffs * spectral._phases(exp, t)
+        re, im = np.stack([c.real, c.imag]) @ basis.values * grid.points
+        assert np.array_equal(f, re**2 + im**2), t
+    re, im = np.stack([exp.coeffs, np.zeros_like(exp.coeffs)]) @ basis.values
+    assert np.array_equal(reconstruct(exp, grid.points), re) and not im.any()
 
 
 def test_density_memory_grows_with_points_not_levels():
@@ -250,7 +287,7 @@ def direct_record(exp, t, radial_pr, r_max=None):
     x, w = radial_quadrature(r_max or 4.0 * exp.n_max**2, 4096)
     psi = np.zeros(x.size, dtype=complex)
     dpsi = np.zeros(x.size, dtype=complex)
-    for n, c in zip(exp.ns, evolve(exp, t).coeffs):
+    for n, c in zip(exp.ns, exp.coeffs * spectral._phases(exp, t)):
         psi += c * hydrogen_radial(int(n), L, x)
         dpsi += c * radial_pr(int(n), L, x)
     wr2 = w * x**2
@@ -288,10 +325,6 @@ def test_expansion_levels_and_energies_are_computed_once_and_read_only(exp85):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
-    later = evolve(exp85, 1.0e5)
-    assert later.energies is not exp85.energies
-    assert np.array_equal(later.energies, exp85.energies)
-    assert np.array_equal(later.ns, exp85.ns)
 
 
 def test_observables_rejects_coarse_quadrature(exp85, ts85, coarse_quadrature):

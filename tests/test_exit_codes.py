@@ -154,6 +154,15 @@ def _names(err, flag, value):
     return flag in ("--state", "--expansion") and value in err
 
 
+def _imaginary(line):
+    # whether a coefficient row n,re,im holds an im other than 0
+    fields = line.split(",")
+    try:
+        return len(fields) == 3 and float(fields[2]) != 0.0
+    except ValueError:
+        return True
+
+
 def _fit_nbar(case):
     # the nbar of a fit that sets nothing else, where it is a whole number
     # >= 3 within float range; else None
@@ -198,6 +207,7 @@ def _argv(command, state, expansion):
 # a usage error of each input file kind, which names that file
 @example(case={"target": "state", "command": "decompose", "edits": [("l", 0)], "text": None})
 @example(case={"target": "expansion", "command": "scan", "edits": [("field", 3, 1, "x")], "text": None})
+@example(case={"target": "expansion", "command": "density", "edits": [("field", 3, 2, "1e-200")], "text": None})
 @example(case={"target": "config", "command": "fit", "edits": [("nbar", "")], "text": None})
 # a usage error of each kind a flag's value gives, which names that flag:
 # every time-expression error, an empty time list, a grid of two points and a
@@ -218,6 +228,11 @@ def test_exit_code_contract(pipeline20, case):
     if code == 1 and case["target"] == "flags":
         # a usage error in flags names one of them, its setting or its file
         assert any(_names(err, flag, value) for flag, value in case["flags"]), (case, err)
+    if case["target"] == "expansion":
+        text = _edit_text(_edit_csv((pipeline20 / "expansion.csv").read_text(), case["edits"]), case["text"])
+        if any(_imaginary(line) for line in text.splitlines()[3:]):
+            # an expansion is real: a row whose im is not 0 is refused
+            assert code == 1, (case, err)
     nbar = _fit_nbar(case)
     if nbar is not None:
         # the range of fit is a numerical limit, not a usage rule

@@ -48,11 +48,10 @@ def test_state_round_trips_bit_exactly(tmp_path_factory, nbar):
 @given(
     nbar=st.integers(2, 400),
     offset=st.integers(0, 300),
-    parts=st.lists(st.tuples(small, small), min_size=0, max_size=30),
+    parts=st.lists(small, min_size=0, max_size=30),
 )
 def test_expansion_round_trips_bit_exactly(tmp_path_factory, nbar, offset, parts):
-    coeffs = np.array([complex(re, im) for re, im in parts], dtype=complex)
-    exp = EigenExpansion(n_min=L + 1 + offset, coeffs=coeffs)
+    exp = EigenExpansion(n_min=L + 1 + offset, coeffs=np.array(parts, dtype=float))
     path = tmp_path_factory.mktemp("expansion") / "expansion.csv"
     write_expansion(path, nbar, exp)
     got_nbar, got = read_expansion(path)
@@ -65,8 +64,10 @@ def test_expansion_round_trips_bit_exactly(tmp_path_factory, nbar, offset, parts
     header_deficit = float(header[4])
     assert np.float64(header_deficit).tobytes() == np.float64(exp.deficit).tobytes()
     assert np.float64(got.deficit).tobytes() == np.float64(exp.deficit).tobytes()
-    assert got.coeffs.dtype == exp.coeffs.dtype
+    assert got.coeffs.dtype == exp.coeffs.dtype == np.float64
     assert got.coeffs.tobytes() == exp.coeffs.tobytes()
+    # the im column stays, always 0
+    assert lines[2] == "n,re,im" and all(line.endswith(",0") for line in lines[3:])
 
 
 def test_state_file_holds_the_fit_of_its_nbar(tmp_path):
@@ -99,7 +100,7 @@ def test_state_file_of_another_l_is_refused(tmp_path):
 
 def test_expansion_file_of_another_l_is_refused(tmp_path):
     path = tmp_path / "expansion.csv"
-    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.0])))
     lines = path.read_text().splitlines()
     assert lines[1].startswith("1,")
     path.write_text("\n".join([lines[0], "0," + lines[1][2:], *lines[2:]]) + "\n")
@@ -108,10 +109,26 @@ def test_expansion_file_of_another_l_is_refused(tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("im", ["1e-3", "-5e-324", "nan", "inf"])
+def test_expansion_row_with_an_imaginary_part_is_refused(tmp_path, im):
+    # an expansion is real; "-0" and "0.0" are the same zero and are read back
+    path = tmp_path / "expansion.csv"
+    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, -0.8])))
+    lines = path.read_text().splitlines()
+    assert lines[4] == "3,-0.80000000000000004,0"
+    for zero in ("-0", "0.0"):
+        path.write_text("\n".join([*lines[:4], lines[4][:-1] + zero]) + "\n")
+        assert read_expansion(path)[1].coeffs.tobytes() == np.array([0.6, -0.8]).tobytes()
+    path.write_text("\n".join([*lines[:4], lines[4][:-1] + im]) + "\n")
+    with pytest.raises(ValueError, match="coefficient of n=3 is not real") as info:
+        read_expansion(path)
+    assert str(path) in str(info.value)
+
+
 def test_expansion_header_without_nbar_is_refused(tmp_path):
     # the header of an expansion written before nbar was recorded in it
     path = tmp_path / "expansion.csv"
-    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.0])))
     lines = path.read_text().splitlines()
     lines[:2] = ["l,n_min,n_max,deficit", lines[1].replace("1,2,", "1,", 1)]
     path.write_text("\n".join(lines) + "\n")
@@ -125,7 +142,7 @@ def test_nbar_below_two_is_refused(tmp_path, nbar):
     # the QuantumNumbers rule: both readers name the file
     state_path, expansion_path = tmp_path / "state.json", tmp_path / "expansion.csv"
     write_state(state_path, nbar, RadialSqueezedState(alpha=3.0, gamma0=0.5))
-    write_expansion(expansion_path, nbar, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    write_expansion(expansion_path, nbar, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.0])))
     for reader, path in ((read_state, state_path), (read_expansion, expansion_path)):
         with pytest.raises(ValueError, match=f"nbar must be >= 2, got {nbar}") as info:
             reader(path)
@@ -187,7 +204,7 @@ DENSITY_HEADER = "# t_au=0 t_ns=0\nr,f\n"
 def test_reader_refuses_a_file_of_another_kind(tmp_path, reader, edit, message):
     # the fixture is a valid nbar-2 expansion for levels 2 and 3, then edited
     path = tmp_path / "artifact"
-    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j])))
+    write_expansion(path, 2, EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.0])))
     content = edit(path)
     path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(ValueError, match=message) as info:
@@ -246,7 +263,7 @@ def test_failed_replace_keeps_the_old_artifact(tmp_path, monkeypatch):
     # each writer's second call fails at the replace: the first call's bytes
     # stay, and no temporary file is left beside them
     state = RadialSqueezedState(alpha=3.0, gamma0=0.5)
-    exp = EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.8j]))
+    exp = EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.0]))
     record = UncertaintyRecord(1.0, 2.0, 3.0, 4.0, 0.5)
     writers = {
         "state.json": lambda path, k: write_state(path, 20 + k, state),

@@ -28,9 +28,23 @@ def test_expansion_validation():
         EigenExpansion(n_min=1, coeffs=np.zeros(3))
     with pytest.raises(ValueError, match="1-d array"):
         EigenExpansion(n_min=2, coeffs=np.zeros((2, 1)))
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+    for bad in (np.nan, np.inf, complex(np.inf, 0.0)):
         with pytest.raises(ValueError, match="coefficient of n=3 is not finite"):
             EigenExpansion(n_min=2, coeffs=np.array([0.6, bad]))
+    # the coefficients are real: an imaginary part other than 0 is refused
+    for bad in (0.48j, complex(0.0, -np.inf), complex(0.6, np.nan), complex(0.6, 5e-324)):
+        with pytest.raises(ValueError, match="coefficient of n=3 is not real"):
+            EigenExpansion(n_min=2, coeffs=np.array([0.6, bad]))
+
+
+def test_expansion_coefficients_are_real_float64():
+    # a complex input whose imaginary parts are all 0, -0.0 included, keeps
+    # its real parts bit for bit, in one contiguous float64 array
+    parts = np.array([0.6, -0.0, 5e-324, -0.64])
+    for given in (parts.tolist(), parts.astype(complex), [complex(x, -0.0) for x in parts]):
+        exp = EigenExpansion(2, given)
+        assert exp.coeffs.dtype == np.float64 and exp.coeffs.flags.c_contiguous
+        assert exp.coeffs.tobytes() == parts.tobytes()
 
 
 @pytest.mark.parametrize("size", [0, 1, 3])
@@ -52,7 +66,7 @@ def test_expansion_weight_is_at_most_one():
 
 
 def test_populations_and_weight_are_computed_once():
-    exp = EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.48j, -0.64]))
+    exp = EigenExpansion(n_min=2, coeffs=np.array([0.6, 0.48, -0.64]))
     assert np.array_equal(exp.populations, np.abs(exp.coeffs) ** 2)
     assert not exp.populations.flags.writeable
     assert exp.populations is exp.populations
@@ -294,9 +308,10 @@ def test_decompose_fitted_state(state85, exp85):
     assert exp85.weight + exp85.deficit == pytest.approx(1.0, abs=1e-15)
 
 
-def test_coefficients_real_for_real_parameters(exp85):
-    mags = np.abs(exp85.coeffs)
-    assert np.all(np.abs(exp85.coeffs.imag) <= 1e-10 * mags + 1e-14)
+def test_coefficients_real_for_real_parameters(state85, exp85):
+    assert exp85.coeffs.dtype == np.float64
+    assert type(project_coefficient(state85, 85)) is float
+    assert project_coefficient(state85, 85) == pytest.approx(exp85.coeffs[85 - exp85.n_min], rel=1e-12)
 
 
 def test_projection_against_dense_trapezoid(state85):
@@ -329,8 +344,9 @@ def test_reconstruct_pure_eigenstate():
     exp = decompose(pure_p_eigenstate())
     r = np.linspace(0.0, 40.0, 101)
     rec = reconstruct(exp, r)
-    assert np.allclose(rec.real, hydrogen_radial(2, 1, r), atol=1e-9)
-    assert np.allclose(rec.imag, 0.0, atol=1e-12)
+    assert rec.dtype == float and rec.shape == r.shape
+    assert np.allclose(rec, hydrogen_radial(2, 1, r), atol=1e-9)
+    assert type(reconstruct(exp, 1.5)) is float
 
 
 def test_reconstruct_empty_window_is_zero():
