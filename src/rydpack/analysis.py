@@ -103,8 +103,9 @@ def count_packets(
     ride on.  Requires an increasing uniform grid of at least two points when
     non-zero, and a kernel narrower than the grid: 4 ``smooth`` at or above the
     grid's extent, or a negative or NaN width, raises ValueError before the
-    kernel is built.  ``r`` and ``f`` must be 1-d arrays of one shape, and
-    ``f`` must be finite.
+    kernel is built.  ``r`` and ``f`` must be finite 1-d arrays of one
+    shape, and ``t`` finite; a smoothed snapshot that passes the float range
+    raises NumericalError.
     """
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -112,29 +113,38 @@ def count_packets(
         raise ValueError("positions and density values must be 1-d arrays")
     if r.shape != f.shape:
         raise ValueError("positions and density values must have the same shape")
+    if not np.isfinite(r).all():
+        raise ValueError("positions must be finite")
     if not np.isfinite(f).all():
         raise ValueError("density snapshot must be finite")
     if not 0.0 < prominence_threshold < 1.0:
         raise ValueError("prominence threshold must lie in (0, 1)")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if not smooth >= 0.0:  # a NaN width fails too
         raise ValueError(f"smoothing width must be non-negative, got {smooth!r}")
     if smooth > 0.0:
         if r.size < 2:
             raise ValueError("envelope smoothing needs at least two grid points")
-        steps = np.diff(r)
-        step = steps[0]
-        # every step within 1e-9 of the first, by the extremes alone (rounding
-        # is monotone, so this is |steps - step| <= 1e-9 step, NaN refused)
-        uniform = steps.max() - step <= 1e-9 * step and step - steps.min() <= 1e-9 * step
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite step is no uniform grid
+            steps = np.diff(r)
+            step = steps[0]
+            # every step within 1e-9 of the first, by the extremes alone (rounding
+            # is monotone, so this is |steps - step| <= 1e-9 step, NaN refused)
+            uniform = steps.max() - step <= 1e-9 * step and step - steps.min() <= 1e-9 * step
+            extent = r[-1] - r[0]
         del steps  # before the smoothing allocates its blocks
         if not (step > 0.0 and uniform):
             raise ValueError("envelope smoothing requires an increasing uniform grid")
-        if 4.0 * smooth >= r[-1] - r[0]:
+        if 4.0 * smooth >= extent:
             raise ValueError(
                 f"smoothing width {smooth:g} bohr is too wide: its 4-sigma kernel "
-                f"spans the whole grid extent of {r[-1] - r[0]:g} bohr"
+                f"spans the whole grid extent of {extent:g} bohr"
             )
-        f = _gaussian_smooth(f, smooth / step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _gaussian_smooth(f, smooth / step)
+        if not np.isfinite(f).all():
+            raise NumericalError("smoothing the density snapshot passes the float range")
     fmax = f.max() if f.size else 0.0
     if fmax <= 0.0:
         return PacketReport(t=t, peak_positions=(), prominence_threshold=prominence_threshold)
@@ -189,18 +199,20 @@ def _prominent_peaks(f: np.ndarray, min_prominence: float) -> np.ndarray:
     v = f[starts]
     k = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
     peaks = (starts[k] + ends[k]) // 2
-    # prominence never exceeds the height above the global minimum
-    peaks = peaks[f[peaks] - f.min() >= min_prominence]
-    keep = []
-    for p in peaks:
-        # each base spans from the peak to the nearest strictly higher sample
-        h = f[p]
-        left = np.flatnonzero(f[:p] > h)
-        right = np.flatnonzero(f[p + 1 :] > h)
-        lo = left[-1] + 1 if left.size else 0
-        hi = p + 1 + right[0] if right.size else f.size
-        base = max(f[lo : p + 1].min(), f[p:hi].min())
-        keep.append(h - base >= min_prominence)
+    # prominence never exceeds the height above the global minimum; a height
+    # past the float range is inf, and passes
+    with np.errstate(over="ignore"):
+        peaks = peaks[f[peaks] - f.min() >= min_prominence]
+        keep = []
+        for p in peaks:
+            # each base spans from the peak to the nearest strictly higher sample
+            h = f[p]
+            left = np.flatnonzero(f[:p] > h)
+            right = np.flatnonzero(f[p + 1 :] > h)
+            lo = left[-1] + 1 if left.size else 0
+            hi = p + 1 + right[0] if right.size else f.size
+            base = max(f[lo : p + 1].min(), f[p:hi].min())
+            keep.append(h - base >= min_prominence)
     return peaks[np.array(keep, dtype=bool)]
 
 
@@ -208,7 +220,8 @@ def detect_revival(times, values, window):
     """Maximum of an autocorrelation series inside ``window = (t_lo, t_hi)``.
 
     Returns (t_peak, value); ties resolve to the earliest time.  A NaN or
-    infinite time or value raises ValueError.
+    infinite time or value, or a window that is not a pair of numbers,
+    raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -216,6 +229,9 @@ def detect_revival(times, values, window):
         raise ValueError("times and values must have the same shape")
     if not (np.isfinite(times).all() and np.isfinite(values).all()):
         raise ValueError("times and values must be finite")
+    window = np.asarray(window, dtype=float)
+    if window.shape != (2,):
+        raise ValueError(f"window must be a pair (t_lo, t_hi), got shape {window.shape}")
     t_lo, t_hi = float(window[0]), float(window[1])
     mask = (times >= t_lo) & (times <= t_hi)
     if not mask.any():

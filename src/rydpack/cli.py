@@ -450,7 +450,8 @@ def _build_parser() -> _Parser:
     p_dec = add_command("decompose", cmd_decompose, help="expand a state over bound p eigenstates")
     p_dec.add_argument("--state", required=True, help="state.json from fit")
     p_dec.add_argument("--window", nargs=2, type=int, metavar=("NMIN", "NMAX"),
-                       help="expand over these levels instead of growing a window")
+                       help="expand over these levels instead of growing a window; they need not hold "
+                       "the state's nbar, but must capture some weight (else exit 2)")
 
     # cmd_scan makes -o before the first block of times is evaluated
     epilog = "a scan that fails while it evaluates leaves a new -o directory behind, empty"

@@ -5,8 +5,8 @@ bound-state basis: at time t each coefficient picks up the phase
 exp(-i E_n t) where that time is evaluated; no evolved expansion is formed.
 Every entry point refuses a time that is not finite.  The uncertainties
 come from the moment window of ``spectral``, and no wavefunction is sampled
-for them: ``observables`` is a one-time block of its record routine, which
-a scan runs on blocks of times.  Density snapshots have one route,
+for them: ``observables`` and ``autocorrelation`` are one-time blocks of the
+routines a scan runs on blocks of times.  Density snapshots have one route,
 ``_densities``: per block of radii, a real (2, N) product of each time's
 stacked Re/Im coefficients with the block's real table
 (``spectral._amplitude_blocks``).  The block's table is built there, so
@@ -27,6 +27,7 @@ from .spectral import (
     EigenExpansion,
     UncertaintyRecord,
     _amplitude_blocks,
+    _autocorrelations,
     _phases,
     _records,
 )
@@ -53,7 +54,7 @@ class RadialGrid:
             raise ValueError("grid needs at least 3 points")
         if not np.isfinite(pts).all():
             raise ValueError("grid points must be finite")
-        if pts[0] < 0 or np.any(np.diff(pts) <= 0):
+        if pts[0] < 0 or np.any(pts[1:] <= pts[:-1]):  # neighbours compared: a difference may overflow
             raise ValueError("grid points must be non-negative and strictly increasing")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -74,16 +75,19 @@ class BasisTable:
     holds all levels times all points, and no code in the package builds
     one.  ``observables`` only checks one it is given against the expansion
     and grid.
-    The constructor computes the values, and keeps an input array only when
-    it is read-only and owns its data (an expansion's ``ns``, a grid's
-    ``points``), else a read-only copy.  So a table built for an expansion
-    and grid is accepted by identity, without comparing the radii again, and
-    identity proves that its read-only values still belong to them.
+    The constructor takes 1-d levels and radii, computes the values, and
+    keeps an input array only when it is read-only and owns its data (an
+    expansion's ``ns``, a grid's ``points``), else a read-only copy.  So a
+    table built for an expansion and grid is accepted by identity, without
+    comparing the radii again, and identity proves that its read-only values
+    still belong to them.
     """
 
     def __init__(self, ns, points):
         self.ns = _read_only(np.asarray(ns))
         self.points = _read_only(np.asarray(points, dtype=float))
+        if self.ns.ndim != 1 or self.points.ndim != 1:
+            raise ValueError("levels and points must be 1-d arrays")
         self.values = _radial_rows(self.ns, L, self.points)
         self.values.flags.writeable = False
 
@@ -131,16 +135,11 @@ def _time(t) -> float:
 def autocorrelation(exp: EigenExpansion, t: float) -> float:
     """|<psi(0)|psi(t)>|^2 within the expansion, normalized to 1 at t = 0.
 
-    The phases come from the expansion's cached rates -i E_n, with the bits
-    of exp(-1j * E_n * t).  A scan's block of times gives each time the same
-    bits as this call, whatever the block.  A time that is not finite raises
-    ValueError."""
-    t = _time(t)
-    s = exp.weight
-    if s == 0.0:
-        raise ValueError("empty expansion has no autocorrelation")
-    amp = np.dot(exp.populations, _phases(exp, t))
-    return float(abs(amp)) ** 2 / s**2
+    A one-time block of the scan's routine (``spectral._autocorrelations``),
+    so a scan gives each time the bits of this call.  The phases come from
+    the cached rates -i E_n, with the bits of exp(-1j * E_n * t).  A time
+    that is not finite raises ValueError."""
+    return _autocorrelations(exp, _phases(exp, _time(t))[None])[0]
 
 
 def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisTable | None = None):
@@ -194,8 +193,7 @@ def observables(
     NumPy scalars.  The quadrature is checked once per window, by three guards
     when its matrices are built (``spectral._moment_matrices``); past that,
     NumericalError arises only for a state with no momentum spread (dp_r = 0,
-    so dr / dp_r is undefined), and ValueError for a time that is not finite
-    or an expansion of zero weight.
+    so dr / dp_r is undefined), and ValueError for a time that is not finite.
     """
     t = _time(t)
     _table(exp, grid, basis)  # validated only; the moments need no table

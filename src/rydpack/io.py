@@ -211,9 +211,11 @@ def read_expansion(path):
     """Inverse of `write_expansion`, giving (nbar, exp); raises ValueError
     naming the file for text that is not UTF-8, a header (without nbar, say)
     or row of the wrong fields, a field that is not a number, coefficients
-    that are no expansion, an ``im`` other than 0, an nbar below 2, an l
-    other than ``L``, a level above ``N_CAP``, or a header deficit that is
-    not the one the coefficient rows give."""
+    that are no expansion (a zero weight included), an ``im`` other than 0,
+    an nbar below 2, an l other than ``L``, a level above ``N_CAP``, or a
+    header deficit that is not the one the coefficient rows give.  The
+    header nbar need not lie inside the window: ``decompose`` takes any
+    explicit window that captures some weight."""
     lines = _read_text(path, "an expansion file").splitlines()
     if len(lines) < 3 or lines[0] != _EXPANSION_HEADER or lines[2] != "n,re,im":
         raise ValueError(f"{path}: not an expansion file with the header {_EXPANSION_HEADER}")

@@ -65,27 +65,38 @@ def hydrogen_energy(n: int) -> float:
     return -0.5 / (n * n)
 
 
-def _whole(name: str, x, least: int) -> int:
-    """int(x) for a whole number x, finite, within float range and at least
-    ``least`` (85.0 passes, as 85), else ValueError naming ``name``: the
-    package's one rule for levels, degrees, counts and nbar."""
+def _whole(name: str, x, least: int, most: float = math.inf) -> int:
+    """int(x) for a whole number x, finite, within float range and in
+    [``least``, ``most``] (85.0 passes, as 85), else ValueError naming
+    ``name``: the package's one rule for levels, degrees, counts and nbar.
+    A value that is no real number (a list, an array) is no whole number."""
     try:
         whole = math.isfinite(x) and int(x) == x
     except OverflowError:  # an int beyond float range
         raise ValueError(f"{name} must lie within float range, got an integer of {x.bit_length()} bits") from None
+    except TypeError:
+        whole = False
     if not whole:
-        raise ValueError(f"{name} must be a whole number, got {x}")
+        raise ValueError(f"{name} must be a whole number, got {x!r}")
     if x < least:
         raise ValueError(f"{name} must be >= {least}, got {x}")
+    if x > most:
+        raise ValueError(f"{name} must be <= {most}, got {x}")
     return int(x)
+
+
+# the largest level or Laguerre degree a recurrence steps to: it takes one
+# step per degree, and its scale table (``_factorial_scale``) grows with the
+# degree, so a level of 1e154 would never return
+_MAX_DEGREE = 1 << 16
 
 
 def _check_nl(ns, l) -> int:
     """int(l), or ValueError unless l and every level n of ``ns`` are whole
-    numbers with 0 <= l <= n - 1."""
+    numbers with 0 <= l <= n - 1 and n <= _MAX_DEGREE."""
     l = _whole("angular momentum", l, 0)
     for n in ns:
-        _whole("principal quantum number", n, l + 1)
+        _whole("principal quantum number", n, l + 1, _MAX_DEGREE)
     return l
 
 
@@ -93,15 +104,22 @@ def laguerre(n: int, a: float, x):
     """Generalized Laguerre polynomial L_n^a(x).
 
     Uses the three-term recurrence upward in the degree, which is the stable
-    direction for a > -1.  Accepts scalar or array ``x``.
+    direction for a > -1.  Accepts scalar or array ``x``.  A degree above
+    65 536, a parameter that is not a finite a > -1, or an argument that is
+    not finite raises ValueError; a value that passes the float range,
+    NumericalError.
     """
-    n = _whole("Laguerre degree", n, 0)
-    if a <= -1.0:
-        raise ValueError(f"Laguerre parameter must be > -1, got {a}")
+    n = _whole("Laguerre degree", n, 0, _MAX_DEGREE)
+    if not -1.0 < a < math.inf:  # a NaN parameter fails too
+        raise ValueError(f"Laguerre parameter must be finite and > -1, got {a}")
     x = np.asarray(x, dtype=float)
-    p_n = _laguerre_rows([n], a, x[None])[0]
-    m_n = _factorial_scale(n)[0][n]
-    return float(p_n / m_n) if x.ndim == 0 else p_n / m_n
+    if not np.isfinite(x).all():
+        raise ValueError("Laguerre argument must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _laguerre_rows([n], a, x[None])[0] / _factorial_scale(n)[0][n]
+    if not np.isfinite(values).all():
+        raise NumericalError(f"L_{n}^{a} passes the float range")
+    return float(values) if x.ndim == 0 else values
 
 
 def _factorial_scale(n: int):
@@ -516,15 +534,17 @@ def hydrogen_radial(n: int, l: int, r):
 
     Normalized so that the integral of R_nl^2 r^2 dr over [0, inf) is 1.
     The prefactor is assembled in log space so that values remain finite for
-    n well beyond 100.
+    n well beyond 100; a level above 65 536 is refused (ValueError).
     """
     r = np.asarray(r, dtype=float)
     values = _radial_rows(np.array([n]), l, r.reshape(-1))[0]
     return float(values[0]) if r.ndim == 0 else values.reshape(r.shape)
 
 
-# Gauss-Legendre nodes per panel of radial_quadrature
+# Gauss-Legendre nodes per panel of radial_quadrature, and the most nodes
+# it takes (8 MB per array)
 _NODES_PER_PANEL = 64
+_MAX_NODES = 1 << 20
 
 
 def radial_quadrature(r_max: float, n_nodes: int = 4096):
@@ -536,18 +556,22 @@ def radial_quadrature(r_max: float, n_nodes: int = 4096):
     toward the origin, matching the sqrt(r) growth of the local oscillation
     wavelength of bound Coulomb eigenfunctions, so the node density per
     wavelength is roughly uniform across the domain.  A non-finite or
-    non-positive ``r_max``, or an ``n_nodes`` that is not a whole number
-    >= 1, is a ValueError.
+    non-positive ``r_max``, or an ``n_nodes`` that is not a whole number in
+    [1, 2^20], is a ValueError; a rule whose panel midpoints pass the float
+    range (r_max near its top), a NumericalError.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    n_nodes = _whole("n_nodes", n_nodes, 1)
+    n_nodes = _whole("n_nodes", n_nodes, 1, _MAX_NODES)
     per_panel = min(n_nodes, _NODES_PER_PANEL)
     n_panels = -(-n_nodes // per_panel)
     edges = r_max * np.linspace(0.0, 1.0, n_panels + 1) ** 2
     xg, wg = _legendre_rule(per_panel)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    with np.errstate(over="ignore"):  # the last two edges may sum past the float range
+        mid = 0.5 * (edges[1:] + edges[:-1])
+    if not np.isfinite(mid).all():
+        raise NumericalError(f"the rule on [0, {r_max!r}] passes the float range")
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
     return x, w

@@ -44,6 +44,7 @@ autocorrelations from the same phases.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -85,6 +86,7 @@ _ERR_TOL = 1e-9
 
 # the most a captured weight sum |c_n|^2 may exceed 1 by, through rounding
 _WEIGHT_SLACK = 1e-9
+_WEIGHTS = f"(0, 1 + {_WEIGHT_SLACK:g}]"
 
 # a window that reaches L + 1 stops growing once the bound weight predicted
 # above n_max is below _TAIL_FRACTION of the tolerance while the deficit
@@ -112,7 +114,7 @@ class EigenExpansion:
     ``weight`` sum c_n^2 and the ``deficit`` 1 - weight are derived from
     them, never stored beside them.  ``n_min`` is a whole number >= L + 1, the
     coefficients a 1-d array of finite real values, held as float64, with a
-    weight of at most 1 + 1e-9, treated as immutable once the expansion is
+    weight in (0, 1 + 1e-9], treated as immutable once the expansion is
     built.  A complex input is accepted only where every imaginary part is 0.
     """
 
@@ -128,12 +130,14 @@ class EigenExpansion:
             if bad.any():
                 raise ValueError(f"coefficient of n={self.n_min + int(np.argmax(bad))} is not {what}")
         object.__setattr__(self, "coeffs", np.ascontiguousarray(coeffs.real, dtype=float))
-        if not self.weight <= 1.0 + _WEIGHT_SLACK:
-            raise ValueError(f"captured weight exceeds 1: {self.weight!r}")
+        with np.errstate(over="ignore"):  # a c_n^2 past the float range: an infinite weight
+            weight = self.weight
+        if not 0.0 < weight <= 1.0 + _WEIGHT_SLACK:
+            raise ValueError(f"captured weight {weight!r} lies outside {_WEIGHTS}")
 
     @cached_property
     def n_max(self) -> int:
-        """The top level n_min + len(coeffs) - 1; n_min - 1 for no coefficients."""
+        """The top level n_min + len(coeffs) - 1."""
         return self.n_min + len(self.coeffs) - 1
 
     @cached_property
@@ -215,7 +219,7 @@ def _project(state, ns, m):
             np.sum(np.exp(log_w + log_const[:, None]) * rows[:, : t.size], axis=1)
             for rows, (t, log_w) in zip(lag.reshape(x.shape), rules)
         )
-    err = np.max(np.abs(c - check))
+        err = np.max(np.abs(c - check))  # inf - inf is a NaN error
     if not err <= _ERR_TOL:  # a NaN error fails too
         raise NumericalError(f"projection quadrature did not converge: estimated error {err:.3e} > {_ERR_TOL:g}")
     return c
@@ -226,9 +230,10 @@ def project_coefficient(state: RadialSqueezedState, n: int) -> float:
     of ``decompose``.
 
     A disagreement with the rule of 8 more nodes beyond 1e-9, or a value that
-    is not finite, raises NumericalError.
+    is not finite, raises NumericalError; a level outside [L + 1, N_CAP],
+    ValueError, as the rule's Jacobi matrix grows with n^2.
     """
-    n = _whole("principal quantum number", n, L + 1)
+    n = _whole("principal quantum number", n, L + 1, N_CAP)
     return float(_project(state, [n], _rule_size(n - L - 1))[0])
 
 
@@ -251,12 +256,14 @@ def decompose(
     to that much) and the deficit less the tail, the estimated continuum
     weight, is still above twice the tolerance, more levels cannot help.
     An explicit ``window`` is the starting window with growth switched off;
-    a deficit at or above ``deficit_tol`` there gets the same warning.
+    it need not hold the state's center, and a deficit at or above
+    ``deficit_tol`` there gets the same warning.
     Each batch of new levels is projected on one Gauss-Laguerre rule sized
     for its largest degree and checked against a rule of 8 more nodes;
-    disagreement beyond 1e-9, or a captured weight that is not at most
-    1 + 1e-9, raises NumericalError; a ``deficit_tol`` outside (0, 1), or a
-    ``center`` or window end that is not a whole number >= L + 1, ValueError.
+    disagreement beyond 1e-9, or a captured weight outside (0, 1 + 1e-9]
+    (0 where a window misses the state), raises NumericalError; a
+    ``deficit_tol`` outside (0, 1), or a ``center`` or window end that is
+    not a whole number >= L + 1, ValueError.
     """
     if not 0.0 < deficit_tol < 1.0:  # a NaN tolerance fails too
         raise ValueError(f"deficit_tol must lie in (0, 1), got {deficit_tol!r}")
@@ -275,8 +282,8 @@ def decompose(
     coeffs = batch(list(range(n_min, n_max + 1)))
     while True:
         weight = float(np.sum(np.abs(coeffs) ** 2))
-        if not weight <= 1.0 + _WEIGHT_SLACK:  # a NaN weight fails too
-            raise NumericalError(f"captured weight {weight!r} is not <= 1 + {_WEIGHT_SLACK:g}")
+        if not 0.0 < weight <= 1.0 + _WEIGHT_SLACK:  # a NaN weight fails too
+            raise NumericalError(f"window [{n_min}, {n_max}] captured weight {weight!r}, outside {_WEIGHTS}")
         if 1.0 - weight < deficit_tol:
             break
         if not step:
@@ -371,8 +378,6 @@ def coefficient_spread(exp: EigenExpansion):
     kernel or summation order moves their bits.
     """
     p, s = exp.populations, exp.weight
-    if s == 0.0:
-        return float("nan"), float("nan")
     ns = exp.ns.astype(float)
     mean = math.fsum(p * ns) / s
     rms = math.sqrt(math.fsum(p * (ns - mean) ** 2) / s)
@@ -511,8 +516,8 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     """The records at the times ``ts``, whose phases exp(-i E_n t) are the
     rows of ``phases``.
 
-    The norm is the weight at every time, so a zero weight is refused before
-    any product.  One broadcast product and one reduction give every
+    The norm is the weight at every time, which is never 0
+    (``EigenExpansion``).  One broadcast product and one reduction give every
     quadratic form c(t)^dagger M c(t) of the block: each time's c(t) is a
     (1, N) row, multiplied by each of the five matrices of the window's
     stack (``_moment_matrices``), then the conjugated dot product with c(t).
@@ -523,8 +528,6 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     cached ``energy_sum``; the rest runs on Python floats, time by time.
     """
     norm = exp.weight
-    if norm == 0.0:
-        raise ValueError("empty expansion has no observables")
     row = (exp.coeffs * phases)[:, None, None, :]
     forms = np.vecdot(row, row @ _moment_matrices(exp.n_min, exp.n_max))[..., 0].real
     energy = exp.energy_sum
@@ -559,17 +562,21 @@ def _scan(exp: EigenExpansion, times) -> Iterator[tuple[list[UncertaintyRecord],
 
 def _scan_block(exp: EigenExpansion, ts) -> tuple[list[UncertaintyRecord], list[float]]:
     """The records and autocorrelations at the times ``ts`` from one block of
-    phases.
-
-    Each autocorrelation is the dot product of its phase row with the
-    populations, conjugated, which has the bits of
-    ``evolution.autocorrelation``.
-    """
+    phases."""
     ts = np.array(ts, dtype=float)
     phases = _phases(exp, ts[:, None])
-    records = _records(exp, ts.tolist(), phases)
-    s = exp.weight
-    return records, [abs(amp) ** 2 / s**2 for amp in np.vecdot(phases, exp.populations).tolist()]
+    return _records(exp, ts.tolist(), phases), _autocorrelations(exp, phases)
+
+
+def _autocorrelations(exp: EigenExpansion, phases: np.ndarray) -> list[float]:
+    """|<psi(0)|psi(t)>|^2 / weight^2 at each time whose phases are a row of
+    ``phases``: one conjugated ``np.vecdot`` of the rows with the populations,
+    then Python floats, so a time has the same bits in any block.
+    NumericalError for a weight below 2^-511, whose square is no normal float."""
+    s2 = exp.weight**2
+    if not s2 >= sys.float_info.min:
+        raise NumericalError(f"the expansion's weight {exp.weight!r} squares past the float range")
+    return [abs(amp) ** 2 / s2 for amp in np.vecdot(phases, exp.populations).tolist()]
 
 
 def _phases(exp: EigenExpansion, t) -> np.ndarray:

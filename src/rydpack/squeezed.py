@@ -131,6 +131,21 @@ class RadialSqueezedState:
         return np.exp(self.log_envelope(r))
 
 
+def _finite(what: str, value: float) -> float:
+    """``value``; NumericalError naming ``what`` where it passes the float range."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} passes the float range")
+    return value
+
+
+def _square(x: float) -> float:
+    """x ** 2, inf where it passes the float range (Python raises OverflowError there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 # the largest order |k| that `moment_r` takes; the product's rounding grows by
 # about one ulp per factor, and the package itself uses k = -2 and 1
 _MAX_ORDER = 8
@@ -142,7 +157,8 @@ def moment_r(state: RadialSqueezedState, k: float) -> float:
     The order k is an integer with |k| <= 8, so the gamma ratio is a short
     product, (a + 1)/b ... (a + k)/b for k > 0 and b/a ... b/(a + k + 1) for
     k < 0, exact to a few ulp at any alpha.  Any other order, or one at or
-    below the normalizability bound -(a + 1), raises ValueError.
+    below the normalizability bound -(a + 1), raises ValueError; a moment
+    that passes the float range, NumericalError.
     """
     if not abs(k) <= _MAX_ORDER or k != int(k):
         raise ValueError(f"moment order k={k} is not an integer of size at most {_MAX_ORDER}")
@@ -155,12 +171,13 @@ def moment_r(state: RadialSqueezedState, k: float) -> float:
         moment *= (a + j) / b
     for j in range(0, int(k), -1):
         moment *= b / (a + j)
-    return moment
+    return _finite(f"<r^{int(k)}> of alpha={state.alpha!r}, gamma0={state.gamma0!r}", moment)
 
 
 def expectation_pr2(state: RadialSqueezedState) -> float:
-    """<p_r^2> = gamma0^2 / (2 alpha + 1); <p_r> is 0, as for every real state."""
-    return state.gamma0 ** 2 / (2.0 * state.alpha + 1.0)
+    """<p_r^2> = gamma0^2 / (2 alpha + 1); <p_r> is 0, as for every real state.
+    NumericalError where it passes the float range."""
+    return _finite(f"<p_r^2> of gamma0={state.gamma0!r}", _square(state.gamma0) / (2.0 * state.alpha + 1.0))
 
 
 def expectation_H(state: RadialSqueezedState) -> float:
@@ -169,18 +186,20 @@ def expectation_H(state: RadialSqueezedState) -> float:
     The effective potential carries the p-state centrifugal barrier,
     <V_eff> = <r^-2> - <r^-1> from the closed forms of both moments; for
     l = 1 this is the centrifugal form L(L+1)/2 <r^-2> - <r^-1> term for term.
+    NumericalError where a term passes the float range.
     """
     alpha, gamma0 = state.alpha, state.gamma0
     m_inv1 = gamma0 / (alpha + 1.0)
-    m_inv2 = 2.0 * gamma0 ** 2 / ((alpha + 1.0) * (2.0 * alpha + 1.0))
-    return 0.5 * expectation_pr2(state) + m_inv2 - m_inv1
+    m_inv2 = 2.0 * _square(gamma0) / ((alpha + 1.0) * (2.0 * alpha + 1.0))
+    return _finite(f"<H> of gamma0={gamma0!r}", 0.5 * expectation_pr2(state) + m_inv2 - m_inv1)
 
 
 def uncertainties_rp(state: RadialSqueezedState):
-    """(dr, dp_r): sqrt(2 alpha + 3)/(2 gamma0) and gamma0/sqrt(2 alpha + 1)."""
+    """(dr, dp_r): sqrt(2 alpha + 3)/(2 gamma0) and gamma0/sqrt(2 alpha + 1);
+    NumericalError where dr passes the float range."""
     dr = math.sqrt(2.0 * state.alpha + 3.0) / (2.0 * state.gamma0)
     dpr = state.gamma0 / math.sqrt(2.0 * state.alpha + 1.0)
-    return dr, dpr
+    return _finite(f"dr of alpha={state.alpha!r}, gamma0={state.gamma0!r}", dr), dpr
 
 
 def uncertainties_RP(state: RadialSqueezedState):
@@ -198,11 +217,14 @@ def uncertainties_RP(state: RadialSqueezedState):
 
 
 def orbit_geometry(q: QuantumNumbers) -> OrbitGeometry:
-    """Apsidal geometry of the classical orbit for the level nbar."""
+    """Apsidal geometry of the classical orbit for the level nbar; NumericalError
+    where it passes the float range, from about nbar = 9.5e153."""
     n = float(q.nbar)
     r_out = n * n + n * math.sqrt(n * n - 2.0)
     ecc = math.sqrt(1.0 - 1.0 / (n * n))
-    return OrbitGeometry(r_out=r_out, eccentricity=ecc, r1=n * n * (1.0 + ecc))
+    r1 = n * n * (1.0 + ecc)
+    _finite(f"the orbit of nbar={q.nbar:.6g}", max(r_out, r1))
+    return OrbitGeometry(r_out=r_out, eccentricity=ecc, r1=r1)
 
 
 def _residuals(state: RadialSqueezedState, r_out: float, e_target: float):

@@ -144,13 +144,25 @@ def test_count_packets_edge_cases():
         with pytest.raises(ValueError, match="must be finite"):
             count_packets(r, f)
     # a reversed uniform grid is refused as such, not as a negative extent;
-    # so are a step off by more than 1e-9 and a NaN radius
-    bent, holed = r.copy(), r.copy()
+    # so is a step off by more than 1e-9
+    bent = r.copy()
     bent[5] += 2e-9
-    holed[5] = math.nan
-    for grid in (r[::-1], bent, holed):
+    for grid in (r[::-1], bent):
         with pytest.raises(ValueError, match="increasing uniform grid"):
             count_packets(grid, np.ones_like(r), smooth=1.0)
+    # a NaN or infinite radius is refused, smoothed or not, as a NaN density
+    # is: it once came back as a peak position; an infinite first radius
+    # passed the uniformity check
+    for i, bad in ((5, math.nan), (1, math.nan), (0, -math.inf), (10, math.inf)):
+        holed = r.copy()
+        holed[i] = bad
+        for smooth in (0.0, 1.0):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                count_packets(holed, np.array([0.0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0]), smooth=smooth)
+    # the report's time is finite too
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            count_packets(r, np.ones_like(r), t=t)
     nudged = r.copy()
     nudged[5] += 4e-10  # steps 1 - 4e-10 and 1 + 4e-10: uniform within 1e-9
     assert count_packets(nudged, np.ones_like(r), smooth=1.0).peak_count == 0
@@ -215,6 +227,10 @@ def test_detect_revival_errors():
         detect_revival(t, np.ones_like(t), (5.0, 6.0))
     with pytest.raises(ValueError):
         detect_revival(t, np.ones(3), (0.0, 1.0))
+    # a window that is no pair raised IndexError or TypeError
+    for window in ((), (0.0,), (0.0, 0.5, 1.0), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="window must be a pair"):
+            detect_revival(t, np.ones_like(t), window)
 
 
 def test_fractional_period_check_synthetic():

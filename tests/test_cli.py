@@ -617,6 +617,29 @@ def test_decompose_window_warning(pipeline20, tmp_path, capsys):
     assert exp.deficit > 0.999
 
 
+def test_decompose_over_a_window_without_weight_exits_2_and_prints_no_nan(tmp_path, capsys):
+    # at nbar 285 every c_n^2 of [2, 5] underflows to 0: decompose exits 2
+    # naming the window and writes no expansion (it once printed
+    # "mean_n=nan deltan=nan" and wrote four zero rows, which scan refused
+    # with exit 2); a file of zero weight made by hand is refused when it is
+    # read, exit 1 naming the file
+    out = tmp_path / "out"
+    assert main(["fit", "--nbar", "285", "-o", str(out)]) == 0
+    capsys.readouterr()
+    res = run_cli(capsys, "decompose", "--state", str(out / "state.json"), "--window", "2", "5", "-o", str(out))
+    assert res.returncode == 2
+    assert res.stderr == (
+        "numerical failure: window [2, 5] captured weight 0.0, outside (0, 1 + 1e-09]\n"
+    )
+    assert "nan" not in res.stdout and not (out / "expansion.csv").exists()
+    expansion = out / "expansion.csv"
+    expansion.write_text("l,nbar,n_min,n_max,deficit\n1,285,2,5,1\nn,re,im\n2,0,0\n3,0,0\n4,0,0\n5,0,0\n")
+    for command, times in (("scan", ["--t-stop", "Tcl"]), ("density", ["--times", "0"])):
+        assert main([command, "--expansion", str(expansion), *times, "-o", str(tmp_path / command)]) == 1
+        err = assert_one_usage_error(capsys)
+        assert f"{expansion}: captured weight 0.0 lies outside" in err
+
+
 def test_nbar_3_decompose_warns_and_scan_refuses(tmp_path, capsys):
     # the window stops on the n^-3 tail law: decompose keeps its warning and
     # exit 0, and scan and density keep their exit 2 on the deficit above

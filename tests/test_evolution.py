@@ -786,6 +786,22 @@ def test_scan_block_records_do_not_depend_on_their_block(nbar, request):
         assert ac == autocorrelation(exp, t), t
 
 
+@pytest.mark.parametrize("nbar", [20, 85, 150, 230])
+def test_autocorrelation_keeps_the_bits_of_the_dot_product_form(nbar):
+    # the one-time call is a row of the scan's conjugated vecdot of the phases
+    # with the populations; it keeps the bits of the former one-time form,
+    # the dot product of the populations with the phases on NumPy scalars
+    q = QuantumNumbers(nbar)
+    exp = decompose(fit_parameters(q))
+    t_rev = timescales(q).t_rev_au
+    times = [0.0] + np.random.default_rng(nbar + 3).uniform(-t_rev, 2.0 * t_rev, 1000).tolist()
+    acs = spectral._autocorrelations(exp, spectral._phases(exp, np.array(times)[:, None]))
+    s = exp.weight
+    for t, ac in zip(times, acs):
+        want = float(abs(np.dot(exp.populations, np.exp(exp.phase_rates * t)))) ** 2 / s**2
+        assert autocorrelation(exp, t).hex() == ac.hex() == want.hex(), t
+
+
 @pytest.mark.parametrize("nbar", [85, 150])
 def test_scan_yields_consecutive_slices_lazily(nbar, request, monkeypatch):
     # 1025 times are a slice of 1024 and a slice of one, each evaluated when
@@ -870,22 +886,33 @@ def test_observables_without_momentum_spread_raise(monkeypatch):
 
 
 def test_zero_weight_expansion_has_no_observables():
-    empty = EigenExpansion(n_min=2, coeffs=np.zeros(2))
-    with pytest.raises(ValueError, match="empty expansion"):
-        observables(empty, 0.0, None)
-    with pytest.raises(ValueError, match="empty expansion"):
-        autocorrelation(empty, 0.0)
+    # an expansion always carries weight: one of zero weight is refused when
+    # it is built, so observables and autocorrelation never divide by 0
+    with pytest.raises(ValueError, match="captured weight 0.0 lies outside"):
+        EigenExpansion(n_min=2, coeffs=np.zeros(2))
 
 
 def test_zero_weight_is_refused_before_any_product(monkeypatch):
-    # the norm is the weight, so no stack is built or read for an empty expansion
+    # the norm is the weight, so no stack is built or read for an expansion
+    # of zero weight: the constructor refuses it
     def refuse(n_min, n_max):
         raise AssertionError("the stack was read")
 
     monkeypatch.setattr(spectral, "_moment_matrices", refuse)
-    empty = EigenExpansion(n_min=2, coeffs=np.zeros(2))
-    with pytest.raises(ValueError, match="empty expansion has no observables"):
-        spectral._scan_block(empty, [0.0, 1.0])
+    with pytest.raises(ValueError, match="captured weight 0.0 lies outside"):
+        spectral._scan_block(EigenExpansion(n_min=2, coeffs=np.zeros(2)), [0.0, 1.0])
+
+
+def test_autocorrelation_of_a_weight_whose_square_underflows_is_refused():
+    # a weight below 2^-511 squares to no normal float: 4.1e-87 gives a weight
+    # of 1.7e-173, whose square, the normalization, is 0, so the
+    # autocorrelation divided by 0; 2^-511 itself is served
+    tiny = EigenExpansion(2, [4.1e-87])
+    with pytest.raises(NumericalError, match="weight 1.68.*e-173 squares past the float range"):
+        autocorrelation(tiny, 0.0)
+    with pytest.raises(NumericalError, match="squares past the float range"):
+        spectral._scan_block(tiny, [0.0])
+    assert autocorrelation(EigenExpansion(2, [2.0**-256, 2.0**-256]), 0.0) == 1.0
 
 
 def test_scan_heisenberg_floor_and_bound(scan85):

@@ -1,0 +1,251 @@
+"""The library's input contract under fuzzing.
+
+Every public callable of ``rydpack.__all__`` either returns finite values or
+raises ValueError for a bad input, or NumericalError or FitError as
+documented; no other exception and no warning escapes, but the one
+documented warning, ``decompose``'s DeficitToleranceWarning.  Each argument
+is drawn by its kind: finite and non-finite floats, whole and non-whole
+numbers, 1-d arrays (empty ones included) and 2-d arrays, and the package's
+objects (quantum numbers, states, expansions, grids, basis tables), which are
+built inside the call from drawn arguments, so that a constructor's refusal
+counts as the call's.  The constants, the error and warning types and the
+plain records, which hold what a routine computed, are not called.
+"""
+
+import dataclasses
+import inspect
+import math
+import sys
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import rydpack
+from rydpack import (
+    BasisTable,
+    DeficitToleranceWarning,
+    EigenExpansion,
+    FitError,
+    NumericalError,
+    QuantumNumbers,
+    RadialGrid,
+    RadialSqueezedState,
+    decompose,
+    fit_parameters,
+)
+
+
+@dataclass(frozen=True)
+class Make:
+    """An object of the package, built inside the checked call from its
+    arguments, which may be ``Make``s themselves."""
+
+    factory: object
+    args: tuple
+
+    def __call__(self):
+        return self.factory(*(_built(a) for a in self.args))
+
+
+def _built(arg):
+    return arg() if isinstance(arg, Make) else arg
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.5, 1e300, sys.float_info.max, -1.0, -1e300,
+               math.nan, math.inf, -math.inf]
+# each kind mixes values in the range a call serves with values outside it
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(1e-3, 1e3))
+wholes = st.one_of(
+    st.integers(-3, 600),
+    st.integers(2, 100),
+    st.sampled_from([10**154, 2**63, 10**400, -(10**400)]),  # in float range, and past it
+    st.sampled_from([2.5, 85.0, -0.5, math.nan, math.inf]),  # non-whole numbers, and a whole float
+)
+arrays = st.one_of(
+    st.lists(floats, max_size=6).map(lambda xs: np.array(xs, dtype=float)),
+    # eight values, so that two arrays of a call often share a shape: any
+    # floats, sorted radii and a uniform grid
+    st.lists(floats, min_size=8, max_size=8).map(np.array),
+    st.lists(st.floats(0.0, 1e4), min_size=8, max_size=8).map(lambda xs: np.array(sorted(xs))),
+    st.floats(1.0, 1e6).map(lambda r_max: np.linspace(0.0, r_max, 8)),
+    st.lists(floats, min_size=4, max_size=4).map(lambda xs: np.array(xs).reshape(2, 2)),
+)
+values = st.one_of(floats, arrays)  # a scalar or an array of arguments
+quantum_numbers = wholes.map(lambda n: Make(QuantumNumbers, (n,)))
+states = st.one_of(
+    st.tuples(floats, floats).map(lambda ag: Make(RadialSqueezedState, ag)),
+    st.integers(2, 300).map(lambda n: Make(fit_parameters, (Make(QuantumNumbers, (n,)),))),
+)
+coefficients = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4).map(np.array)  # weight <= 1
+expansions = st.one_of(
+    st.tuples(wholes, arrays).map(lambda na: Make(EigenExpansion, na)),
+    st.tuples(st.integers(2, 420), coefficients).map(lambda na: Make(EigenExpansion, na)),
+    states.map(lambda state: Make(decompose, (state,))),
+)
+grids = st.one_of(
+    arrays.map(lambda r: Make(RadialGrid, (r,))),
+    st.tuples(st.floats(1.0, 1e6), st.integers(3, 50)).map(lambda rn: Make(RadialGrid.uniform, rn)),
+)
+bases = st.one_of(st.none(), st.tuples(arrays, arrays).map(lambda nr: Make(BasisTable, nr)))
+windows = st.one_of(st.none(), st.tuples(wholes, wholes))
+centers = st.one_of(st.none(), wholes)
+
+KINDS = {
+    "float": floats, "whole": wholes, "array": arrays, "values": values, "q": quantum_numbers,
+    "state": states, "expansion": expansions, "grid": grids, "basis": bases, "window": windows,
+    "center": centers,
+}
+
+# the argument kinds of each public callable, in order
+CALLS = {
+    "BasisTable": ("array", "array"),
+    "EigenExpansion": ("whole", "array"),
+    "QuantumNumbers": ("whole",),
+    "RadialGrid": ("array",),
+    "RadialSqueezedState": ("float", "float"),
+    "autocorrelation": ("expansion", "float"),
+    "coefficient_spread": ("expansion",),
+    "count_packets": ("array", "array", "float", "float", "float"),
+    "decompose": ("state", "window", "center", "float"),
+    "density": ("expansion", "grid", "float", "basis"),
+    "detect_revival": ("array", "array", "array"),
+    "expectation_H": ("state",),
+    "expectation_pr2": ("state",),
+    "fit_parameters": ("q",),
+    "fractional_period_check": ("array", "array", "array", "float", "float"),
+    "hydrogen_energy": ("whole",),
+    "hydrogen_radial": ("whole", "whole", "values"),
+    "laguerre": ("whole", "float", "values"),
+    "moment_r": ("state", "whole"),
+    "observables": ("expansion", "float", "grid", "basis"),
+    "orbit_geometry": ("q",),
+    "project_coefficient": ("state", "whole"),
+    "radial_log_prefactor": ("whole", "whole"),
+    "radial_quadrature": ("float", "whole"),
+    "reconstruct": ("expansion", "values"),
+    "timescales": ("q",),
+    "uncertainties_RP": ("state",),
+    "uncertainties_rp": ("state",),
+}
+
+# constants, error and warning types, and plain records of computed values
+NOT_CALLED = {
+    "DEFAULT_DEFICIT_TOL", "FRACTIONAL_ORDERS", "L", "N_CAP",
+    "DeficitToleranceWarning", "FitError", "NumericalError",
+    "FractionalRevival", "OrbitGeometry", "PacketReport", "Timescales", "UncertaintyRecord",
+}
+
+
+
+def _required(name: str) -> int:
+    """How many leading arguments of the callable ``name`` have no default."""
+    parameters = inspect.signature(getattr(rydpack, name)).parameters.values()
+    return sum(p.default is inspect.Parameter.empty for p in parameters)
+
+
+# a call passes its required arguments and a drawn number of its optional ones
+cases = st.sampled_from(sorted(CALLS)).flatmap(
+    lambda name: st.integers(_required(name), len(CALLS[name])).flatmap(
+        lambda count: st.tuples(st.just(name), st.tuples(*(KINDS[kind] for kind in CALLS[name][:count])))
+    )
+)
+
+
+def test_every_public_name_is_called_or_exempt():
+    # a name joins the public API only with its argument kinds here
+    assert sorted(CALLS.keys() | NOT_CALLED) == rydpack.__all__
+    assert not CALLS.keys() & NOT_CALLED
+
+
+def _finite(value) -> bool:
+    """Whether every number ``value`` holds, in any container, is finite."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return True
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if isinstance(value, BasisTable):  # its radii are the caller's; R_nl is 0 at an infinite one
+        return _finite(value.values)
+    return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+
+
+A_STATE = Make(RadialSqueezedState, (1e300, 1e-300))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases)
+# a non-finite Laguerre argument and a value past the float range leaked a
+# RuntimeWarning, and a NaN argument gave NaN
+@example(case=("laguerre", (3, 1.0, math.inf)))
+@example(case=("laguerre", (400, 1.0, 1e10)))
+@example(case=("laguerre", (3, 1.0, math.nan)))
+# a NaN position came back as a peak position
+@example(case=("count_packets", ([0.0, math.nan, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 2.0, 0.0], 0.05, 0.0, 0.0)))
+# closed forms past the float range gave inf, or let OverflowError escape
+@example(case=("orbit_geometry", (Make(QuantumNumbers, (10**154,)),)))
+@example(case=("moment_r", (A_STATE, 2)))
+@example(case=("uncertainties_rp", (A_STATE,)))
+@example(case=("expectation_H", (Make(RadialSqueezedState, (1e300, 1e300)),)))
+# an expansion of zero weight gave a NaN spread
+@example(case=("coefficient_spread", (Make(EigenExpansion, (2, np.zeros(3))),)))
+# a coefficient whose square overflows leaked a RuntimeWarning; a rule whose
+# midpoints pass the float range too; a window of no pair raised IndexError,
+# and levels of a 2-d array TypeError
+@example(case=("EigenExpansion", (85, np.array([1e300, -1e300, 5e-324]))))
+@example(case=("radial_quadrature", (sys.float_info.max, 600)))
+@example(case=("detect_revival", (np.arange(4.0), np.arange(4.0), np.array([]))))
+@example(case=("BasisTable", (np.zeros((2, 2)), np.arange(3.0))))
+# radii whose differences overflow leaked a RuntimeWarning; a packet report
+# took an infinite time; a weight whose square underflows to 0 made the
+# autocorrelation divide by 0
+@example(case=("RadialGrid", (np.array([0.0, -1e300, sys.float_info.max]),)))
+@example(case=("count_packets", (np.arange(5.0), np.ones(5), 0.05, math.inf)))
+@example(case=("autocorrelation", (Make(EigenExpansion, (2, np.array([4.1e-87]))), 0.0)))
+# radii whose steps overflow leaked a RuntimeWarning from the smoothing's grid
+# check, and a projection's guard another from inf - inf; 2-d radii of a
+# basis table are refused (unsorted ones once made its sorting recurse until
+# NumPy was asked for 64 GiB)
+@example(case=("count_packets", (np.array([1.0, -1e300, sys.float_info.max]), np.ones(3), 0.05, 0.0, 1.0)))
+@example(case=("project_coefficient", (Make(RadialSqueezedState, (5.16317538603794e19, 5.16317538603794e19)), 2)))
+@example(case=("BasisTable", (np.array([]), np.array([[1.0, 0.5], [807.8, 2.0]]))))
+# heights whose differences pass the float range leaked a RuntimeWarning from
+# the peak search, and from the smoothing's transforms
+@example(case=("count_packets", (np.arange(5.0), np.array([0.0, sys.float_info.max, 0.0, -1e300, 0.0]))))
+@example(case=("count_packets", (np.arange(9.0), np.array([0, 0, 1.7e308, 1.7e308, 1.7e308, 0, 0, 0, 0.0]),
+                                 0.05, 0.0, 1.0)))
+def test_public_calls_return_finite_values_or_raise_a_documented_error(case):
+    name, args = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", DeficitToleranceWarning)
+        try:
+            result = getattr(rydpack, name)(*map(_built, args))
+        except (ValueError, NumericalError, FitError):
+            return
+    assert _finite(result), (name, args, result)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rydpack.laguerre(65537, 1.0, 1.0),
+        lambda: rydpack.hydrogen_radial(65537, 1, 1.0),
+        lambda: rydpack.reconstruct(EigenExpansion(65537, [1.0]), [1.0]),
+        lambda: rydpack.project_coefficient(fit_parameters(QuantumNumbers(20)), rydpack.N_CAP + 1),
+    ],
+    ids=["laguerre", "hydrogen_radial", "reconstruct", "project_coefficient"],
+)
+def test_a_level_past_the_recurrences_range_is_refused_at_once(call):
+    # a recurrence steps once per degree and its scale table grows with it, so
+    # a level of 1e154 never returned: levels and degrees stop at 2^16; the
+    # projection's Jacobi matrix grows with n^2, so its level stops at N_CAP
+    with pytest.raises(ValueError, match=r"(degree|principal quantum number) must be <= (65536|400), got"):
+        call()

@@ -48,7 +48,8 @@ def test_state_round_trips_bit_exactly(tmp_path_factory, nbar):
 @given(
     nbar=st.integers(2, 400),
     offset=st.integers(0, 300),
-    parts=st.lists(small, min_size=0, max_size=30),
+    # an expansion always carries weight: some c_n^2 must not underflow
+    parts=st.lists(small, min_size=1, max_size=30).filter(lambda parts: any(x * x > 0.0 for x in parts)),
 )
 def test_expansion_round_trips_bit_exactly(tmp_path_factory, nbar, offset, parts):
     exp = EigenExpansion(n_min=L + 1 + offset, coeffs=np.array(parts, dtype=float))
@@ -133,6 +134,21 @@ def test_expansion_header_without_nbar_is_refused(tmp_path):
     lines[:2] = ["l,n_min,n_max,deficit", lines[1].replace("1,2,", "1,", 1)]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="not an expansion file with the header l,nbar,n_min") as info:
+        read_expansion(path)
+    assert str(path) in str(info.value)
+
+
+def test_expansion_file_of_zero_weight_is_refused(tmp_path):
+    # an expansion always carries weight, so a file whose coefficients are
+    # all 0 (its header deficit 1) is refused by name when it is read, not by
+    # a later deficit check
+    path = tmp_path / "expansion.csv"
+    write_expansion(path, 20, EigenExpansion(n_min=2, coeffs=np.array([0.6, -0.8])))
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",1"
+    lines[3:] = ["2,0,0", "3,1e-200,0"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"captured weight 0\.0 lies outside \(0, 1 \+ 1e-09\]") as info:
         read_expansion(path)
     assert str(path) in str(info.value)
 

@@ -12,6 +12,7 @@ import pytest
 from rydpack import specfun
 from rydpack.evolution import BasisTable
 from rydpack.specfun import (
+    NumericalError,
     hydrogen_energy,
     hydrogen_radial,
     laguerre,
@@ -34,6 +35,16 @@ def test_laguerre_domain():
         laguerre(-1, 0.0, 1.0)
     with pytest.raises(ValueError):
         laguerre(2, -1.0, 1.0)
+    # a non-finite parameter or argument is refused, not carried into NaN or a
+    # RuntimeWarning, and a value past the float range is a numerical failure
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"parameter must be finite and > -1, got {a}"):
+            laguerre(3, a, 1.0)
+    for x in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="Laguerre argument must be finite"):
+            laguerre(3, 1.0, x)
+    with pytest.raises(NumericalError, match=r"^L_400\^1.0 passes the float range$"):
+        laguerre(400, 1.0, 1e10)
 
 
 def test_laguerre_three_term_recurrence():
@@ -64,10 +75,12 @@ def test_laguerre_matches_mpmath_oracle(k, a):
         ref_out = np.array([float(mp.laguerre(k, a, mp.mpf(v))) for v in x_out])
     assert np.max(np.abs(laguerre(k, a, x_in) - ref_in)) <= 2e-14 * np.max(np.abs(ref_in))
     finite = np.isfinite(ref_out)  # L_300 passes 1e308 far out
-    with np.errstate(over="ignore", invalid="ignore"):
-        got_out = laguerre(k, a, x_out)
-    assert np.array_equal(np.isfinite(got_out), finite)
-    assert np.all(np.abs(got_out[finite] - ref_out[finite]) <= 5e-14 * np.abs(ref_out[finite]))
+    got_out = laguerre(k, a, x_out[finite])
+    assert np.all(np.abs(got_out - ref_out[finite]) <= 5e-14 * np.abs(ref_out[finite]))
+    # where the value passes the float range, and only there, it is refused
+    for x in x_out[~finite]:
+        with pytest.raises(NumericalError, match=f"L_{k}\\^{a} passes the float range"):
+            laguerre(k, a, x)
 
 
 def _laguerre_allocating(n, a, x):
@@ -95,16 +108,21 @@ def _laguerre_allocating(n, a, x):
 def test_laguerre_in_place_steps_are_bit_identical():
     rng = np.random.default_rng(2024)
     degrees = [0, 1, 2, 3, 84, 149, 229, 300] + [int(d) for d in rng.integers(0, 301, 12)]
-    with np.errstate(over="ignore", invalid="ignore"):  # the top degrees overflow far out
-        for n in degrees:
-            a = float(rng.choice([1.0, 3.0, rng.uniform(0.0, 50.0)]))
-            x = rng.uniform(0.0, 8.0 * n + 2.0 * a + 10.0, int(rng.integers(1, 300)))
-            assert np.array_equal(laguerre(n, a, x), _laguerre_allocating(n, a, x), equal_nan=True), (n, a)
+    for n in degrees:
+        a = float(rng.choice([1.0, 3.0, rng.uniform(0.0, 50.0)]))
+        x = rng.uniform(0.0, 8.0 * n + 2.0 * a + 10.0, int(rng.integers(1, 300)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the top degrees overflow far out
+            want = _laguerre_allocating(n, a, x)
+        finite = np.isfinite(want)
+        assert np.array_equal(laguerre(n, a, x[finite]), want[finite]), (n, a)
+        if not finite.all():  # laguerre refuses a value past the float range
+            with pytest.raises(NumericalError, match="passes the float range"):
+                laguerre(n, a, x)
+        if finite[0]:
             value = laguerre(n, a, float(x[0]))
-            assert type(value) is float
-            assert value == float(_laguerre_allocating(n, a, x[0])) or math.isnan(value)
-        grid = rng.uniform(0.0, 40.0, (3, 5))
-        assert np.array_equal(laguerre(7, 3.0, grid), _laguerre_allocating(7, 3.0, grid))
+            assert type(value) is float and value == float(want[0])
+    grid = rng.uniform(0.0, 40.0, (3, 5))
+    assert np.array_equal(laguerre(7, 3.0, grid), _laguerre_allocating(7, 3.0, grid))
 
 
 def test_radial_costs_one_recurrence_on_the_live_columns(laguerre_calls):
@@ -488,6 +506,7 @@ def test_levels_and_degrees_must_be_whole_numbers(call, bad, whole, state85):
         (math.nan, 64, "r_max must be positive and finite"),
         (math.inf, 64, "r_max must be positive and finite"),
         (0.0, 64, "r_max must be positive and finite"),
+        (50.0, 2**63, "n_nodes must be <= 1048576"),  # once asked NumPy for an exbibyte
     ],
 )
 def test_radial_quadrature_refuses_bad_inputs_by_name(r_max, n_nodes, message):
@@ -497,6 +516,15 @@ def test_radial_quadrature_refuses_bad_inputs_by_name(r_max, n_nodes, message):
             radial_quadrature(r_max, n_nodes)
     # a whole float is a node count
     assert all(np.array_equal(a, b) for a, b in zip(radial_quadrature(50.0, 64.0), radial_quadrature(50.0, 64)))
+
+
+def test_radial_quadrature_past_the_float_range_is_a_numerical_error():
+    # the top panel's midpoint sums its edges, which passed the float range
+    # with a RuntimeWarning; one panel of the same r_max is served
+    with pytest.raises(NumericalError, match="passes the float range"):
+        radial_quadrature(sys.float_info.max, 600)
+    x, w = radial_quadrature(sys.float_info.max, 64)
+    assert np.isfinite(x).all() and np.isfinite(w).all()
 
 
 @pytest.mark.parametrize("complex_x", [False, True])

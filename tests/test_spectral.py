@@ -49,20 +49,34 @@ def test_expansion_coefficients_are_real_float64():
 
 @pytest.mark.parametrize("size", [0, 1, 3])
 def test_expansion_window_top_comes_from_the_coefficients(size):
-    exp = EigenExpansion(2, np.full(size, 0.5))
-    assert exp.n_max == 1 + size
-    assert np.array_equal(exp.ns, np.arange(2, 2 + size))
+    # size + 1 coefficients, since an expansion of none has no weight
+    exp = EigenExpansion(2, np.full(size + 1, 0.5))
+    assert exp.n_max == 2 + size
+    assert np.array_equal(exp.ns, np.arange(2, 3 + size))
 
 
 def test_expansion_weight_is_at_most_one():
-    with pytest.raises(ValueError, match="captured weight exceeds 1"):
+    with pytest.raises(ValueError, match=r"captured weight 1\.000002000001 lies outside \(0, 1 \+ 1e-09\]"):
         EigenExpansion(2, np.array([1.0 + 1e-6]))
-    with pytest.raises(ValueError, match="captured weight exceeds 1"):
+    with pytest.raises(ValueError, match="captured weight .* lies outside"):
         EigenExpansion(2, np.array([0.6, 0.8 + 1e-9]))
     # a weight above 1 by rounding is accepted, and its deficit is clamped to 0
     exp = EigenExpansion(2, np.array([0.6, 0.8 + 1e-12]))
     assert exp.weight > 1.0
     assert exp.deficit == 0.0 and math.copysign(1.0, exp.deficit) == 1.0
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[], np.zeros(3), np.zeros(0, complex), [5e-324, -1e-200]],
+    ids=["empty", "zeros", "empty-complex", "underflow"],
+)
+def test_expansion_weight_is_positive(coeffs):
+    # an expansion always carries weight, so no routine meets a zero norm: no
+    # coefficients, all zeros, or squares that underflow are refused when it
+    # is built
+    with pytest.raises(ValueError, match=r"captured weight 0\.0 lies outside \(0, 1 \+ 1e-09\]"):
+        EigenExpansion(2, coeffs)
 
 
 def test_populations_and_weight_are_computed_once():
@@ -192,18 +206,26 @@ def test_a_batch_steps_two_laguerre_recurrences(monkeypatch):
 
 
 @pytest.mark.parametrize("window", [None, (83, 87)], ids=["grown", "explicit"])
-@pytest.mark.parametrize("bad", [np.nan, 1.0 + 1e-6], ids=["nan", "above-one"])
+@pytest.mark.parametrize("bad", [np.nan, 1.0 + 1e-6, 0.0], ids=["nan", "above-one", "zero"])
 def test_decompose_rejects_a_bad_captured_weight(monkeypatch, state85, window, bad):
-    # a projection that slips past its own guard must fail as a numerical
-    # error, not as the constructor's ValueError
+    # a projection that slips past its own guard, or captures no weight at
+    # all, must fail as a numerical error naming the window, not as the
+    # constructor's ValueError
     def project(state, ns, m):
         c = np.zeros(len(ns))
         c[0] = bad
         return c
 
     monkeypatch.setattr(spectral, "_project", project)
-    with pytest.raises(NumericalError, match="captured weight"):
+    with pytest.raises(NumericalError, match=r"window \[(83, 87|81, 89)\] captured weight"):
         decompose(state85, window=window, center=85)
+
+
+def test_decompose_over_a_window_whose_weight_underflows_is_a_numerical_error():
+    # at nbar 285 every c_n^2 of [2, 5] underflows to 0: an explicit window
+    # may leave the state's center out, but it must capture some weight
+    with pytest.raises(NumericalError, match=r"window \[2, 5\] captured weight 0\.0, outside \(0, 1 \+ 1e-09\]"):
+        decompose(fit_parameters(QuantumNumbers(285)), window=(2, 5))
 
 
 @pytest.mark.parametrize(
@@ -349,11 +371,6 @@ def test_reconstruct_pure_eigenstate():
     assert type(reconstruct(exp, 1.5)) is float
 
 
-def test_reconstruct_empty_window_is_zero():
-    empty = EigenExpansion(n_min=2, coeffs=np.zeros(0, complex))
-    assert np.all(reconstruct(empty, np.linspace(0, 10, 5)) == 0.0)
-
-
 def test_nan_radius_is_refused_and_an_infinite_one_gives_zero(exp85):
     # a NaN radius is bad input, a ValueError, not an overflow of R_85,1
     with pytest.raises(ValueError, match="radius is NaN"):
@@ -381,8 +398,3 @@ def test_coefficient_spread(exp85):
     mean, rms = coefficient_spread(exp85)
     assert mean == pytest.approx(85.0, abs=0.5)
     assert 1.8 < rms < 2.8
-
-
-def test_coefficient_spread_of_a_zero_weight_expansion_is_nan():
-    mean, rms = coefficient_spread(EigenExpansion(n_min=2, coeffs=np.zeros(3, dtype=complex)))
-    assert math.isnan(mean) and math.isnan(rms)

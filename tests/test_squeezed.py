@@ -280,6 +280,22 @@ def test_orbit_geometry():
         orbit_geometry(QuantumNumbers(1))
 
 
+def test_closed_forms_past_the_float_range_are_numerical_errors():
+    # each gave inf, (inf, 0.0) or a raw OverflowError
+    wide, hot = RadialSqueezedState(1e300, 1e-300), RadialSqueezedState(1e300, 1e300)
+    for call, what in [
+        (lambda: orbit_geometry(QuantumNumbers(10**154)), r"the orbit of nbar=1e\+154"),
+        (lambda: moment_r(wide, 2), r"<r\^2> of alpha=1e\+300, gamma0=1e-300"),
+        (lambda: uncertainties_rp(wide), r"dr of alpha=1e\+300, gamma0=1e-300"),
+        (lambda: uncertainties_RP(wide), r"dr of alpha=1e\+300, gamma0=1e-300"),
+        (lambda: expectation_H(hot), r"<p_r\^2> of gamma0=1e\+300"),
+    ]:
+        with pytest.raises(NumericalError, match=f"^{what} passes the float range$"):
+            call()
+    # just inside the range the orbit is served
+    assert math.isfinite(orbit_geometry(QuantumNumbers(9 * 10**153)).r1)
+
+
 def test_fit_reference_parameters():
     st = fit_parameters(QuantumNumbers(85))
     assert st.alpha == pytest.approx(ALPHA_85, abs=0.01)
@@ -345,12 +361,15 @@ def test_fit_has_no_solution_at_nbar_2():
 
 def test_fit_past_the_float_range_is_a_fit_or_numerical_failure():
     # at nbar 1e150 the cubic's values overflow, so the Newton step is skipped
-    # and Viete's root stands; from about 2.4e153 the cubic's coefficients overflow
+    # and Viete's root stands; from about 2.4e153 the cubic's coefficients
+    # overflow, and from about 9.5e153 the orbit itself
     q = QuantumNumbers(10**150)
     st = fit_parameters(q)
     residuals = squeezed._residuals(st, orbit_geometry(q).r_out, hydrogen_energy(q.nbar))
     assert max(residuals) <= 1e-10
-    with pytest.raises(NumericalError, match=r"matching cubic of nbar=1e\+200 passes the float range"):
+    with pytest.raises(NumericalError, match=r"matching cubic of nbar=3e\+153 passes the float range"):
+        fit_parameters(QuantumNumbers(3 * 10**153))
+    with pytest.raises(NumericalError, match=r"^the orbit of nbar=1e\+200 passes the float range$"):
         fit_parameters(QuantumNumbers(10**200))
 
 
