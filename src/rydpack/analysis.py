@@ -252,8 +252,10 @@ def fractional_period_check(r, f_a, f_b, r_out: float, smooth: float = 0.0) -> b
     Packets are counted with `count_packets`' default prominence threshold.
     Peaks are matched greedily by nearest position (packet counts are small,
     so greedy pairing is exact in practice); every pair must agree within
-    0.05 ``r_out``.
+    0.05 ``r_out``, which must be positive and finite (else ValueError).
     """
+    if not (math.isfinite(r_out) and r_out > 0):
+        raise ValueError(f"r_out must be positive and finite, got {r_out!r}")
     r = np.asarray(r, dtype=float)
     f_a = np.asarray(f_a, dtype=float)
     f_b = np.asarray(f_b, dtype=float)

@@ -20,6 +20,9 @@ with the same NumPy build, CPU feature level, BLAS kernel and BLAS thread
 count write the same bytes; state.json and fit_report.json come from
 Python's math alone, so they depend on the config only, and packets.json's
 smooth and t_int from math and exact sums, so no BLAS kernel moves them.
+Each subcommand reads its inputs, makes one call of its stage in
+``rydpack.stages`` (fit, expand, scan, snapshots), which does no I/O, and
+writes what the stage returned.
 """
 
 from __future__ import annotations
@@ -31,28 +34,19 @@ import math
 import operator
 import re
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io as rio
-from .analysis import Timescales, count_packets, timescales
-from .evolution import RadialGrid, _densities
-from .specfun import NumericalError, hydrogen_energy
-from .spectral import DEFAULT_DEFICIT_TOL, DeficitToleranceWarning, _scan, coefficient_spread, decompose
-from .squeezed import (
-    FitError,
-    L,
-    QuantumNumbers,
-    _residuals,
-    fit_parameters,
-    orbit_geometry,
-    uncertainties_RP,
-    uncertainties_rp,
-)
-from .units import ATOMIC_TIME_S, au_to_ns, au_to_ps
+from . import stages
+from .analysis import Timescales, timescales
+from .evolution import RadialGrid
+from .specfun import NumericalError
+from .spectral import DEFAULT_DEFICIT_TOL, coefficient_spread
+from .squeezed import FitError, QuantumNumbers, fit_parameters, uncertainties_rp
+from .units import ATOMIC_TIME_S, au_to_ns
 
 __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 
@@ -239,63 +233,17 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return out / name
 
 
-def _timescale_block(ts: Timescales, deltan: float = 0.0) -> dict:
-    block = {
-        "T_cl_au": ts.T_cl_au,
-        "T_cl_ps": au_to_ps(ts.T_cl_au),
-        "t_rev_au": ts.t_rev_au,
-        "t_rev_ns": au_to_ns(ts.t_rev_au),
-        "fractional": [
-            {"order": fr.order, "t_au": fr.t_au, "period_au": fr.period_au}
-            for fr in ts.fractional
-        ],
-    }
-    if deltan > 0.0:  # t_int of the expansion's level spread; one level has none
-        t_int = ts.t_rev_au / deltan
-        block.update(t_int_au=t_int, t_int_ns=au_to_ns(t_int))
-    return block
-
-
 def cmd_fit(cfg: RunConfig, args) -> int:
     if cfg.nbar is None:
         prefix = "" if args.config is None else f"{args.config}: "
         raise UsageError(f"{prefix}nbar is required (flag --nbar or config file)")
     q = QuantumNumbers(cfg.nbar)
-    # the timescales first: past their float range the fit is not reached
-    ts = timescales(q)
-    state = fit_parameters(q)
-    geo = orbit_geometry(q)
-    e_target = hydrogen_energy(q.nbar)
-    dr, dpr = uncertainties_rp(state)
-    dR, dP, bound = uncertainties_RP(state)
-    r_resid, h_resid = _residuals(state, geo.r_out, e_target)
-    report = {
-        "nbar": q.nbar,
-        "l": L,
-        "alpha": state.alpha,
-        "gamma0": state.gamma0,
-        "gamma1": 0.0,
-        "log_norm": state.log_norm,
-        "r_out": geo.r_out,
-        "eccentricity": geo.eccentricity,
-        "r1": geo.r1,
-        "energy_target": e_target,
-        "residual_r_rel": r_resid,
-        "residual_H_rel": h_resid,
-        "dr": dr,
-        "dpr": dpr,
-        "product": dr * dpr,
-        "ratio": dr / dpr,
-        "dR": dR,
-        "dP": dP,
-        "bound_half_rm2": bound,
-        "timescales": _timescale_block(ts),
-    }
+    state, report = stages.fit(q)
     rio.write_state(_out_path(cfg, "state.json"), q.nbar, state)
     rio.write_json(_out_path(cfg, "fit_report.json"), report)
     print(
         f"fit nbar={q.nbar}: alpha={state.alpha:.6f} gamma0={state.gamma0:.9f} "
-        f"gamma1=0  dr*dpr={dr * dpr:.6f}  dr/dpr={dr / dpr:.6e}"
+        f"gamma1=0  dr*dpr={report['product']:.6f}  dr/dpr={report['ratio']:.6e}"
     )
     return 0
 
@@ -309,17 +257,15 @@ def _check_nbar(cfg: RunConfig, args, path: str, nbar: int) -> None:
 def cmd_decompose(cfg: RunConfig, args) -> int:
     nbar, state = rio.read_state(args.state)
     _check_nbar(cfg, args, args.state, nbar)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DeficitToleranceWarning)
-        exp = decompose(state, window=args.window, deficit_tol=cfg.deficit_tol)
+    exp, messages = stages.expand(state, args.window, cfg.deficit_tol)
     rio.write_expansion(_out_path(cfg, "expansion.csv"), nbar, exp)
     mean_n, deltan = coefficient_spread(exp)
     print(
         f"decompose nbar={nbar}: window=[{exp.n_min},{exp.n_max}] "
         f"deficit={exp.deficit:.6e} mean_n={mean_n:.3f} deltan={deltan:.4f}"
     )
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
     return 0
 
 
@@ -369,10 +315,9 @@ def _times(ts: Timescales, args) -> tuple[list[str] | None, list[float] | np.nda
 
 def cmd_scan(cfg: RunConfig, args) -> int:
     nbar, exp = _load_expansion(cfg, args)
-    # a stable sort keeps the order of equal times, 0.0 and -0.0, as sorted() does
-    times = np.sort(_times(timescales(QuantumNumbers(nbar)), args)[1], kind="stable")
+    times = _times(timescales(QuantumNumbers(nbar)), args)[1]
     # each block of times is evaluated as the file takes its rows
-    rio.write_series(_out_path(cfg, "scan.csv"), _scan(exp, times))
+    rio.write_series(_out_path(cfg, "scan.csv"), stages.scan(exp, times))
     print(f"scan: {len(times)} time points -> scan.csv")
     return 0
 
@@ -397,15 +342,8 @@ def cmd_density(cfg: RunConfig, args) -> int:
             ) from None
         smooth = uncertainties_rp(state)[0] / 3.0
     names = [f"density_{i:02d}.csv" for i in range(len(times))]
-    # one row per time, taken block by block of radii: no whole table is held
-    densities = _densities(exp, grid.points, times)
-    # every snapshot is counted before any file is written, so a refused
-    # smoothing width, or a grid too short or too fine for it, leaves no file behind
     with _settings(args, "grid_points", "r_max_factor", "smooth"):
-        reports = [
-            count_packets(grid.points, f, prominence_threshold=cfg.prominence, t=t, smooth=smooth)
-            for t, f in zip(times, densities)
-        ]
+        densities, reports = stages.snapshots(exp, grid, times, smooth, cfg.prominence)
     snapshots = [
         {"file": name, "expression": expr, "t_au": t, "t_ns": au_to_ns(t),
          "peak_count": report.peak_count, "peak_positions": list(report.peak_positions)}
@@ -413,10 +351,10 @@ def cmd_density(cfg: RunConfig, args) -> int:
     ]
     # the report's text is formed before any snapshot is written, and replaces
     # packets.json last, so a failure in between leaves the old report whole
-    packets = rio._json_text({
+    packets = rio.json_text({
         "prominence_threshold": cfg.prominence,
         "smooth": smooth,
-        "timescales": _timescale_block(ts, coefficient_spread(exp)[1]),
+        "timescales": stages.timescale_block(ts, coefficient_spread(exp)[1]),
         "snapshots": snapshots,
     })
     rio.write_density([_out_path(cfg, name) for name in names], grid.points, densities, times)

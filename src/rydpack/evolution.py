@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _radial_rows
+from .specfun import _radial_rows, _whole
 from .spectral import (
     EigenExpansion,
     UncertaintyRecord,
@@ -40,6 +40,10 @@ __all__ = [
     "density",
     "observables",
 ]
+
+
+# the most points ``RadialGrid.uniform`` makes, as ``radial_quadrature``'s nodes
+_MAX_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,16 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, r_max: float, n_points: int) -> "RadialGrid":
-        return cls(np.linspace(0.0, float(r_max), int(n_points)))
+        """``n_points`` evenly spaced radii from 0 to ``r_max``.  ValueError
+        for a count that is not a whole number in [0, 2^20] (8 MB of radii)
+        or an ``r_max`` that is not finite, each named, before any radius is
+        made; fewer than 3 points, or radii that do not increase (``r_max``
+        <= 0), are the constructor's ValueError."""
+        n_points = _whole("n_points", n_points, 0, _MAX_GRID_POINTS)
+        r_max = float(r_max)
+        if not math.isfinite(r_max):
+            raise ValueError(f"r_max must be finite, got {r_max!r}")
+        return cls(np.linspace(0.0, r_max, n_points))
 
 
 class BasisTable:

@@ -60,6 +60,7 @@ __all__ = [
     "read_density",
     "read_json",
     "check_kind",
+    "json_text",
     "write_json",
     "write_text_atomic",
 ]
@@ -144,14 +145,14 @@ def check_kind(name: str, value, kind) -> None:
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _json_text(record: dict) -> str:
+def json_text(record: dict) -> str:
     """``record`` as JSON, keys sorted, indent 2, a final newline."""
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path, record: dict) -> None:
-    """``record`` as ``_json_text``, written atomically."""
-    write_text_atomic(path, [_json_text(record)])
+    """``record`` as ``json_text``, written atomically."""
+    write_text_atomic(path, [json_text(record)])
 
 
 def write_state(path, nbar: int, state: RadialSqueezedState) -> None:

@@ -375,6 +375,13 @@ def _live_rho(log_const: float, l: int) -> float:
 _TILE_ELEMENTS = 24576
 
 
+def _check_radii(r: np.ndarray) -> None:
+    """ValueError unless every radius of the array ``r`` is >= 0 (+inf
+    included): the package's one radius rule, naming a NaN radius first."""
+    if not (r >= 0.0).all():
+        raise ValueError("radius is NaN" if np.isnan(r).any() else "radius must be non-negative")
+
+
 def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     """R_nl(r) for each level n of the integer array ``ns`` (one row each) at
     the 1-d radii ``r``; ValueError on an invalid (n, l) or a negative or
@@ -416,8 +423,7 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     exponent carried with P_k would keep them.
     """
     l = _check_nl(ns.tolist(), l)
-    if not (r >= 0.0).all():
-        raise ValueError("radius is NaN" if np.isnan(r).any() else "radius must be non-negative")
+    _check_radii(r)
     if (ns[1:] <= ns[:-1]).any() or (r[1:] < r[:-1]).any():
         unique, rows = np.unique(ns, return_inverse=True)
         order = np.argsort(r, kind="stable")

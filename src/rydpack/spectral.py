@@ -170,6 +170,23 @@ class EigenExpansion:
         return populations
 
     @cached_property
+    def complex_coeffs(self) -> np.ndarray:
+        """The coefficients as complex128, computed once and read-only: the
+        operand ``_records`` phases, so no call casts the float64 array
+        (the cast has the same bits)."""
+        coeffs = self.coeffs.astype(complex)
+        coeffs.flags.writeable = False
+        return coeffs
+
+    @cached_property
+    def complex_populations(self) -> np.ndarray:
+        """The populations as complex128, computed once and read-only, for
+        ``_autocorrelations``, as ``complex_coeffs`` is for ``_records``."""
+        populations = self.populations.astype(complex)
+        populations.flags.writeable = False
+        return populations
+
+    @cached_property
     def weight(self) -> float:
         """Captured probability sum c_n^2, computed once."""
         return float(self.populations.sum())
@@ -528,7 +545,7 @@ def _records(exp: EigenExpansion, ts: list[float], phases: np.ndarray) -> list[U
     cached ``energy_sum``; the rest runs on Python floats, time by time.
     """
     norm = exp.weight
-    row = (exp.coeffs * phases)[:, None, None, :]
+    row = (exp.complex_coeffs * phases)[:, None, None, :]
     forms = np.vecdot(row, row @ _moment_matrices(exp.n_min, exp.n_max))[..., 0].real
     energy = exp.energy_sum
     records = []
@@ -576,7 +593,7 @@ def _autocorrelations(exp: EigenExpansion, phases: np.ndarray) -> list[float]:
     s2 = exp.weight**2
     if not s2 >= sys.float_info.min:
         raise NumericalError(f"the expansion's weight {exp.weight!r} squares past the float range")
-    return [abs(amp) ** 2 / s2 for amp in np.vecdot(phases, exp.populations).tolist()]
+    return [abs(amp) ** 2 / s2 for amp in np.vecdot(phases, exp.complex_populations).tolist()]
 
 
 def _phases(exp: EigenExpansion, t) -> np.ndarray:

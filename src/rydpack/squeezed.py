@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import NumericalError, _whole, hydrogen_energy
+from .specfun import NumericalError, _check_radii, _whole, hydrogen_energy
 
 __all__ = [
     "L",
@@ -120,15 +120,25 @@ class RadialSqueezedState:
         return -0.5 * (math.lgamma(a) - a * math.log(2.0 * self.gamma0))
 
     def log_envelope(self, r):
-        """ln |psi(r)| for r > 0 (`-inf` at r = 0)."""
+        """ln |psi(r)| for radii r >= 0: -inf at r = 0 and at r = inf, its
+        limits there.  A NaN or negative radius raises ValueError."""
         r = np.asarray(r, dtype=float)
-        log_r = np.log(r, out=np.full(r.shape, -np.inf), where=r != 0.0)  # -inf at r = 0, unwarned
-        return self.log_norm + self.alpha * log_r - self.gamma0 * r
+        _check_radii(r)
+        # ln r is taken only at 0 < r < inf; elsewhere -inf stands in for it,
+        # which at r = inf makes alpha ln r - gamma0 r the limit -inf, not inf - inf
+        log_r = np.log(r, out=np.full(r.shape, -np.inf), where=(r != 0.0) & (r != np.inf))
+        with np.errstate(over="ignore"):  # gamma0 r past the float range: ln psi is -inf
+            return self.log_norm + self.alpha * log_r - self.gamma0 * r
 
     def psi(self, r):
-        """Real wavefunction values exp(``log_envelope``); zero at r = 0 since
-        alpha > 0."""
-        return np.exp(self.log_envelope(r))
+        """Real wavefunction values exp(``log_envelope``): zero at r = 0 since
+        alpha > 0, and at r = inf.  A NaN or negative radius raises
+        ValueError, a value past the float range NumericalError."""
+        with np.errstate(over="ignore"):
+            values = np.exp(self.log_envelope(r))
+        if not np.isfinite(values).all():
+            raise NumericalError(f"psi of alpha={self.alpha!r}, gamma0={self.gamma0!r} passes the float range")
+        return values
 
 
 def _finite(what: str, value: float) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rydpack
-from rydpack import cli, evolution, spectral
+from rydpack import cli, evolution, spectral, stages
 from rydpack.cli import UsageError, main, parse_time_expression
 from rydpack.io import read_density, read_expansion, read_state, write_state
 from rydpack.spectral import coefficient_spread
@@ -253,7 +253,7 @@ def test_fit_runs_one_fit(tmp_path, monkeypatch):
         calls.append(q)
         return fit_parameters(q)
 
-    monkeypatch.setattr(cli, "fit_parameters", counted)
+    monkeypatch.setattr(stages, "fit_parameters", counted)
     assert main(["fit", "--nbar", "20", "-o", str(tmp_path)]) == 0
     assert calls == [QuantumNumbers(20)]
     report = json.loads((tmp_path / "fit_report.json").read_text())
@@ -1098,7 +1098,7 @@ def test_density_forms_its_report_before_any_snapshot_is_written(pipeline20, tmp
     def refuse(record):
         raise ValueError("report refused")
 
-    monkeypatch.setattr(cli.rio, "_json_text", refuse)
+    monkeypatch.setattr(cli.rio, "json_text", refuse)
     argv = ["density", "--expansion", str(pipeline20 / "expansion.csv"), "--times", "0", "-o", str(tmp_path)]
     assert main(argv) == 1
     assert "report refused" in assert_one_usage_error(capsys)

@@ -124,7 +124,7 @@ LAYERS = [
     {"squeezed"},
     {"spectral"},
     {"evolution", "analysis"},
-    {"io"},
+    {"io", "stages"},
     {"cli"},
     {"__init__", "__main__"},
 ]

@@ -1,9 +1,11 @@
 """The library's input contract under fuzzing.
 
-Every public callable of ``rydpack.__all__`` either returns finite values or
-raises ValueError for a bad input, or NumericalError or FitError as
-documented; no other exception and no warning escapes, but the one
-documented warning, ``decompose``'s DeficitToleranceWarning.  Each argument
+Every public callable of ``rydpack.__all__``, and every public method and
+classmethod of its classes, either returns finite values or raises
+ValueError for a bad input, or NumericalError or FitError as documented; no
+other exception and no warning escapes, but the one documented warning,
+``decompose``'s DeficitToleranceWarning.  A method is called on its class,
+with the instance drawn as its first argument.  Each argument
 is drawn by its kind: finite and non-finite floats, whole and non-whole
 numbers, 1-d arrays (empty ones included) and 2-d arrays, and the package's
 objects (quantum numbers, states, expansions, grids, basis tables), which are
@@ -13,9 +15,11 @@ plain records, which hold what a routine computed, are not called.
 """
 
 import dataclasses
+import functools
 import inspect
 import math
 import sys
+import types
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +40,7 @@ from rydpack import (
     RadialSqueezedState,
     decompose,
     fit_parameters,
+    fractional_period_check,
 )
 
 
@@ -90,23 +95,31 @@ grids = st.one_of(
     arrays.map(lambda r: Make(RadialGrid, (r,))),
     st.tuples(st.floats(1.0, 1e6), st.integers(3, 50)).map(lambda rn: Make(RadialGrid.uniform, rn)),
 )
-bases = st.one_of(st.none(), st.tuples(arrays, arrays).map(lambda nr: Make(BasisTable, nr)))
+tables = st.tuples(arrays, arrays).map(lambda nr: Make(BasisTable, nr))
+bases = st.one_of(st.none(), tables)
 windows = st.one_of(st.none(), st.tuples(wholes, wholes))
 centers = st.one_of(st.none(), wholes)
 
 KINDS = {
     "float": floats, "whole": wholes, "array": arrays, "values": values, "q": quantum_numbers,
-    "state": states, "expansion": expansions, "grid": grids, "basis": bases, "window": windows,
-    "center": centers,
+    "state": states, "expansion": expansions, "grid": grids, "table": tables, "basis": bases,
+    "window": windows, "center": centers,
 }
 
-# the argument kinds of each public callable, in order
+# the argument kinds of each public callable, in order; a method's first is
+# its instance's
 CALLS = {
     "BasisTable": ("array", "array"),
+    "BasisTable.build": ("array", "array"),
+    "BasisTable.for_expansion": ("expansion", "grid"),
+    "BasisTable.matches": ("table", "expansion", "grid"),
     "EigenExpansion": ("whole", "array"),
     "QuantumNumbers": ("whole",),
     "RadialGrid": ("array",),
+    "RadialGrid.uniform": ("float", "whole"),
     "RadialSqueezedState": ("float", "float"),
+    "RadialSqueezedState.log_envelope": ("state", "values"),
+    "RadialSqueezedState.psi": ("state", "values"),
     "autocorrelation": ("expansion", "float"),
     "coefficient_spread": ("expansion",),
     "count_packets": ("array", "array", "float", "float", "float"),
@@ -141,9 +154,14 @@ NOT_CALLED = {
 
 
 
+def _resolved(name: str):
+    """The public callable ``name``, a package name or "Class.method"."""
+    return functools.reduce(getattr, name.split("."), rydpack)
+
+
 def _required(name: str) -> int:
     """How many leading arguments of the callable ``name`` have no default."""
-    parameters = inspect.signature(getattr(rydpack, name)).parameters.values()
+    parameters = inspect.signature(_resolved(name)).parameters.values()
     return sum(p.default is inspect.Parameter.empty for p in parameters)
 
 
@@ -155,10 +173,24 @@ cases = st.sampled_from(sorted(CALLS)).flatmap(
 )
 
 
+def _public_methods() -> set[str]:
+    """"Class.method" for each public method, classmethod and staticmethod
+    that a class of ``rydpack.__all__`` defines."""
+    return {
+        f"{name}.{key}"
+        for name in rydpack.__all__
+        if inspect.isclass(cls := getattr(rydpack, name))
+        for key, member in vars(cls).items()
+        if not key.startswith("_") and isinstance(member, (types.FunctionType, classmethod, staticmethod))
+    }
+
+
 def test_every_public_name_is_called_or_exempt():
-    # a name joins the public API only with its argument kinds here
-    assert sorted(CALLS.keys() | NOT_CALLED) == rydpack.__all__
-    assert not CALLS.keys() & NOT_CALLED
+    # a name or method joins the public API only with its argument kinds here
+    names = {name for name in CALLS if "." not in name}
+    assert sorted(names | NOT_CALLED) == rydpack.__all__
+    assert not names & NOT_CALLED
+    assert CALLS.keys() - names == _public_methods()
 
 
 def _finite(value) -> bool:
@@ -177,6 +209,7 @@ def _finite(value) -> bool:
 
 
 A_STATE = Make(RadialSqueezedState, (1e300, 1e-300))
+A_FIT = Make(fit_parameters, (Make(QuantumNumbers, (20,)),))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None,
@@ -221,16 +254,74 @@ A_STATE = Make(RadialSqueezedState, (1e300, 1e-300))
 @example(case=("count_packets", (np.arange(5.0), np.array([0.0, sys.float_info.max, 0.0, -1e300, 0.0]))))
 @example(case=("count_packets", (np.arange(9.0), np.array([0, 0, 1.7e308, 1.7e308, 1.7e308, 0, 0, 0, 0.0]),
                                  0.05, 0.0, 1.0)))
+# a NaN or negative radius gave psi NaN or leaked a RuntimeWarning, and so did
+# ln psi at r = inf (inf - inf) and where gamma0 r overflows; psi past the
+# float range came back inf
+@example(case=("RadialSqueezedState.psi", (A_FIT, math.nan)))
+@example(case=("RadialSqueezedState.psi", (A_FIT, -1.0)))
+@example(case=("RadialSqueezedState.psi", (A_FIT, math.inf)))
+@example(case=("RadialSqueezedState.log_envelope", (A_FIT, math.inf)))
+@example(case=("RadialSqueezedState.log_envelope", (A_FIT, -1.0)))
+@example(case=("RadialSqueezedState.log_envelope", (Make(RadialSqueezedState, (1.0, 10.0)), 1e308)))
+@example(case=("RadialSqueezedState.psi", (Make(RadialSqueezedState, (1.0, 1e300)), 1e-300)))
+# a grid's count was truncated (3.7 made 3 points), a NaN count went to int()
+# unnamed, an infinite r_max leaked a RuntimeWarning, and 2^63 points raised
+# IndexError; an infinite r_out matched any two packets
+@example(case=("RadialGrid.uniform", (10.0, 3.7)))
+@example(case=("RadialGrid.uniform", (10.0, math.nan)))
+@example(case=("RadialGrid.uniform", (math.inf, 10)))
+@example(case=("RadialGrid.uniform", (10.0, 2**63)))
+@example(case=("fractional_period_check", (np.arange(10.0), np.eye(10)[2], np.eye(10)[8], math.inf)))
 def test_public_calls_return_finite_values_or_raise_a_documented_error(case):
     name, args = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", DeficitToleranceWarning)
         try:
-            result = getattr(rydpack, name)(*map(_built, args))
+            result = _resolved(name)(*map(_built, args))
         except (ValueError, NumericalError, FitError):
             return
+    if name == "RadialSqueezedState.log_envelope":  # ln 0 = -inf, where psi is 0, is its value
+        result = np.where(result == -np.inf, 0.0, result)
     assert _finite(result), (name, args, result)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda state: state.psi(math.nan), "radius is NaN"),
+        (lambda state: state.psi(-1.0), "radius must be non-negative"),
+        (lambda state: state.log_envelope(math.nan), "radius is NaN"),
+        (lambda state: state.log_envelope(-1.0), "radius must be non-negative"),
+        (lambda state: RadialGrid.uniform(10.0, 3.7), "n_points must be a whole number, got 3.7"),
+        (lambda state: RadialGrid.uniform(10.0, math.nan), "n_points must be a whole number, got nan"),
+        (lambda state: RadialGrid.uniform(math.inf, 10), "r_max must be finite, got inf"),
+        # on a 10-bohr grid one packet at 2 bohr matched one at 8 bohr
+        (lambda state: fractional_period_check(np.arange(10.0), np.eye(10)[2], np.eye(10)[8], math.inf),
+         "r_out must be positive and finite, got inf"),
+        (lambda state: fractional_period_check(np.arange(10.0), np.eye(10)[2], np.eye(10)[2], 0.0),
+         "r_out must be positive and finite, got 0.0"),
+    ],
+    ids=["psi-nan", "psi-negative", "log-envelope-nan", "log-envelope-negative", "uniform-count-3.7",
+         "uniform-count-nan", "uniform-r-max-inf", "r-out-inf", "r-out-zero"],
+)
+def test_bad_input_is_refused_by_name(call, message):
+    state = fit_parameters(QuantumNumbers(20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(state)
+
+
+def test_the_squeezed_state_takes_its_limits_at_infinity():
+    # psi -> 0 and ln psi -> -inf as r -> inf, as R_nl and reconstruct give 0.0 there
+    state = fit_parameters(QuantumNumbers(20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert state.psi(math.inf) == 0.0
+        assert state.log_envelope(math.inf) == -math.inf
+        assert np.array_equal(state.psi(np.array([0.0, math.inf])), [0.0, 0.0])
+        assert rydpack.hydrogen_radial(20, 1, math.inf) == 0.0
 
 
 @pytest.mark.parametrize(
