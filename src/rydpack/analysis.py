@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import NumericalError
+from .specfun import NumericalError, _real, _reals
 from .squeezed import QuantumNumbers
 
 __all__ = [
@@ -104,23 +104,20 @@ def count_packets(
     non-zero, and a kernel narrower than the grid: 4 ``smooth`` at or above the
     grid's extent, or a negative or NaN width, raises ValueError before the
     kernel is built.  ``r`` and ``f`` must be finite 1-d arrays of one
-    shape, and ``t`` finite; a smoothed snapshot that passes the float range
-    raises NumericalError.
+    shape and ``t`` finite, and a string or an int past float range is a
+    ValueError too; a smoothed snapshot past the float range, NumericalError.
     """
-    r = np.asarray(r, dtype=float)
-    f = np.asarray(f, dtype=float)
+    r = _reals("positions", r)
+    f = _reals("density snapshot", f)
     if r.ndim != 1 or f.ndim != 1:
         raise ValueError("positions and density values must be 1-d arrays")
     if r.shape != f.shape:
         raise ValueError("positions and density values must have the same shape")
-    if not np.isfinite(r).all():
-        raise ValueError("positions must be finite")
-    if not np.isfinite(f).all():
-        raise ValueError("density snapshot must be finite")
+    prominence_threshold = _real("prominence threshold", prominence_threshold, finite=False)
     if not 0.0 < prominence_threshold < 1.0:
         raise ValueError("prominence threshold must lie in (0, 1)")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    t = _real("time", t)
+    smooth = _real("smoothing width", smooth, finite=False)
     if not smooth >= 0.0:  # a NaN width fails too
         raise ValueError(f"smoothing width must be non-negative, got {smooth!r}")
     if smooth > 0.0:
@@ -146,11 +143,8 @@ def count_packets(
         if not np.isfinite(f).all():
             raise NumericalError("smoothing the density snapshot passes the float range")
     fmax = f.max() if f.size else 0.0
-    if fmax <= 0.0:
-        return PacketReport(t=t, peak_positions=(), prominence_threshold=prominence_threshold)
-    idx = _prominent_peaks(f, prominence_threshold * fmax)
-    positions = tuple(float(v) for v in r[idx])
-    return PacketReport(t=t, peak_positions=positions, prominence_threshold=prominence_threshold)
+    idx = _prominent_peaks(f, prominence_threshold * fmax) if fmax > 0.0 else []
+    return PacketReport(t=t, peak_positions=tuple(r[idx].tolist()), prominence_threshold=prominence_threshold)
 
 
 # the FFT size of `_gaussian_smooth`'s overlap-add blocks: at least 8192, so
@@ -220,19 +214,17 @@ def detect_revival(times, values, window):
     """Maximum of an autocorrelation series inside ``window = (t_lo, t_hi)``.
 
     Returns (t_peak, value); ties resolve to the earliest time.  A NaN or
-    infinite time or value, or a window that is not a pair of numbers,
-    raises ValueError.
+    infinite time or value, a window that is no pair of numbers (an end may
+    be infinite), or a string or an int past float range is a ValueError.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times = _reals("times", times)
+    values = _reals("values", values)
     if times.shape != values.shape:
         raise ValueError("times and values must have the same shape")
-    if not (np.isfinite(times).all() and np.isfinite(values).all()):
-        raise ValueError("times and values must be finite")
-    window = np.asarray(window, dtype=float)
+    window = _reals("window", window, finite=False)
     if window.shape != (2,):
         raise ValueError(f"window must be a pair (t_lo, t_hi), got shape {window.shape}")
-    t_lo, t_hi = float(window[0]), float(window[1])
+    t_lo, t_hi = window.tolist()
     mask = (times >= t_lo) & (times <= t_hi)
     if not mask.any():
         raise ValueError(f"no samples inside window [{t_lo:g}, {t_hi:g}]")
@@ -252,15 +244,10 @@ def fractional_period_check(r, f_a, f_b, r_out: float, smooth: float = 0.0) -> b
     Packets are counted with `count_packets`' default prominence threshold.
     Peaks are matched greedily by nearest position (packet counts are small,
     so greedy pairing is exact in practice); every pair must agree within
-    0.05 ``r_out``, which must be positive and finite (else ValueError).
+    0.05 ``r_out``, which must be positive and finite (else ValueError);
+    ``count_packets`` checks the rest.
     """
-    if not (math.isfinite(r_out) and r_out > 0):
-        raise ValueError(f"r_out must be positive and finite, got {r_out!r}")
-    r = np.asarray(r, dtype=float)
-    f_a = np.asarray(f_a, dtype=float)
-    f_b = np.asarray(f_b, dtype=float)
-    if f_a.shape != r.shape or f_b.shape != r.shape:
-        raise ValueError("snapshots must share one grid")
+    r_out = _real("r_out", r_out, positive=True)
     pa = count_packets(r, f_a, smooth=smooth)
     pb = count_packets(r, f_b, smooth=smooth)
     if pa.peak_count != pb.peak_count:

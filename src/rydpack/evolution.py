@@ -3,13 +3,14 @@
 An expansion is real (``spectral``), and propagation is exact in the
 bound-state basis: at time t each coefficient picks up the phase
 exp(-i E_n t) where that time is evaluated; no evolved expansion is formed.
-Every entry point refuses a time that is not finite.  The uncertainties
-come from the moment window of ``spectral``, and no wavefunction is sampled
-for them: ``observables`` and ``autocorrelation`` are one-time blocks of the
-routines a scan runs on blocks of times.  Density snapshots have one route,
-``_densities``: per block of radii, a real (2, N) product of each time's
-stacked Re/Im coefficients with the block's real table
-(``spectral._amplitude_blocks``).  The block's table is built there, so
+Every entry point refuses a time that is not finite, a string or an int
+past float range by ``specfun``'s rule for real scalars (``_real``).  The
+uncertainties come from the moment window of ``spectral``, and no
+wavefunction is sampled for them: ``observables`` and ``autocorrelation``
+are one-time blocks of the routines a scan runs on blocks of times.  Density
+snapshots have one route, ``_densities``: per block of radii, a real (2, N)
+product of each time's stacked Re/Im coefficients with the block's real
+table (``spectral._amplitude_blocks``).  The block's table is built there, so
 memory grows with snapshots times points, or read from a ``BasisTable``
 that a caller holds whole (none in the package; ``perfbench``'s in-process
 passes and the tests do), with the same bits.
@@ -17,12 +18,11 @@ passes and the tests do), with the same bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _radial_rows, _whole
+from .specfun import _radial_rows, _real, _reals, _whole
 from .spectral import (
     EigenExpansion,
     UncertaintyRecord,
@@ -53,11 +53,9 @@ class RadialGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = _reals("grid points", self.points).copy()
         if pts.ndim != 1 or pts.size < 3:
             raise ValueError("grid needs at least 3 points")
-        if not np.isfinite(pts).all():
-            raise ValueError("grid points must be finite")
         if pts[0] < 0 or np.any(pts[1:] <= pts[:-1]):  # neighbours compared: a difference may overflow
             raise ValueError("grid points must be non-negative and strictly increasing")
         pts.flags.writeable = False
@@ -67,14 +65,11 @@ class RadialGrid:
     def uniform(cls, r_max: float, n_points: int) -> "RadialGrid":
         """``n_points`` evenly spaced radii from 0 to ``r_max``.  ValueError
         for a count that is not a whole number in [0, 2^20] (8 MB of radii)
-        or an ``r_max`` that is not finite, each named, before any radius is
-        made; fewer than 3 points, or radii that do not increase (``r_max``
-        <= 0), are the constructor's ValueError."""
+        or an ``r_max`` that is no finite real number, each named, before any
+        radius is made; fewer than 3 points, or radii that do not increase
+        (``r_max`` <= 0), are the constructor's ValueError."""
         n_points = _whole("n_points", n_points, 0, _MAX_GRID_POINTS)
-        r_max = float(r_max)
-        if not math.isfinite(r_max):
-            raise ValueError(f"r_max must be finite, got {r_max!r}")
-        return cls(np.linspace(0.0, r_max, n_points))
+        return cls(np.linspace(0.0, _real("r_max", r_max), n_points))
 
 
 class BasisTable:
@@ -98,7 +93,7 @@ class BasisTable:
 
     def __init__(self, ns, points):
         self.ns = _read_only(np.asarray(ns))
-        self.points = _read_only(np.asarray(points, dtype=float))
+        self.points = _read_only(_reals("radius", points, radii=True))
         if self.ns.ndim != 1 or self.points.ndim != 1:
             raise ValueError("levels and points must be 1-d arrays")
         self.values = _radial_rows(self.ns, L, self.points)
@@ -137,14 +132,6 @@ def _table(exp, grid, basis) -> np.ndarray | None:
     return None if basis is None else basis.values
 
 
-def _time(t) -> float:
-    """``t`` as a float; ValueError for a NaN or infinite time."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    return t
-
-
 def autocorrelation(exp: EigenExpansion, t: float) -> float:
     """|<psi(0)|psi(t)>|^2 within the expansion, normalized to 1 at t = 0.
 
@@ -152,7 +139,7 @@ def autocorrelation(exp: EigenExpansion, t: float) -> float:
     so a scan gives each time the bits of this call.  The phases come from
     the cached rates -i E_n, with the bits of exp(-1j * E_n * t).  A time
     that is not finite raises ValueError."""
-    return _autocorrelations(exp, _phases(exp, _time(t))[None])[0]
+    return _autocorrelations(exp, _phases(exp, _real("time", t))[None])[0]
 
 
 def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisTable | None = None):
@@ -163,7 +150,7 @@ def density(exp: EigenExpansion, grid: RadialGrid, t: float = 0.0, basis: BasisT
     block; without one, each block's table is built as it is needed.  Both
     give the same bits.  A time that is not finite raises ValueError.
     """
-    return _densities(exp, grid.points, [_time(t)], _table(exp, grid, basis))[0]
+    return _densities(exp, grid.points, [_real("time", t)], _table(exp, grid, basis))[0]
 
 
 def _densities(exp: EigenExpansion, r: np.ndarray, times, table=None) -> np.ndarray:
@@ -208,6 +195,6 @@ def observables(
     NumericalError arises only for a state with no momentum spread (dp_r = 0,
     so dr / dp_r is undefined), and ValueError for a time that is not finite.
     """
-    t = _time(t)
+    t = _real("time", t)
     _table(exp, grid, basis)  # validated only; the moments need no table
     return _records(exp, [t], _phases(exp, t)[None])[0]

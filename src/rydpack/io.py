@@ -123,9 +123,10 @@ def _fmt(x: float) -> str:
 def read_json(path, kind: str) -> dict:
     """The JSON object in the file ``path``, a ``kind`` ("a state file"); ValueError
     naming the file if its text is not UTF-8, not JSON, too deep or no object."""
+    text = _read_text(path, kind)
     try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
+        record = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, or too deep
         raise ValueError(f"{path}: not {kind}: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: not {kind}: not a JSON object")

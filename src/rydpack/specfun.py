@@ -33,11 +33,21 @@ recurrence, as a batch of projections in ``spectral`` is: one per group would
 be bound by NumPy call overhead on a few hundred nodes.  An anchor
 depends on its level alone and each element sees the same operations and
 constants whatever the tiling, so the values do not depend on it.
+
+Input rules.  A public entry point checks each input once, by a rule kept
+here: levels, degrees, counts and nbar are whole numbers (``_whole``); real
+scalars (times, r_max, r_out, widths, thresholds, tolerances, the Laguerre
+parameter, alpha, gamma0) floats or ints within float range (``_real``);
+real arrays (radii, grid points, positions, snapshots, series, coefficients)
+hold such numbers, finite, or >= 0 with +inf allowed for radii (``_reals``).
+A string ("1.0" too), a complex number or an int past float range is a
+ValueError naming the input; ``_radial_rows`` trusts its callers' radii.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -70,19 +80,49 @@ def _whole(name: str, x, least: int, most: float = math.inf) -> int:
     [``least``, ``most``] (85.0 passes, as 85), else ValueError naming
     ``name``: the package's one rule for levels, degrees, counts and nbar.
     A value that is no real number (a list, an array) is no whole number."""
-    try:
-        whole = math.isfinite(x) and int(x) == x
-    except OverflowError:  # an int beyond float range
-        raise ValueError(f"{name} must lie within float range, got an integer of {x.bit_length()} bits") from None
-    except TypeError:
-        whole = False
-    if not whole:
+    if not (isinstance(x, numbers.Real) and math.isfinite(_real(name, x, finite=False)) and int(x) == x):
         raise ValueError(f"{name} must be a whole number, got {x!r}")
     if x < least:
         raise ValueError(f"{name} must be >= {least}, got {x}")
     if x > most:
         raise ValueError(f"{name} must be <= {most}, got {x}")
     return int(x)
+
+
+def _real(name: str, x, finite: bool = True, positive: bool = False) -> float:
+    """float(x) for a real number x within float range (no string, list,
+    array or complex number), finite unless ``finite`` is False (the caller
+    checks it), and > 0 for ``positive``; else ValueError naming ``name``."""
+    if type(x) is not float:
+        if not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond float range
+            raise ValueError(f"{name} must lie within float range, got an integer of {int(x).bit_length()} bits") from None
+    if positive and not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    if finite and not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _reals(name: str, a, finite: bool = True, radii: bool = False) -> np.ndarray:
+    """``a`` as a float64 array (``a`` itself where it is one) of finite
+    values, unless ``finite`` is False, or for ``radii`` of values >= 0, +inf
+    included; else ValueError naming ``name``.  An array of strings, complex
+    numbers, Python objects or long doubles is taken value by value by ``_real``
+    (a long double past float range becomes inf, where a cast would warn)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf" or a.dtype.itemsize > 8:
+        a = np.array([_real(f"a value of {name}", v, finite=False) for v in a.ravel().tolist()], float).reshape(a.shape)
+    a = np.asarray(a, dtype=float)
+    if radii:
+        if not (a >= 0.0).all():
+            raise ValueError(f"{name} is NaN" if np.isnan(a).any() else f"{name} must be non-negative")
+    elif finite and not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 # the largest level or Laguerre degree a recurrence steps to: it takes one
@@ -106,15 +146,14 @@ def laguerre(n: int, a: float, x):
     Uses the three-term recurrence upward in the degree, which is the stable
     direction for a > -1.  Accepts scalar or array ``x``.  A degree above
     65 536, a parameter that is not a finite a > -1, or an argument that is
-    not finite raises ValueError; a value that passes the float range,
-    NumericalError.
+    not finite raises ValueError, and so does a string or an int past float
+    range for either; a value that passes the float range, NumericalError.
     """
     n = _whole("Laguerre degree", n, 0, _MAX_DEGREE)
+    a = _real("Laguerre parameter", a, finite=False)
     if not -1.0 < a < math.inf:  # a NaN parameter fails too
         raise ValueError(f"Laguerre parameter must be finite and > -1, got {a}")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("Laguerre argument must be finite")
+    x = _reals("Laguerre argument", x)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _laguerre_rows([n], a, x[None])[0] / _factorial_scale(n)[0][n]
     if not np.isfinite(values).all():
@@ -375,17 +414,10 @@ def _live_rho(log_const: float, l: int) -> float:
 _TILE_ELEMENTS = 24576
 
 
-def _check_radii(r: np.ndarray) -> None:
-    """ValueError unless every radius of the array ``r`` is >= 0 (+inf
-    included): the package's one radius rule, naming a NaN radius first."""
-    if not (r >= 0.0).all():
-        raise ValueError("radius is NaN" if np.isnan(r).any() else "radius must be non-negative")
-
-
 def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     """R_nl(r) for each level n of the integer array ``ns`` (one row each) at
-    the 1-d radii ``r``; ValueError on an invalid (n, l) or a negative or
-    NaN radius.
+    the 1-d radii ``r``, which its callers have checked (``_reals``);
+    ValueError on an invalid (n, l).
 
     The tiles take strictly increasing levels and sorted radii, as every
     table the package builds has them; a call in another order is evaluated
@@ -423,7 +455,6 @@ def _radial_rows(ns, l: int, r: np.ndarray) -> np.ndarray:
     exponent carried with P_k would keep them.
     """
     l = _check_nl(ns.tolist(), l)
-    _check_radii(r)
     if (ns[1:] <= ns[:-1]).any() or (r[1:] < r[:-1]).any():
         unique, rows = np.unique(ns, return_inverse=True)
         order = np.argsort(r, kind="stable")
@@ -540,9 +571,10 @@ def hydrogen_radial(n: int, l: int, r):
 
     Normalized so that the integral of R_nl^2 r^2 dr over [0, inf) is 1.
     The prefactor is assembled in log space so that values remain finite for
-    n well beyond 100; a level above 65 536 is refused (ValueError).
+    n well beyond 100; a level above 65 536, or a NaN or negative radius, is
+    refused (ValueError).
     """
-    r = np.asarray(r, dtype=float)
+    r = _reals("radius", r, radii=True)
     values = _radial_rows(np.array([n]), l, r.reshape(-1))[0]
     return float(values[0]) if r.ndim == 0 else values.reshape(r.shape)
 
@@ -566,8 +598,7 @@ def radial_quadrature(r_max: float, n_nodes: int = 4096):
     [1, 2^20], is a ValueError; a rule whose panel midpoints pass the float
     range (r_max near its top), a NumericalError.
     """
-    if not (math.isfinite(r_max) and r_max > 0):
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    r_max = _real("r_max", r_max, positive=True)
     n_nodes = _whole("n_nodes", n_nodes, 1, _MAX_NODES)
     per_panel = min(n_nodes, _NODES_PER_PANEL)
     n_panels = -(-n_nodes // per_panel)

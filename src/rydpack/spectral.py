@@ -59,6 +59,8 @@ from .specfun import (
     _laguerre_rows,
     _radial_log_const,
     _radial_rows,
+    _real,
+    _reals,
     _whole,
     radial_quadrature,
 )
@@ -101,6 +103,12 @@ class DeficitToleranceWarning(UserWarning):
     an explicit window holds too little of the state."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 def _energies(ns: np.ndarray) -> np.ndarray:
     """The energies -1/(2 n^2) of the levels ``ns``, of an expansion and its p_r layer."""
     return -0.5 / ns.astype(float) ** 2
@@ -124,6 +132,8 @@ class EigenExpansion:
     def __post_init__(self):
         object.__setattr__(self, "n_min", _whole("n_min", self.n_min, L + 1))
         coeffs = np.asarray(self.coeffs)
+        if coeffs.dtype.kind != "c":
+            coeffs = _reals("coefficients", coeffs, finite=False)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must form a 1-d array, got shape {coeffs.shape}")
         for bad, what in ((coeffs.imag != 0, "real"), (~np.isfinite(coeffs), "finite")):
@@ -143,48 +153,36 @@ class EigenExpansion:
     @cached_property
     def ns(self) -> np.ndarray:
         """The levels n_min..n_max, computed once and read-only."""
-        ns = np.arange(self.n_min, self.n_max + 1)
-        ns.flags.writeable = False
-        return ns
+        return _frozen(np.arange(self.n_min, self.n_max + 1))
 
     @cached_property
     def energies(self) -> np.ndarray:
         """The level energies -1/(2 n^2), computed once and read-only."""
-        energies = _energies(self.ns)
-        energies.flags.writeable = False
-        return energies
+        return _frozen(_energies(self.ns))
 
     @cached_property
     def phase_rates(self) -> np.ndarray:
         """The rates -i E_n of the phases exp(-i E_n t), computed once and
         read-only; ``phase_rates * t`` has the bits of ``-1j * energies * t``."""
-        rates = -1j * self.energies
-        rates.flags.writeable = False
-        return rates
+        return _frozen(-1j * self.energies)
 
     @cached_property
     def populations(self) -> np.ndarray:
         """The level populations c_n^2, computed once and read-only."""
-        populations = self.coeffs**2
-        populations.flags.writeable = False
-        return populations
+        return _frozen(self.coeffs**2)
 
     @cached_property
     def complex_coeffs(self) -> np.ndarray:
         """The coefficients as complex128, computed once and read-only: the
         operand ``_records`` phases, so no call casts the float64 array
         (the cast has the same bits)."""
-        coeffs = self.coeffs.astype(complex)
-        coeffs.flags.writeable = False
-        return coeffs
+        return _frozen(self.coeffs.astype(complex))
 
     @cached_property
     def complex_populations(self) -> np.ndarray:
         """The populations as complex128, computed once and read-only, for
         ``_autocorrelations``, as ``complex_coeffs`` is for ``_records``."""
-        populations = self.populations.astype(complex)
-        populations.flags.writeable = False
-        return populations
+        return _frozen(self.populations.astype(complex))
 
     @cached_property
     def weight(self) -> float:
@@ -282,6 +280,7 @@ def decompose(
     ``deficit_tol`` outside (0, 1), or a ``center`` or window end that is
     not a whole number >= L + 1, ValueError.
     """
+    deficit_tol = _real("deficit_tol", deficit_tol, finite=False)
     if not 0.0 < deficit_tol < 1.0:  # a NaN tolerance fails too
         raise ValueError(f"deficit_tol must lie in (0, 1), got {deficit_tol!r}")
     if window is None:
@@ -377,9 +376,10 @@ def reconstruct(exp: EigenExpansion, r):
     """Sum c_n R_nl(r); real, aligned with ``r``.
 
     The sum is taken per block of radii on the real table of R_nl
-    (``_amplitude_blocks``), so no table of all the radii is held.
+    (``_amplitude_blocks``), so no table of all the radii is held; a NaN or
+    negative radius raises ValueError.
     """
-    r = np.asarray(r, dtype=float)
+    r = _reals("radius", r, radii=True)
     out = np.empty(r.size)
     for block, _, (re, _) in _amplitude_blocks(exp.ns, [exp.coeffs], r.reshape(-1)):
         out[block] = re
@@ -572,8 +572,7 @@ def _scan(exp: EigenExpansion, times) -> Iterator[tuple[list[UncertaintyRecord],
     (records, autocorrelations) pairs, one block per consecutive slice of at
     most ``_SCAN_BLOCK`` times.  A block is evaluated when it is asked for,
     so a consumer that drops each block holds only one."""
-    times = np.asarray(times, dtype=float)
-    for lo in range(0, times.size, _SCAN_BLOCK):
+    for lo in range(0, len(times), _SCAN_BLOCK):
         yield _scan_block(exp, times[lo : lo + _SCAN_BLOCK])
 
 

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import NumericalError, _check_radii, _whole, hydrogen_energy
+from .specfun import NumericalError, _real, _reals, _whole, hydrogen_energy
 
 __all__ = [
     "L",
@@ -92,19 +92,17 @@ class RadialSqueezedState:
     """Parameters of one squeezed state; immutable after construction.
 
     ``log_norm`` is ln N fixed by <r^0> = 1.  It is derived from alpha and
-    gamma0, never given, so a state cannot carry a stale one; a state whose
-    normalization is not finite (alpha or gamma0 near the float range)
-    raises ValueError.
+    gamma0, never given, so a state cannot carry a stale one.  alpha and
+    gamma0 are positive finite floats, and their normalization is finite
+    (else ValueError; alpha or gamma0 near the float range has none).
     """
 
     alpha: float
     gamma0: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0!r}")
+        for name in ("alpha", "gamma0"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), positive=True))
         try:
             finite = math.isfinite(self.log_norm)
         except OverflowError:  # lgamma of a finite argument above about 2.5e305
@@ -122,8 +120,7 @@ class RadialSqueezedState:
     def log_envelope(self, r):
         """ln |psi(r)| for radii r >= 0: -inf at r = 0 and at r = inf, its
         limits there.  A NaN or negative radius raises ValueError."""
-        r = np.asarray(r, dtype=float)
-        _check_radii(r)
+        r = _reals("radius", r, radii=True)
         # ln r is taken only at 0 < r < inf; elsewhere -inf stands in for it,
         # which at r = inf makes alpha ln r - gamma0 r the limit -inf, not inf - inf
         log_r = np.log(r, out=np.full(r.shape, -np.inf), where=(r != 0.0) & (r != np.inf))
@@ -170,6 +167,7 @@ def moment_r(state: RadialSqueezedState, k: float) -> float:
     below the normalizability bound -(a + 1), raises ValueError; a moment
     that passes the float range, NumericalError.
     """
+    k = _real("moment order", k, finite=False)
     if not abs(k) <= _MAX_ORDER or k != int(k):
         raise ValueError(f"moment order k={k} is not an integer of size at most {_MAX_ORDER}")
     a = 2.0 * state.alpha + 2.0

@@ -10,6 +10,7 @@ import pytest
 import rydpack as rp
 from rydpack import specfun, spectral
 from rydpack.cli import main
+from rydpack.io import read_expansion
 from rydpack.specfun import NumericalError, laguerre, radial_log_prefactor
 from rydpack.squeezed import L
 
@@ -53,6 +54,22 @@ def pipeline(tmp_path_factory):
         return runs[nbar]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def range_expansion(pipeline):
+    """``range_expansion(nbar)``: the expansion the range checks take at
+    nbar, the fit decomposed as ``rydpack decompose`` does: the ledger
+    pipeline's ``expansion.csv`` at 20, 85 and 150, else decomposed here, to
+    a deficit of 2e-3 at nbar 3, whose continuum weight is about 1e-3."""
+
+    def expansion(nbar):
+        if nbar in LEDGER_NBARS:
+            return read_expansion(pipeline(nbar)[0] / "expansion.csv")[1]
+        tol = 2e-3 if nbar == 3 else spectral.DEFAULT_DEFICIT_TOL
+        return spectral.decompose(rp.fit_parameters(rp.QuantumNumbers(nbar)), deficit_tol=tol)
+
+    return expansion
 
 
 @pytest.fixture(scope="session")

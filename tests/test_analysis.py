@@ -250,13 +250,13 @@ def test_fractional_period_check_synthetic():
 
 
 @pytest.mark.parametrize("nbar", [10, 20, 30, 50, 85, 120, 150, 200, 230, 285])
-def test_one_packet_at_start_and_revival_timing_across_nbar(nbar):
+def test_one_packet_at_start_and_revival_timing_across_nbar(nbar, range_expansion):
     # criterion 5's t = 0 count and criterion 6 hold beyond nbar 85: one packet
     # on the CLI's default grid and smoothing width, and the autocorrelation,
     # sampled at T_cl/50 in [0.9, 1.1] t_rev, peaks within 5% of t_rev at no
     # less than twice its value at 4 T_cl.  The peak sits at 0.963 t_rev at
     # nbar 20 and at 1.045 and 1.046 t_rev at nbar 30 and 50.
-    exp = decompose(fit_parameters(QuantumNumbers(nbar)))
+    exp = range_expansion(nbar)
     grid = RadialGrid.uniform(4.0 * nbar**2, 16000)
     smooth = observables(exp, 0.0, grid).dr / 3.0
     assert count_packets(grid.points, density(exp, grid, 0.0), smooth=smooth).peak_count == 1

@@ -6,12 +6,16 @@ ValueError for a bad input, or NumericalError or FitError as documented; no
 other exception and no warning escapes, but the one documented warning,
 ``decompose``'s DeficitToleranceWarning.  A method is called on its class,
 with the instance drawn as its first argument.  Each argument
-is drawn by its kind: finite and non-finite floats, whole and non-whole
-numbers, 1-d arrays (empty ones included) and 2-d arrays, and the package's
-objects (quantum numbers, states, expansions, grids, basis tables), which are
-built inside the call from drawn arguments, so that a constructor's refusal
-counts as the call's.  The constants, the error and warning types and the
-plain records, which hold what a routine computed, are not called.
+is drawn by its kind: finite and non-finite floats (and, in place of a float,
+ints past float range and a numeric string), whole and non-whole numbers,
+1-d arrays (empty ones included, and ones that hold such ints or strings) and
+2-d arrays, and the package's objects (quantum numbers, states, expansions,
+grids, basis tables), which are built inside the call from drawn arguments,
+so that a constructor's refusal counts as the call's.  Half the expansions
+are fitted states of a small nbar, decomposed, and half the grids uniform,
+so that the calls that take them often get past their construction.  The
+constants, the error and warning types and the plain records, which hold
+what a routine computed, are not called.
 """
 
 import dataclasses
@@ -62,8 +66,11 @@ def _built(arg):
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.5, 1e300, sys.float_info.max, -1.0, -1e300,
                math.nan, math.inf, -math.inf]
+# a float argument given as an int past float range, or as a numeric string
+NOT_FLOATS = [10**400, -(10**400), "1.0"]
 # each kind mixes values in the range a call serves with values outside it
-floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(1e-3, 1e3))
+reals = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(1e-3, 1e3))
+floats = st.one_of(reals, st.sampled_from(NOT_FLOATS))
 wholes = st.one_of(
     st.integers(-3, 600),
     st.integers(2, 100),
@@ -71,10 +78,12 @@ wholes = st.one_of(
     st.sampled_from([2.5, 85.0, -0.5, math.nan, math.inf]),  # non-whole numbers, and a whole float
 )
 arrays = st.one_of(
-    st.lists(floats, max_size=6).map(lambda xs: np.array(xs, dtype=float)),
+    # NumPy picks the dtype: an object array for an int past float range, a
+    # string array for a numeric string
+    st.lists(floats, max_size=6).map(np.array),
     # eight values, so that two arrays of a call often share a shape: any
     # floats, sorted radii and a uniform grid
-    st.lists(floats, min_size=8, max_size=8).map(np.array),
+    st.lists(reals, min_size=8, max_size=8).map(np.array),
     st.lists(st.floats(0.0, 1e4), min_size=8, max_size=8).map(lambda xs: np.array(sorted(xs))),
     st.floats(1.0, 1e6).map(lambda r_max: np.linspace(0.0, r_max, 8)),
     st.lists(floats, min_size=4, max_size=4).map(lambda xs: np.array(xs).reshape(2, 2)),
@@ -86,15 +95,20 @@ states = st.one_of(
     st.integers(2, 300).map(lambda n: Make(fit_parameters, (Make(QuantumNumbers, (n,)),))),
 )
 coefficients = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4).map(np.array)  # weight <= 1
-expansions = st.one_of(
+fitted_expansions = st.integers(3, 30).map(
+    lambda n: Make(decompose, (Make(fit_parameters, (Make(QuantumNumbers, (n,)),)),))
+)
+other_expansions = st.one_of(
     st.tuples(wholes, arrays).map(lambda na: Make(EigenExpansion, na)),
     st.tuples(st.integers(2, 420), coefficients).map(lambda na: Make(EigenExpansion, na)),
     states.map(lambda state: Make(decompose, (state,))),
 )
-grids = st.one_of(
-    arrays.map(lambda r: Make(RadialGrid, (r,))),
-    st.tuples(st.floats(1.0, 1e6), st.integers(3, 50)).map(lambda rn: Make(RadialGrid.uniform, rn)),
-)
+uniform_grids = st.tuples(st.floats(1.0, 1e6), st.integers(3, 50)).map(lambda rn: Make(RadialGrid.uniform, rn))
+# half the expansions are fitted, and half the grids uniform (a flatmap on a
+# coin, since one_of would flatten the branches and weigh each alike)
+expansions = st.booleans().flatmap(lambda fit: fitted_expansions if fit else other_expansions)
+array_grids = arrays.map(lambda r: Make(RadialGrid, (r,)))
+grids = st.booleans().flatmap(lambda uniform: uniform_grids if uniform else array_grids)
 tables = st.tuples(arrays, arrays).map(lambda nr: Make(BasisTable, nr))
 bases = st.one_of(st.none(), tables)
 windows = st.one_of(st.none(), st.tuples(wholes, wholes))
@@ -272,6 +286,18 @@ A_FIT = Make(fit_parameters, (Make(QuantumNumbers, (20,)),))
 @example(case=("RadialGrid.uniform", (math.inf, 10)))
 @example(case=("RadialGrid.uniform", (10.0, 2**63)))
 @example(case=("fractional_period_check", (np.arange(10.0), np.eye(10)[2], np.eye(10)[8], math.inf)))
+# a float argument given as an int past float range raised OverflowError, or
+# TypeError inside an array; a numeric string was taken as its number by some
+# entry points and raised TypeError in others
+@example(case=("RadialGrid.uniform", (10**400, 10)))
+@example(case=("radial_quadrature", (10**400, 64)))
+@example(case=("fractional_period_check", (np.arange(10.0), np.eye(10)[2], np.eye(10)[8], 10**400)))
+@example(case=("RadialSqueezedState.psi", (A_FIT, 10**400)))
+@example(case=("EigenExpansion", (2, np.array([0.5, 10**400]))))
+@example(case=("count_packets", (np.arange(5.0), np.ones(5), 0.05, "1.0")))
+@example(case=("RadialSqueezedState", ("1", 1.0)))
+@example(case=("laguerre", (3, "1", 1.0)))
+@example(case=("decompose", (A_FIT, None, None, "0.1")))
 def test_public_calls_return_finite_values_or_raise_a_documented_error(case):
     name, args = case
     with warnings.catch_warnings():
@@ -340,3 +366,80 @@ def test_a_level_past_the_recurrences_range_is_refused_at_once(call):
     # projection's Jacobi matrix grows with n^2, so its level stops at N_CAP
     with pytest.raises(ValueError, match=r"(degree|principal quantum number) must be <= (65536|400), got"):
         call()
+
+
+BIG = 10**400  # a Python int past float range
+
+# the sixteen entry points that let such an int escape as OverflowError (or
+# as TypeError inside an array), each called with BIG in one real argument,
+# and the name its refusal gives that argument
+PAST_FLOAT_RANGE = {
+    "observables": (lambda state, exp: rydpack.observables(exp, BIG), "time"),
+    "autocorrelation": (lambda state, exp: rydpack.autocorrelation(exp, BIG), "time"),
+    "density": (lambda state, exp: rydpack.density(exp, RadialGrid.uniform(400.0, 50), BIG), "time"),
+    "count_packets": (lambda state, exp: rydpack.count_packets(np.arange(5.0), np.ones(5), t=BIG), "time"),
+    "laguerre": (lambda state, exp: rydpack.laguerre(3, BIG, 1.0), "Laguerre parameter"),
+    "hydrogen_radial": (lambda state, exp: rydpack.hydrogen_radial(20, 1, [1.0, BIG]), "radius"),
+    "RadialGrid": (lambda state, exp: RadialGrid([0.0, 1.0, BIG]), "grid points"),
+    "RadialGrid.uniform": (lambda state, exp: RadialGrid.uniform(BIG, 10), "r_max"),
+    "radial_quadrature": (lambda state, exp: rydpack.radial_quadrature(BIG, 64), "r_max"),
+    "psi": (lambda state, exp: state.psi(BIG), "radius"),
+    "log_envelope": (lambda state, exp: state.log_envelope([BIG]), "radius"),
+    "detect_revival": (lambda state, exp: rydpack.detect_revival(np.arange(3.0), [1.0, BIG, 0.0], (0.0, 2.0)),
+                       "values"),
+    "fractional_period_check": (
+        lambda state, exp: fractional_period_check(np.arange(10.0), np.eye(10)[2], np.eye(10)[2], BIG), "r_out"),
+    "reconstruct": (lambda state, exp: rydpack.reconstruct(exp, BIG), "radius"),
+    "BasisTable": (lambda state, exp: BasisTable(exp.ns, [0.0, BIG]), "radius"),
+    "EigenExpansion": (lambda state, exp: EigenExpansion(2, [0.5, BIG]), "coefficients"),
+}
+
+
+@pytest.fixture(scope="module")
+def fitted20():
+    state = fit_parameters(QuantumNumbers(20))
+    return state, decompose(state)
+
+
+@pytest.mark.parametrize("call, name", PAST_FLOAT_RANGE.values(), ids=PAST_FLOAT_RANGE.keys())
+def test_an_int_past_float_range_is_refused_by_name(call, name, fitted20):
+    # one rule of specfun for real scalars and one for real arrays: a value
+    # of an array is named "a value of <argument>"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must lie within float range, got an integer of 1329 bits"):
+            call(*fitted20)
+
+
+# a numeric string is no real number, as a scalar or inside an array
+NUMERIC_STRINGS = {
+    "observables": (lambda state, exp: rydpack.observables(exp, "1.0"), "time"),
+    "count_packets": (lambda state, exp: rydpack.count_packets(np.arange(5.0), np.ones(5), t="1.0"), "time"),
+    "decompose": (lambda state, exp: decompose(state, deficit_tol="0.1"), "deficit_tol"),
+    "laguerre": (lambda state, exp: rydpack.laguerre(3, "1", 1.0), "Laguerre parameter"),
+    "RadialSqueezedState": (lambda state, exp: RadialSqueezedState("1", 1.0), "alpha"),
+    "RadialGrid.uniform": (lambda state, exp: RadialGrid.uniform("10", 10), "r_max"),
+    "hydrogen_radial": (lambda state, exp: rydpack.hydrogen_radial(3, 1, "1.0"), "radius"),
+    "count_packets-positions": (lambda state, exp: rydpack.count_packets(["0", "1", "2"], np.ones(3)), "positions"),
+    "moment_r": (lambda state, exp: rydpack.moment_r(state, "1"), "moment order"),
+}
+
+
+@pytest.mark.parametrize("call, name", NUMERIC_STRINGS.values(), ids=NUMERIC_STRINGS.keys())
+def test_a_numeric_string_is_refused_by_name(call, name, fitted20):
+    # observables, RadialGrid.uniform and hydrogen_radial took "1.0" as 1.0;
+    # count_packets, decompose, laguerre, RadialSqueezedState and moment_r
+    # raised TypeError
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got '"):
+        call(*fitted20)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= sys.float_info.max, reason="long double is double here")
+def test_a_long_double_past_float_range_is_infinite_without_a_warning():
+    # the cast of a long double array to float64 warned past float range
+    beyond = np.array([np.longdouble("1e400")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rydpack.hydrogen_radial(20, 1, beyond)[0] == 0.0  # R_nl is 0 at r = inf
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            rydpack.count_packets(beyond, np.ones(1))

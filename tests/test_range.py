@@ -1,9 +1,8 @@
 """Invariants that need no reference, over the documented range of nbar.
 
 Each check holds at every nbar the package serves, so it is asserted across
-the range rather than at nbar 85 alone.  At nbar 20, 85 and 150 the
-expansion is that of the ledger's pipeline (``tests/conftest.py``); nbar 3
-is decomposed to a deficit of 2e-3, since its continuum weight is about 1e-3.
+the range rather than at nbar 85 alone.  The expansions are conftest's
+``range_expansion``: at nbar 20, 85 and 150 those of the ledger's pipeline.
 """
 
 import numpy as np
@@ -11,27 +10,19 @@ import pytest
 
 from rydpack import spectral
 from rydpack.analysis import timescales
-from rydpack.io import read_expansion
-from rydpack.spectral import DEFAULT_DEFICIT_TOL, decompose
-from rydpack.squeezed import QuantumNumbers, fit_parameters
+from rydpack.squeezed import QuantumNumbers
 
 RANGE = (3, 10, 20, 50, 85, 150, 230, 288)
 
 
-def _expansion(nbar, pipeline):
-    if nbar in (20, 85, 150):
-        return read_expansion(pipeline(nbar)[0] / "expansion.csv")[1]
-    return decompose(fit_parameters(QuantumNumbers(nbar)), deficit_tol=2e-3 if nbar == 3 else DEFAULT_DEFICIT_TOL)
-
-
 @pytest.mark.parametrize("nbar", RANGE)
-def test_uncertainty_bounds_hold_over_a_revival(nbar, pipeline):
+def test_uncertainty_bounds_hold_over_a_revival(nbar, range_expansion):
     # dr dp_r >= 1/2, and dR dP >= <r^-2>/2 for R = (2 - r)/(2r), P = p_r, at
     # 4001 times over [0, t_rev].  The fitted state saturates the second at
     # t = 0, so the scan's margin there is its own truncation: the smallest
     # ratios seen are 1.0011 for the first (nbar 230) and 1 + 2.1e-7 for the
     # second (nbar 50, at t = 0)
-    exp = _expansion(nbar, pipeline)
+    exp = range_expansion(nbar)
     times = np.linspace(0.0, timescales(QuantumNumbers(nbar)).t_rev_au, 4001)
     records = [rec for block, _ in spectral._scan(exp, times) for rec in block]
     assert len(records) == times.size
