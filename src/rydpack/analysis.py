@@ -242,24 +242,18 @@ def fractional_period_check(r, f_a, f_b, r_out: float, smooth: float = 0.0) -> b
     """True when two snapshots carry the same packet configuration.
 
     Packets are counted with `count_packets`' default prominence threshold.
-    Peaks are matched greedily by nearest position (packet counts are small,
-    so greedy pairing is exact in practice); every pair must agree within
-    0.05 ``r_out``, which must be positive and finite (else ValueError);
-    ``count_packets`` checks the rest.
+    The counts must agree, and the peak positions are paired in radial
+    order: the k-th nearest to the origin of one snapshot with the k-th of
+    the other.  Every pair must agree within 0.05 ``r_out``, which must be
+    positive and finite (else ValueError); ``count_packets`` checks the
+    rest.  On a line this pairing keeps the largest gap the smallest of all
+    pairings, since uncrossing two crossed pairs grows neither gap, so no
+    other pairing matches where it does not.
     """
     r_out = _real("r_out", r_out, positive=True)
     pa = count_packets(r, f_a, smooth=smooth)
     pb = count_packets(r, f_b, smooth=smooth)
     if pa.peak_count != pb.peak_count:
         return False
-    if pa.peak_count == 0:
-        return True
-    a = list(pa.peak_positions)
-    b = list(pb.peak_positions)
-    worst = 0.0
-    while a:
-        pairs = [(abs(x - y), i, j) for i, x in enumerate(a) for j, y in enumerate(b)]
-        d, i, j = min(pairs)
-        worst = max(worst, d)
-        del a[i], b[j]
-    return worst <= _POSITION_TOL * r_out
+    gaps = np.abs(np.sort(pa.peak_positions) - np.sort(pb.peak_positions))
+    return bool(np.max(gaps, initial=0.0) <= _POSITION_TOL * r_out)

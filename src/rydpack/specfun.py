@@ -37,11 +37,12 @@ constants whatever the tiling, so the values do not depend on it.
 Input rules.  A public entry point checks each input once, by a rule kept
 here: levels, degrees, counts and nbar are whole numbers (``_whole``); real
 scalars (times, r_max, r_out, widths, thresholds, tolerances, the Laguerre
-parameter, alpha, gamma0) floats or ints within float range (``_real``);
+parameter, alpha, gamma0) real numbers within float range (``_real``);
 real arrays (radii, grid points, positions, snapshots, series, coefficients)
 hold such numbers, finite, or >= 0 with +inf allowed for radii (``_reals``).
-A string ("1.0" too), a complex number or an int past float range is a
-ValueError naming the input; ``_radial_rows`` trusts its callers' radii.
+A string ("1.0" too), a complex number or a real past float range (an int
+or a Fraction) is a ValueError naming the input; ``_radial_rows`` trusts
+its callers' radii.
 """
 
 from __future__ import annotations
@@ -98,8 +99,11 @@ def _real(name: str, x, finite: bool = True, positive: bool = False) -> float:
             raise ValueError(f"{name} must be a real number, got {x!r}")
         try:
             x = float(x)
-        except OverflowError:  # an int beyond float range
-            raise ValueError(f"{name} must lie within float range, got an integer of {int(x).bit_length()} bits") from None
+        except OverflowError:  # an int or a Fraction beyond float range
+            bits = int(x).bit_length()
+            what = (f"an integer of {bits} bits" if isinstance(x, numbers.Integral)
+                    else f"a {type(x).__name__} of {bits} integer bits")
+            raise ValueError(f"{name} must lie within float range, got {what}") from None
     if positive and not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
     if finite and not math.isfinite(x):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -247,6 +248,43 @@ def test_fractional_period_check_synthetic():
     assert fractional_period_check(r, empty, empty, r_out=1500.0)  # no packets in either
     with pytest.raises(ValueError):
         fractional_period_check(r, a, b[:100], r_out=1500.0)
+
+
+def test_fractional_period_check_pairs_packets_in_radial_order():
+    # a nearest-pair search paired 700 with 680 first, leaving 500 with 880
+    # (380 bohr); in radial order 500-680 and 700-880 each miss by 180 of the
+    # 200-bohr tolerance
+    r = np.linspace(0.0, 2000.0, 4001)
+    a = gaussians(r, [500.0, 700.0], [1.0, 1.0], sigma=10.0)
+    b = gaussians(r, [680.0, 880.0], [1.0, 1.0], sigma=10.0)
+    assert fractional_period_check(r, a, b, r_out=4000.0)
+    assert fractional_period_check(r, b, a, r_out=4000.0)
+    assert not fractional_period_check(r, a, b, r_out=3000.0)  # 150 bohr
+
+
+def test_fractional_period_check_matches_where_some_pairing_does():
+    # 1-5 packets per snapshot, the second's displaced up to 300 bohr from the
+    # first's or drawn anew; the verdict is that of the best of all pairings
+    # of the two reports' positions, found by brute force
+    rng = np.random.default_rng(9508019)
+    r = np.linspace(0.0, 2000.0, 4001)
+    tol = 0.05 * 4000.0
+    verdicts = []
+    for _ in range(150):
+        centers_a = rng.uniform(100.0, 1900.0, rng.integers(1, 6))
+        centers_b = centers_a + rng.uniform(-300.0, 300.0, centers_a.size)
+        if rng.random() < 0.2:
+            centers_b = rng.uniform(100.0, 1900.0, rng.integers(1, 6))
+        f_a = gaussians(r, centers_a, rng.uniform(0.5, 1.0, centers_a.size), sigma=10.0)
+        f_b = gaussians(r, centers_b, rng.uniform(0.5, 1.0, centers_b.size), sigma=10.0)
+        pa, pb = count_packets(r, f_a), count_packets(r, f_b)
+        want = pa.peak_count == pb.peak_count and any(
+            all(abs(x - y) <= tol for x, y in zip(pa.peak_positions, order))
+            for order in itertools.permutations(pb.peak_positions)
+        )
+        assert fractional_period_check(r, f_a, f_b, r_out=4000.0) == want, (pa, pb)
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 @pytest.mark.parametrize("nbar", [10, 20, 30, 50, 85, 120, 150, 200, 230, 285])

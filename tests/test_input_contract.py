@@ -5,17 +5,19 @@ classmethod of its classes, either returns finite values or raises
 ValueError for a bad input, or NumericalError or FitError as documented; no
 other exception and no warning escapes, but the one documented warning,
 ``decompose``'s DeficitToleranceWarning.  A method is called on its class,
-with the instance drawn as its first argument.  Each argument
-is drawn by its kind: finite and non-finite floats (and, in place of a float,
-ints past float range and a numeric string), whole and non-whole numbers,
-1-d arrays (empty ones included, and ones that hold such ints or strings) and
-2-d arrays, and the package's objects (quantum numbers, states, expansions,
-grids, basis tables), which are built inside the call from drawn arguments,
-so that a constructor's refusal counts as the call's.  Half the expansions
-are fitted states of a small nbar, decomposed, and half the grids uniform,
-so that the calls that take them often get past their construction.  The
-constants, the error and warning types and the plain records, which hold
-what a routine computed, are not called.
+with the instance drawn as its first argument.  Each argument is drawn by
+its kind: finite and non-finite floats (and, in place of a float, ints and a
+Fraction past float range and a numeric string), whole and non-whole
+numbers, 1-d arrays (empty ones included, and ones that hold such ints or
+strings) and 2-d arrays, and the package's objects (quantum numbers,
+states, expansions, grids, basis tables), which are built inside the call
+from drawn arguments, so that a constructor's refusal counts as the call's.
+Half the expansions are fitted states of a small nbar, decomposed, and half
+the grids uniform, so that the calls that take them often get past their
+construction; half the basis tables are built for the call's own expansion
+and grid, so that they match it.  The constants, the error and warning
+types and the plain records, which hold what a routine computed, are not
+called.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ import sys
 import types
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,18 +59,45 @@ class Make:
     factory: object
     args: tuple
 
-    def __call__(self):
-        return self.factory(*(_built(a) for a in self.args))
+
+def _built(arg, done: dict):
+    """``arg``, or for a ``Make`` the object it builds.  ``done`` holds each
+    ``Make`` built so far with its object, by the ``Make``'s id, so that a
+    ``Make`` that stands in two places is built once, for both."""
+    if not isinstance(arg, Make):
+        return arg
+    if id(arg) not in done:
+        done[id(arg)] = arg, arg.factory(*(_built(a, done) for a in arg.args))
+    return done[id(arg)][1]
 
 
-def _built(arg):
-    return arg() if isinstance(arg, Make) else arg
+@dataclass(frozen=True)
+class OwnTable:
+    """In place of a basis table: the table for the call's own expansion and
+    grid, built from those very objects when ``same``, else from equal ones
+    built again, so that it matches by identity or by comparison."""
+
+    same: bool
+
+
+def _with_own_tables(name: str, args: tuple) -> tuple:
+    """``args`` with each ``OwnTable`` replaced by the ``Make`` of its table."""
+    kinds = CALLS[name]
+
+    def table(own):
+        exp, grid = args[kinds.index("expansion")], args[kinds.index("grid")]
+        if not own.same:
+            exp, grid = Make(exp.factory, exp.args), Make(grid.factory, grid.args)
+        return Make(BasisTable.for_expansion, (exp, grid))
+
+    return tuple(table(a) if isinstance(a, OwnTable) else a for a in args)
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.5, 1e300, sys.float_info.max, -1.0, -1e300,
                math.nan, math.inf, -math.inf]
-# a float argument given as an int past float range, or as a numeric string
-NOT_FLOATS = [10**400, -(10**400), "1.0"]
+# a float argument given as an int or a Fraction past float range, or as a
+# numeric string
+NOT_FLOATS = [10**400, -(10**400), "1.0", Fraction(10**400, 3)]
 # each kind mixes values in the range a call serves with values outside it
 reals = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(1e-3, 1e3))
 floats = st.one_of(reals, st.sampled_from(NOT_FLOATS))
@@ -98,9 +128,10 @@ coefficients = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4).map(np.arr
 fitted_expansions = st.integers(3, 30).map(
     lambda n: Make(decompose, (Make(fit_parameters, (Make(QuantumNumbers, (n,)),)),))
 )
+coefficient_expansions = st.tuples(st.integers(2, 420), coefficients).map(lambda na: Make(EigenExpansion, na))
 other_expansions = st.one_of(
     st.tuples(wholes, arrays).map(lambda na: Make(EigenExpansion, na)),
-    st.tuples(st.integers(2, 420), coefficients).map(lambda na: Make(EigenExpansion, na)),
+    coefficient_expansions,
     states.map(lambda state: Make(decompose, (state,))),
 )
 uniform_grids = st.tuples(st.floats(1.0, 1e6), st.integers(3, 50)).map(lambda rn: Make(RadialGrid.uniform, rn))
@@ -109,7 +140,10 @@ uniform_grids = st.tuples(st.floats(1.0, 1e6), st.integers(3, 50)).map(lambda rn
 expansions = st.booleans().flatmap(lambda fit: fitted_expansions if fit else other_expansions)
 array_grids = arrays.map(lambda r: Make(RadialGrid, (r,)))
 grids = st.booleans().flatmap(lambda uniform: uniform_grids if uniform else array_grids)
-tables = st.tuples(arrays, arrays).map(lambda nr: Make(BasisTable, nr))
+# a table of drawn levels and points, or the one for the call's expansion and grid
+tables = st.one_of(
+    st.tuples(arrays, arrays).map(lambda nr: Make(BasisTable, nr)), st.builds(OwnTable, st.booleans())
+)
 bases = st.one_of(st.none(), tables)
 windows = st.one_of(st.none(), st.tuples(wholes, wholes))
 centers = st.one_of(st.none(), wholes)
@@ -224,6 +258,8 @@ def _finite(value) -> bool:
 
 A_STATE = Make(RadialSqueezedState, (1e300, 1e-300))
 A_FIT = Make(fit_parameters, (Make(QuantumNumbers, (20,)),))
+A_EXP = Make(decompose, (A_FIT,))
+A_GRID = Make(RadialGrid.uniform, (1600.0, 50))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None,
@@ -298,18 +334,53 @@ A_FIT = Make(fit_parameters, (Make(QuantumNumbers, (20,)),))
 @example(case=("RadialSqueezedState", ("1", 1.0)))
 @example(case=("laguerre", (3, "1", 1.0)))
 @example(case=("decompose", (A_FIT, None, None, "0.1")))
+# a table for the call's own expansion and grid, matched by identity and by
+# comparison
+@example(case=("density", (A_EXP, A_GRID, 0.0, OwnTable(True))))
+@example(case=("observables", (A_EXP, 0.0, A_GRID, OwnTable(False))))
 def test_public_calls_return_finite_values_or_raise_a_documented_error(case):
     name, args = case
+    args = _with_own_tables(name, args)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", DeficitToleranceWarning)
         try:
-            result = _resolved(name)(*map(_built, args))
+            done = {}
+            result = _resolved(name)(*(_built(a, done) for a in args))
         except (ValueError, NumericalError, FitError):
             return
     if name == "RadialSqueezedState.log_envelope":  # ln 0 = -inf, where psi is 0, is its value
         result = np.where(result == -np.inf, 0.0, result)
     assert _finite(result), (name, args, result)
+
+
+def _outcome(name: str, args: tuple, done: dict):
+    """What the call ``name`` gives: its result (a density as its bytes), or
+    the documented error it raises."""
+    try:
+        result = _resolved(name)(*(_built(a, done) for a in args))
+    except (ValueError, NumericalError) as e:
+        return repr(e)
+    return result.tobytes() if isinstance(result, np.ndarray) else result
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    exp=st.one_of(fitted_expansions, coefficient_expansions),
+    grid=uniform_grids,
+    t=reals,
+    own=st.builds(OwnTable, st.booleans()),
+)
+def test_a_table_for_the_calls_own_expansion_and_grid_gives_the_bits_of_none(exp, grid, t, own):
+    # the table path of density and observables (matched by identity or by
+    # comparison) returns what the call without a table returns, bit for bit,
+    # or raises what it raises
+    done = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", DeficitToleranceWarning)
+        for name, args in (("density", (exp, grid, t)), ("observables", (exp, t, grid))):
+            assert _outcome(name, _with_own_tables(name, (*args, own)), done) == _outcome(name, args, done)
 
 
 @pytest.mark.parametrize(
@@ -327,9 +398,12 @@ def test_public_calls_return_finite_values_or_raise_a_documented_error(case):
          "r_out must be positive and finite, got inf"),
         (lambda state: fractional_period_check(np.arange(10.0), np.eye(10)[2], np.eye(10)[2], 0.0),
          "r_out must be positive and finite, got 0.0"),
+        # a real past float range that is no int was named as one
+        (lambda state: RadialGrid.uniform(Fraction(10**400, 3), 5),
+         "r_max must lie within float range, got a Fraction of 1328 integer bits"),
     ],
     ids=["psi-nan", "psi-negative", "log-envelope-nan", "log-envelope-negative", "uniform-count-3.7",
-         "uniform-count-nan", "uniform-r-max-inf", "r-out-inf", "r-out-zero"],
+         "uniform-count-nan", "uniform-r-max-inf", "r-out-inf", "r-out-zero", "uniform-r-max-fraction"],
 )
 def test_bad_input_is_refused_by_name(call, message):
     state = fit_parameters(QuantumNumbers(20))
