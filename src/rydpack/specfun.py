@@ -11,13 +11,14 @@ k! = m_k 2^{E_k} with m_k in [1/2, 1), so the carried value stays within a
 factor 2 of L_k.  Every scaling in its step is an exact power of two and the
 step has no division; consumers add -ln m_k in log space.  It is written
 once, in ``_laguerre_rows``, which steps rows of arguments together and reads
-each off at its own degree.  Every Laguerre value comes from it: ``laguerre``
-makes a one-row call, and ``_gauss_laguerre`` one call for all of its rules.
+each off at its own degree.  Every Laguerre value comes from it:
+``_gauss_laguerre`` makes one call for all of its rules, ``spectral._project``
+one for a batch of projections, and ``_radial_rows`` one per tile.
 
 One radial kernel, ``_radial_rows``, evaluates every R_nl table: a single
 level in ``hydrogen_radial``, the density tables of ``evolution.BasisTable``,
 the blocks of radii of ``spectral._amplitude_blocks`` (density snapshots
-without a table, ``spectral.reconstruct``) and the moment matrices
+without a table) and the moment matrices
 (``spectral._moment_matrices``).  The recurrence already runs at the
 arithmetic floor (about 1.5 ns per element and step), so the kernel runs
 fewer of them: by the multiplication theorem for Laguerre polynomials
@@ -35,9 +36,9 @@ depends on its level alone and each element sees the same operations and
 constants whatever the tiling, so the values do not depend on it.
 
 Input rules.  A public entry point checks each input once, by a rule kept
-here: levels, degrees, counts and nbar are whole numbers (``_whole``); real
-scalars (times, r_max, r_out, widths, thresholds, tolerances, the Laguerre
-parameter, alpha, gamma0) real numbers within float range (``_real``);
+here: levels, angular momenta, counts and nbar are whole numbers
+(``_whole``); real scalars (times, r_max, r_out, widths, thresholds,
+tolerances, alpha, gamma0) real numbers within float range (``_real``);
 real arrays (radii, grid points, positions, snapshots, series, coefficients)
 hold such numbers, finite, or >= 0 with +inf allowed for radii (``_reals``).
 A string ("1.0" too), a complex number or a real past float range (an int
@@ -56,10 +57,8 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
-    "laguerre",
     "hydrogen_energy",
     "hydrogen_radial",
-    "radial_log_prefactor",
     "radial_quadrature",
 ]
 
@@ -79,7 +78,7 @@ def hydrogen_energy(n: int) -> float:
 def _whole(name: str, x, least: int, most: float = math.inf) -> int:
     """int(x) for a whole number x, finite, within float range and in
     [``least``, ``most``] (85.0 passes, as 85), else ValueError naming
-    ``name``: the package's one rule for levels, degrees, counts and nbar.
+    ``name``: the package's one rule for levels, counts and nbar.
     A value that is no real number (a list, an array) is no whole number."""
     if not (isinstance(x, numbers.Real) and math.isfinite(_real(name, x, finite=False)) and int(x) == x):
         raise ValueError(f"{name} must be a whole number, got {x!r}")
@@ -142,27 +141,6 @@ def _check_nl(ns, l) -> int:
     for n in ns:
         _whole("principal quantum number", n, l + 1, _MAX_DEGREE)
     return l
-
-
-def laguerre(n: int, a: float, x):
-    """Generalized Laguerre polynomial L_n^a(x).
-
-    Uses the three-term recurrence upward in the degree, which is the stable
-    direction for a > -1.  Accepts scalar or array ``x``.  A degree above
-    65 536, a parameter that is not a finite a > -1, or an argument that is
-    not finite raises ValueError, and so does a string or an int past float
-    range for either; a value that passes the float range, NumericalError.
-    """
-    n = _whole("Laguerre degree", n, 0, _MAX_DEGREE)
-    a = _real("Laguerre parameter", a, finite=False)
-    if not -1.0 < a < math.inf:  # a NaN parameter fails too
-        raise ValueError(f"Laguerre parameter must be finite and > -1, got {a}")
-    x = _reals("Laguerre argument", x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _laguerre_rows([n], a, x[None])[0] / _factorial_scale(n)[0][n]
-    if not np.isfinite(values).all():
-        raise NumericalError(f"L_{n}^{a} passes the float range")
-    return float(values) if x.ndim == 0 else values
 
 
 def _factorial_scale(n: int):
@@ -280,22 +258,18 @@ def _gauss_laguerre(sizes, beta: float):
     return rules
 
 
-def radial_log_prefactor(n: int, l: int) -> float:
-    """ln of the positive normalization prefactor of R_nl.
+def _radial_log_const(n: int, l: int) -> float:
+    """ln(A_nl / m_k): the positive normalization prefactor A_nl of R_nl over
+    the scale m_k that P_k carries, k = n - l - 1.
 
-    R_nl(r) = exp(radial_log_prefactor) * exp(-rho/2) * rho^l * L_{n-l-1}^{2l+1}(rho)
-    with rho = 2 r / n, normalized so that the integral of R^2 r^2 dr is 1.
+    R_nl(r) = A_nl exp(-rho/2) rho^l L_k^{2l+1}(rho) with rho = 2 r / n,
+    normalized so that the integral of R^2 r^2 dr is 1.
     """
-    _check_nl((n,), l)
-    return 1.5 * math.log(2.0 / n) + 0.5 * (
+    k = n - l - 1
+    log_prefactor = 1.5 * math.log(2.0 / n) + 0.5 * (
         math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1)
     )
-
-
-def _radial_log_const(n: int, l: int) -> float:
-    """ln(A_nl / m_k): the prefactor of R_nl over the scale that P_k carries."""
-    k = n - l - 1
-    return radial_log_prefactor(n, l) - math.log(_factorial_scale(k)[0][k])
+    return log_prefactor - math.log(_factorial_scale(k)[0][k])
 
 
 def _envelope(log_const, l: int, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

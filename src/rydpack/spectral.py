@@ -72,9 +72,7 @@ __all__ = [
     "DeficitToleranceWarning",
     "EigenExpansion",
     "UncertaintyRecord",
-    "project_coefficient",
     "decompose",
-    "reconstruct",
     "coefficient_spread",
 ]
 
@@ -240,18 +238,6 @@ def _project(state, ns, m):
     return c
 
 
-def project_coefficient(state: RadialSqueezedState, n: int) -> float:
-    """c_n = int R_nl(r) psi(r) r^2 dr, l = ``L``, on the Gauss-Laguerre rule
-    of ``decompose``.
-
-    A disagreement with the rule of 8 more nodes beyond 1e-9, or a value that
-    is not finite, raises NumericalError; a level outside [L + 1, N_CAP],
-    ValueError, as the rule's Jacobi matrix grows with n^2.
-    """
-    n = _whole("principal quantum number", n, L + 1, N_CAP)
-    return float(_project(state, [n], _rule_size(n - L - 1))[0])
-
-
 def decompose(
     state: RadialSqueezedState,
     window: tuple[int, int] | None = None,
@@ -370,20 +356,6 @@ def _amplitude_blocks(ns, coeff_rows, r, table=None) -> Iterator[tuple[slice, in
         for i, c in enumerate(coeff_rows):
             yield block, i, np.stack([c.real, c.imag]) @ values
         del values  # so that the next block's table is built without this one
-
-
-def reconstruct(exp: EigenExpansion, r):
-    """Sum c_n R_nl(r); real, aligned with ``r``.
-
-    The sum is taken per block of radii on the real table of R_nl
-    (``_amplitude_blocks``), so no table of all the radii is held; a NaN or
-    negative radius raises ValueError.
-    """
-    r = _reals("radius", r, radii=True)
-    out = np.empty(r.size)
-    for block, _, (re, _) in _amplitude_blocks(exp.ns, [exp.coeffs], r.reshape(-1)):
-        out[block] = re
-    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 def coefficient_spread(exp: EigenExpansion):

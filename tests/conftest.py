@@ -11,7 +11,7 @@ import rydpack as rp
 from rydpack import specfun, spectral
 from rydpack.cli import main
 from rydpack.io import read_expansion
-from rydpack.specfun import NumericalError, laguerre, radial_log_prefactor
+from rydpack.specfun import NumericalError
 from rydpack.squeezed import L
 
 NBAR = 85
@@ -139,27 +139,43 @@ def coarse_quadrature(monkeypatch):
     spectral._moment_matrices.cache_clear()
 
 
+def _laguerre(k, a, x):
+    """L_k^a(x) from a one-row ``specfun._laguerre_rows`` call, over the scale
+    m_k that the recurrence carries."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return specfun._laguerre_rows([k], a, x[None])[0] / specfun._factorial_scale(k)[0][k]
+
+
 def _radial_pr(n, l, r):
     """(d/dr + 1/r) R_nl(r), the real radial factor of p_r R_nl, for l >= 1.
 
     With rho = 2r/n, a = 2l + 1, k = n - l - 1 and
     dL_k^a/drho = -L_{k-1}^{a+1} (Abramowitz & Stegun 22.8.6),
     (d/dr + 1/r) R_nl = (2/n) A e^{-rho/2} rho^{l-1} [(l + 1 - rho/2) L_k^a - rho L_{k-1}^{a+1}]
-    with A the prefactor of R_nl.  The Laguerre values are taken in linear
+    with A = sqrt((2/n)^3 (n - l - 1)! / (2n (n + l)!)) the prefactor of
+    R_nl, taken in log space.  The Laguerre values are taken in linear
     space, so trust it to n of about 150.
     """
     k, a = n - l - 1, 2 * l + 1
     rho = (2.0 / n) * np.asarray(r, dtype=float)
-    poly = (l + 1 - 0.5 * rho) * laguerre(k, a, rho)
+    poly = (l + 1 - 0.5 * rho) * _laguerre(k, a, rho)
     if k:
-        poly -= rho * laguerre(k - 1, a + 1, rho)
-    return (2.0 / n) * np.exp(radial_log_prefactor(n, l) - 0.5 * rho) * rho ** (l - 1) * poly
+        poly -= rho * _laguerre(k - 1, a + 1, rho)
+    log_prefactor = 1.5 * math.log(2.0 / n) + 0.5 * (math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1))
+    return (2.0 / n) * np.exp(log_prefactor - 0.5 * rho) * rho ** (l - 1) * poly
 
 
 @pytest.fixture(scope="session")
 def radial_pr():
-    """A reference (d/dr + 1/r) R_nl built from the public Laguerre values."""
+    """A reference (d/dr + 1/r) R_nl built from one-row Laguerre recurrences."""
     return _radial_pr
+
+
+@pytest.fixture(scope="session")
+def laguerre():
+    """L_k^a(x) from a one-row Laguerre recurrence."""
+    return _laguerre
 
 
 def _anchor_weights(n, l):

@@ -10,6 +10,8 @@ here, not only in a benchmark run.  Its `cli` mode runs the command line
 under the tracer, as the traced `cli-85` passes do.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -22,6 +24,7 @@ import rydpack as rp
 from rydpack.cli import main
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+TRACER = CHILD.with_name("tracer.py")
 SRC = str(Path(rp.__file__).resolve().parents[1])
 NBARS = (20, 85)
 
@@ -112,3 +115,27 @@ def test_benchmark_reads_one_product_error_at_nbar_85(tmp_path):
     header, first = (out / "scan.csv").read_text().splitlines()[:2]
     product = float(first.split(",")[header.split(",").index("product")])
     assert run_pass(tmp_path, "scan")["product_rel_err"] == abs(product / closed - 1.0)
+
+
+# the spans the benchmark's tracer can record: every entry of its TARGETS
+# that names an attribute of rydpack.  specfun.laguerre and
+# specfun.hydrogen_radial_pr name none, so their metrics read 0; a target
+# that leaves this set leaves it here, in the diff, not silently
+TRACED = {
+    "squeezed.fit_parameters", "spectral.decompose", "specfun.hydrogen_radial",
+    "evolution.observables", "evolution.autocorrelation", "evolution.density",
+    "analysis.count_packets", "io.write_state", "io.read_state", "io.write_expansion",
+    "io.read_expansion", "io.write_series", "io.write_density",
+}
+
+
+def test_the_tracers_targets_resolve_to_the_package():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    resolved = {
+        name for module, attr, name, _ in tracer.TARGETS if hasattr(importlib.import_module(module), attr)
+    }
+    assert resolved == TRACED
+    # and evolution.basis_build wraps the classmethod BasisTable.build
+    assert isinstance(vars(rp.BasisTable)["build"], classmethod)

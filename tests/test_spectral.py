@@ -12,8 +12,6 @@ from rydpack.spectral import (
     EigenExpansion,
     coefficient_spread,
     decompose,
-    project_coefficient,
-    reconstruct,
 )
 from rydpack.squeezed import L, QuantumNumbers, RadialSqueezedState, fit_parameters
 
@@ -89,27 +87,40 @@ def test_populations_and_weight_are_computed_once():
     assert exp.deficit is exp.deficit
 
 
+def project_level(state, n):
+    """c_n on the Gauss-Laguerre rule ``decompose`` takes for a batch whose
+    largest level is n, guarded as it guards one."""
+    return float(spectral._project(state, [n], spectral._rule_size(n - L - 1))[0])
+
+
+def amplitude(exp, r):
+    """sum_n c_n R_nl(r) on the 1-d radii r, block by block as density
+    snapshots take it (``spectral._amplitude_blocks``)."""
+    out = np.empty(r.size)
+    for block, _, (re, im) in spectral._amplitude_blocks(exp.ns, [exp.coeffs], r):
+        assert not im.any()
+        out[block] = re
+    return out
+
+
 def test_project_pure_eigenstate():
     st = pure_p_eigenstate()
-    assert project_coefficient(st, 2) == pytest.approx(1.0, abs=1e-11)
+    assert project_level(st, 2) == pytest.approx(1.0, abs=1e-11)
     for n in (3, 4, 7):
-        assert abs(project_coefficient(st, n)) < 1e-11
-    with pytest.raises(ValueError, match="principal quantum number must be >= 2, got 1"):
-        project_coefficient(st, 1)
+        assert abs(project_level(st, n)) < 1e-11
 
 
 @pytest.mark.parametrize(
     "call, name",
     [
         (lambda state: hydrogen_energy(10**400), "principal quantum number"),
-        (lambda state: project_coefficient(state, 10**400), "principal quantum number"),
         (lambda state: QuantumNumbers(-(10**400)), "nbar"),
         (lambda state: decompose(state, center=20.5), "center"),
         (lambda state: decompose(state, window=(16.7, 24.2)), "window's lowest level"),
         (lambda state: decompose(state, window=(16, 24.2)), "window's top level"),
         (lambda state: EigenExpansion(2.5, [0.5, 0.5]), "n_min"),
     ],
-    ids=["energy-401-digits", "project-401-digits", "nbar-401-digits", "center", "window-low",
+    ids=["energy-401-digits", "nbar-401-digits", "center", "window-low",
          "window-top", "n_min"],
 )
 def test_every_whole_number_takes_one_rule(call, name, state85):
@@ -130,6 +141,20 @@ def test_project_detects_bad_quadrature():
             spectral._project(st, [n], m)
 
 
+def test_projection_guard_pins_its_tolerance_and_its_rule():
+    # nbar 20's starting window [16, 24] has k_max = 22, so a rule is exact
+    # from 12 nodes on (2M - 1 >= 22).  On 11 nodes the guard's rule of 19 is
+    # exact and sees a gap of 2.9e-6, which a tolerance of 1e-5 would pass.
+    # On 8 nodes the guard's rule of 16 is exact, so it reports the gap to
+    # the exact value; a guard of 2 more nodes, 10, is not exact and reports
+    # 1.465e-01 (on 9 nodes either guard reports 1.964e-02 to four digits)
+    state, ns = fit_parameters(QuantumNumbers(20)), list(range(16, 25))
+    for m, err in ((11, r"2\.901e-06"), (8, r"1\.472e-01")):
+        with pytest.raises(NumericalError, match=f"estimated error {err} > 1e-09$"):
+            spectral._project(state, ns, m)
+    assert np.isfinite(spectral._project(state, ns, 12)).all()
+
+
 def test_decompose_pure_eigenstate():
     exp = decompose(pure_p_eigenstate())
     p = np.abs(exp.coeffs) ** 2
@@ -145,7 +170,7 @@ def test_nan_projection_raises():
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         decompose(state, center=300)
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
-        project_coefficient(state, 300)
+        project_level(state, 300)
 
 
 def test_nbar_300_fails_on_first_batch(monkeypatch):
@@ -162,7 +187,8 @@ def test_decompose_has_the_bits_of_one_rule_at_a_time(monkeypatch, per_rule_proj
     # both rules of a batch share one Laguerre recurrence for their weights
     # and one for the projection; each coefficient keeps the bits of a route
     # that builds and steps each rule alone, on grown and explicit windows
-    # and through project_coefficient, and nbar 300 fails as it did
+    # and for a window's ends projected one level at a time, and nbar 300
+    # fails as it did
     states = {nbar: fit_parameters(QuantumNumbers(nbar)) for nbar in (3, 4, 5, 10, 20, 85, 150, 230, 285, 288)}
 
     def run():
@@ -172,7 +198,7 @@ def test_decompose_has_the_bits_of_one_rule_at_a_time(monkeypatch, per_rule_proj
                 warnings.simplefilter("ignore", DeficitToleranceWarning)  # nbar 3's continuum
                 grown = decompose(state, center=nbar)
                 explicit = decompose(state, window=(grown.n_min, grown.n_max))
-            ends = np.array([project_coefficient(state, n) for n in (grown.n_min, grown.n_max)])
+            ends = np.array([project_level(state, n) for n in (grown.n_min, grown.n_max)])
             out.append((nbar, grown.n_min, grown.coeffs.tobytes(), explicit.coeffs.tobytes(), ends.tobytes()))
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as failed:
             decompose(fit_parameters(QuantumNumbers(300)), center=300)
@@ -201,7 +227,7 @@ def test_a_batch_steps_two_laguerre_recurrences(monkeypatch):
     assert len(batches) == 4
     assert calls == ["rydpack.specfun", "rydpack.spectral"] * len(batches)
     calls.clear()
-    project_coefficient(fit_parameters(QuantumNumbers(20)), 20)
+    project_level(fit_parameters(QuantumNumbers(20)), 20)
     assert calls == ["rydpack.specfun", "rydpack.spectral"]
 
 
@@ -325,15 +351,14 @@ def test_decompose_fitted_state(state85, exp85):
     p = np.abs(exp85.coeffs) ** 2
     assert abs(int(exp85.ns[np.argmax(p)]) - 85) <= 2
     # packet has no low-n support
-    assert abs(project_coefficient(state85, 2)) ** 2 < 1e-12
+    assert abs(project_level(state85, 2)) ** 2 < 1e-12
     # weight + deficit is exactly one by construction
     assert exp85.weight + exp85.deficit == pytest.approx(1.0, abs=1e-15)
 
 
 def test_coefficients_real_for_real_parameters(state85, exp85):
     assert exp85.coeffs.dtype == np.float64
-    assert type(project_coefficient(state85, 85)) is float
-    assert project_coefficient(state85, 85) == pytest.approx(exp85.coeffs[85 - exp85.n_min], rel=1e-12)
+    assert project_level(state85, 85) == pytest.approx(exp85.coeffs[85 - exp85.n_min], rel=1e-12)
 
 
 def test_projection_against_dense_trapezoid(state85):
@@ -342,7 +367,7 @@ def test_projection_against_dense_trapezoid(state85):
     psi = np.exp(state85.log_envelope(r))
     for n in (83, 85, 88):
         oracle = np.trapezoid(hydrogen_radial(n, 1, r) * psi * r**2, r)
-        assert project_coefficient(state85, n) == pytest.approx(oracle, abs=2e-8)
+        assert project_level(state85, n) == pytest.approx(oracle, abs=2e-8)
 
 
 def test_decompose_window_misses_packet(state85, monkeypatch):
@@ -365,21 +390,16 @@ def test_window_extension_monotonicity(state85):
 def test_reconstruct_pure_eigenstate():
     exp = decompose(pure_p_eigenstate())
     r = np.linspace(0.0, 40.0, 101)
-    rec = reconstruct(exp, r)
-    assert rec.dtype == float and rec.shape == r.shape
-    assert np.allclose(rec, hydrogen_radial(2, 1, r), atol=1e-9)
-    assert type(reconstruct(exp, 1.5)) is float
+    assert np.allclose(amplitude(exp, r), hydrogen_radial(2, 1, r), atol=1e-9)
 
 
 def test_nan_radius_is_refused_and_an_infinite_one_gives_zero(exp85):
     # a NaN radius is bad input, a ValueError, not an overflow of R_85,1
     with pytest.raises(ValueError, match="radius is NaN"):
         hydrogen_radial(85, 1, np.nan)
-    with pytest.raises(ValueError, match="radius is NaN"):
-        reconstruct(exp85, [1.0, np.nan])
     # an infinite radius lies past every live bound
     assert hydrogen_radial(85, 1, np.inf) == 0.0
-    values = reconstruct(exp85, [1.0, np.inf])
+    values = amplitude(exp85, np.array([1.0, np.inf]))
     assert values[0] != 0.0 and values[1] == 0.0
 
 
@@ -389,7 +409,7 @@ def test_parseval_residual(state85, exp85):
 
     x, w = radial_quadrature(4.0 * 85**2, 4096)
     psi = np.exp(state85.log_envelope(x))
-    resid = psi - reconstruct(exp85, x)
+    resid = psi - amplitude(exp85, x)
     err = np.dot(w, np.abs(resid) ** 2 * x**2)
     assert err == pytest.approx(exp85.deficit, abs=1e-6)
 
