@@ -42,11 +42,10 @@ import numpy as np
 from . import io as rio
 from . import stages
 from .analysis import Timescales, timescales
-from .evolution import RadialGrid
 from .specfun import NumericalError
-from .spectral import DEFAULT_DEFICIT_TOL, coefficient_spread
-from .squeezed import FitError, QuantumNumbers, fit_parameters, uncertainties_rp
-from .units import ATOMIC_TIME_S, au_to_ns
+from .spectral import DEFAULT_DEFICIT_TOL
+from .squeezed import FitError, QuantumNumbers
+from .units import ATOMIC_TIME_S
 
 __all__ = ["RunConfig", "UsageError", "parse_time_expression", "main"]
 
@@ -257,9 +256,8 @@ def _check_nbar(cfg: RunConfig, args, path: str, nbar: int) -> None:
 def cmd_decompose(cfg: RunConfig, args) -> int:
     nbar, state = rio.read_state(args.state)
     _check_nbar(cfg, args, args.state, nbar)
-    exp, messages = stages.expand(state, args.window, cfg.deficit_tol)
+    exp, (mean_n, deltan), messages = stages.expand(state, args.window, cfg.deficit_tol)
     rio.write_expansion(_out_path(cfg, "expansion.csv"), nbar, exp)
-    mean_n, deltan = coefficient_spread(exp)
     print(
         f"decompose nbar={nbar}: window=[{exp.n_min},{exp.n_max}] "
         f"deficit={exp.deficit:.6e} mean_n={mean_n:.3f} deltan={deltan:.4f}"
@@ -324,43 +322,22 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_density(cfg: RunConfig, args) -> int:
     nbar, exp = _load_expansion(cfg, args)
-    ts = timescales(QuantumNumbers(nbar))
-    exprs, times = _times(ts, args)
-    with _settings(args, "grid_points", "r_max_factor"):
-        r_max = cfg.r_max_factor * nbar**2
-        if not math.isfinite(r_max):
-            raise UsageError(f"r_max_factor={cfg.r_max_factor!r} puts the grid's end r_max_factor nbar^2 out of range")
-        grid = RadialGrid.uniform(r_max, cfg.grid_points)
-    smooth = cfg.smooth
-    if smooth is None:
-        # envelope scale: one third of the fitted state's initial width, in closed form
-        try:
-            state = fit_parameters(QuantumNumbers(nbar))
-        except FitError as exc:
-            raise UsageError(
-                f"{args.expansion}: no default smoothing width, since {exc}; give --smooth"
-            ) from None
-        smooth = uncertainties_rp(state)[0] / 3.0
+    exprs, times = _times(timescales(QuantumNumbers(nbar)), args)
     names = [f"density_{i:02d}.csv" for i in range(len(times))]
-    with _settings(args, "grid_points", "r_max_factor", "smooth"):
-        densities, reports = stages.snapshots(exp, grid, times, smooth, cfg.prominence)
-    snapshots = [
-        {"file": name, "expression": expr, "t_au": t, "t_ns": au_to_ns(t),
-         "peak_count": report.peak_count, "peak_positions": list(report.peak_positions)}
-        for name, expr, t, report in zip(names, exprs, times, reports)
-    ]
+    try:
+        with _settings(args, "grid_points", "r_max_factor", "smooth"):
+            grid, densities, packets = stages.snapshots(
+                exp, nbar, names, exprs, times, cfg.grid_points, cfg.r_max_factor, cfg.smooth, cfg.prominence
+            )
+    except FitError as exc:
+        raise UsageError(f"{args.expansion}: no default smoothing width, since {exc}; give --smooth") from None
     # the report's text is formed before any snapshot is written, and replaces
     # packets.json last, so a failure in between leaves the old report whole
-    packets = rio.json_text({
-        "prominence_threshold": cfg.prominence,
-        "smooth": smooth,
-        "timescales": stages.timescale_block(ts, coefficient_spread(exp)[1]),
-        "snapshots": snapshots,
-    })
+    text = rio.json_text(packets)
     rio.write_density([_out_path(cfg, name) for name in names], grid.points, densities, times)
-    for snapshot in snapshots:
+    for snapshot in packets["snapshots"]:
         print(f"{snapshot['file']}: t={snapshot['t_ns']:.6f} ns  packets={snapshot['peak_count']}")
-    rio.write_text_atomic(_out_path(cfg, "packets.json"), [packets])
+    rio.write_text_atomic(_out_path(cfg, "packets.json"), [text])
     # an earlier run's snapshots past this run's count would outlive its report
     for path in Path(cfg.output_dir).glob("density_*.csv"):
         if re.fullmatch(r"density_(0[0-9]|[1-9][0-9]+)\.csv", path.name) and path.name not in names:

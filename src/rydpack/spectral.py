@@ -288,43 +288,32 @@ def decompose(
             raise NumericalError(f"window [{n_min}, {n_max}] captured weight {weight!r}, outside {_WEIGHTS}")
         if 1.0 - weight < deficit_tol:
             break
-        if not step:
-            warnings.warn(
-                f"deficit {1.0 - weight:.6e} above tolerance {deficit_tol:g} "
-                f"for window [{n_min},{n_max}]",
-                DeficitToleranceWarning,
-                stacklevel=2,
-            )
-            break
         lo_new = max(L + 1, n_min - step)
         hi_new = min(N_CAP, n_max + step)
         fresh = list(range(lo_new, n_min)) + list(range(n_max + 1, hi_new + 1))
-        if not fresh:
-            warnings.warn(
-                f"deficit tolerance {deficit_tol:g} unreachable within "
-                f"[{L + 1}, {N_CAP}]; achieved deficit {1.0 - weight:.6e}",
-                DeficitToleranceWarning,
-                stacklevel=2,
-            )
-            break
         tail = 0.5 * n_max * abs(coeffs[-1]) ** 2  # C / (2 n_max^2)
-        if (
+        if not step:
+            message = (f"deficit {1.0 - weight:.6e} above tolerance {deficit_tol:g} "
+                       f"for window [{n_min},{n_max}]")
+        elif not fresh:
+            message = (f"deficit tolerance {deficit_tol:g} unreachable within "
+                       f"[{L + 1}, {N_CAP}]; achieved deficit {1.0 - weight:.6e}")
+        elif (
             n_min == L + 1
             and tail < _TAIL_FRACTION * deficit_tol
             and 1.0 - weight - tail > _TAIL_MARGIN * deficit_tol
         ):
-            warnings.warn(
-                f"deficit tolerance {deficit_tol:g} unreachable: the window "
-                f"[{n_min}, {n_max}] holds all but about {tail:.1e} of the bound "
-                f"weight; estimated continuum weight {1.0 - weight - tail:.6e}, "
-                f"achieved deficit {1.0 - weight:.6e}",
-                DeficitToleranceWarning,
-                stacklevel=2,
-            )
-            break
-        c = batch(fresh)
-        coeffs = np.concatenate([c[: n_min - lo_new], coeffs, c[n_min - lo_new :]])
-        n_min, n_max = lo_new, hi_new
+            message = (f"deficit tolerance {deficit_tol:g} unreachable: the window "
+                       f"[{n_min}, {n_max}] holds all but about {tail:.1e} of the bound "
+                       f"weight; estimated continuum weight {1.0 - weight - tail:.6e}, "
+                       f"achieved deficit {1.0 - weight:.6e}")
+        else:
+            c = batch(fresh)
+            coeffs = np.concatenate([c[: n_min - lo_new], coeffs, c[n_min - lo_new :]])
+            n_min, n_max = lo_new, hi_new
+            continue
+        warnings.warn(message, DeficitToleranceWarning, stacklevel=2)
+        break
     return EigenExpansion(n_min, coeffs)
 
 
@@ -408,7 +397,7 @@ class UncertaintyRecord:
 _GRAM_TOL = 1e-6
 
 # the moment rule reaches at least this far (bohr): 4 n^2 at n = 7.  Below
-# that, 4 n_max^2 cuts the tail of the top level short (||S - I||_2 = 4e-4 on
+# that, 4 n_max^2 cuts the tail of the top level short (||S - I||_F = 4e-4 on
 # [2, 2]); every window with n_max >= 7 keeps 4 n_max^2
 _R_MAX_FLOOR = 196.0
 
@@ -453,12 +442,13 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     whole window at nbar 20 to 288.  Three guards on the rule, in this
     order, raise NumericalError naming the window and the residual past
     _GRAM_TOL.  The Gram matrix S = <n|m>, built for the guard alone, must
-    have ||S - I||_2 <= _GRAM_TOL; then |c^dagger S c - c^dagger c| <=
-    _GRAM_TOL c^dagger c for every c, so the weight is the norm at every
-    time.  The four diagonals must match their closed forms, relative: each
-    sees the rule's error in its own moment, which S can miss.  The
-    off-diagonals, which carry all of a record's time dependence, must keep
-    the k = 2 hypervirial identity (E_m - E_n)^2 <m|r^2|n> = -2 <m|r^-1|n>
+    have ||S - I||_F <= _GRAM_TOL; the Frobenius norm is never below the
+    spectral norm, so |c^dagger S c - c^dagger c| <= _GRAM_TOL c^dagger c
+    for every c, and the weight is the norm at every time.  The four
+    diagonals must match their closed forms, relative: each sees the rule's
+    error in its own moment, which S can miss.  The off-diagonals, which
+    carry all of a record's time dependence, must keep the k = 2
+    hypervirial identity (E_m - E_n)^2 <m|r^2|n> = -2 <m|r^-1|n>
     (Hirschfelder, J. Chem. Phys. 33, 1462 (1960)): its worst miss over
     m != n, relative to the largest |2 <m|r^-1|n>|, is 1e-13 on [16, 24].
     """
@@ -474,8 +464,8 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     energies = _energies(ns)
     gaps = energies[None, :] - energies[:, None]
     stack[4] = 1j * gaps * stack[0].real
-    # S - I is symmetric, so its spectral norm is its largest |eigenvalue|
-    gap = np.abs(np.linalg.eigvalsh(wv @ vals.T - np.eye(ns.size))).max()
+    # the Frobenius norm bounds the spectral norm from above
+    gap = np.linalg.norm(wv @ vals.T - np.eye(ns.size))
     # the closed-form diagonals of the four moments (Bethe & Salpeter, section 3)
     n = ns.astype(float)
     ll = L * (L + 1)
@@ -491,7 +481,7 @@ def _moment_matrices(n_min: int, n_max: int) -> np.ndarray:
     miss = np.abs(gaps**2 * stack[1].real + 2.0 * stack[2].real)[off]
     hypervirial = miss.max() / np.abs(2.0 * stack[2].real[off]).max() if miss.size else 0.0
     for residual, what in (
-        (gap, f"||S - I||_2 = {gap:.3e}"),
+        (gap, f"||S - I||_F = {gap:.3e}"),
         (residuals[worst], f"the {list(closed)[worst]} diagonal is {residuals[worst]:.3e} off its closed form,"),
         (hypervirial, f"the off-diagonal hypervirial residual is {hypervirial:.3e},"),
     ):

@@ -19,7 +19,7 @@ from rydpack.analysis import (
     fractional_period_check,
     timescales,
 )
-from rydpack.evolution import BasisTable, RadialGrid, autocorrelation, density, observables
+from rydpack.evolution import BasisTable, RadialGrid, density, observables
 from rydpack.specfun import NumericalError
 from rydpack.spectral import decompose
 from rydpack.squeezed import QuantumNumbers, fit_parameters
@@ -285,26 +285,6 @@ def test_fractional_period_check_matches_where_some_pairing_does():
         assert fractional_period_check(r, f_a, f_b, r_out=4000.0) == want, (pa, pb)
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
-
-
-@pytest.mark.parametrize("nbar", [10, 20, 30, 50, 85, 120, 150, 200, 230, 285])
-def test_one_packet_at_start_and_revival_timing_across_nbar(nbar, range_expansion):
-    # criterion 5's t = 0 count and criterion 6 hold beyond nbar 85: one packet
-    # on the CLI's default grid and smoothing width, and the autocorrelation,
-    # sampled at T_cl/50 in [0.9, 1.1] t_rev, peaks within 5% of t_rev at no
-    # less than twice its value at 4 T_cl.  The peak sits at 0.963 t_rev at
-    # nbar 20 and at 1.045 and 1.046 t_rev at nbar 30 and 50.
-    exp = range_expansion(nbar)
-    grid = RadialGrid.uniform(4.0 * nbar**2, 16000)
-    smooth = observables(exp, 0.0, grid).dr / 3.0
-    assert count_packets(grid.points, density(exp, grid, 0.0), smooth=smooth).peak_count == 1
-    ts = timescales(QuantumNumbers(nbar))
-    t_cl, t_rev = ts.T_cl_au, ts.t_rev_au
-    times = np.linspace(0.9 * t_rev, 1.1 * t_rev, int(math.ceil(0.2 * t_rev / (t_cl / 50.0))) + 1)
-    values = [autocorrelation(exp, t) for t in times]
-    t_peak, value = detect_revival(times, values, (0.9 * t_rev, 1.1 * t_rev))
-    assert abs(t_peak - t_rev) <= 0.05 * t_rev, t_peak / t_rev
-    assert value >= 2.0 * autocorrelation(exp, 4.0 * t_cl)
 
 
 # SciPy is the reference for the numpy envelope filter and peak finder; the

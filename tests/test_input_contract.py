@@ -15,12 +15,13 @@ from drawn arguments, so that a constructor's refusal counts as the call's.
 Half the expansions are fitted states of a small nbar, decomposed, and half
 the grids uniform, so that the calls that take them often get past their
 construction; half the basis tables are built for the call's own expansion
-and grid, so that they match it.  Half the draws of ``observables``,
-``autocorrelation`` and ``density`` are fitted calls, which return, and
-every value those three return must obey the bounds of a physical state:
-both uncertainty relations, an autocorrelation in [0, 1] and a density
->= 0.  The constants, the error and warning types and the plain records,
-which hold what a routine computed, are not called.
+and grid, so that they match it.  Every value ``observables``,
+``autocorrelation`` and ``density`` return must obey the bounds of a
+physical state: both uncertainty relations, an autocorrelation in [0, 1]
+and a density >= 0.  Their fitted calls, on a fitted expansion of a small
+nbar, have a test of their own, in which every draw must return.  The
+constants, the error and warning types and the plain records, which hold
+what a routine computed, are not called.
 """
 
 import dataclasses
@@ -238,13 +239,9 @@ def _fitted_call(name: str):
 
 
 # the calls whose values are checked beyond finiteness (``_check_value``);
-# half their draws are fitted calls, which return
+# their fitted calls, which must return, have a test of their own
 FITTED = ("autocorrelation", "density", "observables")
-cases = st.sampled_from(sorted(CALLS)).flatmap(
-    lambda name: st.booleans().flatmap(lambda fit: (_fitted_call if fit else _drawn_call)(name))
-    if name in FITTED
-    else _drawn_call(name)
-)
+cases = st.sampled_from(sorted(CALLS)).flatmap(_drawn_call)
 
 
 def _public_methods() -> set[str]:
@@ -377,6 +374,31 @@ def test_public_calls_return_finite_values_or_raise_a_documented_error(case):
         result = np.where(result == -np.inf, 0.0, result)
     assert _finite(result), (name, args, result)
     _check_value(name, result)
+
+
+@pytest.mark.parametrize("name", FITTED)
+def test_fitted_calls_return_values_within_the_bounds_of_a_state(name):
+    # a fitted call is a state the package serves, so each of 30 draws must
+    # return, and its value must obey the bounds of a physical state
+    counts = {"drawn": 0, "returned": 0}
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_fitted_call(name))
+    def call(case):
+        counts["drawn"] += 1
+        args = _with_own_tables(name, case[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", DeficitToleranceWarning)
+            done = {}
+            result = _resolved(name)(*(_built(a, done) for a in args))
+        assert _finite(result), (name, args, result)
+        _check_value(name, result)
+        counts["returned"] += 1
+
+    call()
+    print(f"{name}: {counts['returned']} of {counts['drawn']} fitted draws returned")
 
 
 def _check_value(name: str, result):

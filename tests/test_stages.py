@@ -25,9 +25,8 @@ from rydpack import cli, stages
 from rydpack import io as rio
 from rydpack.analysis import timescales
 from rydpack.cli import RunConfig, parse_time_expression
-from rydpack.evolution import RadialGrid
 from rydpack.spectral import coefficient_spread
-from rydpack.squeezed import QuantumNumbers, uncertainties_rp
+from rydpack.squeezed import QuantumNumbers
 from rydpack.units import au_to_ns
 
 from conftest import LEDGER_NBARS, LEDGER_SCAN, LEDGER_TIMES
@@ -60,30 +59,27 @@ def test_each_stage_gives_what_its_subcommand_wrote(pipeline, nbar):
     assert report == json.loads((out / "fit_report.json").read_text())
     assert rio.read_state(out / "state.json") == (nbar, state)
 
-    exp, messages = stages.expand(state, None, cfg.deficit_tol)
+    exp, spread, messages = stages.expand(state, None, cfg.deficit_tol)
     _, written = rio.read_expansion(out / "expansion.csv")
     assert (exp.n_min, exp.coeffs.tobytes()) == (written.n_min, written.coeffs.tobytes())
-    assert messages == []
+    assert spread == coefficient_spread(exp) and messages == []
 
     scan = dict(zip(LEDGER_SCAN[::2], LEDGER_SCAN[1::2]))
     t_stop = parse_time_expression(scan["--t-stop"], ts.T_cl_au, ts.t_rev_au)
     times = np.linspace(0.0, t_stop, int(scan["--t-steps"]))
     assert _scan_rows(stages.scan(exp, times)) == _csv_rows(out / "scan.csv")
 
-    times = [parse_time_expression(e, ts.T_cl_au, ts.t_rev_au) for e in LEDGER_TIMES.split(",")]
-    grid = RadialGrid.uniform(cfg.r_max_factor * nbar**2, cfg.grid_points)
-    smooth = uncertainties_rp(state)[0] / 3.0
-    densities, reports = stages.snapshots(exp, grid, times, smooth, cfg.prominence)
-    packets = json.loads((out / "packets.json").read_text())
-    assert (packets["smooth"], packets["prominence_threshold"]) == (smooth, cfg.prominence)
-    assert packets["timescales"] == stages.timescale_block(ts, coefficient_spread(exp)[1])
-    assert len(packets["snapshots"]) == len(reports) == len(densities) == len(times)
-    for i, (t, f, report, snapshot) in enumerate(zip(times, densities, reports, packets["snapshots"])):
-        t_au, r, written = rio.read_density(out / f"density_{i:02d}.csv")
-        assert t_au == report.t == snapshot["t_au"] == t
-        assert np.array_equal(r, grid.points) and np.array_equal(written, f), i
-        assert snapshot["peak_positions"] == list(report.peak_positions), i
-        assert snapshot["peak_count"] == report.peak_count, i
+    exprs = LEDGER_TIMES.split(",")
+    times = [parse_time_expression(e, ts.T_cl_au, ts.t_rev_au) for e in exprs]
+    files = [f"density_{i:02d}.csv" for i in range(len(times))]
+    grid, densities, packets = stages.snapshots(
+        exp, nbar, files, exprs, times, cfg.grid_points, cfg.r_max_factor, cfg.smooth, cfg.prominence
+    )
+    assert packets == json.loads((out / "packets.json").read_text())
+    assert len(densities) == len(times)
+    for file, t, f in zip(files, times, densities):
+        t_au, r, written = rio.read_density(out / file)
+        assert t_au == t and np.array_equal(r, grid.points) and np.array_equal(written, f), file
 
 
 def test_stages_write_and_print_nothing(monkeypatch, capsys, tmp_path):
@@ -101,10 +97,10 @@ def test_stages_write_and_print_nothing(monkeypatch, capsys, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning is a message the stage returns
         state, _ = stages.fit(q)
-        exp, _ = stages.expand(state, None, 1e-4)
-        _, messages = stages.expand(state, (19, 21), 1e-4)
+        exp, _, _ = stages.expand(state, None, 1e-4)
+        _, _, messages = stages.expand(state, (19, 21), 1e-4)
         blocks = list(stages.scan(exp, np.linspace(0.0, ts.T_cl_au, 11)))
-        stages.snapshots(exp, RadialGrid.uniform(1600.0, 4000), [0.0, ts.t_rev_au / 2], 3.0, 0.05)
+        stages.snapshots(exp, 20, ["a.csv", "b.csv"], ["0", "trev/2"], [0.0, ts.t_rev_au / 2], 4000, 4.0, 3.0, 0.05)
     assert len(messages) == 1 and messages[0].startswith("deficit ")
     assert sum(len(records) for records, _ in blocks) == 11
     assert capsys.readouterr() == ("", "")
@@ -145,6 +141,22 @@ def test_cli_uses_no_private_name_of_another_module():
     ]
     assert {"rio", "stages"} <= modules  # the check sees the module names cli binds
     assert private == []
+
+
+def test_cli_takes_from_the_package_only_what_parsing_and_exit_codes_need():
+    # cli computes nothing: beside io and stages it imports the names its
+    # time expressions, its settings' checks and its exit codes read
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is not None
+        for alias in node.names
+    }
+    assert names == {
+        "Timescales", "timescales", "QuantumNumbers", "FitError", "NumericalError", "DEFAULT_DEFICIT_TOL",
+        "ATOMIC_TIME_S",
+    }
 
 
 def test_the_package_import_loads_no_stage():
